@@ -15,6 +15,7 @@
 #include "obs/session.hpp"
 #include "report/table.hpp"
 #include "reram/kernels/kernels.hpp"
+#include "rl/kernels/dense.hpp"
 
 namespace autohet::bench {
 
@@ -27,10 +28,11 @@ namespace autohet::bench {
 /// conventions.
 inline int episodes_from_args(int argc, char** argv, int fallback) {
   static obs::ObsSession session(obs::options_from_argv(argc, argv));
-  // `--kernel <name>` anywhere on the line forces the kernel ISA variant
-  // (hard error on unknown/unsupported — a forced bench must not silently
-  // measure a different code path).
+  // `--kernel <name>` anywhere on the line forces the kernel ISA variant of
+  // both kernel tables (hard error on unknown/unsupported — a forced bench
+  // must not silently measure a different code path).
   reram::kernels::apply_argv_override(argc, argv);
+  rl::kernels::apply_argv_override(argc, argv);
   if (argc > 1) {
     const int v = std::atoi(argv[1]);
     if (v > 0) return v;

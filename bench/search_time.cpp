@@ -5,35 +5,58 @@
 // reproducible quantity is the *split*, plus a demonstration that episode
 // evaluation parallelizes across a thread pool.
 //
-// Also emits BENCH_search_time.json with episodes/sec, the stage split, and
-// the evaluation-engine cache hit rate, alongside the pre-engine baseline
-// measured on the same host (see kBaseline below) so the speedup from the
-// memoized evaluation engine + batched DDPG kernels is tracked in-repo.
+// Also emits BENCH_search_time.json with episodes/sec, the stage split, the
+// evaluation-engine cache hit rate, and `learning_speedup_vs_portable`: the
+// same replayed DDPG update sequence timed under the portable RL kernels and
+// under the active variant, in this process (a same-host ratio, so it gates
+// without cross-host slack).
 //
-// Usage: search_time [episodes]   (default 300, the paper's setting)
+// Usage: search_time [episodes] [--kernel <variant>]   (default 300, the
+// paper's setting)
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
+#include "rl/ddpg.hpp"
 
 using namespace autohet;
 
 namespace {
 
-/// Pre-engine reference numbers: the binary built from the commit before the
-/// evaluation engine landed (per-episode re-evaluation, per-sample DDPG
-/// update), run on the same host with `search_time 500`. Only comparable to
-/// runs with the same episode count.
-struct Baseline {
-  int episodes;
-  double total_seconds;
-  double decision_seconds;
-  double simulator_seconds;
-  double learning_seconds;
-  double serial_evals_per_second;
+struct UpdateTiming {
+  double seconds = 0.0;
+  double loss_sum = 0.0;  ///< Σ critic loss: equal across bit-identical runs
 };
-constexpr Baseline kBaseline = {500, 16.732, 0.028, 0.023, 16.669, 3541.0};
+
+/// Times `updates` DDPG updates under RL kernel variant `v`, replayed from a
+/// fixed seed: the same agent, the same transition pool (VGG16-sized
+/// episodes of 16 layers) and the same minibatch draws on every call.
+UpdateTiming time_replayed_updates(rl::kernels::Variant v, int updates) {
+  rl::kernels::set_variant(v);
+  rl::DdpgAgent agent(rl::DdpgConfig{}, common::Rng(17));
+  common::Rng rng(18);
+  constexpr int kLayers = 16;
+  for (int i = 0; i < 100 * kLayers; ++i) {
+    rl::Transition t;
+    t.state.resize(10);
+    t.next_state.resize(10);
+    for (auto& x : t.state) x = rng.uniform(0.0, 1.0);
+    for (auto& x : t.next_state) x = rng.uniform(0.0, 1.0);
+    t.action = rng.uniform(0.0, 1.0);
+    t.reward = rng.uniform(0.0, 1.0);
+    t.terminal = (i % kLayers) == kLayers - 1;
+    agent.remember(std::move(t));
+  }
+  UpdateTiming out;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < updates; ++i) out.loss_sum += agent.update();
+  out.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return out;
+}
 
 }  // namespace
 
@@ -142,12 +165,49 @@ int main(int argc, char** argv) {
             << report::format_fixed(100.0 * rob_memo.hit_rate(), 1) << "% ("
             << rob_memo.hits << " hits / " << rob_memo.misses << " misses)\n";
 
+  // ---- DDPG learning: active RL kernel variant vs the portable reference --
+  // Alternating repetitions, fastest of each: other tenants only ever slow
+  // a run down.
+  constexpr int kReplayedUpdates = 1000;
+  const rl::kernels::Variant rl_active = rl::kernels::active_variant();
+  double portable_s = 0.0, active_s = 0.0;
+  bool learning_identical = true;
+  for (int rep = 0; rep < 3; ++rep) {
+    const UpdateTiming p =
+        time_replayed_updates(rl::kernels::Variant::kPortable,
+                              kReplayedUpdates);
+    const UpdateTiming a = time_replayed_updates(rl_active, kReplayedUpdates);
+    portable_s = rep == 0 ? p.seconds : std::min(portable_s, p.seconds);
+    active_s = rep == 0 ? a.seconds : std::min(active_s, a.seconds);
+    learning_identical = learning_identical && p.loss_sum == a.loss_sum;
+  }
+  rl::kernels::set_variant(rl_active);
+  const double learning_speedup = active_s > 0.0 ? portable_s / active_s : 0.0;
+  std::cout << "\nDDPG learning (" << kReplayedUpdates
+            << " replayed updates): portable "
+            << report::format_fixed(1e6 * portable_s / kReplayedUpdates, 1)
+            << " us/update, " << rl::kernels::variant_name(rl_active) << " "
+            << report::format_fixed(1e6 * active_s / kReplayedUpdates, 1)
+            << " us/update (" << report::format_fixed(learning_speedup, 2)
+            << "x), losses " << (learning_identical ? "identical" : "DIFFER")
+            << "\n";
+
   // ---- machine-readable summary ----
   std::ofstream json("BENCH_search_time.json");
   json << "{\n"
        << "  \"benchmark\": \"search_time\",\n"
        << "  \"model\": \"vgg16\",\n"
        << "  \"episodes\": " << episodes << ",\n"
+       << "  \"rl_kernel\": \"" << rl::kernels::variant_name(rl_active)
+       << "\",\n"
+       << "  \"learning\": {\n"
+       << "    \"replayed_updates\": " << kReplayedUpdates << ",\n"
+       << "    \"portable_seconds\": " << portable_s << ",\n"
+       << "    \"active_seconds\": " << active_s << ",\n"
+       << "    \"identical\": " << (learning_identical ? "true" : "false")
+       << "\n"
+       << "  },\n"
+       << "  \"learning_speedup_vs_portable\": " << learning_speedup << ",\n"
        << "  \"after\": {\n"
        << "    \"total_seconds\": " << total << ",\n"
        << "    \"episodes_per_second\": " << episodes / total << ",\n"
@@ -161,18 +221,6 @@ int main(int argc, char** argv) {
        << "    \"serial_evals_per_second\": " << kEvals / serial << ",\n"
        << "    \"pooled_evals_per_second\": " << kEvals / parallel << "\n"
        << "  },\n"
-       << "  \"before\": {\n"
-       << "    \"note\": \"pre-engine binary (per-episode re-evaluation, "
-          "per-sample DDPG update) on the same host\",\n"
-       << "    \"episodes\": " << kBaseline.episodes << ",\n"
-       << "    \"total_seconds\": " << kBaseline.total_seconds << ",\n"
-       << "    \"decision_seconds\": " << kBaseline.decision_seconds << ",\n"
-       << "    \"simulator_seconds\": " << kBaseline.simulator_seconds
-       << ",\n"
-       << "    \"learning_seconds\": " << kBaseline.learning_seconds << ",\n"
-       << "    \"serial_evals_per_second\": "
-       << kBaseline.serial_evals_per_second << "\n"
-       << "  },\n"
        << "  \"robust_search\": {\n"
        << "    \"model\": \"lenet5\",\n"
        << "    \"episodes\": " << kRobustEpisodes << ",\n"
@@ -184,16 +232,7 @@ int main(int argc, char** argv) {
        << "    \"mc_memo_hits\": " << rob_memo.hits << ",\n"
        << "    \"mc_memo_misses\": " << rob_memo.misses << ",\n"
        << "    \"mc_memo_hit_rate\": " << rob_memo.hit_rate() << "\n"
-       << "  }";
-  if (episodes == kBaseline.episodes && total > 0.0) {
-    json << ",\n  \"speedup_total\": " << kBaseline.total_seconds / total
-         << ",\n  \"speedup_learning\": "
-         << kBaseline.learning_seconds / result.learning_seconds
-         << ",\n  \"speedup_serial_eval\": "
-         << (kEvals / serial) / kBaseline.serial_evals_per_second << "\n";
-  } else {
-    json << "\n";
-  }
+       << "  }\n";
   json << "}\n";
   std::cout << "\nWrote BENCH_search_time.json\n";
   return 0;

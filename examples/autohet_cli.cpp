@@ -44,6 +44,7 @@
 #include "reram/functional.hpp"
 #include "reram/kernels/kernels.hpp"
 #include "reram/scheduler.hpp"
+#include "rl/kernels/dense.hpp"
 #include "report/profile_report.hpp"
 #include "report/serialize.hpp"
 #include "report/table.hpp"
@@ -630,16 +631,22 @@ int run_describe(const common::ArgParser& args) {
 }
 
 int run_kernels(const common::ArgParser&) {
-  // CI's dispatch smoke parses this table to learn which variants the host
-  // can run, then re-invokes the kernel tests with each one forced.
-  const reram::kernels::Variant active = reram::kernels::active_variant();
-  report::Table table({"Variant", "Supported", "Active"});
-  for (int v = 0; v < reram::kernels::kVariantCount; ++v) {
-    const auto variant = static_cast<reram::kernels::Variant>(v);
-    table.add_row({reram::kernels::variant_name(variant),
-                   reram::kernels::supported(variant) ? "yes" : "no",
-                   variant == active ? "yes" : ""});
-  }
+  // One row per (kernel table, variant). CI's dispatch smoke parses this
+  // table to learn which variants the host can run, then re-invokes the
+  // kernel tests with each one forced.
+  report::Table table({"Table", "Variant", "Supported", "Active"});
+  const auto add_rows = [&table](const char* name, auto supported,
+                                 common::KernelVariant active) {
+    for (int v = 0; v < common::kKernelVariantCount; ++v) {
+      const auto variant = static_cast<common::KernelVariant>(v);
+      table.add_row({name, common::kernel_variant_name(variant),
+                     supported(variant) ? "yes" : "no",
+                     variant == active ? "yes" : ""});
+    }
+  };
+  add_rows("reram", reram::kernels::supported,
+           reram::kernels::active_variant());
+  add_rows("rl", rl::kernels::supported, rl::kernels::active_variant());
   table.print(std::cout);
   return 0;
 }
@@ -735,9 +742,10 @@ int main(int argc, char** argv) {
                   "worker threads for batched hardware evaluation "
                   "(0 = serial)");
   args.add_option("kernel", "",
-                  "force the kernel ISA variant: portable | avx2 | avx512 "
-                  "(default: best supported; equivalent to AUTOHET_KERNEL; "
-                  "results are bit-identical across variants)");
+                  "force the ISA variant of the reram and rl kernel tables: "
+                  "portable | avx2 | avx512 (default: best supported; "
+                  "equivalent to AUTOHET_KERNEL; results are bit-identical "
+                  "across variants)");
   args.add_flag("no-tile-shared", "disable the tile-shared allocation");
   args.add_option("requests", "2000",
                   "'serve': target request count of the generated traffic "
@@ -804,6 +812,7 @@ int main(int argc, char** argv) {
                     "unknown kernel variant: " + kernel +
                         " (use portable|avx2|avx512)");
       reram::kernels::set_variant(v);  // hard error when unsupported
+      rl::kernels::set_variant(v);
     }
     const std::string command = args.positional("command");
     if (command == "search") return run_search(args);

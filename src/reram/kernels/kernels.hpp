@@ -43,11 +43,13 @@
 #include <string_view>
 #include <vector>
 
+#include "common/kernel_variant.hpp"
+
 namespace autohet::reram::kernels {
 
-enum class Variant : int { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
+using Variant = common::KernelVariant;
 
-inline constexpr int kVariantCount = 3;
+inline constexpr int kVariantCount = common::kKernelVariantCount;
 
 /// The per-variant kernel table. Every op accumulates into acc_t in the
 /// transposed [col][sample] layout documented above and is integer-exact:
@@ -105,10 +107,14 @@ std::vector<Variant> supported_variants();
 /// a forced variant must never silently fall back.
 void set_variant(Variant v);
 
-const char* variant_name(Variant v);
+inline const char* variant_name(Variant v) {
+  return common::kernel_variant_name(v);
+}
 
 /// Parses "portable" / "avx2" / "avx512" into *out; false on unknown names.
-bool variant_from_name(std::string_view name, Variant* out);
+inline bool variant_from_name(std::string_view name, Variant* out) {
+  return common::kernel_variant_from_name(name, out);
+}
 
 /// Applies a `--kernel <name>` / `--kernel=<name>` override found anywhere
 /// on a raw argv (the bench binaries' positional conventions predate flag

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "rl/kernels/dense.hpp"
 
 namespace autohet::rl {
 
@@ -25,14 +26,9 @@ void Adam::step(std::span<double> params, std::span<const double> grads) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    const double g = grads[i];
-    m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * g;
-    v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * g * g;
-    const double m_hat = m_[i] / bc1;
-    const double v_hat = v_[i] / bc2;
-    params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-  }
+  kernels::ops().adam_step(params.data(), grads.data(), m_.data(),
+                           v_.data(), m_.size(),
+                           {lr_, beta1_, beta2_, epsilon_, bc1, bc2});
 }
 
 }  // namespace autohet::rl

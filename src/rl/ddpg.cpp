@@ -106,23 +106,19 @@ double DdpgAgent::update() {
   if (replay_size() < config_.batch_size) return 0.0;
 
   // Assemble the minibatch: uniform pool, or prioritized pool with
-  // importance-sampling weights and fresh-TD-error priority updates.
-  std::vector<const Transition*> batch;
-  std::vector<double> weights;
-  std::vector<std::size_t> indices;
+  // importance-sampling weights and fresh-TD-error priority updates. Both
+  // pools sample into scratch they own, so this allocates nothing.
+  const std::vector<PrioritizedReplayBuffer::Sample>* per = nullptr;
   if (config_.prioritized_replay) {
-    const auto samples =
-        prioritized_replay_.sample(rng_, config_.batch_size,
-                                   config_.per_beta);
-    for (const auto& s : samples) {
-      batch.push_back(s.transition);
-      weights.push_back(s.weight);
-      indices.push_back(s.index);
+    per = &prioritized_replay_.sample(rng_, config_.batch_size,
+                                      config_.per_beta);
+    batch_.resize(per->size());
+    for (std::size_t b = 0; b < per->size(); ++b) {
+      batch_[b] = (*per)[b].transition;
     }
-  } else {
-    batch = replay_.sample(rng_, config_.batch_size);
-    weights.assign(batch.size(), 1.0);
   }
+  const std::vector<const Transition*>& batch =
+      per != nullptr ? batch_ : replay_.sample(rng_, config_.batch_size);
   const std::size_t B = batch.size();
   const double inv_batch = 1.0 / static_cast<double>(B);
   const auto S = static_cast<std::size_t>(config_.state_dim);
@@ -170,11 +166,13 @@ double DdpgAgent::update() {
     double target = t->reward;
     if (!t->terminal) target += config_.gamma * q_next[b];
     const double err = q[b] - target;
-    if (config_.prioritized_replay) {
-      prioritized_replay_.update_priority(indices[b], std::fabs(err));
+    double weight = 1.0;
+    if (per != nullptr) {
+      prioritized_replay_.update_priority((*per)[b].index, std::fabs(err));
+      weight = (*per)[b].weight;
     }
-    critic_loss += weights[b] * err * err * inv_batch;
-    delta_[b] = 2.0 * weights[b] * err * inv_batch;
+    critic_loss += weight * err * err * inv_batch;
+    delta_[b] = 2.0 * weight * err * inv_batch;
   }
   critic_.backward_batch(critic_cache_, delta_, nullptr);
   critic_opt_.step(critic_.params(), critic_.grads());

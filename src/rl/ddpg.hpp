@@ -98,6 +98,7 @@ class DdpgAgent {
   Mlp::BatchCache critic_cache_;
   Mlp::BatchCache actor_cache_;
   Mlp::BatchCache critic_q_cache_;
+  std::vector<const Transition*> batch_;  ///< prioritized minibatch
   std::vector<double> next_states_;
   std::vector<double> states_;
   std::vector<double> sa_;

@@ -2,147 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "rl/kernels/dense.hpp"
 
 namespace autohet::rl {
-
-namespace {
-
-// Register-tiled C += A·B micro-kernel for the batched DDPG passes.
-//
-// Shape: C[m][n] += Σ_k A[m*sam + k*sak] · B[k*ldb + n]. The A strides cover
-// the three layouts the passes need (X·Wᵀ forward, Dᵀ·X weight gradients,
-// D·W input gradients) without materializing any transpose. For every C
-// element the k-accumulation runs in strictly ascending k — the exact order
-// of the per-sample scalar path — so results are bit-identical to calling
-// forward()/backward() one sample at a time.
-//
-// The 4×16 accumulator tile is held in explicit vector-extension registers:
-// the earlier plain-array formulation of this tile was spilled to the stack
-// by GCC and ran 5x *slower* than the naive loop, while this version
-// measures ~4.5x faster (store-port-bound axpy → FMA-bound tile).
-#if defined(__GNUC__) || defined(__clang__)
-typedef double v8df __attribute__((vector_size(64)));
-
-inline v8df splat8(double x) noexcept {
-  return v8df{x, x, x, x, x, x, x, x};
-}
-inline v8df load8(const double* p) noexcept {
-  v8df v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-inline void store8(double* p, v8df v) noexcept {
-  std::memcpy(p, &v, sizeof(v));
-}
-
-void gemm_acc(std::size_t M, std::size_t K, std::size_t N, const double* A,
-              std::size_t sam, std::size_t sak, const double* B,
-              std::size_t ldb, double* C, std::size_t ldc) noexcept {
-  const std::size_t m_full = M - M % 4;
-  const std::size_t n16 = N - N % 16;
-  const std::size_t n8 = N - N % 8;
-  std::size_t m0 = 0;
-  for (; m0 < m_full; m0 += 4) {
-    const double* a0p = A + (m0 + 0) * sam;
-    const double* a1p = A + (m0 + 1) * sam;
-    const double* a2p = A + (m0 + 2) * sam;
-    const double* a3p = A + (m0 + 3) * sam;
-    double* r0 = C + (m0 + 0) * ldc;
-    double* r1 = C + (m0 + 1) * ldc;
-    double* r2 = C + (m0 + 2) * ldc;
-    double* r3 = C + (m0 + 3) * ldc;
-    std::size_t n0 = 0;
-    for (; n0 < n16; n0 += 16) {
-      v8df c00 = load8(r0 + n0), c01 = load8(r0 + n0 + 8);
-      v8df c10 = load8(r1 + n0), c11 = load8(r1 + n0 + 8);
-      v8df c20 = load8(r2 + n0), c21 = load8(r2 + n0 + 8);
-      v8df c30 = load8(r3 + n0), c31 = load8(r3 + n0 + 8);
-      for (std::size_t k = 0; k < K; ++k) {
-        const double* bk = B + k * ldb + n0;
-        const v8df b0 = load8(bk), b1 = load8(bk + 8);
-        const v8df a0 = splat8(a0p[k * sak]);
-        const v8df a1 = splat8(a1p[k * sak]);
-        const v8df a2 = splat8(a2p[k * sak]);
-        const v8df a3 = splat8(a3p[k * sak]);
-        c00 += a0 * b0;
-        c01 += a0 * b1;
-        c10 += a1 * b0;
-        c11 += a1 * b1;
-        c20 += a2 * b0;
-        c21 += a2 * b1;
-        c30 += a3 * b0;
-        c31 += a3 * b1;
-      }
-      store8(r0 + n0, c00);
-      store8(r0 + n0 + 8, c01);
-      store8(r1 + n0, c10);
-      store8(r1 + n0 + 8, c11);
-      store8(r2 + n0, c20);
-      store8(r2 + n0 + 8, c21);
-      store8(r3 + n0, c30);
-      store8(r3 + n0 + 8, c31);
-    }
-    for (; n0 < n8; n0 += 8) {
-      v8df c0 = load8(r0 + n0), c1 = load8(r1 + n0);
-      v8df c2 = load8(r2 + n0), c3 = load8(r3 + n0);
-      for (std::size_t k = 0; k < K; ++k) {
-        const v8df b0 = load8(B + k * ldb + n0);
-        c0 += splat8(a0p[k * sak]) * b0;
-        c1 += splat8(a1p[k * sak]) * b0;
-        c2 += splat8(a2p[k * sak]) * b0;
-        c3 += splat8(a3p[k * sak]) * b0;
-      }
-      store8(r0 + n0, c0);
-      store8(r1 + n0, c1);
-      store8(r2 + n0, c2);
-      store8(r3 + n0, c3);
-    }
-    for (; n0 < N; ++n0) {
-      double acc0 = r0[n0], acc1 = r1[n0], acc2 = r2[n0], acc3 = r3[n0];
-      for (std::size_t k = 0; k < K; ++k) {
-        const double b = B[k * ldb + n0];
-        acc0 += a0p[k * sak] * b;
-        acc1 += a1p[k * sak] * b;
-        acc2 += a2p[k * sak] * b;
-        acc3 += a3p[k * sak] * b;
-      }
-      r0[n0] = acc0;
-      r1[n0] = acc1;
-      r2[n0] = acc2;
-      r3[n0] = acc3;
-    }
-  }
-  for (; m0 < M; ++m0) {
-    for (std::size_t n = 0; n < N; ++n) {
-      double acc = C[m0 * ldc + n];
-      for (std::size_t k = 0; k < K; ++k) {
-        acc += A[m0 * sam + k * sak] * B[k * ldb + n];
-      }
-      C[m0 * ldc + n] = acc;
-    }
-  }
-}
-#else
-// Portable fallback: same ascending-k accumulation, no explicit tiling.
-void gemm_acc(std::size_t M, std::size_t K, std::size_t N, const double* A,
-              std::size_t sam, std::size_t sak, const double* B,
-              std::size_t ldb, double* C, std::size_t ldc) noexcept {
-  for (std::size_t m = 0; m < M; ++m) {
-    for (std::size_t n = 0; n < N; ++n) {
-      double acc = C[m * ldc + n];
-      for (std::size_t k = 0; k < K; ++k) {
-        acc += A[m * sam + k * sak] * B[k * ldb + n];
-      }
-      C[m * ldc + n] = acc;
-    }
-  }
-}
-#endif
-
-}  // namespace
 
 double apply_activation(Activation a, double x) noexcept {
   switch (a) {
@@ -296,8 +160,8 @@ const std::vector<double>& Mlp::forward_batch(const double* x,
     }
     // Y[s][o] = b[o] + Σ_i X[s][i]·wt[i][o], i ascending — the order the
     // per-sample forward() uses.
-    gemm_acc(batch, in, out, X.data(), in, 1, cache.wt.data(), out, Y.data(),
-             out);
+    kernels::ops().gemm_acc(batch, in, out, X.data(), in, 1, cache.wt.data(),
+                            out, Y.data(), out);
     // Activation applied over the whole batch; the ReLU case is written
     // branchless so it vectorizes (the switch stays outside the loop).
     double* Yd = Y.data();
@@ -355,6 +219,7 @@ void Mlp::backward_batch(BatchCache& cache,
     // dL/d(input) is only needed below the bottom layer when the caller
     // asked for it; skipping it there changes no other value.
     const bool need_input_grad = (l > 0) || (grad_input != nullptr);
+    const kernels::Ops& k = kernels::ops();
     if (accumulate_param_grads) {
       // gb[o] += Σ_s delta[s][o] and gw[o][i] += Σ_s delta[s][o]·X[s][i],
       // both s ascending — the order per-sample backward() accumulates in.
@@ -364,14 +229,14 @@ void Mlp::backward_batch(BatchCache& cache,
           acc += cache.delta[s * out + o];
         gb[o] = acc;
       }
-      gemm_acc(out, batch, in, cache.delta.data(), 1, out, X.data(), in, gw,
-               in);
+      k.gemm_acc(out, batch, in, cache.delta.data(), 1, out, X.data(), in, gw,
+                 in);
     }
     if (need_input_grad) {
       // next_delta[s][i] = Σ_o delta[s][o]·w[o][i], o ascending.
       cache.next_delta.assign(batch * in, 0.0);
-      gemm_acc(batch, out, in, cache.delta.data(), out, 1, w, in,
-               cache.next_delta.data(), in);
+      k.gemm_acc(batch, out, in, cache.delta.data(), out, 1, w, in,
+                 cache.next_delta.data(), in);
       cache.delta.swap(cache.next_delta);
     }
   }
@@ -383,9 +248,8 @@ void Mlp::zero_grads() { std::fill(grads_.begin(), grads_.end(), 0.0); }
 void Mlp::soft_update_from(const Mlp& src, double tau) {
   AUTOHET_CHECK(src.params_.size() == params_.size(),
                 "soft update requires identical architectures");
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    params_[i] = tau * src.params_[i] + (1.0 - tau) * params_[i];
-  }
+  kernels::ops().soft_update(params_.data(), src.params_.data(),
+                             params_.size(), tau);
 }
 
 void Mlp::copy_params_from(const Mlp& src) {

@@ -2,9 +2,10 @@
 //
 // Small and allocation-friendly: parameters live in one flat vector so the
 // Adam optimizer and DDPG's target-network soft updates operate on plain
-// arrays. Double precision throughout — the networks are tiny (the paper's
-// actor/critic observe a 10-dim state) and stability matters more than
-// speed.
+// arrays. Double precision throughout. The batched passes are the DDPG
+// update's hot path; their GEMMs (and Adam and the soft update) run through
+// the ISA-dispatched table of rl/kernels/dense.hpp, whose variants are all
+// bit-identical to the per-sample scalar path.
 #pragma once
 
 #include <cstddef>
@@ -57,10 +58,10 @@ class Mlp {
   // Row-major batch×width activations. The arithmetic is element-for-
   // element the same as the per-sample path — each output neuron's dot
   // product accumulates over inputs in the same order, and parameter
-  // gradients accumulate over the batch in sample order — but the loops
-  // are shaped as contiguous saxpy/broadcast sweeps (weights transposed
-  // into scratch) so the compiler can vectorize them without reassociating
-  // any floating-point reduction. All scratch lives in the caller's
+  // gradients accumulate over the batch in sample order — but the products
+  // run as register-tiled GEMMs (weights transposed into scratch) that
+  // vectorize across output columns without reassociating any
+  // floating-point reduction. All scratch lives in the caller's
   // BatchCache; steady-state calls allocate nothing.
 
   struct BatchCache {

@@ -34,9 +34,10 @@ class PrioritizedReplayBuffer {
 
   /// Proportional sampling with replacement; `beta` is the IS-correction
   /// exponent (1 = full correction). Weights are normalized by the batch
-  /// maximum.
-  std::vector<Sample> sample(common::Rng& rng, std::size_t batch,
-                             double beta) const;
+  /// maximum. Written into scratch the buffer owns (no allocation in steady
+  /// state); the list stays valid until the next sample().
+  const std::vector<Sample>& sample(common::Rng& rng, std::size_t batch,
+                                    double beta);
 
   /// Sets the priority of a sampled transition from its fresh |TD error|.
   void update_priority(std::size_t index, double td_error_abs);
@@ -44,6 +45,8 @@ class PrioritizedReplayBuffer {
  private:
   std::vector<Transition> storage_;
   std::vector<double> priorities_;  ///< already raised to alpha
+  std::vector<double> prefix_;      ///< sample() scratch: priority prefix sums
+  std::vector<Sample> sampled_;     ///< sample() scratch: the drawn batch
   std::size_t next_ = 0;
   std::size_t size_ = 0;
   double alpha_;

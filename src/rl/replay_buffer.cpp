@@ -14,15 +14,12 @@ void ReplayBuffer::add(Transition t) {
   if (size_ < storage_.size()) ++size_;
 }
 
-std::vector<const Transition*> ReplayBuffer::sample(common::Rng& rng,
-                                                    std::size_t batch) const {
+const std::vector<const Transition*>& ReplayBuffer::sample(common::Rng& rng,
+                                                           std::size_t batch) {
   AUTOHET_CHECK(size_ > 0, "cannot sample from an empty replay buffer");
-  std::vector<const Transition*> out;
-  out.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    out.push_back(&storage_[rng.uniform_u64(size_)]);
-  }
-  return out;
+  sampled_.resize(batch);
+  for (auto& t : sampled_) t = &storage_[rng.uniform_u64(size_)];
+  return sampled_;
 }
 
 }  // namespace autohet::rl

@@ -25,13 +25,16 @@ class ReplayBuffer {
   std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return storage_.size(); }
 
-  /// Uniform sample with replacement of `batch` transitions. Pointers stay
-  /// valid until the next add().
-  std::vector<const Transition*> sample(common::Rng& rng,
-                                        std::size_t batch) const;
+  /// Uniform sample with replacement of `batch` transitions, written into
+  /// scratch the buffer owns (no allocation once it has grown to `batch`).
+  /// The list stays valid until the next sample(); the pointers until the
+  /// next add().
+  const std::vector<const Transition*>& sample(common::Rng& rng,
+                                               std::size_t batch);
 
  private:
   std::vector<Transition> storage_;
+  std::vector<const Transition*> sampled_;
   std::size_t next_ = 0;
   std::size_t size_ = 0;
 };

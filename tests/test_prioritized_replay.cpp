@@ -33,6 +33,18 @@ TEST(PrioritizedReplay, EmptySampleThrows) {
   EXPECT_THROW(buf.sample(rng, 1, 0.4), std::invalid_argument);
 }
 
+TEST(PrioritizedReplay, SampleReusesItsScratch) {
+  PrioritizedReplayBuffer buf(8);
+  for (int i = 0; i < 8; ++i) buf.add(make_transition(i));
+  common::Rng rng(3);
+  const auto& first = buf.sample(rng, 16, 0.4);
+  const auto* const data = first.data();
+  const auto& second = buf.sample(rng, 16, 0.4);
+  EXPECT_EQ(&second, &first);
+  EXPECT_EQ(second.data(), data);  // no reallocation in steady state
+  EXPECT_EQ(second.size(), 16u);
+}
+
 TEST(PrioritizedReplay, NewTransitionsAreSampleable) {
   PrioritizedReplayBuffer buf(8);
   for (int i = 0; i < 8; ++i) buf.add(make_transition(i));

@@ -88,5 +88,19 @@ TEST(ReplayBuffer, StoresTransitionFieldsFaithfully) {
   EXPECT_TRUE(got->terminal);
 }
 
+TEST(ReplayBuffer, SampleReusesItsScratchWithTheSameDraws) {
+  rl::ReplayBuffer buf(32);
+  for (int i = 0; i < 32; ++i) buf.add(make_transition(i));
+  common::Rng rng(9);
+  common::Rng twin(9);
+  const auto& first = buf.sample(rng, 16);
+  const auto* const data = first.data();
+  for (const auto* t : first) EXPECT_EQ(t->reward, twin.uniform_u64(32));
+  const auto& second = buf.sample(rng, 16);
+  EXPECT_EQ(&second, &first);
+  EXPECT_EQ(second.data(), data);  // no reallocation in steady state
+  for (const auto* t : second) EXPECT_EQ(t->reward, twin.uniform_u64(32));
+}
+
 }  // namespace
 }  // namespace autohet
