@@ -193,6 +193,24 @@ void apply_mc_budget(reram::RobustnessOptions& opts,
       static_cast<int>(args.option_int("mc-max-trials"));
 }
 
+/// The float model a plan replays against, with the seeded weights every
+/// functional replay uses: built over the plan's graph (v2) or its zoo
+/// network (v1).
+nn::Model replay_model(const plan::DeploymentPlan& plan) {
+  common::Rng weight_rng(3);
+  if (plan.has_graph()) return nn::Model(plan.graph, weight_rng);
+  const auto net = nn::network_by_name(plan.network);
+  AUTOHET_CHECK(net.sequential_runnable,
+                plan.network + " is not sequentially runnable");
+  return nn::Model(net, weight_rng);
+}
+
+/// Next synthetic input for `model`'s graph input shape.
+tensor::Tensor replay_image(const nn::Model& model, common::Rng& rng) {
+  const nn::TensorShape& in = model.graph().nodes().front().shape;
+  return nn::synthetic_image(rng, in.channels, in.height, in.width);
+}
+
 int run_replay(const common::ArgParser& args) {
   const std::string path = args.option("plan-in");
   AUTOHET_CHECK(!path.empty(), "replay needs --plan-in <plan.json>");
@@ -215,80 +233,48 @@ int run_replay(const common::ArgParser& args) {
   // random initialization the functional examples use.
   const auto samples = args.option_int("functional-samples");
   const auto trials = args.option_int("mc-trials");
-  if (plan.has_graph() && samples > 0) {
-    // DAG plans carry their graph; functional replay executes it on the
-    // fabric (residual adds in exact integer arithmetic).
-    common::Rng weight_rng(3);
-    const nn::Model model(plan.graph.skeleton(), weight_rng);
+  if (samples == 0 && trials == 0) return 0;
+  const nn::Model model = replay_model(plan);
+  if (samples > 0) {
     const reram::SimulatedModel fabric(model, plan);
-    const nn::TensorShape& in = plan.graph.nodes().front().shape;
     common::Rng img_rng(4);
     int agree = 0;
     for (std::int64_t s = 0; s < samples; ++s) {
-      const auto img =
-          nn::synthetic_image(img_rng, in.channels, in.height, in.width);
-      if (tensor::argmax(model.forward_graph(plan.graph, img)) ==
-          tensor::argmax(fabric.forward_graph(plan.graph, img))) {
+      const auto img = replay_image(model, img_rng);
+      if (tensor::argmax(model.forward(img)) ==
+          tensor::argmax(fabric.forward(img))) {
         ++agree;
       }
     }
-    std::cout << "functional graph inference: " << agree << '/' << samples
+    std::cout << "functional inference: " << agree << '/' << samples
               << " argmax agreement with float reference\n";
   }
-  if (plan.has_graph()) {
-    AUTOHET_CHECK(trials == 0,
-                  "robustness MC replays the linear path; it is not "
-                  "available for DAG (v2) plans yet");
-    return 0;
-  }
-  if (samples > 0 || trials > 0) {
-    const auto net = nn::network_by_name(plan.network);
-    AUTOHET_CHECK(net.sequential_runnable,
-                  plan.network + " is not sequentially runnable");
-    common::Rng weight_rng(3);
-    const nn::Model model(net, weight_rng);
-    const nn::LayerSpec& input = net.layers.front();
-    if (samples > 0) {
-      const reram::SimulatedModel fabric(model, plan);
-      common::Rng img_rng(4);
-      int agree = 0;
-      for (std::int64_t s = 0; s < samples; ++s) {
-        const auto img = nn::synthetic_image(img_rng, input.in_channels,
-                                             input.in_height, input.in_width);
-        if (tensor::argmax(model.forward(img)) ==
-            tensor::argmax(fabric.forward(img))) {
-          ++agree;
-        }
-      }
-      std::cout << "functional inference: " << agree << '/' << samples
-                << " argmax agreement with float reference\n";
-    }
-    if (trials > 0) {
-      reram::RobustnessOptions opts;
-      opts.trials = static_cast<int>(trials);
-      opts.samples = 4;
-      opts.threads = static_cast<int>(args.option_int("mc-threads"));
-      apply_mc_budget(opts, args);
-      const auto rob = reram::monte_carlo_robustness(model, plan, opts);
-      std::cout << "robustness MC: accuracy "
-                << report::format_fixed(rob.mean_accuracy * 100.0, 1)
-                << "% +/- "
-                << report::format_fixed(rob.stddev_accuracy * 100.0, 1)
-                << "% (95% CI ["
-                << report::format_fixed(rob.accuracy_ci_lower * 100.0, 1)
-                << "%, "
-                << report::format_fixed(rob.accuracy_ci_upper * 100.0, 1)
-                << "%]) over " << rob.trials << '/' << rob.trials_requested
-                << " trials"
-                << (rob.early_stopped
-                        ? " (early stop, " +
-                              std::to_string(rob.trials_requested -
-                                             rob.trials) +
-                              " saved)"
-                        : "")
-                << '\n';
-    }
-  }
+  AUTOHET_CHECK(trials == 0 || !plan.has_graph(),
+                "robustness MC replays the linear path; it is not "
+                "available for DAG (v2) plans yet");
+  if (trials == 0) return 0;
+  reram::RobustnessOptions opts;
+  opts.trials = static_cast<int>(trials);
+  opts.samples = 4;
+  opts.threads = static_cast<int>(args.option_int("mc-threads"));
+  apply_mc_budget(opts, args);
+  const auto rob = reram::monte_carlo_robustness(model, plan, opts);
+  std::cout << "robustness MC: accuracy "
+            << report::format_fixed(rob.mean_accuracy * 100.0, 1)
+            << "% +/- "
+            << report::format_fixed(rob.stddev_accuracy * 100.0, 1)
+            << "% (95% CI ["
+            << report::format_fixed(rob.accuracy_ci_lower * 100.0, 1)
+            << "%, "
+            << report::format_fixed(rob.accuracy_ci_upper * 100.0, 1)
+            << "%]) over " << rob.trials << '/' << rob.trials_requested
+            << " trials"
+            << (rob.early_stopped
+                    ? " (early stop, " +
+                          std::to_string(rob.trials_requested - rob.trials) +
+                          " saved)"
+                    : "")
+            << '\n';
   return 0;
 }
 
@@ -311,36 +297,16 @@ int run_profile(const common::ArgParser& args, obs::ObsSession& session) {
   // describe the same deployment.
   const auto samples = args.option_int("functional-samples");
   const auto trials = args.option_int("mc-trials");
-  if (plan.has_graph() && samples > 0) {
-    common::Rng weight_rng(3);
-    const nn::Model model(plan.graph.skeleton(), weight_rng);
-    const reram::SimulatedModel fabric(model, plan);
-    const nn::TensorShape& in = plan.graph.nodes().front().shape;
-    common::Rng img_rng(4);
-    for (std::int64_t s = 0; s < samples; ++s) {
-      const auto img =
-          nn::synthetic_image(img_rng, in.channels, in.height, in.width);
-      (void)fabric.forward_graph(plan.graph, img);
-    }
-  }
-  if (plan.has_graph()) {
-    AUTOHET_CHECK(trials == 0,
-                  "robustness MC replays the linear path; it is not "
-                  "available for DAG (v2) plans yet");
-  } else if (samples > 0 || trials > 0) {
-    const auto net = nn::network_by_name(plan.network);
-    AUTOHET_CHECK(net.sequential_runnable,
-                  plan.network + " is not sequentially runnable");
-    common::Rng weight_rng(3);
-    const nn::Model model(net, weight_rng);
-    const nn::LayerSpec& input = net.layers.front();
+  AUTOHET_CHECK(trials == 0 || !plan.has_graph(),
+                "robustness MC replays the linear path; it is not "
+                "available for DAG (v2) plans yet");
+  if (samples > 0 || trials > 0) {
+    const nn::Model model = replay_model(plan);
     if (samples > 0) {
       const reram::SimulatedModel fabric(model, plan);
       common::Rng img_rng(4);
       for (std::int64_t s = 0; s < samples; ++s) {
-        const auto img = nn::synthetic_image(img_rng, input.in_channels,
-                                             input.in_height, input.in_width);
-        (void)fabric.forward(img);
+        (void)fabric.forward(replay_image(model, img_rng));
       }
     }
     if (trials > 0) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,45 @@ class GraphBuilder {
 /// Wraps a legacy sequential NetworkSpec as a chain graph (kInput followed
 /// by one kLayer node per layer). linearize() of the result recovers `net`.
 Graph graph_from_network(const NetworkSpec& net);
+
+/// Runs `graph` once, the one walk every executor shares: visits the nodes
+/// in topological order and stores `eval(node, layer_index, operands)` as
+/// each node's Value, where `layer_index` is the node's position among the
+/// kLayer nodes (its index in skeleton().layers) and `operands` point at the
+/// producers' values (none for kInput, whose eval supplies the input). Each
+/// value is released right after its last consumer reads it, so memory
+/// tracks the live frontier. Returns the output node's value.
+template <typename Value, typename Eval>
+Value execute(const Graph& graph, Eval&& eval) {
+  const std::vector<GraphNode>& nodes = graph.nodes();
+  const auto out = static_cast<std::size_t>(graph.output_node());
+  std::vector<std::int64_t> uses(nodes.size(), 0);
+  for (const GraphNode& node : nodes) {
+    for (const std::int64_t in : node.inputs) {
+      ++uses[static_cast<std::size_t>(in)];
+    }
+  }
+  ++uses[out];
+  std::vector<Value> values(nodes.size());
+  std::vector<const Value*> operands;
+  std::size_t layer_index = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const GraphNode& node = nodes[i];
+    operands.clear();
+    for (const std::int64_t in : node.inputs) {
+      operands.push_back(&values[static_cast<std::size_t>(in)]);
+    }
+    values[i] =
+        eval(node, layer_index, std::span<const Value* const>(operands));
+    if (node.kind == OpKind::kLayer) ++layer_index;
+    for (const std::int64_t in : node.inputs) {
+      if (--uses[static_cast<std::size_t>(in)] == 0) {
+        values[static_cast<std::size_t>(in)] = Value();
+      }
+    }
+  }
+  return std::move(values[out]);
+}
 
 /// Deterministic Graphviz rendering (stable node ids, names, shapes).
 void write_graph_dot(std::ostream& out, const Graph& graph);

@@ -8,6 +8,7 @@
 namespace autohet::nn {
 
 Model::Model(NetworkSpec spec, common::Rng& rng) : spec_(std::move(spec)) {
+  if (spec_.sequential_runnable) graph_ = graph_from_network(spec_);
   weight_of_layer_.assign(spec_.layers.size(), -1);
   for (std::size_t i = 0; i < spec_.layers.size(); ++i) {
     const LayerSpec& layer = spec_.layers[i];
@@ -24,6 +25,10 @@ Model::Model(NetworkSpec spec, common::Rng& rng) : spec_(std::move(spec)) {
     w.fill_normal(rng, 0.0f, std::sqrt(2.0f / fan_in));
     weights_.push_back(std::move(w));
   }
+}
+
+Model::Model(Graph graph, common::Rng& rng) : Model(graph.skeleton(), rng) {
+  graph_ = std::move(graph);
 }
 
 const tensor::Tensor& Model::weight(std::size_t mappable_index) const {
@@ -60,98 +65,39 @@ tensor::Tensor Model::forward_layer(std::size_t layer_index,
   return {};  // unreachable
 }
 
-tensor::Tensor Model::forward_graph(const Graph& graph,
-                                    const tensor::Tensor& input) const {
-  const NetworkSpec skel = graph.skeleton();
-  AUTOHET_CHECK(skel.layers == spec_.layers,
-                "graph '" + graph.name() +
-                    "' skeleton does not match this model's layers");
-  const std::vector<GraphNode>& nodes = graph.nodes();
-  AUTOHET_CHECK(!nodes.empty(), "cannot run an empty graph");
-
-  // Fan-out buffering: each producer's tensor is held until its last
-  // consumer has read it, then released.
-  std::vector<std::int64_t> uses(nodes.size(), 0);
-  for (const GraphNode& node : nodes) {
-    for (const std::int64_t in : node.inputs) {
-      ++uses[static_cast<std::size_t>(in)];
-    }
-  }
-  const std::int64_t out_id = graph.output_node();
-  ++uses[static_cast<std::size_t>(out_id)];
-
-  std::vector<tensor::Tensor> values(nodes.size());
-  std::size_t layer_idx = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const GraphNode& node = nodes[i];
-    tensor::Tensor v;
-    switch (node.kind) {
-      case OpKind::kInput:
-        AUTOHET_CHECK(input.numel() == node.shape.numel(),
-                      "input tensor does not match graph input shape " +
-                          node.shape.to_string());
-        v = input;
-        break;
-      case OpKind::kLayer:
-        v = forward_layer(layer_idx++,
-                          values[static_cast<std::size_t>(node.inputs[0])]);
-        if (node.layer.relu_after) tensor::relu_inplace(v);
-        break;
-      case OpKind::kResidualAdd: {
-        const tensor::Tensor& b =
-            values[static_cast<std::size_t>(node.inputs[1])];
-        v = values[static_cast<std::size_t>(node.inputs[0])];
-        for (std::int64_t j = 0; j < v.numel(); ++j) v[j] += b[j];
-        break;
-      }
-      case OpKind::kActivation:
-        v = values[static_cast<std::size_t>(node.inputs[0])];
-        tensor::relu_inplace(v);
-        break;
-      case OpKind::kGlobalAvgPool: {
-        const tensor::Tensor& x =
-            values[static_cast<std::size_t>(node.inputs[0])];
-        const std::int64_t channels = node.shape.channels;
-        const std::int64_t plane = x.numel() / channels;
-        v = tensor::Tensor({channels, 1, 1});
-        for (std::int64_t c = 0; c < channels; ++c) {
-          float sum = 0.0f;
-          for (std::int64_t p = 0; p < plane; ++p) sum += x[c * plane + p];
-          v[c] = sum / static_cast<float>(plane);
-        }
-        break;
-      }
-      case OpKind::kConcat: {
-        v = tensor::Tensor(
-            {node.shape.channels, node.shape.height, node.shape.width});
-        std::int64_t off = 0;
-        for (const std::int64_t in : node.inputs) {
-          const tensor::Tensor& x = values[static_cast<std::size_t>(in)];
-          for (std::int64_t j = 0; j < x.numel(); ++j) v[off + j] = x[j];
-          off += x.numel();
-        }
-        break;
-      }
-    }
-    values[i] = std::move(v);
-    for (const std::int64_t in : node.inputs) {
-      if (--uses[static_cast<std::size_t>(in)] == 0) {
-        values[static_cast<std::size_t>(in)] = tensor::Tensor();
-      }
-    }
-  }
-  return std::move(values[static_cast<std::size_t>(out_id)]);
-}
-
 tensor::Tensor Model::forward(const tensor::Tensor& input) const {
-  AUTOHET_CHECK(spec_.sequential_runnable,
+  AUTOHET_CHECK(graph_.node_count() > 0,
                 "network is not sequentially runnable (" + spec_.name + ")");
-  tensor::Tensor x = input;
-  for (std::size_t i = 0; i < spec_.layers.size(); ++i) {
-    x = forward_layer(i, x);
-    if (spec_.layers[i].relu_after) tensor::relu_inplace(x);
-  }
-  return x;
+  return execute<tensor::Tensor>(
+      graph_,
+      [&](const GraphNode& node, std::size_t layer,
+          std::span<const tensor::Tensor* const> x) -> tensor::Tensor {
+        tensor::Tensor v;
+        switch (node.kind) {
+          case OpKind::kInput:
+            AUTOHET_CHECK(input.numel() == node.shape.numel(),
+                          "input tensor does not match graph input shape " +
+                              node.shape.to_string());
+            return input;
+          case OpKind::kLayer:
+            v = forward_layer(layer, *x[0]);
+            if (node.layer.relu_after) tensor::relu_inplace(v);
+            break;
+          case OpKind::kResidualAdd:
+            v = *x[0];
+            for (std::int64_t j = 0; j < v.numel(); ++j) v[j] += (*x[1])[j];
+            break;
+          case OpKind::kActivation:
+            v = *x[0];
+            tensor::relu_inplace(v);
+            break;
+          case OpKind::kGlobalAvgPool:
+            return tensor::global_avg_pool(*x[0]);
+          case OpKind::kConcat:
+            return tensor::concat_channels(x);
+        }
+        return v;
+      });
 }
 
 tensor::Tensor synthetic_image(common::Rng& rng, std::int64_t channels,

@@ -26,6 +26,57 @@ constexpr std::uint64_t make_call_key(std::uint64_t noise_stream,
                                       std::uint64_t position) noexcept {
   return (noise_stream << 20) | position;
 }
+
+/// Programs `model`'s mappable layers onto the given crossbar shapes,
+/// burning `faults` in as the weights are written.
+std::vector<MappedLayer> program_layers(
+    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
+    const FaultConfig& faults, KernelPolicy policy) {
+  const auto mappable = model.spec().mappable_layers();
+  AUTOHET_CHECK(shapes.size() == mappable.size(),
+                "one crossbar shape per mappable layer required");
+  const FaultModel fm(faults);
+  std::vector<MappedLayer> layers;
+  layers.reserve(mappable.size());
+  for (std::size_t i = 0; i < mappable.size(); ++i) {
+    layers.emplace_back(mappable[i], model.weight(i), shapes[i],
+                        fm.ideal() ? nullptr : &fm,
+                        static_cast<std::uint64_t>(i), policy);
+  }
+  return layers;
+}
+
+/// The plan's crossbar shapes, once the plan is validated against `model`
+/// (its frozen geometry is then exactly map_layer of these shapes) — a graph
+/// (v2) plan must carry exactly the model's graph.
+std::vector<mapping::CrossbarShape> plan_shapes(
+    const nn::Model& model, const plan::DeploymentPlan& plan) {
+  plan.validate_against(model.spec());
+  AUTOHET_CHECK(!plan.has_graph() || plan.graph == model.graph(),
+                "plan graph '" + plan.graph.name() +
+                    "' is not the graph the model was built from");
+  return plan.shapes();
+}
+
+/// Vector-unit residual add: both operands quantized to a shared symmetric
+/// 8-bit grid, summed in int32 (exact), dequantized once. Deterministic and
+/// order-free — the accelerator's SIMD unit computes the same sums.
+tensor::Tensor residual_add_exact(const tensor::Tensor& a,
+                                  const tensor::Tensor& b) {
+  AUTOHET_CHECK(a.numel() == b.numel(),
+                "residual add operands must have equal element counts");
+  tensor::Tensor out(a.shape());
+  const float absmax = std::max(a.abs_max(), b.abs_max());
+  if (absmax == 0.0f) return out;  // both zero
+  const float scale = absmax / 127.0f;
+  const float inv = 127.0f / absmax;
+  for (std::int64_t j = 0; j < out.numel(); ++j) {
+    const auto qa = static_cast<std::int32_t>(std::lroundf(a[j] * inv));
+    const auto qb = static_cast<std::int32_t>(std::lroundf(b[j] * inv));
+    out[j] = static_cast<float>(qa + qb) * scale;
+  }
+  return out;
+}
 }  // namespace
 
 MappedLayer::MappedLayer(const nn::LayerSpec& spec,
@@ -33,18 +84,7 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
                          const mapping::CrossbarShape& shape,
                          const FaultModel* faults, std::uint64_t layer_id,
                          KernelPolicy policy)
-    : MappedLayer(spec, weight, mapping::map_layer(spec, shape), faults,
-                  layer_id, policy) {}
-
-MappedLayer::MappedLayer(const nn::LayerSpec& spec,
-                         const tensor::Tensor& weight,
-                         const mapping::LayerMapping& mapping,
-                         const FaultModel* faults, std::uint64_t layer_id,
-                         KernelPolicy policy)
-    : spec_(spec), mapping_(mapping), policy_(policy) {
-  AUTOHET_CHECK(mapping_ == mapping::map_layer(spec, mapping_.shape),
-                "mapping geometry disagrees with map_layer for this layer");
-  const mapping::CrossbarShape& shape = mapping_.shape;
+    : spec_(spec), mapping_(mapping::map_layer(spec, shape)), policy_(policy) {
   const std::int64_t k2 = spec.kernel * spec.kernel;
   const std::int64_t wrows = spec.weight_rows();
   const std::int64_t wcols = spec.weight_cols();
@@ -310,49 +350,15 @@ SimulatedModel::SimulatedModel(
     const nn::Model& model,
     const std::vector<mapping::CrossbarShape>& shapes, DatapathMode mode,
     const FaultConfig& faults, KernelPolicy policy)
-    : model_(&model), mode_(mode), fault_model_(faults), policy_(policy) {
-  const auto mappable = model.spec().mappable_layers();
-  AUTOHET_CHECK(shapes.size() == mappable.size(),
-                "one crossbar shape per mappable layer required");
-  AUTOHET_CHECK(faults.read_sigma == 0.0 || mode == DatapathMode::kInteger,
-                "read noise requires the integer datapath");
-  const FaultModel* fm = fault_model_.ideal() ? nullptr : &fault_model_;
-  layers_.reserve(mappable.size());
-  for (std::size_t i = 0; i < mappable.size(); ++i) {
-    layers_.emplace_back(mappable[i], model.weight(i), shapes[i], fm,
-                         static_cast<std::uint64_t>(i), policy_);
-  }
-  // The integer datapath never reads the packed planes; pack only when the
-  // bit-serial fast kernels will actually run (packing costs a pass per
-  // crossbar, wasted on every Monte-Carlo trial fabric otherwise).
-  if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
-    for (auto& layer : layers_) layer.prepare_packed();
-  }
-}
+    : SimulatedModel(model, mode, faults, policy,
+                     program_layers(model, shapes, faults, policy)) {}
 
 SimulatedModel::SimulatedModel(const nn::Model& model,
                                const plan::DeploymentPlan& plan,
                                DatapathMode mode, KernelPolicy policy)
-    : model_(&model),
-      mode_(mode),
-      fault_model_(plan.accel.faults),
-      policy_(policy) {
-  plan.validate_against(model.spec());
-  AUTOHET_CHECK(
-      plan.accel.faults.read_sigma == 0.0 || mode == DatapathMode::kInteger,
-      "read noise requires the integer datapath");
-  const FaultModel* fm = fault_model_.ideal() ? nullptr : &fault_model_;
-  layers_.reserve(plan.layers.size());
-  for (std::size_t i = 0; i < plan.layers.size(); ++i) {
-    // Program straight from the plan's frozen geometry — no map_layer here.
-    layers_.emplace_back(plan.layers[i], model.weight(i),
-                         plan.allocation.layers[i].mapping, fm,
-                         static_cast<std::uint64_t>(i), policy_);
-  }
-  if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
-    for (auto& layer : layers_) layer.prepare_packed();
-  }
-}
+    : SimulatedModel(model, mode, plan.accel.faults, policy,
+                     program_layers(model, plan_shapes(model, plan),
+                                    plan.accel.faults, policy)) {}
 
 SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
                                const FaultConfig& faults, KernelPolicy policy,
@@ -366,8 +372,10 @@ SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
                 "one prebuilt layer per mappable layer required");
   AUTOHET_CHECK(faults.read_sigma == 0.0 || mode == DatapathMode::kInteger,
                 "read noise requires the integer datapath");
-  // Mirrors the shape-list constructor; packing is idempotent, so layers
-  // prebuilt packed pass through untouched.
+  // The integer datapath never reads the packed planes; pack only when the
+  // bit-serial fast kernels will actually run (packing costs a pass per
+  // crossbar, wasted on every Monte-Carlo trial fabric otherwise). Packing
+  // is idempotent, so layers prebuilt packed pass through untouched.
   if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
     for (auto& layer : layers_) layer.prepare_packed();
   }
@@ -423,62 +431,19 @@ SimulatedModel SimulatedModel::replay_faults(
   return out;
 }
 
-tensor::Tensor SimulatedModel::run_mappable(
-    const MappedLayer& layer, const tensor::Tensor& input,
-    std::uint64_t noise_stream, common::ThreadPool* pool) const {
+tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
+                                        const tensor::Tensor& input,
+                                        std::uint64_t noise_stream,
+                                        common::ThreadPool* pool) const {
   const nn::LayerSpec& spec = layer.spec();
   OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
                      &layer - layers_.data(), 0, spec.mvm_count());
   // Quantize the whole activation tensor once (8-bit, unsigned: inputs are
   // post-ReLU or raw non-negative pixels).
-  const nn::QuantizedActivations qa = nn::quantize_activations(
-      spec.type == nn::LayerType::kConv
-          ? input
-          : input.reshaped({input.numel()}),
-      /*bits=*/8);
+  const nn::QuantizedActivations qa =
+      nn::quantize_activations(input, /*bits=*/8);
   const float out_scale = layer.weight_scale() * qa.scale;
   const bool scalar = policy_ == KernelPolicy::kScalarReference;
-  if (scalar) pool = nullptr;  // the baseline stays honestly serial
-  thread_local kernels::KernelScratch scratch;
-
-  if (spec.type == nn::LayerType::kFullyConnected) {
-    const std::uint64_t key = make_call_key(noise_stream, 0);
-    const std::int64_t cols = spec.weight_cols();
-    const std::int64_t rbs = layer.row_block_count();
-    std::vector<std::int32_t> acc;
-    if (scalar) {
-      acc = layer.mvm_scalar(std::span<const std::uint8_t>(qa.values), mode_,
-                             key);
-    } else if (pool != nullptr && rbs > 1) {
-      // Row-block split: each block's partial lands in its own slice, then
-      // the slices merge in block order — exact integer sums, so the result
-      // is bit-identical to the serial accumulation for any pool size.
-      std::vector<std::int32_t> partials(
-          static_cast<std::size_t>(rbs * cols), 0);
-      const std::span<const std::uint8_t> col_span(qa.values);
-      pool->parallel_for(0, static_cast<std::size_t>(rbs), [&](std::size_t rb) {
-        thread_local kernels::KernelScratch rb_scratch;
-        layer.mvm_row_block_accum(
-            static_cast<std::int64_t>(rb), col_span, mode_,
-            partials.data() + static_cast<std::int64_t>(rb) * cols, rb_scratch,
-            key);
-      });
-      acc.assign(static_cast<std::size_t>(cols), 0);
-      for (std::int64_t rb = 0; rb < rbs; ++rb) {
-        const std::int32_t* p = partials.data() + rb * cols;
-        for (std::int64_t j = 0; j < cols; ++j) acc[j] += p[j];
-      }
-    } else {
-      acc.resize(static_cast<std::size_t>(cols));
-      layer.mvm_into(std::span<const std::uint8_t>(qa.values), mode_, acc,
-                     scratch, key);
-    }
-    tensor::Tensor out({spec.out_channels});
-    for (std::int64_t j = 0; j < spec.out_channels; ++j) {
-      out[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]) * out_scale;
-    }
-    return out;
-  }
 
   // CONV: integer im2col over the quantized activations, one MVM per output
   // position (spec.mvm_count() invocations, as the hardware model charges).
@@ -588,20 +553,13 @@ tensor::Tensor SimulatedModel::run_mappable(
           make_call_key(noise_stream, static_cast<std::uint64_t>(oi * ow + oj));
       float* const op = out_base + oi * ow + oj;
       if (scalar) {
-        const std::vector<std::int32_t> acc_s =
-            layer.mvm_scalar(column, mode_, key);
-        for (std::int64_t co = 0; co < spec.out_channels; ++co) {
-          op[co * plane] =
-              static_cast<float>(acc_s[static_cast<std::size_t>(co)]) *
-              out_scale;
-        }
+        acc = layer.mvm_scalar(column, mode_, key);
       } else {
         layer.mvm_into(column, mode_, acc, row_scratch, key);
-        for (std::int64_t co = 0; co < spec.out_channels; ++co) {
-          op[co * plane] =
-              static_cast<float>(acc[static_cast<std::size_t>(co)]) *
-              out_scale;
-        }
+      }
+      for (std::int64_t co = 0; co < spec.out_channels; ++co) {
+        op[co * plane] =
+            static_cast<float>(acc[static_cast<std::size_t>(co)]) * out_scale;
       }
     }
   };
@@ -615,250 +573,188 @@ tensor::Tensor SimulatedModel::run_mappable(
   return out;
 }
 
+std::vector<tensor::Tensor> SimulatedModel::run_mappable(
+    const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
+    std::uint64_t noise_stream0, common::ThreadPool* pool) const {
+  const nn::LayerSpec& spec = layer.spec();
+  const bool scalar = policy_ == KernelPolicy::kScalarReference;
+  if (scalar) pool = nullptr;  // the baseline stays honestly serial
+  std::vector<tensor::Tensor> outs;
+  outs.reserve(inputs.size());
+  if (spec.type == nn::LayerType::kConv) {
+    for (std::size_t s = 0; s < inputs.size(); ++s) {
+      outs.push_back(run_conv(layer, inputs[s], noise_stream0 + s, pool));
+    }
+    return outs;
+  }
+
+  // FC: one MVM per sample over its own 8-bit activation quantization.
+  const auto count = static_cast<std::int64_t>(inputs.size());
+  const std::int64_t rows = spec.weight_rows();
+  const std::int64_t cols = spec.weight_cols();
+  OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
+                     &layer - layers_.data(), 0, count);
+  std::vector<nn::QuantizedActivations> qas;
+  qas.reserve(inputs.size());
+  for (const tensor::Tensor& x : inputs) {
+    qas.push_back(nn::quantize_activations(x.reshaped({x.numel()}),
+                                           /*bits=*/8));
+  }
+  // Sample s's accumulation for output j is acc[s * s_step + j * j_step].
+  thread_local kernels::KernelScratch scratch;
+  std::vector<std::int32_t> per_sample;
+  const std::int32_t* acc = nullptr;
+  std::int64_t s_step = 1;
+  std::int64_t j_step = count;
+  if (!scalar && !layer.read_noisy() && count > 1) {
+    // Noise-free fast path: all samples through one batched MVM per
+    // crossbar, batch dimension innermost. Integer sums are exact and each
+    // sample is scaled by its own out_scale afterwards, so this is bit for
+    // bit the per-sample result.
+    std::uint8_t* cols_t =
+        scratch.columns_t(static_cast<std::size_t>(rows * count));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t s = 0; s < count; ++s) {
+        cols_t[r * count + s] = qas[static_cast<std::size_t>(s)].values
+                                    [static_cast<std::size_t>(r)];
+      }
+    }
+    std::int32_t* accs_t =
+        scratch.accs_t(static_cast<std::size_t>(cols * count));
+    layer.mvm_batch_into(
+        cols_t, count, mode_,
+        std::span(accs_t, static_cast<std::size_t>(cols * count)), scratch);
+    acc = accs_t;
+  } else {
+    per_sample.assign(static_cast<std::size_t>(count * cols), 0);
+    const std::int64_t rbs = layer.row_block_count();
+    for (std::int64_t s = 0; s < count; ++s) {
+      const std::span<const std::uint8_t> column(
+          qas[static_cast<std::size_t>(s)].values);
+      const std::uint64_t key =
+          make_call_key(noise_stream0 + static_cast<std::uint64_t>(s), 0);
+      std::int32_t* out = per_sample.data() + s * cols;
+      if (scalar) {
+        const std::vector<std::int32_t> a =
+            layer.mvm_scalar(column, mode_, key);
+        std::copy(a.begin(), a.end(), out);
+      } else if (pool != nullptr && rbs > 1) {
+        // Row-block split: each block's partial lands in its own slice,
+        // then the slices merge in block order — exact integer sums, so
+        // the result is bit-identical for any pool size.
+        std::vector<std::int32_t> partials(
+            static_cast<std::size_t>(rbs * cols), 0);
+        const auto run_block = [&](std::size_t rb) {
+          thread_local kernels::KernelScratch rb_scratch;
+          layer.mvm_row_block_accum(
+              static_cast<std::int64_t>(rb), column, mode_,
+              partials.data() + static_cast<std::int64_t>(rb) * cols,
+              rb_scratch, key);
+        };
+        pool->parallel_for(0, static_cast<std::size_t>(rbs), run_block);
+        for (std::int64_t rb = 0; rb < rbs; ++rb) {
+          const std::int32_t* p = partials.data() + rb * cols;
+          for (std::int64_t j = 0; j < cols; ++j) out[j] += p[j];
+        }
+      } else {
+        layer.mvm_into(column, mode_,
+                       std::span(out, static_cast<std::size_t>(cols)),
+                       scratch, key);
+      }
+    }
+    acc = per_sample.data();
+    s_step = cols;
+    j_step = 1;
+  }
+  for (std::int64_t s = 0; s < count; ++s) {
+    const float out_scale =
+        layer.weight_scale() * qas[static_cast<std::size_t>(s)].scale;
+    tensor::Tensor out({spec.out_channels});
+    for (std::int64_t j = 0; j < spec.out_channels; ++j) {
+      out[j] = static_cast<float>(acc[s * s_step + j * j_step]) * out_scale;
+    }
+    outs.push_back(std::move(out));
+  }
+  return outs;
+}
+
 tensor::Tensor SimulatedModel::forward(const tensor::Tensor& input,
                                        std::uint64_t noise_stream,
                                        common::ThreadPool* pool) const {
-  return forward_traced(input, noise_stream, pool).output;
+  return std::move(
+      forward_batch(std::span(&input, 1), noise_stream, pool).front().output);
 }
 
-SimulatedModel::ForwardTrace SimulatedModel::forward_traced(
-    const tensor::Tensor& input, std::uint64_t noise_stream,
-    common::ThreadPool* pool) const {
-  const nn::NetworkSpec& spec = model_->spec();
-  AUTOHET_CHECK(spec.sequential_runnable,
-                "network is not sequentially runnable (" + spec.name + ")");
-  ForwardTrace trace;
-  trace.mappable_outputs.reserve(layers_.size());
-  tensor::Tensor x = input;
-  std::size_t mappable_idx = 0;
-  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-    const nn::LayerSpec& layer = spec.layers[i];
-    if (nn::is_mappable(layer.type)) {
-      x = run_mappable(layers_[mappable_idx++], x, noise_stream, pool);
-      trace.mappable_outputs.push_back(x);  // pre-activation layer output
-    } else {
-      x = model_->forward_layer(i, x);
-    }
-    if (layer.relu_after) tensor::relu_inplace(x);
-  }
-  trace.output = std::move(x);
-  return trace;
-}
-
-namespace {
-
-/// Vector-unit residual add: both operands quantized to a shared symmetric
-/// 8-bit grid, summed in int32 (exact), dequantized once. Deterministic and
-/// order-free — the accelerator's SIMD unit computes the same sums.
-tensor::Tensor residual_add_exact(const tensor::Tensor& a,
-                                  const tensor::Tensor& b) {
-  AUTOHET_CHECK(a.numel() == b.numel(),
-                "residual add operands must have equal element counts");
-  tensor::Tensor out(a.shape());
-  const float absmax = std::max(a.abs_max(), b.abs_max());
-  if (absmax == 0.0f) return out;  // both zero
-  const float scale = absmax / 127.0f;
-  const float inv = 127.0f / absmax;
-  for (std::int64_t j = 0; j < out.numel(); ++j) {
-    const auto qa = static_cast<std::int32_t>(std::lroundf(a[j] * inv));
-    const auto qb = static_cast<std::int32_t>(std::lroundf(b[j] * inv));
-    out[j] = static_cast<float>(qa + qb) * scale;
-  }
-  return out;
-}
-
-}  // namespace
-
-SimulatedModel::ForwardTrace SimulatedModel::forward_graph_traced(
-    const nn::Graph& graph, const tensor::Tensor& input,
-    std::uint64_t noise_stream, common::ThreadPool* pool) const {
-  AUTOHET_CHECK(graph.skeleton().layers == model_->spec().layers,
-                "graph '" + graph.name() +
-                    "' skeleton does not match the model this fabric was "
-                    "programmed from");
-  const std::vector<nn::GraphNode>& nodes = graph.nodes();
-  AUTOHET_CHECK(!nodes.empty(), "cannot run an empty graph");
-
-  // Fan-out buffering: consumer refcounts release each intermediate tensor
-  // after its last read, so memory tracks the live frontier, not the graph.
-  std::vector<std::int64_t> uses(nodes.size(), 0);
-  for (const nn::GraphNode& node : nodes) {
-    for (const std::int64_t in : node.inputs) {
-      ++uses[static_cast<std::size_t>(in)];
-    }
-  }
-  const std::int64_t out_id = graph.output_node();
-  ++uses[static_cast<std::size_t>(out_id)];
-
-  ForwardTrace trace;
-  trace.mappable_outputs.reserve(layers_.size());
-  std::vector<tensor::Tensor> values(nodes.size());
-  std::size_t mappable_idx = 0;
-  std::size_t skeleton_idx = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const nn::GraphNode& node = nodes[i];
-    tensor::Tensor v;
-    switch (node.kind) {
-      case nn::OpKind::kInput:
-        AUTOHET_CHECK(input.numel() == node.shape.numel(),
-                      "input tensor does not match graph input shape " +
-                          node.shape.to_string());
-        v = input;
-        break;
-      case nn::OpKind::kLayer: {
-        const tensor::Tensor& x =
-            values[static_cast<std::size_t>(node.inputs[0])];
-        if (nn::is_mappable(node.layer.type)) {
-          v = run_mappable(layers_[mappable_idx++], x, noise_stream, pool);
-          trace.mappable_outputs.push_back(v);  // pre-activation output
-        } else {
-          v = model_->forward_layer(skeleton_idx, x);
-        }
-        ++skeleton_idx;
-        if (node.layer.relu_after) tensor::relu_inplace(v);
-        break;
-      }
-      case nn::OpKind::kResidualAdd:
-        v = residual_add_exact(
-            values[static_cast<std::size_t>(node.inputs[0])],
-            values[static_cast<std::size_t>(node.inputs[1])]);
-        break;
-      case nn::OpKind::kActivation:
-        v = values[static_cast<std::size_t>(node.inputs[0])];
-        tensor::relu_inplace(v);
-        break;
-      case nn::OpKind::kGlobalAvgPool: {
-        const tensor::Tensor& x =
-            values[static_cast<std::size_t>(node.inputs[0])];
-        const std::int64_t channels = node.shape.channels;
-        const std::int64_t plane = x.numel() / channels;
-        v = tensor::Tensor({channels, 1, 1});
-        for (std::int64_t c = 0; c < channels; ++c) {
-          float sum = 0.0f;
-          for (std::int64_t p = 0; p < plane; ++p) sum += x[c * plane + p];
-          v[c] = sum / static_cast<float>(plane);
-        }
-        break;
-      }
-      case nn::OpKind::kConcat: {
-        v = tensor::Tensor(
-            {node.shape.channels, node.shape.height, node.shape.width});
-        std::int64_t off = 0;
-        for (const std::int64_t in : node.inputs) {
-          const tensor::Tensor& x = values[static_cast<std::size_t>(in)];
-          for (std::int64_t j = 0; j < x.numel(); ++j) v[off + j] = x[j];
-          off += x.numel();
-        }
-        break;
-      }
-    }
-    values[i] = std::move(v);
-    for (const std::int64_t in : node.inputs) {
-      if (--uses[static_cast<std::size_t>(in)] == 0) {
-        values[static_cast<std::size_t>(in)] = tensor::Tensor();
-      }
-    }
-  }
-  AUTOHET_CHECK(mappable_idx == layers_.size(),
-                "graph mappable count does not match the programmed fabric");
-  trace.output = std::move(values[static_cast<std::size_t>(out_id)]);
-  return trace;
-}
-
-tensor::Tensor SimulatedModel::forward_graph(const nn::Graph& graph,
-                                             const tensor::Tensor& input,
-                                             std::uint64_t noise_stream,
-                                             common::ThreadPool* pool) const {
-  return forward_graph_traced(graph, input, noise_stream, pool).output;
-}
-
-std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_traced_batch(
+std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_batch(
     std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0,
     common::ThreadPool* pool) const {
-  const nn::NetworkSpec& spec = model_->spec();
-  AUTOHET_CHECK(spec.sequential_runnable,
-                "network is not sequentially runnable (" + spec.name + ")");
-  const auto count = static_cast<std::int64_t>(inputs.size());
+  const nn::Graph& graph = model_->graph();
+  AUTOHET_CHECK(graph.node_count() > 0,
+                "network is not sequentially runnable (" +
+                    model_->spec().name + ")");
   std::vector<ForwardTrace> traces(inputs.size());
-  if (count == 0) return traces;
-  const bool scalar = policy_ == KernelPolicy::kScalarReference;
-  if (scalar) pool = nullptr;  // the baseline stays honestly serial
+  if (inputs.empty()) return traces;
   for (auto& t : traces) t.mappable_outputs.reserve(layers_.size());
 
-  std::vector<tensor::Tensor> xs(inputs.begin(), inputs.end());
-  std::size_t mappable_idx = 0;
-  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-    const nn::LayerSpec& layer_spec = spec.layers[i];
-    if (nn::is_mappable(layer_spec.type)) {
-      const MappedLayer& layer = layers_[mappable_idx++];
-      const bool batch_fc =
-          !scalar && count > 1 &&
-          layer_spec.type == nn::LayerType::kFullyConnected &&
-          !layer.read_noisy();
-      if (batch_fc) {
-        // All samples through one batched MVM per crossbar. Quantization is
-        // per sample (its own scale), so packing the quantized columns
-        // transposed and scaling each sample's integer outputs by its own
-        // out_scale reproduces the per-sample path bit for bit.
-        const std::int64_t rows = layer_spec.weight_rows();
-        const std::int64_t cols = layer_spec.weight_cols();
-        thread_local kernels::KernelScratch scratch;
-        std::vector<nn::QuantizedActivations> qas;
-        qas.reserve(static_cast<std::size_t>(count));
-        for (std::int64_t s = 0; s < count; ++s) {
-          qas.push_back(nn::quantize_activations(
-              xs[static_cast<std::size_t>(s)].reshaped(
-                  {xs[static_cast<std::size_t>(s)].numel()}),
-              /*bits=*/8));
-        }
-        std::uint8_t* cols_t =
-            scratch.columns_t(static_cast<std::size_t>(rows * count));
-        for (std::int64_t r = 0; r < rows; ++r) {
-          for (std::int64_t s = 0; s < count; ++s) {
-            cols_t[static_cast<std::size_t>(r * count + s)] =
-                qas[static_cast<std::size_t>(s)]
-                    .values[static_cast<std::size_t>(r)];
-          }
-        }
-        std::int32_t* accs_t =
-            scratch.accs_t(static_cast<std::size_t>(cols * count));
-        layer.mvm_batch_into(
-            cols_t, count, mode_,
-            std::span(accs_t, static_cast<std::size_t>(cols * count)),
-            scratch);
-        OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
-                           mappable_idx - 1, 0, count);
-        for (std::int64_t s = 0; s < count; ++s) {
-          const auto si = static_cast<std::size_t>(s);
-          const float out_scale = layer.weight_scale() * qas[si].scale;
-          tensor::Tensor out({layer_spec.out_channels});
-          for (std::int64_t j = 0; j < layer_spec.out_channels; ++j) {
-            out[j] = static_cast<float>(
-                         accs_t[static_cast<std::size_t>(j * count + s)]) *
-                     out_scale;
-          }
-          xs[si] = std::move(out);
-          traces[si].mappable_outputs.push_back(xs[si]);
-        }
-      } else {
-        for (std::int64_t s = 0; s < count; ++s) {
-          const auto si = static_cast<std::size_t>(s);
-          xs[si] = run_mappable(layer, xs[si],
-                                noise_stream0 + static_cast<std::uint64_t>(s),
-                                pool);
-          traces[si].mappable_outputs.push_back(xs[si]);
-        }
+  // Every node's value holds one tensor per sample. Mappable nodes run the
+  // whole batch through their crossbars; every other op runs per sample —
+  // pooling on the tile's pooling module, the rest on the vector unit.
+  using Batch = std::vector<tensor::Tensor>;
+  const auto sample_op = [&](const nn::GraphNode& node, std::size_t layer,
+                             std::span<const Batch* const> x,
+                             std::size_t s) -> tensor::Tensor {
+    const tensor::Tensor& a = (*x[0])[s];
+    switch (node.kind) {
+      case nn::OpKind::kLayer:
+        return model_->forward_layer(layer, a);
+      case nn::OpKind::kResidualAdd:
+        return residual_add_exact(a, (*x[1])[s]);
+      case nn::OpKind::kGlobalAvgPool:
+        return tensor::global_avg_pool(a);
+      case nn::OpKind::kConcat: {
+        std::vector<const tensor::Tensor*> parts;
+        for (const Batch* part : x) parts.push_back(&(*part)[s]);
+        return tensor::concat_channels(parts);
       }
-    } else {
-      for (auto& x : xs) x = model_->forward_layer(i, x);
+      case nn::OpKind::kInput:
+      case nn::OpKind::kActivation:  // the caller applies the ReLU
+        break;
     }
-    if (layer_spec.relu_after) {
-      for (auto& x : xs) tensor::relu_inplace(x);
-    }
-  }
-  for (std::int64_t s = 0; s < count; ++s) {
-    traces[static_cast<std::size_t>(s)].output =
-        std::move(xs[static_cast<std::size_t>(s)]);
+    return a;
+  };
+  std::size_t mappable_idx = 0;
+  Batch outputs = nn::execute<Batch>(
+      graph,
+      [&](const nn::GraphNode& node, std::size_t layer,
+          std::span<const Batch* const> x) -> Batch {
+        if (node.kind == nn::OpKind::kInput) {
+          for (const tensor::Tensor& in : inputs) {
+            AUTOHET_CHECK(in.numel() == node.shape.numel(),
+                          "input tensor does not match graph input shape " +
+                              node.shape.to_string());
+          }
+          return Batch(inputs.begin(), inputs.end());
+        }
+        Batch v;
+        if (nn::is_mappable(node)) {
+          v = run_mappable(layers_[mappable_idx++], *x[0], noise_stream0,
+                           pool);
+          for (std::size_t s = 0; s < v.size(); ++s) {
+            traces[s].mappable_outputs.push_back(v[s]);  // pre-activation
+          }
+        } else {
+          for (std::size_t s = 0; s < inputs.size(); ++s) {
+            v.push_back(sample_op(node, layer, x, s));
+          }
+        }
+        if (node.kind == nn::OpKind::kActivation ||
+            (node.kind == nn::OpKind::kLayer && node.layer.relu_after)) {
+          for (tensor::Tensor& t : v) tensor::relu_inplace(t);
+        }
+        return v;
+      });
+  for (std::size_t s = 0; s < traces.size(); ++s) {
+    traces[s].output = std::move(outputs[s]);
   }
   return traces;
 }
@@ -1080,7 +976,6 @@ RobustnessReport monte_carlo_robustness(
             : SimulatedModel(model, shapes, options.mode, {},
                              options.kernels),
         {},
-        {},
         {}};
     const nn::LayerSpec& first = model.spec().layers.front();
     common::Rng img_rng(options.input_seed);
@@ -1088,10 +983,10 @@ RobustnessReport monte_carlo_robustness(
     for (int s = 0; s < options.samples; ++s) {
       refs.images.push_back(nn::synthetic_image(
           img_rng, first.in_channels, first.in_height, first.in_width));
-      refs.references.push_back(refs.ideal.forward_traced(refs.images.back()));
-      refs.reference_classes.push_back(
-          tensor::argmax(refs.references.back().output));
     }
+    // The ideal fabric has no read noise, so the per-sample streams
+    // forward_batch assigns cannot change the references.
+    refs.references = refs.ideal.forward_batch(refs.images);
     return refs;
   };
   // The layer cache's reference store wins when present: references are
@@ -1111,8 +1006,6 @@ RobustnessReport monte_carlo_robustness(
   const std::vector<tensor::Tensor>& images = refs->images;
   const std::vector<SimulatedModel::ForwardTrace>& references =
       refs->references;
-  const std::vector<std::int64_t>& reference_classes =
-      refs->reference_classes;
 
   const std::size_t num_layers = refs->ideal.mapped_layers().size();
   report.layer_error.assign(num_layers, 0.0);
@@ -1178,23 +1071,23 @@ RobustnessReport monte_carlo_robustness(
 
   // Phase B body: run one chunk of samples through an already-built trial
   // fabric. Sample s keeps noise stream s and its own result slots, so
-  // chunks of one trial can run concurrently — and forward_traced_batch is
-  // bit-identical to per-sample forward_traced. Returns the chunk's wall
+  // chunks of one trial can run concurrently — and forward_batch is
+  // bit-identical to one-sample forwards. Returns the chunk's wall
   // time so the per-trial total can be folded deterministically later.
   const auto run_chunk = [&](const SimulatedModel& faulty, TrialResult& res,
                              int c, common::ThreadPool* pool) -> double {
     const auto t0 = std::chrono::steady_clock::now();
     const int s0 = c * kSampleChunk;
     const int s1 = std::min(options.samples, s0 + kSampleChunk);
-    const auto traces = faulty.forward_traced_batch(
+    const auto traces = faulty.forward_batch(
         std::span(images).subspan(static_cast<std::size_t>(s0),
                                   static_cast<std::size_t>(s1 - s0)),
         /*noise_stream0=*/static_cast<std::uint64_t>(s0), pool);
     for (int s = s0; s < s1; ++s) {
       const auto si = static_cast<std::size_t>(s);
       const auto& trace = traces[static_cast<std::size_t>(s - s0)];
-      res.agree[si] =
-          tensor::argmax(trace.output) == reference_classes[si] ? 1 : 0;
+      res.agree[si] = tensor::argmax(trace.output) ==
+                      tensor::argmax(references[si].output);
       res.logit_err[si] =
           tensor::max_abs_diff(trace.output, references[si].output);
       for (std::size_t l = 0; l < num_layers; ++l) {
@@ -1217,7 +1110,7 @@ RobustnessReport monte_carlo_robustness(
   }
   // Chunking makes the parallel path worthwhile even for a single trial
   // with enough samples; intra-forward row-block/tile splitting (the pool
-  // handed down to forward_traced_batch) covers the rest, so threads > 1
+  // handed down to forward_batch) covers the rest, so threads > 1
   // alone justifies the parallel path — even for a lone trial and sample.
   const bool parallel = !scalar && threads > 1;
   std::optional<common::ThreadPool> local_pool;

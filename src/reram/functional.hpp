@@ -73,19 +73,9 @@ class MappedLayer {
               const FaultModel* faults = nullptr, std::uint64_t layer_id = 0,
               KernelPolicy policy = KernelPolicy::kFast);
 
-  /// Programs from an already-derived mapping geometry (a DeploymentPlan's
-  /// frozen per-layer mapping) instead of re-deriving it from the shape.
-  /// `mapping` must equal what map_layer derives for (spec, mapping.shape)
-  /// — checked, so a stale plan cannot silently program a different layout.
-  MappedLayer(const nn::LayerSpec& spec, const tensor::Tensor& weight,
-              const mapping::LayerMapping& mapping,
-              const FaultModel* faults = nullptr, std::uint64_t layer_id = 0,
-              KernelPolicy policy = KernelPolicy::kFast);
-
   const mapping::LayerMapping& mapping() const noexcept { return mapping_; }
   float weight_scale() const noexcept { return weight_scale_; }
   const nn::LayerSpec& spec() const noexcept { return spec_; }
-  KernelPolicy policy() const noexcept { return policy_; }
 
   /// Integer MVM of one unfolded input column (length Cin·k², 8-bit).
   /// Returns one int32 accumulation per output channel: partial sums from
@@ -222,10 +212,12 @@ class SimulatedModel {
                  KernelPolicy policy = KernelPolicy::kFast);
 
   /// Builds the fabric from a compiled DeploymentPlan: each mappable layer
-  /// is programmed from the plan's frozen per-layer geometry and the plan's
+  /// is programmed onto the plan's crossbar shape under the plan's
   /// FaultConfig (`plan.accel.faults`). The plan is validated against the
-  /// model first. Bit-identical to the shape-list constructor on the inputs
-  /// the plan was compiled from.
+  /// model first — which pins its frozen per-layer geometry to exactly what
+  /// those shapes map to — and a graph (v2) plan must carry exactly
+  /// model.graph(). Bit-identical to the shape-list constructor on the
+  /// inputs the plan was compiled from.
   SimulatedModel(const nn::Model& model, const plan::DeploymentPlan& plan,
                  DatapathMode mode = DatapathMode::kInteger,
                  KernelPolicy policy = KernelPolicy::kFast);
@@ -253,65 +245,40 @@ class SimulatedModel {
   SimulatedModel replay_faults(const FaultConfig& faults,
                                const TrialBurnRecord& record) const;
 
-  /// Forward pass (CHW input). Requires a sequentially runnable network.
-  /// `noise_stream` selects the read-noise stream for this pass (see
-  /// MappedLayer::mvm_into); passes with equal streams are identical,
-  /// distinct streams draw independent noise. Irrelevant without read
-  /// noise. Concurrent forwards on one instance are safe.
-  ///
-  /// A non-null `pool` splits each mappable layer's work across the pool
-  /// *within* this single forward: conv position tiles and FC row blocks
-  /// run as independent integer partials, so a lone trial can use every
-  /// worker. Integer sums reassociate exactly — outputs are bit-identical
-  /// to the serial pass for every pool size.
-  tensor::Tensor forward(const tensor::Tensor& input,
-                         std::uint64_t noise_stream = 0,
-                         common::ThreadPool* pool = nullptr) const;
-
-  /// Forward pass that also captures each mappable layer's raw output
-  /// (pre-activation) — the per-layer hooks the robustness metric compares
-  /// against an ideal fabric to attribute fault-induced error to layers.
+  /// One sample's forward result: the network output plus each mappable
+  /// layer's raw (pre-activation) output — the per-layer hooks the
+  /// robustness metric compares against an ideal fabric to attribute
+  /// fault-induced error to layers.
   struct ForwardTrace {
     tensor::Tensor output;
     std::vector<tensor::Tensor> mappable_outputs;
   };
-  ForwardTrace forward_traced(const tensor::Tensor& input,
-                              std::uint64_t noise_stream = 0,
-                              common::ThreadPool* pool = nullptr) const;
 
-  /// DAG forward pass: executes `graph` (whose kLayer skeleton must equal
-  /// the model's spec().layers — checked) on the crossbar fabric. Mappable
-  /// nodes run through their MappedLayer exactly as in forward_traced;
-  /// pooling nodes run on the tile's pooling module; residual adds execute
-  /// on the vector unit in *exact integer arithmetic* (both operands
-  /// quantized to a shared symmetric 8-bit grid, summed in int32, one
-  /// dequantization); concat/activation/global-avg-pool are elementwise or
-  /// exact-copy ops. Intermediate tensors are held only until their last
-  /// consumer reads them (fan-out buffering). For chain graphs the result
-  /// is bit-identical to forward_traced on the same inputs.
-  ForwardTrace forward_graph_traced(const nn::Graph& graph,
-                                    const tensor::Tensor& input,
-                                    std::uint64_t noise_stream = 0,
-                                    common::ThreadPool* pool = nullptr) const;
-  tensor::Tensor forward_graph(const nn::Graph& graph,
-                               const tensor::Tensor& input,
-                               std::uint64_t noise_stream = 0,
-                               common::ThreadPool* pool = nullptr) const;
-
-  /// Traced forward over a batch of inputs (sample i uses noise stream
-  /// `noise_stream0 + i`). Fully-connected layers on a noise-free fast-path
-  /// fabric run all samples through one batched MVM per layer (per-sample
-  /// activation scales are applied after the exact integer accumulation);
-  /// everything else runs per sample. Results are bit-identical to calling
-  /// forward_traced(inputs[i], noise_stream0 + i) one sample at a time.
-  std::vector<ForwardTrace> forward_traced_batch(
+  /// Runs the model's graph on the fabric for a batch of CHW inputs, sample
+  /// i on read-noise stream `noise_stream0 + i` (equal streams repeat a
+  /// pass, distinct streams draw independent noise; see
+  /// MappedLayer::mvm_into). Concurrent calls on one instance are safe.
+  ///
+  /// Mappable nodes run on their MappedLayer, noise-free fast FC layers as
+  /// one batched MVM across the samples; pooling nodes run on the tile's
+  /// pooling module; residual adds run on the vector unit in exact integer
+  /// arithmetic (both operands on one symmetric 8-bit grid, summed in
+  /// int32, dequantized once). A non-null `pool` splits each layer's work
+  /// within a sample (conv position tiles; FC row blocks when the FC layer
+  /// runs per sample). Integer sums reassociate exactly, so every result is
+  /// bit-identical to running each sample alone and serially.
+  std::vector<ForwardTrace> forward_batch(
       std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0 = 0,
       common::ThreadPool* pool = nullptr) const;
+
+  /// Output of forward_batch over the single sample `input`.
+  tensor::Tensor forward(const tensor::Tensor& input,
+                         std::uint64_t noise_stream = 0,
+                         common::ThreadPool* pool = nullptr) const;
 
   const std::vector<MappedLayer>& mapped_layers() const noexcept {
     return layers_;
   }
-  KernelPolicy policy() const noexcept { return policy_; }
 
   /// Assembles a fabric from prebuilt per-layer fabrics (the
   /// LayerFabricCache path). `layers[i]` must have been built from this
@@ -333,10 +300,16 @@ class SimulatedModel {
   void apply_variation(common::Rng& rng, double sigma);
 
  private:
-  tensor::Tensor run_mappable(const MappedLayer& layer,
-                              const tensor::Tensor& input,
-                              std::uint64_t noise_stream,
-                              common::ThreadPool* pool) const;
+  /// One mappable layer over a batch, sample i on noise stream
+  /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
+  /// noise-free fast fabric take one batched MVM for two or more samples.
+  std::vector<tensor::Tensor> run_mappable(
+      const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
+      std::uint64_t noise_stream0, common::ThreadPool* pool) const;
+  tensor::Tensor run_conv(const MappedLayer& layer,
+                          const tensor::Tensor& input,
+                          std::uint64_t noise_stream,
+                          common::ThreadPool* pool) const;
 
   const nn::Model* model_;
   DatapathMode mode_;
@@ -382,7 +355,6 @@ class TrialFabricCache {
     SimulatedModel ideal;
     std::vector<tensor::Tensor> images;
     std::vector<SimulatedModel::ForwardTrace> references;
-    std::vector<std::int64_t> reference_classes;
   };
 
   /// One recorded trial burn: the post-variation fabric plus the recorded

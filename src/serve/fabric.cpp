@@ -106,17 +106,16 @@ ServingFabric::ServingFabric(std::vector<plan::DeploymentPlan> plans,
 
   if (config_.functional) {
     for (std::size_t m = 0; m < n; ++m) {
-      // DAG (v2) plans carry their graph; the model builds over the graph's
-      // conv/FC skeleton and swap-ins program the same fabric either way.
-      const nn::NetworkSpec net =
+      // DAG (v2) plans carry their graph, which the model executes.
+      common::Rng weight_rng(config_.weight_seed);
+      models_[m] =
           plans_[m].has_graph()
-              ? plans_[m].graph.skeleton()
-              : nn::network_by_name(plans_[m].network);
-      AUTOHET_CHECK(net.sequential_runnable || plans_[m].has_graph(),
+              ? std::make_unique<nn::Model>(plans_[m].graph, weight_rng)
+              : std::make_unique<nn::Model>(
+                    nn::network_by_name(plans_[m].network), weight_rng);
+      AUTOHET_CHECK(models_[m]->graph().node_count() > 0,
                     "functional serving requires a sequentially runnable "
                     "network: " + plans_[m].network);
-      common::Rng weight_rng(config_.weight_seed);
-      models_[m] = std::make_unique<nn::Model>(net, weight_rng);
     }
   }
 }

@@ -128,6 +128,37 @@ Tensor fully_connected(const Tensor& input, const Tensor& weight) {
   return y.reshaped({weight.dim(0)});
 }
 
+Tensor global_avg_pool(const Tensor& input) {
+  const std::int64_t channels = input.dim(0);
+  const std::int64_t plane = input.numel() / channels;
+  Tensor out({channels, 1, 1});
+  for (std::int64_t c = 0; c < channels; ++c) {
+    float sum = 0.0f;
+    for (std::int64_t p = 0; p < plane; ++p) sum += input[c * plane + p];
+    out[c] = sum / static_cast<float>(plane);
+  }
+  return out;
+}
+
+Tensor concat_channels(std::span<const Tensor* const> parts) {
+  AUTOHET_CHECK(!parts.empty(), "concat needs at least one part");
+  const std::int64_t plane = parts[0]->numel() / parts[0]->dim(0);
+  std::int64_t channels = 0;
+  for (const Tensor* part : parts) {
+    AUTOHET_CHECK(part->numel() % plane == 0,
+                  "concat parts must share the plane size");
+    channels += part->numel() / plane;
+  }
+  std::vector<std::int64_t> shape = parts[0]->shape();
+  shape[0] = channels;
+  Tensor out(std::move(shape));
+  float* dst = out.data();
+  for (const Tensor* part : parts) {
+    dst = std::copy(part->data(), part->data() + part->numel(), dst);
+  }
+  return out;
+}
+
 void relu_inplace(Tensor& t) {
   for (auto& v : t.storage()) v = std::max(v, 0.0f);
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "tensor/tensor.hpp"
 
@@ -37,6 +38,14 @@ Tensor avgpool2d(const Tensor& input, std::int64_t window, std::int64_t stride);
 
 /// Fully connected: weight [out, in] times flattened input.
 Tensor fully_connected(const Tensor& input, const Tensor& weight);
+
+/// Spatial mean of every channel: a CHW input gives a Cx1x1 output.
+Tensor global_avg_pool(const Tensor& input);
+
+/// Channel-axis concatenation. Every part holds whole planes of the first
+/// part's plane size (numel / dim(0)); the result has the first part's shape
+/// with dim 0 widened to the total channel count.
+Tensor concat_channels(std::span<const Tensor* const> parts);
 
 /// Elementwise max(0, x), in place.
 void relu_inplace(Tensor& t);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,7 @@
 #include "reram/pipeline.hpp"
 #include "reram/scheduler.hpp"
 #include "report/serialize.hpp"
+#include "tensor/ops.hpp"
 
 namespace autohet {
 namespace {
@@ -63,14 +65,15 @@ std::string read_file(const std::string& path) {
 
 // A small branchy graph exercising every non-mappable op kind:
 // conv -> (identity | conv) -> residual add -> relu -> concat with a
-// pooled branch -> global avg pool -> fc.
-nn::Graph branchy_graph() {
+// pooled branch -> global avg pool -> fc. `post_add_relu = false` drops the
+// activation node: same skeleton, different graph.
+nn::Graph branchy_graph(bool post_add_relu = true) {
   nn::GraphBuilder b("branchy");
   const auto in = b.input(3, 8, 8);
   const auto stem = b.layer(in, nn::make_conv(3, 8, 3, 1, 1, 8, 8));
   const auto body = b.layer(stem, nn::make_conv(8, 8, 3, 1, 1, 8, 8));
   const auto sum = b.residual_add(stem, body);
-  const auto act = b.activation(sum);
+  const auto act = post_add_relu ? b.activation(sum) : sum;
   const auto side = b.layer(stem, nn::make_maxpool(8, 1, 1, 8, 8));
   const auto cat = b.concat({act, side});
   const auto gap = b.global_avg_pool(cat);
@@ -292,11 +295,27 @@ TEST(GraphPlan, ChainScheduleAndPipelineBitIdentical) {
   EXPECT_EQ(p1.fill_latency_ns, p2.fill_latency_ns);
 }
 
+void expect_same_trace(const reram::SimulatedModel::ForwardTrace& a,
+                       const reram::SimulatedModel::ForwardTrace& b,
+                       const std::string& what) {
+  EXPECT_EQ(tensor::max_abs_diff(a.output, b.output), 0.0f) << what;
+  ASSERT_EQ(a.mappable_outputs.size(), b.mappable_outputs.size()) << what;
+  for (std::size_t l = 0; l < a.mappable_outputs.size(); ++l) {
+    EXPECT_EQ(
+        tensor::max_abs_diff(a.mappable_outputs[l], b.mappable_outputs[l]),
+        0.0f)
+        << what << " layer " << l;
+  }
+}
+
 TEST(GraphFunctional, ChainForwardBitIdentical) {
   const nn::NetworkSpec net = nn::lenet5();
   const nn::Graph g = nn::graph_from_network(net);
   common::Rng weight_rng(3);
   const nn::Model model(net, weight_rng);
+  common::Rng graph_weight_rng(3);
+  const nn::Model graph_model(g, graph_weight_rng);
+  EXPECT_EQ(model.graph(), g);
 
   common::Rng input_rng(4);
   tensor::Tensor input({g.nodes().front().shape.channels,
@@ -304,48 +323,109 @@ TEST(GraphFunctional, ChainForwardBitIdentical) {
                         g.nodes().front().shape.width});
   input.fill_uniform(input_rng, 0.0f, 1.0f);
 
-  // Float reference: forward_graph over a chain equals forward exactly.
-  const tensor::Tensor ref = model.forward(input);
-  const tensor::Tensor ref_graph = model.forward_graph(g, input);
-  ASSERT_EQ(ref.numel(), ref_graph.numel());
-  for (std::int64_t j = 0; j < ref.numel(); ++j) {
-    EXPECT_EQ(ref[j], ref_graph[j]) << j;
+  // Float reference: the graph walk over a chain equals the plain layer
+  // loop exactly, whichever way the model was built.
+  tensor::Tensor chain = input;
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    chain = model.forward_layer(i, chain);
+    if (net.layers[i].relu_after) tensor::relu_inplace(chain);
   }
+  EXPECT_EQ(tensor::max_abs_diff(model.forward(input), chain), 0.0f);
+  EXPECT_EQ(tensor::max_abs_diff(graph_model.forward(input), chain), 0.0f);
 
-  // Crossbar fabric: DAG executor over a chain equals the linear walk.
-  const reram::SimulatedModel fabric(
-      model, uniform_shapes(net.mappable_layers().size()));
-  const reram::SimulatedModel::ForwardTrace linear =
-      fabric.forward_traced(input);
-  const reram::SimulatedModel::ForwardTrace dag =
-      fabric.forward_graph_traced(g, input);
-  ASSERT_EQ(linear.output.numel(), dag.output.numel());
-  for (std::int64_t j = 0; j < linear.output.numel(); ++j) {
-    EXPECT_EQ(linear.output[j], dag.output[j]) << j;
-  }
-  ASSERT_EQ(linear.mappable_outputs.size(), dag.mappable_outputs.size());
+  // Crossbar fabric: the shape-list, v1-plan and v2-plan fabrics agree.
+  const auto shapes = uniform_shapes(net.mappable_layers().size());
+  const reram::SimulatedModel fabric(model, shapes);
+  const reram::SimulatedModel v1_fabric(
+      model, plan::compile_plan(net.name, net.mappable_layers(), shapes,
+                                fixture_accel()));
+  const reram::SimulatedModel v2_fabric(
+      graph_model, plan::compile_plan(g, shapes, fixture_accel()));
+  const auto trace = fabric.forward_batch(std::span(&input, 1)).front();
+  EXPECT_EQ(trace.mappable_outputs.size(), net.mappable_layers().size());
+  expect_same_trace(trace, v1_fabric.forward_batch(std::span(&input, 1))[0],
+                    "v1 plan");
+  expect_same_trace(trace, v2_fabric.forward_batch(std::span(&input, 1))[0],
+                    "v2 plan");
+  EXPECT_EQ(tensor::max_abs_diff(fabric.forward(input), trace.output), 0.0f);
 }
 
 TEST(GraphFunctional, BranchyForwardIsDeterministicAndShaped) {
   const nn::Graph g = branchy_graph();
   common::Rng weight_rng(5);
-  const nn::Model model(g.skeleton(), weight_rng);
+  const nn::Model model(g, weight_rng);
 
   common::Rng input_rng(6);
   tensor::Tensor input({3, 8, 8});
   input.fill_uniform(input_rng, 0.0f, 1.0f);
 
-  const tensor::Tensor ref = model.forward_graph(g, input);
+  const tensor::Tensor ref = model.forward(input);
   EXPECT_EQ(ref.numel(), 10);
 
   const plan::DeploymentPlan v2 = plan::compile_plan(
       g, uniform_shapes(g.mappable_layers().size()), fixture_accel());
   const reram::SimulatedModel fabric(model, v2);
-  const tensor::Tensor a = fabric.forward_graph(g, input);
-  const tensor::Tensor b = fabric.forward_graph(g, input);
+  const tensor::Tensor a = fabric.forward(input);
+  const tensor::Tensor b = fabric.forward(input);
   ASSERT_EQ(a.numel(), 10);
   for (std::int64_t j = 0; j < a.numel(); ++j) {
     EXPECT_EQ(a[j], b[j]) << j;
+  }
+}
+
+TEST(GraphFunctional, PlanRejectsModelOfAnotherGraph) {
+  const nn::Graph g = branchy_graph();
+  const plan::DeploymentPlan v2 = plan::compile_plan(
+      g, uniform_shapes(g.mappable_layers().size()), fixture_accel());
+  common::Rng rng(5);
+  const nn::Model same(g, rng);
+  EXPECT_NO_THROW(reram::SimulatedModel(same, v2));
+  // Same name and conv/FC skeleton, different wiring: rejected up front.
+  const nn::Model rewired(branchy_graph(/*post_add_relu=*/false), rng);
+  ASSERT_EQ(rewired.spec().layers, same.spec().layers);
+  EXPECT_THROW(reram::SimulatedModel(rewired, v2), std::invalid_argument);
+  // A skeleton-only model has no graph at all.
+  const nn::Model skeleton(g.skeleton(), rng);
+  EXPECT_THROW(reram::SimulatedModel(skeleton, v2), std::invalid_argument);
+}
+
+TEST(GraphFunctional, CifarResnetBatchMatchesPerSample) {
+  const nn::Graph g = nn::cifar_resnet_graph();
+  common::Rng weight_rng(7);
+  const nn::Model model(g, weight_rng);
+  // 64x64 arrays split the 288-row convs into several row blocks.
+  const std::vector<CrossbarShape> shapes(g.mappable_layers().size(),
+                                          CrossbarShape{64, 64});
+  common::Rng input_rng(8);
+  std::vector<tensor::Tensor> images;
+  for (int s = 0; s < 3; ++s) {
+    images.push_back(nn::synthetic_image(input_rng, 3, 32, 32));
+  }
+  reram::FaultConfig noisy;
+  noisy.read_sigma = 0.05;
+  common::ThreadPool pool(2);
+  for (const reram::FaultConfig& faults : {reram::FaultConfig{}, noisy}) {
+    const reram::SimulatedModel fabric(model, shapes,
+                                       reram::DatapathMode::kInteger, faults);
+    const std::uint64_t s0 = 5;
+    const auto batched = fabric.forward_batch(images, s0);
+    const auto pooled = fabric.forward_batch(images, s0, &pool);
+    ASSERT_EQ(batched.size(), images.size());
+    for (std::size_t s = 0; s < images.size(); ++s) {
+      const std::string what = "read_sigma " +
+                               std::to_string(faults.read_sigma) +
+                               " sample " + std::to_string(s);
+      const auto single = fabric.forward_batch(
+          std::span(&images[s], 1), s0 + static_cast<std::uint64_t>(s));
+      expect_same_trace(batched[s], single.front(), what);
+      expect_same_trace(batched[s], pooled[s], what + " pooled");
+      EXPECT_EQ(tensor::max_abs_diff(
+                    batched[s].output,
+                    fabric.forward(images[s],
+                                   s0 + static_cast<std::uint64_t>(s))),
+                0.0f)
+          << what;
+    }
   }
 }
 

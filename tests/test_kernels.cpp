@@ -597,11 +597,14 @@ TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
   for (const auto& c : cases) {
     const SimulatedModel fabric(model, shapes, c.mode, c.faults);
     const std::uint64_t stream0 = 11;
-    const auto batched = fabric.forward_traced_batch(images, stream0);
+    const auto batched = fabric.forward_batch(images, stream0);
     ASSERT_EQ(batched.size(), images.size());
     for (std::size_t s = 0; s < images.size(); ++s) {
-      const auto single = fabric.forward_traced(
-          images[s], stream0 + static_cast<std::uint64_t>(s));
+      const auto single =
+          fabric
+              .forward_batch(std::span(&images[s], 1),
+                             stream0 + static_cast<std::uint64_t>(s))
+              .front();
       ASSERT_EQ(batched[s].output.numel(), single.output.numel());
       for (std::int64_t i = 0; i < single.output.numel(); ++i) {
         EXPECT_EQ(batched[s].output[i], single.output[i])

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -204,6 +206,31 @@ TEST(MaxAbsDiff, ZeroForIdentical) {
   Tensor a({3});
   a.fill(1.5f);
   EXPECT_EQ(tensor::max_abs_diff(a, a), 0.0f);
+}
+
+TEST(GlobalAvgPool, AveragesEachChannelPlane) {
+  Tensor x({2, 2, 2});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
+  const Tensor y = tensor::global_avg_pool(x);
+  EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 1, 1}));
+  EXPECT_EQ(y[0], 1.5f);  // (0 + 1 + 2 + 3) / 4
+  EXPECT_EQ(y[1], 5.5f);  // (4 + 5 + 6 + 7) / 4
+}
+
+TEST(ConcatChannels, StacksPartsAlongChannels) {
+  Tensor a({1, 2, 2});
+  Tensor b({2, 2, 2});
+  a.fill(1.0f);
+  for (std::int64_t i = 0; i < b.numel(); ++i) b[i] = static_cast<float>(i);
+  const std::vector<const Tensor*> parts = {&a, &b};
+  const Tensor y = tensor::concat_channels(parts);
+  EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{3, 2, 2}));
+  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(y[i], 1.0f);
+  for (std::int64_t i = 0; i < 8; ++i) EXPECT_EQ(y[4 + i], b[i]);
+
+  const Tensor odd({3});  // 3 values are not whole 2x2 planes
+  const std::vector<const Tensor*> bad = {&a, &odd};
+  EXPECT_THROW(tensor::concat_channels(bad), std::invalid_argument);
 }
 
 }  // namespace
