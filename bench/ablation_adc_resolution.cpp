@@ -4,13 +4,15 @@
 // model (reram/components.hpp), so energy halves per bit removed — the
 // lever behind ADC-sharing literature.
 #include "bench_common.hpp"
+#include "mapping/plan.hpp"
 #include "reram/components.hpp"
 
 using namespace autohet;
 
 int main() {
   bench::print_header("Ablation — ADC resolution (VGG16, 576x512 crossbars)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
   const std::vector<mapping::CrossbarShape> shapes(layers.size(), {576, 512});
 
   report::Table table({"ADC bits", "ADC energy (pJ/conv)", "Energy (nJ)",
@@ -20,7 +22,8 @@ int main() {
     cfg.adc_resolution_bits = bits;
     auto accel = bench::paper_accel(/*tile_shared=*/true);
     accel.device = reram::derive_device_params(cfg);
-    const auto r = reram::evaluate_network(layers, shapes, accel);
+    const auto r = plan::evaluate_plan(
+        plan::compile_plan(net.name, layers, shapes, accel));
     table.add_row({std::to_string(bits),
                    report::format_fixed(accel.device.adc_energy_pj, 3),
                    report::format_sci(r.energy.total_nj(), 3),

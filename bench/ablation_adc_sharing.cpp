@@ -4,13 +4,14 @@
 // serializing conversions, stretching latency. Dynamic energy is unchanged
 // (every used bitline still converts once per cycle).
 #include "bench_common.hpp"
-#include "reram/hardware_model.hpp"
+#include "mapping/plan.hpp"
 
 using namespace autohet;
 
 int main() {
   bench::print_header("Ablation — ADC column sharing (VGG16, 512x512)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
   const std::vector<mapping::CrossbarShape> shapes(layers.size(), {512, 512});
 
   report::Table table({"Bitlines/ADC", "Area (um^2)", "ADC area share %",
@@ -18,7 +19,8 @@ int main() {
   for (int share : {1, 2, 4, 8, 16}) {
     auto config = bench::paper_accel();
     config.device.adc_share = share;
-    const auto r = reram::evaluate_network(layers, shapes, config);
+    const auto r = plan::evaluate_plan(
+        plan::compile_plan(net.name, layers, shapes, config));
     table.add_row({std::to_string(share),
                    report::format_sci(r.area.total_um2(), 3),
                    report::format_fixed(

@@ -4,13 +4,14 @@
 // functional datapath stays bit-exact at every precision
 // (LogicalCrossbar::mvm_multilevel; verified in tests/test_multilevel.cpp).
 #include "bench_common.hpp"
-#include "reram/hardware_model.hpp"
+#include "mapping/plan.hpp"
 
 using namespace autohet;
 
 int main() {
   bench::print_header("Ablation — cell precision (VGG16, 576x512 crossbars)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
   const std::vector<mapping::CrossbarShape> shapes(layers.size(), {576, 512});
 
   report::Table table({"Cell bits", "Bit planes", "Energy (nJ)",
@@ -19,7 +20,8 @@ int main() {
   for (int cell_bits : {1, 2, 4, 8}) {
     auto config = bench::paper_accel(/*tile_shared=*/true);
     config.device.cell_bits = cell_bits;
-    const auto r = reram::evaluate_network(layers, shapes, config);
+    const auto r = plan::evaluate_plan(
+        plan::compile_plan(net.name, layers, shapes, config));
     if (cell_bits == 1) {
       e1 = r.energy.total_nj();
       a1 = r.area.total_um2();

@@ -2,6 +2,7 @@
 // configurations (extension beyond the paper's core energy model — the
 // bus the Global Controller drives in §3.1, quantified).
 #include "bench_common.hpp"
+#include "mapping/plan.hpp"
 #include "reram/noc.hpp"
 
 using namespace autohet;
@@ -9,20 +10,20 @@ using namespace autohet;
 int main() {
   bench::print_header(
       "Ablation — interconnect (NoC) traffic and energy (VGG16)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
 
   report::Table table({"Config", "Tiles", "Total bytes/inf", "Mean hops",
                        "NoC energy (nJ)", "vs core energy %"});
   const auto add_row = [&](const std::string& name,
                            const std::vector<mapping::CrossbarShape>& shapes,
                            bool shared) {
-    const auto config = bench::paper_accel(shared);
-    const auto core = reram::evaluate_network(layers, shapes, config);
-    const mapping::TileAllocator alloc(config.pes_per_tile, shared);
-    const auto allocation = alloc.allocate(layers, shapes);
+    const auto p = plan::compile_plan(net.name, layers, shapes,
+                                      bench::paper_accel(shared));
+    const auto core = plan::evaluate_plan(p);
     const auto placement =
-        reram::place_tiles(allocation.tiles, reram::ChipSpec{});
-    const auto noc = reram::evaluate_noc(layers, allocation, placement);
+        reram::place_tiles(p.allocation.tiles, reram::ChipSpec{});
+    const auto noc = reram::evaluate_noc(layers, p.allocation, placement);
     table.add_row(
         {name, std::to_string(core.occupied_tiles),
          std::to_string(noc.total_bytes),

@@ -9,7 +9,8 @@ using namespace autohet;
 int main() {
   bench::print_header("Ablation — pipelined throughput vs replication budget "
                       "(VGG16)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
   const auto config = bench::paper_accel();
 
   report::Table table({"Crossbar", "Extra-tile budget",
@@ -17,12 +18,12 @@ int main() {
                        "Fill latency (ns)", "Extra tiles used"});
   for (const auto& shape :
        {mapping::CrossbarShape{128, 128}, mapping::CrossbarShape{576, 512}}) {
-    const std::vector<mapping::CrossbarShape> shapes(layers.size(), shape);
+    const auto p = plan::compile_plan(
+        net.name, layers,
+        std::vector<mapping::CrossbarShape>(layers.size(), shape), config);
     for (std::int64_t budget : {0, 16, 64, 256}) {
-      const auto rep =
-          reram::balance_replication(layers, shapes, config, budget);
-      const auto report = reram::evaluate_pipeline(layers, shapes, config,
-                                                   rep);
+      const auto rep = reram::balance_replication(p, budget);
+      const auto report = reram::evaluate_pipeline(p, rep);
       table.add_row({shape.name(), std::to_string(budget),
                      report::format_sci(report.bottleneck_interval_ns, 3),
                      report::format_fixed(
@@ -34,9 +35,10 @@ int main() {
   table.print(std::cout);
 
   // Where the replication goes: show the balanced factors for one case.
-  const std::vector<mapping::CrossbarShape> shapes(layers.size(),
-                                                   {576, 512});
-  const auto rep = reram::balance_replication(layers, shapes, config, 64);
+  const auto large = plan::compile_plan(
+      net.name, layers,
+      std::vector<mapping::CrossbarShape>(layers.size(), {576, 512}), config);
+  const auto rep = reram::balance_replication(large, 64);
   std::cout << "\nReplication factors at budget 64 on 576x512 (layer: copies):"
             << "\n  ";
   for (std::size_t k = 0; k < rep.size(); ++k) {

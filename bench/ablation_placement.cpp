@@ -11,7 +11,8 @@ using namespace autohet;
 
 int main() {
   bench::print_header("Ablation — placement policy vs interconnect (VGG16)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
 
   report::Table table({"Crossbar", "Policy", "Mean hops", "NoC energy (nJ)"});
   for (const auto& shape :
@@ -37,10 +38,11 @@ int main() {
   // Scheduler timeline head for a small pipelined batch.
   std::cout << "\nPipelined batch timeline (VGG16 on 128x128, batch 3, "
                "first 8 tasks):\n";
-  const std::vector<mapping::CrossbarShape> shapes(layers.size(),
-                                                   {128, 128});
-  const auto schedule = reram::schedule_batch(
-      layers, shapes, bench::paper_accel(), /*batch=*/3);
+  const auto p = plan::compile_plan(
+      net.name, layers,
+      std::vector<mapping::CrossbarShape>(layers.size(), {128, 128}),
+      bench::paper_accel());
+  const auto schedule = reram::schedule_batch(p, /*batch=*/3);
   report::Table timeline({"Image", "Layer", "Start (ns)", "Finish (ns)"});
   for (std::size_t t = 0; t < 8 && t < schedule.tasks.size(); ++t) {
     const auto& task = schedule.tasks[t];

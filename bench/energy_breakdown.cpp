@@ -5,19 +5,27 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "mapping/plan.hpp"
 #include "report/serialize.hpp"
 
 using namespace autohet;
 
 int main() {
   bench::print_header("Energy breakdown by component (VGG16)");
-  const auto layers = nn::vgg16().mappable_layers();
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
   const auto config = bench::paper_accel();
+  const auto homogeneous = [&](const mapping::CrossbarShape& shape,
+                               const reram::AcceleratorConfig& accel) {
+    return plan::evaluate_plan(plan::compile_plan(
+        net.name, layers,
+        std::vector<mapping::CrossbarShape>(layers.size(), shape), accel));
+  };
 
   report::Table table({"Crossbar", "ADC %", "DAC %", "Cell %", "Shift-add %",
                        "Buffer %", "Total (nJ)"});
   for (const auto& shape : mapping::square_candidates()) {
-    const auto r = reram::evaluate_homogeneous(layers, shape, config);
+    const auto r = homogeneous(shape, config);
     const double total = r.energy.total_nj();
     const auto pct = [&](double v) {
       return report::format_fixed(100.0 * v / total, 1);
@@ -32,7 +40,7 @@ int main() {
   // pick (576x512 everywhere, tile-shared).
   reram::AcceleratorConfig shared = config;
   shared.tile_shared = true;
-  const auto hetero = reram::evaluate_homogeneous(layers, {576, 512}, shared);
+  const auto hetero = homogeneous({576, 512}, shared);
   std::cout << "\nPer-layer CSV (576x512, tile-shared):\n";
   report::write_network_report_csv(std::cout, hetero);
   return 0;

@@ -1,14 +1,14 @@
 // Google-benchmark microbenchmarks of the library's hot paths: Eq.4 mapping,
-// whole-network hardware evaluation, Algorithm 1 remapping, the bit-serial
+// whole-plan hardware evaluation, Algorithm 1 remapping, the bit-serial
 // crossbar datapath, and a DDPG update step.
 #include <benchmark/benchmark.h>
 
 #include "autohet/env.hpp"
 #include "bench_common.hpp"
+#include "mapping/plan.hpp"
 #include "mapping/tile_allocator.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/crossbar.hpp"
-#include "reram/hardware_model.hpp"
 #include "rl/ddpg.hpp"
 
 using namespace autohet;
@@ -25,28 +25,33 @@ void BM_MapLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_MapLayer)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_EvaluateNetworkVgg16(benchmark::State& state) {
-  const auto layers = nn::vgg16().mappable_layers();
-  auto config = bench::paper_accel(state.range(0) != 0);
-  const std::vector<mapping::CrossbarShape> shapes(layers.size(), {64, 64});
+// evaluate_plan on a plan compiled once outside the loop: plan validation
+// (which re-runs the allocator) plus the report aggregation.
+void BM_EvaluatePlanVgg16(benchmark::State& state) {
+  const auto net = nn::vgg16();
+  const auto layers = net.mappable_layers();
+  const auto p = plan::compile_plan(
+      net.name, layers,
+      std::vector<mapping::CrossbarShape>(layers.size(), {64, 64}),
+      bench::paper_accel(state.range(0) != 0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reram::evaluate_network(layers, shapes, config));
+    benchmark::DoNotOptimize(plan::evaluate_plan(p));
   }
 }
-BENCHMARK(BM_EvaluateNetworkVgg16)->Arg(0)->Arg(1);
+BENCHMARK(BM_EvaluatePlanVgg16)->Arg(0)->Arg(1);
 
-void BM_EvaluateNetworkResnet152(benchmark::State& state) {
-  const auto layers = nn::resnet152().mappable_layers();
-  const auto config = bench::paper_accel(/*tile_shared=*/true);
-  const std::vector<mapping::CrossbarShape> shapes(layers.size(),
-                                                   {288, 256});
+void BM_EvaluatePlanResnet152(benchmark::State& state) {
+  const auto net = nn::resnet152();
+  const auto layers = net.mappable_layers();
+  const auto p = plan::compile_plan(
+      net.name, layers,
+      std::vector<mapping::CrossbarShape>(layers.size(), {288, 256}),
+      bench::paper_accel(/*tile_shared=*/true));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reram::evaluate_network(layers, shapes, config));
+    benchmark::DoNotOptimize(plan::evaluate_plan(p));
   }
 }
-BENCHMARK(BM_EvaluateNetworkResnet152);
+BENCHMARK(BM_EvaluatePlanResnet152);
 
 void BM_TileSharedRemap(benchmark::State& state) {
   const std::int64_t n = state.range(0);

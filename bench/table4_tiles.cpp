@@ -5,7 +5,7 @@
 //
 // Usage: table4_tiles [episodes]   (default 120 per search)
 #include "bench_common.hpp"
-#include "reram/hardware_model.hpp"
+#include "mapping/plan.hpp"
 
 using namespace autohet;
 
@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
     std::vector<mapping::CrossbarShape> shapes;
     for (auto a : hy.best_actions) shapes.push_back(hy_env.candidates()[a]);
     const auto shared_cfg = bench::paper_accel(/*tile_shared=*/true);
-    const auto all = reram::evaluate_network(net.mappable_layers(), shapes,
-                                             shared_cfg);
+    const auto all = plan::evaluate_plan(plan::compile_plan(
+        net.name, net.mappable_layers(), shapes, shared_cfg));
 
     const auto hy_tiles = hy.best_report.occupied_tiles;
     const auto all_tiles = all.occupied_tiles;

@@ -1,8 +1,6 @@
 // autohet_cli — the command-line driver a downstream user runs.
 //
-//   autohet_cli search   --model vgg16 --episodes 300 --out strategy.txt
-//                        --plan-out plan.json
-//   autohet_cli evaluate --model vgg16 --strategy strategy.txt
+//   autohet_cli search   --model vgg16 --episodes 300 --plan-out plan.json
 //   autohet_cli replay   --plan-in plan.json --report-json report.json
 //   autohet_cli profile  --plan-in plan.json --profile-out profile.json
 //   autohet_cli serve    --plan-in a.json --plan-in b.json
@@ -11,22 +9,21 @@
 //                        --plan-out plan.json --check-skeleton
 //   autohet_cli baselines --model alexnet
 //
-// `search` runs the RL search and writes the winning strategy in the Fig. 6
-// text format (plus an optional per-episode CSV) and, with --plan-out, the
-// compiled DeploymentPlan as JSON; `evaluate` loads a strategy file,
-// compiles it to a plan and reports its hardware metrics; `replay` loads a
-// saved plan and re-runs hardware evaluation, functional inference and
-// robustness Monte Carlo without searching or re-mapping; `profile` replays
-// a plan with the attribution profiler on and prints a top-N hotspot table
-// (per-tile/crossbar energy, MVM, and write attribution in profile.json);
-// `serve` keeps several saved plans resident on one fabric and replays a
-// seeded synthetic request stream against them in simulated time, printing
-// per-model latency percentiles and writing the deterministic serving
-// report; `graph` builds a DAG computation graph from the model zoo, prints
-// its node/edge/shape summary, optionally emits deterministic Graphviz and
-// a compiled v2 plan, and can cross-check the graph evaluation against the
-// legacy linear path over its conv/FC skeleton; `baselines` prints the
-// homogeneous sweep.
+// `search` runs the RL search, prints the winning per-layer crossbar shapes
+// (plus an optional per-episode CSV) and, with --plan-out, writes the
+// compiled DeploymentPlan as JSON — the one saved form of a strategy;
+// `replay` loads a saved plan and re-runs hardware evaluation, functional
+// inference and robustness Monte Carlo without searching or re-mapping;
+// `profile` replays a plan with the attribution profiler on and prints a
+// top-N hotspot table (per-tile/crossbar energy, MVM, and write attribution
+// in profile.json); `serve` keeps several saved plans resident on one
+// fabric and replays a seeded synthetic request stream against them in
+// simulated time, printing per-model latency percentiles and writing the
+// deterministic serving report; `graph` builds a DAG computation graph from
+// the model zoo, prints its node/edge/shape summary, optionally emits
+// deterministic Graphviz and a compiled v2 plan, and can cross-check the
+// graph evaluation against the v1 plan over its conv/FC skeleton;
+// `baselines` prints the homogeneous sweep.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -34,7 +31,6 @@
 
 #include "autohet/baselines.hpp"
 #include "autohet/search.hpp"
-#include "autohet/strategy.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "nn/describe.hpp"
@@ -91,9 +87,10 @@ void print_report(const std::string& name, const reram::NetworkReport& r) {
   table.print(std::cout);
 }
 
-std::string model_or(const common::ArgParser& args,
-                     const std::string& fallback) {
-  return args.option("model").empty() ? fallback : args.option("model");
+/// The zoo network named by --model (default: vgg16).
+nn::NetworkSpec model_network(const common::ArgParser& args) {
+  const std::string name = args.option("model");
+  return nn::network_by_name(name.empty() ? "vgg16" : name);
 }
 
 plan::DeploymentPlan load_plan(const std::string& path) {
@@ -105,7 +102,7 @@ plan::DeploymentPlan load_plan(const std::string& path) {
 }
 
 int run_search(const common::ArgParser& args) {
-  const auto net = nn::network_by_name(model_or(args, "vgg16"));
+  const auto net = model_network(args);
   const auto env = build_env(args, net);
   core::SearchConfig cfg;
   cfg.episodes = static_cast<int>(args.option_int("episodes"));
@@ -113,8 +110,6 @@ int run_search(const common::ArgParser& args) {
   cfg.warmup_episodes = std::min(25, cfg.episodes / 4);
   const auto result = core::AutoHetSearch(env, cfg).run();
 
-  const auto strategy = core::strategy_from_actions(
-      net.name, env.candidates(), result.best_actions);
   if (!args.option("plan-out").empty() ||
       !args.option("report-json").empty()) {
     const plan::DeploymentPlan plan =
@@ -132,15 +127,12 @@ int run_search(const common::ArgParser& args) {
       std::cout << "network report written to " << path << "\n\n";
     }
   }
-  const std::string out = args.option("out");
-  if (!out.empty()) {
-    std::ofstream file(out);
-    AUTOHET_CHECK(file.good(), "cannot open output file: " + out);
-    file << strategy.to_text();
-    std::cout << "strategy written to " << out << "\n\n";
-  } else {
-    std::cout << strategy.to_text() << '\n';
+  std::cout << "best strategy for " << net.name << ":\n";
+  for (std::size_t i = 0; i < result.best_report.layers.size(); ++i) {
+    std::cout << "  L" << i + 1 << ": "
+              << result.best_report.layers[i].shape.name() << '\n';
   }
+  std::cout << '\n';
   const std::string csv = args.option("csv");
   if (!csv.empty()) {
     report::Table history({"episode", "reward", "utilization", "energy_nj",
@@ -158,24 +150,6 @@ int run_search(const common::ArgParser& args) {
     std::cout << "episode history written to " << csv << "\n\n";
   }
   print_report("AutoHet (RL search)", result.best_report);
-  return 0;
-}
-
-int run_evaluate(const common::ArgParser& args) {
-  const std::string path = args.option("strategy");
-  AUTOHET_CHECK(!path.empty(), "evaluate needs --strategy <file>");
-  std::ifstream file(path);
-  AUTOHET_CHECK(file.good(), "cannot open strategy file: " + path);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const auto strategy = core::Strategy::from_text(buffer.str());
-
-  const auto net = nn::network_by_name(model_or(args, strategy.network));
-  reram::AcceleratorConfig accel;
-  accel.tile_shared = !args.flag("no-tile-shared");
-  accel.pes_per_tile = args.option_int("pes-per-tile");
-  const auto plan = plan::compile_plan(net, strategy, accel);
-  print_report(path, plan::evaluate_plan(plan));
   return 0;
 }
 
@@ -591,7 +565,7 @@ int run_graph(const common::ArgParser& args) {
 }
 
 int run_describe(const common::ArgParser& args) {
-  const auto net = nn::network_by_name(model_or(args, "vgg16"));
+  const auto net = model_network(args);
   nn::describe(net, std::cout);
   return 0;
 }
@@ -618,7 +592,7 @@ int run_kernels(const common::ArgParser&) {
 }
 
 int run_baselines(const common::ArgParser& args) {
-  const auto net = nn::network_by_name(model_or(args, "vgg16"));
+  const auto net = model_network(args);
   const auto env = build_env(args, net);
   report::Table table({"Config", "Utilization %", "Energy (nJ)", "RUE",
                        "Area (um^2)"});
@@ -644,22 +618,19 @@ int run_baselines(const common::ArgParser& args) {
 int main(int argc, char** argv) {
   common::ArgParser args(
       "autohet_cli",
-      "AutoHet heterogeneous ReRAM accelerator driver: RL search, strategy "
-      "evaluation, and homogeneous baselines.");
+      "AutoHet heterogeneous ReRAM accelerator driver: RL search, plan "
+      "replay, serving, and homogeneous baselines.");
   args.add_positional("command",
-                      "search | evaluate | replay | profile | serve | graph | "
+                      "search | replay | profile | serve | graph | "
                       "baselines | describe | kernels");
   args.add_option("model", "",
-                  "lenet5 | alexnet | vgg16 | resnet152 (default: vgg16; "
-                  "'evaluate' defaults to the strategy file's network)");
+                  "lenet5 | alexnet | vgg16 | resnet152 (default: vgg16)");
   args.add_option("candidates", "hybrid",
                   "crossbar candidate set: hybrid | square | rectangle | all");
   args.add_option("episodes", "300", "RL search episodes");
   args.add_option("seed", "1", "RNG seed");
   args.add_option("pes-per-tile", "4", "logical crossbars per tile");
-  args.add_option("out", "", "write the learned strategy to this file");
   args.add_option("csv", "", "write per-episode search history CSV");
-  args.add_option("strategy", "", "strategy file for 'evaluate'");
   args.add_multi_option("plan-in",
                         "saved DeploymentPlan JSON for 'replay'/'profile'/"
                         "'serve'; repeat for each model 'serve' should keep "
@@ -764,8 +735,8 @@ int main(int argc, char** argv) {
   // option that would configure a fresh search contradicts it.
   if (!args.reject_option_conflicts(
           "plan-in",
-          {"episodes", "seed", "candidates", "model", "strategy", "out",
-           "csv", "pes-per-tile", "no-tile-shared"},
+          {"episodes", "seed", "candidates", "model", "csv", "pes-per-tile",
+           "no-tile-shared"},
           &error)) {
     std::cerr << error << '\n';
     return 2;
@@ -782,7 +753,6 @@ int main(int argc, char** argv) {
     }
     const std::string command = args.positional("command");
     if (command == "search") return run_search(args);
-    if (command == "evaluate") return run_evaluate(args);
     if (command == "replay") return run_replay(args);
     if (command == "profile") return run_profile(args, session);
     if (command == "serve") return run_serve(args);

@@ -1,20 +1,17 @@
 // End-to-end deployment workflow (the full Fig. 6 path), built on the
 // DeploymentPlan IR:
 //   1. run the RL search on LeNet-5,
-//   2. serialize the winning strategy to the Fig. 6 text format (and parse
-//      it back, as a deployment flow would from a file),
-//   3. compile the strategy into an immutable DeploymentPlan — the single
-//      artifact every downstream stage consumes — and round-trip it
-//      through its JSON form,
-//   4. place the plan's tiles on the chip's bank grid,
-//   5. compile a Global Controller program and run the checked decoder,
-//   6. report weight-programming cost and interconnect traffic,
-//   7. execute real inference on the plan-configured fabric.
+//   2. compile the winning strategy into an immutable DeploymentPlan — the
+//      single artifact every downstream stage consumes — and round-trip it
+//      through its JSON form, as a deployment flow would from a file,
+//   3. place the plan's tiles on the chip's bank grid,
+//   4. compile a Global Controller program and run the checked decoder,
+//   5. report weight-programming cost and interconnect traffic,
+//   6. execute real inference on the plan-configured fabric.
 #include <iostream>
 #include <sstream>
 
 #include "autohet/search.hpp"
-#include "autohet/strategy.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/controller.hpp"
 #include "reram/functional.hpp"
@@ -39,24 +36,22 @@ int main() {
   search_cfg.seed = 11;
   const auto result = core::AutoHetSearch(env, search_cfg).run();
 
-  // --- 2. strategy serialization round-trip ---
-  const core::Strategy strategy = core::strategy_from_actions(
-      net.name, env.candidates(), result.best_actions);
-  const std::string text = strategy.to_text();
-  std::cout << "Learned strategy (Fig. 6 format):\n" << text << '\n';
-  const core::Strategy reloaded = core::Strategy::from_text(text);
-
-  // --- 3. compile to a DeploymentPlan, round-trip through JSON ---
+  // --- 2. compile to a DeploymentPlan, round-trip through JSON ---
   const plan::DeploymentPlan compiled =
-      plan::compile_plan(net, reloaded, env_cfg.accel);
+      env.compile(result.best_actions, net.name);
   std::ostringstream plan_json;
   report::write_plan_json(plan_json, compiled);
   const plan::DeploymentPlan plan = report::read_plan_json(plan_json.str());
-  std::cout << "Compiled plan: " << plan.layers.size() << " layers, "
+  std::cout << "Learned strategy (Fig. 6):";
+  const auto shapes = plan.shapes();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    std::cout << " L" << i + 1 << ":" << shapes[i].name();
+  }
+  std::cout << "\nCompiled plan: " << plan.layers.size() << " layers, "
             << plan.allocation.occupied_tiles() << " tiles ("
             << plan_json.str().size() << " bytes of JSON)\n";
 
-  // --- 4. placement ---
+  // --- 3. placement ---
   reram::ChipSpec chip;
   chip.banks = 1;
   chip.bank.tile_rows = 16;
@@ -67,7 +62,7 @@ int main() {
             << report::format_fixed(placement.chip_occupancy * 100.0, 1)
             << "%\n";
 
-  // --- 5. Global Controller program ---
+  // --- 4. Global Controller program ---
   const auto program = reram::compile_program(plan.layers, plan.allocation);
   const auto stats = reram::execute_program(program);
   std::cout << "GC program: " << stats.instructions << " instructions, "
@@ -79,7 +74,7 @@ int main() {
     std::cout << "  " << program[i].to_string() << '\n';
   }
 
-  // --- 6a. deployment (weight programming) cost ---
+  // --- 5a. deployment (weight programming) cost ---
   const auto programming =
       reram::evaluate_programming(plan.allocation, plan.accel.device);
   std::cout << "Programming cost: " << programming.cells_programmed
@@ -88,7 +83,7 @@ int main() {
             << report::format_sci(programming.latency_ns, 2)
             << " ns wall-clock\n";
 
-  // --- 6b. interconnect traffic ---
+  // --- 5b. interconnect traffic ---
   const auto noc = reram::evaluate_noc(plan.layers, plan.allocation,
                                        placement);
   std::cout << "Interconnect: " << noc.total_bytes
@@ -96,7 +91,7 @@ int main() {
             << report::format_fixed(noc.mean_hops, 2) << " hops ("
             << report::format_fixed(noc.total_energy_nj, 2) << " nJ)\n";
 
-  // --- 7. inference on the plan-configured fabric ---
+  // --- 6. inference on the plan-configured fabric ---
   common::Rng weight_rng(3);
   const nn::Model model(net, weight_rng);
   const reram::SimulatedModel fabric(model, plan);

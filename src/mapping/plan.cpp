@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <string_view>
 #include <utility>
 
-#include "autohet/strategy.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 
@@ -31,6 +31,19 @@ std::string layer_tag(std::size_t i) {
   return "layer " + std::to_string(i + 1) + ": ";
 }
 
+/// Case-insensitive network-name comparison (network_by_name is
+/// case-insensitive, so names compare likewise).
+bool same_network_name(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t fault_fingerprint(const reram::FaultConfig& faults) {
@@ -44,17 +57,6 @@ std::uint64_t fault_fingerprint(const reram::FaultConfig& faults) {
   h.mix(static_cast<std::uint64_t>(faults.cell_bits));
   h.mix(faults.seed);
   return h.hash();
-}
-
-bool same_network_name(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::vector<mapping::CrossbarShape> DeploymentPlan::shapes() const {
@@ -204,16 +206,6 @@ DeploymentPlan compile_plan(std::string network,
   return plan;
 }
 
-DeploymentPlan compile_plan(const nn::NetworkSpec& model,
-                            const core::Strategy& strategy,
-                            const reram::AcceleratorConfig& accel) {
-  AUTOHET_CHECK(same_network_name(strategy.network, model.name),
-                "strategy names '" + strategy.network + "', not '" +
-                    model.name + "'");
-  return compile_plan(model.name, model.mappable_layers(), strategy.shapes,
-                      accel);
-}
-
 DeploymentPlan compile_plan(const nn::Graph& graph,
                             const std::vector<mapping::CrossbarShape>& shapes,
                             const reram::AcceleratorConfig& accel) {
@@ -229,11 +221,58 @@ reram::NetworkReport evaluate_plan(const DeploymentPlan& plan) {
   OBS_SPAN("evaluate_plan");
   OBS_PROFILE_RECORD(obs::ProfileKind::kPlanEval, -1, 0, 1);
   plan.validate();
-  if (plan.has_graph()) {
-    return reram::evaluate_graph_allocation(plan.graph, plan.allocation,
-                                            plan.accel);
+  const reram::AcceleratorConfig& accel = plan.accel;
+  const mapping::AllocationResult& alloc = plan.allocation;
+
+  reram::NetworkReport report;
+  report.layers.reserve(plan.layers.size());
+  std::vector<double> layer_vuln;
+  layer_vuln.reserve(plan.layers.size());
+  for (std::size_t i = 0; i < plan.layers.size(); ++i) {
+    const auto& layer_alloc = alloc.layers[i];
+    OBS_PROFILE_RECORD(obs::ProfileKind::kAnalyticEval, i, 0, 1);
+    reram::LayerReport lr = reram::evaluate_layer(
+        plan.layers[i], layer_alloc.mapping, layer_alloc.tiles_allocated,
+        accel.device, accel.faults);
+    report.energy += lr.energy;
+    report.latency_ns += lr.latency_ns;
+    layer_vuln.push_back(lr.fault_vulnerability);
+    report.layers.push_back(std::move(lr));
   }
-  return reram::evaluate_allocation(plan.layers, plan.allocation, plan.accel);
+  report.fault_vulnerability =
+      reram::aggregate_network_vulnerability(layer_vuln);
+
+  // Area is tile-provisioned: higher utilization, rectangle shapes, and
+  // tile sharing shrink the chip (Table 5 discussion) because released
+  // tiles contribute nothing.
+  for (const auto& tile : alloc.tiles) {
+    if (tile.released) continue;
+    const reram::TileAreaContribution a = reram::tile_area_contribution(
+        tile.shape, accel.device, accel.pes_per_tile);
+    report.area.crossbar_um2 += a.crossbar_um2;
+    report.area.adc_um2 += a.adc_um2;
+    report.area.dac_um2 += a.dac_um2;
+    report.area.shift_add_um2 += a.shift_add_um2;
+    report.area.tile_overhead_um2 += a.tile_overhead_um2;
+  }
+  report.occupied_tiles = alloc.occupied_tiles();
+  report.empty_crossbars = alloc.empty_crossbars();
+  report.utilization = alloc.system_utilization();
+
+  // v2 plans: the non-mappable graph ops run on the tile vector units.
+  for (std::int64_t id = 0; id < plan.graph.node_count(); ++id) {
+    const nn::GraphNode& node =
+        plan.graph.nodes()[static_cast<std::size_t>(id)];
+    if (node.kind == nn::OpKind::kInput || node.kind == nn::OpKind::kLayer) {
+      continue;
+    }
+    reram::GraphOpReport op =
+        reram::evaluate_graph_op(plan.graph, id, accel.device);
+    report.energy += op.energy;
+    report.latency_ns += op.latency_ns;
+    report.graph_ops.push_back(std::move(op));
+  }
+  return report;
 }
 
 PlanDataflow plan_dataflow(const DeploymentPlan& plan) {

@@ -1,21 +1,22 @@
 // The compiled deployment artifact: an immutable IR that pins the physical
 // mapping of one searched strategy onto one accelerator configuration.
 //
-// AutoHet's search produces a Strategy (a crossbar shape per layer, Fig. 6),
-// but a strategy alone is not deployable: every consumer — analytical
-// evaluation, functional inference, fault injection, pipeline scheduling —
-// still has to re-derive the physical layout (kernel-to-crossbar geometry,
-// tile allocation, tile-shared draining) from `(layer, shape)`. Full-stack
+// AutoHet's search picks a crossbar shape per layer (Fig. 6), but a shape
+// list alone is not deployable: every consumer — analytical evaluation,
+// functional inference, fault injection, pipeline scheduling — would have
+// to re-derive the physical layout (kernel-to-crossbar geometry, tile
+// allocation, tile-shared draining) from `(layer, shape)`. Full-stack
 // ReRAM systems separate the *compile* step that fixes the physical mapping
 // from the *runtime* that executes it (FPSA; CIM-Explorer's RRAM compiler
 // toolchain). `compile_plan` is that compile step: it runs the mapping
 // machinery once and freezes the result into a `DeploymentPlan` that can be
 // validated, serialized (report/serialize.hpp), shipped, and replayed —
-// search once, compile once, deploy many times.
+// search once, compile once, deploy many times. Plan JSON is the only saved
+// form of a searched strategy.
 //
 // Consumers take the plan instead of re-deriving:
-//   * `evaluate_plan` / `EvaluationEngine::evaluate(plan)` — hardware report,
-//     bit-identical to the legacy `evaluate_network` path (tested);
+//   * `evaluate_plan` — the one way to cost a whole network; the
+//     `EvaluationEngine`'s search fast path is tested bit-identical to it;
 //   * `SimulatedModel(model, plan)` — programs crossbars from the plan's
 //     stored per-layer geometry (functional.hpp);
 //   * `monte_carlo_robustness(model, plan, ...)` — fault injection under the
@@ -32,7 +33,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "mapping/crossbar_shape.hpp"
@@ -41,10 +41,6 @@
 #include "nn/graph.hpp"
 #include "nn/layer.hpp"
 #include "reram/hardware_model.hpp"
-
-namespace autohet::core {
-struct Strategy;  // autohet/strategy.hpp; full include only in plan.cpp
-}
 
 namespace autohet::plan {
 
@@ -109,12 +105,6 @@ DeploymentPlan compile_plan(std::string network,
                             const std::vector<mapping::CrossbarShape>& shapes,
                             const reram::AcceleratorConfig& accel);
 
-/// Convenience entry point over a searched Strategy (autohet/strategy.hpp):
-/// checks the strategy names `model` and covers all its mappable layers.
-DeploymentPlan compile_plan(const nn::NetworkSpec& model,
-                            const core::Strategy& strategy,
-                            const reram::AcceleratorConfig& accel);
-
 /// Compiles a DAG computation graph: maps the graph's mappable subset with
 /// the same allocator as the chain path (one shape per mappable layer, in
 /// graph.mappable_layers() order) and embeds the graph in a v2 plan. For a
@@ -124,10 +114,13 @@ DeploymentPlan compile_plan(const nn::Graph& graph,
                             const std::vector<mapping::CrossbarShape>& shapes,
                             const reram::AcceleratorConfig& accel);
 
-/// Hardware report of a compiled plan; bit-identical to `evaluate_network`
-/// on the inputs the plan was compiled from (same per-layer reports, same
-/// tile-id-order area aggregation, same utilization division). Validates
-/// the plan first.
+/// Hardware report of a compiled plan — the single network-level cost
+/// model. Validates the plan, then aggregates evaluate_layer over the
+/// frozen per-layer mappings (energy and latency summed in layer order),
+/// area over the non-released tiles in tile-id order, and the system
+/// utilization; a v2 plan additionally folds one evaluate_graph_op report
+/// per non-mappable graph op into the energy/latency totals (chain graphs
+/// have none, so their report equals the v1 skeleton's).
 reram::NetworkReport evaluate_plan(const DeploymentPlan& plan);
 
 /// Per-layer serial latency and tile cost, read off the plan — what the
@@ -163,9 +156,5 @@ struct PlanDataflow {
   std::vector<double> tail_delay_ns;
 };
 PlanDataflow plan_dataflow(const DeploymentPlan& plan);
-
-/// Case-insensitive network-name comparison used by plan/strategy checks
-/// (network_by_name is case-insensitive, so names compare likewise).
-bool same_network_name(std::string_view a, std::string_view b);
 
 }  // namespace autohet::plan

@@ -30,7 +30,7 @@ namespace autohet::obs {
 /// What a recorded count measures. Values are stable (serialized to the
 /// raw profile-records JSON); append new kinds at the end.
 enum class ProfileKind : std::uint8_t {
-  kAnalyticEval = 0,  ///< evaluate_allocation visited a layer (unit 0)
+  kAnalyticEval = 0,  ///< evaluate_plan costed a layer (unit 0)
   kPlanEval = 1,      ///< a whole-plan analytic evaluation (layer/unit -1/0)
   kFunctionalMvm = 2,  ///< functional-sim MVMs issued for a layer (unit 0)
   kProgramWrite = 3,   ///< cell writes into crossbar `unit` of a layer

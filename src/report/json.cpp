@@ -1,8 +1,12 @@
 #include "report/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -39,7 +43,9 @@ class JsonParser {
 
  private:
   std::string err(const std::string& what) const {
-    return "JSON parse error at line " + std::to_string(line_) + ": " + what;
+    std::string where = "JSON parse error at line " + std::to_string(line_);
+    if (!key_.empty()) where += " in key '" + std::string(key_) + "'";
+    return where + ": " + what;
   }
 
   void skip_ws() {
@@ -109,7 +115,12 @@ class JsonParser {
       AUTOHET_CHECK(peek() == '"', err("expected object key"));
       std::string key = parse_string();
       expect(':');
-      v.members.emplace_back(std::move(key), parse_value());
+      // Errors inside the member's value name its key; `key` outlives the
+      // nested parse, and the enclosing key is restored afterwards.
+      const std::string_view outer = std::exchange(key_, key);
+      JsonValue value = parse_value();
+      key_ = outer;
+      v.members.emplace_back(std::move(key), std::move(value));
       if (peek() == ',') {
         ++pos_;
         continue;
@@ -162,9 +173,13 @@ class JsonParser {
         case 'f': out += '\f'; break;
         case 'u': {
           AUTOHET_CHECK(pos_ + 4 <= text_.size(), err("short \\u escape"));
-          const unsigned long code =
-              std::strtoul(std::string(text_.substr(pos_, 4)).c_str(),
-                           nullptr, 16);
+          const std::string hex(text_.substr(pos_, 4));
+          AUTOHET_CHECK(std::all_of(hex.begin(), hex.end(),
+                                    [](unsigned char h) {
+                                      return std::isxdigit(h) != 0;
+                                    }),
+                        err("\\u escape needs four hex digits"));
+          const unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);
           pos_ += 4;
           AUTOHET_CHECK(code < 0x80,
                         err("non-ASCII \\u escapes are not supported"));
@@ -200,6 +215,7 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
   int line_ = 1;
+  std::string_view key_;  ///< key of the object member being parsed
 };
 
 }  // namespace
@@ -208,21 +224,39 @@ JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse();
 }
 
+// Every numeric reader consumes the whole token: a prefix that strtod /
+// strtoll / strtoull accepts ("0-5", "1e5x") is malformed input, not a
+// number.
 double as_double(const JsonValue& v, const std::string& key) {
   AUTOHET_CHECK(v.kind == JsonValue::Kind::kNumber,
                 "JSON key '" + key + "' must be a number (line " +
                     std::to_string(v.line) + ")");
-  return std::strtod(v.scalar.c_str(), nullptr);
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(v.scalar.c_str(), &end);
+  AUTOHET_CHECK(end != v.scalar.c_str() && *end == '\0',
+                "JSON key '" + key + "' must be a number (line " +
+                    std::to_string(v.line) + ")");
+  // ERANGE also flags underflow to a subnormal, which is a faithful value;
+  // only overflow to +-HUGE_VAL loses the number.
+  AUTOHET_CHECK(!(errno == ERANGE && std::isinf(value)),
+                "JSON key '" + key + "' overflows a double (line " +
+                    std::to_string(v.line) + ")");
+  return value;
 }
 
 std::int64_t as_int(const JsonValue& v, const std::string& key) {
   AUTOHET_CHECK(v.kind == JsonValue::Kind::kNumber,
                 "JSON key '" + key + "' must be a number (line " +
                     std::to_string(v.line) + ")");
+  errno = 0;
   char* end = nullptr;
   const std::int64_t value = std::strtoll(v.scalar.c_str(), &end, 10);
-  AUTOHET_CHECK(end != nullptr && *end == '\0',
+  AUTOHET_CHECK(end != v.scalar.c_str() && *end == '\0',
                 "JSON key '" + key + "' must be an integer (line " +
+                    std::to_string(v.line) + ")");
+  AUTOHET_CHECK(errno != ERANGE,
+                "JSON key '" + key + "' overflows a 64-bit integer (line " +
                     std::to_string(v.line) + ")");
   return value;
 }
@@ -231,10 +265,18 @@ std::uint64_t as_u64_string(const JsonValue& v, const std::string& key) {
   AUTOHET_CHECK(v.kind == JsonValue::Kind::kString,
                 "JSON key '" + key + "' must be a decimal string (line " +
                     std::to_string(v.line) + ")");
+  // strtoull skips whitespace and accepts a sign (negating "-1" to
+  // UINT64_MAX), so the digit must come first.
+  errno = 0;
   char* end = nullptr;
   const std::uint64_t value = std::strtoull(v.scalar.c_str(), &end, 10);
-  AUTOHET_CHECK(end != nullptr && *end == '\0' && !v.scalar.empty(),
+  AUTOHET_CHECK(!v.scalar.empty() &&
+                    std::isdigit(static_cast<unsigned char>(v.scalar[0])) &&
+                    *end == '\0',
                 "JSON key '" + key + "' must be a decimal string (line " +
+                    std::to_string(v.line) + ")");
+  AUTOHET_CHECK(errno != ERANGE,
+                "JSON key '" + key + "' overflows a 64-bit integer (line " +
                     std::to_string(v.line) + ")");
   return value;
 }

@@ -93,7 +93,7 @@ NetworkReport EvaluationEngine::compute(
     layer_vuln.push_back(e.report.fault_vulnerability);
     report.layers.push_back(e.report);
   }
-  // Same aggregation, same layer order as evaluate_network.
+  // Same aggregation, same layer order as plan::evaluate_plan.
   report.fault_vulnerability = aggregate_network_vulnerability(layer_vuln);
 
   // ---- tile accounting on the compact per-layer summary ----

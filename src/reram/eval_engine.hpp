@@ -20,11 +20,12 @@
 //      vector, and `evaluate_batch()` fans independent configurations out
 //      over a `common::ThreadPool`.
 //
-// Determinism contract: results are bit-identical to the uncached
-// `evaluate_network` path. The per-layer reports come from the same
-// `evaluate_layer` with the same arguments; the area sums add the same
-// `tile_area_contribution` values in the same tile-id order; utilization
-// divides the same exact integer sums. Tested field-by-field in
+// Determinism contract: results are bit-identical to
+// `plan::evaluate_plan` on the plan compiled from the same action vector,
+// whose full tile allocator is the reference. The per-layer reports come
+// from the same `evaluate_layer` with the same arguments; the area sums add
+// the same `tile_area_contribution` values in the same tile-id order;
+// utilization divides the same exact integer sums. Tested field-by-field in
 // tests/test_eval_engine.cpp.
 //
 // Thread-safety contract: after construction the L×C table and all derived
@@ -82,7 +83,8 @@ class EvaluationEngine {
                                   std::size_t candidate) const;
 
   /// Full-network evaluation of one action vector; bit-identical to
-  /// `evaluate_network` on the same inputs. Memoized.
+  /// `plan::evaluate_plan` on the plan compiled from the same shapes.
+  /// Memoized.
   NetworkReport evaluate(const std::vector<std::size_t>& actions) const;
 
   /// Evaluation of a compiled DeploymentPlan. The plan must have been

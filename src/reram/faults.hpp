@@ -400,7 +400,7 @@ double analytic_layer_vulnerability(const mapping::LayerMapping& m,
                                     const FaultConfig& faults);
 
 /// Network-level aggregation: rms over the per-layer vulnerabilities,
-/// clamped to [0, 1]. Both `evaluate_network` and the `EvaluationEngine`
+/// clamped to [0, 1]. Both `plan::evaluate_plan` and the `EvaluationEngine`
 /// use exactly this formula so their reports stay bit-identical.
 double aggregate_network_vulnerability(const std::vector<double>& layer_vuln);
 

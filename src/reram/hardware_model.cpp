@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "obs/obs.hpp"
 #include "reram/components.hpp"
 
 namespace autohet::reram {
@@ -81,48 +80,6 @@ LayerReport evaluate_layer(const nn::LayerSpec& layer,
   return report;
 }
 
-NetworkReport evaluate_allocation(const std::vector<nn::LayerSpec>& layers,
-                                  const mapping::AllocationResult& alloc,
-                                  const AcceleratorConfig& config) {
-  AUTOHET_CHECK(layers.size() == alloc.layers.size(),
-                "layers and allocation must be the same length");
-  NetworkReport report;
-  report.layers.reserve(layers.size());
-  std::vector<double> layer_vuln;
-  layer_vuln.reserve(layers.size());
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const auto& layer_alloc = alloc.layers[i];
-    OBS_PROFILE_RECORD(obs::ProfileKind::kAnalyticEval, i, 0, 1);
-    LayerReport lr = evaluate_layer(layers[i], layer_alloc.mapping,
-                                    layer_alloc.tiles_allocated,
-                                    config.device, config.faults);
-    report.energy += lr.energy;
-    report.latency_ns += lr.latency_ns;
-    layer_vuln.push_back(lr.fault_vulnerability);
-    report.layers.push_back(std::move(lr));
-  }
-  report.fault_vulnerability = aggregate_network_vulnerability(layer_vuln);
-
-  // ---- area (µm²): tile-provisioned ----
-  // Higher utilization, rectangle shapes, and tile sharing shrink the chip
-  // (Table 5 discussion) because released tiles contribute nothing.
-  for (const auto& tile : alloc.tiles) {
-    if (tile.released) continue;
-    const TileAreaContribution a = tile_area_contribution(
-        tile.shape, config.device, config.pes_per_tile);
-    report.area.crossbar_um2 += a.crossbar_um2;
-    report.area.adc_um2 += a.adc_um2;
-    report.area.dac_um2 += a.dac_um2;
-    report.area.shift_add_um2 += a.shift_add_um2;
-    report.area.tile_overhead_um2 += a.tile_overhead_um2;
-  }
-  report.occupied_tiles = alloc.occupied_tiles();
-  report.empty_crossbars = alloc.empty_crossbars();
-
-  report.utilization = alloc.system_utilization();
-  return report;
-}
-
 GraphOpReport evaluate_graph_op(const nn::Graph& graph, std::int64_t node_id,
                                 const DeviceParams& params) {
   AUTOHET_CHECK(node_id >= 0 && node_id < graph.node_count(),
@@ -172,45 +129,6 @@ GraphOpReport evaluate_graph_op(const nn::Graph& graph, std::int64_t node_id,
       std::ceil(work / static_cast<double>(params.vector_lanes)) *
       params.vector_cycle_ns;
   return report;
-}
-
-NetworkReport evaluate_graph_allocation(const nn::Graph& graph,
-                                        const mapping::AllocationResult& alloc,
-                                        const AcceleratorConfig& config) {
-  NetworkReport report =
-      evaluate_allocation(graph.mappable_layers(), alloc, config);
-  for (std::int64_t id = 0; id < graph.node_count(); ++id) {
-    const nn::GraphNode& node = graph.nodes()[static_cast<std::size_t>(id)];
-    if (node.kind == nn::OpKind::kInput || node.kind == nn::OpKind::kLayer) {
-      continue;
-    }
-    GraphOpReport op = evaluate_graph_op(graph, id, config.device);
-    report.energy += op.energy;
-    report.latency_ns += op.latency_ns;
-    report.graph_ops.push_back(std::move(op));
-  }
-  return report;
-}
-
-NetworkReport evaluate_network(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config) {
-  config.validate();
-  AUTOHET_CHECK(layers.size() == shapes.size(),
-                "layers and shapes must be the same length");
-
-  const mapping::TileAllocator allocator(config.pes_per_tile,
-                                         config.tile_shared);
-  const mapping::AllocationResult alloc = allocator.allocate(layers, shapes);
-  return evaluate_allocation(layers, alloc, config);
-}
-
-NetworkReport evaluate_homogeneous(const std::vector<nn::LayerSpec>& layers,
-                                   const mapping::CrossbarShape& shape,
-                                   const AcceleratorConfig& config) {
-  const std::vector<mapping::CrossbarShape> shapes(layers.size(), shape);
-  return evaluate_network(layers, shapes, config);
 }
 
 }  // namespace autohet::reram

@@ -17,12 +17,18 @@
 //   latency(layer) = MVMs × [ input_cycles × (base + wire·rows) + ADC drain +
 //                    merge·(log2 row_blocks + log2 bit_planes) +
 //                    bus·log2 tiles ]
+//
+// This file holds the per-layer, per-tile and per-graph-op terms. A whole
+// network is costed only through a compiled plan: plan::evaluate_plan
+// (mapping/plan.hpp) aggregates these terms over the plan's frozen
+// allocation, and the EvaluationEngine's search fast path reproduces that
+// aggregation bit for bit.
 #pragma once
 
 #include <cmath>
 #include <vector>
 
-#include "mapping/tile_allocator.hpp"
+#include "mapping/layer_mapping.hpp"
 #include "nn/graph.hpp"
 #include "nn/layer.hpp"
 #include "reram/device_params.hpp"
@@ -56,7 +62,7 @@ struct AcceleratorConfig {
 /// Hardware is provisioned per occupied tile: every tile carries
 /// `pes_per_tile` logical crossbars of its shape with full peripheral
 /// circuits, whether or not a layer fills them. Shared by
-/// `evaluate_network` and the `EvaluationEngine` fast path so both
+/// `plan::evaluate_plan` and the `EvaluationEngine` fast path so both
 /// aggregate from the exact same per-tile values.
 struct TileAreaContribution {
   double crossbar_um2 = 0.0;
@@ -119,15 +125,6 @@ LayerReport evaluate_layer(const nn::LayerSpec& layer,
                            const DeviceParams& params,
                            const FaultConfig& faults = {});
 
-/// Aggregates a full NetworkReport over an already-computed allocation:
-/// per-layer evaluate_layer reports, area over non-released tiles in tile-id
-/// order, and the system utilization. The shared arithmetic core of both
-/// `evaluate_network` (which allocates first) and `plan::evaluate_plan`
-/// (which replays a frozen allocation) — keeping the two bit-identical.
-NetworkReport evaluate_allocation(const std::vector<nn::LayerSpec>& layers,
-                                  const mapping::AllocationResult& alloc,
-                                  const AcceleratorConfig& config);
-
 /// NEON-style accounting of one non-mappable graph op (residual add,
 /// concat, activation, global average pool) on the tile vector unit:
 ///   ALU ops    — one per output element (adds/ReLUs) or per input element
@@ -141,28 +138,5 @@ NetworkReport evaluate_allocation(const std::vector<nn::LayerSpec>& layers,
 /// name a non-mappable op node (not kInput / kLayer).
 GraphOpReport evaluate_graph_op(const nn::Graph& graph, std::int64_t node_id,
                                 const DeviceParams& params);
-
-/// Evaluates a DAG network over a frozen allocation of its mappable
-/// layers: evaluate_allocation over graph.mappable_layers(), plus one
-/// GraphOpReport per non-mappable op folded into the energy/latency
-/// totals. Chain graphs have no such ops, so their result is bit-identical
-/// to evaluate_allocation on the linearized chain.
-NetworkReport evaluate_graph_allocation(const nn::Graph& graph,
-                                        const mapping::AllocationResult& alloc,
-                                        const AcceleratorConfig& config);
-
-/// Evaluates a whole network: maps each mappable layer with its assigned
-/// shape, runs the tile allocator (tile-based or tile-shared per `config`),
-/// and aggregates energy/area/latency plus the system-level utilization.
-/// `layers` and `shapes` must have equal length and contain only mappable
-/// layers (use NetworkSpec::mappable_layers()).
-NetworkReport evaluate_network(const std::vector<nn::LayerSpec>& layers,
-                               const std::vector<mapping::CrossbarShape>& shapes,
-                               const AcceleratorConfig& config);
-
-/// Convenience: homogeneous evaluation — every layer uses `shape`.
-NetworkReport evaluate_homogeneous(const std::vector<nn::LayerSpec>& layers,
-                                   const mapping::CrossbarShape& shape,
-                                   const AcceleratorConfig& config);
 
 }  // namespace autohet::reram

@@ -50,15 +50,6 @@ PipelineReport evaluate_pipeline(const plan::DeploymentPlan& plan,
   return report;
 }
 
-PipelineReport evaluate_pipeline(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config,
-    const std::vector<std::int64_t>& replication) {
-  return evaluate_pipeline(plan::compile_plan("", layers, shapes, config),
-                           replication);
-}
-
 std::vector<std::int64_t> balance_replication(const plan::DeploymentPlan& plan,
                                               std::int64_t extra_tile_budget) {
   OBS_SPAN("balance_replication");
@@ -85,14 +76,6 @@ std::vector<std::int64_t> balance_replication(const plan::DeploymentPlan& plan,
     ++replication[worst];
   }
   return replication;
-}
-
-std::vector<std::int64_t> balance_replication(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config, std::int64_t extra_tile_budget) {
-  return balance_replication(plan::compile_plan("", layers, shapes, config),
-                             extra_tile_budget);
 }
 
 }  // namespace autohet::reram

@@ -14,10 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "mapping/crossbar_shape.hpp"
 #include "mapping/plan.hpp"
-#include "nn/layer.hpp"
-#include "reram/hardware_model.hpp"
 
 namespace autohet::reram {
 
@@ -44,24 +41,10 @@ PipelineReport evaluate_pipeline(
     const plan::DeploymentPlan& plan,
     const std::vector<std::int64_t>& replication = {});
 
-/// Convenience wrapper: compiles `(layers, shapes, config)` into a plan
-/// and evaluates it. Bit-identical to the plan overload.
-PipelineReport evaluate_pipeline(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config,
-    const std::vector<std::int64_t>& replication = {});
-
 /// Greedy throughput balancing: repeatedly duplicates the current
 /// bottleneck layer while its tile cost fits in `extra_tile_budget`.
 /// Returns the chosen replication factors.
 std::vector<std::int64_t> balance_replication(const plan::DeploymentPlan& plan,
                                               std::int64_t extra_tile_budget);
-
-/// Convenience wrapper over a freshly compiled plan.
-std::vector<std::int64_t> balance_replication(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config, std::int64_t extra_tile_budget);
 
 }  // namespace autohet::reram

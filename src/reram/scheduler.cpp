@@ -85,13 +85,4 @@ ScheduleReport schedule_batch(const plan::DeploymentPlan& plan,
   return report;
 }
 
-ScheduleReport schedule_batch(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config, std::int64_t batch,
-    const std::vector<std::int64_t>& replication) {
-  return schedule_batch(plan::compile_plan("", layers, shapes, config), batch,
-                        replication);
-}
-
 }  // namespace autohet::reram

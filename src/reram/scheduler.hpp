@@ -20,10 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "mapping/crossbar_shape.hpp"
 #include "mapping/plan.hpp"
-#include "nn/layer.hpp"
-#include "reram/hardware_model.hpp"
 
 namespace autohet::reram {
 
@@ -54,14 +51,6 @@ struct ScheduleReport {
 /// ones).
 ScheduleReport schedule_batch(
     const plan::DeploymentPlan& plan, std::int64_t batch,
-    const std::vector<std::int64_t>& replication = {});
-
-/// Convenience wrapper: compiles `(layers, shapes, config)` into a plan and
-/// schedules it. Bit-identical to the plan overload.
-ScheduleReport schedule_batch(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<mapping::CrossbarShape>& shapes,
-    const AcceleratorConfig& config, std::int64_t batch,
     const std::vector<std::int64_t>& replication = {});
 
 }  // namespace autohet::reram

@@ -319,21 +319,6 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
   return report;
 }
 
-ServingReport simulate(std::vector<plan::DeploymentPlan> plans,
-                       const FabricConfig& fabric_config,
-                       const BatchingConfig& batching,
-                       const TrafficTrace& trace, int threads) {
-  if (threads == 1) {
-    ServingFabric fabric(std::move(plans), fabric_config);
-    return simulate(fabric, batching, trace);
-  }
-  common::ThreadPool pool(threads == 0
-                              ? 0
-                              : static_cast<std::size_t>(threads));
-  ServingFabric fabric(std::move(plans), fabric_config, &pool);
-  return simulate(fabric, batching, trace, &pool);
-}
-
 void merge_serving_into_trace(const ServingReport& report,
                               obs::Tracer& tracer) {
   if (!tracer.enabled()) return;

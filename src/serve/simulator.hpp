@@ -119,13 +119,6 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
                        const TrafficTrace& trace,
                        common::ThreadPool* pool = nullptr);
 
-/// Convenience wrapper: builds the fabric (precomputing across `threads`
-/// workers when > 1), generates nothing — the trace is the caller's.
-ServingReport simulate(std::vector<plan::DeploymentPlan> plans,
-                       const FabricConfig& fabric_config,
-                       const BatchingConfig& batching,
-                       const TrafficTrace& trace, int threads = 1);
-
 /// Emits the report's simulated-time activity onto the tracer as counter
 /// tracks (`serve_queue_depth`, `serve_active`, `serve_programming`),
 /// giving the Chrome-trace timeline of the whole serving run.

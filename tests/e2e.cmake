@@ -21,6 +21,22 @@
 #   graph_cifar_functional
 #       functional replay of the cifar-resnet v2 plan runs and reports its
 #       argmax agreement.
+#   plan_roundtrip
+#       a 20-episode lenet5 search saves its plan and report; two replays of
+#       the saved plan each reproduce the search-time report byte for byte,
+#       and replay rejects a search option next to --plan-in.
+#   profile_threads
+#       `profile` of the committed v1 fixture plan (tests/data) with
+#       functional samples and Monte-Carlo trials writes the same
+#       profile.json at 1 and at 4 Monte-Carlo threads.
+#   serve_replay
+#       `serve` of the fixture plan twice gives the same serving JSON on a
+#       rerun and on a --traffic-in replay of the saved trace at
+#       --serve-threads 0.
+#   search_shapes
+#       a lenet5 search prints one winning crossbar shape per mappable
+#       layer; the removed strategy-file surfaces (`evaluate`, `--out`) are
+#       rejected.
 cmake_minimum_required(VERSION 3.20)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -36,6 +52,20 @@ function(run)
   set(OUTPUT "${out}" PARENT_SCOPE)
 endfunction()
 
+# run_fails(<expected stderr text> <command> [args...]): the command exits
+# non-zero and its stderr contains the expected text.
+function(run_fails expected)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY "${WORK_DIR}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "'${ARGN}' succeeded but should have failed")
+  endif()
+  string(FIND "${err}" "${expected}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "'${ARGN}' failed without '${expected}':\n${err}")
+  endif()
+endfunction()
+
 # same(<a> <b>): the two files (relative to WORK_DIR) are byte-identical.
 function(same a b)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
@@ -46,6 +76,7 @@ function(same a b)
 endfunction()
 
 set(sweep_baseline "${SOURCE_DIR}/bench/BENCH_baseline/BENCH_fault_sweep.json")
+set(fixture_plan "${SOURCE_DIR}/tests/data/plan_v1_lenet5.json")
 if(CASE STREQUAL "fault_sweep_pooled")
   run("${FAULT_SWEEP}" 20)
   same(BENCH_fault_sweep.json "${sweep_baseline}")
@@ -74,6 +105,45 @@ elseif(CASE STREQUAL "graph_cifar_functional")
   if(NOT OUTPUT MATCHES "argmax agreement")
     message(FATAL_ERROR "replay printed no argmax agreement:\n${OUTPUT}")
   endif()
+elseif(CASE STREQUAL "plan_roundtrip")
+  run("${CLI}" search --model lenet5 --episodes 20 --plan-out plan.json
+      --report-json search_report.json)
+  run("${CLI}" replay --plan-in plan.json --report-json replay1.json)
+  run("${CLI}" replay --plan-in plan.json --report-json replay2.json)
+  same(search_report.json replay1.json)
+  same(search_report.json replay2.json)
+  run_fails("--plan-in cannot be combined with --episodes"
+            "${CLI}" replay --plan-in plan.json --episodes 5)
+elseif(CASE STREQUAL "profile_threads")
+  foreach(threads 1 4)
+    run("${CLI}" profile --plan-in "${fixture_plan}" --functional-samples 2
+        --mc-trials 2 --mc-threads ${threads}
+        --profile-out profile_${threads}.json)
+  endforeach()
+  same(profile_1.json profile_4.json)
+elseif(CASE STREQUAL "serve_replay")
+  set(serve "${CLI}" serve --plan-in "${fixture_plan}"
+      --plan-in "${fixture_plan}")
+  run(${serve} --requests 300 --traffic-profile diurnal
+      --serving-json serve_a.json --traffic-out traffic.json)
+  run(${serve} --requests 300 --traffic-profile diurnal
+      --serving-json serve_b.json)
+  run(${serve} --serve-threads 0 --traffic-in traffic.json
+      --serving-json serve_replay.json)
+  same(serve_a.json serve_b.json)
+  same(serve_a.json serve_replay.json)
+elseif(CASE STREQUAL "search_shapes")
+  run("${CLI}" search --model lenet5 --episodes 5)
+  # LeNet5 has five mappable layers.
+  string(REGEX MATCHALL "  L[0-9]+: [0-9]+x[0-9]+\n" rows "${OUTPUT}")
+  list(LENGTH rows count)
+  if(NOT OUTPUT MATCHES "best strategy for LeNet5:\n  L1: [0-9]+x[0-9]+\n"
+     OR NOT count EQUAL 5)
+    message(FATAL_ERROR "search printed no per-layer shapes:\n${OUTPUT}")
+  endif()
+  run_fails("unknown command: evaluate" "${CLI}" evaluate)
+  run_fails("unknown option: --out"
+            "${CLI}" search --model lenet5 --episodes 5 --out strategy.txt)
 else()
   message(FATAL_ERROR "unknown e2e case '${CASE}'")
 endif()

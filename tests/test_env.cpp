@@ -89,6 +89,26 @@ TEST(CrossbarEnv, EvaluateRequiresOneActionPerLayer) {
   EXPECT_THROW(env.evaluate(bad), std::invalid_argument);
 }
 
+TEST(CrossbarEnv, CompileResolvesCandidatesAndRejectsBadActions) {
+  const auto env = make_env();
+  const auto& candidates = env.candidates();
+  std::vector<std::size_t> actions(env.num_layers());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    actions[i] = (actions.size() - i) % candidates.size();
+  }
+  const plan::DeploymentPlan p = env.compile(actions, "AlexNet");
+  ASSERT_EQ(p.shapes().size(), actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    EXPECT_EQ(p.shapes()[i], candidates[actions[i]]) << "layer " << i;
+  }
+  EXPECT_EQ(p.network, "AlexNet");
+
+  EXPECT_THROW(env.compile({0, 1}, "AlexNet"), std::invalid_argument);
+  std::vector<std::size_t> out_of_range = actions;
+  out_of_range.back() = candidates.size();
+  EXPECT_THROW(env.compile(out_of_range, "AlexNet"), std::invalid_argument);
+}
+
 TEST(CrossbarEnv, RewardPrefersBetterConfigurations) {
   const auto env = make_env(nn::vgg16());
   // All-largest (576x512, index 4) should beat all-smallest (32x32) on

@@ -1,6 +1,8 @@
-// EvaluationEngine: the memoized/batched path must be bit-identical to the
-// uncached evaluate_network, the LRU must bound memory, and evaluate_batch
-// must match serial evaluation regardless of thread count.
+// EvaluationEngine: the memoized/batched path must be bit-identical to
+// evaluate_plan on the compiled plan (whose full tile allocator is the
+// reference for the engine's compact aggregation), the LRU must bound
+// memory, and evaluate_batch must match serial evaluation regardless of
+// thread count.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -8,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "mapping/crossbar_shape.hpp"
+#include "mapping/plan.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/hardware_model.hpp"
@@ -77,7 +80,7 @@ void expect_identical(const NetworkReport& got, const NetworkReport& want) {
 
 class EvalEngineIdentity : public ::testing::TestWithParam<bool> {};
 
-TEST_P(EvalEngineIdentity, MatchesUncachedEvaluateNetwork) {
+TEST_P(EvalEngineIdentity, MatchesEvaluatePlan) {
   const auto layers = test_layers();
   const auto candidates = test_candidates();
   AcceleratorConfig accel;
@@ -89,9 +92,8 @@ TEST_P(EvalEngineIdentity, MatchesUncachedEvaluateNetwork) {
     std::vector<std::size_t> actions(layers.size());
     for (auto& a : actions) a = rng.uniform_u64(candidates.size());
     const NetworkReport cached = engine.evaluate(actions);
-    const NetworkReport uncached =
-        reram::evaluate_network(layers, shapes_for(actions, candidates),
-                                accel);
+    const NetworkReport uncached = plan::evaluate_plan(plan::compile_plan(
+        "", layers, shapes_for(actions, candidates), accel));
     expect_identical(cached, uncached);
     // Second evaluation is a memo hit and must return the same bits again.
     expect_identical(engine.evaluate(actions), uncached);

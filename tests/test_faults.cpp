@@ -228,8 +228,9 @@ TEST(EvaluationEngine, ReportsCarryAnalyticVulnerability) {
   const reram::EvaluationEngine engine(layers, candidates, accel);
   const std::vector<std::size_t> actions(layers.size(), 1);
   const auto engine_report = engine.evaluate(actions);
-  const auto direct = reram::evaluate_network(
-      layers, std::vector<CrossbarShape>(layers.size(), candidates[1]), accel);
+  const auto direct = plan::evaluate_plan(plan::compile_plan(
+      "LeNet5", layers,
+      std::vector<CrossbarShape>(layers.size(), candidates[1]), accel));
   EXPECT_GT(engine_report.fault_vulnerability, 0.0);
   EXPECT_EQ(engine_report.fault_vulnerability, direct.fault_vulnerability);
   for (std::size_t l = 0; l < layers.size(); ++l) {

@@ -465,6 +465,50 @@ TEST(GraphAccounting, BranchyOpsCarryEnergyAndLatency) {
   }
 }
 
+TEST(GraphAccounting, EvaluatePlanFoldsOpsIntoTotalsInGraphOrder) {
+  const nn::Graph g = branchy_graph();
+  const auto shapes = uniform_shapes(g.mappable_layers().size());
+  const reram::AcceleratorConfig accel = fixture_accel();
+  const plan::DeploymentPlan v2 = plan::compile_plan(g, shapes, accel);
+  const reram::NetworkReport graph_report = plan::evaluate_plan(v2);
+  const reram::NetworkReport skeleton_report = plan::evaluate_plan(
+      plan::compile_plan(g.name(), g.mappable_layers(), shapes, accel));
+
+  // The ops are the graph's non-input, non-layer nodes in node order, each
+  // costed by evaluate_graph_op and added after the layers, so the totals
+  // are the skeleton's plus each op's, summed in that order.
+  reram::EnergyBreakdown energy = skeleton_report.energy;
+  double latency_ns = skeleton_report.latency_ns;
+  std::size_t next = 0;
+  for (std::int64_t id = 0; id < g.node_count(); ++id) {
+    const nn::OpKind kind = g.nodes()[static_cast<std::size_t>(id)].kind;
+    if (kind == nn::OpKind::kInput || kind == nn::OpKind::kLayer) continue;
+    ASSERT_LT(next, graph_report.graph_ops.size());
+    const reram::GraphOpReport expected =
+        reram::evaluate_graph_op(g, id, accel.device);
+    const reram::GraphOpReport& op = graph_report.graph_ops[next++];
+    EXPECT_EQ(op.op, expected.op);
+    EXPECT_EQ(op.latency_ns, expected.latency_ns);
+    EXPECT_EQ(op.energy.total_nj(), expected.energy.total_nj());
+    energy += expected.energy;
+    latency_ns += expected.latency_ns;
+  }
+  EXPECT_EQ(next, graph_report.graph_ops.size());
+  EXPECT_EQ(graph_report.latency_ns, latency_ns);
+  EXPECT_EQ(graph_report.energy.adc_nj, energy.adc_nj);
+  EXPECT_EQ(graph_report.energy.dac_nj, energy.dac_nj);
+  EXPECT_EQ(graph_report.energy.cell_nj, energy.cell_nj);
+  EXPECT_EQ(graph_report.energy.shift_add_nj, energy.shift_add_nj);
+  EXPECT_EQ(graph_report.energy.buffer_nj, energy.buffer_nj);
+  // The ops run on the tile vector units: no tiles, area or utilization.
+  EXPECT_EQ(graph_report.occupied_tiles, skeleton_report.occupied_tiles);
+  EXPECT_EQ(graph_report.empty_crossbars, skeleton_report.empty_crossbars);
+  EXPECT_EQ(graph_report.utilization, skeleton_report.utilization);
+  EXPECT_EQ(graph_report.area.total_um2(), skeleton_report.area.total_um2());
+  EXPECT_EQ(graph_report.fault_vulnerability,
+            skeleton_report.fault_vulnerability);
+}
+
 TEST(GraphAccounting, BranchyDataflowCarriesMergedDeps) {
   const nn::Graph g = branchy_graph();
   const plan::DeploymentPlan v2 = plan::compile_plan(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mapping/layer_mapping.hpp"
+#include "mapping/plan.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/hardware_model.hpp"
 
@@ -11,14 +12,25 @@ namespace {
 
 using mapping::CrossbarShape;
 using reram::AcceleratorConfig;
-using reram::evaluate_homogeneous;
 using reram::evaluate_layer;
-using reram::evaluate_network;
 
 AcceleratorConfig default_config(bool shared = false) {
   AcceleratorConfig config;
   config.tile_shared = shared;
   return config;
+}
+
+reram::NetworkReport plan_report(const std::vector<nn::LayerSpec>& layers,
+                                 const std::vector<CrossbarShape>& shapes,
+                                 const AcceleratorConfig& config) {
+  return plan::evaluate_plan(plan::compile_plan("", layers, shapes, config));
+}
+
+reram::NetworkReport homogeneous_report(
+    const std::vector<nn::LayerSpec>& layers, const CrossbarShape& shape,
+    const AcceleratorConfig& config) {
+  return plan_report(
+      layers, std::vector<CrossbarShape>(layers.size(), shape), config);
 }
 
 TEST(DeviceParams, DefaultsValidate) {
@@ -49,10 +61,10 @@ TEST(EvaluateLayer, Fig5TradeoffSmallVsLargeCrossbar) {
   EXPECT_NEAR(small.energy.adc_nj / large.energy.adc_nj, 2.0, 1e-9);
   EXPECT_GT(small.energy.total_nj(), large.energy.total_nj());
   // Tile-level utilization (4 XBs/tile): 27/32 vs 27/128 as in Fig. 5.
-  const auto small_net = evaluate_homogeneous({layer}, {64, 64},
-                                              default_config());
-  const auto large_net = evaluate_homogeneous({layer}, {128, 128},
-                                              default_config());
+  const auto small_net =
+      homogeneous_report({layer}, {64, 64}, default_config());
+  const auto large_net =
+      homogeneous_report({layer}, {128, 128}, default_config());
   EXPECT_NEAR(small_net.utilization, 27.0 / 32.0, 1e-12);
   EXPECT_NEAR(large_net.utilization, 27.0 / 128.0, 1e-12);
   EXPECT_GT(small_net.utilization, large_net.utilization);
@@ -93,8 +105,8 @@ TEST(EvaluateNetwork, UtilizationEnergyConflictAcrossSizes) {
   // and the largest must win energy (Fig. 3 / Fig. 9 shape).
   const auto layers = nn::vgg16().mappable_layers();
   const auto config = default_config();
-  const auto small = evaluate_homogeneous(layers, {32, 32}, config);
-  const auto large = evaluate_homogeneous(layers, {512, 512}, config);
+  const auto small = homogeneous_report(layers, {32, 32}, config);
+  const auto large = homogeneous_report(layers, {512, 512}, config);
   EXPECT_GT(small.utilization, large.utilization);
   EXPECT_GT(small.energy.total_nj(), large.energy.total_nj());
   // RUE is well-defined and positive.
@@ -109,7 +121,7 @@ TEST(EvaluateNetwork, AreaDecreasesWithCrossbarSize) {
   const auto config = default_config();
   double prev = 1e300;
   for (const auto& shape : mapping::square_candidates()) {
-    const auto r = evaluate_homogeneous(layers, shape, config);
+    const auto r = homogeneous_report(layers, shape, config);
     EXPECT_LT(r.area.total_um2(), prev) << shape.name();
     prev = r.area.total_um2();
   }
@@ -118,7 +130,7 @@ TEST(EvaluateNetwork, AreaDecreasesWithCrossbarSize) {
 TEST(EvaluateNetwork, EnergyIsSumOfLayerEnergies) {
   const auto layers = nn::alexnet().mappable_layers();
   const auto config = default_config();
-  const auto r = evaluate_homogeneous(layers, {128, 128}, config);
+  const auto r = homogeneous_report(layers, {128, 128}, config);
   reram::EnergyBreakdown sum;
   for (const auto& lr : r.layers) sum += lr.energy;
   EXPECT_NEAR(sum.total_nj(), r.energy.total_nj(), 1e-6);
@@ -127,9 +139,9 @@ TEST(EvaluateNetwork, EnergyIsSumOfLayerEnergies) {
 
 TEST(EvaluateNetwork, TileSharingReducesTilesAndRaisesUtilization) {
   const auto layers = nn::vgg16().mappable_layers();
-  const auto base = evaluate_homogeneous(layers, {64, 64}, default_config());
+  const auto base = homogeneous_report(layers, {64, 64}, default_config());
   const auto shared =
-      evaluate_homogeneous(layers, {64, 64}, default_config(true));
+      homogeneous_report(layers, {64, 64}, default_config(true));
   EXPECT_LE(shared.occupied_tiles, base.occupied_tiles);
   EXPECT_GE(shared.utilization, base.utilization);
   // Per-MVM dynamic energy is unchanged by sharing (same mapping geometry).
@@ -142,7 +154,7 @@ TEST(EvaluateNetwork, HeterogeneousMixesShapesPerLayer) {
   const auto layers = nn::alexnet().mappable_layers();
   std::vector<CrossbarShape> shapes(layers.size(), CrossbarShape{64, 64});
   shapes.back() = {512, 512};
-  const auto r = evaluate_network(layers, shapes, default_config());
+  const auto r = plan_report(layers, shapes, default_config());
   EXPECT_EQ(r.layers.back().shape, (CrossbarShape{512, 512}));
   EXPECT_EQ(r.layers.front().shape, (CrossbarShape{64, 64}));
 }
@@ -150,7 +162,7 @@ TEST(EvaluateNetwork, HeterogeneousMixesShapesPerLayer) {
 TEST(EvaluateNetwork, ValidatesInputLengths) {
   const auto layers = nn::alexnet().mappable_layers();
   const std::vector<CrossbarShape> wrong(3, CrossbarShape{64, 64});
-  EXPECT_THROW(evaluate_network(layers, wrong, default_config()),
+  EXPECT_THROW(plan_report(layers, wrong, default_config()),
                std::invalid_argument);
 }
 
@@ -158,8 +170,8 @@ TEST(EvaluateNetwork, RectangleCrossbarsCutEnergyOn3x3Models) {
   // §4.3: RXBs reduce ADC work for 3x3-kernel stacks. Compare 64x64 vs
   // 72x64 homogeneous on VGG16: same column count, fewer row blocks.
   const auto layers = nn::vgg16().mappable_layers();
-  const auto square = evaluate_homogeneous(layers, {64, 64}, default_config());
-  const auto rect = evaluate_homogeneous(layers, {72, 64}, default_config());
+  const auto square = homogeneous_report(layers, {64, 64}, default_config());
+  const auto rect = homogeneous_report(layers, {72, 64}, default_config());
   EXPECT_LT(rect.energy.total_nj(), square.energy.total_nj());
   EXPECT_GE(rect.utilization, square.utilization);
   EXPECT_GT(rect.rue(), square.rue());
@@ -180,7 +192,7 @@ TEST(EvaluateNetwork, LatencyWithinSaneBandAcrossSizes) {
   const auto layers = nn::vgg16().mappable_layers();
   double lo = 1e300, hi = 0.0;
   for (const auto& shape : mapping::square_candidates()) {
-    const auto r = evaluate_homogeneous(layers, shape, default_config());
+    const auto r = homogeneous_report(layers, shape, default_config());
     lo = std::min(lo, r.latency_ns);
     hi = std::max(hi, r.latency_ns);
   }

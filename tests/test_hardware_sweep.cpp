@@ -2,15 +2,21 @@
 // (model × candidate × tile-size × sharing) grid.
 #include <gtest/gtest.h>
 
+#include "mapping/plan.hpp"
 #include "nn/model_zoo.hpp"
-#include "reram/hardware_model.hpp"
 
 namespace autohet {
 namespace {
 
 using mapping::CrossbarShape;
 using reram::AcceleratorConfig;
-using reram::evaluate_homogeneous;
+
+reram::NetworkReport homogeneous_report(
+    const std::vector<nn::LayerSpec>& layers, const CrossbarShape& shape,
+    const AcceleratorConfig& config) {
+  return plan::evaluate_plan(plan::compile_plan(
+      "", layers, std::vector<CrossbarShape>(layers.size(), shape), config));
+}
 
 class HardwareSweep
     : public ::testing::TestWithParam<
@@ -25,7 +31,7 @@ TEST_P(HardwareSweep, ReportInvariants) {
   AcceleratorConfig config;
   config.pes_per_tile = pes;
   config.tile_shared = shared;
-  const auto r = evaluate_homogeneous(layers, shape, config);
+  const auto r = homogeneous_report(layers, shape, config);
 
   // Structural invariants.
   ASSERT_EQ(r.layers.size(), layers.size());
@@ -76,8 +82,8 @@ TEST_P(SharingSweep, SharingInvariants) {
   AcceleratorConfig base;
   AcceleratorConfig shared;
   shared.tile_shared = true;
-  const auto r_base = evaluate_homogeneous(layers, shape, base);
-  const auto r_shared = evaluate_homogeneous(layers, shape, shared);
+  const auto r_base = homogeneous_report(layers, shape, base);
+  const auto r_shared = homogeneous_report(layers, shape, shared);
   EXPECT_NEAR(r_base.energy.total_nj(), r_shared.energy.total_nj(),
               r_base.energy.total_nj() * 1e-12);
   EXPECT_LE(r_shared.occupied_tiles, r_base.occupied_tiles);
@@ -96,7 +102,7 @@ TEST(HardwareSweepResnet, SmokeConfiguration) {
   const auto layers = nn::resnet152().mappable_layers();
   AcceleratorConfig config;
   config.tile_shared = true;
-  const auto r = evaluate_homogeneous(layers, {288, 256}, config);
+  const auto r = homogeneous_report(layers, {288, 256}, config);
   EXPECT_EQ(r.layers.size(), 156u);
   EXPECT_GT(r.rue(), 0.0);
 }

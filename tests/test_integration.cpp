@@ -68,8 +68,10 @@ TEST(Integration, TileSharingReducesOccupiedTilesOnAllPaperModels) {
     shared_cfg.tile_shared = true;
     const std::vector<mapping::CrossbarShape> shapes(
         layers.size(), mapping::CrossbarShape{72, 64});
-    const auto base = reram::evaluate_network(layers, shapes, base_cfg);
-    const auto shared = reram::evaluate_network(layers, shapes, shared_cfg);
+    const auto base = plan::evaluate_plan(
+        plan::compile_plan(net.name, layers, shapes, base_cfg));
+    const auto shared = plan::evaluate_plan(
+        plan::compile_plan(net.name, layers, shapes, shared_cfg));
     EXPECT_LT(shared.occupied_tiles, base.occupied_tiles) << net.name;
   }
 }

@@ -19,7 +19,7 @@
 #include "obs/obs.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
-#include "reram/hardware_model.hpp"
+#include "mapping/plan.hpp"
 #include "report/serialize.hpp"
 
 namespace {
@@ -583,13 +583,13 @@ TEST(ObsOverhead, ReportsAreBitIdenticalWithSinksOnAndOff) {
   reram::AcceleratorConfig accel;
   accel.tile_shared = true;
 
-  const reram::NetworkReport baseline =
-      reram::evaluate_network(layers, shapes, accel);
+  const plan::DeploymentPlan p =
+      plan::compile_plan(net.name, layers, shapes, accel);
+  const reram::NetworkReport baseline = plan::evaluate_plan(p);
 
   obs::set_metrics_enabled(true);
   obs::Tracer::global().enable();
-  const reram::NetworkReport instrumented =
-      reram::evaluate_network(layers, shapes, accel);
+  const reram::NetworkReport instrumented = plan::evaluate_plan(p);
   obs::Tracer::global().disable();
   obs::Tracer::global().clear_for_testing();
   obs::set_metrics_enabled(false);

@@ -15,11 +15,17 @@ std::vector<nn::LayerSpec> vgg_layers() {
   return nn::vgg16().mappable_layers();
 }
 
-TEST(Pipeline, BottleneckIsMaxStageInterval) {
+/// VGG16 compiled homogeneously onto `shape` crossbars.
+plan::DeploymentPlan vgg_plan(const CrossbarShape& shape) {
   const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> shapes(layers.size(), {128, 128});
-  const auto report = evaluate_pipeline(layers, shapes, AcceleratorConfig{});
-  ASSERT_EQ(report.stages.size(), layers.size());
+  return plan::compile_plan("VGG16", layers,
+                            std::vector<CrossbarShape>(layers.size(), shape),
+                            AcceleratorConfig{});
+}
+
+TEST(Pipeline, BottleneckIsMaxStageInterval) {
+  const auto report = evaluate_pipeline(vgg_plan({128, 128}));
+  ASSERT_EQ(report.stages.size(), vgg_layers().size());
   double max_interval = 0.0;
   double fill = 0.0;
   for (const auto& s : report.stages) {
@@ -34,26 +40,22 @@ TEST(Pipeline, BottleneckIsMaxStageInterval) {
 }
 
 TEST(Pipeline, ReplicationDividesInterval) {
-  const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> shapes(layers.size(), {128, 128});
-  std::vector<std::int64_t> rep(layers.size(), 1);
+  const auto p = vgg_plan({128, 128});
+  std::vector<std::int64_t> rep(p.layers.size(), 1);
   rep[0] = 4;
-  const auto base = evaluate_pipeline(layers, shapes, AcceleratorConfig{});
-  const auto repl =
-      evaluate_pipeline(layers, shapes, AcceleratorConfig{}, rep);
+  const auto base = evaluate_pipeline(p);
+  const auto repl = evaluate_pipeline(p, rep);
   EXPECT_NEAR(repl.stages[0].interval_ns,
               base.stages[0].interval_ns / 4.0, 1e-9);
   EXPECT_GT(repl.stages[0].extra_tiles, 0);
 }
 
 TEST(Pipeline, BalancingImprovesThroughputWithinBudget) {
-  const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> shapes(layers.size(), {128, 128});
-  const AcceleratorConfig config;
-  const auto base = evaluate_pipeline(layers, shapes, config);
+  const auto p = vgg_plan({128, 128});
+  const auto base = evaluate_pipeline(p);
   for (std::int64_t budget : {8, 32, 128}) {
-    const auto rep = balance_replication(layers, shapes, config, budget);
-    const auto balanced = evaluate_pipeline(layers, shapes, config, rep);
+    const auto rep = balance_replication(p, budget);
+    const auto balanced = evaluate_pipeline(p, rep);
     EXPECT_LE(balanced.bottleneck_interval_ns,
               base.bottleneck_interval_ns + 1e-9)
         << budget;
@@ -62,23 +64,18 @@ TEST(Pipeline, BalancingImprovesThroughputWithinBudget) {
 }
 
 TEST(Pipeline, BalancingIsMonotoneInBudget) {
-  const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> shapes(layers.size(), {256, 256});
-  const AcceleratorConfig config;
+  const auto p = vgg_plan({256, 256});
   double prev = 1e300;
   for (std::int64_t budget : {0, 4, 16, 64, 256}) {
-    const auto rep = balance_replication(layers, shapes, config, budget);
-    const auto report = evaluate_pipeline(layers, shapes, config, rep);
+    const auto rep = balance_replication(p, budget);
+    const auto report = evaluate_pipeline(p, rep);
     EXPECT_LE(report.bottleneck_interval_ns, prev + 1e-9) << budget;
     prev = report.bottleneck_interval_ns;
   }
 }
 
 TEST(Pipeline, ZeroBudgetKeepsSingleCopies) {
-  const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> shapes(layers.size(), {64, 64});
-  const auto rep =
-      balance_replication(layers, shapes, AcceleratorConfig{}, 0);
+  const auto rep = balance_replication(vgg_plan({64, 64}), 0);
   for (auto r : rep) EXPECT_EQ(r, 1);
 }
 
@@ -86,9 +83,7 @@ TEST(Pipeline, EarlyConvLayersAreTheBottleneck) {
   // With per-position MVM scheduling, the large-feature-map early layers
   // dominate the pipeline interval — the reason ISAAC-style designs
   // replicate them.
-  const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> shapes(layers.size(), {128, 128});
-  const auto report = evaluate_pipeline(layers, shapes, AcceleratorConfig{});
+  const auto report = evaluate_pipeline(vgg_plan({128, 128}));
   std::size_t worst = 0;
   for (std::size_t k = 1; k < report.stages.size(); ++k) {
     if (report.stages[k].interval_ns >
@@ -100,18 +95,13 @@ TEST(Pipeline, EarlyConvLayersAreTheBottleneck) {
 }
 
 TEST(Pipeline, ValidatesArguments) {
-  const auto layers = vgg_layers();
-  const std::vector<CrossbarShape> wrong(3, CrossbarShape{64, 64});
-  EXPECT_THROW(evaluate_pipeline(layers, wrong, AcceleratorConfig{}),
+  const auto p = vgg_plan({64, 64});
+  EXPECT_THROW(evaluate_pipeline(p, std::vector<std::int64_t>(3, 1)),
                std::invalid_argument);
-  const std::vector<CrossbarShape> shapes(layers.size(), {64, 64});
-  std::vector<std::int64_t> bad_rep(layers.size(), 1);
+  std::vector<std::int64_t> bad_rep(p.layers.size(), 1);
   bad_rep[3] = 0;
-  EXPECT_THROW(
-      evaluate_pipeline(layers, shapes, AcceleratorConfig{}, bad_rep),
-      std::invalid_argument);
-  EXPECT_THROW(balance_replication(layers, shapes, AcceleratorConfig{}, -1),
-               std::invalid_argument);
+  EXPECT_THROW(evaluate_pipeline(p, bad_rep), std::invalid_argument);
+  EXPECT_THROW(balance_replication(p, -1), std::invalid_argument);
 }
 
 }  // namespace

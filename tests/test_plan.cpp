@@ -1,15 +1,15 @@
-// The DeploymentPlan IR: compile/validate semantics, bit-identity of every
-// plan-consuming path against its legacy explicit-arguments path, and the
-// byte-identical JSON round trip. These are the contract tests of the
-// compile/deploy split (DESIGN.md, "Compile/deploy split"): replaying a
-// saved plan must reproduce the search-time numbers exactly.
+// The DeploymentPlan IR: compile/validate semantics, bit-identity of the
+// plan-consuming paths against the search engine and the shape-built
+// functional fabric, and the byte-identical JSON round trip. These are the
+// contract tests of the compile/deploy split (DESIGN.md, "Compile/deploy
+// split"): replaying a saved plan must reproduce the search-time numbers
+// exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
 
-#include "autohet/strategy.hpp"
 #include "common/rng.hpp"
 #include "mapping/plan.hpp"
 #include "nn/model.hpp"
@@ -17,8 +17,6 @@
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
 #include "reram/hardware_model.hpp"
-#include "reram/pipeline.hpp"
-#include "reram/scheduler.hpp"
 #include "report/serialize.hpp"
 #include "tensor/ops.hpp"
 
@@ -40,7 +38,7 @@ std::vector<CrossbarShape> hetero_shapes(std::size_t layer_count) {
   return shapes;
 }
 
-// Field-by-field exact equality: a replayed plan must reproduce the legacy
+// Field-by-field exact equality: a replayed plan must reproduce the search
 // path bit-for-bit, so every double compares with ==, not near.
 void expect_reports_identical(const reram::NetworkReport& a,
                               const reram::NetworkReport& b) {
@@ -88,7 +86,8 @@ reram::FaultConfig faulty_config() {
   return faults;
 }
 
-TEST(DeploymentPlan, EvaluateMatchesEvaluateNetworkForAllZooNetworks) {
+TEST(DeploymentPlan, EvaluateMatchesEngineForAllZooNetworks) {
+  const auto candidates = mapping::hybrid_candidates();
   for (const nn::NetworkSpec& net :
        {nn::lenet5(), nn::alexnet(), nn::vgg16(), nn::resnet152()}) {
     for (const bool tile_shared : {false, true}) {
@@ -97,6 +96,9 @@ TEST(DeploymentPlan, EvaluateMatchesEvaluateNetworkForAllZooNetworks) {
       const auto shapes = hetero_shapes(layers.size());
       reram::AcceleratorConfig accel;
       accel.tile_shared = tile_shared;
+      // The shared runs also carry a non-ideal device, so the analytic
+      // fault vulnerability is exercised end to end.
+      if (tile_shared) accel.faults = faulty_config();
 
       const plan::DeploymentPlan p =
           plan::compile_plan(net.name, layers, shapes, accel);
@@ -104,25 +106,18 @@ TEST(DeploymentPlan, EvaluateMatchesEvaluateNetworkForAllZooNetworks) {
       EXPECT_NO_THROW(p.validate_against(net));
       EXPECT_EQ(p.shapes(), shapes);
 
-      expect_reports_identical(plan::evaluate_plan(p),
-                               reram::evaluate_network(layers, shapes, accel));
+      // hetero_shapes cycles the hybrid candidates, so the same assignment
+      // as action indices runs the engine's compact aggregation.
+      std::vector<std::size_t> actions(layers.size());
+      for (std::size_t i = 0; i < actions.size(); ++i) {
+        actions[i] = i % candidates.size();
+      }
+      const reram::EvaluationEngine engine(layers, candidates, accel);
+      const reram::NetworkReport report = plan::evaluate_plan(p);
+      EXPECT_EQ(report.fault_vulnerability > 0.0, tile_shared);
+      expect_reports_identical(report, engine.evaluate(actions));
     }
   }
-}
-
-TEST(DeploymentPlan, FaultVulnerabilityMatchesLegacyPath) {
-  const nn::NetworkSpec net = nn::alexnet();
-  const auto layers = net.mappable_layers();
-  const auto shapes = hetero_shapes(layers.size());
-  reram::AcceleratorConfig accel;
-  accel.tile_shared = true;
-  accel.faults = faulty_config();
-
-  const auto p = plan::compile_plan(net.name, layers, shapes, accel);
-  const auto replayed = plan::evaluate_plan(p);
-  const auto legacy = reram::evaluate_network(layers, shapes, accel);
-  EXPECT_GT(replayed.fault_vulnerability, 0.0);
-  expect_reports_identical(replayed, legacy);
 }
 
 TEST(DeploymentPlan, EngineEvaluateMatchesActionPath) {
@@ -155,19 +150,6 @@ TEST(DeploymentPlan, EngineEvaluateMatchesActionPath) {
   EXPECT_THROW(
       engine.evaluate(plan::compile_plan(net.name, layers, alien, accel)),
       std::invalid_argument);
-}
-
-TEST(DeploymentPlan, CompileFromStrategyChecksNetworkName) {
-  const nn::NetworkSpec net = nn::lenet5();
-  core::Strategy strategy;
-  strategy.network = "lenet5";  // case-insensitive match against "LeNet5"
-  strategy.shapes = hetero_shapes(net.mappable_layers().size());
-  const reram::AcceleratorConfig accel;
-  EXPECT_NO_THROW(plan::compile_plan(net, strategy, accel));
-
-  strategy.network = "AlexNet";
-  EXPECT_THROW(plan::compile_plan(net, strategy, accel),
-               std::invalid_argument);
 }
 
 TEST(DeploymentPlan, ValidateRejectsTamperedPlans) {
@@ -241,6 +223,42 @@ TEST(DeploymentPlan, JsonRoundTripIsByteIdentical) {
     expect_reports_identical(plan::evaluate_plan(reread),
                              plan::evaluate_plan(p));
   }
+}
+
+TEST(DeploymentPlan, LongPlanJsonRoundTrip) {
+  // ResNet152: the longest zoo network, one shape per mappable layer.
+  const nn::NetworkSpec net = nn::resnet152();
+  const auto layers = net.mappable_layers();
+  const auto shapes = hetero_shapes(layers.size());
+  const auto p = plan::compile_plan(net.name, layers, shapes,
+                                    reram::AcceleratorConfig{});
+
+  std::ostringstream first;
+  report::write_plan_json(first, p);
+  const plan::DeploymentPlan reread = report::read_plan_json(first.str());
+  EXPECT_EQ(reread.shapes(), shapes);
+  EXPECT_NO_THROW(reread.validate_against(net));
+  std::ostringstream second;
+  report::write_plan_json(second, reread);
+  EXPECT_EQ(first.str(), second.str());
+}
+
+TEST(DeploymentPlan, ValidateAgainstComparesNetworkNamesCaseInsensitively) {
+  const nn::NetworkSpec net = nn::lenet5();
+  const auto layers = net.mappable_layers();
+  const reram::AcceleratorConfig accel;
+  // "lenet5" names the zoo's "LeNet5", as network_by_name does.
+  const auto p = plan::compile_plan("lenet5", layers,
+                                    hetero_shapes(layers.size()), accel);
+  EXPECT_NO_THROW(p.validate_against(net));
+  // An unnamed plan is checked by its layers alone.
+  auto unnamed = p;
+  unnamed.network.clear();
+  EXPECT_NO_THROW(unnamed.validate_against(net));
+  // Same layers, another network's name.
+  auto renamed = p;
+  renamed.network = "LeNet";
+  EXPECT_THROW(renamed.validate_against(net), std::invalid_argument);
 }
 
 TEST(DeploymentPlan, ReadPlanJsonRejectsGarbage) {
@@ -320,49 +338,6 @@ TEST(DeploymentPlan, RobustnessMonteCarloMatchesShapePath) {
   for (std::size_t i = 0; i < a.layer_error.size(); ++i) {
     EXPECT_EQ(a.layer_error[i], b.layer_error[i]);
   }
-}
-
-TEST(DeploymentPlan, PipelineAndSchedulerMatchLegacyOverloads) {
-  const nn::NetworkSpec net = nn::lenet5();
-  const auto layers = net.mappable_layers();
-  const auto shapes = hetero_shapes(layers.size());
-  const reram::AcceleratorConfig accel;
-  const auto p = plan::compile_plan(net.name, layers, shapes, accel);
-
-  const auto pipe_plan = reram::evaluate_pipeline(p);
-  const auto pipe_legacy = reram::evaluate_pipeline(layers, shapes, accel);
-  ASSERT_EQ(pipe_plan.stages.size(), pipe_legacy.stages.size());
-  for (std::size_t i = 0; i < pipe_plan.stages.size(); ++i) {
-    EXPECT_EQ(pipe_plan.stages[i].serial_latency_ns,
-              pipe_legacy.stages[i].serial_latency_ns);
-    EXPECT_EQ(pipe_plan.stages[i].interval_ns,
-              pipe_legacy.stages[i].interval_ns);
-  }
-  EXPECT_EQ(pipe_plan.bottleneck_interval_ns,
-            pipe_legacy.bottleneck_interval_ns);
-  EXPECT_EQ(pipe_plan.fill_latency_ns, pipe_legacy.fill_latency_ns);
-
-  const auto rep_plan = reram::balance_replication(p, 8);
-  const auto rep_legacy =
-      reram::balance_replication(layers, shapes, accel, 8);
-  EXPECT_EQ(rep_plan, rep_legacy);
-  const auto replicated_plan = reram::evaluate_pipeline(p, rep_plan);
-  const auto replicated_legacy =
-      reram::evaluate_pipeline(layers, shapes, accel, rep_legacy);
-  EXPECT_EQ(replicated_plan.throughput_inferences_per_s,
-            replicated_legacy.throughput_inferences_per_s);
-  EXPECT_EQ(replicated_plan.total_extra_tiles,
-            replicated_legacy.total_extra_tiles);
-
-  const auto sched_plan = reram::schedule_batch(p, 3);
-  const auto sched_legacy = reram::schedule_batch(layers, shapes, accel, 3);
-  ASSERT_EQ(sched_plan.tasks.size(), sched_legacy.tasks.size());
-  for (std::size_t t = 0; t < sched_plan.tasks.size(); ++t) {
-    EXPECT_EQ(sched_plan.tasks[t].start_ns, sched_legacy.tasks[t].start_ns);
-    EXPECT_EQ(sched_plan.tasks[t].finish_ns,
-              sched_legacy.tasks[t].finish_ns);
-  }
-  EXPECT_EQ(sched_plan.makespan_ns, sched_legacy.makespan_ns);
 }
 
 TEST(DeploymentPlan, FaultFingerprintSeparatesConfigs) {

@@ -371,12 +371,16 @@ TEST(ServingSim, ReportByteIdenticalAcrossRunsAndThreads) {
   config.tile_capacity = probe.standalone_tiles(0);
   const serve::TrafficTrace trace = generated_trace(2);
 
-  const std::string serial = serve::serving_json_string(
-      serve::simulate(named_plans(2), config, {}, trace, /*threads=*/1));
-  const std::string rerun = serve::serving_json_string(
-      serve::simulate(named_plans(2), config, {}, trace, /*threads=*/1));
-  const std::string pooled = serve::serving_json_string(
-      serve::simulate(named_plans(2), config, {}, trace, /*threads=*/0));
+  // A fresh fabric per run; the pooled run shares one pool between the
+  // fabric's precompute and the simulation, as the CLI does.
+  const auto run = [&](common::ThreadPool* pool) {
+    serve::ServingFabric fabric(named_plans(2), config, pool);
+    return serve::serving_json_string(serve::simulate(fabric, {}, trace, pool));
+  };
+  const std::string serial = run(nullptr);
+  const std::string rerun = run(nullptr);
+  common::ThreadPool pool(0);
+  const std::string pooled = run(&pool);
   EXPECT_EQ(serial, rerun);
   EXPECT_EQ(serial, pooled);
 }

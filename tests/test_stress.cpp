@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "mapping/plan.hpp"
 #include "mapping/tile_allocator.hpp"
 #include "nn/layer.hpp"
 #include "reram/bank.hpp"
 #include "reram/controller.hpp"
-#include "reram/hardware_model.hpp"
 #include "reram/noc.hpp"
 
 namespace autohet {
@@ -72,7 +72,8 @@ TEST_P(PipelineStress, FullFlowHoldsInvariants) {
   reram::AcceleratorConfig config;
   config.pes_per_tile = xbs;
   config.tile_shared = shared;
-  const auto report = reram::evaluate_network(layers, shapes, config);
+  const auto report =
+      plan::evaluate_plan(plan::compile_plan("", layers, shapes, config));
   EXPECT_GT(report.energy.total_nj(), 0.0);
   EXPECT_GT(report.area.total_um2(), 0.0);
   EXPECT_GT(report.latency_ns, 0.0);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "serve/serialize.hpp"
@@ -242,6 +243,51 @@ TEST(Traffic, TraceJsonRejectsGarbage) {
   EXPECT_THROW(serve::read_trace_json("not json"), std::invalid_argument);
   EXPECT_THROW(serve::read_trace_json("{\"format\": \"autohet-plan\"}"),
                std::invalid_argument);
+}
+
+// Replaces the value after the first `"key": ` in `json` (up to the next
+// ',', newline or '}') with `value`.
+std::string with_value(std::string json, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = json.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no key " << key;
+    return json;
+  }
+  const std::size_t start = at + tag.size();
+  return json.replace(start, json.find_first_of(",\n}", start) - start,
+                      value);
+}
+
+// The mutated trace must be rejected with an error that names `key`.
+void expect_rejected(const std::string& json, const std::string& key) {
+  try {
+    (void)serve::read_trace_json(json);
+    ADD_FAILURE() << "accepted a malformed '" << key << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Traffic, TraceJsonRejectsMalformedScalars) {
+  serve::TrafficConfig config = base_config();
+  config.duration_s = 0.01;
+  std::ostringstream os;
+  serve::write_trace_json(os, serve::generate_trace(config, 2));
+  const std::string json = os.str();
+  ASSERT_NO_THROW((void)serve::read_trace_json(json));
+  // Decimal strings start with a digit: no sign, no whitespace.
+  expect_rejected(with_value(json, "seed", "\"-1\""), "seed");
+  expect_rejected(with_value(json, "seed", "\" 42\""), "seed");
+  expect_rejected(with_value(json, "seed", "\"18446744073709551616\""),
+                  "seed");
+  expect_rejected(with_value(json, "mean_qps", "5000-1"), "mean_qps");
+  expect_rejected(with_value(json, "num_models", "99999999999999999999"),
+                  "num_models");
+  expect_rejected(with_value(json, "profile", "\"constan\\u00zt\""),
+                  "profile");
 }
 
 }  // namespace
