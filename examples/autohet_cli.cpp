@@ -167,18 +167,6 @@ void apply_mc_budget(reram::RobustnessOptions& opts,
       static_cast<int>(args.option_int("mc-max-trials"));
 }
 
-/// The float model a plan replays against, with the seeded weights every
-/// functional replay uses: built over the plan's graph (v2) or its zoo
-/// network (v1).
-nn::Model replay_model(const plan::DeploymentPlan& plan) {
-  common::Rng weight_rng(3);
-  if (plan.has_graph()) return nn::Model(plan.graph, weight_rng);
-  const auto net = nn::network_by_name(plan.network);
-  AUTOHET_CHECK(net.sequential_runnable,
-                plan.network + " is not sequentially runnable");
-  return nn::Model(net, weight_rng);
-}
-
 /// Next synthetic input for `model`'s graph input shape.
 tensor::Tensor replay_image(const nn::Model& model, common::Rng& rng) {
   const nn::TensorShape& in = model.graph().nodes().front().shape;
@@ -208,7 +196,7 @@ int run_replay(const common::ArgParser& args) {
   const auto samples = args.option_int("functional-samples");
   const auto trials = args.option_int("mc-trials");
   if (samples == 0 && trials == 0) return 0;
-  const nn::Model model = replay_model(plan);
+  const nn::Model model = reram::replay_model(plan);
   if (samples > 0) {
     const reram::SimulatedModel fabric(model, plan);
     common::Rng img_rng(4);
@@ -275,7 +263,7 @@ int run_profile(const common::ArgParser& args, obs::ObsSession& session) {
                 "robustness MC replays the linear path; it is not "
                 "available for DAG (v2) plans yet");
   if (samples > 0 || trials > 0) {
-    const nn::Model model = replay_model(plan);
+    const nn::Model model = reram::replay_model(plan);
     if (samples > 0) {
       const reram::SimulatedModel fabric(model, plan);
       common::Rng img_rng(4);

@@ -124,4 +124,13 @@ void ThreadPool::worker_loop() {
   }
 }
 
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && end > begin + 1) {
+    pool->parallel_for(begin, end, fn);
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) fn(i);
+}
+
 }  // namespace autohet::common

@@ -72,4 +72,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs fn(i) for i in [begin, end): across `pool` when one is given and
+/// there are two or more items, else as a plain loop on the calling thread.
+void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& fn);
+
 }  // namespace autohet::common

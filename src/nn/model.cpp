@@ -1,5 +1,6 @@
 #include "nn/model.hpp"
 
+#include <atomic>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -38,7 +39,13 @@ const tensor::Tensor& Model::weight(std::size_t mappable_index) const {
 
 tensor::Tensor& Model::weight(std::size_t mappable_index) {
   AUTOHET_CHECK(mappable_index < weights_.size(), "weight index out of range");
+  identity_.value = Identity::next();
   return weights_[mappable_index];
+}
+
+std::uint64_t Model::Identity::next() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 tensor::Tensor Model::forward_layer(std::size_t layer_index,

@@ -33,9 +33,16 @@ class Model {
   const Graph& graph() const noexcept { return graph_; }
 
   /// Weight tensor of the `i`-th *mappable* layer
-  /// ([Cout,Cin,k,k] for CONV, [out,in] for FC).
+  /// ([Cout,Cin,k,k] for CONV, [out,in] for FC). The non-const accessor
+  /// renews identity(): the caller may change the weights.
   const tensor::Tensor& weight(std::size_t mappable_index) const;
   tensor::Tensor& weight(std::size_t mappable_index);
+
+  /// Process-unique identity of this model's weights, the key of every
+  /// cache of results computed from them: fresh at construction, copy and
+  /// assignment, renewed by each non-const weight() access. Unlike the
+  /// model's address, it is never shared by two different weight sets.
+  std::uint64_t identity() const noexcept { return identity_.value; }
   std::size_t mappable_count() const noexcept { return weights_.size(); }
 
   /// Float forward pass over graph() (CHW input). Residual adds, concats,
@@ -55,6 +62,18 @@ class Model {
   Graph graph_;
   std::vector<tensor::Tensor> weights_;       // one per mappable layer
   std::vector<std::int64_t> weight_of_layer_; // layer idx -> mappable idx or -1
+  /// identity(): a fresh value on every construction, copy and assignment.
+  struct Identity {
+    static std::uint64_t next() noexcept;
+    std::uint64_t value = next();
+    Identity() = default;
+    Identity(const Identity&) noexcept {}
+    Identity& operator=(const Identity&) noexcept {
+      value = next();
+      return *this;
+    }
+  };
+  Identity identity_;
 };
 
 /// Deterministic synthetic input image (CHW, values in [0, 1)); substitutes

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -20,6 +21,13 @@ namespace {
     "autohet_eval_cache_misses_total";
 [[maybe_unused]] constexpr const char* kEvictions =
     "autohet_eval_cache_evictions_total";
+
+/// Counts `evicted` report-memo evictions on `stats` and in the registry.
+void count_evictions(EvaluationEngine::CacheStats& stats,
+                     std::size_t evicted) {
+  stats.evictions += evicted;
+  if (evicted > 0) OBS_COUNTER_ADD(kEvictions, evicted);
+}
 }  // namespace
 
 EvaluationEngine::EvaluationEngine(
@@ -29,7 +37,8 @@ EvaluationEngine::EvaluationEngine(
     : layers_(std::move(layers)),
       candidates_(std::move(candidates)),
       accel_(accel),
-      config_(config) {
+      config_(config),
+      memo_(config.memo_capacity) {
   accel_.validate();
   AUTOHET_CHECK(!candidates_.empty(),
                 "evaluation engine needs at least one candidate");
@@ -65,6 +74,15 @@ EvaluationEngine::EvaluationEngine(
           evaluate_layer(layer, m, lc.tiles, accel_.device, accel_.faults);
       table_.push_back(std::move(lc));
     }
+  }
+}
+
+void EvaluationEngine::check_actions(
+    const std::vector<std::size_t>& actions) const {
+  AUTOHET_CHECK(actions.size() == layers_.size(),
+                "one action per layer required");
+  for (std::size_t a : actions) {
+    AUTOHET_CHECK(a < candidates_.size(), "action index out of range");
   }
 }
 
@@ -195,38 +213,12 @@ NetworkReport EvaluationEngine::compute(
   return report;
 }
 
-const NetworkReport* EvaluationEngine::lookup_locked(
-    const std::vector<std::size_t>& actions) const {
-  const auto it = memo_.find(actions);
-  if (it == memo_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // touch
-  return &it->second->report;
-}
-
-void EvaluationEngine::insert_locked(const std::vector<std::size_t>& actions,
-                                     const NetworkReport& report) const {
-  if (config_.memo_capacity == 0) return;
-  if (memo_.find(actions) != memo_.end()) return;  // raced insert: keep first
-  lru_.push_front(MemoEntry{actions, report});
-  memo_.emplace(actions, lru_.begin());
-  while (memo_.size() > config_.memo_capacity) {
-    memo_.erase(lru_.back().actions);
-    lru_.pop_back();
-    ++stats_.evictions;
-    OBS_COUNTER_ADD(kEvictions, 1);
-  }
-}
-
 NetworkReport EvaluationEngine::evaluate(
     const std::vector<std::size_t>& actions) const {
-  AUTOHET_CHECK(actions.size() == layers_.size(),
-                "one action per layer required");
-  for (std::size_t a : actions) {
-    AUTOHET_CHECK(a < candidates_.size(), "action index out of range");
-  }
+  check_actions(actions);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (const NetworkReport* hit = lookup_locked(actions)) {
+    if (const NetworkReport* hit = memo_.find(actions)) {
       ++stats_.hits;
       OBS_COUNTER_ADD(kHits, 1);
       OBS_TRACE_COUNTER("eval_cache_hit_rate", stats_.hit_rate());
@@ -237,10 +229,8 @@ NetworkReport EvaluationEngine::evaluate(
     OBS_TRACE_COUNTER("eval_cache_hit_rate", stats_.hit_rate());
   }
   NetworkReport report = compute(actions);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    insert_locked(actions, report);
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  count_evictions(stats_, memo_.insert(actions, report));
   return report;
 }
 
@@ -279,13 +269,7 @@ std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
   OBS_SCOPED_LATENCY("autohet_eval_batch_latency_ns");
   OBS_HIST_RECORD("autohet_eval_batch_size", batch.size());
   std::vector<NetworkReport> results(batch.size());
-  for (const auto& actions : batch) {
-    AUTOHET_CHECK(actions.size() == layers_.size(),
-                  "one action per layer required");
-    for (std::size_t a : actions) {
-      AUTOHET_CHECK(a < candidates_.size(), "action index out of range");
-    }
-  }
+  for (const auto& actions : batch) check_actions(actions);
 
   // Phase 1 (locked): satisfy hits, dedup misses in first-seen order.
   std::unordered_map<std::vector<std::size_t>, std::size_t, KeyHash> slots;
@@ -295,7 +279,7 @@ std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
     const std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t batch_hits = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (const NetworkReport* hit = lookup_locked(batch[i])) {
+      if (const NetworkReport* hit = memo_.find(batch[i])) {
         ++stats_.hits;
         ++batch_hits;
         results[i] = *hit;
@@ -325,21 +309,17 @@ std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
   // Phase 2 (lock-free): compute unique misses, in parallel when a pool is
   // configured. compute() is pure, so results do not depend on scheduling.
   std::vector<NetworkReport> computed(first_position.size());
-  if (pool_ && config_.threads > 0 && first_position.size() > 1) {
-    pool_->parallel_for(0, first_position.size(), [&](std::size_t u) {
-      computed[u] = compute(batch[first_position[u]]);
-    });
-  } else {
-    for (std::size_t u = 0; u < first_position.size(); ++u) {
-      computed[u] = compute(batch[first_position[u]]);
-    }
-  }
+  common::parallel_for(pool_.get(), 0, first_position.size(),
+                       [&](std::size_t u) {
+                         computed[u] = compute(batch[first_position[u]]);
+                       });
 
   // Phase 3 (locked): memoize in first-seen order and scatter to positions.
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t u = 0; u < computed.size(); ++u) {
-      insert_locked(batch[first_position[u]], computed[u]);
+      count_evictions(stats_,
+                      memo_.insert(batch[first_position[u]], computed[u]));
     }
   }
   for (std::size_t u = 0; u < computed.size(); ++u) {
@@ -351,16 +331,12 @@ std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
 RobustnessReport EvaluationEngine::evaluate_robustness(
     const nn::Model& model, const std::vector<std::size_t>& actions,
     const FaultConfig& faults, const RobustnessOptions& options) const {
-  AUTOHET_CHECK(actions.size() == layers_.size(),
-                "one action per layer required");
+  check_actions(actions);
   AUTOHET_CHECK(model.spec().mappable_layers().size() == layers_.size(),
                 "model mappable layers must match engine layers");
   std::vector<mapping::CrossbarShape> shapes;
   shapes.reserve(actions.size());
-  for (std::size_t a : actions) {
-    AUTOHET_CHECK(a < candidates_.size(), "action index out of range");
-    shapes.push_back(candidates_[a]);
-  }
+  for (std::size_t a : actions) shapes.push_back(candidates_[a]);
   // Callers that leave the trial parallelism at its serial default inherit
   // the engine's configured worker count (reports are byte-identical at
   // any thread count, so this is purely a wall-time knob).
@@ -390,47 +366,34 @@ std::size_t EvaluationEngine::RobustnessKeyHash::operator()(
     h ^= x;
     h *= 1099511628211ull;
   };
-  const auto mix_d = [&mix](double d) {
-    mix(std::bit_cast<std::uint64_t>(d));
-  };
-  mix(reinterpret_cast<std::uintptr_t>(k.model));
+  mix(k.model);
   for (std::size_t a : k.actions) mix(a);
-  mix_d(k.faults.stuck_at_zero_rate);
-  mix_d(k.faults.stuck_at_one_rate);
-  mix_d(k.faults.program_sigma);
-  mix_d(k.faults.read_sigma);
-  mix_d(k.faults.drift_time_s);
-  mix_d(k.faults.drift_nu);
-  mix(static_cast<std::uint64_t>(k.faults.cell_bits));
-  mix(k.faults.seed);
+  mix(plan::fault_fingerprint(k.faults));
   mix(static_cast<std::uint64_t>(k.trials));
   mix(static_cast<std::uint64_t>(k.samples));
   mix(k.input_seed);
   mix(static_cast<std::uint64_t>(k.mode));
   mix(static_cast<std::uint64_t>(k.kernels));
   mix(static_cast<std::uint64_t>(k.budget.mode));
-  mix_d(k.budget.ci_halfwidth);
+  mix(std::bit_cast<std::uint64_t>(k.budget.ci_halfwidth));
   mix(static_cast<std::uint64_t>(k.budget.min_trials));
   mix(static_cast<std::uint64_t>(k.budget.max_trials));
   mix(static_cast<std::uint64_t>(k.budget.chunk_trials));
-  mix(k.budget.span_zero_rate ? 1u : 0u);
   return static_cast<std::size_t>(h);
 }
 
 RobustnessReport EvaluationEngine::evaluate_robustness_cached(
     const nn::Model& model, const std::vector<std::size_t>& actions,
     const FaultConfig& faults, const RobustnessOptions& options) const {
-  RobustnessKey key{&model,          actions,        faults,
-                    options.trials,  options.samples, options.input_seed,
-                    options.mode,    options.kernels, options.budget};
+  const RobustnessKey key{model.identity(), actions,         faults,
+                          options.trials,   options.samples, options.input_seed,
+                          options.mode,     options.kernels, options.budget};
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = rob_memo_.find(key);
-    if (it != rob_memo_.end()) {
-      rob_lru_.splice(rob_lru_.begin(), rob_lru_, it->second);
+    if (const RobustnessReport* hit = rob_memo_.find(key)) {
       ++rob_stats_.hits;
       OBS_COUNTER_ADD("autohet_mc_memo_hits_total", 1);
-      return it->second->second;
+      return *hit;
     }
     ++rob_stats_.misses;
     OBS_COUNTER_ADD("autohet_mc_memo_misses_total", 1);
@@ -444,17 +407,8 @@ RobustnessReport EvaluationEngine::evaluate_robustness_cached(
   if (opts.layer_cache == nullptr) opts.layer_cache = &layer_cache_;
   const RobustnessReport report =
       evaluate_robustness(model, actions, faults, opts);
-  if (config_.robustness_memo_capacity == 0) return report;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (rob_memo_.find(key) == rob_memo_.end()) {
-    rob_lru_.emplace_front(key, report);
-    rob_memo_.emplace(std::move(key), rob_lru_.begin());
-    while (rob_memo_.size() > config_.robustness_memo_capacity) {
-      rob_memo_.erase(rob_lru_.back().first);
-      rob_lru_.pop_back();
-      ++rob_stats_.evictions;
-    }
-  }
+  rob_stats_.evictions += rob_memo_.insert(key, report);
   return report;
 }
 
@@ -472,10 +426,8 @@ EvaluationEngine::CacheStats EvaluationEngine::robustness_cache_stats()
 void EvaluationEngine::clear_cache() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   memo_.clear();
-  lru_.clear();
   stats_ = CacheStats{};
   rob_memo_.clear();
-  rob_lru_.clear();
   rob_stats_ = CacheStats{};
   layer_cache_.clear();
 }

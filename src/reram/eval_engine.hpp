@@ -36,10 +36,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -48,6 +46,7 @@
 #include "nn/layer.hpp"
 #include "reram/functional.hpp"
 #include "reram/hardware_model.hpp"
+#include "reram/memo.hpp"
 
 namespace autohet::reram {
 
@@ -58,10 +57,6 @@ struct EvalEngineConfig {
   /// Worker threads for `evaluate_batch`. 0 = evaluate serially on the
   /// calling thread; N > 0 = lazily create an internal ThreadPool(N).
   std::size_t threads = 0;
-  /// Maximum memoized `RobustnessReport`s for evaluate_robustness_cached
-  /// (LRU-evicted; 0 disables that memo). Sized for a search loop: ~500
-  /// episodes revisit far fewer distinct allocations once converged.
-  std::size_t robustness_memo_capacity = 1024;
 };
 
 class EvaluationEngine {
@@ -163,6 +158,8 @@ class EvaluationEngine {
     return table_[layer * candidates_.size() + cand];
   }
 
+  /// Throws unless `actions` holds one in-range candidate index per layer.
+  void check_actions(const std::vector<std::size_t>& actions) const;
   /// The uncached compute path (pure; lock-free).
   NetworkReport compute(const std::vector<std::size_t>& actions) const;
 
@@ -173,11 +170,6 @@ class EvaluationEngine {
   std::vector<LayerCandidate> table_;   ///< L×C, row-major by layer
   std::vector<CandidateInfo> cand_info_;
 
-  // ---- LRU memo (guarded by mutex_) ----
-  struct MemoEntry {
-    std::vector<std::size_t> actions;
-    NetworkReport report;
-  };
   struct KeyHash {
     std::size_t operator()(const std::vector<std::size_t>& v) const noexcept {
       std::uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -188,20 +180,11 @@ class EvaluationEngine {
       return static_cast<std::size_t>(h);
     }
   };
-  using LruList = std::list<MemoEntry>;
-  mutable std::mutex mutex_;
-  mutable LruList lru_;  ///< front = most recently used
-  mutable std::unordered_map<std::vector<std::size_t>, LruList::iterator,
-                             KeyHash>
-      memo_;
-  mutable CacheStats stats_;
-
-  // ---- robustness-report memo (guarded by mutex_) ----
   /// Everything evaluate_robustness_cached's result depends on. Thread /
   /// pool / cache knobs are excluded on purpose: reports are byte-identical
   /// across them, so one memo serves every execution configuration.
   struct RobustnessKey {
-    const nn::Model* model = nullptr;
+    std::uint64_t model = 0;  ///< nn::Model::identity()
     std::vector<std::size_t> actions;
     FaultConfig faults;
     int trials = 0;
@@ -215,11 +198,16 @@ class EvaluationEngine {
   struct RobustnessKeyHash {
     std::size_t operator()(const RobustnessKey& k) const noexcept;
   };
-  using RobLruList = std::list<std::pair<RobustnessKey, RobustnessReport>>;
-  mutable RobLruList rob_lru_;  ///< front = most recently used
-  mutable std::unordered_map<RobustnessKey, RobLruList::iterator,
-                             RobustnessKeyHash>
-      rob_memo_;
+  /// Memoized RobustnessReports: sized for a search loop, where ~500
+  /// episodes revisit far fewer distinct allocations once converged.
+  static constexpr std::size_t kRobustnessMemoCapacity = 1024;
+
+  // ---- the two report memos and their counters (guarded by mutex_) ----
+  mutable std::mutex mutex_;
+  mutable LruMemo<std::vector<std::size_t>, NetworkReport, KeyHash> memo_;
+  mutable CacheStats stats_;
+  mutable LruMemo<RobustnessKey, RobustnessReport, RobustnessKeyHash>
+      rob_memo_{kRobustnessMemoCapacity};
   mutable CacheStats rob_stats_;
 
   mutable std::unique_ptr<common::ThreadPool> pool_;  ///< lazy, when threads>0
@@ -230,12 +218,6 @@ class EvaluationEngine {
   /// evaluate_robustness_cached first visits (its own internal locking;
   /// bit-identical reports — see LayerFabricCache).
   mutable LayerFabricCache layer_cache_;
-
-  // Unsynchronized memo helpers (callers hold mutex_).
-  const NetworkReport* lookup_locked(
-      const std::vector<std::size_t>& actions) const;
-  void insert_locked(const std::vector<std::size_t>& actions,
-                     const NetworkReport& report) const;
 };
 
 }  // namespace autohet::reram

@@ -236,7 +236,7 @@ FaultMapStats FaultModel::apply(std::span<std::int8_t> cells,
   AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
                 "invalid fault-map geometry");
   common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  stats = apply_fast(cells, rows, cols, row_stride, rng);
+  stats = apply_fast<false>(cells, rows, cols, row_stride, rng, nullptr);
   OBS_COUNTER_ADD("autohet_fault_cells_total",
                   static_cast<std::uint64_t>(stats.physical_cells));
   OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
@@ -268,23 +268,24 @@ FaultMapStats FaultModel::apply_reference(std::span<std::int8_t> cells,
   return stats;
 }
 
+template <bool kRecord>
 FaultMapStats FaultModel::apply_fast(std::span<std::int8_t> cells,
                                      std::int64_t rows, std::int64_t cols,
-                                     std::int64_t row_stride,
-                                     common::Rng& rng) const {
+                                     std::int64_t row_stride, common::Rng& rng,
+                                     std::vector<StuckCandidate>* rec) const {
   switch (planes_) {
     case 8:
-      return apply_fast_impl<8, false>(cells, rows, cols, row_stride, rng,
-                                       nullptr);
+      return apply_fast_impl<8, kRecord>(cells, rows, cols, row_stride, rng,
+                                         rec);
     case 4:
-      return apply_fast_impl<4, false>(cells, rows, cols, row_stride, rng,
-                                       nullptr);
+      return apply_fast_impl<4, kRecord>(cells, rows, cols, row_stride, rng,
+                                         rec);
     case 2:
-      return apply_fast_impl<2, false>(cells, rows, cols, row_stride, rng,
-                                       nullptr);
+      return apply_fast_impl<2, kRecord>(cells, rows, cols, row_stride, rng,
+                                         rec);
     default:
-      return apply_fast_impl<1, false>(cells, rows, cols, row_stride, rng,
-                                       nullptr);
+      return apply_fast_impl<1, kRecord>(cells, rows, cols, row_stride, rng,
+                                         rec);
   }
 }
 
@@ -300,20 +301,7 @@ FaultMapStats FaultModel::apply_recording(
   AUTOHET_CHECK(rows * cols * planes_ <= 0xffffffffll,
                 "crossbar too large for 32-bit plane indices");
   common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  switch (planes_) {
-    case 8:
-      return apply_fast_impl<8, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-    case 4:
-      return apply_fast_impl<4, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-    case 2:
-      return apply_fast_impl<2, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-    default:
-      return apply_fast_impl<1, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-  }
+  return apply_fast<true>(cells, rows, cols, row_stride, rng, &out);
 }
 
 FaultMapStats FaultModel::replay_stuck(

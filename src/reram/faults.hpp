@@ -122,6 +122,9 @@ WilsonInterval wilson_interval(double successes, double n,
 /// trials use the same `FaultConfig::for_trial` seed stream as fixed mode,
 /// so an adaptive run that stops after T trials reports exactly the fixed-
 /// mode statistics of its first T trials (a prefix, not an approximation).
+/// With a TrialFabricCache, adaptive zero-stuck-rate points also replay the
+/// shared variation-only recording instead of burning fresh fabrics:
+/// statistically equivalent, not byte-identical, so never in kFixed.
 struct RobustnessBudget {
   enum class Mode { kFixed, kAdaptive };
   Mode mode = Mode::kFixed;
@@ -136,13 +139,6 @@ struct RobustnessBudget {
   /// decisions happen at chunk boundaries only, so the executed trial count
   /// is a pure function of the sample outcomes, never of thread scheduling.
   int chunk_trials = 1;
-  /// Adaptive-mode cross-rate cache spanning: serve zero-stuck-rate grid
-  /// points by replaying the shared variation-only recording (see
-  /// TrialFabricCache) instead of re-burning a fresh fabric per trial.
-  /// Statistically equivalent, *not* byte-identical — a zero-rate burn-in
-  /// skips the stuck draws and is a different RNG stream — so it never
-  /// applies in kFixed mode.
-  bool span_zero_rate = true;
 
   void validate() const;
   bool operator==(const RobustnessBudget&) const = default;
@@ -342,9 +338,14 @@ class FaultModel {
   }
 
  private:
+  /// The fast burn-in (apply) or, with kRecord, the recording burn-in
+  /// (apply_recording, stuck draws captured into `rec`): dispatches on the
+  /// plane count to apply_fast_impl.
+  template <bool kRecord>
   FaultMapStats apply_fast(std::span<std::int8_t> cells, std::int64_t rows,
                            std::int64_t cols, std::int64_t row_stride,
-                           common::Rng& rng) const;
+                           common::Rng& rng,
+                           std::vector<StuckCandidate>* rec) const;
   /// apply_fast body with the plane count baked in at compile time so the
   /// per-plane loops fully unroll (defined in faults.cpp; instantiated for
   /// every legal 8 / cell_bits). With kRecord the stuck draws are captured

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/model_zoo.hpp"
 #include "obs/obs.hpp"
 #include "tensor/ops.hpp"
 
@@ -28,10 +29,12 @@ constexpr std::uint64_t make_call_key(std::uint64_t noise_stream,
 }
 
 /// Programs `model`'s mappable layers onto the given crossbar shapes,
-/// burning `faults` in as the weights are written.
+/// burning `faults` in as the weights are written. With a `cache`, each
+/// layer is a copy of the cache's shared build for its key.
 std::vector<MappedLayer> program_layers(
     const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-    const FaultConfig& faults, KernelPolicy policy) {
+    const FaultConfig& faults, KernelPolicy policy,
+    LayerFabricCache* cache = nullptr) {
   const auto mappable = model.spec().mappable_layers();
   AUTOHET_CHECK(shapes.size() == mappable.size(),
                 "one crossbar shape per mappable layer required");
@@ -39,9 +42,14 @@ std::vector<MappedLayer> program_layers(
   std::vector<MappedLayer> layers;
   layers.reserve(mappable.size());
   for (std::size_t i = 0; i < mappable.size(); ++i) {
-    layers.emplace_back(mappable[i], model.weight(i), shapes[i],
-                        fm.ideal() ? nullptr : &fm,
-                        static_cast<std::uint64_t>(i), policy);
+    const auto build = [&] {
+      return MappedLayer(mappable[i], model.weight(i), shapes[i],
+                         fm.ideal() ? nullptr : &fm,
+                         static_cast<std::uint64_t>(i), policy);
+    };
+    layers.push_back(cache == nullptr ? build()
+                                      : *cache->layer(model, i, shapes[i],
+                                                      faults, policy, build));
   }
   return layers;
 }
@@ -158,9 +166,7 @@ void MappedLayer::burn_faults(const FaultModel& faults, std::uint64_t layer_id,
     fault_stats_ += crossbars_[i].apply_faults(
         faults, base_id + static_cast<std::uint64_t>(i), reference_path);
   }
-  read_sigma_weights_ = faults.read_noise_weight_sigma();
-  read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
-                   .child(layer_id);
+  arm_read_noise(faults, layer_id);
 }
 
 void MappedLayer::burn_faults_recording(const FaultModel& faults,
@@ -175,9 +181,7 @@ void MappedLayer::burn_faults_recording(const FaultModel& faults,
         faults, base_id + static_cast<std::uint64_t>(i), out[i].hits);
     fault_stats_ += out[i].variation;
   }
-  read_sigma_weights_ = faults.read_noise_weight_sigma();
-  read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
-                   .child(layer_id);
+  arm_read_noise(faults, layer_id);
 }
 
 void MappedLayer::replay_faults(
@@ -191,6 +195,11 @@ void MappedLayer::replay_faults(
     fault_stats_ += crossbars_[i].replay_stuck_faults(faults,
                                                       recorded[i].hits);
   }
+  arm_read_noise(faults, layer_id);
+}
+
+void MappedLayer::arm_read_noise(const FaultModel& faults,
+                                 std::uint64_t layer_id) {
   read_sigma_weights_ = faults.read_noise_weight_sigma();
   read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
                    .child(layer_id);
@@ -384,49 +393,45 @@ SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
 SimulatedModel SimulatedModel::with_faults(const FaultConfig& faults) const {
   AUTOHET_CHECK(fault_model_.ideal(),
                 "with_faults requires a clean (ideal) fabric to clone");
-  AUTOHET_CHECK(faults.read_sigma == 0.0 || mode_ == DatapathMode::kInteger,
-                "read noise requires the integer datapath");
-  SimulatedModel out = *this;  // reuses quantization + programmed cells
-  out.fault_model_ = FaultModel(faults);
-  if (out.fault_model_.ideal()) return out;
-  for (std::size_t i = 0; i < out.layers_.size(); ++i) {
-    out.layers_[i].burn_faults(out.fault_model_,
-                               static_cast<std::uint64_t>(i));
-  }
-  return out;
+  return clone_burned(faults, [](MappedLayer& layer, const FaultModel& fm,
+                                 std::uint64_t id) {
+    layer.burn_faults(fm, id);
+  });
 }
 
 SimulatedModel SimulatedModel::with_faults_recorded(
     const FaultConfig& faults, TrialBurnRecord& record) const {
   AUTOHET_CHECK(fault_model_.ideal(),
                 "recording requires a clean (ideal) fabric to clone");
-  AUTOHET_CHECK(faults.read_sigma == 0.0 || mode_ == DatapathMode::kInteger,
-                "read noise requires the integer datapath");
-  SimulatedModel out = *this;
-  out.fault_model_ = FaultModel(faults);
-  AUTOHET_CHECK(out.fault_model_.record_eligible(),
+  AUTOHET_CHECK(FaultModel(faults).record_eligible(),
                 "fault config is not record-eligible");
-  record.layers.clear();
-  record.layers.resize(out.layers_.size());
-  for (std::size_t i = 0; i < out.layers_.size(); ++i) {
-    out.layers_[i].burn_faults_recording(
-        out.fault_model_, static_cast<std::uint64_t>(i), record.layers[i]);
-  }
-  return out;
+  record.layers.assign(layers_.size(), {});
+  return clone_burned(faults, [&](MappedLayer& layer, const FaultModel& fm,
+                                  std::uint64_t id) {
+    layer.burn_faults_recording(fm, id, record.layers[id]);
+  });
 }
 
 SimulatedModel SimulatedModel::replay_faults(
     const FaultConfig& faults, const TrialBurnRecord& record) const {
   AUTOHET_CHECK(record.layers.size() == layers_.size(),
                 "burn record does not match this fabric's layer count");
+  return clone_burned(faults, [&](MappedLayer& layer, const FaultModel& fm,
+                                  std::uint64_t id) {
+    layer.replay_faults(fm, id, record.layers[id]);
+  });
+}
+
+SimulatedModel SimulatedModel::clone_burned(
+    const FaultConfig& faults,
+    const std::function<void(MappedLayer&, const FaultModel&, std::uint64_t)>&
+        burn) const {
   AUTOHET_CHECK(faults.read_sigma == 0.0 || mode_ == DatapathMode::kInteger,
                 "read noise requires the integer datapath");
-  SimulatedModel out = *this;  // clone of the post-variation fabric
+  SimulatedModel out = *this;  // reuses quantization + programmed cells
   out.fault_model_ = FaultModel(faults);
   for (std::size_t i = 0; i < out.layers_.size(); ++i) {
-    out.layers_[i].replay_faults(out.fault_model_,
-                                 static_cast<std::uint64_t>(i),
-                                 record.layers[i]);
+    burn(out.layers_[i], out.fault_model_, static_cast<std::uint64_t>(i));
   }
   return out;
 }
@@ -527,13 +532,7 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
         }
       }
     };
-    if (pool != nullptr && tiles > 1) {
-      pool->parallel_for(0, static_cast<std::size_t>(tiles), run_tile);
-    } else {
-      for (std::int64_t t = 0; t < tiles; ++t) {
-        run_tile(static_cast<std::size_t>(t));
-      }
-    }
+    common::parallel_for(pool, 0, static_cast<std::size_t>(tiles), run_tile);
     return out;
   }
 
@@ -563,13 +562,7 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
       }
     }
   };
-  if (pool != nullptr && oh > 1) {
-    pool->parallel_for(0, static_cast<std::size_t>(oh), run_row);
-  } else {
-    for (std::int64_t oi = 0; oi < oh; ++oi) {
-      run_row(static_cast<std::size_t>(oi));
-    }
-  }
+  common::parallel_for(pool, 0, static_cast<std::size_t>(oh), run_row);
   return out;
 }
 
@@ -759,106 +752,49 @@ std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_batch(
   return traces;
 }
 
+nn::Model replay_model(const plan::DeploymentPlan& plan) {
+  common::Rng weight_rng(3);
+  if (plan.has_graph()) return nn::Model(plan.graph, weight_rng);
+  const nn::NetworkSpec net = nn::network_by_name(plan.network);
+  AUTOHET_CHECK(net.sequential_runnable,
+                plan.network + " is not sequentially runnable");
+  return nn::Model(net, weight_rng);
+}
+
 std::shared_ptr<const TrialFabricCache::IdealRefs>
 TrialFabricCache::ideal_refs(const WorkloadKey& key,
                              const std::function<IdealRefs()>& build) {
-  std::shared_ptr<IdealSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!has_workload_ || !(key_ == key)) {
-      key_ = key;
-      has_workload_ = true;
-      ideal_slot_.reset();
-      trials_.clear();
-    }
-    if (!ideal_slot_) ideal_slot_ = std::make_shared<IdealSlot>();
-    slot = ideal_slot_;
-  }
-  // The build runs outside the map lock so concurrent calls for other slots
-  // are never serialized behind it; duplicate calls for *this* slot queue on
-  // the slot mutex and find the value filled.
-  std::lock_guard<std::mutex> fill(slot->m);
-  const bool hit = slot->value != nullptr;
-  if (!hit) slot->value = std::make_shared<const IdealRefs>(build());
-  std::lock_guard<std::mutex> lock(mutex_);
-  hit ? ++stats_.ideal_hits : ++stats_.ideal_builds;
-  return slot->value;
+  return ideal_.get(key, build);
 }
 
 std::shared_ptr<const TrialFabricCache::TrialFabric>
-TrialFabricCache::trial_fabric(const FaultConfig& trial_faults,
+TrialFabricCache::trial_fabric(const WorkloadKey& workload,
+                               const FaultConfig& trial_faults,
                                const std::function<TrialFabric()>& build) {
-  const TrialKey key{trial_faults.cell_bits, trial_faults.program_sigma,
-                     trial_faults.seed};
-  std::shared_ptr<TrialSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [k, s] : trials_) {
-      if (k == key) {
-        slot = s;
-        break;
-      }
-    }
-    if (!slot) {
-      // A different (cell_bits, sigma) generation can never hit again
-      // within this workload's sweep — drop stale fabrics eagerly.
-      std::erase_if(trials_, [&](const auto& entry) {
-        return entry.first.cell_bits != key.cell_bits ||
-               entry.first.program_sigma != key.program_sigma;
-      });
-      if (trials_.size() >= kMaxTrialSlots) trials_.clear();
-      slot = std::make_shared<TrialSlot>();
-      trials_.emplace_back(key, slot);
-    }
-  }
-  std::lock_guard<std::mutex> fill(slot->m);
-  const bool hit = slot->value != nullptr;
-  if (!hit) slot->value = std::make_shared<const TrialFabric>(build());
-  std::lock_guard<std::mutex> lock(mutex_);
-  hit ? ++stats_.trial_replays : ++stats_.trial_records;
-  return slot->value;
+  const TrialKey key{workload, trial_faults.cell_bits,
+                     trial_faults.program_sigma, trial_faults.seed};
+  // Another workload, or another (cell_bits, sigma) generation of this one,
+  // can never hit again within a sweep — drop its fabrics eagerly.
+  return trials_.get(key, build, [&](const TrialKey& resident) {
+    return resident.workload != key.workload ||
+           resident.cell_bits != key.cell_bits ||
+           resident.program_sigma != key.program_sigma;
+  });
 }
 
 TrialFabricCache::Stats TrialFabricCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-void TrialFabricCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  has_workload_ = false;
-  ideal_slot_.reset();
-  trials_.clear();
+  const auto ideal = ideal_.counts();
+  const auto trials = trials_.counts();
+  return {ideal.builds, ideal.hits, trials.builds, trials.hits};
 }
 
 std::shared_ptr<const MappedLayer> LayerFabricCache::layer(
     const nn::Model& model, std::size_t layer_index,
     const mapping::CrossbarShape& shape, const FaultConfig& faults,
     KernelPolicy policy, const std::function<MappedLayer()>& build) {
-  const Key key{&model, layer_index, shape.rows, shape.cols, faults, policy};
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [k, s] : slots_) {
-      if (k == key) {
-        slot = s;
-        break;
-      }
-    }
-    if (!slot) {
-      if (slots_.size() >= kMaxSlots) slots_.clear();
-      slot = std::make_shared<Slot>();
-      slots_.emplace_back(key, slot);
-    }
-  }
-  // Build outside the list lock (per-slot serialization only), exactly as
-  // TrialFabricCache does.
-  std::lock_guard<std::mutex> fill(slot->m);
-  const bool hit = slot->value != nullptr;
-  if (!hit) slot->value = std::make_shared<const MappedLayer>(build());
-  std::lock_guard<std::mutex> lock(mutex_);
-  hit ? ++stats_.hits : ++stats_.builds;
-  return slot->value;
+  return layers_.get(
+      {model.identity(), layer_index, shape.rows, shape.cols, faults, policy},
+      build);
 }
 
 std::shared_ptr<const TrialFabricCache::IdealRefs>
@@ -866,41 +802,19 @@ LayerFabricCache::ideal_refs(
     const nn::Model& model, DatapathMode mode, int samples,
     std::uint64_t input_seed, KernelPolicy policy,
     const std::function<TrialFabricCache::IdealRefs()>& build) {
-  const RefsKey key{&model, mode, samples, input_seed, policy};
-  std::shared_ptr<RefsSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [k, s] : refs_slots_) {
-      if (k == key) {
-        slot = s;
-        break;
-      }
-    }
-    if (!slot) {
-      if (refs_slots_.size() >= kMaxRefsSlots) refs_slots_.clear();
-      slot = std::make_shared<RefsSlot>();
-      refs_slots_.emplace_back(key, slot);
-    }
-  }
-  std::lock_guard<std::mutex> fill(slot->m);
-  const bool hit = slot->value != nullptr;
-  if (!hit) {
-    slot->value = std::make_shared<const TrialFabricCache::IdealRefs>(build());
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  hit ? ++stats_.refs_hits : ++stats_.refs_builds;
-  return slot->value;
+  return refs_.get({model.identity(), mode, samples, input_seed, policy},
+                   build);
 }
 
 LayerFabricCache::Stats LayerFabricCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  const auto layers = layers_.counts();
+  const auto refs = refs_.counts();
+  return {layers.builds, layers.hits, refs.builds, refs.hits};
 }
 
 void LayerFabricCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  slots_.clear();
-  refs_slots_.clear();
+  layers_.clear();
+  refs_.clear();
 }
 
 RobustnessReport monte_carlo_robustness(
@@ -931,7 +845,7 @@ RobustnessReport monte_carlo_robustness(
   // rate-independent and replaying it under zero thresholds forces nothing.
   // Statistically equivalent, not byte-identical, so kFixed never takes it.
   const bool span_zero =
-      adaptive && options.budget.span_zero_rate && cache != nullptr &&
+      adaptive && cache != nullptr &&
       !cache_trials && faults.stuck_at_zero_rate == 0.0 &&
       faults.stuck_at_one_rate == 0.0 && faults.program_sigma > 0.0 &&
       FaultModel(spanning_probe(faults)).record_eligible();
@@ -941,28 +855,15 @@ RobustnessReport monte_carlo_robustness(
   report.samples = options.samples;
   report.min_accuracy = 1.0;
 
-  // Cross-allocation per-layer assembly (the in-search fast path): with a
-  // LayerFabricCache, ideal and trial fabrics are stitched together from
-  // shared prebuilt layers — bit-identical to a fresh build, because
-  // programming and burn-in are pure per-layer functions of the key.
+  // A fabric programmed under `fc`. With a LayerFabricCache (the in-search
+  // fast path) it is stitched together from shared prebuilt layers —
+  // bit-identical to a fresh build, because programming and burn-in are
+  // pure per-layer functions of the key.
   LayerFabricCache* layer_cache = scalar ? nullptr : options.layer_cache;
-  const auto assemble = [&](const FaultConfig& fc) -> SimulatedModel {
-    const auto mappable = model.spec().mappable_layers();
-    std::vector<MappedLayer> prebuilt;
-    prebuilt.reserve(shapes.size());
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      const auto shared = layer_cache->layer(
-          model, i, shapes[i], fc, options.kernels, [&] {
-            const FaultModel fm(fc);
-            return MappedLayer(mappable[i], model.weight(i), shapes[i],
-                               fm.ideal() ? nullptr : &fm,
-                               static_cast<std::uint64_t>(i),
-                               options.kernels);
-          });
-      prebuilt.push_back(*shared);
-    }
-    return SimulatedModel(model, options.mode, fc, options.kernels,
-                          std::move(prebuilt));
+  const auto program = [&](const FaultConfig& fc) {
+    return SimulatedModel(
+        model, options.mode, fc, options.kernels,
+        program_layers(model, shapes, fc, options.kernels, layer_cache));
   };
 
   // The ideal fabric is the reference: agreement with it isolates device
@@ -970,13 +871,7 @@ RobustnessReport monte_carlo_robustness(
   // references depend on no fault knob, so a cache shares one build across
   // a sweep's whole rate × cell-bits grid.
   const auto build_refs = [&]() {
-    TrialFabricCache::IdealRefs refs{
-        layer_cache != nullptr
-            ? assemble({})
-            : SimulatedModel(model, shapes, options.mode, {},
-                             options.kernels),
-        {},
-        {}};
+    TrialFabricCache::IdealRefs refs{program({}), {}, {}};
     const nn::LayerSpec& first = model.spec().layers.front();
     common::Rng img_rng(options.input_seed);
     refs.images.reserve(static_cast<std::size_t>(options.samples));
@@ -993,15 +888,16 @@ RobustnessReport monte_carlo_robustness(
   // allocation-invariant (partition-exact ideal forward), so one set
   // serves every allocation a search visits — the workload-keyed
   // TrialFabricCache would rebuild them on each new allocation.
+  const TrialFabricCache::WorkloadKey workload{
+      model.identity(), shapes, options.mode, options.samples,
+      options.input_seed};
   const std::shared_ptr<const TrialFabricCache::IdealRefs> refs =
       layer_cache != nullptr
           ? layer_cache->ideal_refs(model, options.mode, options.samples,
                                     options.input_seed, options.kernels,
                                     build_refs)
       : cache != nullptr
-          ? cache->ideal_refs({&model, shapes, options.mode, options.samples,
-                               options.input_seed},
-                              build_refs)
+          ? cache->ideal_refs(workload, build_refs)
           : std::make_shared<const TrialFabricCache::IdealRefs>(build_refs());
   const std::vector<tensor::Tensor>& images = refs->images;
   const std::vector<SimulatedModel::ForwardTrace>& references =
@@ -1034,25 +930,26 @@ RobustnessReport monte_carlo_robustness(
                          num_layers);
   }
 
+  const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
   // Phase A body: build one trial's faulty fabric. Cloning the clean fabric
   // and burning this trial's faults is bit-identical to a fresh build (both
   // are pure functions of the seeds); with a cache, the burn is recorded
   // once and replayed per rate point. The scalar baseline reconstructs from
-  // scratch, as before.
+  // scratch, as before. Layer assembly beats the record/replay machinery
+  // when allocations churn (the trial seed stream is fixed, so every layer
+  // burn is shared across episodes); the workload-keyed TrialFabricCache
+  // would evict on every new allocation anyway.
   const auto build_fabric = [&](std::size_t t) -> SimulatedModel {
     const FaultConfig trial_faults =
         faults.for_trial(static_cast<std::uint64_t>(t));
-    if (scalar) {
-      return SimulatedModel(model, shapes, options.mode, trial_faults,
-                            options.kernels);
-    }
-    // Layer assembly beats the record/replay machinery when allocations
-    // churn (the trial seed stream is fixed, so every layer burn is shared
-    // across episodes); the workload-keyed TrialFabricCache would evict on
-    // every new allocation anyway.
-    if (layer_cache != nullptr) return assemble(trial_faults);
+    if (scalar || layer_cache != nullptr) return program(trial_faults);
     if (cache_trials || span_zero) {
-      const auto slot = cache->trial_fabric(trial_faults, [&] {
+      const auto slot = cache->trial_fabric(workload, trial_faults, [&] {
         TrialBurnRecord rec;
         // A spanning (zero-rate) point burns the canonical probe config so
         // the recording it leaves behind is the exact one every in-cap
@@ -1099,9 +996,7 @@ RobustnessReport monte_carlo_robustness(
             ref_scale;
       }
     }
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return ms_since(t0);
   };
 
   int threads = options.threads;
@@ -1111,64 +1006,44 @@ RobustnessReport monte_carlo_robustness(
   // Chunking makes the parallel path worthwhile even for a single trial
   // with enough samples; intra-forward row-block/tile splitting (the pool
   // handed down to forward_batch) covers the rest, so threads > 1
-  // alone justifies the parallel path — even for a lone trial and sample.
-  const bool parallel = !scalar && threads > 1;
+  // alone justifies a pool — even for a lone trial and sample.
   std::optional<common::ThreadPool> local_pool;
-  common::ThreadPool* pool = options.pool;
-  if (parallel && pool == nullptr) {
-    local_pool.emplace(static_cast<std::size_t>(threads));
-    pool = &*local_pool;
+  common::ThreadPool* pool = nullptr;
+  if (!scalar && threads > 1) {
+    pool = options.pool;
+    if (pool == nullptr) {
+      pool = &local_pool.emplace(static_cast<std::size_t>(threads));
+    }
   }
-
-  // Runs trials [w0, w1), filling their result slots. Parallel trials are
-  // processed in generations: phase A builds a block of trial fabrics
-  // concurrently, phase B fans the block's flattened (trial, chunk) items
-  // across the pool. Blocking bounds peak fabric memory at ~block fabrics
-  // instead of the whole budget.
+  // Runs trials [w0, w1), filling their result slots, in generations:
+  // phase A builds a block of trial fabrics (concurrently with a pool),
+  // phase B runs the block's flattened (trial, chunk) items. Blocking
+  // bounds peak fabric memory at one block — a single fabric without a
+  // pool — instead of the whole budget.
+  const std::size_t block =
+      pool != nullptr ? std::max<std::size_t>(pool->size(), 8) : 1;
+  const auto cpt = static_cast<std::size_t>(chunks_per_trial);
   const auto run_trials = [&](std::size_t w0, std::size_t w1) {
-    if (parallel) {
-      const std::size_t block = std::max<std::size_t>(pool->size(), 8);
-      for (std::size_t b0 = w0; b0 < w1; b0 += block) {
-        const std::size_t b1 = std::min(w1, b0 + block);
-        std::vector<std::optional<SimulatedModel>> fabrics(b1 - b0);
-        std::vector<double> build_ms(b1 - b0, 0.0);
-        pool->parallel_for(b0, b1, [&](std::size_t t) {
-          OBS_SPAN("fault_trial_build");
-          const auto t0 = std::chrono::steady_clock::now();
-          fabrics[t - b0].emplace(build_fabric(t));
-          trials[t].stats = fabrics[t - b0]->fault_stats();
-          build_ms[t - b0] = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-        });
-        const auto cpt = static_cast<std::size_t>(chunks_per_trial);
-        std::vector<double> chunk_ms((b1 - b0) * cpt, 0.0);
-        pool->parallel_for(0, (b1 - b0) * cpt, [&](std::size_t item) {
-          OBS_SPAN("fault_trial_chunk");
-          const std::size_t t = b0 + item / cpt;
-          const int c = static_cast<int>(item % cpt);
-          chunk_ms[item] = run_chunk(*fabrics[t - b0], trials[t], c, pool);
-        });
-        for (std::size_t t = b0; t < b1; ++t) {
-          double ms = build_ms[t - b0];
-          for (std::size_t c = 0; c < cpt; ++c) {
-            ms += chunk_ms[(t - b0) * cpt + c];
-          }
-          trials[t].wall_ms = ms;
-        }
-      }
-    } else {
-      for (std::size_t t = w0; t < w1; ++t) {
-        OBS_SPAN("fault_trial");
+    for (std::size_t b0 = w0; b0 < w1; b0 += block) {
+      const std::size_t b1 = std::min(w1, b0 + block);
+      std::vector<std::optional<SimulatedModel>> fabrics(b1 - b0);
+      common::parallel_for(pool, b0, b1, [&](std::size_t t) {
+        OBS_SPAN("fault_trial_build");
         const auto t0 = std::chrono::steady_clock::now();
-        const SimulatedModel faulty = build_fabric(t);
-        trials[t].stats = faulty.fault_stats();
-        for (int c = 0; c < chunks_per_trial; ++c) {
-          run_chunk(faulty, trials[t], c, /*pool=*/nullptr);
-        }
-        trials[t].wall_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
+        fabrics[t - b0].emplace(build_fabric(t));
+        trials[t].stats = fabrics[t - b0]->fault_stats();
+        trials[t].wall_ms = ms_since(t0);
+      });
+      std::vector<double> chunk_ms((b1 - b0) * cpt, 0.0);
+      common::parallel_for(pool, 0, (b1 - b0) * cpt, [&](std::size_t item) {
+        OBS_SPAN("fault_trial_chunk");
+        const std::size_t t = b0 + item / cpt;
+        const int c = static_cast<int>(item % cpt);
+        chunk_ms[item] = run_chunk(*fabrics[t - b0], trials[t], c, pool);
+      });
+      // Chunks of one trial run concurrently; fold their times in order.
+      for (std::size_t item = 0; item < chunk_ms.size(); ++item) {
+        trials[b0 + item / cpt].wall_ms += chunk_ms[item];
       }
     }
   };

@@ -32,6 +32,7 @@
 #include "nn/model.hpp"
 #include "nn/quantize.hpp"
 #include "reram/crossbar.hpp"
+#include "reram/memo.hpp"
 #include "tensor/tensor.hpp"
 
 namespace autohet::reram {
@@ -178,6 +179,10 @@ class MappedLayer {
   const FaultMapStats& fault_stats() const noexcept { return fault_stats_; }
 
  private:
+  /// Installs `faults`' read-noise level and this layer's noise stream —
+  /// the last step of every burn.
+  void arm_read_noise(const FaultModel& faults, std::uint64_t layer_id);
+
   nn::LayerSpec spec_;
   mapping::LayerMapping mapping_;
   float weight_scale_ = 1.0f;
@@ -300,6 +305,13 @@ class SimulatedModel {
   void apply_variation(common::Rng& rng, double sigma);
 
  private:
+  /// Copies this fabric under `faults` and runs `burn(layer, model, i)` on
+  /// each layer i of the copy — the one clone step of with_faults,
+  /// with_faults_recorded and replay_faults.
+  SimulatedModel clone_burned(
+      const FaultConfig& faults,
+      const std::function<void(MappedLayer&, const FaultModel&,
+                               std::uint64_t)>& burn) const;
   /// One mappable layer over a batch, sample i on noise stream
   /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
   /// noise-free fast fabric take one batched MVM for two or more samples.
@@ -318,6 +330,12 @@ class SimulatedModel {
   std::vector<MappedLayer> layers_;  // one per mappable layer
 };
 
+/// The float model a functional replay of `plan` runs: weights drawn from
+/// seed 3 over the plan's graph (v2) or its zoo network (v1), which must be
+/// sequentially runnable. CLI replay/profile and functional serving build
+/// their models here.
+nn::Model replay_model(const plan::DeploymentPlan& plan);
+
 /// Cross-rate Monte-Carlo fabric cache (the trial-fabric cache).
 ///
 /// FaultConfig::for_trial derives trial seeds from the base seed alone, and
@@ -334,14 +352,15 @@ class SimulatedModel {
 ///
 /// Reports stay byte-identical to the uncached path (tested); the cache is
 /// purely a wall-time optimization. Thread-safe. Holds one workload at a
-/// time — a new WorkloadKey drops all previous state, matching the sweep
-/// access pattern (all rate/cell-bits points of one configuration, then the
-/// next configuration).
+/// time — a new WorkloadKey drops the previous references at once and the
+/// previous trial fabrics at its first recording, matching the sweep access
+/// pattern (all rate/cell-bits points of one configuration, then the next
+/// configuration).
 class TrialFabricCache {
  public:
   /// Everything that identifies one MC workload besides the fault config.
   struct WorkloadKey {
-    const nn::Model* model = nullptr;
+    std::uint64_t model = 0;  ///< nn::Model::identity()
     std::vector<mapping::CrossbarShape> shapes;
     DatapathMode mode = DatapathMode::kInteger;
     int samples = 0;
@@ -365,17 +384,17 @@ class TrialFabricCache {
   };
 
   /// Returns the ideal-reference slot for `key`, building it via `build` on
-  /// first use of this workload (a different key evicts everything).
+  /// first use of this workload (a different key evicts the previous one).
   std::shared_ptr<const IdealRefs> ideal_refs(
       const WorkloadKey& key, const std::function<IdealRefs()>& build);
 
-  /// Returns the recorded trial fabric for `trial_faults` (a for_trial-
-  /// derived, record-eligible config), recording via `build` on first use.
-  /// Keyed by (cell_bits, program_sigma, seed), so one recording per trial
-  /// serves every stuck-rate point of a sweep grid. Builds for distinct
-  /// trials proceed concurrently (per-slot locking).
+  /// Returns the recorded trial fabric of `workload` for `trial_faults` (a
+  /// for_trial-derived, record-eligible config), recording via `build` on
+  /// first use. Keyed by (workload, cell_bits, program_sigma, seed), so one
+  /// recording per trial serves every stuck-rate point of a sweep grid.
+  /// Builds for distinct trials proceed concurrently (per-slot locking).
   std::shared_ptr<const TrialFabric> trial_fabric(
-      const FaultConfig& trial_faults,
+      const WorkloadKey& workload, const FaultConfig& trial_faults,
       const std::function<TrialFabric()>& build);
 
   struct Stats {
@@ -385,34 +404,23 @@ class TrialFabricCache {
     std::uint64_t trial_replays = 0;  ///< cache hits replayed instead
   };
   Stats stats() const;
-  void clear();
 
  private:
-  /// The fault knobs that pin a trial's burn-in RNG stream.
+  /// The workload plus the fault knobs that pin a trial's burn-in RNG
+  /// stream.
   struct TrialKey {
+    WorkloadKey workload;
     int cell_bits = 0;
     double program_sigma = 0.0;
     std::uint64_t seed = 0;
     bool operator==(const TrialKey&) const = default;
   };
-  struct IdealSlot {
-    std::mutex m;
-    std::shared_ptr<const IdealRefs> value;
-  };
-  struct TrialSlot {
-    std::mutex m;
-    std::shared_ptr<const TrialFabric> value;
-  };
-  /// Hard slot cap: a sweep holds trials × one (cell_bits, sigma) generation
-  /// at a time; stale generations are evicted on insert.
-  static constexpr std::size_t kMaxTrialSlots = 64;
 
-  mutable std::mutex mutex_;  ///< guards the slot maps, not the builds
-  bool has_workload_ = false;
-  WorkloadKey key_;
-  std::shared_ptr<IdealSlot> ideal_slot_;
-  std::vector<std::pair<TrialKey, std::shared_ptr<TrialSlot>>> trials_;
-  Stats stats_;
+  SlotStore<WorkloadKey, IdealRefs> ideal_{1};
+  /// A sweep holds trials × one (workload, cell_bits, sigma) generation at
+  /// a time; stale generations are evicted on insert, and 64 slots cap the
+  /// rest.
+  SlotStore<TrialKey, TrialFabric> trials_{64};
 };
 
 /// Cross-allocation per-layer fabric cache (the in-search fabric cache).
@@ -462,7 +470,7 @@ class LayerFabricCache {
 
  private:
   struct Key {
-    const nn::Model* model = nullptr;
+    std::uint64_t model = 0;  ///< nn::Model::identity()
     std::size_t layer_index = 0;
     std::int64_t rows = 0;
     std::int64_t cols = 0;
@@ -470,32 +478,20 @@ class LayerFabricCache {
     KernelPolicy policy = KernelPolicy::kFast;
     bool operator==(const Key&) const = default;
   };
-  struct Slot {
-    std::mutex m;
-    std::shared_ptr<const MappedLayer> value;
-  };
   struct RefsKey {
-    const nn::Model* model = nullptr;
+    std::uint64_t model = 0;  ///< nn::Model::identity()
     DatapathMode mode = DatapathMode::kInteger;
     int samples = 0;
     std::uint64_t input_seed = 0;
     KernelPolicy policy = KernelPolicy::kFast;
     bool operator==(const RefsKey&) const = default;
   };
-  struct RefsSlot {
-    std::mutex m;
-    std::shared_ptr<const TrialFabricCache::IdealRefs> value;
-  };
-  /// Hard entry cap: one search holds L layers × C candidates × (ideal +
-  /// one trial config) ≈ dozens; 512 leaves room for several concurrent
-  /// workloads before wholesale eviction.
-  static constexpr std::size_t kMaxSlots = 512;
-  static constexpr std::size_t kMaxRefsSlots = 8;
 
-  mutable std::mutex mutex_;  ///< guards the slot lists, not the builds
-  std::vector<std::pair<Key, std::shared_ptr<Slot>>> slots_;
-  std::vector<std::pair<RefsKey, std::shared_ptr<RefsSlot>>> refs_slots_;
-  Stats stats_;
+  /// One search holds L layers × C candidates × (ideal + one trial config)
+  /// ≈ dozens; 512 leaves room for several concurrent workloads before
+  /// wholesale eviction.
+  SlotStore<Key, MappedLayer> layers_{512};
+  SlotStore<RefsKey, TrialFabricCache::IdealRefs> refs_{8};
 };
 
 /// Knobs of the Monte-Carlo robustness evaluation.

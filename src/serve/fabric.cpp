@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "nn/model_zoo.hpp"
 #include "obs/obs.hpp"
 
 namespace autohet::serve {
@@ -86,11 +84,7 @@ ServingFabric::ServingFabric(std::vector<plan::DeploymentPlan> plans,
         plans_[m].allocation, plans_[m].accel.device, config_.programming,
         plans_[m].accel.faults);
   };
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    pool->parallel_for(0, n, precompute);
-  } else {
-    for (std::size_t m = 0; m < n; ++m) precompute(m);
-  }
+  common::parallel_for(pool, 0, n, precompute);
 
   for (std::size_t m = 0; m < n; ++m) {
     standalone_tiles_[m] =
@@ -106,16 +100,8 @@ ServingFabric::ServingFabric(std::vector<plan::DeploymentPlan> plans,
 
   if (config_.functional) {
     for (std::size_t m = 0; m < n; ++m) {
-      // DAG (v2) plans carry their graph, which the model executes.
-      common::Rng weight_rng(config_.weight_seed);
       models_[m] =
-          plans_[m].has_graph()
-              ? std::make_unique<nn::Model>(plans_[m].graph, weight_rng)
-              : std::make_unique<nn::Model>(
-                    nn::network_by_name(plans_[m].network), weight_rng);
-      AUTOHET_CHECK(models_[m]->graph().node_count() > 0,
-                    "functional serving requires a sequentially runnable "
-                    "network: " + plans_[m].network);
+          std::make_unique<nn::Model>(reram::replay_model(plans_[m]));
     }
   }
 }

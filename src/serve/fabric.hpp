@@ -53,10 +53,9 @@ struct FabricConfig {
   mapping::SharingScope scope = mapping::SharingScope::kCrossModel;
   reram::ProgrammingParams programming{};
   /// Program a real SimulatedModel on every swap-in (requires sequentially
-  /// runnable zoo networks; weights are seeded from `weight_seed` exactly
+  /// runnable zoo networks; the models are reram::replay_model's, exactly
   /// like the CLI replay path). Analytic-only otherwise.
   bool functional = false;
-  std::uint64_t weight_seed = 3;
 };
 
 /// Outcome of admitting one request's model.

@@ -74,12 +74,7 @@ std::vector<std::vector<ScheduleTable>> build_schedule_tables(
     }
   };
 
-  const std::size_t total = num_models * batches;
-  if (pool != nullptr && pool->size() > 1 && total > 1) {
-    pool->parallel_for(0, total, build_one);
-  } else {
-    for (std::size_t flat = 0; flat < total; ++flat) build_one(flat);
-  }
+  common::parallel_for(pool, 0, num_models * batches, build_one);
   return tables;
 }
 

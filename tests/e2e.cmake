@@ -3,6 +3,7 @@
 #
 #   cmake -DCASE=<case> -DWORK_DIR=<dir> -DSOURCE_DIR=<repo root>
 #         [-DFAULT_SWEEP=<fault_sweep binary>] [-DCLI=<autohet_cli binary>]
+#         [-DSERVING_SIM=<serving_sim binary>]
 #         -P tests/e2e.cmake
 #
 # Each case starts from an empty WORK_DIR (the binaries write their
@@ -12,6 +13,13 @@
 #       `fault_sweep 20` (pooled trials) and `fault_sweep 20 1` (serial)
 #       write BENCH_fault_sweep.json byte-identical to the committed
 #       bench/BENCH_baseline/BENCH_fault_sweep.json.
+#   fault_sweep_adaptive_pooled, fault_sweep_adaptive_serial
+#       `fault_sweep 20 0 adaptive` (pooled) and `fault_sweep 20 1 adaptive`
+#       (serial) write BENCH_fault_sweep_adaptive.json byte-identical to the
+#       committed baseline, and leave BENCH_fault_sweep.json unwritten.
+#   serving_sim_threads
+#       `serving_sim 500` run twice, and once more with --threads 0, writes
+#       the same BENCH_serving.json each time.
 #   graph_resnet152_replay
 #       resnet152 as a residual DAG compiles to a v2 plan whose chain
 #       skeleton checks out, and two replays give the same report JSON.
@@ -83,6 +91,29 @@ if(CASE STREQUAL "fault_sweep_pooled")
 elseif(CASE STREQUAL "fault_sweep_serial")
   run("${FAULT_SWEEP}" 20 1)
   same(BENCH_fault_sweep.json "${sweep_baseline}")
+elseif(CASE MATCHES "^fault_sweep_adaptive_(pooled|serial)$")
+  set(threads 0)
+  if(CMAKE_MATCH_1 STREQUAL "serial")
+    set(threads 1)
+  endif()
+  run("${FAULT_SWEEP}" 20 ${threads} adaptive)
+  same(BENCH_fault_sweep_adaptive.json
+       "${SOURCE_DIR}/bench/BENCH_baseline/BENCH_fault_sweep_adaptive.json")
+  if(EXISTS "${WORK_DIR}/BENCH_fault_sweep.json")
+    message(FATAL_ERROR "the adaptive sweep wrote BENCH_fault_sweep.json")
+  endif()
+elseif(CASE STREQUAL "serving_sim_threads")
+  foreach(tag first second threads0)
+    set(extra)
+    if(tag STREQUAL "threads0")
+      set(extra --threads 0)
+    endif()
+    run("${SERVING_SIM}" 500 ${extra})
+    file(RENAME "${WORK_DIR}/BENCH_serving.json"
+         "${WORK_DIR}/serving_${tag}.json")
+  endforeach()
+  same(serving_first.json serving_second.json)
+  same(serving_first.json serving_threads0.json)
 elseif(CASE STREQUAL "graph_resnet152_replay")
   run("${CLI}" graph --network resnet152 --dot-out resnet152.dot
       --plan-out graph_plan.json --check-skeleton)

@@ -3,10 +3,18 @@
 // fixed-mode bit-identity across threads and kernel policies, the
 // adaptive-prefix property (an adaptive run reports exactly the fixed-mode
 // statistics of its executed trials), zero-rate cache spanning, the
-// cross-allocation LayerFabricCache, and the in-search reward plumbing.
+// cross-allocation LayerFabricCache, the build-once SlotStore under both
+// fabric caches, model-identity cache keys, and the in-search reward
+// plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <optional>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "autohet/env.hpp"
@@ -16,6 +24,7 @@
 #include "reram/eval_engine.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
+#include "reram/memo.hpp"
 
 namespace autohet {
 namespace {
@@ -549,6 +558,144 @@ TEST(RobustnessMemoTest, KeyDiscriminatesFaultsAndBudget) {
                                           tighter);
   EXPECT_EQ(engine.robustness_cache_stats().misses, 3u);
   EXPECT_EQ(engine.robustness_cache_stats().hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// SlotStore: the build-once store under both fabric caches.
+
+TEST(SlotStoreTest, ConcurrentRequestsForOneKeyBuildOnce) {
+  reram::SlotStore<int, int> store(8);
+  std::atomic<int> builds{0};
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const int>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = store.get(7, [&] {
+        ++builds;
+        // Hold the build open so the other requests queue on the slot.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 42;
+      });
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  for (const auto& value : got) EXPECT_EQ(value, got.front());
+  EXPECT_EQ(*got.front(), 42);
+  EXPECT_EQ(store.counts().builds, 1u);
+  EXPECT_EQ(store.counts().hits, kThreads - 1);
+}
+
+TEST(SlotStoreTest, DistinctKeysBuildConcurrently) {
+  // Each build waits for the other to start: a store that serialized builds
+  // would reach the deadline with only one build in flight.
+  reram::SlotStore<int, int> store(8);
+  std::atomic<int> started{0};
+  std::atomic<bool> overlapped{true};
+  const auto build = [&] {
+    ++started;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        overlapped = false;
+        break;
+      }
+      std::this_thread::yield();
+    }
+    return 1;
+  };
+  std::thread a([&] { (void)store.get(1, build); });
+  std::thread b([&] { (void)store.get(2, build); });
+  a.join();
+  b.join();
+  EXPECT_TRUE(overlapped.load());
+  EXPECT_EQ(store.counts().builds, 2u);
+}
+
+TEST(SlotStoreTest, ThrowingBuildLeavesTheSlotEmpty) {
+  reram::SlotStore<int, int> store(8);
+  EXPECT_THROW((void)store.get(
+                   3, []() -> int { throw std::runtime_error("no fabric"); }),
+               std::runtime_error);
+  EXPECT_EQ(store.counts().builds, 0u);
+  int builds = 0;
+  EXPECT_EQ(*store.get(3, [&] { return ++builds; }), 1);
+  EXPECT_EQ(*store.get(3, [&] { return ++builds; }), 1);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(store.counts().builds, 1u);
+  EXPECT_EQ(store.counts().hits, 1u);
+}
+
+TEST(SlotStoreTest, StaleKeysAndTheCapacityEvictOnInsert) {
+  reram::SlotStore<int, int> store(2);
+  int builds = 0;
+  const auto build = [&] { return ++builds; };
+  (void)store.get(1, build);
+  (void)store.get(2, build);
+  (void)store.get(3, build);  // at capacity: 1 and 2 are dropped
+  EXPECT_EQ(*store.get(3, build), 3);
+  EXPECT_EQ(*store.get(1, build), 4);  // rebuilt
+  // Odd residents are stale for an even key; a hit evicts nothing.
+  const auto odd = [](int resident) { return resident % 2 == 1; };
+  EXPECT_EQ(*store.get(1, build, odd), 4);
+  EXPECT_EQ(*store.get(4, build, odd), 5);  // drops 1 and 3
+  EXPECT_EQ(*store.get(3, build), 6);
+  EXPECT_EQ(store.counts().builds, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// Every Monte-Carlo cache keys on the model's identity, not its address.
+
+TEST(ModelIdentityTest, CachesNeverServeAnotherModelsResults) {
+  const nn::NetworkSpec net = nn::lenet5();
+  const auto engine = lenet_engine(net);
+  const std::vector<std::size_t> actions(net.mappable_layers().size(), 1);
+  const std::vector<CrossbarShape> shapes(
+      actions.size(), mapping::hybrid_candidates()[1]);
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = 5e-3;
+  fc.stuck_at_one_rate = 5e-3;
+  fc.program_sigma = 0.05;
+  fc.seed = 7;
+  RobustnessOptions mc;
+  mc.trials = 3;
+  mc.samples = 8;
+  reram::TrialFabricCache trial_cache;
+  reram::LayerFabricCache layer_cache;
+  RobustnessOptions with_trials = mc;
+  with_trials.cache = &trial_cache;
+  RobustnessOptions with_layers = mc;
+  with_layers.layer_cache = &layer_cache;
+
+  // The engine memo and both fabric caches must each give `model` exactly
+  // the uncached report, whatever they served before.
+  const auto expect_fresh = [&](const nn::Model& model) {
+    const auto uncached = reram::monte_carlo_robustness(model, shapes, fc, mc);
+    expect_reports_identical(
+        engine.evaluate_robustness_cached(model, actions, fc, mc), uncached);
+    expect_reports_identical(
+        reram::monte_carlo_robustness(model, shapes, fc, with_trials),
+        uncached);
+    expect_reports_identical(
+        reram::monte_carlo_robustness(model, shapes, fc, with_layers),
+        uncached);
+  };
+
+  std::optional<nn::Model> model;
+  common::Rng first_weights(21);
+  model.emplace(net, first_weights);
+  expect_fresh(*model);
+  // A different model constructed at the same address.
+  common::Rng second_weights(22);
+  model.emplace(net, second_weights);
+  expect_fresh(*model);
+  // In-place weight mutation through the non-const accessor, as training
+  // does.
+  tensor::Tensor& w = model->weight(0);
+  for (std::int64_t j = 0; j < w.numel(); ++j) w[j] = -w[j];
+  expect_fresh(*model);
 }
 
 TEST(SearchRewardTest, OverloadIsIdentityWithoutMeasuredModel) {
