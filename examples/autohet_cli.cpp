@@ -720,11 +720,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   // A plan freezes the network, mapping and accelerator config, so every
-  // option that would configure a fresh search contradicts it.
+  // option that would configure a fresh search contradicts it. Counts,
+  // thread counts and rates are never negative.
   if (!args.reject_option_conflicts(
           "plan-in",
           {"episodes", "seed", "candidates", "model", "csv", "pes-per-tile",
            "no-tile-shared"},
+          &error) ||
+      !args.reject_negative_options(
+          {"episodes", "pes-per-tile", "batch", "top", "functional-samples",
+           "mc-trials", "mc-threads", "mc-max-trials", "eval-threads",
+           "requests", "qps", "max-batch", "tile-capacity", "serve-threads"},
           &error)) {
     std::cerr << error << '\n';
     return 2;

@@ -23,7 +23,7 @@ int main() {
   const nn::Model model(net, weight_rng);
 
   // Heterogeneous per-layer crossbar assignment (hand-picked to show mixed
-  // square and rectangle shapes; run examples/autohet_search to learn one).
+  // square and rectangle shapes; run `autohet_cli search` to learn one).
   const std::vector<mapping::CrossbarShape> shapes = {
       {36, 32},    // conv1: 5x5 kernels, 1 input channel
       {288, 256},  // conv2

@@ -26,32 +26,20 @@ CrossbarEnv::CrossbarEnv(std::vector<nn::LayerSpec> mappable_layers,
         std::max(max_weights_, static_cast<double>(layer.weight_count()));
     max_ins_ = std::max(max_ins_, static_cast<double>(layer.input_size()));
   }
-  reram::EvalEngineConfig engine_cfg;
-  engine_cfg.memo_capacity = config_.eval_memo_capacity;
-  engine_cfg.threads = config_.eval_threads;
   engine_ = std::make_shared<reram::EvaluationEngine>(
-      layers_, config_.candidates, config_.accel, engine_cfg);
-  if (config_.energy_scale_nj <= 0.0 || config_.area_scale_um2 <= 0.0 ||
-      config_.latency_scale_ns <= 0.0) {
-    // Auto-calibrate against the largest candidate used homogeneously; any
-    // fixed positive constant preserves the reward ordering. Routed through
-    // the engine, which also warms the memo for the homogeneous sweeps.
-    const auto largest_it = std::max_element(config_.candidates.begin(),
-                                             config_.candidates.end());
-    const auto largest_idx = static_cast<std::size_t>(
-        largest_it - config_.candidates.begin());
-    const reram::NetworkReport ref = engine_->evaluate(
-        std::vector<std::size_t>(layers_.size(), largest_idx));
-    if (config_.energy_scale_nj <= 0.0) {
-      config_.energy_scale_nj = std::max(ref.energy.total_nj(), 1.0);
-    }
-    if (config_.area_scale_um2 <= 0.0) {
-      config_.area_scale_um2 = std::max(ref.area.total_um2(), 1.0);
-    }
-    if (config_.latency_scale_ns <= 0.0) {
-      config_.latency_scale_ns = std::max(ref.latency_ns, 1.0);
-    }
-  }
+      layers_, config_.candidates, config_.accel, config_.eval_threads);
+  // Calibrate against the largest candidate used homogeneously; any fixed
+  // positive constant preserves the reward ordering. Routed through the
+  // engine, which also warms the memo for the homogeneous sweeps.
+  const auto largest_it =
+      std::max_element(config_.candidates.begin(), config_.candidates.end());
+  const auto largest_idx =
+      static_cast<std::size_t>(largest_it - config_.candidates.begin());
+  const reram::NetworkReport ref = engine_->evaluate(
+      std::vector<std::size_t>(layers_.size(), largest_idx));
+  energy_scale_nj_ = std::max(ref.energy.total_nj(), 1.0);
+  area_scale_um2_ = std::max(ref.area.total_um2(), 1.0);
+  latency_scale_ns_ = std::max(ref.latency_ns, 1.0);
 }
 
 std::vector<double> CrossbarEnv::state(std::size_t k, std::size_t prev_action,
@@ -126,27 +114,27 @@ double CrossbarEnv::reward(const reram::NetworkReport& report,
   }
   const double e = report.energy.total_nj();
   if (e <= 0.0) return 0.0;
-  const double base = report.utilization / (e / config_.energy_scale_nj);
+  const double base = report.utilization / (e / energy_scale_nj_);
   const reram::RobustnessReport rob = engine_->evaluate_robustness_cached(
       *config_.mc_reward_model, action_indices, config_.accel.faults,
-      config_.mc_reward_options);
+      default_search_mc_options());
   return base * rob.mean_accuracy;
 }
 
 double CrossbarEnv::reward(const reram::NetworkReport& report) const {
   const double e = report.energy.total_nj();
   if (e <= 0.0) return 0.0;
-  const double base = report.utilization / (e / config_.energy_scale_nj);
+  const double base = report.utilization / (e / energy_scale_nj_);
   switch (config_.objective) {
     case RewardObjective::kUtilizationPerEnergy:
       return base;
     case RewardObjective::kAreaAware: {
       const double a = report.area.total_um2();
-      return a > 0.0 ? base / (a / config_.area_scale_um2) : 0.0;
+      return a > 0.0 ? base / (a / area_scale_um2_) : 0.0;
     }
     case RewardObjective::kLatencyAware: {
       const double t = report.latency_ns;
-      return t > 0.0 ? base / (t / config_.latency_scale_ns) : 0.0;
+      return t > 0.0 ? base / (t / latency_scale_ns_) : 0.0;
     }
     case RewardObjective::kRobustnessAware: {
       const double v =

@@ -71,26 +71,18 @@ struct EnvConfig {
   std::vector<mapping::CrossbarShape> candidates;  ///< the action space
   reram::AcceleratorConfig accel;
   RewardObjective objective = RewardObjective::kUtilizationPerEnergy;
-  /// Normalization divisors for the reward; 0 = auto-calibrate against the
-  /// largest-candidate homogeneous configuration (see above).
-  double energy_scale_nj = 0.0;
-  double area_scale_um2 = 0.0;
-  double latency_scale_ns = 0.0;
-  /// Hardware-evaluation engine knobs (see reram/eval_engine.hpp): LRU
-  /// bound on memoized NetworkReports and worker threads for
-  /// evaluate_batch (0 = serial).
-  std::size_t eval_memo_capacity = 4096;
+  /// Worker threads of the hardware-evaluation engine's evaluate_batch
+  /// (0 = serial; see reram/eval_engine.hpp).
   std::size_t eval_threads = 0;
   /// Measured robustness in the reward loop. When non-null and the
   /// objective is kRobustnessAware (with a non-ideal accel.faults), each
   /// episode's analytic (1 − v) factor is replaced by the *measured*
   /// Monte-Carlo accuracy of this model on the episode's allocation, via
   /// the engine's budgeted+memoized evaluate_robustness_cached under
-  /// `mc_reward_options`. Null (the default) keeps the analytic proxy and
-  /// leaves every existing reward bit-identical. The model must outlive
-  /// the environment and match its mappable layers.
+  /// default_search_mc_options(). Null (the default) keeps the analytic
+  /// proxy and leaves every existing reward bit-identical. The model must
+  /// outlive the environment and match its mappable layers.
   const nn::Model* mc_reward_model = nullptr;
-  reram::RobustnessOptions mc_reward_options = default_search_mc_options();
 };
 
 inline constexpr int kStateDim = 10;  // paper Table 1
@@ -110,11 +102,11 @@ class CrossbarEnv {
   const reram::AcceleratorConfig& accel() const noexcept {
     return config_.accel;
   }
-  double energy_scale_nj() const noexcept { return config_.energy_scale_nj; }
-  double area_scale_um2() const noexcept { return config_.area_scale_um2; }
-  double latency_scale_ns() const noexcept {
-    return config_.latency_scale_ns;
-  }
+  /// Reward normalization divisors, calibrated at construction against the
+  /// largest-candidate homogeneous configuration (see above).
+  double energy_scale_nj() const noexcept { return energy_scale_nj_; }
+  double area_scale_um2() const noexcept { return area_scale_um2_; }
+  double latency_scale_ns() const noexcept { return latency_scale_ns_; }
   RewardObjective objective() const noexcept { return config_.objective; }
 
   /// Table-1 state vector for layer `k`. `prev_action` / `prev_utilization`
@@ -164,6 +156,9 @@ class CrossbarEnv {
   EnvConfig config_;
   /// Shared so copies of the environment share one table + memo.
   std::shared_ptr<reram::EvaluationEngine> engine_;
+  double energy_scale_nj_ = 1.0;
+  double area_scale_um2_ = 1.0;
+  double latency_scale_ns_ = 1.0;
   // Per-network normalization maxima for the state features.
   double max_inc_ = 1.0;
   double max_outc_ = 1.0;

@@ -33,12 +33,12 @@ void count_evictions(EvaluationEngine::CacheStats& stats,
 EvaluationEngine::EvaluationEngine(
     std::vector<nn::LayerSpec> layers,
     std::vector<mapping::CrossbarShape> candidates, AcceleratorConfig accel,
-    EvalEngineConfig config)
+    std::size_t threads)
     : layers_(std::move(layers)),
       candidates_(std::move(candidates)),
       accel_(accel),
-      config_(config),
-      memo_(config.memo_capacity) {
+      threads_(threads),
+      memo_(kMemoCapacity) {
   accel_.validate();
   AUTOHET_CHECK(!candidates_.empty(),
                 "evaluation engine needs at least one candidate");
@@ -301,8 +301,8 @@ std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
     OBS_COUNTER_ADD(kMisses, first_position.size());
     OBS_TRACE_COUNTER("eval_cache_hit_rate", stats_.hit_rate());
     (void)batch_hits;
-    if (!first_position.empty() && config_.threads > 0 && !pool_) {
-      pool_ = std::make_unique<common::ThreadPool>(config_.threads);
+    if (!first_position.empty() && threads_ > 0 && !pool_) {
+      pool_ = std::make_unique<common::ThreadPool>(threads_);
     }
   }
 
@@ -341,15 +341,14 @@ RobustnessReport EvaluationEngine::evaluate_robustness(
   // the engine's configured worker count (reports are byte-identical at
   // any thread count, so this is purely a wall-time knob).
   RobustnessOptions effective = options;
-  if (effective.threads == 1 && config_.threads > 1) {
-    effective.threads = static_cast<int>(config_.threads);
+  if (effective.threads == 1 && threads_ > 1) {
+    effective.threads = static_cast<int>(threads_);
   }
   // Hand the engine's shared pool to the MC fan-out so repeated robustness
   // calls (fault sweeps) don't spawn a fresh set of workers per call.
-  if (effective.pool == nullptr && effective.threads > 1 &&
-      config_.threads > 0) {
+  if (effective.pool == nullptr && effective.threads > 1 && threads_ > 0) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!pool_) pool_ = std::make_unique<common::ThreadPool>(config_.threads);
+    if (!pool_) pool_ = std::make_unique<common::ThreadPool>(threads_);
     effective.pool = pool_.get();
   }
   // Sweeps that revisit one configuration across fault grids reuse the

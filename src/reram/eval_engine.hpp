@@ -50,22 +50,15 @@
 
 namespace autohet::reram {
 
-struct EvalEngineConfig {
-  /// Maximum memoized `NetworkReport`s (LRU-evicted). 0 disables the memo
-  /// (the L×C table still accelerates every evaluation).
-  std::size_t memo_capacity = 4096;
-  /// Worker threads for `evaluate_batch`. 0 = evaluate serially on the
-  /// calling thread; N > 0 = lazily create an internal ThreadPool(N).
-  std::size_t threads = 0;
-};
-
 class EvaluationEngine {
  public:
   /// Precomputes the L×C `LayerReport` table. `layers` must contain only
-  /// mappable layers; `candidates` is the action space.
+  /// mappable layers; `candidates` is the action space. `threads` is the
+  /// worker count for `evaluate_batch`: 0 = evaluate serially on the
+  /// calling thread; N > 0 = lazily create an internal ThreadPool(N).
   EvaluationEngine(std::vector<nn::LayerSpec> layers,
                    std::vector<mapping::CrossbarShape> candidates,
-                   AcceleratorConfig accel, EvalEngineConfig config = {});
+                   AcceleratorConfig accel, std::size_t threads = 0);
 
   std::size_t num_layers() const noexcept { return layers_.size(); }
   std::size_t num_candidates() const noexcept { return candidates_.size(); }
@@ -91,7 +84,7 @@ class EvaluationEngine {
 
   /// Evaluates many independent action vectors, deduplicating repeats and
   /// fanning cache misses out over the thread pool (serial when
-  /// `config.threads == 0`). Results are positionally aligned with `batch`
+  /// `threads == 0`). Results are positionally aligned with `batch`
   /// and independent of thread scheduling.
   std::vector<NetworkReport> evaluate_batch(
       const std::vector<std::vector<std::size_t>>& batch) const;
@@ -166,7 +159,7 @@ class EvaluationEngine {
   std::vector<nn::LayerSpec> layers_;
   std::vector<mapping::CrossbarShape> candidates_;
   AcceleratorConfig accel_;
-  EvalEngineConfig config_;
+  std::size_t threads_;
   std::vector<LayerCandidate> table_;   ///< L×C, row-major by layer
   std::vector<CandidateInfo> cand_info_;
 
@@ -198,6 +191,8 @@ class EvaluationEngine {
   struct RobustnessKeyHash {
     std::size_t operator()(const RobustnessKey& k) const noexcept;
   };
+  /// Memoized NetworkReports (LRU-evicted).
+  static constexpr std::size_t kMemoCapacity = 4096;
   /// Memoized RobustnessReports: sized for a search loop, where ~500
   /// episodes revisit far fewer distinct allocations once converged.
   static constexpr std::size_t kRobustnessMemoCapacity = 1024;

@@ -88,7 +88,6 @@ class SlotStore {
 template <class Key, class Value, class Hash>
 class LruMemo {
  public:
-  /// 0 disables memoization (insert is a no-op).
   explicit LruMemo(std::size_t capacity) : capacity_(capacity) {}
 
   /// The memoized value, now most recently used; nullptr on a miss.
@@ -102,7 +101,7 @@ class LruMemo {
   /// Memoizes `value` unless `key` is already present (a raced insert keeps
   /// the first value); returns how many cold entries were evicted.
   std::size_t insert(const Key& key, const Value& value) {
-    if (capacity_ == 0 || index_.contains(key)) return 0;
+    if (index_.contains(key)) return 0;
     order_.emplace_front(key, value);
     index_.emplace(key, order_.begin());
     std::size_t evicted = 0;

@@ -1,7 +1,6 @@
 #include "rl/ddpg.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -45,10 +44,7 @@ DdpgAgent::DdpgAgent(DdpgConfig config, common::Rng rng)
                      rng_),
       actor_opt_(actor_.param_count(), config.actor_lr),
       critic_opt_(critic_.param_count(), config.critic_lr),
-      replay_(config.replay_capacity),
-      prioritized_replay_(config.replay_capacity, config.per_alpha,
-                          config.per_epsilon),
-      ou_noise_(config.ou_theta, config.ou_sigma) {
+      replay_(config.replay_capacity) {
   AUTOHET_CHECK(config.state_dim > 0, "state_dim must be positive");
   AUTOHET_CHECK(config.batch_size > 0, "batch_size must be positive");
   AUTOHET_CHECK(config.gamma >= 0.0 && config.gamma <= 1.0,
@@ -63,25 +59,12 @@ double DdpgAgent::act(std::span<const double> state) const {
 }
 
 double DdpgAgent::act_with_noise(std::span<const double> state) {
-  const double noise = (config_.noise_kind == NoiseKind::kOrnsteinUhlenbeck)
-                           ? ou_noise_.sample(rng_)
-                           : noise_.sample(rng_);
-  return std::clamp(act(state) + noise, 0.0, 1.0);
+  return std::clamp(act(state) + noise_.sample(rng_), 0.0, 1.0);
 }
 
-void DdpgAgent::decay_noise() {
-  if (config_.noise_kind == NoiseKind::kOrnsteinUhlenbeck) {
-    ou_noise_.reset();
-  } else {
-    noise_.decay();
-  }
-}
+void DdpgAgent::decay_noise() { noise_.decay(); }
 
-double DdpgAgent::noise_sigma() const noexcept {
-  return (config_.noise_kind == NoiseKind::kOrnsteinUhlenbeck)
-             ? config_.ou_sigma
-             : noise_.sigma();
-}
+double DdpgAgent::noise_sigma() const noexcept { return noise_.sigma(); }
 
 double DdpgAgent::q_value(std::span<const double> state, double action) const {
   std::vector<double> sa(state.begin(), state.end());
@@ -89,36 +72,16 @@ double DdpgAgent::q_value(std::span<const double> state, double action) const {
   return critic_.forward(sa)[0];
 }
 
-void DdpgAgent::remember(Transition t) {
-  if (config_.prioritized_replay) {
-    prioritized_replay_.add(std::move(t));
-  } else {
-    replay_.add(std::move(t));
-  }
-}
+void DdpgAgent::remember(Transition t) { replay_.add(std::move(t)); }
 
-std::size_t DdpgAgent::replay_size() const noexcept {
-  return config_.prioritized_replay ? prioritized_replay_.size()
-                                    : replay_.size();
-}
+std::size_t DdpgAgent::replay_size() const noexcept { return replay_.size(); }
 
 double DdpgAgent::update() {
   if (replay_size() < config_.batch_size) return 0.0;
 
-  // Assemble the minibatch: uniform pool, or prioritized pool with
-  // importance-sampling weights and fresh-TD-error priority updates. Both
-  // pools sample into scratch they own, so this allocates nothing.
-  const std::vector<PrioritizedReplayBuffer::Sample>* per = nullptr;
-  if (config_.prioritized_replay) {
-    per = &prioritized_replay_.sample(rng_, config_.batch_size,
-                                      config_.per_beta);
-    batch_.resize(per->size());
-    for (std::size_t b = 0; b < per->size(); ++b) {
-      batch_[b] = (*per)[b].transition;
-    }
-  }
+  // The pool samples into scratch it owns, so this allocates nothing.
   const std::vector<const Transition*>& batch =
-      per != nullptr ? batch_ : replay_.sample(rng_, config_.batch_size);
+      replay_.sample(rng_, config_.batch_size);
   const std::size_t B = batch.size();
   const double inv_batch = 1.0 / static_cast<double>(B);
   const auto S = static_cast<std::size_t>(config_.state_dim);
@@ -166,13 +129,8 @@ double DdpgAgent::update() {
     double target = t->reward;
     if (!t->terminal) target += config_.gamma * q_next[b];
     const double err = q[b] - target;
-    double weight = 1.0;
-    if (per != nullptr) {
-      prioritized_replay_.update_priority((*per)[b].index, std::fabs(err));
-      weight = (*per)[b].weight;
-    }
-    critic_loss += weight * err * err * inv_batch;
-    delta_[b] = 2.0 * weight * err * inv_batch;
+    critic_loss += err * err * inv_batch;
+    delta_[b] = 2.0 * err * inv_batch;
   }
   critic_.backward_batch(critic_cache_, delta_, nullptr);
   critic_opt_.step(critic_.params(), critic_.grads());

@@ -16,15 +16,9 @@
 #include "rl/adam.hpp"
 #include "rl/mlp.hpp"
 #include "rl/noise.hpp"
-#include "rl/prioritized_replay.hpp"
 #include "rl/replay_buffer.hpp"
 
 namespace autohet::rl {
-
-enum class NoiseKind {
-  kGaussianDecay,      ///< N(0, sigma) with per-episode multiplicative decay
-  kOrnsteinUhlenbeck,  ///< temporally correlated OU process (classic DDPG)
-};
 
 struct DdpgConfig {
   int state_dim = 10;
@@ -36,15 +30,6 @@ struct DdpgConfig {
   double tau = 0.01;    ///< target-network soft-update rate
   std::size_t replay_capacity = 20000;
   std::size_t batch_size = 64;
-  NoiseKind noise_kind = NoiseKind::kGaussianDecay;
-  double ou_theta = 0.15;  ///< OU mean-reversion rate
-  double ou_sigma = 0.2;   ///< OU diffusion
-  /// Prioritized experience replay (Schaul et al.) instead of the uniform
-  /// pool; per_* are the usual alpha/beta/epsilon knobs.
-  bool prioritized_replay = false;
-  double per_alpha = 0.6;
-  double per_beta = 0.4;
-  double per_epsilon = 1e-3;
 };
 
 class DdpgAgent {
@@ -56,8 +41,7 @@ class DdpgAgent {
   /// Policy action plus exploration noise, clamped to [0, 1].
   double act_with_noise(std::span<const double> state);
 
-  /// Decays the exploration noise (call once per episode). For OU noise
-  /// this resets the process state instead (episodes are independent).
+  /// Decays the exploration noise (call once per episode).
   void decay_noise();
   double noise_sigma() const noexcept;
 
@@ -87,9 +71,7 @@ class DdpgAgent {
   Adam actor_opt_;
   Adam critic_opt_;
   ReplayBuffer replay_;
-  PrioritizedReplayBuffer prioritized_replay_;
   DecayingGaussian noise_;
-  OrnsteinUhlenbeck ou_noise_;
 
   // update() scratch — sized on first use, reused every minibatch so the
   // hot path allocates nothing in steady state.
@@ -98,7 +80,6 @@ class DdpgAgent {
   Mlp::BatchCache critic_cache_;
   Mlp::BatchCache actor_cache_;
   Mlp::BatchCache critic_q_cache_;
-  std::vector<const Transition*> batch_;  ///< prioritized minibatch
   std::vector<double> next_states_;
   std::vector<double> states_;
   std::vector<double> sa_;

@@ -1,34 +1,12 @@
-// Exploration noise processes for DDPG.
+// Exploration noise for DDPG.
 #pragma once
 
 #include "common/rng.hpp"
 
 namespace autohet::rl {
 
-/// Ornstein-Uhlenbeck process (the classic DDPG exploration noise):
-/// dx = theta * (mu - x) dt + sigma dW.
-class OrnsteinUhlenbeck {
- public:
-  OrnsteinUhlenbeck(double theta = 0.15, double sigma = 0.2, double mu = 0.0)
-      : theta_(theta), sigma_(sigma), mu_(mu), x_(mu) {}
-
-  void reset() noexcept { x_ = mu_; }
-  double sample(common::Rng& rng) noexcept {
-    x_ += theta_ * (mu_ - x_) + sigma_ * rng.normal();
-    return x_;
-  }
-  void set_sigma(double sigma) noexcept { sigma_ = sigma; }
-  double sigma() const noexcept { return sigma_; }
-
- private:
-  double theta_;
-  double sigma_;
-  double mu_;
-  double x_;
-};
-
-/// Gaussian noise with multiplicative per-episode decay; simpler alternative
-/// used by HAQ-style searches.
+/// Gaussian noise with multiplicative per-episode decay, as in HAQ-style
+/// searches.
 class DecayingGaussian {
  public:
   explicit DecayingGaussian(double sigma = 0.5, double decay = 0.99,

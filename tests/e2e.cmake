@@ -45,6 +45,14 @@
 #       a lenet5 search prints one winning crossbar shape per mappable
 #       layer; the removed strategy-file surfaces (`evaluate`, `--out`) are
 #       rejected.
+#   negative_counts
+#       a negative count, thread count or rate (--eval-threads,
+#       --serve-threads, --top, --functional-samples, --qps) is rejected
+#       with an error naming the flag.
+#   telemetry
+#       an instrumented `search` and a pooled `baselines` run write a valid
+#       Chrome-trace JSON, a parseable JSONL episode log, and an exposition
+#       with the key spans and series (registered only with AUTOHET_OBS on).
 cmake_minimum_required(VERSION 3.20)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -80,6 +88,15 @@ function(same a b)
                   WORKING_DIRECTORY "${WORK_DIR}" RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${a} and ${b} differ")
+  endif()
+endfunction()
+
+# contains(<file> <text>): the file (relative to WORK_DIR) contains the text.
+function(contains file text)
+  file(READ "${WORK_DIR}/${file}" content)
+  string(FIND "${content}" "${text}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${file} does not contain '${text}'")
   endif()
 endfunction()
 
@@ -175,6 +192,49 @@ elseif(CASE STREQUAL "search_shapes")
   run_fails("unknown command: evaluate" "${CLI}" evaluate)
   run_fails("unknown option: --out"
             "${CLI}" search --model lenet5 --episodes 5 --out strategy.txt)
+elseif(CASE STREQUAL "negative_counts")
+  set(replay "${CLI}" replay --plan-in "${fixture_plan}")
+  set(serve "${CLI}" serve --plan-in "${fixture_plan}")
+  run_fails("option --eval-threads must be non-negative: -1"
+            "${CLI}" baselines --model lenet5 --eval-threads -1)
+  run_fails("option --serve-threads must be non-negative: -2"
+            ${serve} --serve-threads -2)
+  run_fails("option --top must be non-negative: -1"
+            "${CLI}" profile --plan-in "${fixture_plan}" --top -1)
+  run_fails("option --functional-samples must be non-negative: -2"
+            ${replay} --functional-samples -2)
+  run_fails("option --qps must be non-negative: -5" ${serve} --qps -5)
+elseif(CASE STREQUAL "telemetry")
+  run("${CLI}" search --model lenet5 --episodes 20 --trace-out trace.json
+      --metrics-out metrics.prom --episode-log episodes.jsonl)
+  run("${CLI}" baselines --model lenet5 --eval-threads 2
+      --trace-out baselines_trace.json --metrics-out baselines_metrics.prom)
+  foreach(trace trace.json baselines_trace.json)
+    file(READ "${WORK_DIR}/${trace}" text)
+    string(JSON type ERROR_VARIABLE json_error TYPE "${text}")
+    if(json_error)
+      message(FATAL_ERROR "${trace} is not valid JSON: ${json_error}")
+    endif()
+  endforeach()
+  file(STRINGS "${WORK_DIR}/episodes.jsonl" lines)
+  list(LENGTH lines count)
+  if(NOT count EQUAL 20)
+    message(FATAL_ERROR "episodes.jsonl has ${count} lines, not 20")
+  endif()
+  foreach(line IN LISTS lines)
+    string(JSON type ERROR_VARIABLE json_error TYPE "${line}")
+    if(json_error)
+      message(FATAL_ERROR "bad episodes.jsonl line: ${json_error}\n${line}")
+    endif()
+  endforeach()
+  contains(trace.json "\"name\":\"episode\"")
+  contains(trace.json "\"name\":\"tile_shared_remap\"")
+  contains(baselines_trace.json "\"name\":\"evaluate_batch\"")
+  foreach(series autohet_eval_cache_hits_total autohet_eval_cache_misses_total
+                 autohet_search_episode_reward)
+    contains(metrics.prom "${series}")
+  endforeach()
+  contains(baselines_metrics.prom autohet_pool_queue_depth)
 else()
   message(FATAL_ERROR "unknown e2e case '${CASE}'")
 endif()

@@ -219,6 +219,44 @@ TEST(ArgParser, RejectOptionConflicts) {
       "plan-in", {"episodes", "seed", "no-tile-shared"}, &error));
 }
 
+TEST(ArgParser, RejectNegativeOptions) {
+  ArgParser args("t", "d");
+  args.add_option("threads", "0", "h");
+  args.add_option("qps", "0", "h");
+  args.add_option("top", "10", "h");
+  const char* argv[] = {"t", "--threads", "2", "--qps=-5", "--top", "-1"};
+  std::string error;
+  ASSERT_TRUE(args.parse(6, argv, &error)) << error;
+
+  // Defaults and positive values pass; the first negative option is named.
+  EXPECT_TRUE(args.reject_negative_options({"threads"}, &error));
+  EXPECT_FALSE(args.reject_negative_options({"threads", "qps", "top"}, &error));
+  EXPECT_EQ(error, "option --qps must be non-negative: -5");
+  EXPECT_FALSE(args.reject_negative_options({"top"}, &error));
+  EXPECT_EQ(error, "option --top must be non-negative: -1");
+  EXPECT_THROW(args.reject_negative_options({"unknown"}, &error),
+               std::invalid_argument);
+}
+
+TEST(ArgParser, RejectNegativeOptionsChecksOnlyTheNamedOptions) {
+  ArgParser args("t", "d");
+  args.add_option("threads", "4", "h");
+  args.add_option("requests", "0", "h");
+  args.add_option("offset", "0", "h");
+  const char* argv[] = {"t", "--threads=0", "--offset", "-3"};
+  std::string error = "untouched";
+  ASSERT_TRUE(args.parse(4, argv, &error)) << error;
+
+  // Zero, in either spelling or as a default, is a valid count; a negative
+  // value of an option that is not a count is left alone.
+  EXPECT_TRUE(args.reject_negative_options({"threads", "requests"}, &error));
+  EXPECT_EQ(error, "untouched");
+  EXPECT_TRUE(args.reject_negative_options({}, &error));
+  EXPECT_FALSE(args.reject_negative_options({"threads", "offset"}, &error));
+  EXPECT_EQ(error, "option --offset must be non-negative: -3");
+  EXPECT_EQ(args.option_int("offset"), -3);
+}
+
 TEST(ArgParser, HelpMarksOptionalPositionalsWithBrackets) {
   ArgParser args("t", "d");
   args.add_positional("command", "h");

@@ -146,6 +146,31 @@ TEST(CrossbarEnv, RewardOrderingMatchesRue) {
   }
 }
 
+TEST(CrossbarEnv, ScalesAreCalibratedPerNetworkNotPerObjective) {
+  // Every objective divides by the same three scales: the largest
+  // candidate's homogeneous report on the env's own network.
+  for (const auto& net : {nn::alexnet(), nn::vgg16()}) {
+    const auto env = make_env(net);
+    const auto ref = env.evaluate(std::vector<std::size_t>(
+        env.num_layers(), env.num_actions() - 1));  // 576x512
+    EXPECT_EQ(env.energy_scale_nj(), ref.energy.total_nj()) << net.name;
+    EXPECT_EQ(env.area_scale_um2(), ref.area.total_um2()) << net.name;
+    EXPECT_EQ(env.latency_scale_ns(), ref.latency_ns) << net.name;
+    for (const auto objective : {core::RewardObjective::kAreaAware,
+                                 core::RewardObjective::kLatencyAware}) {
+      EnvConfig cfg;
+      cfg.candidates = mapping::hybrid_candidates();
+      cfg.objective = objective;
+      const CrossbarEnv other(net.mappable_layers(), cfg);
+      EXPECT_EQ(other.energy_scale_nj(), env.energy_scale_nj()) << net.name;
+      EXPECT_EQ(other.area_scale_um2(), env.area_scale_um2()) << net.name;
+      EXPECT_EQ(other.latency_scale_ns(), env.latency_scale_ns()) << net.name;
+    }
+  }
+  EXPECT_NE(make_env(nn::alexnet()).energy_scale_nj(),
+            make_env(nn::vgg16()).energy_scale_nj());
+}
+
 TEST(CrossbarEnv, ValidatesConstruction) {
   EnvConfig cfg;
   cfg.candidates = mapping::hybrid_candidates();
@@ -160,14 +185,6 @@ TEST(CrossbarEnv, RejectsPoolingLayers) {
   cfg.candidates = mapping::hybrid_candidates();
   std::vector<nn::LayerSpec> layers = {nn::make_maxpool(4, 2, 2, 8, 8)};
   EXPECT_THROW(CrossbarEnv(layers, cfg), std::invalid_argument);
-}
-
-TEST(CrossbarEnv, ExplicitEnergyScaleIsRespected) {
-  EnvConfig cfg;
-  cfg.candidates = mapping::hybrid_candidates();
-  cfg.energy_scale_nj = 12345.0;
-  const CrossbarEnv env(nn::alexnet().mappable_layers(), cfg);
-  EXPECT_DOUBLE_EQ(env.energy_scale_nj(), 12345.0);
 }
 
 }  // namespace

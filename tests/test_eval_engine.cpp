@@ -1,10 +1,11 @@
 // EvaluationEngine: the memoized/batched path must be bit-identical to
 // evaluate_plan on the compiled plan (whose full tile allocator is the
-// reference for the engine's compact aggregation), the LRU must bound
-// memory, and evaluate_batch must match serial evaluation regardless of
-// thread count.
+// reference for the engine's compact aggregation), the LRU memo must evict
+// in touch order, and evaluate_batch must match serial evaluation regardless
+// of thread count.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -14,13 +15,13 @@
 #include "nn/model_zoo.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/hardware_model.hpp"
+#include "reram/memo.hpp"
 
 namespace autohet {
 namespace {
 
 using mapping::CrossbarShape;
 using reram::AcceleratorConfig;
-using reram::EvalEngineConfig;
 using reram::EvaluationEngine;
 using reram::NetworkReport;
 
@@ -131,49 +132,121 @@ TEST(EvalEngine, LayerReportTableMatchesEvaluateLayer) {
   }
 }
 
-TEST(EvalEngine, LruEvictsLeastRecentlyUsed) {
+TEST(EvalEngine, MemoCountsHitsAndMissesUntilCleared) {
   const auto layers = test_layers();
-  const auto candidates = test_candidates();
-  EvalEngineConfig config;
-  config.memo_capacity = 4;
-  EvaluationEngine engine(layers, candidates, AcceleratorConfig{}, config);
+  EvaluationEngine engine(layers, test_candidates(), AcceleratorConfig{});
 
   auto homo = [&](std::size_t c) {
     return std::vector<std::size_t>(layers.size(), c);
   };
   for (std::size_t c = 0; c < 5; ++c) engine.evaluate(homo(c));
+  for (std::size_t c = 0; c < 5; ++c) engine.evaluate(homo(c));
   auto stats = engine.cache_stats();
   EXPECT_EQ(stats.misses, 5u);
-  EXPECT_EQ(stats.evictions, 1u);  // capacity 4: config 0 was evicted
-
-  // Configs 1..4 are resident (hits); config 0 must recompute (miss).
-  for (std::size_t c = 1; c < 5; ++c) engine.evaluate(homo(c));
-  stats = engine.cache_stats();
-  EXPECT_EQ(stats.hits, 4u);
-  engine.evaluate(homo(0));
-  stats = engine.cache_stats();
-  EXPECT_EQ(stats.misses, 6u);
-
-  // Touch order governs eviction: after re-inserting 0, the LRU entry is 1.
-  engine.evaluate(homo(1));
-  EXPECT_EQ(engine.cache_stats().misses, 7u);
+  EXPECT_EQ(stats.hits, 5u);
+  EXPECT_EQ(stats.evictions, 0u);
 
   engine.clear_cache();
   const auto cleared = engine.cache_stats();
   EXPECT_EQ(cleared.hits + cleared.misses, 0u);
 }
 
-TEST(EvalEngine, ZeroCapacityDisablesMemo) {
+TEST(LruMemo, EvictsLeastRecentlyUsed) {
+  reram::LruMemo<int, int, std::hash<int>> memo(4);
+  std::size_t evicted = 0;
+  for (int k = 0; k < 5; ++k) evicted += memo.insert(k, 10 * k);
+  EXPECT_EQ(evicted, 1u);  // capacity 4: key 0 was evicted
+  EXPECT_EQ(memo.find(0), nullptr);
+
+  // Keys 1..4 are resident; finding them touches 1 first, so 1 is now the
+  // least recently used and re-inserting 0 evicts it.
+  for (int k = 1; k < 5; ++k) {
+    const int* hit = memo.find(k);
+    ASSERT_NE(hit, nullptr) << k;
+    EXPECT_EQ(*hit, 10 * k);
+  }
+  EXPECT_EQ(memo.insert(0, 0), 1u);
+  EXPECT_EQ(memo.find(1), nullptr);
+  ASSERT_NE(memo.find(2), nullptr);
+
+  // A repeated insert keeps the first value and evicts nothing.
+  EXPECT_EQ(memo.insert(2, -1), 0u);
+  EXPECT_EQ(*memo.find(2), 20);
+
+  memo.clear();
+  EXPECT_EQ(memo.find(2), nullptr);
+}
+
+TEST(LruMemo, CapacityOneKeepsOnlyTheNewestKey) {
+  reram::LruMemo<int, int, std::hash<int>> memo(1);
+  EXPECT_EQ(memo.insert(1, 10), 0u);
+  for (int k = 2; k < 6; ++k) {
+    EXPECT_EQ(memo.insert(k, 10 * k), 1u) << k;
+    EXPECT_EQ(memo.find(k - 1), nullptr) << k;
+    ASSERT_NE(memo.find(k), nullptr) << k;
+    EXPECT_EQ(*memo.find(k), 10 * k);
+  }
+}
+
+TEST(LruMemo, RepeatedInsertDoesNotRefreshRecency) {
+  // Only find() touches an entry: re-inserting a resident key leaves it
+  // the least recently used, so the next new key evicts it.
+  reram::LruMemo<int, int, std::hash<int>> memo(2);
+  memo.insert(0, 0);
+  memo.insert(1, 10);
+  EXPECT_EQ(memo.insert(0, 99), 0u);
+  EXPECT_EQ(memo.insert(2, 20), 1u);
+  EXPECT_EQ(memo.find(0), nullptr);
+  ASSERT_NE(memo.find(1), nullptr);
+  ASSERT_NE(memo.find(2), nullptr);
+
+  // A miss touches nothing either: 1 was found before 2, so 1 goes next.
+  EXPECT_EQ(memo.find(7), nullptr);
+  EXPECT_EQ(memo.insert(3, 30), 1u);
+  EXPECT_EQ(memo.find(1), nullptr);
+  EXPECT_NE(memo.find(2), nullptr);
+}
+
+TEST(LruMemo, ClearedMemoRefillsToCapacity) {
+  reram::LruMemo<int, int, std::hash<int>> memo(3);
+  for (int k = 0; k < 5; ++k) memo.insert(k, k);
+  memo.clear();
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(memo.insert(10 + k, k), 0u) << k;
+  for (int k = 0; k < 3; ++k) EXPECT_NE(memo.find(10 + k), nullptr) << k;
+  EXPECT_EQ(memo.insert(13, 3), 1u);
+  EXPECT_EQ(memo.find(10), nullptr);
+}
+
+TEST(EvalEngine, MemoEvictsBeyondItsCapacity) {
+  // The report memo holds 4096 action vectors (the search's episodes fit
+  // in it); the 4097th distinct vector evicts the coldest.
   const auto layers = test_layers();
-  EvalEngineConfig config;
-  config.memo_capacity = 0;
-  EvaluationEngine engine(layers, test_candidates(), AcceleratorConfig{},
-                          config);
-  const std::vector<std::size_t> actions(layers.size(), 1);
-  const auto a = engine.evaluate(actions);
-  const auto b = engine.evaluate(actions);
-  expect_identical(a, b);
-  EXPECT_EQ(engine.cache_stats().hits, 0u);
+  const auto candidates = test_candidates();
+  EvaluationEngine engine(layers, candidates, AcceleratorConfig{});
+  auto actions_of = [&](std::size_t i) {
+    std::vector<std::size_t> actions(layers.size());
+    for (auto& a : actions) {
+      a = i % candidates.size();
+      i /= candidates.size();
+    }
+    return actions;
+  };
+  constexpr std::size_t kCapacity = 4096;
+  for (std::size_t i = 0; i < kCapacity; ++i) engine.evaluate(actions_of(i));
+  EXPECT_EQ(engine.cache_stats().evictions, 0u);
+  engine.evaluate(actions_of(kCapacity));
+  auto stats = engine.cache_stats();
+  EXPECT_EQ(stats.misses, kCapacity + 1);
+  EXPECT_EQ(stats.evictions, 1u);
+
+  // The first vector was the coldest: it is recomputed (and evicts the
+  // second), while the newest is still a hit.
+  engine.evaluate(actions_of(0));
+  engine.evaluate(actions_of(kCapacity));
+  stats = engine.cache_stats();
+  EXPECT_EQ(stats.misses, kCapacity + 2);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.evictions, 2u);
 }
 
 TEST(EvalEngine, ValidatesActions) {
@@ -208,9 +281,7 @@ TEST(EvalEngine, BatchMatchesSerialAcrossThreadCounts) {
 
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, hw}) {
-    EvalEngineConfig config;
-    config.threads = threads;
-    EvaluationEngine engine(layers, candidates, accel, config);
+    EvaluationEngine engine(layers, candidates, accel, threads);
     const auto got = engine.evaluate_batch(batch);
     ASSERT_EQ(got.size(), batch.size()) << threads << " threads";
     for (std::size_t i = 0; i < got.size(); ++i) {

@@ -720,14 +720,13 @@ TEST(SearchRewardTest, MeasuredRewardScalesByMonteCarloAccuracy) {
   cfg.objective = core::RewardObjective::kRobustnessAware;
   cfg.accel.faults = noisy_config();
   cfg.mc_reward_model = &model;
-  cfg.mc_reward_options = core::default_search_mc_options();
   const core::CrossbarEnv env(net.mappable_layers(), cfg);
 
   const std::vector<std::size_t> actions(env.num_layers(), 2);
   const auto report = env.evaluate(actions);
   const double measured = env.reward(report, actions);
   const auto rob = env.engine().evaluate_robustness_cached(
-      model, actions, cfg.accel.faults, cfg.mc_reward_options);
+      model, actions, cfg.accel.faults, core::default_search_mc_options());
   // The second reward() call hit the memo (same key), so the factor is the
   // exact cached mean accuracy.
   EXPECT_GT(env.engine().robustness_cache_stats().hits, 0u);

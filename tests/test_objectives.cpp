@@ -1,6 +1,8 @@
 // Multi-objective reward variants of the search environment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "autohet/baselines.hpp"
 #include "autohet/env.hpp"
 #include "autohet/search.hpp"
@@ -91,18 +93,31 @@ TEST(Objectives, AreaAwareSearchFindsSmallerChips) {
             rue_result.best_report.area.total_um2() * 1.02);
 }
 
-TEST(Objectives, ExplicitScalesAreRespected) {
-  EnvConfig cfg;
-  cfg.candidates = mapping::hybrid_candidates();
-  cfg.objective = RewardObjective::kAreaAware;
-  cfg.energy_scale_nj = 100.0;
-  cfg.area_scale_um2 = 1000.0;
-  cfg.latency_scale_ns = 10.0;
-  const CrossbarEnv env(nn::alexnet().mappable_layers(), cfg);
-  const auto r = env.evaluate(std::vector<std::size_t>(8, 4));
-  const double expected = r.utilization / (r.energy.total_nj() / 100.0) /
-                          (r.area.total_um2() / 1000.0);
-  EXPECT_NEAR(env.reward(r), expected, expected * 1e-12);
+TEST(Objectives, CalibratedScalesGiveExactAreaAndLatencyRewards) {
+  const auto area_env = make_env(RewardObjective::kAreaAware);
+  const auto latency_env = make_env(RewardObjective::kLatencyAware);
+  // The scales are the largest candidate's homogeneous report.
+  const auto& candidates = area_env.candidates();
+  const auto largest = static_cast<std::size_t>(
+      std::max_element(candidates.begin(), candidates.end()) -
+      candidates.begin());
+  const std::vector<std::size_t> homogeneous(area_env.num_layers(), largest);
+  const auto ref = area_env.evaluate(homogeneous);
+  EXPECT_EQ(area_env.energy_scale_nj(),
+            std::max(ref.energy.total_nj(), 1.0));
+  EXPECT_EQ(area_env.area_scale_um2(), std::max(ref.area.total_um2(), 1.0));
+  EXPECT_EQ(latency_env.latency_scale_ns(), std::max(ref.latency_ns, 1.0));
+
+  const auto r = area_env.evaluate(std::vector<std::size_t>(8, 2));
+  const double area_expected =
+      r.utilization / (r.energy.total_nj() / area_env.energy_scale_nj()) /
+      (r.area.total_um2() / area_env.area_scale_um2());
+  EXPECT_NEAR(area_env.reward(r), area_expected, area_expected * 1e-12);
+  const double latency_expected =
+      r.utilization / (r.energy.total_nj() / latency_env.energy_scale_nj()) /
+      (r.latency_ns / latency_env.latency_scale_ns());
+  EXPECT_NEAR(latency_env.reward(r), latency_expected,
+              latency_expected * 1e-12);
 }
 
 }  // namespace
