@@ -11,7 +11,15 @@
 using namespace autohet;
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 120);
+  common::ArgParser args = bench::make_args(
+      "ablation_objective", "Ablation: search objective (VGG16)");
+  args.add_optional_positional("episodes", "120",
+                               "RL search episodes per objective");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Ablation — search objective (VGG16, " +
                       std::to_string(episodes) + " episodes each)");
   const auto net = nn::vgg16();

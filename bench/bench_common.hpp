@@ -1,43 +1,60 @@
 // Shared helpers for the experiment-reproduction benches (one binary per
 // paper table/figure). Each binary prints the same rows/series the paper
 // reports; absolute values are model-dependent, shapes are the target
-// (see EXPERIMENTS.md).
+// (see EXPERIMENTS.md). The binaries that take arguments parse them through
+// make_args() + parse_args(); the rest keep `int main()`.
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autohet/baselines.hpp"
+#include "autohet/kernel_option.hpp"
 #include "autohet/search.hpp"
+#include "common/cli.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/session.hpp"
 #include "report/table.hpp"
-#include "reram/kernels/kernels.hpp"
-#include "rl/kernels/dense.hpp"
 
 namespace autohet::bench {
 
-/// Episodes for RL searches, overridable as argv[1] (all bench binaries
-/// accept it) so CI can run quick sweeps and full runs can match the
-/// paper's 300 rounds. Also wires up the shared observability flags
-/// (--trace-out/--metrics-out/--episode-log/--log-level anywhere on the
-/// command line): the static session writes the files at process exit, so
-/// the bench binaries gain telemetry without touching their positional
-/// conventions.
-inline int episodes_from_args(int argc, char** argv, int fallback) {
-  static obs::ObsSession session(obs::options_from_argv(argc, argv));
-  // `--kernel <name>` anywhere on the line forces the kernel ISA variant of
-  // both kernel tables (hard error on unknown/unsupported — a forced bench
-  // must not silently measure a different code path).
-  reram::kernels::apply_argv_override(argc, argv);
-  rl::kernels::apply_argv_override(argc, argv);
-  if (argc > 1) {
-    const int v = std::atoi(argv[1]);
-    if (v > 0) return v;
+/// The command line every bench binary shares: the positionals the caller
+/// registers next (add_optional_positional), the observability flags
+/// (--trace-out/--metrics-out/--episode-log/--profile-out/--log-level) and
+/// --kernel, which forces the ISA variant of both kernel tables.
+inline common::ArgParser make_args(const std::string& program,
+                                   const std::string& description) {
+  common::ArgParser args(program, description);
+  obs::add_cli_options(args);
+  core::add_kernel_option(args);
+  return args;
+}
+
+/// Parses argv into `args`, checks each named count (a positional or an
+/// option, with its minimum), applies --kernel and starts the obs session,
+/// which main's scope holds and which writes the telemetry files when it
+/// dies. On malformed input (or --help) prints the message and returns
+/// false, before anything runs or writes an artifact; main then exits 2.
+inline bool parse_args(
+    common::ArgParser& args, int argc, char** argv,
+    const std::vector<std::pair<std::string, int>>& counts,
+    std::optional<obs::ObsSession>* session) {
+  std::string error;
+  try {
+    if (args.parse(argc, argv, &error)) {
+      for (const auto& [name, min] : counts) args.count(name, min);
+      core::apply_kernel_option(args);
+      session->emplace(args);
+      return true;
+    }
+  } catch (const std::exception& e) {
+    error = e.what();
   }
-  return fallback;
+  std::cerr << error << '\n';
+  return false;
 }
 
 /// The paper's accelerator configuration (default DeviceParams, default

@@ -27,7 +27,6 @@
 //                (sequential early stopping per DESIGN.md §10; decisive
 //                points stop at the min-trial clamp, uncertain points run
 //                up to the cap; writes BENCH_fault_sweep_adaptive.json).
-#include <cstring>
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -63,13 +62,28 @@ reram::FaultConfig point_config(double stuck_rate, int cell_bits) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 60);
-  int mc_threads = 0;  // one worker per hardware thread
-  if (argc > 2 && argv[2][0] != '-') mc_threads = std::atoi(argv[2]);
-  bool adaptive = false;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "adaptive") == 0) adaptive = true;
+  common::ArgParser args = bench::make_args(
+      "fault_sweep", "Accuracy vs stuck-at rate x cell bits (LeNet-5)");
+  args.add_optional_positional("episodes", "60", "search budget");
+  args.add_optional_positional(
+      "mc_threads", "0",
+      "Monte-Carlo trial parallelism (1 = serial, 0 = one per hardware "
+      "thread)");
+  args.add_optional_positional("budget", "fixed", "fixed | adaptive");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv,
+                         {{"episodes", 1}, {"mc_threads", 0}}, &session)) {
+    return 2;
   }
+  const int episodes = args.count("episodes");
+  const int mc_threads = args.count("mc_threads");
+  const std::string& budget = args.positional("budget");
+  if (budget != "fixed" && budget != "adaptive") {
+    std::cerr << "argument <budget> must be fixed or adaptive: " << budget
+              << '\n';
+    return 2;
+  }
+  const bool adaptive = budget == "adaptive";
   bench::print_header("Fault sweep — accuracy vs stuck-at rate × cell bits "
                       "(LeNet-5, " + std::to_string(episodes) +
                       " search rounds, " +

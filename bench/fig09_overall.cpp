@@ -8,7 +8,15 @@
 using namespace autohet;
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 200);
+  common::ArgParser args = bench::make_args(
+      "fig09_overall", "Fig. 9: AutoHet vs the homogeneous baselines");
+  args.add_optional_positional("episodes", "200",
+                               "RL search episodes per network");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Fig. 9 — overall performance (5 homogeneous + AutoHet)");
 
   for (const auto& net : nn::paper_workloads()) {

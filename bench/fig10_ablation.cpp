@@ -11,7 +11,15 @@
 using namespace autohet;
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 120);
+  common::ArgParser args = bench::make_args(
+      "fig10_ablation", "Fig. 10: impact of the individual techniques");
+  args.add_optional_positional("episodes", "120",
+                               "RL search episodes per configuration");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Fig. 10 — impact of individual techniques");
 
   for (const auto& net : nn::paper_workloads()) {

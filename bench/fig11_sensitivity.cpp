@@ -31,7 +31,15 @@ void run_case(const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 120);
+  common::ArgParser args = bench::make_args(
+      "fig11_sensitivity", "Fig. 11: sensitivity analysis (VGG16)");
+  args.add_optional_positional("episodes", "120",
+                               "RL search episodes per configuration");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Fig. 11 — sensitivity analysis (VGG16)");
 
   std::cout << "\n(a) ratio of SXBs to RXBs (5 candidates total):\n";

@@ -39,6 +39,7 @@
 #include "common/thread_pool.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
+#include "reram/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 using namespace autohet;
@@ -119,7 +120,19 @@ struct VariantCheck {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int mc_reps = bench::episodes_from_args(argc, argv, 1);
+  common::ArgParser args = bench::make_args(
+      "functional_throughput",
+      "Functional-simulation throughput: dispatched kernels, parallel MC");
+  args.add_optional_positional(
+      "mc_reps", "1", "repetitions of each Monte-Carlo timing (best-of)");
+  args.add_optional_positional("episodes", "60",
+                               "search budget of the AutoHet configuration");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"mc_reps", 1}, {"episodes", 1}},
+                         &session)) {
+    return 2;
+  }
+  const int mc_reps = args.count("mc_reps");
   const int hw_threads =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   bench::print_header(
@@ -267,8 +280,7 @@ int main(int argc, char** argv) {
   // fresh environment (fresh engine, cold TrialFabricCache) per timed
   // measurement: the fast path pays every ideal-reference build and trial
   // recording inside the timer, exactly as one fault_sweep run does.
-  int episodes = 60;
-  if (argc > 2 && argv[2][0] != '-') episodes = std::atoi(argv[2]);
+  const int episodes = args.count("episodes");
   const auto env0 = bench::make_env(net, mapping::hybrid_candidates(),
                                     /*tile_shared=*/true);
   struct McConfig {

@@ -10,7 +10,15 @@
 using namespace autohet;
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 200);
+  common::ArgParser args = bench::make_args(
+      "search_convergence", "Ablation: RL vs random search (VGG16)");
+  args.add_optional_positional("episodes", "200",
+                               "RL search episodes (and random evaluations)");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Ablation — RL vs random search convergence (VGG16, " +
                       std::to_string(episodes) + " evaluations)");
   const auto env = bench::make_env(nn::vgg16(), mapping::hybrid_candidates(),

@@ -20,6 +20,7 @@
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
 #include "rl/ddpg.hpp"
+#include "rl/kernels/dense.hpp"
 
 using namespace autohet;
 
@@ -61,7 +62,15 @@ UpdateTiming time_replayed_updates(rl::kernels::Variant v, int updates) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 300);
+  common::ArgParser args = bench::make_args(
+      "search_time", "Paper 4.5: RL search time split (VGG16)");
+  args.add_optional_positional("episodes", "300",
+                               "RL search episodes (the paper runs 300)");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("§4.5 — RL search time (VGG16, " +
                       std::to_string(episodes) + " rounds)");
 

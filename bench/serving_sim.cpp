@@ -46,18 +46,23 @@ plan::DeploymentPlan compile_zoo_plan(const nn::NetworkSpec& net) {
                             bench::paper_accel(/*tile_shared=*/true));
 }
 
-int threads_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") return std::atoi(argv[i + 1]);
-  }
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int requests = bench::episodes_from_args(argc, argv, 2000);
-  const int threads = threads_from_args(argc, argv);
+  common::ArgParser args = bench::make_args(
+      "serving_sim", "Multi-tenant serving under swap pressure");
+  args.add_optional_positional(
+      "requests", "2000", "target request count of the generated trace");
+  args.add_option("threads", "1",
+                  "schedule-table precompute workers (0 = one per hardware "
+                  "thread; the serving report never changes with it)");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"requests", 1}, {"threads", 0}},
+                         &session)) {
+    return 2;
+  }
+  const int requests = args.count("requests");
+  const int threads = args.count("threads");
   bench::print_header("Multi-tenant serving under swap pressure");
 
   std::vector<plan::DeploymentPlan> plans;

@@ -8,7 +8,14 @@
 using namespace autohet;
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 200);
+  common::ArgParser args = bench::make_args(
+      "table3_layer_sizes", "Table 3: per-layer crossbar sizes (VGG16)");
+  args.add_optional_positional("episodes", "200", "RL search episodes");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Table 3 — per-layer crossbar sizes for VGG16");
   const auto net = nn::vgg16();
 

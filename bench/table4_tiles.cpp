@@ -10,7 +10,15 @@
 using namespace autohet;
 
 int main(int argc, char** argv) {
-  const int episodes = bench::episodes_from_args(argc, argv, 120);
+  common::ArgParser args = bench::make_args(
+      "table4_tiles", "Table 4: occupied tiles, +Hy vs All");
+  args.add_optional_positional("episodes", "120",
+                               "RL search episodes per configuration");
+  std::optional<obs::ObsSession> session;
+  if (!bench::parse_args(args, argc, argv, {{"episodes", 1}}, &session)) {
+    return 2;
+  }
+  const int episodes = args.count("episodes");
   bench::print_header("Table 4 — occupied tiles: +Hy vs All (tile-shared)");
 
   report::Table table({"Model", "+Hy tiles", "All tiles", "Reduction %"});

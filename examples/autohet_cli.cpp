@@ -30,6 +30,7 @@
 #include <sstream>
 
 #include "autohet/baselines.hpp"
+#include "autohet/kernel_option.hpp"
 #include "autohet/search.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -666,11 +667,7 @@ int main(int argc, char** argv) {
   args.add_option("eval-threads", "0",
                   "worker threads for batched hardware evaluation "
                   "(0 = serial)");
-  args.add_option("kernel", "",
-                  "force the ISA variant of the reram and rl kernel tables: "
-                  "portable | avx2 | avx512 (default: best supported; "
-                  "equivalent to AUTOHET_KERNEL; results are bit-identical "
-                  "across variants)");
+  core::add_kernel_option(args);
   args.add_flag("no-tile-shared", "disable the tile-shared allocation");
   args.add_option("requests", "2000",
                   "'serve': target request count of the generated traffic "
@@ -737,14 +734,7 @@ int main(int argc, char** argv) {
   }
   try {
     obs::ObsSession session(args);
-    if (const std::string kernel = args.option("kernel"); !kernel.empty()) {
-      reram::kernels::Variant v;
-      AUTOHET_CHECK(reram::kernels::variant_from_name(kernel, &v),
-                    "unknown kernel variant: " + kernel +
-                        " (use portable|avx2|avx512)");
-      reram::kernels::set_variant(v);  // hard error when unsupported
-      rl::kernels::set_variant(v);
-    }
+    core::apply_kernel_option(args);
     const std::string command = args.positional("command");
     if (command == "search") return run_search(args);
     if (command == "replay") return run_replay(args);

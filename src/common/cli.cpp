@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -202,6 +203,20 @@ const std::string& ArgParser::positional(const std::string& name) const {
   AUTOHET_CHECK(it != positional_values_.end(),
                 "unknown positional: " + name);
   return it->second;
+}
+
+int ArgParser::count(const std::string& name, int min) const {
+  const bool is_positional = positional_values_.contains(name);
+  const std::string& text = is_positional ? positional(name) : option(name);
+  int v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  AUTOHET_CHECK(ec == std::errc() && ptr == end && v >= min,
+                (is_positional ? "argument <" + name + ">"
+                               : "option --" + name) +
+                    " must be an integer >= " + std::to_string(min) + ": " +
+                    text);
+  return v;
 }
 
 std::string ArgParser::help_text() const {

@@ -62,6 +62,10 @@ class ArgParser {
   std::int64_t option_int(const std::string& name) const;
   double option_double(const std::string& name) const;
   const std::string& positional(const std::string& name) const;
+  /// After parse(): option or positional `name` as a count — an int no
+  /// smaller than `min`. Throws std::invalid_argument naming the argument
+  /// on anything else (a sign, a suffix, an out-of-range value).
+  int count(const std::string& name, int min = 0) const;
 
   std::string help_text() const;
 

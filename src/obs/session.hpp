@@ -1,14 +1,13 @@
 // Observability session: CLI flags -> sinks -> output files.
 //
-// Drivers register the standard flags on their ArgParser, build an
-// ObsSession from the parsed args (or from raw argv for the bench binaries,
-// which keep their positional-episodes convention), and let the session's
-// destructor write the configured outputs:
+// Drivers (autohet_cli and the bench binaries) register the standard flags
+// on their ArgParser, build an ObsSession from the parsed args in main's
+// scope, and let the session's destructor write the configured outputs:
 //
 //   common::ArgParser args(...);
 //   obs::add_cli_options(args);
 //   ...parse...
-//   obs::ObsSession session(obs::options_from_cli(args));
+//   obs::ObsSession session(args);
 //   // --log-level is applied, --trace-out enables the tracer, --metrics-out
 //   // enables latency timers; files are written when `session` dies (or on
 //   // an explicit session.flush()).
@@ -68,52 +67,15 @@ inline Options options_from_cli(const common::ArgParser& args) {
   return opts;
 }
 
-/// Scans raw argv for the observability flags (--name value or --name=value)
-/// and ignores everything else — for binaries that do their own positional
-/// parsing (the bench harnesses). Throws (like ArgParser's "needs a value")
-/// when a recognized flag is the final argument with no value, rather than
-/// silently dropping it.
-inline Options options_from_argv(int argc, const char* const* argv) {
-  Options opts;
-  const auto match = [&](int& i, const char* flag,
-                         std::string* out) -> bool {
-    const std::string arg = argv[i];
-    const std::string name = std::string("--") + flag;
-    if (arg == name) {
-      if (i + 1 >= argc) common::fail("option " + name + " needs a value");
-      *out = argv[++i];
-      return true;
-    }
-    if (arg.rfind(name + "=", 0) == 0) {
-      *out = arg.substr(name.size() + 1);
-      return true;
-    }
-    return false;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (match(i, "metrics-out", &opts.metrics_out)) continue;
-    if (match(i, "trace-out", &opts.trace_out)) continue;
-    if (match(i, "episode-log", &opts.episode_log)) continue;
-    if (match(i, "profile-out", &opts.profile_out)) continue;
-    if (match(i, "log-level", &opts.log_level)) continue;
-  }
-  return opts;
-}
-
 /// Applies the options to the global sinks and writes the output files on
 /// destruction (or an explicit flush()). With all paths empty this is a
 /// no-op shell: the tracer stays a null sink and nothing is written.
 class ObsSession {
  public:
-  ObsSession() { touch_globals(); }
-  explicit ObsSession(const Options& opts) {
-    touch_globals();
-    configure(opts);
-  }
-  explicit ObsSession(const common::ArgParser& args) {
-    touch_globals();
-    configure(options_from_cli(args));
-  }
+  ObsSession() = default;
+  explicit ObsSession(const Options& opts) { configure(opts); }
+  explicit ObsSession(const common::ArgParser& args)
+      : ObsSession(options_from_cli(args)) {}
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
   ~ObsSession() {
@@ -194,19 +156,6 @@ class ObsSession {
   }
 
  private:
-  /// Function-local statics destruct in reverse construction order, and
-  /// ~ObsSession reaches into Registry/Tracer/EventLog. A session may itself
-  /// be a function-local static (bench_common's episodes_from_args), so the
-  /// singletons must finish constructing before any session's constructor
-  /// returns — otherwise they could be lazily created after the session and
-  /// destroyed before its flush() runs.
-  static void touch_globals() {
-    Registry::global();
-    Tracer::global();
-    Profiler::global();
-    EventLog::global();
-  }
-
   std::string metrics_out_;
   std::string trace_out_;
   std::string profile_out_;

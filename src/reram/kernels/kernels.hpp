@@ -19,10 +19,9 @@
 // Monte-Carlo report gates hold for every variant (tested per variant in
 // tests/test_kernels.cpp).
 //
-// Selection: the best supported variant wins at first use. The environment
-// variable AUTOHET_KERNEL (or the drivers' --kernel flag) forces a specific
-// variant by name; naming an unknown or unsupported variant is a hard error
-// (a forced run must never silently fall back). The active variant is
+// Selection (common::KernelDispatch): the best supported variant wins at
+// first use; AUTOHET_KERNEL or a driver's --kernel option forces one by name,
+// and an unknown or unsupported name is a hard error. The active variant is
 // exported as the `autohet_kernel_dispatch` gauge.
 //
 // Data layouts (all strides in uint64 words unless noted):
@@ -40,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/kernel_variant.hpp"
@@ -48,8 +46,6 @@
 namespace autohet::reram::kernels {
 
 using Variant = common::KernelVariant;
-
-inline constexpr int kVariantCount = common::kKernelVariantCount;
 
 /// The per-variant kernel table. Every op accumulates into acc_t in the
 /// transposed [col][sample] layout documented above and is integer-exact:
@@ -89,37 +85,17 @@ struct Ops {
                                  std::int64_t words) = nullptr;
 };
 
-/// The active kernel table. First call resolves the AUTOHET_KERNEL override
-/// (hard error on an unknown or unsupported name) or picks the best
-/// CPUID-supported variant.
-const Ops& ops();
-
-/// The variant ops() currently dispatches to.
-Variant active_variant();
-
-/// True when `v` is compiled in *and* the host CPU supports it.
-bool supported(Variant v);
-
-/// Every supported variant, portable first.
-std::vector<Variant> supported_variants();
-
-/// Forces the active variant. Hard error (AUTOHET_CHECK) when unsupported —
-/// a forced variant must never silently fall back.
-void set_variant(Variant v);
+// This table's dispatch, a common::KernelDispatch (see there for the
+// first-use resolution and the hard errors) over the variant tables below.
+const Ops& ops();                           ///< the active table
+Variant active_variant();                   ///< the variant ops() serves
+bool supported(Variant v);                  ///< compiled in + CPU runs it
+std::vector<Variant> supported_variants();  ///< portable first
+void set_variant(Variant v);                ///< hard error if unsupported
 
 inline const char* variant_name(Variant v) {
   return common::kernel_variant_name(v);
 }
-
-/// Parses "portable" / "avx2" / "avx512" into *out; false on unknown names.
-inline bool variant_from_name(std::string_view name, Variant* out) {
-  return common::kernel_variant_from_name(name, out);
-}
-
-/// Applies a `--kernel <name>` / `--kernel=<name>` override found anywhere
-/// on a raw argv (the bench binaries' positional conventions predate flag
-/// parsing). Hard error on unknown/unsupported names; no-op when absent.
-void apply_argv_override(int argc, const char* const* argv);
 
 /// Caller-owned scratch for the packed/batched kernel paths: one object
 /// holds every buffer the bit-serial, multilevel and batched datapaths

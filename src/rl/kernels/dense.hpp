@@ -24,10 +24,9 @@
 // variants therefore return the same bits on the same inputs, and a DDPG
 // trajectory does not depend on which variant ran it.
 //
-// Selection: AUTOHET_KERNEL (or a binary's --kernel flag) forces a variant
-// by name, shared with reram::kernels; forcing an unknown or unsupported
-// variant is a hard error. The two tables resolve independently, so a
-// binary that never runs an update never consults this one.
+// Selection (common::KernelDispatch): as for reram::kernels, one
+// AUTOHET_KERNEL / --kernel name forces both tables. The tables resolve
+// independently, so a binary that never runs an update never consults this.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +37,6 @@
 namespace autohet::rl::kernels {
 
 using Variant = common::KernelVariant;
-
-inline constexpr int kVariantCount = common::kKernelVariantCount;
 
 /// Adam's per-step scalars; bc1/bc2 are the bias corrections 1 - β^t.
 struct AdamCoeffs {
@@ -71,30 +68,17 @@ struct Ops {
                       double tau) = nullptr;
 };
 
-/// The active table. The first call resolves the AUTOHET_KERNEL override
-/// (hard error on an unknown or unsupported name) or picks the best
-/// CPUID-supported variant.
-const Ops& ops();
-
-/// The variant ops() currently dispatches to.
-Variant active_variant();
-
-/// True when `v` is compiled in *and* the host CPU supports it.
-bool supported(Variant v);
-
-/// Every supported variant, portable first.
-std::vector<Variant> supported_variants();
-
-/// Forces the active variant. Hard error (AUTOHET_CHECK) when unsupported.
-void set_variant(Variant v);
+// This table's dispatch, a common::KernelDispatch (see there for the
+// first-use resolution and the hard errors) over the variant tables below.
+const Ops& ops();                           ///< the active table
+Variant active_variant();                   ///< the variant ops() serves
+bool supported(Variant v);                  ///< compiled in + CPU runs it
+std::vector<Variant> supported_variants();  ///< portable first
+void set_variant(Variant v);                ///< hard error if unsupported
 
 inline const char* variant_name(Variant v) {
   return common::kernel_variant_name(v);
 }
-
-/// Applies a `--kernel <name>` / `--kernel=<name>` override found anywhere
-/// on a raw argv. Hard error on unknown/unsupported names; no-op when absent.
-void apply_argv_override(int argc, const char* const* argv);
 
 namespace detail {
 // One table per translation unit; a variant that is not compiled in leaves

@@ -2,7 +2,6 @@
 // bit. Compiled with the project's baseline flags, so on x86-64 its vector
 // registers are SSE2 pairs.
 #include <cstddef>
-#include <cstring>
 
 #include "rl/kernels/dense.hpp"
 #include "rl/kernels/dense_ops.inl"
@@ -21,17 +20,20 @@ namespace {
 // faster (store-port-bound axpy → arithmetic-bound tile).
 #if defined(__GNUC__) || defined(__clang__)
 typedef double v8df __attribute__((vector_size(64)));
+// No function may pass or return a v8df by value: its x86-64 psABI differs
+// with and without AVX-512 (-Wpsabi). Loads and stores go through an
+// unaligned, aliasing view (as the compilers' own loadu intrinsics do);
+// splat8 fills an out-parameter (a scalar vector operand ran ~6x slower).
+typedef double v8df_u __attribute__((vector_size(64), aligned(8), may_alias));
 
-inline v8df splat8(double x) noexcept {
-  return v8df{x, x, x, x, x, x, x, x};
+inline const v8df_u& at8(const double* p) noexcept {
+  return *reinterpret_cast<const v8df_u*>(p);
 }
-inline v8df load8(const double* p) noexcept {
-  v8df v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+inline v8df_u& at8(double* p) noexcept {
+  return *reinterpret_cast<v8df_u*>(p);
 }
-inline void store8(double* p, v8df v) noexcept {
-  std::memcpy(p, &v, sizeof(v));
+inline const v8df& splat8(v8df& v, double x) noexcept {
+  return v = v8df{x, x, x, x, x, x, x, x};
 }
 
 void gemm_acc(std::size_t M, std::size_t K, std::size_t N, const double* A,
@@ -52,17 +54,18 @@ void gemm_acc(std::size_t M, std::size_t K, std::size_t N, const double* A,
     double* r3 = C + (m0 + 3) * ldc;
     std::size_t n0 = 0;
     for (; n0 < n16; n0 += 16) {
-      v8df c00 = load8(r0 + n0), c01 = load8(r0 + n0 + 8);
-      v8df c10 = load8(r1 + n0), c11 = load8(r1 + n0 + 8);
-      v8df c20 = load8(r2 + n0), c21 = load8(r2 + n0 + 8);
-      v8df c30 = load8(r3 + n0), c31 = load8(r3 + n0 + 8);
+      v8df c00 = at8(r0 + n0), c01 = at8(r0 + n0 + 8);
+      v8df c10 = at8(r1 + n0), c11 = at8(r1 + n0 + 8);
+      v8df c20 = at8(r2 + n0), c21 = at8(r2 + n0 + 8);
+      v8df c30 = at8(r3 + n0), c31 = at8(r3 + n0 + 8);
+      v8df a0, a1, a2, a3;
       for (std::size_t k = 0; k < K; ++k) {
         const double* bk = B + k * ldb + n0;
-        const v8df b0 = load8(bk), b1 = load8(bk + 8);
-        const v8df a0 = splat8(a0p[k * sak]);
-        const v8df a1 = splat8(a1p[k * sak]);
-        const v8df a2 = splat8(a2p[k * sak]);
-        const v8df a3 = splat8(a3p[k * sak]);
+        const v8df b0 = at8(bk), b1 = at8(bk + 8);
+        splat8(a0, a0p[k * sak]);
+        splat8(a1, a1p[k * sak]);
+        splat8(a2, a2p[k * sak]);
+        splat8(a3, a3p[k * sak]);
         c00 += a0 * b0;
         c01 += a0 * b1;
         c10 += a1 * b0;
@@ -72,29 +75,30 @@ void gemm_acc(std::size_t M, std::size_t K, std::size_t N, const double* A,
         c30 += a3 * b0;
         c31 += a3 * b1;
       }
-      store8(r0 + n0, c00);
-      store8(r0 + n0 + 8, c01);
-      store8(r1 + n0, c10);
-      store8(r1 + n0 + 8, c11);
-      store8(r2 + n0, c20);
-      store8(r2 + n0 + 8, c21);
-      store8(r3 + n0, c30);
-      store8(r3 + n0 + 8, c31);
+      at8(r0 + n0) = c00;
+      at8(r0 + n0 + 8) = c01;
+      at8(r1 + n0) = c10;
+      at8(r1 + n0 + 8) = c11;
+      at8(r2 + n0) = c20;
+      at8(r2 + n0 + 8) = c21;
+      at8(r3 + n0) = c30;
+      at8(r3 + n0 + 8) = c31;
     }
     for (; n0 < n8; n0 += 8) {
-      v8df c0 = load8(r0 + n0), c1 = load8(r1 + n0);
-      v8df c2 = load8(r2 + n0), c3 = load8(r3 + n0);
+      v8df c0 = at8(r0 + n0), c1 = at8(r1 + n0);
+      v8df c2 = at8(r2 + n0), c3 = at8(r3 + n0);
+      v8df a;
       for (std::size_t k = 0; k < K; ++k) {
-        const v8df b0 = load8(B + k * ldb + n0);
-        c0 += splat8(a0p[k * sak]) * b0;
-        c1 += splat8(a1p[k * sak]) * b0;
-        c2 += splat8(a2p[k * sak]) * b0;
-        c3 += splat8(a3p[k * sak]) * b0;
+        const v8df b0 = at8(B + k * ldb + n0);
+        c0 += splat8(a, a0p[k * sak]) * b0;
+        c1 += splat8(a, a1p[k * sak]) * b0;
+        c2 += splat8(a, a2p[k * sak]) * b0;
+        c3 += splat8(a, a3p[k * sak]) * b0;
       }
-      store8(r0 + n0, c0);
-      store8(r1 + n0, c1);
-      store8(r2 + n0, c2);
-      store8(r3 + n0, c3);
+      at8(r0 + n0) = c0;
+      at8(r1 + n0) = c1;
+      at8(r2 + n0) = c2;
+      at8(r3 + n0) = c3;
     }
     for (; n0 < N; ++n0) {
       double acc0 = r0[n0], acc1 = r1[n0], acc2 = r2[n0], acc3 = r3[n0];

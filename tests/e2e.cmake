@@ -4,6 +4,7 @@
 #   cmake -DCASE=<case> -DWORK_DIR=<dir> -DSOURCE_DIR=<repo root>
 #         [-DFAULT_SWEEP=<fault_sweep binary>] [-DCLI=<autohet_cli binary>]
 #         [-DSERVING_SIM=<serving_sim binary>]
+#         [-DSEARCH_CONVERGENCE=<search_convergence binary>]
 #         -P tests/e2e.cmake
 #
 # Each case starts from an empty WORK_DIR (the binaries write their
@@ -49,6 +50,15 @@
 #       a negative count, thread count or rate (--eval-threads,
 #       --serve-threads, --top, --functional-samples, --qps) is rejected
 #       with an error naming the flag.
+#   kernel_env
+#       `autohet_cli kernels` under AUTOHET_KERNEL=portable shows portable
+#       active for both kernel tables; AUTOHET_KERNEL=neon is rejected.
+#   bench_args
+#       the bench binaries reject a bad positional count, budget mode,
+#       --threads or --kernel, naming the argument and writing no artifact;
+#       an instrumented `search_convergence 40` writes a valid Chrome-trace
+#       JSON and an exposition with the eval-cache series (registered only
+#       with AUTOHET_OBS on).
 #   telemetry
 #       an instrumented `search` and a pooled `baselines` run write a valid
 #       Chrome-trace JSON, a parseable JSONL episode log, and an exposition
@@ -204,6 +214,39 @@ elseif(CASE STREQUAL "negative_counts")
   run_fails("option --functional-samples must be non-negative: -2"
             ${replay} --functional-samples -2)
   run_fails("option --qps must be non-negative: -5" ${serve} --qps -5)
+elseif(CASE STREQUAL "kernel_env")
+  run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=portable "${CLI}" kernels)
+  foreach(table reram rl)
+    if(NOT OUTPUT MATCHES "\\| ${table} +\\| portable +\\| yes +\\| yes +\\|")
+      message(FATAL_ERROR "portable is not active for ${table}:\n${OUTPUT}")
+    endif()
+  endforeach()
+  run_fails("unknown kernel variant 'neon'"
+            "${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=neon "${CLI}" kernels)
+elseif(CASE STREQUAL "bench_args")
+  run_fails("argument <budget> must be fixed or adaptive: adaptiv"
+            "${FAULT_SWEEP}" 20 1 adaptiv)
+  run_fails("argument <episodes> must be an integer >= 1: abc"
+            "${FAULT_SWEEP}" abc)
+  run_fails("argument <mc_threads> must be an integer >= 0: -1"
+            "${FAULT_SWEEP}" 20 -1)
+  run_fails("--kernel: unknown kernel variant 'neon'"
+            "${FAULT_SWEEP}" 20 --kernel neon)
+  run_fails("option --threads must be an integer >= 0: -3"
+            "${SERVING_SIM}" --threads -3)
+  run_fails("option --threads needs a value" "${SERVING_SIM}" 500 --threads)
+  file(GLOB artifacts "${WORK_DIR}/*")
+  if(artifacts)
+    message(FATAL_ERROR "a rejected command wrote ${artifacts}")
+  endif()
+  run("${SEARCH_CONVERGENCE}" 40 --trace-out bench_trace.json
+      --metrics-out bench_metrics.prom)
+  file(READ "${WORK_DIR}/bench_trace.json" text)
+  string(JSON type ERROR_VARIABLE json_error TYPE "${text}")
+  if(json_error)
+    message(FATAL_ERROR "bench_trace.json is not valid JSON: ${json_error}")
+  endif()
+  contains(bench_metrics.prom autohet_eval_cache_misses_total)
 elseif(CASE STREQUAL "telemetry")
   run("${CLI}" search --model lenet5 --episodes 20 --trace-out trace.json
       --metrics-out metrics.prom --episode-log episodes.jsonl)

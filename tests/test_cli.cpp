@@ -257,6 +257,55 @@ TEST(ArgParser, RejectNegativeOptionsChecksOnlyTheNamedOptions) {
   EXPECT_EQ(args.option_int("offset"), -3);
 }
 
+TEST(ArgParser, CountReadsPositionalsAndOptions) {
+  ArgParser args("t", "d");
+  args.add_optional_positional("episodes", "300", "h");
+  args.add_optional_positional("threads", "0", "h");
+  args.add_option("requests", "2000", "h");
+  const char* argv[] = {"t", "25", "--requests", "0"};
+  std::string error;
+  ASSERT_TRUE(args.parse(4, argv, &error)) << error;
+  EXPECT_EQ(args.count("episodes", 1), 25);
+  EXPECT_EQ(args.count("threads"), 0);
+  EXPECT_EQ(args.count("requests"), 0);
+}
+
+TEST(ArgParser, CountRejectsAnythingButAnIntegerAtLeastMin) {
+  const auto count_error = [](const char* value, int min) -> std::string {
+    ArgParser args("t", "d");
+    args.add_optional_positional("episodes", "300", "h");
+    args.add_option("threads", "1", "h");
+    const char* argv[] = {"t", value, "--threads", value};
+    std::string error;
+    EXPECT_TRUE(args.parse(4, argv, &error)) << error;
+    std::string messages;
+    for (const char* name : {"episodes", "threads"}) {
+      try {
+        args.count(name, min);
+      } catch (const std::invalid_argument& e) {
+        messages += std::string(e.what()) + '\n';
+      }
+    }
+    return messages;
+  };
+  EXPECT_EQ(count_error("7", 0), "");
+  const std::string negative = count_error("-3", 0);
+  EXPECT_NE(negative.find("argument <episodes> must be an integer >= 0: -3"),
+            std::string::npos)
+      << negative;
+  EXPECT_NE(negative.find("option --threads must be an integer >= 0: -3"),
+            std::string::npos)
+      << negative;
+  for (const char* garbage : {"abc", "12x", "", "+5", "99999999999"}) {
+    EXPECT_NE(count_error(garbage, 0).find("argument <episodes>"),
+              std::string::npos)
+        << garbage;
+  }
+  EXPECT_NE(count_error("0", 1).find("argument <episodes> must be an "
+                                     "integer >= 1: 0"),
+            std::string::npos);
+}
+
 TEST(ArgParser, HelpMarksOptionalPositionalsWithBrackets) {
   ArgParser args("t", "d");
   args.add_positional("command", "h");

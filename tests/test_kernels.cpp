@@ -289,15 +289,13 @@ TEST(KernelDispatch, SupportedVariantsListsPortableFirst) {
 }
 
 TEST(KernelDispatch, VariantNamesRoundTrip) {
-  for (int i = 0; i < rk::kVariantCount; ++i) {
-    const auto v = static_cast<rk::Variant>(i);
-    rk::Variant parsed;
-    ASSERT_TRUE(rk::variant_from_name(rk::variant_name(v), &parsed));
-    EXPECT_EQ(parsed, v);
+  for (int i = 0; i < common::kKernelVariantCount; ++i) {
+    const auto v = static_cast<common::KernelVariant>(i);
+    EXPECT_EQ(common::kernel_variant_from_name(common::kernel_variant_name(v)),
+              v);
   }
-  rk::Variant parsed;
-  EXPECT_FALSE(rk::variant_from_name("neon", &parsed));
-  EXPECT_FALSE(rk::variant_from_name("", &parsed));
+  EXPECT_FALSE(common::kernel_variant_from_name("neon"));
+  EXPECT_FALSE(common::kernel_variant_from_name(""));
 }
 
 TEST(KernelScratch, BuffersGrowMonotonicallyAndAreReusable) {

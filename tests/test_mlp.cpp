@@ -325,14 +325,5 @@ TEST(RlKernelDispatch, SupportedVariantsListsPortableFirst) {
   EXPECT_TRUE(rk::supported(rk::active_variant()));
 }
 
-TEST(RlKernelDispatch, ArgvOverrideRejectsUnknownNames) {
-  const char* argv[] = {"prog", "--kernel", "neon"};
-  EXPECT_THROW(rk::apply_argv_override(3, argv), std::invalid_argument);
-  const char* none[] = {"prog", "300"};
-  const rk::Variant before = rk::active_variant();
-  rk::apply_argv_override(2, none);
-  EXPECT_EQ(rk::active_variant(), before);
-}
-
 }  // namespace
 }  // namespace autohet

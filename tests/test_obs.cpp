@@ -443,20 +443,6 @@ TEST(ObsCli, DefaultsAreEmptyAndDisabled) {
   EXPECT_TRUE(opts.log_level.empty());
 }
 
-TEST(ObsCli, RawArgvScannerFindsFlagsAmongPositionals) {
-  const char* argv[] = {"bench", "300", "--trace-out", "t.json",
-                        "--metrics-out=m.json", "extra"};
-  const obs::Options opts = obs::options_from_argv(6, argv);
-  EXPECT_EQ(opts.trace_out, "t.json");
-  EXPECT_EQ(opts.metrics_out, "m.json");
-  EXPECT_TRUE(opts.episode_log.empty());
-}
-
-TEST(ObsCli, RawArgvScannerRejectsTrailingFlagWithoutValue) {
-  const char* argv[] = {"bench", "40", "--metrics-out"};
-  EXPECT_THROW(obs::options_from_argv(3, argv), std::invalid_argument);
-}
-
 TEST(ObsCli, BadLogLevelThrowsInvalidArgument) {
   obs::Options opts;
   opts.log_level = "chatty";
