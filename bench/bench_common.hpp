@@ -1,12 +1,15 @@
-// Shared helpers for the experiment-reproduction benches (one binary per
-// paper table/figure). Each binary prints the same rows/series the paper
-// reports; absolute values are model-dependent, shapes are the target
-// (see EXPERIMENTS.md). The binaries that take arguments parse them through
-// make_args() + parse_args(); the rest keep `int main()`.
+// Shared helpers for the experiment benches: paper_results (one section
+// per paper table/figure and extension ablation, printing the same
+// rows/series the paper reports; absolute values are model-dependent,
+// shapes are the target — see EXPERIMENTS.md) and the standalone fault,
+// functional, search-time and serving benches, each of which parses its
+// command line through make_args() + parse_args().
 #pragma once
 
+#include <algorithm>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,19 +36,38 @@ inline common::ArgParser make_args(const std::string& program,
   return args;
 }
 
-/// Parses argv into `args`, checks each named count (a positional or an
-/// option, with its minimum), applies --kernel and starts the obs session,
+/// Parses argv into `args` and checks it before anything runs: each named
+/// count the command line supplies (a positional or an option, with its
+/// minimum; defaults are the program's own) and each choice positional
+/// (its allowed values). Then applies --kernel and starts the obs session,
 /// which main's scope holds and which writes the telemetry files when it
 /// dies. On malformed input (or --help) prints the message and returns
 /// false, before anything runs or writes an artifact; main then exits 2.
 inline bool parse_args(
     common::ArgParser& args, int argc, char** argv,
     const std::vector<std::pair<std::string, int>>& counts,
-    std::optional<obs::ObsSession>* session) {
+    std::optional<obs::ObsSession>* session,
+    const std::vector<std::pair<std::string, std::vector<std::string>>>&
+        choices = {}) {
   std::string error;
   try {
     if (args.parse(argc, argv, &error)) {
-      for (const auto& [name, min] : counts) args.count(name, min);
+      for (const auto& [name, min] : counts) {
+        if (args.provided(name)) args.count(name, min);
+      }
+      for (const auto& [name, allowed] : choices) {
+        const std::string& value = args.positional(name);
+        if (std::find(allowed.begin(), allowed.end(), value) != allowed.end()) {
+          continue;
+        }
+        std::string list;
+        for (std::size_t i = 0; i < allowed.size(); ++i) {
+          if (i > 0) list += i + 1 == allowed.size() ? " or " : ", ";
+          list += allowed[i];
+        }
+        throw std::invalid_argument("argument <" + name + "> must be " +
+                                    list + ": " + value);
+      }
       core::apply_kernel_option(args);
       session->emplace(args);
       return true;

@@ -72,18 +72,13 @@ int main(int argc, char** argv) {
   args.add_optional_positional("budget", "fixed", "fixed | adaptive");
   std::optional<obs::ObsSession> session;
   if (!bench::parse_args(args, argc, argv,
-                         {{"episodes", 1}, {"mc_threads", 0}}, &session)) {
+                         {{"episodes", 1}, {"mc_threads", 0}}, &session,
+                         {{"budget", {"fixed", "adaptive"}}})) {
     return 2;
   }
   const int episodes = args.count("episodes");
   const int mc_threads = args.count("mc_threads");
-  const std::string& budget = args.positional("budget");
-  if (budget != "fixed" && budget != "adaptive") {
-    std::cerr << "argument <budget> must be fixed or adaptive: " << budget
-              << '\n';
-    return 2;
-  }
-  const bool adaptive = budget == "adaptive";
+  const bool adaptive = args.positional("budget") == "adaptive";
   bench::print_header("Fault sweep — accuracy vs stuck-at rate × cell bits "
                       "(LeNet-5, " + std::to_string(episodes) +
                       " search rounds, " +

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 
@@ -112,6 +113,7 @@ bool ArgParser::parse(int argc, const char* const* argv, std::string* error) {
     }
     return false;
   }
+  positionals_given_ = positional_index;
   return true;
 }
 
@@ -123,6 +125,10 @@ bool ArgParser::flag(const std::string& name) const {
 }
 
 bool ArgParser::provided(const std::string& name) const {
+  const auto given = positional_names_.begin() +
+                     static_cast<std::ptrdiff_t>(positionals_given_);
+  if (std::find(positional_names_.begin(), given, name) != given) return true;
+  if (positional_values_.contains(name)) return false;
   const auto it = options_.find(name);
   AUTOHET_CHECK(it != options_.end(), "unknown option: " + name);
   return it->second.seen;

@@ -39,8 +39,8 @@ class ArgParser {
   bool parse(int argc, const char* const* argv, std::string* error);
 
   bool flag(const std::string& name) const;
-  /// True when the user supplied this flag/option on the command line
-  /// (a registered option left at its default returns false).
+  /// True when the user supplied this flag, option or positional on the
+  /// command line (one left at its default returns false).
   bool provided(const std::string& name) const;
   /// After parse(): if `gate` was provided together with any of `conflicts`,
   /// fills *error with "--gate cannot be combined with --other" and returns
@@ -85,6 +85,7 @@ class ArgParser {
   std::vector<std::string> positional_names_;
   std::vector<std::string> positional_help_;
   std::size_t required_positionals_ = 0;
+  std::size_t positionals_given_ = 0;  ///< leading positionals supplied
   std::map<std::string, std::string> positional_values_;
 };
 

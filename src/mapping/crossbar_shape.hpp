@@ -17,7 +17,6 @@ struct CrossbarShape {
   std::int64_t cols = 0;  ///< bitlines  (c in Eq. 4)
 
   std::int64_t cells() const noexcept { return rows * cols; }
-  bool is_square() const noexcept { return rows == cols; }
 
   std::string name() const {
     return std::to_string(rows) + "x" + std::to_string(cols);

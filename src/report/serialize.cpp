@@ -64,53 +64,6 @@ void write_network_report_csv(std::ostream& os,
   table.print_csv(os);
 }
 
-void write_summary_csv(std::ostream& os, const std::string& name,
-                       const reram::NetworkReport& report, bool with_header) {
-  if (with_header) {
-    os << "name,utilization,energy_nj,rue,area_um2,latency_ns,"
-          "occupied_tiles,empty_crossbars\n";
-  }
-  os << name << ',' << format_fixed(report.utilization, 6) << ','
-     << format_sci(report.energy.total_nj(), 6) << ','
-     << format_sci(report.rue(), 6) << ','
-     << format_sci(report.area.total_um2(), 6) << ','
-     << format_sci(report.latency_ns, 6) << ',' << report.occupied_tiles
-     << ',' << report.empty_crossbars << '\n';
-}
-
-void write_robustness_json(std::ostream& os, const std::string& name,
-                           const reram::RobustnessReport& report) {
-  os << "{\n  \"name\": \"" << name << "\",\n"
-     << "  \"trials\": " << report.trials << ",\n"
-     << "  \"trials_requested\": " << report.trials_requested << ",\n"
-     << "  \"early_stopped\": "
-     << (report.early_stopped ? "true" : "false") << ",\n"
-     << "  \"samples\": " << report.samples << ",\n"
-     << "  \"accuracy_mean\": " << format_fixed(report.mean_accuracy, 6)
-     << ",\n"
-     << "  \"accuracy_ci_lower\": "
-     << format_fixed(report.accuracy_ci_lower, 6) << ",\n"
-     << "  \"accuracy_ci_upper\": "
-     << format_fixed(report.accuracy_ci_upper, 6) << ",\n"
-     << "  \"accuracy_stddev\": " << format_fixed(report.stddev_accuracy, 6)
-     << ",\n"
-     << "  \"accuracy_min\": " << format_fixed(report.min_accuracy, 6)
-     << ",\n"
-     << "  \"accuracy_max\": " << format_fixed(report.max_accuracy, 6)
-     << ",\n"
-     << "  \"mean_logit_error\": " << format_sci(report.mean_logit_error, 6)
-     << ",\n  \"layer_error\": [";
-  for (std::size_t i = 0; i < report.layer_error.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << format_sci(report.layer_error[i], 6);
-  }
-  os << "],\n  \"fault_stats\": {"
-     << "\"physical_cells\": " << report.fault_stats.physical_cells
-     << ", \"stuck_at_zero\": " << report.fault_stats.stuck_at_zero
-     << ", \"stuck_at_one\": " << report.fault_stats.stuck_at_one
-     << ", \"weights_changed\": " << report.fault_stats.weights_changed
-     << "}\n}\n";
-}
-
 namespace {
 
 /// Highest non-empty bucket index, or 0 when the histogram is empty.

@@ -8,7 +8,6 @@
 
 #include "mapping/plan.hpp"
 #include "obs/metrics.hpp"
-#include "reram/faults.hpp"
 #include "reram/stats.hpp"
 
 namespace autohet::report {
@@ -22,18 +21,6 @@ std::string format_double_json(double value);
 /// utilization, energy components, latency; followed by a TOTAL row.
 void write_network_report_csv(std::ostream& os,
                               const reram::NetworkReport& report);
-
-/// Single summary line (plus header): utilization, energy, rue, area,
-/// latency, occupied_tiles, empty_crossbars.
-void write_summary_csv(std::ostream& os, const std::string& name,
-                       const reram::NetworkReport& report,
-                       bool with_header = true);
-
-/// One Monte-Carlo robustness report as a JSON object: trials/samples,
-/// accuracy mean/stddev/min/max, mean logit error, per-layer relative
-/// error array, and the burned-in fault-map statistics.
-void write_robustness_json(std::ostream& os, const std::string& name,
-                           const reram::RobustnessReport& report);
 
 /// Prometheus text exposition (format 0.0.4): `# TYPE` lines, counters and
 /// gauges as plain samples, histograms as cumulative `_bucket{le="..."}`

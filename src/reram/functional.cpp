@@ -209,15 +209,6 @@ void MappedLayer::prepare_packed() {
   for (auto& xb : crossbars_) xb.ensure_packed();
 }
 
-std::vector<std::int32_t> MappedLayer::mvm(
-    std::span<const std::uint8_t> input_column, DatapathMode mode) const {
-  std::vector<std::int32_t> out(
-      static_cast<std::size_t>(spec_.weight_cols()), 0);
-  thread_local kernels::KernelScratch scratch;
-  mvm_into(input_column, mode, out, scratch, /*call_key=*/0);
-  return out;
-}
-
 void MappedLayer::mvm_into(std::span<const std::uint8_t> input_column,
                            DatapathMode mode, std::span<std::int32_t> out,
                            kernels::KernelScratch& scratch,

@@ -78,16 +78,10 @@ class MappedLayer {
   float weight_scale() const noexcept { return weight_scale_; }
   const nn::LayerSpec& spec() const noexcept { return spec_; }
 
-  /// Integer MVM of one unfolded input column (length Cin·k², 8-bit).
-  /// Returns one int32 accumulation per output channel: partial sums from
-  /// the row blocks are merged by the adder tree. Convenience wrapper over
-  /// mvm_into (call_key 0).
-  std::vector<std::int32_t> mvm(std::span<const std::uint8_t> input_column,
-                                DatapathMode mode) const;
-
-  /// Allocation-free MVM: writes the merged accumulation into `out`
-  /// (length weight_cols(), zero-filled here), accumulating row-block
-  /// partials directly in the caller's buffer — no per-crossbar vectors.
+  /// Integer MVM of one unfolded input column (length Cin·k², 8-bit):
+  /// writes one int32 accumulation per output channel into `out` (length
+  /// weight_cols(), zero-filled here) — the row-block partial sums merged
+  /// by the adder tree directly in the caller's buffer, allocation-free.
   /// `scratch` is per-thread kernel scratch (packed input planes etc.).
   ///
   /// `call_key` seeds this call's read-noise stream: noise is drawn from an

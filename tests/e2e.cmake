@@ -4,7 +4,7 @@
 #   cmake -DCASE=<case> -DWORK_DIR=<dir> -DSOURCE_DIR=<repo root>
 #         [-DFAULT_SWEEP=<fault_sweep binary>] [-DCLI=<autohet_cli binary>]
 #         [-DSERVING_SIM=<serving_sim binary>]
-#         [-DSEARCH_CONVERGENCE=<search_convergence binary>]
+#         [-DPAPER_RESULTS=<paper_results binary>]
 #         -P tests/e2e.cmake
 #
 # Each case starts from an empty WORK_DIR (the binaries write their
@@ -20,7 +20,14 @@
 #       committed baseline, and leave BENCH_fault_sweep.json unwritten.
 #   serving_sim_threads
 #       `serving_sim 500` run twice, and once more with --threads 0, writes
-#       the same BENCH_serving.json each time.
+#       the same BENCH_serving.json each time; the report has its format
+#       and version, ordered latency percentiles (0 < p50 <= p95 <= p99 <=
+#       max), a positive sustained rate, request and swap-in totals equal
+#       to the per-model sums, and more swap-ins than models.
+#   paper_results
+#       `paper_results --episodes 20` (every paper figure, table and
+#       ablation section) prints the committed
+#       bench/BENCH_baseline/paper_results_e20.txt byte for byte.
 #   graph_resnet152_replay
 #       resnet152 as a residual DAG compiles to a v2 plan whose chain
 #       skeleton checks out, and two replays give the same report JSON.
@@ -55,10 +62,11 @@
 #       active for both kernel tables; AUTOHET_KERNEL=neon is rejected.
 #   bench_args
 #       the bench binaries reject a bad positional count, budget mode,
-#       --threads or --kernel, naming the argument and writing no artifact;
-#       an instrumented `search_convergence 40` writes a valid Chrome-trace
-#       JSON and an exposition with the eval-cache series (registered only
-#       with AUTOHET_OBS on).
+#       paper section, --episodes, --threads or --kernel, naming the
+#       argument and writing no artifact (not even a requested metrics
+#       file); an instrumented `paper_results search_convergence --episodes
+#       40` writes a valid Chrome-trace JSON and an exposition with the
+#       eval-cache series (registered only with AUTOHET_OBS on).
 #   telemetry
 #       an instrumented `search` and a pooled `baselines` run write a valid
 #       Chrome-trace JSON, a parseable JSONL episode log, and an exposition
@@ -141,6 +149,54 @@ elseif(CASE STREQUAL "serving_sim_threads")
   endforeach()
   same(serving_first.json serving_second.json)
   same(serving_first.json serving_threads0.json)
+  file(READ "${WORK_DIR}/serving_first.json" doc)
+  string(JSON format GET "${doc}" format)
+  string(JSON version GET "${doc}" version)
+  if(NOT format STREQUAL "autohet-serving" OR NOT version EQUAL 1)
+    message(FATAL_ERROR "BENCH_serving.json is '${format}' v${version}")
+  endif()
+  string(JSON previous GET "${doc}" totals latency_ms p50)
+  if(NOT previous GREATER 0)
+    message(FATAL_ERROR "latency p50 ${previous} is not positive")
+  endif()
+  foreach(key p95 p99 max)
+    string(JSON ms GET "${doc}" totals latency_ms ${key})
+    if(ms LESS previous)
+      message(FATAL_ERROR "latency ${key} ${ms} is below ${previous}")
+    endif()
+    set(previous ${ms})
+  endforeach()
+  string(JSON qps GET "${doc}" totals sustained_qps)
+  if(NOT qps GREATER 0)
+    message(FATAL_ERROR "sustained_qps ${qps} is not positive")
+  endif()
+  string(JSON models LENGTH "${doc}" models)
+  math(EXPR last "${models} - 1")
+  foreach(key requests swap_ins)
+    set(sum 0)
+    foreach(m RANGE ${last})
+      string(JSON n GET "${doc}" models ${m} ${key})
+      math(EXPR sum "${sum} + ${n}")
+    endforeach()
+    string(JSON total GET "${doc}" totals ${key})
+    if(NOT total EQUAL sum)
+      message(FATAL_ERROR "total ${key} ${total} != per-model sum ${sum}")
+    endif()
+  endforeach()
+  string(JSON swaps GET "${doc}" totals swap_ins)
+  if(NOT swaps GREATER models)
+    message(FATAL_ERROR "${swaps} swap-ins for ${models} models: no pressure")
+  endif()
+elseif(CASE STREQUAL "paper_results")
+  execute_process(COMMAND "${PAPER_RESULTS}" --episodes 20
+                  WORKING_DIRECTORY "${WORK_DIR}" RESULT_VARIABLE rc
+                  OUTPUT_FILE "${WORK_DIR}/paper_results_e20.txt"
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "paper_results --episodes 20 exited with ${rc}\n${err}")
+  endif()
+  same(paper_results_e20.txt
+       "${SOURCE_DIR}/bench/BENCH_baseline/paper_results_e20.txt")
 elseif(CASE STREQUAL "graph_resnet152_replay")
   run("${CLI}" graph --network resnet152 --dot-out resnet152.dot
       --plan-out graph_plan.json --check-skeleton)
@@ -225,7 +281,7 @@ elseif(CASE STREQUAL "kernel_env")
             "${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=neon "${CLI}" kernels)
 elseif(CASE STREQUAL "bench_args")
   run_fails("argument <budget> must be fixed or adaptive: adaptiv"
-            "${FAULT_SWEEP}" 20 1 adaptiv)
+            "${FAULT_SWEEP}" 20 1 adaptiv --metrics-out m.prom)
   run_fails("argument <episodes> must be an integer >= 1: abc"
             "${FAULT_SWEEP}" abc)
   run_fails("argument <mc_threads> must be an integer >= 0: -1"
@@ -235,12 +291,16 @@ elseif(CASE STREQUAL "bench_args")
   run_fails("option --threads must be an integer >= 0: -3"
             "${SERVING_SIM}" --threads -3)
   run_fails("option --threads needs a value" "${SERVING_SIM}" 500 --threads)
+  run_fails("argument <section> must be all, fig03_motivation, "
+            "${PAPER_RESULTS}" fig99_unknown --metrics-out m.prom)
+  run_fails("option --episodes must be an integer >= 1: 0"
+            "${PAPER_RESULTS}" --episodes 0 --metrics-out m.prom)
   file(GLOB artifacts "${WORK_DIR}/*")
   if(artifacts)
     message(FATAL_ERROR "a rejected command wrote ${artifacts}")
   endif()
-  run("${SEARCH_CONVERGENCE}" 40 --trace-out bench_trace.json
-      --metrics-out bench_metrics.prom)
+  run("${PAPER_RESULTS}" search_convergence --episodes 40
+      --trace-out bench_trace.json --metrics-out bench_metrics.prom)
   file(READ "${WORK_DIR}/bench_trace.json" text)
   string(JSON type ERROR_VARIABLE json_error TYPE "${text}")
   if(json_error)

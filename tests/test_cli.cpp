@@ -183,6 +183,17 @@ TEST(ArgParser, ProvidedTracksUserSuppliedOptions) {
   EXPECT_THROW(args.provided("unknown"), std::invalid_argument);
 }
 
+TEST(ArgParser, ProvidedTracksUserSuppliedPositionals) {
+  ArgParser args("t", "d");
+  args.add_optional_positional("section", "all", "h");
+  args.add_optional_positional("episodes", "200", "h");
+  const char* argv[] = {"t", "fig09"};
+  std::string error;
+  ASSERT_TRUE(args.parse(2, argv, &error)) << error;
+  EXPECT_TRUE(args.provided("section"));
+  EXPECT_FALSE(args.provided("episodes"));  // defaulted, not supplied
+}
+
 TEST(ArgParser, RejectOptionConflicts) {
   const auto parse = [](std::vector<const char*> argv, std::string* error) {
     ArgParser args("t", "d");

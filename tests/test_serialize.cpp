@@ -46,27 +46,6 @@ TEST(SerializeNetworkReport, LayerRowsCarryPerLayerNumbers) {
   EXPECT_EQ(line.rfind("1,64x64,", 0), 0u);
 }
 
-TEST(SerializeSummary, SingleLineWithHeader) {
-  const auto report = sample_report();
-  std::ostringstream oss;
-  report::write_summary_csv(oss, "lenet-64", report);
-  const std::string csv = oss.str();
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
-  EXPECT_EQ(csv.rfind("name,utilization,", 0), 0u);
-  EXPECT_NE(csv.find("lenet-64,"), std::string::npos);
-}
-
-TEST(SerializeSummary, HeaderSuppression) {
-  const auto report = sample_report();
-  std::ostringstream oss;
-  report::write_summary_csv(oss, "a", report, /*with_header=*/true);
-  report::write_summary_csv(oss, "b", report, /*with_header=*/false);
-  const std::string csv = oss.str();
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  // Only one header.
-  EXPECT_EQ(csv.find("name,"), csv.rfind("name,"));
-}
-
 // ------------------------------------------------------- plan JSON input --
 
 std::string read_fixture() {
