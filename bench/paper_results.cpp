@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "mapping/multi_model.hpp"
 #include "mapping/plan.hpp"
 #include "mapping/tile_allocator.hpp"
 #include "report/serialize.hpp"
@@ -93,8 +92,8 @@ void fig04_empty_crossbars(int /*episodes*/) {
   report::Table table({"XBs/tile", "L1 empty %", "L2 empty %", "L3 empty %",
                        "L4 empty %", "Average %"});
   for (std::int64_t xbs : {4, 8, 16, 32}) {
-    const mapping::TileAllocator alloc(xbs, /*tile_shared=*/false);
-    const auto result = alloc.allocate(layers, shapes);
+    const auto result =
+        mapping::allocate_tiles(layers, shapes, xbs, /*tile_shared=*/false);
     std::vector<std::string> row = {std::to_string(xbs)};
     double total = 0.0;
     for (const auto& layer : result.layers) {
@@ -615,12 +614,14 @@ void multi_model_residency(int /*episodes*/) {
        {std::pair{mapping::SharingScope::kNone, "none"},
         std::pair{mapping::SharingScope::kPerModel, "per-model"},
         std::pair{mapping::SharingScope::kCrossModel, "cross-model"}}) {
-    const mapping::MultiModelAllocator alloc(16, scope);
-    const auto result = alloc.allocate(models);
+    const auto result = mapping::allocate_tiles(models, 16, scope);
     const auto placement = reram::place_tiles(result.tiles, chip);
+    const std::int64_t released =
+        static_cast<std::int64_t>(result.tiles.size()) -
+        result.occupied_tiles();
     table.add_row(
         {name, std::to_string(result.occupied_tiles()),
-         std::to_string(result.released_tiles()),
+         std::to_string(released),
          report::format_fixed(result.system_utilization() * 100.0, 1),
          report::format_fixed(placement.chip_occupancy * 100.0, 1)});
   }
@@ -628,12 +629,17 @@ void multi_model_residency(int /*episodes*/) {
 
   // Per-model footprint before sharing, for context.
   std::cout << "\nPer-model tiles before sharing:\n";
-  const auto base = mapping::MultiModelAllocator(
-                        16, mapping::SharingScope::kNone)
-                        .allocate(models);
-  for (const auto& m : base.models) {
-    std::cout << "  " << m.name << ": " << m.tiles_before_sharing
-              << " tiles\n";
+  const auto base =
+      mapping::allocate_tiles(models, 16, mapping::SharingScope::kNone);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    std::int64_t tiles = 0;
+    for (const auto& layer : base.layers) {
+      if (layer.layer_id / mapping::kModelStride ==
+          static_cast<std::int64_t>(m)) {
+        tiles += layer.tiles_allocated;
+      }
+    }
+    std::cout << "  " << models[m].name << ": " << tiles << " tiles\n";
   }
   std::cout << "\nShape: cross-model sharing releases at least as many tiles "
                "as per-model sharing, freeing chip capacity for additional "
@@ -714,7 +720,7 @@ void ablation_placement(int /*episodes*/) {
        {mapping::CrossbarShape{32, 32}, mapping::CrossbarShape{64, 64},
         mapping::CrossbarShape{128, 128}}) {
     const auto allocation =
-        mapping::TileAllocator(4, false).allocate(layers, uniform(net, shape));
+        mapping::allocate_tiles(layers, uniform(net, shape), 4, false);
     for (const auto& [policy, name] :
          {std::pair{reram::PlacementPolicy::kRowMajor, "row-major"},
           std::pair{reram::PlacementPolicy::kSnake, "snake"},

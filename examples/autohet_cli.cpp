@@ -69,8 +69,8 @@ core::CrossbarEnv build_env(const common::ArgParser& args,
   core::EnvConfig cfg;
   cfg.candidates = candidates_by_name(args.option("candidates"));
   cfg.accel.tile_shared = !args.flag("no-tile-shared");
-  cfg.accel.pes_per_tile = args.option_int("pes-per-tile");
-  cfg.eval_threads = static_cast<std::size_t>(args.option_int("eval-threads"));
+  cfg.accel.pes_per_tile = args.count("pes-per-tile");
+  cfg.eval_threads = static_cast<std::size_t>(args.count("eval-threads"));
   return core::CrossbarEnv(net.mappable_layers(), cfg);
 }
 
@@ -106,7 +106,7 @@ int run_search(const common::ArgParser& args) {
   const auto net = model_network(args);
   const auto env = build_env(args, net);
   core::SearchConfig cfg;
-  cfg.episodes = static_cast<int>(args.option_int("episodes"));
+  cfg.episodes = args.count("episodes");
   cfg.seed = static_cast<std::uint64_t>(args.option_int("seed"));
   cfg.warmup_episodes = std::min(25, cfg.episodes / 4);
   const auto result = core::AutoHetSearch(env, cfg).run();
@@ -164,8 +164,7 @@ void apply_mc_budget(reram::RobustnessOptions& opts,
   if (ci <= 0.0) return;
   opts.budget.mode = reram::RobustnessBudget::Mode::kAdaptive;
   opts.budget.ci_halfwidth = ci;
-  opts.budget.max_trials =
-      static_cast<int>(args.option_int("mc-max-trials"));
+  opts.budget.max_trials = args.count("mc-max-trials");
 }
 
 /// Next synthetic input for `model`'s graph input shape.
@@ -194,8 +193,8 @@ int run_replay(const common::ArgParser& args) {
   // Functional inference + robustness MC on the plan's placement. Both
   // need weights; the zoo networks ship none, so we use the same seeded
   // random initialization the functional examples use.
-  const auto samples = args.option_int("functional-samples");
-  const auto trials = args.option_int("mc-trials");
+  const auto samples = args.count("functional-samples");
+  const auto trials = args.count("mc-trials");
   if (samples == 0 && trials == 0) return 0;
   const nn::Model model = reram::replay_model(plan);
   if (samples > 0) {
@@ -217,9 +216,9 @@ int run_replay(const common::ArgParser& args) {
                 "available for DAG (v2) plans yet");
   if (trials == 0) return 0;
   reram::RobustnessOptions opts;
-  opts.trials = static_cast<int>(trials);
+  opts.trials = trials;
   opts.samples = 4;
-  opts.threads = static_cast<int>(args.option_int("mc-threads"));
+  opts.threads = args.count("mc-threads");
   apply_mc_budget(opts, args);
   const auto rob = reram::monte_carlo_robustness(model, plan, opts);
   std::cout << "robustness MC: accuracy "
@@ -252,14 +251,14 @@ int run_profile(const common::ArgParser& args, obs::ObsSession& session) {
   obs::Profiler::global().reset();
 
   const auto report = plan::evaluate_plan(plan);
-  const std::int64_t batch = args.option_int("batch");
+  const std::int64_t batch = args.count("batch");
   const auto schedule = reram::schedule_batch(plan, batch);
 
   // Optional functional replay feeds executed-MVM and programming-write
   // attribution; same seeded weights/images as `replay` so the two commands
   // describe the same deployment.
-  const auto samples = args.option_int("functional-samples");
-  const auto trials = args.option_int("mc-trials");
+  const auto samples = args.count("functional-samples");
+  const auto trials = args.count("mc-trials");
   AUTOHET_CHECK(trials == 0 || !plan.has_graph(),
                 "robustness MC replays the linear path; it is not "
                 "available for DAG (v2) plans yet");
@@ -274,9 +273,9 @@ int run_profile(const common::ArgParser& args, obs::ObsSession& session) {
     }
     if (trials > 0) {
       reram::RobustnessOptions opts;
-      opts.trials = static_cast<int>(trials);
+      opts.trials = trials;
       opts.samples = 4;
-      opts.threads = static_cast<int>(args.option_int("mc-threads"));
+      opts.threads = args.count("mc-threads");
       apply_mc_budget(opts, args);
       (void)reram::monte_carlo_robustness(model, plan, opts);
     }
@@ -294,8 +293,7 @@ int run_profile(const common::ArgParser& args, obs::ObsSession& session) {
     report::write_profile_json(pf, profile);
     std::cout << "attribution profile written to " << out << "\n\n";
   }
-  print_hotspot_table(std::cout, profile,
-                      static_cast<int>(args.option_int("top")));
+  print_hotspot_table(std::cout, profile, args.count("top"));
   return 0;
 }
 
@@ -309,13 +307,13 @@ int run_serve(const common::ArgParser& args) {
   for (const std::string& path : paths) plans.push_back(load_plan(path));
 
   serve::FabricConfig fabric_config;
-  fabric_config.tile_capacity = args.option_int("tile-capacity");
+  fabric_config.tile_capacity = args.count("tile-capacity");
   fabric_config.eviction =
       serve::eviction_policy_from_name(args.option("eviction"));
   fabric_config.scope = serve::sharing_scope_from_name(args.option("sharing"));
   fabric_config.functional = args.flag("serve-functional");
 
-  const std::int64_t threads = args.option_int("serve-threads");
+  const std::int64_t threads = args.count("serve-threads");
   std::optional<common::ThreadPool> pool;
   if (threads != 1) {
     pool.emplace(threads == 0 ? 0 : static_cast<std::size_t>(threads));
@@ -324,7 +322,7 @@ int run_serve(const common::ArgParser& args) {
                               pool ? &*pool : nullptr);
 
   serve::BatchingConfig batching;
-  batching.max_batch = args.option_int("max-batch");
+  batching.max_batch = args.count("max-batch");
   batching.max_wait_ns = args.option_double("max-wait-us") * 1e3;
 
   serve::TrafficTrace trace;
@@ -361,8 +359,7 @@ int run_serve(const common::ArgParser& args) {
       qps = 0.7 * 1e9 / weighted_ns_per_request;
     }
     tc.mean_qps = qps;
-    tc.duration_s =
-        static_cast<double>(args.option_int("requests")) / tc.mean_qps;
+    tc.duration_s = static_cast<double>(args.count("requests")) / tc.mean_qps;
     trace = serve::generate_trace(tc, fabric.model_count());
   }
   if (const std::string out = args.option("traffic-out"); !out.empty()) {
@@ -505,7 +502,7 @@ int run_graph(const common::ArgParser& args) {
       mappable.size(), mapping::CrossbarShape{128, 128});
   reram::AcceleratorConfig accel;
   accel.tile_shared = !args.flag("no-tile-shared");
-  accel.pes_per_tile = args.option_int("pes-per-tile");
+  accel.pes_per_tile = args.count("pes-per-tile");
   const plan::DeploymentPlan graph_plan =
       plan::compile_plan(graph, shapes, accel);
   if (!plan_out.empty()) {
@@ -717,19 +714,31 @@ int main(int argc, char** argv) {
     return 2;
   }
   // A plan freezes the network, mapping and accelerator config, so every
-  // option that would configure a fresh search contradicts it. Counts,
-  // thread counts and rates are never negative.
+  // option that would configure a fresh search contradicts it.
   if (!args.reject_option_conflicts(
           "plan-in",
           {"episodes", "seed", "candidates", "model", "csv", "pes-per-tile",
            "no-tile-shared"},
-          &error) ||
-      !args.reject_negative_options(
-          {"episodes", "pes-per-tile", "batch", "top", "functional-samples",
-           "mc-trials", "mc-threads", "mc-max-trials", "eval-threads",
-           "requests", "qps", "max-batch", "tile-capacity", "serve-threads"},
           &error)) {
     std::cerr << error << '\n';
+    return 2;
+  }
+  // Each count is an int no smaller than its minimum (the commands read
+  // them with args.count) and the rate is never negative.
+  try {
+    for (const char* name :
+         {"episodes", "pes-per-tile", "batch", "max-batch", "requests"}) {
+      args.count(name, 1);
+    }
+    for (const char* name :
+         {"top", "functional-samples", "mc-trials", "mc-threads",
+          "mc-max-trials", "eval-threads", "tile-capacity", "serve-threads"}) {
+      args.count(name);
+    }
+    AUTOHET_CHECK(args.option_double("qps") >= 0.0,
+                  "option --qps must be non-negative: " + args.option("qps"));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << '\n';
     return 2;
   }
   try {

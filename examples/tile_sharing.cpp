@@ -22,8 +22,7 @@ void run_fig8_scenario() {
   };
   const std::vector<mapping::CrossbarShape> shapes(3, {32, 32});
   for (bool shared : {false, true}) {
-    const mapping::TileAllocator alloc(4, shared);
-    const auto result = alloc.allocate(layers, shapes);
+    const auto result = mapping::allocate_tiles(layers, shapes, 4, shared);
     std::cout << (shared ? "  with tile sharing:    " : "  without sharing:     ")
               << result.occupied_tiles() << " tiles, "
               << result.empty_crossbars() << " empty crossbars, "
@@ -47,10 +46,8 @@ void run_vgg16_sweep() {
   report::Table table({"XBs/tile", "Tiles (tile-based)", "Tiles (shared)",
                        "Empty XB % (tile-based)", "Empty XB % (shared)"});
   for (std::int64_t xbs : {4, 8, 16, 32}) {
-    const auto base =
-        mapping::TileAllocator(xbs, false).allocate(layers, shapes);
-    const auto shared =
-        mapping::TileAllocator(xbs, true).allocate(layers, shapes);
+    const auto base = mapping::allocate_tiles(layers, shapes, xbs, false);
+    const auto shared = mapping::allocate_tiles(layers, shapes, xbs, true);
     const auto empty_pct = [](const mapping::AllocationResult& r) {
       return report::format_fixed(
           100.0 * static_cast<double>(r.empty_crossbars()) /

@@ -149,20 +149,6 @@ bool ArgParser::reject_option_conflicts(
   return true;
 }
 
-bool ArgParser::reject_negative_options(const std::vector<std::string>& names,
-                                        std::string* error) const {
-  for (const std::string& name : names) {
-    const std::string& value = option(name);
-    if (value.starts_with('-')) {
-      if (error) {
-        *error = "option --" + name + " must be non-negative: " + value;
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
 const std::string& ArgParser::option(const std::string& name) const {
   const auto it = options_.find(name);
   AUTOHET_CHECK(it != options_.end() && !it->second.is_flag,

@@ -49,12 +49,6 @@ class ArgParser {
   bool reject_option_conflicts(const std::string& gate,
                                const std::vector<std::string>& conflicts,
                                std::string* error) const;
-  /// After parse(): if any of `names` holds a negative value, fills *error
-  /// with "option --name must be non-negative: <value>" and returns false.
-  /// For counts, thread counts and rates, which a cast to an unsigned type
-  /// would otherwise wrap around.
-  bool reject_negative_options(const std::vector<std::string>& names,
-                               std::string* error) const;
   const std::string& option(const std::string& name) const;
   /// Every occurrence of a repeatable option, in command-line order (empty
   /// when the option was never supplied).

@@ -164,9 +164,8 @@ void DeploymentPlan::validate() const {
   // the structural checks above localize most tampering, this one closes
   // every remaining gap (and is what makes replayed numbers bit-identical
   // to a fresh compile by construction).
-  const mapping::TileAllocator allocator(accel.pes_per_tile,
-                                         accel.tile_shared);
-  AUTOHET_CHECK(allocator.allocate(layers, shapes()) == allocation,
+  AUTOHET_CHECK(mapping::allocate_tiles(layers, shapes(), accel.pes_per_tile,
+                                        accel.tile_shared) == allocation,
                 "plan allocation does not match re-derivation: the plan is "
                 "stale or was edited by hand");
 }
@@ -200,9 +199,9 @@ DeploymentPlan compile_plan(std::string network,
   plan.layers = mappable_layers;
   plan.accel = accel;
   plan.fault_fingerprint = fault_fingerprint(accel.faults);
-  const mapping::TileAllocator allocator(accel.pes_per_tile,
-                                         accel.tile_shared);
-  plan.allocation = allocator.allocate(mappable_layers, shapes);
+  plan.allocation = mapping::allocate_tiles(mappable_layers, shapes,
+                                            accel.pes_per_tile,
+                                            accel.tile_shared);
   return plan;
 }
 
@@ -247,13 +246,8 @@ reram::NetworkReport evaluate_plan(const DeploymentPlan& plan) {
   // tiles contribute nothing.
   for (const auto& tile : alloc.tiles) {
     if (tile.released) continue;
-    const reram::TileAreaContribution a = reram::tile_area_contribution(
-        tile.shape, accel.device, accel.pes_per_tile);
-    report.area.crossbar_um2 += a.crossbar_um2;
-    report.area.adc_um2 += a.adc_um2;
-    report.area.dac_um2 += a.dac_um2;
-    report.area.shift_add_um2 += a.shift_add_um2;
-    report.area.tile_overhead_um2 += a.tile_overhead_um2;
+    report.area += reram::tile_area_contribution(tile.shape, accel.device,
+                                                 accel.pes_per_tile);
   }
   report.occupied_tiles = alloc.occupied_tiles();
   report.empty_crossbars = alloc.empty_crossbars();

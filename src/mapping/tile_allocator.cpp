@@ -1,6 +1,7 @@
 #include "mapping/tile_allocator.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -53,93 +54,90 @@ CombMap tile_shared_remap(std::vector<Tile*>& tiles, std::int64_t xb_num) {
   OBS_SPAN("tile_shared_remap");
   OBS_COUNTER_ADD("autohet_tile_remap_passes_total", 1);
   CombMap comb_map;
-  // Line 2: sort ascending by empty-crossbar count.
-  std::sort(tiles.begin(), tiles.end(), [](const Tile* a, const Tile* b) {
-    if (a->empty_xbs != b->empty_xbs) return a->empty_xbs < b->empty_xbs;
-    return a->id < b->id;  // deterministic tie-break
+  drain_tiles(tiles.begin(), tiles.end(), xb_num, [&](Tile& h, Tile& t) {
+    h.layer_ids.insert(h.layer_ids.end(), t.layer_ids.begin(),
+                       t.layer_ids.end());
+    h.layer_xbs.insert(h.layer_xbs.end(), t.layer_xbs.begin(),
+                       t.layer_xbs.end());
+    t.layer_ids.clear();
+    t.layer_xbs.clear();
+    comb_map[h.id].push_back(t.id);
+    OBS_COUNTER_ADD("autohet_tiles_released_total", 1);
   });
-  std::size_t head = 0;
-  std::size_t tail = tiles.empty() ? 0 : tiles.size() - 1;
-  // Lines 5-16: two-pointer pass. The condition
-  //   head.empty + tail.empty >= XBNum
-  // is equivalent to "tail's occupied crossbars fit into head's empties",
-  // so the tail tile can be drained into the head tile and released.
-  while (head < tail) {
-    Tile* h = tiles[head];
-    Tile* t = tiles[tail];
-    if (h->empty_xbs + t->empty_xbs >= xb_num) {
-      h->empty_xbs = h->empty_xbs + t->empty_xbs - xb_num;
-      t->empty_xbs = 0;
-      t->released = true;
-      h->layer_ids.insert(h->layer_ids.end(), t->layer_ids.begin(),
-                          t->layer_ids.end());
-      h->layer_xbs.insert(h->layer_xbs.end(), t->layer_xbs.begin(),
-                          t->layer_xbs.end());
-      t->layer_ids.clear();
-      t->layer_xbs.clear();
-      comb_map[h->id].push_back(t->id);
-      OBS_COUNTER_ADD("autohet_tiles_released_total", 1);
-      --tail;
-    } else {
-      ++head;
-    }
-  }
   return comb_map;
 }
 
-TileAllocator::TileAllocator(std::int64_t xbs_per_tile, bool tile_shared)
-    : xbs_per_tile_(xbs_per_tile), tile_shared_(tile_shared) {
+AllocationResult allocate_tiles(const std::vector<ResidentModel>& models,
+                                std::int64_t xbs_per_tile, SharingScope scope) {
   AUTOHET_CHECK(xbs_per_tile > 0, "xbs_per_tile must be positive");
-}
-
-AllocationResult TileAllocator::allocate(
-    const std::vector<nn::LayerSpec>& layers,
-    const std::vector<CrossbarShape>& shapes) const {
-  AUTOHET_CHECK(layers.size() == shapes.size(),
-                "layers and shapes must be the same length");
+  AUTOHET_CHECK(!models.empty(), "at least one resident model required");
   OBS_SPAN("tile_alloc");
   AllocationResult result;
-  result.xbs_per_tile = xbs_per_tile_;
+  result.xbs_per_tile = xbs_per_tile;
 
   // Tile-based allocation: exclusive, round-up tiles per layer.
   std::int64_t next_tile_id = 0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    LayerAllocation alloc;
-    alloc.layer_id = static_cast<std::int64_t>(i);
-    alloc.mapping = map_layer(layers[i], shapes[i]);
-    const std::int64_t needed = alloc.mapping.logical_crossbars();
-    alloc.tiles_allocated = (needed + xbs_per_tile_ - 1) / xbs_per_tile_;
-    std::int64_t remaining = needed;
-    for (std::int64_t t = 0; t < alloc.tiles_allocated; ++t) {
-      Tile tile;
-      tile.id = next_tile_id++;
-      tile.shape = shapes[i];
-      const std::int64_t used = std::min(remaining, xbs_per_tile_);
-      tile.empty_xbs = xbs_per_tile_ - used;
-      tile.layer_ids.push_back(alloc.layer_id);
-      tile.layer_xbs.push_back(used);
-      remaining -= used;
-      result.tiles.push_back(std::move(tile));
+  for (std::size_t mi = 0; mi < models.size(); ++mi) {
+    const ResidentModel& model = models[mi];
+    AUTOHET_CHECK(model.layers.size() == model.shapes.size(),
+                  "layers and shapes must be the same length for model '" +
+                      model.name + "'");
+    AUTOHET_CHECK(
+        static_cast<std::int64_t>(model.layers.size()) < kModelStride,
+        "model too large for layer-id encoding");
+    for (std::size_t li = 0; li < model.layers.size(); ++li) {
+      LayerAllocation alloc;
+      alloc.layer_id = static_cast<std::int64_t>(mi) * kModelStride +
+                       static_cast<std::int64_t>(li);
+      alloc.mapping = map_layer(model.layers[li], model.shapes[li]);
+      const std::int64_t needed = alloc.mapping.logical_crossbars();
+      alloc.tiles_allocated = (needed + xbs_per_tile - 1) / xbs_per_tile;
+      std::int64_t remaining = needed;
+      for (std::int64_t t = 0; t < alloc.tiles_allocated; ++t) {
+        Tile tile;
+        tile.id = next_tile_id++;
+        tile.shape = model.shapes[li];
+        const std::int64_t used = std::min(remaining, xbs_per_tile);
+        tile.empty_xbs = xbs_per_tile - used;
+        tile.layer_ids.push_back(alloc.layer_id);
+        tile.layer_xbs.push_back(used);
+        remaining -= used;
+        result.tiles.push_back(std::move(tile));
+      }
+      result.layers.push_back(std::move(alloc));
     }
-    result.layers.push_back(std::move(alloc));
   }
 
-  if (!tile_shared_) return result;
+  if (scope == SharingScope::kNone) return result;
 
   // Tile-shared pass: group by crossbar shape (layers may only share tiles
-  // of identical crossbar size, §3.4), then run Algorithm 1 per group.
-  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Tile*>> groups;
+  // of identical crossbar size, §3.4) and, for per-model sharing, by model;
+  // then run Algorithm 1 per group.
+  std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>,
+           std::vector<Tile*>>
+      groups;
   for (auto& tile : result.tiles) {
-    groups[{tile.shape.rows, tile.shape.cols}].push_back(&tile);
+    const std::int64_t model_key = scope == SharingScope::kPerModel
+                                       ? tile.layer_ids.front() / kModelStride
+                                       : 0;
+    groups[{tile.shape.rows, tile.shape.cols, model_key}].push_back(&tile);
   }
-  for (auto& [shape_key, group] : groups) {
-    CombMap comb = tile_shared_remap(group, xbs_per_tile_);
+  for (auto& [key, group] : groups) {
+    CombMap comb = tile_shared_remap(group, xbs_per_tile);
     for (auto& [receiver, drained] : comb) {
       auto& entry = result.remap[receiver];
       entry.insert(entry.end(), drained.begin(), drained.end());
     }
   }
   return result;
+}
+
+AllocationResult allocate_tiles(const std::vector<nn::LayerSpec>& layers,
+                                const std::vector<CrossbarShape>& shapes,
+                                std::int64_t xbs_per_tile, bool tile_shared) {
+  return allocate_tiles({ResidentModel{"", layers, shapes}}, xbs_per_tile,
+                        tile_shared ? SharingScope::kCrossModel
+                                    : SharingScope::kNone);
 }
 
 }  // namespace autohet::mapping

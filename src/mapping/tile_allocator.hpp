@@ -1,5 +1,6 @@
 // Tile-level crossbar allocation: the conventional tile-based scheme and the
-// paper's tile-shared scheme (§3.4, Algorithm 1).
+// paper's tile-shared scheme (§3.4, Algorithm 1), for one network or for
+// several networks resident on one accelerator.
 //
 // Terminology: a *logical crossbar* is one PE's worth of storage — a group
 // of eight 1-bit physical crossbars holding the eight bit planes of an 8-bit
@@ -12,11 +13,21 @@
 // Tile-shared: after tile-based allocation, tiles are grouped by crossbar
 // shape (layers sharing a tile must use the same crossbar size) and
 // Algorithm 1's two-pointer pass drains nearly-empty tiles into the empty
-// slots of nearly-full ones, releasing the drained tiles.
+// slots of nearly-full ones, releasing the drained tiles. §3.4 notes the
+// released tiles "become available for other layers in the DNN model or
+// other models": with several resident models the pass runs per model or
+// across the union of their tiles (`SharingScope`).
+//
+// `allocate_tiles` is the one allocator; a single network is the one-model
+// case. `drain_tiles` is the one copy of Algorithm 1's sort and drain, shared
+// by `tile_shared_remap` (full `Tile`s) and the evaluation engine's compact
+// per-layer summary (reram/eval_engine.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "mapping/layer_mapping.hpp"
@@ -38,7 +49,8 @@ struct Tile {
 };
 
 struct LayerAllocation {
-  std::int64_t layer_id = 0;  ///< index among the network's mappable layers
+  /// model_index * kModelStride + index among the model's mappable layers
+  std::int64_t layer_id = 0;
   LayerMapping mapping;
   std::int64_t tiles_allocated = 0;  ///< exclusive tiles before sharing
 
@@ -71,29 +83,74 @@ struct AllocationResult {
   bool operator==(const AllocationResult&) const = default;
 };
 
-/// Algorithm 1 (two-pointer tile-shared remapping) applied to one
-/// same-shape tile group. Mutates empty counts / layer lists / released
-/// flags of `tiles` and returns the combMap. `xb_num` is the number of
-/// logical crossbars per tile.
+/// Algorithm 1's core: sorts the tile pointers in [first, last) ascending
+/// by (empty crossbars, id), then runs the two-pointer pass (lines 5-16).
+/// The condition head.empty + tail.empty >= xb_num is equivalent to "tail's
+/// occupied crossbars fit into head's empties", so the tail tile is drained
+/// into the head tile, released, and `on_drain(head, tail)` runs. The
+/// pointees need only `id`, `empty_xbs` and `released`. Returns the number
+/// of released tiles.
+template <class It, class OnDrain>
+std::int64_t drain_tiles(It first, It last, std::int64_t xb_num,
+                         OnDrain on_drain) {
+  std::sort(first, last, [](const auto* a, const auto* b) {
+    if (a->empty_xbs != b->empty_xbs) return a->empty_xbs < b->empty_xbs;
+    return a->id < b->id;  // deterministic tie-break
+  });
+  if (first == last) return 0;
+  std::int64_t released = 0;
+  It head = first;
+  It tail = last - 1;
+  while (head < tail) {
+    auto& h = **head;
+    auto& t = **tail;
+    if (h.empty_xbs + t.empty_xbs >= xb_num) {
+      h.empty_xbs = h.empty_xbs + t.empty_xbs - xb_num;
+      t.empty_xbs = 0;
+      t.released = true;
+      on_drain(h, t);
+      ++released;
+      --tail;
+    } else {
+      ++head;
+    }
+  }
+  return released;
+}
+
+/// Algorithm 1 applied to one same-shape tile group: `drain_tiles` whose
+/// drain hook moves the tail's occupant lists into the head. Mutates empty
+/// counts / layer lists / released flags of `tiles` and returns the combMap.
+/// `xb_num` is the number of logical crossbars per tile.
 CombMap tile_shared_remap(std::vector<Tile*>& tiles, std::int64_t xb_num);
 
-class TileAllocator {
- public:
-  /// `xbs_per_tile`: logical crossbars (PEs) per tile; `tile_shared`:
-  /// enable the §3.4 remapping pass.
-  TileAllocator(std::int64_t xbs_per_tile, bool tile_shared);
-
-  /// Allocates tiles for `layers[i]` mapped with `shapes[i]`. The two spans
-  /// must be the same length and contain only mappable layers.
-  AllocationResult allocate(const std::vector<nn::LayerSpec>& layers,
-                            const std::vector<CrossbarShape>& shapes) const;
-
-  std::int64_t xbs_per_tile() const noexcept { return xbs_per_tile_; }
-  bool tile_shared() const noexcept { return tile_shared_; }
-
- private:
-  std::int64_t xbs_per_tile_;
-  bool tile_shared_;
+struct ResidentModel {
+  std::string name;
+  std::vector<nn::LayerSpec> layers;  ///< mappable layers only
+  std::vector<CrossbarShape> shapes;  ///< one per layer
 };
+
+enum class SharingScope {
+  kNone,       ///< plain tile-based allocation
+  kPerModel,   ///< Algorithm 1 within each model separately
+  kCrossModel  ///< Algorithm 1 across all resident models
+};
+
+/// Layer ids in an allocation encode model_index * kModelStride +
+/// layer_index, so a single network's ids are its layer indices.
+inline constexpr std::int64_t kModelStride = 1'000'000;
+
+/// Allocates tiles for every model's `layers[i]` mapped with `shapes[i]`
+/// into one tile list (ids consecutive in model, then layer order), then
+/// runs Algorithm 1 per crossbar-shape group under `scope`. `xbs_per_tile`
+/// is the logical crossbars (PEs) per tile.
+AllocationResult allocate_tiles(const std::vector<ResidentModel>& models,
+                                std::int64_t xbs_per_tile, SharingScope scope);
+
+/// One network: the one-model case, with `tile_shared` selecting
+/// kCrossModel and its absence kNone.
+AllocationResult allocate_tiles(const std::vector<nn::LayerSpec>& layers,
+                                const std::vector<CrossbarShape>& shapes,
+                                std::int64_t xbs_per_tile, bool tile_shared);
 
 }  // namespace autohet::mapping

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "mapping/layer_mapping.hpp"
+#include "mapping/tile_allocator.hpp"
 #include "obs/obs.hpp"
 
 namespace autohet::reram {
@@ -122,7 +123,7 @@ NetworkReport EvaluationEngine::compute(
   // allocator numbers them.
   struct Partial {
     std::int64_t id;
-    std::int64_t empty;
+    std::int64_t empty_xbs;
     std::size_t layer;
     bool released = false;
   };
@@ -138,15 +139,12 @@ NetworkReport EvaluationEngine::compute(
     total_tiles += e.tiles;
   }
 
-  std::vector<bool> last_tile_released(n, false);
   std::int64_t released_tiles = 0;
-  std::int64_t empty_xbs = 0;
   if (accel_.tile_shared && !partials.empty()) {
     OBS_SPAN("tile_shared_remap");
     OBS_COUNTER_ADD("autohet_tile_remap_passes_total", 1);
     // Group by crossbar shape (layers may only share same-size tiles, §3.4)
-    // and run the two-pointer pass per group, mirroring tile_shared_remap's
-    // (empty asc, id asc) order.
+    // and run the allocator's Algorithm-1 core per group.
     std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Partial*>>
         groups;
     for (auto& p : partials) {
@@ -154,37 +152,21 @@ NetworkReport EvaluationEngine::compute(
       groups[{shape.rows, shape.cols}].push_back(&p);
     }
     for (auto& [shape_key, group] : groups) {
-      std::sort(group.begin(), group.end(),
-                [](const Partial* a, const Partial* b) {
-                  if (a->empty != b->empty) return a->empty < b->empty;
-                  return a->id < b->id;
-                });
-      std::size_t head = 0;
-      std::size_t tail = group.size() - 1;
-      while (head < tail) {
-        Partial* h = group[head];
-        Partial* t = group[tail];
-        if (h->empty + t->empty >= xpt) {
-          h->empty = h->empty + t->empty - xpt;
-          t->empty = 0;
-          t->released = true;
-          --tail;
-        } else {
-          ++head;
-        }
-      }
-    }
-  }
-  for (const auto& p : partials) {
-    if (p.released) {
-      last_tile_released[p.layer] = true;
-      ++released_tiles;
-    } else {
-      empty_xbs += p.empty;
+      released_tiles += mapping::drain_tiles(group.begin(), group.end(), xpt,
+                                             [](Partial&, Partial&) {});
     }
   }
   OBS_COUNTER_ADD("autohet_tiles_released_total",
                   static_cast<std::uint64_t>(released_tiles));
+  std::vector<bool> last_tile_released(n, false);
+  std::int64_t empty_xbs = 0;
+  for (const auto& p : partials) {
+    if (p.released) {
+      last_tile_released[p.layer] = true;
+    } else {
+      empty_xbs += p.empty_xbs;
+    }
+  }
 
   // ---- area: same per-tile contributions, same tile-id order ----
   std::int64_t useful_cells = 0;
@@ -197,11 +179,7 @@ NetworkReport EvaluationEngine::compute(
     useful_cells += e.useful_cells;
     allocated_cells += survivors * info.cells_per_tile;
     for (std::int64_t t = 0; t < survivors; ++t) {
-      report.area.crossbar_um2 += info.tile_area.crossbar_um2;
-      report.area.adc_um2 += info.tile_area.adc_um2;
-      report.area.dac_um2 += info.tile_area.dac_um2;
-      report.area.shift_add_um2 += info.tile_area.shift_add_um2;
-      report.area.tile_overhead_um2 += info.tile_area.tile_overhead_um2;
+      report.area += info.tile_area;
     }
   }
   report.occupied_tiles = total_tiles - released_tiles;

@@ -14,8 +14,9 @@
 //   2. Network-level aggregation (area of surviving tiles, tile-shared
 //      draining, system utilization) runs on a compact per-layer summary —
 //      only each layer's one partially-filled tile can be drained by
-//      Algorithm 1, so the two-pointer pass touches at most L tiles
-//      instead of materializing every `Tile`.
+//      Algorithm 1, so the allocator's own two-pointer core
+//      (`mapping::drain_tiles`) runs on at most L tiles instead of
+//      materializing every `Tile`.
 //   3. Full `NetworkReport`s are memoized in an LRU keyed by the action
 //      vector, and `evaluate_batch()` fans independent configurations out
 //      over a `common::ThreadPool`.
@@ -23,7 +24,7 @@
 // Determinism contract: results are bit-identical to
 // `plan::evaluate_plan` on the plan compiled from the same action vector,
 // whose full tile allocator is the reference. The per-layer reports come
-// from the same `evaluate_layer` with the same arguments; the area sums add
+// from the same `evaluate_layer` with the same arguments; the area sums fold
 // the same `tile_area_contribution` values in the same tile-id order;
 // utilization divides the same exact integer sums. Tested field-by-field in
 // tests/test_eval_engine.cpp.
@@ -143,7 +144,7 @@ class EvaluationEngine {
   // Per-candidate constants.
   struct CandidateInfo {
     mapping::CrossbarShape shape;
-    TileAreaContribution tile_area;
+    AreaBreakdown tile_area;
     std::int64_t cells_per_tile = 0;  ///< pes_per_tile × rows × cols
   };
 

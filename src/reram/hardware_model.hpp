@@ -62,17 +62,10 @@ struct AcceleratorConfig {
 /// Hardware is provisioned per occupied tile: every tile carries
 /// `pes_per_tile` logical crossbars of its shape with full peripheral
 /// circuits, whether or not a layer fills them. Shared by
-/// `plan::evaluate_plan` and the `EvaluationEngine` fast path so both
-/// aggregate from the exact same per-tile values.
-struct TileAreaContribution {
-  double crossbar_um2 = 0.0;
-  double adc_um2 = 0.0;
-  double dac_um2 = 0.0;
-  double shift_add_um2 = 0.0;
-  double tile_overhead_um2 = 0.0;
-};
-
-inline TileAreaContribution tile_area_contribution(
+/// `plan::evaluate_plan` and the `EvaluationEngine` fast path, which both
+/// fold it into the network area with `AreaBreakdown::operator+=` in tile-id
+/// order, so both aggregate from the exact same per-tile values.
+inline AreaBreakdown tile_area_contribution(
     const mapping::CrossbarShape& shape, const DeviceParams& device,
     std::int64_t pes_per_tile) noexcept {
   const double planes = device.bit_planes();
@@ -82,7 +75,7 @@ inline TileAreaContribution tile_area_contribution(
   // ADC instances per crossbar shrink with column sharing.
   const double adcs_per_xb =
       std::ceil(cols / static_cast<double>(device.adc_share));
-  TileAreaContribution a;
+  AreaBreakdown a;
   a.crossbar_um2 = pes * planes * rows * cols * device.cell_area_um2;
   a.adc_um2 = pes * adcs_per_xb * device.adc_area_um2;
   a.dac_um2 = pes * rows * device.dac_area_um2;

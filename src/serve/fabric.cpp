@@ -151,11 +151,10 @@ std::int64_t ServingFabric::footprint(
   for (const std::int64_t m : models) {
     resident.push_back(resident_specs_.at(static_cast<std::size_t>(m)));
   }
-  const mapping::MultiModelResult result =
-      mapping::MultiModelAllocator(plans_[0].allocation.xbs_per_tile,
-                                   config_.scope)
-          .allocate(resident);
-  const std::int64_t tiles = result.occupied_tiles();
+  const std::int64_t tiles =
+      mapping::allocate_tiles(resident, plans_[0].allocation.xbs_per_tile,
+                              config_.scope)
+          .occupied_tiles();
   footprint_memo_.emplace(models, tiles);
   return tiles;
 }

@@ -3,7 +3,7 @@
 // A ServingFabric owns several compiled DeploymentPlans and tracks which of
 // them are currently programmed onto the fabric. Residency is bounded by a
 // tile budget: the footprint of a candidate resident set is computed by the
-// multi-model allocator (src/mapping/multi_model.hpp) under the configured
+// tile allocator (src/mapping/tile_allocator.hpp) under the configured
 // sharing scope, so cross-model tile sharing (§3.4's "tiles 2 and 3 become
 // available for ... other models") directly buys extra co-residency. A
 // request for a non-resident model evicts victims (LRU or LFU) until the
@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "mapping/multi_model.hpp"
 #include "mapping/plan.hpp"
+#include "mapping/tile_allocator.hpp"
 #include "nn/model.hpp"
 #include "reram/functional.hpp"
 #include "reram/programming.hpp"

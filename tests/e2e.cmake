@@ -44,19 +44,25 @@
 #   profile_threads
 #       `profile` of the committed v1 fixture plan (tests/data) with
 #       functional samples and Monte-Carlo trials writes the same
-#       profile.json at 1 and at 4 Monte-Carlo threads.
+#       profile.json at 1 and at 4 Monte-Carlo threads, and that file
+#       matches its schema: format/version, the six sections, the counters,
+#       one known bottleneck per layer and a timeline that starts busy at
+#       t=0 and drains to zero.
 #   serve_replay
 #       `serve` of the fixture plan twice gives the same serving JSON on a
 #       rerun and on a --traffic-in replay of the saved trace at
-#       --serve-threads 0.
+#       --serve-threads 0; with AUTOHET_OBS on, its Chrome trace carries the
+#       queue-depth counter track and its profile the model swap-ins.
 #   search_shapes
 #       a lenet5 search prints one winning crossbar shape per mappable
 #       layer; the removed strategy-file surfaces (`evaluate`, `--out`) are
 #       rejected.
 #   negative_counts
-#       a negative count, thread count or rate (--eval-threads,
-#       --serve-threads, --top, --functional-samples, --qps) is rejected
-#       with an error naming the flag.
+#       a count below its minimum (a negative --eval-threads,
+#       --serve-threads, --top or --functional-samples; a zero --pes-per-tile,
+#       --requests, --batch or --max-batch; a negative --pes-per-tile), an
+#       --episodes beyond int and a negative --qps exit 2 with an error
+#       naming the flag.
 #   kernel_env
 #       `autohet_cli kernels` under AUTOHET_KERNEL=portable shows portable
 #       active for both kernel tables; AUTOHET_KERNEL=neon is rejected.
@@ -93,6 +99,20 @@ function(run_fails expected)
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(rc EQUAL 0)
     message(FATAL_ERROR "'${ARGN}' succeeded but should have failed")
+  endif()
+  string(FIND "${err}" "${expected}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "'${ARGN}' failed without '${expected}':\n${err}")
+  endif()
+endfunction()
+
+# run_rejected(<expected stderr text> <command> [args...]): the command
+# exits 2, the usage-error code, and its stderr contains the expected text.
+function(run_rejected expected)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY "${WORK_DIR}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "'${ARGN}' exited with ${rc}, not 2\n${out}${err}")
   endif()
   string(FIND "${err}" "${expected}" at)
   if(at EQUAL -1)
@@ -235,6 +255,43 @@ elseif(CASE STREQUAL "profile_threads")
         --profile-out profile_${threads}.json)
   endforeach()
   same(profile_1.json profile_4.json)
+  file(READ "${WORK_DIR}/profile_1.json" doc)
+  string(JSON format GET "${doc}" format)
+  string(JSON version GET "${doc}" version)
+  if(NOT format STREQUAL "autohet-profile" OR NOT version EQUAL 1)
+    message(FATAL_ERROR "profile.json is '${format}' v${version}")
+  endif()
+  foreach(key totals schedule counters layers tiles timeline)
+    string(JSON type ERROR_VARIABLE missing TYPE "${doc}" ${key})
+    if(missing)
+      message(FATAL_ERROR "profile.json has no '${key}': ${missing}")
+    endif()
+  endforeach()
+  string(JSON trials GET "${doc}" counters mc_trials)
+  string(JSON mvms GET "${doc}" counters functional_mvms)
+  string(JSON writes GET "${doc}" counters program_writes)
+  if(NOT trials EQUAL 2 OR NOT mvms GREATER 0 OR NOT writes GREATER 0)
+    message(FATAL_ERROR "profile counters: ${trials} MC trials, ${mvms} "
+                        "functional MVMs, ${writes} program writes")
+  endif()
+  string(JSON layers LENGTH "${doc}" layers)
+  math(EXPR last "${layers} - 1")
+  foreach(l RANGE ${last})
+    string(JSON bottleneck GET "${doc}" layers ${l} bottleneck)
+    if(NOT bottleneck MATCHES "^(compute|adc|noc)$")
+      message(FATAL_ERROR "layer ${l} bottleneck is '${bottleneck}'")
+    endif()
+  endforeach()
+  # The occupancy timeline starts busy at t=0 and drains to zero.
+  string(JSON points LENGTH "${doc}" timeline)
+  math(EXPR last "${points} - 1")
+  string(JSON t0 GET "${doc}" timeline 0 0)
+  string(JSON busy0 GET "${doc}" timeline 0 1)
+  string(JSON busy_end GET "${doc}" timeline ${last} 1)
+  if(NOT t0 EQUAL 0 OR NOT busy0 GREATER 0 OR NOT busy_end EQUAL 0)
+    message(FATAL_ERROR "timeline starts (${t0}, ${busy0}) and ends at "
+                        "${busy_end}")
+  endif()
 elseif(CASE STREQUAL "serve_replay")
   set(serve "${CLI}" serve --plan-in "${fixture_plan}"
       --plan-in "${fixture_plan}")
@@ -246,6 +303,21 @@ elseif(CASE STREQUAL "serve_replay")
       --serving-json serve_replay.json)
   same(serve_a.json serve_b.json)
   same(serve_a.json serve_replay.json)
+  if(OBS)
+    # Telemetry leaves the report alone; the Chrome trace carries the
+    # queue-depth counter track and the profiler records the swap-ins.
+    run(${serve} --requests 300 --traffic-profile diurnal
+        --serving-json serve_obs.json --trace-out serve_trace.json
+        --profile-out serve_profile.json)
+    same(serve_a.json serve_obs.json)
+    file(READ "${WORK_DIR}/serve_trace.json" text)
+    string(JSON type ERROR_VARIABLE json_error TYPE "${text}")
+    if(json_error)
+      message(FATAL_ERROR "serve_trace.json is not valid JSON: ${json_error}")
+    endif()
+    contains(serve_trace.json serve_queue_depth)
+    contains(serve_profile.json "\"model_swap\"")
+  endif()
 elseif(CASE STREQUAL "search_shapes")
   run("${CLI}" search --model lenet5 --episodes 5)
   # LeNet5 has five mappable layers.
@@ -261,15 +333,28 @@ elseif(CASE STREQUAL "search_shapes")
 elseif(CASE STREQUAL "negative_counts")
   set(replay "${CLI}" replay --plan-in "${fixture_plan}")
   set(serve "${CLI}" serve --plan-in "${fixture_plan}")
-  run_fails("option --eval-threads must be non-negative: -1"
-            "${CLI}" baselines --model lenet5 --eval-threads -1)
-  run_fails("option --serve-threads must be non-negative: -2"
-            ${serve} --serve-threads -2)
-  run_fails("option --top must be non-negative: -1"
-            "${CLI}" profile --plan-in "${fixture_plan}" --top -1)
-  run_fails("option --functional-samples must be non-negative: -2"
-            ${replay} --functional-samples -2)
-  run_fails("option --qps must be non-negative: -5" ${serve} --qps -5)
+  set(search "${CLI}" search --model lenet5)
+  run_rejected("option --eval-threads must be an integer >= 0: -1"
+               "${CLI}" baselines --model lenet5 --eval-threads -1)
+  run_rejected("option --serve-threads must be an integer >= 0: -2"
+               ${serve} --serve-threads -2)
+  run_rejected("option --top must be an integer >= 0: -1"
+               "${CLI}" profile --plan-in "${fixture_plan}" --top -1)
+  run_rejected("option --functional-samples must be an integer >= 0: -2"
+               ${replay} --functional-samples -2)
+  run_rejected("option --qps must be non-negative: -5" ${serve} --qps -5)
+  run_rejected("option --pes-per-tile must be an integer >= 1: 0"
+               ${search} --pes-per-tile 0)
+  run_rejected("option --pes-per-tile must be an integer >= 1: -1"
+               ${search} --pes-per-tile -1)
+  run_rejected("option --episodes must be an integer >= 1: 99999999999"
+               ${search} --episodes 99999999999)
+  run_rejected("option --requests must be an integer >= 1: 0"
+               ${serve} --requests 0)
+  run_rejected("option --batch must be an integer >= 1: 0"
+               "${CLI}" profile --plan-in "${fixture_plan}" --batch 0)
+  run_rejected("option --max-batch must be an integer >= 1: 0"
+               ${serve} --max-batch 0)
 elseif(CASE STREQUAL "kernel_env")
   run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=portable "${CLI}" kernels)
   foreach(table reram rl)

@@ -94,8 +94,7 @@ TEST(Bank, WholePaperWorkloadFitsOneBank) {
   // within one 256x256-tile bank with room to spare.
   const auto layers = nn::resnet152().mappable_layers();
   const std::vector<mapping::CrossbarShape> shapes(layers.size(), {32, 32});
-  const mapping::TileAllocator alloc(4, false);
-  const auto allocation = alloc.allocate(layers, shapes);
+  const auto allocation = mapping::allocate_tiles(layers, shapes, 4, false);
   const ChipSpec chip;  // 4 banks of 256x256
   const auto placement = place_tiles(allocation.tiles, chip);
   EXPECT_EQ(placement.banks_used, 1);

@@ -230,41 +230,52 @@ TEST(ArgParser, RejectOptionConflicts) {
       "plan-in", {"episodes", "seed", "no-tile-shared"}, &error));
 }
 
-TEST(ArgParser, RejectNegativeOptions) {
+// args.count(name, min) throws std::invalid_argument naming `text`.
+void expect_count_error(const ArgParser& args, const std::string& name,
+                        int min, const std::string& text) {
+  try {
+    args.count(name, min);
+    ADD_FAILURE() << "--" << name << " passed count(" << min << ")";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ArgParser, CountNamesANegativeOption) {
   ArgParser args("t", "d");
   args.add_option("threads", "0", "h");
-  args.add_option("qps", "0", "h");
+  args.add_option("episodes", "300", "h");
   args.add_option("top", "10", "h");
-  const char* argv[] = {"t", "--threads", "2", "--qps=-5", "--top", "-1"};
+  const char* argv[] = {"t", "--threads", "2", "--episodes=-5", "--top", "-1"};
   std::string error;
   ASSERT_TRUE(args.parse(6, argv, &error)) << error;
 
-  // Defaults and positive values pass; the first negative option is named.
-  EXPECT_TRUE(args.reject_negative_options({"threads"}, &error));
-  EXPECT_FALSE(args.reject_negative_options({"threads", "qps", "top"}, &error));
-  EXPECT_EQ(error, "option --qps must be non-negative: -5");
-  EXPECT_FALSE(args.reject_negative_options({"top"}, &error));
-  EXPECT_EQ(error, "option --top must be non-negative: -1");
-  EXPECT_THROW(args.reject_negative_options({"unknown"}, &error),
-               std::invalid_argument);
+  // Positive values pass; each negative count is named with its minimum.
+  EXPECT_EQ(args.count("threads"), 2);
+  expect_count_error(args, "episodes", 1,
+                     "option --episodes must be an integer >= 1: -5");
+  expect_count_error(args, "top", 0,
+                     "option --top must be an integer >= 0: -1");
+  EXPECT_THROW(args.count("unknown"), std::invalid_argument);
 }
 
-TEST(ArgParser, RejectNegativeOptionsChecksOnlyTheNamedOptions) {
+TEST(ArgParser, CountAcceptsZeroOnlyAtMinimumZero) {
   ArgParser args("t", "d");
   args.add_option("threads", "4", "h");
   args.add_option("requests", "0", "h");
   args.add_option("offset", "0", "h");
   const char* argv[] = {"t", "--threads=0", "--offset", "-3"};
-  std::string error = "untouched";
+  std::string error;
   ASSERT_TRUE(args.parse(4, argv, &error)) << error;
 
-  // Zero, in either spelling or as a default, is a valid count; a negative
-  // value of an option that is not a count is left alone.
-  EXPECT_TRUE(args.reject_negative_options({"threads", "requests"}, &error));
-  EXPECT_EQ(error, "untouched");
-  EXPECT_TRUE(args.reject_negative_options({}, &error));
-  EXPECT_FALSE(args.reject_negative_options({"threads", "offset"}, &error));
-  EXPECT_EQ(error, "option --offset must be non-negative: -3");
+  // Zero, in either spelling or as a default, is a valid count at minimum
+  // 0 and not at minimum 1; an option that is not a count keeps its
+  // negative value for option_int.
+  EXPECT_EQ(args.count("threads"), 0);
+  EXPECT_EQ(args.count("requests"), 0);
+  expect_count_error(args, "requests", 1,
+                     "option --requests must be an integer >= 1: 0");
   EXPECT_EQ(args.option_int("offset"), -3);
 }
 

@@ -24,7 +24,7 @@ Compiled compile_network(const nn::NetworkSpec& net,
   Compiled c;
   c.layers = net.mappable_layers();
   const std::vector<mapping::CrossbarShape> shapes(c.layers.size(), shape);
-  c.allocation = mapping::TileAllocator(4, shared).allocate(c.layers, shapes);
+  c.allocation = mapping::allocate_tiles(c.layers, shapes, 4, shared);
   c.program = compile_program(c.layers, c.allocation);
   return c;
 }
@@ -152,7 +152,7 @@ TEST(Controller, HeterogeneousShapesCompile) {
   const std::vector<mapping::CrossbarShape> shapes = {
       {36, 32}, {288, 256}, {576, 512}, {128, 128}, {32, 32}};
   const auto allocation =
-      mapping::TileAllocator(4, true).allocate(layers, shapes);
+      mapping::allocate_tiles(layers, shapes, 4, true);
   const auto program = compile_program(layers, allocation);
   const auto stats = execute_program(program);
   EXPECT_EQ(stats.layers_executed, 5);

@@ -42,21 +42,23 @@ std::vector<CrossbarShape> shapes_for(
   return shapes;
 }
 
-// Bit-identical comparison: EXPECT_DOUBLE_EQ requires exact equality for
-// finite values, which is the engine's documented contract.
+// Bit-identical comparison: every double with EXPECT_EQ (exact ==; the
+// engine's documented contract, which EXPECT_DOUBLE_EQ's 4-ULP tolerance
+// would not check).
 void expect_identical(const NetworkReport& got, const NetworkReport& want) {
-  EXPECT_DOUBLE_EQ(got.energy.adc_nj, want.energy.adc_nj);
-  EXPECT_DOUBLE_EQ(got.energy.dac_nj, want.energy.dac_nj);
-  EXPECT_DOUBLE_EQ(got.energy.cell_nj, want.energy.cell_nj);
-  EXPECT_DOUBLE_EQ(got.energy.shift_add_nj, want.energy.shift_add_nj);
-  EXPECT_DOUBLE_EQ(got.energy.buffer_nj, want.energy.buffer_nj);
-  EXPECT_DOUBLE_EQ(got.area.crossbar_um2, want.area.crossbar_um2);
-  EXPECT_DOUBLE_EQ(got.area.adc_um2, want.area.adc_um2);
-  EXPECT_DOUBLE_EQ(got.area.dac_um2, want.area.dac_um2);
-  EXPECT_DOUBLE_EQ(got.area.shift_add_um2, want.area.shift_add_um2);
-  EXPECT_DOUBLE_EQ(got.area.tile_overhead_um2, want.area.tile_overhead_um2);
-  EXPECT_DOUBLE_EQ(got.latency_ns, want.latency_ns);
-  EXPECT_DOUBLE_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.energy.adc_nj, want.energy.adc_nj);
+  EXPECT_EQ(got.energy.dac_nj, want.energy.dac_nj);
+  EXPECT_EQ(got.energy.cell_nj, want.energy.cell_nj);
+  EXPECT_EQ(got.energy.shift_add_nj, want.energy.shift_add_nj);
+  EXPECT_EQ(got.energy.buffer_nj, want.energy.buffer_nj);
+  EXPECT_EQ(got.area.crossbar_um2, want.area.crossbar_um2);
+  EXPECT_EQ(got.area.adc_um2, want.area.adc_um2);
+  EXPECT_EQ(got.area.dac_um2, want.area.dac_um2);
+  EXPECT_EQ(got.area.shift_add_um2, want.area.shift_add_um2);
+  EXPECT_EQ(got.area.tile_overhead_um2, want.area.tile_overhead_um2);
+  EXPECT_EQ(got.latency_ns, want.latency_ns);
+  EXPECT_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.fault_vulnerability, want.fault_vulnerability);
   EXPECT_EQ(got.occupied_tiles, want.occupied_tiles);
   EXPECT_EQ(got.empty_crossbars, want.empty_crossbars);
   ASSERT_EQ(got.layers.size(), want.layers.size());
@@ -68,14 +70,14 @@ void expect_identical(const NetworkReport& got, const NetworkReport& want) {
     EXPECT_EQ(g.adc_instances, w.adc_instances) << "layer " << i;
     EXPECT_EQ(g.tiles, w.tiles) << "layer " << i;
     EXPECT_EQ(g.mvm_invocations, w.mvm_invocations) << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.utilization, w.utilization) << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.latency_ns, w.latency_ns) << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.energy.adc_nj, w.energy.adc_nj) << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.energy.dac_nj, w.energy.dac_nj) << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.energy.cell_nj, w.energy.cell_nj) << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.energy.shift_add_nj, w.energy.shift_add_nj)
-        << "layer " << i;
-    EXPECT_DOUBLE_EQ(g.energy.buffer_nj, w.energy.buffer_nj) << "layer " << i;
+    EXPECT_EQ(g.utilization, w.utilization) << "layer " << i;
+    EXPECT_EQ(g.latency_ns, w.latency_ns) << "layer " << i;
+    EXPECT_EQ(g.fault_vulnerability, w.fault_vulnerability) << "layer " << i;
+    EXPECT_EQ(g.energy.adc_nj, w.energy.adc_nj) << "layer " << i;
+    EXPECT_EQ(g.energy.dac_nj, w.energy.dac_nj) << "layer " << i;
+    EXPECT_EQ(g.energy.cell_nj, w.energy.cell_nj) << "layer " << i;
+    EXPECT_EQ(g.energy.shift_add_nj, w.energy.shift_add_nj) << "layer " << i;
+    EXPECT_EQ(g.energy.buffer_nj, w.energy.buffer_nj) << "layer " << i;
   }
 }
 
@@ -108,6 +110,42 @@ INSTANTIATE_TEST_SUITE_P(TileModes, EvalEngineIdentity,
                          [](const auto& param_info) {
                            return param_info.param ? "TileShared" : "TileBased";
                          });
+
+TEST(EvalEngine, MatchesEvaluatePlanAcrossTileSizesNetworksAndFaults) {
+  // The compact per-layer drain against the full allocator, across PEs per
+  // tile, tile sharing, network depth and candidate set, under a non-ideal
+  // fault model so fault_vulnerability is non-zero.
+  AcceleratorConfig accel;
+  accel.faults.stuck_at_zero_rate = 0.01;
+  accel.faults.stuck_at_one_rate = 0.002;
+  accel.faults.program_sigma = 0.05;
+  accel.faults.cell_bits = 2;
+  common::Rng rng(99);
+  for (const auto& net : {nn::alexnet(), nn::vgg16(), nn::resnet152()}) {
+    const auto layers = net.mappable_layers();
+    for (const auto& candidates :
+         {mapping::hybrid_candidates(), mapping::square_candidates()}) {
+      for (const std::int64_t pes : {1, 3, 4, 16}) {
+        for (const bool shared : {false, true}) {
+          accel.pes_per_tile = pes;
+          accel.tile_shared = shared;
+          EvaluationEngine engine(layers, candidates, accel);
+          for (int trial = 0; trial < 3; ++trial) {
+            std::vector<std::size_t> actions(layers.size());
+            for (auto& a : actions) a = rng.uniform_u64(candidates.size());
+            SCOPED_TRACE(net.name + " pes=" + std::to_string(pes) +
+                         (shared ? " shared" : " based") + " trial " +
+                         std::to_string(trial));
+            const NetworkReport want = plan::evaluate_plan(plan::compile_plan(
+                "", layers, shapes_for(actions, candidates), accel));
+            EXPECT_GT(want.fault_vulnerability, 0.0);
+            expect_identical(engine.evaluate(actions), want);
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(EvalEngine, LayerReportTableMatchesEvaluateLayer) {
   const auto layers = test_layers();

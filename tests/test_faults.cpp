@@ -287,7 +287,7 @@ TEST(Programming, FaultRetriesCostEnergyAndLatency) {
   const auto layers = nn::lenet5().mappable_layers();
   const std::vector<CrossbarShape> shapes(layers.size(), {128, 128});
   const auto allocation =
-      mapping::TileAllocator(4, false).allocate(layers, shapes);
+      mapping::allocate_tiles(layers, shapes, 4, false);
   const reram::DeviceParams device;
   const reram::ProgrammingParams params;
   const auto clean = reram::evaluate_programming(allocation, device, params);

@@ -2,14 +2,16 @@
 // or cross-model tile sharing (the "other models" benefit of §3.4).
 #include <gtest/gtest.h>
 
-#include "mapping/multi_model.hpp"
+#include "mapping/tile_allocator.hpp"
 #include "nn/model_zoo.hpp"
 
 namespace autohet {
 namespace {
 
+using mapping::allocate_tiles;
+using mapping::AllocationResult;
 using mapping::CrossbarShape;
-using mapping::MultiModelAllocator;
+using mapping::kModelStride;
 using mapping::ResidentModel;
 using mapping::SharingScope;
 
@@ -21,18 +23,25 @@ ResidentModel resident(const nn::NetworkSpec& net, CrossbarShape shape) {
   return m;
 }
 
+std::int64_t released_tiles(const AllocationResult& result) {
+  return static_cast<std::int64_t>(result.tiles.size()) -
+         result.occupied_tiles();
+}
+
 TEST(MultiModel, SingleModelMatchesTileAllocator) {
   const auto net = nn::alexnet();
   const std::vector<ResidentModel> models = {resident(net, {128, 128})};
-  const auto multi =
-      MultiModelAllocator(4, SharingScope::kPerModel).allocate(models);
-
-  const mapping::TileAllocator single(4, /*tile_shared=*/true);
   const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
                                           CrossbarShape{128, 128});
-  const auto ref = single.allocate(net.mappable_layers(), shapes);
-  EXPECT_EQ(multi.occupied_tiles(), ref.occupied_tiles());
-  EXPECT_DOUBLE_EQ(multi.system_utilization(), ref.system_utilization());
+  for (const SharingScope scope :
+       {SharingScope::kNone, SharingScope::kPerModel,
+        SharingScope::kCrossModel}) {
+    const AllocationResult ref =
+        allocate_tiles(net.mappable_layers(), shapes, 4,
+                       /*tile_shared=*/scope != SharingScope::kNone);
+    EXPECT_EQ(allocate_tiles(models, 4, scope), ref)
+        << static_cast<int>(scope);
+  }
 }
 
 TEST(MultiModel, CrossModelSharingNeverWorseThanPerModel) {
@@ -41,12 +50,9 @@ TEST(MultiModel, CrossModelSharingNeverWorseThanPerModel) {
       resident(nn::lenet5(), {128, 128}),
       resident(nn::vgg16(), {128, 128}),
   };
-  const auto none =
-      MultiModelAllocator(4, SharingScope::kNone).allocate(models);
-  const auto per =
-      MultiModelAllocator(4, SharingScope::kPerModel).allocate(models);
-  const auto cross =
-      MultiModelAllocator(4, SharingScope::kCrossModel).allocate(models);
+  const auto none = allocate_tiles(models, 4, SharingScope::kNone);
+  const auto per = allocate_tiles(models, 4, SharingScope::kPerModel);
+  const auto cross = allocate_tiles(models, 4, SharingScope::kCrossModel);
   EXPECT_LE(per.occupied_tiles(), none.occupied_tiles());
   EXPECT_LE(cross.occupied_tiles(), per.occupied_tiles());
   EXPECT_GE(cross.system_utilization(), per.system_utilization());
@@ -65,13 +71,11 @@ TEST(MultiModel, CrossModelSharingMergesAcrossModels) {
   b.layers.push_back(nn::make_conv(3, 4, 3, 1, 1, 8, 8));  // 1 crossbar
   const std::vector<ResidentModel> models = {resident(a, {32, 32}),
                                              resident(b, {32, 32})};
-  const auto per =
-      MultiModelAllocator(4, SharingScope::kPerModel).allocate(models);
+  const auto per = allocate_tiles(models, 4, SharingScope::kPerModel);
   EXPECT_EQ(per.occupied_tiles(), 2);  // no intra-model partner to merge with
-  const auto cross =
-      MultiModelAllocator(4, SharingScope::kCrossModel).allocate(models);
+  const auto cross = allocate_tiles(models, 4, SharingScope::kCrossModel);
   EXPECT_EQ(cross.occupied_tiles(), 1);
-  EXPECT_EQ(cross.released_tiles(), 1);
+  EXPECT_EQ(released_tiles(cross), 1);
   // The surviving tile hosts layers of both models (ids in different
   // strides).
   const mapping::Tile* survivor = nullptr;
@@ -80,8 +84,8 @@ TEST(MultiModel, CrossModelSharingMergesAcrossModels) {
   }
   ASSERT_NE(survivor, nullptr);
   ASSERT_EQ(survivor->layer_ids.size(), 2u);
-  EXPECT_NE(survivor->layer_ids[0] / MultiModelAllocator::kModelStride,
-            survivor->layer_ids[1] / MultiModelAllocator::kModelStride);
+  EXPECT_NE(survivor->layer_ids[0] / kModelStride,
+            survivor->layer_ids[1] / kModelStride);
 }
 
 TEST(MultiModel, DifferentShapesNeverShareAcrossModels) {
@@ -93,8 +97,7 @@ TEST(MultiModel, DifferentShapesNeverShareAcrossModels) {
   b.layers.push_back(nn::make_conv(3, 4, 3, 1, 1, 8, 8));
   const std::vector<ResidentModel> models = {resident(a, {32, 32}),
                                              resident(b, {64, 64})};
-  const auto cross =
-      MultiModelAllocator(4, SharingScope::kCrossModel).allocate(models);
+  const auto cross = allocate_tiles(models, 4, SharingScope::kCrossModel);
   EXPECT_EQ(cross.occupied_tiles(), 2);
   EXPECT_TRUE(cross.remap.empty());
 }
@@ -107,13 +110,9 @@ TEST(MultiModel, OccupiedCrossbarsConservedAcrossScopes) {
   for (const SharingScope scope :
        {SharingScope::kNone, SharingScope::kPerModel,
         SharingScope::kCrossModel}) {
-    const auto result = MultiModelAllocator(8, scope).allocate(models);
+    const auto result = allocate_tiles(models, 8, scope);
     std::int64_t needed = 0;
-    for (const auto& m : result.models) {
-      for (const auto& l : m.layers) {
-        needed += l.mapping.logical_crossbars();
-      }
-    }
+    for (const auto& l : result.layers) needed += l.mapping.logical_crossbars();
     std::int64_t held = 0;
     for (const auto& t : result.tiles) {
       if (!t.released) held += 8 - t.empty_xbs;
@@ -127,26 +126,41 @@ TEST(MultiModel, PerModelStatsTrackTileCounts) {
       resident(nn::alexnet(), {256, 256}),
       resident(nn::vgg16(), {256, 256}),
   };
-  const auto result =
-      MultiModelAllocator(4, SharingScope::kNone).allocate(models);
-  ASSERT_EQ(result.models.size(), 2u);
-  EXPECT_EQ(result.models[0].name, "AlexNet");
-  EXPECT_EQ(result.models[1].name, "VGG16");
+  const auto result = allocate_tiles(models, 4, SharingScope::kNone);
+  // Each model's layers carry its index in the layer-id stride, and their
+  // pre-sharing tiles are exactly what the model takes alone.
   std::int64_t sum = 0;
-  for (const auto& m : result.models) sum += m.tiles_before_sharing;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    std::int64_t tiles = 0;
+    std::size_t layers = 0;
+    for (const auto& l : result.layers) {
+      if (l.layer_id / kModelStride != static_cast<std::int64_t>(m)) continue;
+      EXPECT_EQ(l.layer_id % kModelStride, static_cast<std::int64_t>(layers));
+      tiles += l.tiles_allocated;
+      ++layers;
+    }
+    EXPECT_EQ(layers, models[m].layers.size()) << models[m].name;
+    const auto alone =
+        allocate_tiles({models[m]}, 4, SharingScope::kNone).tiles.size();
+    EXPECT_EQ(tiles, static_cast<std::int64_t>(alone)) << models[m].name;
+    sum += tiles;
+  }
   EXPECT_EQ(sum, static_cast<std::int64_t>(result.tiles.size()));
 }
 
 TEST(MultiModel, ValidatesInput) {
-  EXPECT_THROW(MultiModelAllocator(0, SharingScope::kNone),
+  const std::vector<ResidentModel> models = {resident(nn::lenet5(), {64, 64})};
+  EXPECT_THROW(allocate_tiles(models, 0, SharingScope::kNone),
                std::invalid_argument);
-  const MultiModelAllocator alloc(4, SharingScope::kNone);
-  EXPECT_THROW(alloc.allocate({}), std::invalid_argument);
+  EXPECT_THROW(allocate_tiles(std::vector<ResidentModel>{}, 4,
+                              SharingScope::kNone),
+               std::invalid_argument);
   ResidentModel broken;
   broken.name = "broken";
   broken.layers.push_back(nn::make_conv(3, 4, 3, 1, 1, 8, 8));
   // shapes missing
-  EXPECT_THROW(alloc.allocate({broken}), std::invalid_argument);
+  EXPECT_THROW(allocate_tiles({broken}, 4, SharingScope::kNone),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ Setup make_setup(const nn::NetworkSpec& net, CrossbarShape shape,
   Setup s;
   s.layers = net.mappable_layers();
   const std::vector<CrossbarShape> shapes(s.layers.size(), shape);
-  s.allocation = mapping::TileAllocator(4, shared).allocate(s.layers, shapes);
+  s.allocation = mapping::allocate_tiles(s.layers, shapes, 4, shared);
   s.placement = place_tiles(s.allocation.tiles, ChipSpec{});
   return s;
 }

@@ -73,8 +73,7 @@ TEST(Placement, SlotPositionValidatesIndex) {
 TEST(Placement, LocalityPoliciesReduceNocHopsOnVgg16) {
   const auto layers = nn::vgg16().mappable_layers();
   const std::vector<mapping::CrossbarShape> shapes(layers.size(), {64, 64});
-  const mapping::TileAllocator alloc(4, false);
-  const auto allocation = alloc.allocate(layers, shapes);
+  const auto allocation = mapping::allocate_tiles(layers, shapes, 4, false);
   ChipSpec chip;  // 256x256-tile banks
   const auto hops_under = [&](PlacementPolicy policy) {
     const auto placement = place_tiles(allocation.tiles, chip, policy);
@@ -92,7 +91,7 @@ TEST(Placement, PoliciesPreserveCapacityAccounting) {
   const std::vector<mapping::CrossbarShape> shapes(layers.size(),
                                                    {128, 128});
   const auto allocation =
-      mapping::TileAllocator(4, true).allocate(layers, shapes);
+      mapping::allocate_tiles(layers, shapes, 4, true);
   ChipSpec chip;
   for (const auto policy : {PlacementPolicy::kRowMajor,
                             PlacementPolicy::kSnake,

@@ -15,7 +15,7 @@ mapping::AllocationResult allocate(const nn::NetworkSpec& net,
                                    bool shared = false) {
   const auto layers = net.mappable_layers();
   const std::vector<CrossbarShape> shapes(layers.size(), shape);
-  return mapping::TileAllocator(4, shared).allocate(layers, shapes);
+  return mapping::allocate_tiles(layers, shapes, 4, shared);
 }
 
 TEST(Programming, CellCountCoversAllBitPlanes) {

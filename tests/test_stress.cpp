@@ -43,8 +43,7 @@ TEST_P(PipelineStress, FullFlowHoldsInvariants) {
   const bool shared = rng.uniform() < 0.5;
 
   // Allocation invariants.
-  const mapping::TileAllocator alloc(xbs, shared);
-  const auto allocation = alloc.allocate(layers, shapes);
+  const auto allocation = mapping::allocate_tiles(layers, shapes, xbs, shared);
   std::int64_t needed = 0;
   for (const auto& l : allocation.layers) {
     EXPECT_GT(l.mapping.logical_crossbars(), 0);

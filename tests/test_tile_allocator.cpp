@@ -2,6 +2,7 @@
 // (Algorithm 1), including the Fig. 4 / Fig. 8 anchors from the paper.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 
 #include "common/rng.hpp"
@@ -15,7 +16,7 @@ using mapping::AllocationResult;
 using mapping::CombMap;
 using mapping::CrossbarShape;
 using mapping::Tile;
-using mapping::TileAllocator;
+using mapping::allocate_tiles;
 using mapping::tile_shared_remap;
 
 std::vector<Tile> make_tiles(const std::vector<std::int64_t>& empties,
@@ -129,15 +130,55 @@ TEST(TileSharedRemap, NeverIncreasesOccupiedTiles) {
   }
 }
 
-// ---- TileAllocator end-to-end ----
+TEST(TileSharedRemap, DrainingOnlyPartialTilesMatchesWholeGroup) {
+  // The evaluation engine drains only each layer's partial last tile. That
+  // is exact: a full tile can neither receive (0 + tail.empty >= xb_num
+  // needs an all-empty tail) nor be drained into a partial one, so on real
+  // allocations both inputs give the same released set and combMap.
+  common::Rng rng(11);
+  const auto candidates = mapping::hybrid_candidates();
+  for (const auto& net : {nn::vgg16(), nn::resnet152()}) {
+    const auto layers = net.mappable_layers();
+    for (const std::int64_t xbs : {1, 3, 4, 8, 16}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<CrossbarShape> shapes;
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+          shapes.push_back(candidates[rng.uniform_u64(candidates.size())]);
+        }
+        const auto base = allocate_tiles(layers, shapes, xbs, false);
+        std::vector<Tile> whole = base.tiles;
+        std::vector<Tile> partial = base.tiles;
+        std::map<std::pair<std::int64_t, std::int64_t>,
+                 std::pair<std::vector<Tile*>, std::vector<Tile*>>>
+            groups;
+        for (std::size_t i = 0; i < whole.size(); ++i) {
+          auto& [all, partials] =
+              groups[{whole[i].shape.rows, whole[i].shape.cols}];
+          all.push_back(&whole[i]);
+          if (partial[i].empty_xbs > 0) partials.push_back(&partial[i]);
+        }
+        for (auto& [key, group] : groups) {
+          EXPECT_EQ(tile_shared_remap(group.first, xbs),
+                    tile_shared_remap(group.second, xbs))
+              << net.name << " xbs=" << xbs << " trial " << trial;
+        }
+        EXPECT_EQ(whole, partial) << net.name << " xbs=" << xbs;
+        EXPECT_EQ(whole, allocate_tiles(layers, shapes, xbs, true).tiles)
+            << net.name << " xbs=" << xbs;
+      }
+    }
+  }
+}
+
+// ---- allocate_tiles end-to-end ----
 
 TEST(TileAllocator, TileBasedRoundsUp) {
   // A layer needing 5 logical crossbars on 4-XB tiles gets 2 tiles,
   // wasting 3/8 of the crossbars (§2.2.2 example).
   const auto layer = nn::make_conv(35, 64, 3, 1, 1, 16, 16);
   // floor(64/9)=7 kernels/row-block; ceil(35/7)=5 row blocks; 1 col block.
-  const TileAllocator alloc(4, /*tile_shared=*/false);
-  const auto result = alloc.allocate({layer}, {{64, 64}});
+  const auto result =
+      allocate_tiles({layer}, {{64, 64}}, 4, /*tile_shared=*/false);
   ASSERT_EQ(result.layers.size(), 1u);
   EXPECT_EQ(result.layers[0].mapping.logical_crossbars(), 5);
   EXPECT_EQ(result.layers[0].tiles_allocated, 2);
@@ -155,8 +196,7 @@ TEST(TileAllocator, Fig4EmptyCrossbarProportions) {
   const std::vector<CrossbarShape> shapes(4, CrossbarShape{64, 64});
 
   const auto empty_fraction = [&](std::int64_t xbs_per_tile) {
-    const TileAllocator alloc(xbs_per_tile, false);
-    const auto result = alloc.allocate(first4, shapes);
+    const auto result = allocate_tiles(first4, shapes, xbs_per_tile, false);
     double total = 0.0;
     for (const auto& layer : result.layers) {
       const double allocated =
@@ -181,10 +221,9 @@ TEST(TileLevel, Fig5Utilization) {
   // tile-level numbers with 4 crossbars per tile. The 64x64 mapping fills
   // its tile exactly (4 crossbars); the 128x128 mapping uses 1 of 4.
   const auto layer = nn::make_conv(12, 128, 3, 1, 1, 16, 16);
-  const TileAllocator alloc(4, /*tile_shared=*/false);
-  const auto on64 = alloc.allocate({layer}, {{64, 64}});
+  const auto on64 = allocate_tiles({layer}, {{64, 64}}, 4, false);
   EXPECT_NEAR(on64.system_utilization(), 27.0 / 32.0, 1e-12);
-  const auto on128 = alloc.allocate({layer}, {{128, 128}});
+  const auto on128 = allocate_tiles({layer}, {{128, 128}}, 4, false);
   EXPECT_NEAR(on128.system_utilization(), 27.0 / 128.0, 1e-12);
 }
 
@@ -193,10 +232,8 @@ TEST(TileAllocator, TileSharedImprovesUtilization) {
   const auto mappable = net.mappable_layers();
   const std::vector<CrossbarShape> shapes(mappable.size(),
                                           CrossbarShape{64, 64});
-  const auto base =
-      TileAllocator(4, false).allocate(mappable, shapes);
-  const auto shared =
-      TileAllocator(4, true).allocate(mappable, shapes);
+  const auto base = allocate_tiles(mappable, shapes, 4, false);
+  const auto shared = allocate_tiles(mappable, shapes, 4, true);
   EXPECT_LE(shared.occupied_tiles(), base.occupied_tiles());
   EXPECT_GE(shared.system_utilization(), base.system_utilization());
   EXPECT_EQ(shared.useful_cells(), base.useful_cells());
@@ -206,15 +243,13 @@ TEST(TileAllocator, SharingOnlyWithinSameShapeGroup) {
   // Two tiny layers on different shapes must not share a tile.
   const auto l1 = nn::make_conv(3, 4, 3, 1, 1, 8, 8);
   const auto l2 = nn::make_conv(3, 4, 3, 1, 1, 8, 8);
-  const TileAllocator alloc(4, true);
-  const auto result =
-      alloc.allocate({l1, l2}, {{32, 32}, {64, 64}});
+  const auto result = allocate_tiles({l1, l2}, {{32, 32}, {64, 64}}, 4, true);
   // Each layer needs 1 crossbar -> 1 tile each; shapes differ so no merge.
   EXPECT_EQ(result.occupied_tiles(), 2);
   EXPECT_TRUE(result.remap.empty());
 
   // Same shapes -> the tiles merge.
-  const auto merged = alloc.allocate({l1, l2}, {{32, 32}, {32, 32}});
+  const auto merged = allocate_tiles({l1, l2}, {{32, 32}, {32, 32}}, 4, true);
   EXPECT_EQ(merged.occupied_tiles(), 1);
   EXPECT_EQ(merged.remap.size(), 1u);
 }
@@ -223,17 +258,16 @@ TEST(TileAllocator, SystemUtilizationAccountsEmptyCrossbars) {
   // One layer occupying exactly 1 of 4 crossbars in its tile: system
   // utilization = layer utilization / 4.
   const auto layer = nn::make_conv(3, 4, 3, 1, 1, 8, 8);
-  const TileAllocator alloc(4, false);
-  const auto result = alloc.allocate({layer}, {{32, 32}});
+  const auto result = allocate_tiles({layer}, {{32, 32}}, 4, false);
   const double layer_util = result.layers[0].mapping.utilization();
   EXPECT_NEAR(result.system_utilization(), layer_util / 4.0, 1e-12);
 }
 
 TEST(TileAllocator, ValidatesArguments) {
-  EXPECT_THROW(TileAllocator(0, false), std::invalid_argument);
-  const TileAllocator alloc(4, false);
   const auto layer = nn::make_conv(3, 4, 3, 1, 1, 8, 8);
-  EXPECT_THROW(alloc.allocate({layer}, {}), std::invalid_argument);
+  EXPECT_THROW(allocate_tiles({layer}, {{32, 32}}, 0, false),
+               std::invalid_argument);
+  EXPECT_THROW(allocate_tiles({layer}, {}, 4, false), std::invalid_argument);
 }
 
 class TileAllocatorParam
@@ -244,7 +278,7 @@ TEST_P(TileAllocatorParam, AlexNetInvariants) {
   const auto mappable = nn::alexnet().mappable_layers();
   const std::vector<CrossbarShape> shapes(mappable.size(),
                                           CrossbarShape{128, 128});
-  const auto result = TileAllocator(xbs, shared).allocate(mappable, shapes);
+  const auto result = allocate_tiles(mappable, shapes, xbs, shared);
   // Occupied crossbars never exceed capacity of occupied tiles.
   std::int64_t needed = 0;
   for (const auto& l : result.layers) {
