@@ -69,8 +69,6 @@ MANIFEST = [
     ("BENCH_functional_throughput.json",
      "kernels.[name=bit_serial].speedup", "min", 0.50, True),
     ("BENCH_functional_throughput.json",
-     "kernels.[name=multilevel].speedup", "min", 0.50, True),
-    ("BENCH_functional_throughput.json",
      "forward.[datapath=integer].speedup", "min", 0.50, True),
     ("BENCH_functional_throughput.json",
      "row_block_split.identical", "bool", 0.0, False),

@@ -5,7 +5,7 @@
 //
 // Levels timed, each against its retained scalar baseline (the pre-packing
 // datapaths, kept precisely so this comparison stays honest):
-//   * raw crossbar kernels (bit-serial / multilevel / reference MVMs/s),
+//   * raw crossbar kernels (bit-serial / reference MVMs/s),
 //     with the bit-serial kernel additionally timed under every supported
 //     dispatch variant (portable/avx2/avx512) — the `dispatch` JSON section
 //     records the selected path and each variant's rate;
@@ -170,27 +170,19 @@ int main(int argc, char** argv) {
   struct VariantRate {
     std::string name;
     double bit_serial_per_s = 0.0;
-    double multilevel_per_s = 0.0;
   };
   std::vector<VariantRate> variant_rates;
   const std::vector<std::int32_t> bit_serial_oracle =
       xb.mvm_bit_serial_scalar(input);
-  const std::vector<std::int32_t> multilevel_oracle =
-      xb.mvm_multilevel_scalar(input, 2);
   for (const rk::Variant v : variants) {
     rk::set_variant(v);
     AUTOHET_CHECK(xb.mvm_bit_serial(input) == bit_serial_oracle,
                   std::string("bit-serial mismatch under variant ") +
                       rk::variant_name(v));
-    AUTOHET_CHECK(xb.mvm_multilevel(input, 2) == multilevel_oracle,
-                  std::string("multilevel mismatch under variant ") +
-                      rk::variant_name(v));
     VariantRate rate;
     rate.name = rk::variant_name(v);
     rate.bit_serial_per_s =
         time_kernel([&] { return xb.mvm_bit_serial(input); });
-    rate.multilevel_per_s =
-        time_kernel([&] { return xb.mvm_multilevel(input, 2); });
     variant_rates.push_back(rate);
   }
   rk::set_variant(selected);
@@ -210,11 +202,6 @@ int main(int argc, char** argv) {
                      time_kernel([&] { return xb.mvm_bit_serial(input); }),
                      time_kernel([&] {
                        return xb.mvm_bit_serial_scalar(input);
-                     })});
-  kernels.push_back({"multilevel",
-                     time_kernel([&] { return xb.mvm_multilevel(input, 2); }),
-                     time_kernel([&] {
-                       return xb.mvm_multilevel_scalar(input, 2);
                      })});
   kernels.push_back({"reference",
                      time_kernel([&] { return xb.mvm_reference(input); }),
@@ -423,12 +410,10 @@ int main(int argc, char** argv) {
   const double parallel_ratio = parallel_total / serial_total;
 
   // --- Report ------------------------------------------------------------
-  report::Table dispatch_table({"Variant", "Bit-serial MVM/s",
-                                "Multilevel MVM/s", "Selected"});
+  report::Table dispatch_table({"Variant", "Bit-serial MVM/s", "Selected"});
   for (const auto& r : variant_rates) {
     dispatch_table.add_row({r.name,
                             report::format_fixed(r.bit_serial_per_s, 0),
-                            report::format_fixed(r.multilevel_per_s, 0),
                             r.name == rk::variant_name(selected) ? "yes"
                                                                  : ""});
   }
@@ -485,7 +470,6 @@ int main(int argc, char** argv) {
   for (const auto& r : variant_rates) {
     json << (first_row ? "\n" : ",\n") << "      {\"name\": \"" << r.name
          << "\", \"bit_serial_mvms_per_s\": " << r.bit_serial_per_s
-         << ", \"multilevel_mvms_per_s\": " << r.multilevel_per_s
          << ", \"vs_portable\": "
          << r.bit_serial_per_s / variant_rates.front().bit_serial_per_s
          << "}";

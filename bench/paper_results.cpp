@@ -549,9 +549,11 @@ void ablation_pipeline(int /*episodes*/) {
 
 // Ablation: memristor cell precision. The paper fixes 1-bit cells (§4.1);
 // multi-level cells pack more weight bits per device, shrinking the number
-// of physical bit planes (8 / cell_bits) and with it energy and area. The
-// functional datapath stays bit-exact at every precision
-// (LogicalCrossbar::mvm_multilevel; verified in tests/test_multilevel.cpp).
+// of physical bit planes (8 / cell_bits) and with it energy and area. This
+// section is analytic (DeviceParams::cell_bits). The functional fabric models
+// precision as a robustness axis only: FaultConfig::cell_bits sets how
+// faults and variation reach the stored weight (fault_sweep, the
+// variation_study example).
 void ablation_cell_precision(int /*episodes*/) {
   bench::print_header("Ablation — cell precision (VGG16, 576x512 crossbars)");
   const auto net = nn::vgg16();

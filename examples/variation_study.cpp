@@ -1,19 +1,21 @@
-// Device non-ideality study: how ReRAM conductance variation degrades
+// Device non-ideality study: how ReRAM programming variation degrades
 // inference on the simulated fabric. Motivated by the paper's edge-device
-// setting (§2.2 cites variability-aware RRAM controllers); the fabric
-// model exposes apply_variation() to inject programming noise per cell.
+// setting (§2.2 cites variability-aware RRAM controllers); the fault model
+// (reram/faults.hpp) burns lognormal conductance variation of magnitude
+// FaultConfig::program_sigma into every programmed cell.
 //
-// For each sigma, a fresh LeNet fabric is perturbed and the argmax
-// agreement with the float reference plus the mean logit error are
-// reported over a batch of synthetic samples.
+// For each sigma, a seeded Monte-Carlo run draws several independent
+// LeNet-5 fabrics with 2-bit cells and reports the mean argmax agreement
+// with the ideal fabric, its 95% confidence interval across trials, and the
+// mean logit error over a batch of synthetic samples.
 #include <iostream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/functional.hpp"
 #include "report/table.hpp"
-#include "tensor/ops.hpp"
 
 using namespace autohet;
 
@@ -24,37 +26,31 @@ int main() {
   const std::vector<mapping::CrossbarShape> shapes = {
       {36, 32}, {288, 256}, {576, 512}, {128, 128}, {128, 128}};
 
-  constexpr int kSamples = 20;
-  std::vector<tensor::Tensor> images;
-  std::vector<std::int64_t> reference_classes;
-  std::vector<tensor::Tensor> reference_logits;
-  common::Rng img_rng(22);
-  for (int s = 0; s < kSamples; ++s) {
-    images.push_back(nn::synthetic_image(img_rng, 1, 32, 32));
-    reference_logits.push_back(model.forward(images.back()));
-    reference_classes.push_back(tensor::argmax(reference_logits.back()));
-  }
+  reram::TrialFabricCache cache;  // one ideal reference set for every sigma
+  reram::RobustnessOptions options;
+  options.trials = 8;
+  options.samples = 20;
+  options.cache = &cache;
 
-  std::cout << "LeNet-5 under ReRAM conductance variation ("
-            << kSamples << " samples per point)\n\n";
-  report::Table table({"Sigma", "Argmax agreement", "Mean max |logit diff|"});
-  for (const double sigma : {0.0, 0.001, 0.002, 0.005, 0.01, 0.05, 0.2}) {
-    reram::SimulatedModel fabric(model, shapes);
-    common::Rng noise_rng(23);
-    fabric.apply_variation(noise_rng, sigma);
-    int agree = 0;
-    double total_diff = 0.0;
-    for (int s = 0; s < kSamples; ++s) {
-      const auto out = fabric.forward(images[s]);
-      if (tensor::argmax(out) == reference_classes[static_cast<std::size_t>(s)]) {
-        ++agree;
-      }
-      total_diff += tensor::max_abs_diff(
-          out, reference_logits[static_cast<std::size_t>(s)]);
-    }
+  std::cout << "LeNet-5 under ReRAM programming variation, 2-bit cells ("
+            << options.trials << " fabrics x " << options.samples
+            << " samples per point)\n\n";
+  report::Table table({"Sigma", "Mean agreement", "95% CI",
+                       "Mean max |logit diff|"});
+  for (const double sigma : {0.0, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3}) {
+    reram::FaultConfig faults;
+    faults.program_sigma = sigma;
+    faults.cell_bits = 2;
+    const reram::RobustnessReport r =
+        reram::monte_carlo_robustness(model, shapes, faults, options);
+    std::string ci = "[";
+    ci += report::format_fixed(r.accuracy_ci_lower, 3);
+    ci += ", ";
+    ci += report::format_fixed(r.accuracy_ci_upper, 3);
+    ci += "]";
     table.add_row({report::format_fixed(sigma, 3),
-                   std::to_string(agree) + "/" + std::to_string(kSamples),
-                   report::format_fixed(total_diff / kSamples, 4)});
+                   report::format_fixed(r.mean_accuracy, 3), ci,
+                   report::format_fixed(r.mean_logit_error, 4)});
   }
   table.print(std::cout);
   std::cout << "\nShape: agreement holds for small programming noise and "

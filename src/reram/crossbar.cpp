@@ -1,7 +1,6 @@
 #include "reram/crossbar.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -29,25 +28,6 @@ void pack_planes(const std::uint8_t* input, std::int64_t rows,
     for (int xb = 0; xb < 8; ++xb) {
       if ((x >> xb) & 1u) xbits[xb * words + word] |= bit;
     }
-  }
-}
-
-/// popx[s*8 + xb] and refs[s] for `count` packed samples: the per-plane
-/// popcounts feed the multilevel sign-plane complement, and the reference
-/// term 128·Σx falls out of them for free (Σ_i x[i] = Σ_xb 2^xb·popcount).
-void fill_multilevel_terms(const std::uint64_t* xbits, std::int64_t count,
-                           std::int64_t words, std::int64_t* popx,
-                           std::int64_t* refs) {
-  const auto& ops = kernels::ops();
-  for (std::int64_t s = 0; s < count; ++s) {
-    std::int64_t sum = 0;
-    for (int xb = 0; xb < 8; ++xb) {
-      const std::int64_t n =
-          ops.popcount_words(xbits + (s * 8 + xb) * words, words);
-      popx[s * 8 + xb] = n;
-      sum += n << xb;
-    }
-    refs[s] = 128 * sum;
   }
 }
 
@@ -206,102 +186,6 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial_scalar(
   return acc;
 }
 
-std::vector<std::int32_t> LogicalCrossbar::mvm_multilevel(
-    std::span<const std::uint8_t> input, int cell_bits) const {
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  thread_local kernels::KernelScratch scratch;
-  mvm_multilevel_accum(input, cell_bits, acc.data(), scratch);
-  return acc;
-}
-
-void LogicalCrossbar::mvm_multilevel_accum(
-    std::span<const std::uint8_t> input, int cell_bits, std::int32_t* out,
-    kernels::KernelScratch& scratch) const {
-  AUTOHET_CHECK(cell_bits > 0 && cell_bits <= 8 && 8 % cell_bits == 0,
-                "cell_bits must divide 8");
-  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
-                "input length must equal rows_used");
-  if (packed_.empty()) {
-    const std::vector<std::int32_t> acc = mvm_multilevel_scalar(input,
-                                                                cell_bits);
-    for (std::int64_t j = 0; j < cols_used_; ++j) {
-      out[j] += acc[static_cast<std::size_t>(j)];
-    }
-    return;
-  }
-  // Offset-binary level sums decompose exactly into per-bit bitline sums:
-  // bit k of v = w + 128 is the packed two's-complement plane k for k < 7
-  // and its complement for k = 7 (v = w ^ 0x80 on the uint8 pattern), so
-  // Σ_p 2^{p·b}·level_p = Σ_k 2^k·bit_k and the result is independent of
-  // cell_bits. popcount(x & ~p7) = popcount(x) − popcount(x & p7) keeps the
-  // complement implicit (input bits past rows_used are zero in x); the
-  // per-plane popcounts and the 128·Σx reference term are caller-computed
-  // once and handed to the dispatched kernel.
-  const std::int64_t words = (rows_used_ + 63) / 64;
-  std::uint64_t* xbits =
-      scratch.input_planes(static_cast<std::size_t>(8 * words));
-  pack_planes(input.data(), rows_used_, 1, words, xbits);
-  std::int64_t* terms = scratch.sample_terms(9);  // popx[0..8) + refs[0]
-  fill_multilevel_terms(xbits, 1, words, terms, terms + 8);
-  kernels::ops().multilevel_mvm(packed_.data(), shape_.cols, packed_words_,
-                                cols_used_, words, xbits, 1, terms, terms + 8,
-                                out);
-  OBS_COUNTER_ADD("autohet_kernel_multilevel_words_total",
-                  64 * cols_used_ * words);
-}
-
-std::vector<std::int32_t> LogicalCrossbar::mvm_multilevel_scalar(
-    std::span<const std::uint8_t> input, int cell_bits) const {
-  AUTOHET_CHECK(cell_bits > 0 && cell_bits <= 8 && 8 % cell_bits == 0,
-                "cell_bits must divide 8");
-  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
-                "input length must equal rows_used");
-  const int planes = 8 / cell_bits;
-  const unsigned cell_mask = (1u << cell_bits) - 1u;
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  // Reference column: 128 · Σx, subtracted once at the end to undo the
-  // offset-binary encoding (w + 128 stored as unsigned conductances).
-  std::int64_t ref = 0;
-  for (std::int64_t i = 0; i < rows_used_; ++i) {
-    ref += 128 * static_cast<std::int64_t>(input[static_cast<std::size_t>(i)]);
-  }
-  for (int xb = 0; xb < 8; ++xb) {
-    for (int p = 0; p < planes; ++p) {
-      const std::int64_t scale = std::int64_t{1} << (xb + p * cell_bits);
-      for (std::int64_t j = 0; j < cols_used_; ++j) {
-        std::int64_t bitline_sum = 0;
-        for (std::int64_t i = 0; i < rows_used_; ++i) {
-          const unsigned xbit = (input[static_cast<std::size_t>(i)] >> xb) & 1u;
-          if (!xbit) continue;
-          const auto offset = static_cast<unsigned>(
-              static_cast<int>(
-                  cells_[static_cast<std::size_t>(i * shape_.cols + j)]) +
-              128);
-          bitline_sum += static_cast<std::int64_t>(
-              (offset >> (p * cell_bits)) & cell_mask);
-        }
-        acc[static_cast<std::size_t>(j)] +=
-            static_cast<std::int32_t>(scale * bitline_sum);
-      }
-    }
-  }
-  for (auto& v : acc) v -= static_cast<std::int32_t>(ref);
-  return acc;
-}
-
-void LogicalCrossbar::apply_variation(common::Rng& rng, double sigma) {
-  AUTOHET_CHECK(sigma >= 0.0, "variation sigma must be non-negative");
-  if (sigma == 0.0) return;
-  for (auto& cell : cells_) {
-    if (cell == 0) continue;  // unprogrammed (high-resistance) cells stay off
-    const double noisy =
-        static_cast<double>(cell) + rng.normal(0.0, sigma * 127.0);
-    const double clamped = std::clamp(noisy, -128.0, 127.0);
-    cell = static_cast<std::int8_t>(std::lround(clamped));
-  }
-  if (!packed_.empty()) repack();
-}
-
 FaultMapStats LogicalCrossbar::apply_faults(const FaultModel& model,
                                             std::uint64_t crossbar_id,
                                             bool reference_path) {
@@ -430,28 +314,6 @@ void LogicalCrossbar::mvm_bit_serial_batch_accum(
   kernels::ops().bit_serial_mvm(packed_.data(), shape_.cols, packed_words_,
                                 cols_used_, words, xbits, count, acc_t);
   OBS_COUNTER_ADD("autohet_kernel_bit_serial_words_total",
-                  64 * cols_used_ * words * count);
-}
-
-void LogicalCrossbar::mvm_multilevel_batch_accum(
-    const std::uint8_t* inputs_t, std::int64_t count, int cell_bits,
-    std::int32_t* acc_t, kernels::KernelScratch& scratch) const {
-  AUTOHET_CHECK(cell_bits > 0 && cell_bits <= 8 && 8 % cell_bits == 0,
-                "cell_bits must divide 8");
-  AUTOHET_CHECK(is_packed(), "batched packed MVM requires packed planes");
-  const std::int64_t words = (rows_used_ + 63) / 64;
-  std::uint64_t* xbits =
-      scratch.input_planes(static_cast<std::size_t>(count * 8 * words));
-  for (std::int64_t s = 0; s < count; ++s) {
-    pack_planes(inputs_t + s, rows_used_, count, words, xbits + s * 8 * words);
-  }
-  std::int64_t* terms =
-      scratch.sample_terms(static_cast<std::size_t>(count * 9));
-  fill_multilevel_terms(xbits, count, words, terms, terms + count * 8);
-  kernels::ops().multilevel_mvm(packed_.data(), shape_.cols, packed_words_,
-                                cols_used_, words, xbits, count, terms,
-                                terms + count * 8, acc_t);
-  OBS_COUNTER_ADD("autohet_kernel_multilevel_words_total",
                   64 * cols_used_ * words * count);
 }
 

@@ -12,14 +12,13 @@
 // The two are bit-exact by construction; tests assert it.
 //
 // Fast path: the eight weight bit planes can additionally be packed into
-// per-column uint64 masks (ensure_packed()), turning the bit-serial and
-// multilevel datapaths into AND+popcount over words — the bit-level kernel
-// style CIM-Explorer uses. Packed kernels are bit-identical to the retained
+// per-column uint64 masks (ensure_packed()), turning the bit-serial
+// datapath into AND+popcount over words — the bit-level kernel style
+// CIM-Explorer uses. Packed kernels are bit-identical to the retained
 // *_scalar paths (tested); bulk program() packs eagerly, program_cell
-// updates the pack incrementally, and fault/variation burn-in repacks.
-// One packing serves both datapaths because the multilevel offset-binary
-// code v = w + 128 equals w ^ 0x80 on the uint8 bit pattern: bit k of v is
-// bit k of w for k < 7 and the complement of the sign bit for k = 7.
+// updates the pack incrementally, and fault burn-in repacks. Cell
+// precision is a storage property of the fault model
+// (FaultConfig::cell_bits), not a separate compute path.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +43,7 @@ class LogicalCrossbar {
   /// Programs a rows_used × cols_used weight block (row-major) into the
   /// top-left corner of the array; the rest of the cells stay zero
   /// (the wasted cells of Fig. 2 / Fig. 7). Rebuilds the packed bit planes
-  /// eagerly so subsequent bit-serial/multilevel MVMs take the fast kernel.
+  /// eagerly so subsequent bit-serial MVMs take the fast kernel.
   void program(std::span<const std::int8_t> weights, std::int64_t rows,
                std::int64_t cols);
 
@@ -71,33 +70,19 @@ class LogicalCrossbar {
   std::vector<std::int32_t> mvm_reference(
       std::span<const std::uint8_t> input) const;
 
-  /// Multi-level-cell bit-serial MVM: weights are stored offset-binary
-  /// (w + 128) across 8/cell_bits planes of cell_bits-bit cells, and the
-  /// signed result is recovered by subtracting 128·Σx via a reference
-  /// column — the standard ReRAM technique for signed weights on unsigned
-  /// conductances. cell_bits must divide 8. Bit-exact to mvm_reference for
-  /// every cell precision.
-  std::vector<std::int32_t> mvm_multilevel(
-      std::span<const std::uint8_t> input, int cell_bits) const;
-
   /// Retained scalar datapaths — the equivalence oracles for the packed
   /// kernels and the KernelPolicy::kScalar baseline.
   std::vector<std::int32_t> mvm_bit_serial_scalar(
       std::span<const std::uint8_t> input) const;
-  std::vector<std::int32_t> mvm_multilevel_scalar(
-      std::span<const std::uint8_t> input, int cell_bits) const;
   std::vector<std::int32_t> mvm_reference_scalar(
       std::span<const std::uint8_t> input) const;
 
   /// Allocation-free variants: accumulate into out[0 .. cols_used) on top of
   /// whatever is already there (the adder-tree merge happens in the caller's
   /// buffer directly). `scratch` is caller-owned kernel scratch (packed
-  /// input planes, per-sample terms), grown as needed — pass a per-thread
-  /// instance to keep the hot loop allocation-free.
+  /// input planes), grown as needed — pass a per-thread instance to keep
+  /// the hot loop allocation-free.
   void mvm_bit_serial_accum(std::span<const std::uint8_t> input,
-                            std::int32_t* out,
-                            kernels::KernelScratch& scratch) const;
-  void mvm_multilevel_accum(std::span<const std::uint8_t> input, int cell_bits,
                             std::int32_t* out,
                             kernels::KernelScratch& scratch) const;
   void mvm_reference_accum(std::span<const std::uint8_t> input,
@@ -123,20 +108,9 @@ class LogicalCrossbar {
   void mvm_bit_serial_batch_accum(const std::uint8_t* inputs_t,
                                   std::int64_t count, std::int32_t* acc_t,
                                   kernels::KernelScratch& scratch) const;
-  void mvm_multilevel_batch_accum(const std::uint8_t* inputs_t,
-                                  std::int64_t count, int cell_bits,
-                                  std::int32_t* acc_t,
-                                  kernels::KernelScratch& scratch) const;
   void mvm_read_noisy_accum(std::span<const std::uint8_t> input,
                             common::Rng& rng, double weight_sigma,
                             std::int32_t* out) const;
-
-  /// Applies ReRAM conductance variation: every programmed cell is
-  /// perturbed by round(N(0, sigma·2^(weight_bits-1)-1 ... )) — concretely
-  /// w' = clamp(w + round(N(0, sigma·127)), -128, 127). sigma = 0 leaves
-  /// the array untouched. Models device non-ideality for the accuracy
-  /// studies; see reram/variation.hpp helpers.
-  void apply_variation(common::Rng& rng, double sigma);
 
   /// Burns a seeded fault model into the whole physical array (stuck-at
   /// maps, programming variation, retention drift — see reram/faults.hpp).

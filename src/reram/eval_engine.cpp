@@ -349,7 +349,6 @@ std::size_t EvaluationEngine::RobustnessKeyHash::operator()(
   mix(static_cast<std::uint64_t>(k.trials));
   mix(static_cast<std::uint64_t>(k.samples));
   mix(k.input_seed);
-  mix(static_cast<std::uint64_t>(k.mode));
   mix(static_cast<std::uint64_t>(k.kernels));
   mix(static_cast<std::uint64_t>(k.budget.mode));
   mix(std::bit_cast<std::uint64_t>(k.budget.ci_halfwidth));
@@ -364,7 +363,7 @@ RobustnessReport EvaluationEngine::evaluate_robustness_cached(
     const FaultConfig& faults, const RobustnessOptions& options) const {
   const RobustnessKey key{model.identity(), actions,         faults,
                           options.trials,   options.samples, options.input_seed,
-                          options.mode,     options.kernels, options.budget};
+                          options.kernels,  options.budget};
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const RobustnessReport* hit = rob_memo_.find(key)) {

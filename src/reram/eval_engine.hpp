@@ -184,7 +184,6 @@ class EvaluationEngine {
     int trials = 0;
     int samples = 0;
     std::uint64_t input_seed = 0;
-    DatapathMode mode = DatapathMode::kInteger;
     KernelPolicy kernels = KernelPolicy::kFast;
     RobustnessBudget budget;
     bool operator==(const RobustnessKey&) const = default;

@@ -8,9 +8,10 @@
 //
 //   * Storage model. A logical 8-bit weight w is stored offset-binary
 //     (v = w + 128) across `8 / cell_bits` physical cells ("planes") of
-//     `cell_bits` bits each — the same encoding the multilevel datapath
-//     (`LogicalCrossbar::mvm_multilevel`) computes on. Plane p carries the
-//     level v_p = (v >> p·b) & (2^b − 1) with weight-space scale 2^{p·b}.
+//     `cell_bits` bits each. Plane p carries the level
+//     v_p = (v >> p·b) & (2^b − 1) with weight-space scale 2^{p·b}. Faults
+//     act on the levels; the perturbed weight is folded back into the
+//     two's-complement cell that both datapaths read exactly.
 //
 //   * Stuck-at faults. Every physical cell is independently stuck-at-0
 //     (level forced to 0, HRS) with probability `stuck_at_zero_rate` and

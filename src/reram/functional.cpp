@@ -332,14 +332,6 @@ std::vector<std::int32_t> MappedLayer::mvm_scalar(
   return out;
 }
 
-void MappedLayer::apply_variation(common::Rng& rng, double sigma) {
-  for (auto& xb : crossbars_) xb.apply_variation(rng, sigma);
-}
-
-void SimulatedModel::apply_variation(common::Rng& rng, double sigma) {
-  for (auto& layer : layers_) layer.apply_variation(rng, sigma);
-}
-
 FaultMapStats SimulatedModel::fault_stats() const noexcept {
   FaultMapStats total;
   for (const auto& layer : layers_) total += layer.fault_stats();
@@ -790,11 +782,10 @@ std::shared_ptr<const MappedLayer> LayerFabricCache::layer(
 
 std::shared_ptr<const TrialFabricCache::IdealRefs>
 LayerFabricCache::ideal_refs(
-    const nn::Model& model, DatapathMode mode, int samples,
-    std::uint64_t input_seed, KernelPolicy policy,
+    const nn::Model& model, int samples, std::uint64_t input_seed,
+    KernelPolicy policy,
     const std::function<TrialFabricCache::IdealRefs()>& build) {
-  return refs_.get({model.identity(), mode, samples, input_seed, policy},
-                   build);
+  return refs_.get({model.identity(), samples, input_seed, policy}, build);
 }
 
 LayerFabricCache::Stats LayerFabricCache::stats() const {
@@ -853,7 +844,7 @@ RobustnessReport monte_carlo_robustness(
   LayerFabricCache* layer_cache = scalar ? nullptr : options.layer_cache;
   const auto program = [&](const FaultConfig& fc) {
     return SimulatedModel(
-        model, options.mode, fc, options.kernels,
+        model, DatapathMode::kInteger, fc, options.kernels,
         program_layers(model, shapes, fc, options.kernels, layer_cache));
   };
 
@@ -880,11 +871,10 @@ RobustnessReport monte_carlo_robustness(
   // serves every allocation a search visits — the workload-keyed
   // TrialFabricCache would rebuild them on each new allocation.
   const TrialFabricCache::WorkloadKey workload{
-      model.identity(), shapes, options.mode, options.samples,
-      options.input_seed};
+      model.identity(), shapes, options.samples, options.input_seed};
   const std::shared_ptr<const TrialFabricCache::IdealRefs> refs =
       layer_cache != nullptr
-          ? layer_cache->ideal_refs(model, options.mode, options.samples,
+          ? layer_cache->ideal_refs(model, options.samples,
                                     options.input_seed, options.kernels,
                                     build_refs)
       : cache != nullptr

@@ -138,8 +138,8 @@ class MappedLayer {
       std::span<const std::uint8_t> input_column, DatapathMode mode,
       std::uint64_t call_key = 0) const;
 
-  /// Packs every crossbar's weight bit planes (idempotent) so bit-serial /
-  /// multilevel MVMs take the AND+popcount kernels.
+  /// Packs every crossbar's weight bit planes (idempotent) so bit-serial
+  /// MVMs take the AND+popcount kernel.
   void prepare_packed();
 
   /// Burns a fault model into the (clean) programmed arrays: the same
@@ -163,10 +163,6 @@ class MappedLayer {
   /// read-noise streams burn_faults would have produced.
   void replay_faults(const FaultModel& faults, std::uint64_t layer_id,
                      const std::vector<CrossbarBurnRecord>& recorded);
-
-  /// Perturbs every programmed cell with conductance variation of relative
-  /// magnitude `sigma` (see LogicalCrossbar::apply_variation).
-  void apply_variation(common::Rng& rng, double sigma);
 
   /// Stuck-at / variation counts burned in at construction (all zero when
   /// the layer was programmed without a fault model).
@@ -293,11 +289,6 @@ class SimulatedModel {
   /// fabric is ideal).
   FaultMapStats fault_stats() const noexcept;
 
-  /// Applies conductance variation to every mapped layer — the device
-  /// non-ideality study of the variation example/bench. Irreversible on
-  /// this instance; construct a fresh SimulatedModel for a clean fabric.
-  void apply_variation(common::Rng& rng, double sigma);
-
  private:
   /// Copies this fabric under `faults` and runs `burn(layer, model, i)` on
   /// each layer i of the copy — the one clone step of with_faults,
@@ -356,7 +347,6 @@ class TrialFabricCache {
   struct WorkloadKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
     std::vector<mapping::CrossbarShape> shapes;
-    DatapathMode mode = DatapathMode::kInteger;
     int samples = 0;
     std::uint64_t input_seed = 0;
     bool operator==(const WorkloadKey&) const = default;
@@ -443,13 +433,13 @@ class LayerFabricCache {
       KernelPolicy policy, const std::function<MappedLayer()>& build);
 
   /// Allocation-invariant ideal references for the assembly path, keyed by
-  /// (model, mode, samples, input_seed, policy) — no shapes. One reference
+  /// (model, samples, input_seed, policy) — no shapes. One reference
   /// set serves every allocation: the ideal fabric's forward is
-  /// partition-exact on both datapaths (integer sums reassociate exactly
-  /// and an ideal fabric has no read noise), so reference outputs are
-  /// bit-identical across crossbar tilings (tested).
+  /// partition-exact (integer sums reassociate exactly and an ideal fabric
+  /// has no read noise), so reference outputs are bit-identical across
+  /// crossbar tilings (tested).
   std::shared_ptr<const TrialFabricCache::IdealRefs> ideal_refs(
-      const nn::Model& model, DatapathMode mode, int samples,
+      const nn::Model& model, int samples,
       std::uint64_t input_seed, KernelPolicy policy,
       const std::function<TrialFabricCache::IdealRefs()>& build);
 
@@ -474,7 +464,6 @@ class LayerFabricCache {
   };
   struct RefsKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
-    DatapathMode mode = DatapathMode::kInteger;
     int samples = 0;
     std::uint64_t input_seed = 0;
     KernelPolicy policy = KernelPolicy::kFast;
@@ -500,7 +489,6 @@ struct RobustnessOptions {
   /// unlocks zero-stuck-rate cache spanning when a cache is supplied.
   RobustnessBudget budget;
   std::uint64_t input_seed = 0x1a9e5ULL;
-  DatapathMode mode = DatapathMode::kInteger;
   /// Worker threads for the trial fan-out: 1 = serial (default), 0 = one
   /// per hardware thread, n > 1 = exactly n. Every thread count produces
   /// byte-identical reports (trials are independently seeded and the

@@ -42,25 +42,9 @@ inline std::int64_t hsum_epi64(__m256i v) {
 }
 
 struct Avx2Core {
-  static std::int64_t and_popcount(const std::uint64_t* x,
-                                   const std::uint64_t* p,
-                                   std::int64_t words) {
-    __m256i acc = _mm256_setzero_si256();
-    std::int64_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-      const __m256i v = _mm256_and_si256(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + w)),
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + w)));
-      acc = _mm256_add_epi64(
-          acc, _mm256_sad_epu8(popcount_bytes(v), _mm256_setzero_si256()));
-    }
-    std::int64_t n = hsum_epi64(acc);
-    for (; w < words; ++w) n += std::popcount(x[w] & p[w]);
-    return n;
-  }
-  static std::int64_t weighted_and_popcount(const std::uint64_t* x8,
-                                            const std::uint64_t* p,
-                                            std::int64_t words) {
+  static std::int64_t weighted_popcount(const std::uint64_t* x8,
+                                        const std::uint64_t* p,
+                                        std::int64_t words) {
     // One weight-plane chunk load serves all 8 input planes, and the 2^xb
     // weighting happens on the vpsadbw lane counts inside the vector
     // accumulator — one horizontal reduction per column, not eight.
@@ -89,19 +73,6 @@ struct Avx2Core {
     }
     return n;
   }
-  static std::int64_t popcount(const std::uint64_t* x, std::int64_t words) {
-    __m256i acc = _mm256_setzero_si256();
-    std::int64_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + w));
-      acc = _mm256_add_epi64(
-          acc, _mm256_sad_epu8(popcount_bytes(v), _mm256_setzero_si256()));
-    }
-    std::int64_t n = hsum_epi64(acc);
-    for (; w < words; ++w) n += std::popcount(x[w]);
-    return n;
-  }
   static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
                    std::int64_t count) {
     const __m256i wv = _mm256_set1_epi32(w);
@@ -127,16 +98,6 @@ void bit_serial_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
                                         words, xbits, count, acc_t);
 }
 
-void multilevel_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
-                    std::int64_t col_words, std::int64_t cols,
-                    std::int64_t words, const std::uint64_t* xbits,
-                    std::int64_t count, const std::int64_t* popx,
-                    const std::int64_t* refs, std::int32_t* acc_t) {
-  detail::multilevel_mvm_impl<Avx2Core>(planes, plane_cols, col_words, cols,
-                                        words, xbits, count, popx, refs,
-                                        acc_t);
-}
-
 void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
                      std::int64_t rows, std::int64_t cols,
                      const std::uint8_t* inputs_t, std::int64_t count,
@@ -145,15 +106,10 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
                                          inputs_t, count, acc_t);
 }
 
-std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
-  return detail::popcount_words_impl<Avx2Core>(x, words);
-}
-
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {"avx2", bit_serial_mvm, multilevel_mvm, reference_batch,
-                      popcount_words};
+const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -38,28 +38,9 @@ inline std::int64_t hsum512(__m512i v) {
 }
 
 struct Avx512Core {
-  static std::int64_t and_popcount(const std::uint64_t* x,
-                                   const std::uint64_t* p,
-                                   std::int64_t words) {
-    __m512i acc = _mm512_setzero_si512();
-    std::int64_t w = 0;
-    for (; w + 8 <= words; w += 8) {
-      const __m512i v = _mm512_and_si512(_mm512_loadu_si512(x + w),
-                                         _mm512_loadu_si512(p + w));
-      acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-    }
-    if (w < words) {
-      const __mmask8 m =
-          static_cast<__mmask8>((1u << (words - w)) - 1u);
-      const __m512i v = _mm512_and_si512(_mm512_maskz_loadu_epi64(m, x + w),
-                                         _mm512_maskz_loadu_epi64(m, p + w));
-      acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-    }
-    return hsum512(acc);
-  }
-  static std::int64_t weighted_and_popcount(const std::uint64_t* x8,
-                                            const std::uint64_t* p,
-                                            std::int64_t words) {
+  static std::int64_t weighted_popcount(const std::uint64_t* x8,
+                                        const std::uint64_t* p,
+                                        std::int64_t words) {
     // All 8 input planes against one loaded weight-plane chunk; the 2^xb
     // weights ride in the vector accumulator (counts ≤ 64 << 7 per lane
     // per add — nowhere near i64 overflow), so the whole column costs a
@@ -86,21 +67,6 @@ struct Avx512Core {
             acc, _mm512_slli_epi64(_mm512_popcnt_epi64(v),
                                    static_cast<unsigned int>(xb)));
       }
-    }
-    return hsum512(acc);
-  }
-  static std::int64_t popcount(const std::uint64_t* x, std::int64_t words) {
-    __m512i acc = _mm512_setzero_si512();
-    std::int64_t w = 0;
-    for (; w + 8 <= words; w += 8) {
-      acc = _mm512_add_epi64(acc,
-                             _mm512_popcnt_epi64(_mm512_loadu_si512(x + w)));
-    }
-    if (w < words) {
-      const __mmask8 m =
-          static_cast<__mmask8>((1u << (words - w)) - 1u);
-      acc = _mm512_add_epi64(
-          acc, _mm512_popcnt_epi64(_mm512_maskz_loadu_epi64(m, x + w)));
     }
     return hsum512(acc);
   }
@@ -135,16 +101,6 @@ void bit_serial_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
                                           words, xbits, count, acc_t);
 }
 
-void multilevel_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
-                    std::int64_t col_words, std::int64_t cols,
-                    std::int64_t words, const std::uint64_t* xbits,
-                    std::int64_t count, const std::int64_t* popx,
-                    const std::int64_t* refs, std::int32_t* acc_t) {
-  detail::multilevel_mvm_impl<Avx512Core>(planes, plane_cols, col_words, cols,
-                                          words, xbits, count, popx, refs,
-                                          acc_t);
-}
-
 void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
                      std::int64_t rows, std::int64_t cols,
                      const std::uint8_t* inputs_t, std::int64_t count,
@@ -153,15 +109,10 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
                                            inputs_t, count, acc_t);
 }
 
-std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
-  return detail::popcount_words_impl<Avx512Core>(x, words);
-}
-
 }  // namespace
 
 namespace detail {
-const Ops kAvx512Ops = {"avx512", bit_serial_mvm, multilevel_mvm,
-                        reference_batch, popcount_words};
+const Ops kAvx512Ops = {"avx512", bit_serial_mvm, reference_batch};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

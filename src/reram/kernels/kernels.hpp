@@ -1,11 +1,11 @@
 // Dispatching kernel backend for the packed bit-plane crossbar primitives.
 //
-// The functional simulator's hot loops — bit-serial and multilevel
-// AND+popcount MVMs over packed uint64 bit planes, and the batched integer
-// GEMM over raw cells — are implemented once per ISA variant behind one
-// table of function pointers (the ggml idiom: each variant lives in its own
-// translation unit compiled with that ISA's flags, and the best supported
-// variant is selected by CPUID at startup). Three variants exist:
+// The functional simulator's hot loops — the bit-serial AND+popcount MVM
+// over packed uint64 bit planes and the batched integer GEMM over raw
+// cells, one per DatapathMode — are implemented once per ISA variant behind
+// one table of function pointers (the ggml idiom: each variant lives in its
+// own translation unit compiled with that ISA's flags, and the best
+// supported variant is selected by CPUID at startup). Three variants exist:
 //
 //   portable — plain C++ word loops, compiled with the project's baseline
 //              flags; always available and the equivalence baseline.
@@ -62,27 +62,12 @@ struct Ops {
                          std::int64_t words, const std::uint64_t* xbits,
                          std::int64_t count, std::int32_t* acc_t) = nullptr;
 
-  /// Packed multilevel (offset-binary) MVM: plane 7 contributes through its
-  /// complement (bitline = popx - popcount), and 128·Σ input is subtracted
-  /// per sample via the reference column. popx is [s*8 + xb] (per-sample
-  /// input-plane popcounts), refs is [s] (128·Σ input_s).
-  void (*multilevel_mvm)(const std::uint64_t* planes, std::int64_t plane_cols,
-                         std::int64_t col_words, std::int64_t cols,
-                         std::int64_t words, const std::uint64_t* xbits,
-                         std::int64_t count, const std::int64_t* popx,
-                         const std::int64_t* refs,
-                         std::int32_t* acc_t) = nullptr;
-
   /// Batched integer GEMM over the raw cells (skip-zero weights):
   ///   acc_t[j*count+s] += cells[i*row_stride+j] · inputs_t[i*count+s]
   void (*reference_batch)(const std::int8_t* cells, std::int64_t row_stride,
                           std::int64_t rows, std::int64_t cols,
                           const std::uint8_t* inputs_t, std::int64_t count,
                           std::int32_t* acc_t) = nullptr;
-
-  /// Plain popcount over a word run (input-plane popcounts for multilevel).
-  std::int64_t (*popcount_words)(const std::uint64_t* x,
-                                 std::int64_t words) = nullptr;
 };
 
 // This table's dispatch, a common::KernelDispatch (see there for the
@@ -98,8 +83,8 @@ inline const char* variant_name(Variant v) {
 }
 
 /// Caller-owned scratch for the packed/batched kernel paths: one object
-/// holds every buffer the bit-serial, multilevel and batched datapaths
-/// need, so call sites stop hand-rolling per-purpose vectors. Buffers grow
+/// holds every buffer the bit-serial and batched datapaths need, so call
+/// sites stop hand-rolling per-purpose vectors. Buffers grow
 /// monotonically and are never shrunk; contents are unspecified on return
 /// (the pack/compute routines overwrite what they use). Keep one instance
 /// per thread (thread_local at the call sites) for allocation-free loops.
@@ -115,9 +100,6 @@ class KernelScratch {
   std::uint8_t* columns_t(std::size_t n) { return grown(columns_t_, n); }
   /// Transposed accumulator tile (cols × count int32).
   std::int32_t* accs_t(std::size_t n) { return grown(accs_t_, n); }
-  /// Per-sample int64 terms (multilevel popx / reference sums, row-block
-  /// partials).
-  std::int64_t* sample_terms(std::size_t n) { return grown(terms_, n); }
 
  private:
   template <typename T>
@@ -129,7 +111,6 @@ class KernelScratch {
   std::vector<std::uint8_t> column_;
   std::vector<std::uint8_t> columns_t_;
   std::vector<std::int32_t> accs_t_;
-  std::vector<std::int64_t> terms_;
 };
 
 namespace detail {

@@ -13,16 +13,9 @@ namespace autohet::reram::kernels {
 namespace {
 
 struct PortableCore {
-  static std::int64_t and_popcount(const std::uint64_t* x,
-                                   const std::uint64_t* p,
-                                   std::int64_t words) {
-    std::int64_t n = 0;
-    for (std::int64_t w = 0; w < words; ++w) n += std::popcount(x[w] & p[w]);
-    return n;
-  }
-  static std::int64_t weighted_and_popcount(const std::uint64_t* x8,
-                                            const std::uint64_t* p,
-                                            std::int64_t words) {
+  static std::int64_t weighted_popcount(const std::uint64_t* x8,
+                                        const std::uint64_t* p,
+                                        std::int64_t words) {
     std::int64_t n = 0;
     for (int xb = 0; xb < 8; ++xb) {
       const std::uint64_t* x = x8 + xb * words;
@@ -32,11 +25,6 @@ struct PortableCore {
       }
       n += c << xb;
     }
-    return n;
-  }
-  static std::int64_t popcount(const std::uint64_t* x, std::int64_t words) {
-    std::int64_t n = 0;
-    for (std::int64_t w = 0; w < words; ++w) n += std::popcount(x[w]);
     return n;
   }
   static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
@@ -55,16 +43,6 @@ void bit_serial_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
                                             cols, words, xbits, count, acc_t);
 }
 
-void multilevel_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
-                    std::int64_t col_words, std::int64_t cols,
-                    std::int64_t words, const std::uint64_t* xbits,
-                    std::int64_t count, const std::int64_t* popx,
-                    const std::int64_t* refs, std::int32_t* acc_t) {
-  detail::multilevel_mvm_impl<PortableCore>(planes, plane_cols, col_words,
-                                            cols, words, xbits, count, popx,
-                                            refs, acc_t);
-}
-
 void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
                      std::int64_t rows, std::int64_t cols,
                      const std::uint8_t* inputs_t, std::int64_t count,
@@ -73,15 +51,10 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
                                              inputs_t, count, acc_t);
 }
 
-std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
-  return detail::popcount_words_impl<PortableCore>(x, words);
-}
-
 }  // namespace
 
 namespace detail {
-const Ops kPortableOps = {"portable", bit_serial_mvm, multilevel_mvm,
-                          reference_batch, popcount_words};
+const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -5,6 +5,7 @@
 #         [-DFAULT_SWEEP=<fault_sweep binary>] [-DCLI=<autohet_cli binary>]
 #         [-DSERVING_SIM=<serving_sim binary>]
 #         [-DPAPER_RESULTS=<paper_results binary>]
+#         [-DTEST_KERNELS=<test_kernels binary>]
 #         -P tests/e2e.cmake
 #
 # Each case starts from an empty WORK_DIR (the binaries write their
@@ -66,6 +67,12 @@
 #   kernel_env
 #       `autohet_cli kernels` under AUTOHET_KERNEL=portable shows portable
 #       active for both kernel tables; AUTOHET_KERNEL=neon is rejected.
+#   reram_dispatch
+#       `autohet_cli kernels` lists the reram variants this host supports
+#       (portable among them), and the kernel equivalence suite
+#       (test_kernels) passes once per supported variant with
+#       AUTOHET_KERNEL forcing it, so a lost CPUID rule or a variant that
+#       diverges from the scalar oracles fails here.
 #   bench_args
 #       the bench binaries reject a bad positional count, budget mode,
 #       paper section, --episodes, --threads or --kernel, naming the
@@ -364,6 +371,22 @@ elseif(CASE STREQUAL "kernel_env")
   endforeach()
   run_fails("unknown kernel variant 'neon'"
             "${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=neon "${CLI}" kernels)
+elseif(CASE STREQUAL "reram_dispatch")
+  run("${CLI}" kernels)
+  string(REGEX MATCHALL "\\| reram +\\| [a-z0-9]+ +\\| yes " rows
+         "${OUTPUT}")
+  set(variants)
+  foreach(row IN LISTS rows)
+    string(REGEX REPLACE "^\\| reram +\\| ([a-z0-9]+) .*" "\\1" variant
+           "${row}")
+    list(APPEND variants ${variant})
+  endforeach()
+  if(NOT "portable" IN_LIST variants)
+    message(FATAL_ERROR "no supported reram variants listed:\n${OUTPUT}")
+  endif()
+  foreach(variant IN LISTS variants)
+    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${TEST_KERNELS}")
+  endforeach()
 elseif(CASE STREQUAL "bench_args")
   run_fails("argument <budget> must be fixed or adaptive: adaptiv"
             "${FAULT_SWEEP}" 20 1 adaptiv --metrics-out m.prom)

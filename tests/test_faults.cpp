@@ -193,6 +193,216 @@ TEST(SimulatedModelFaults, ReadNoiseIsDeterministicPerInstance) {
                std::invalid_argument);
 }
 
+TEST(SimulatedModelFaults, ProgramVariationDegradesAccuracyGracefully) {
+  // LeNet-5 with 2-bit cells: small programming variation keeps most argmax
+  // agreement with the float model; huge variation does no better.
+  common::Rng rng(14);
+  const nn::Model model(nn::lenet5(), rng);
+  const std::vector<CrossbarShape> shapes(5, {128, 128});
+
+  const auto agreement_at = [&](double sigma) {
+    FaultConfig faults;
+    faults.program_sigma = sigma;
+    faults.cell_bits = 2;
+    const SimulatedModel sim(model, shapes, reram::DatapathMode::kInteger,
+                             faults);
+    common::Rng imgs(16);
+    int agree = 0;
+    for (int t = 0; t < 10; ++t) {
+      const auto img = nn::synthetic_image(imgs, 1, 32, 32);
+      if (tensor::argmax(model.forward(img)) ==
+          tensor::argmax(sim.forward(img))) {
+        ++agree;
+      }
+    }
+    return agree;
+  };
+  EXPECT_GE(agreement_at(0.0), 9);
+  EXPECT_GE(agreement_at(0.05), 7);
+  EXPECT_LE(agreement_at(1.0), agreement_at(0.05));
+}
+
+std::vector<std::int8_t> random_weights(common::Rng& rng, std::int64_t n) {
+  std::vector<std::int8_t> w(static_cast<std::size_t>(n));
+  for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  return w;
+}
+
+std::vector<std::uint8_t> random_inputs(common::Rng& rng, std::int64_t n) {
+  std::vector<std::uint8_t> x(static_cast<std::size_t>(n));
+  for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
+  return x;
+}
+
+/// A non-ideal config whose lognormal spread is far below half a level at
+/// every precision: the burn-in runs the full plane split and fold-back
+/// but no level can round off its grid point.
+FaultConfig sub_level_variation(int cell_bits) {
+  FaultConfig faults;
+  faults.program_sigma = 1e-6;
+  faults.cell_bits = cell_bits;
+  return faults;
+}
+
+class CellStorageRoundTrip : public ::testing::TestWithParam<int> {};
+
+TEST_P(CellStorageRoundTrip, SubLevelVariationKeepsWeightsExact) {
+  // Offset-binary split into 8 / cell_bits planes, then folded back into
+  // the two's-complement cell both datapaths read: exact at every
+  // precision when no level moves.
+  const int cell_bits = GetParam();
+  common::Rng rng(static_cast<std::uint64_t>(cell_bits) * 101);
+  reram::LogicalCrossbar xb({36, 32});
+  xb.program(random_weights(rng, 30 * 20), 30, 20);
+  const auto x = random_inputs(rng, 30);
+  const auto before = xb.mvm_reference(x);
+  const FaultModel model(sub_level_variation(cell_bits));
+  ASSERT_FALSE(model.ideal());
+  const FaultMapStats stats = xb.apply_faults(model, /*crossbar_id=*/3);
+  EXPECT_EQ(stats.physical_cells, 36 * 32 * (8 / cell_bits));
+  EXPECT_EQ(stats.weights_changed, 0);
+  EXPECT_EQ(xb.mvm_reference(x), before);
+  EXPECT_EQ(xb.mvm_bit_serial(x), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(CellPrecisions, CellStorageRoundTrip,
+                         ::testing::Values(1, 2, 4, 8));
+
+TEST(CellStorage, ExtremeWeightsSurviveEveryPrecision) {
+  const std::vector<std::int8_t> extremes = {-128, 127, 1, -1, 0};
+  for (const int bits : {1, 2, 4, 8}) {
+    const FaultModel model(sub_level_variation(bits));
+    common::Rng rng(17);
+    FaultMapStats stats;
+    for (const std::int8_t w : extremes) {
+      EXPECT_EQ(model.perturb_weight(w, rng, stats), w)
+          << "cell_bits=" << bits << " w=" << int{w};
+    }
+    EXPECT_EQ(stats.weights_changed, 0) << bits;
+    EXPECT_EQ(stats.physical_cells,
+              static_cast<std::int64_t>(extremes.size()) * (8 / bits));
+  }
+}
+
+TEST(CellStorage, RejectsInvalidCellBits) {
+  for (const int bits : {0, 3, 5, 16, -1}) {
+    FaultConfig faults;
+    faults.cell_bits = bits;
+    EXPECT_THROW(faults.validate(), std::invalid_argument) << bits;
+    EXPECT_THROW(FaultModel{faults}, std::invalid_argument) << bits;
+  }
+  for (const int bits : {1, 2, 4, 8}) {
+    FaultConfig faults;
+    faults.cell_bits = bits;
+    EXPECT_NO_THROW(faults.validate()) << bits;
+  }
+}
+
+TEST(CellStorage, BurnedCellsFeedBothDatapathsIdentically) {
+  // After a real burn (variation plus stuck-at), the bit-serial plane
+  // datapath and the integer datapath still read the same perturbed
+  // weights, at every cell precision.
+  for (const int bits : {1, 2, 4, 8}) {
+    common::Rng rng(7);
+    reram::LogicalCrossbar xb({64, 64});
+    xb.program(random_weights(rng, 64 * 64), 64, 64);
+    const auto x = random_inputs(rng, 64);
+    const auto clean = xb.mvm_reference(x);
+    FaultConfig faults = stuck_config(0.01, bits);
+    faults.program_sigma = 0.3;
+    const FaultMapStats stats = xb.apply_faults(FaultModel(faults), 5);
+    EXPECT_GT(stats.weights_changed, 0) << bits;
+    const auto noisy = xb.mvm_reference(x);
+    EXPECT_NE(noisy, clean) << bits;
+    EXPECT_EQ(xb.mvm_bit_serial(x), noisy) << bits;
+  }
+}
+
+TEST(ProgramVariation, OffCellsStayOff) {
+  // Weight −128 is level 0 (HRS) on every plane: an off cell has nothing
+  // to vary, so it survives any σ while programmed levels move.
+  for (const int bits : {1, 2, 4, 8}) {
+    FaultConfig faults;
+    faults.program_sigma = 0.5;
+    faults.cell_bits = bits;
+    const FaultModel model(faults);
+    std::vector<std::int8_t> cells(16 * 16, -128);
+    for (std::size_t i = 0; i < cells.size(); i += 2) cells[i] = 100;
+    const FaultMapStats stats = model.apply(cells, 16, 16, 16, 9);
+    for (std::size_t i = 1; i < cells.size(); i += 2) {
+      ASSERT_EQ(cells[i], -128) << "cell_bits=" << bits << " i=" << i;
+    }
+    EXPECT_GT(stats.weights_changed, 0) << bits;
+    EXPECT_LE(stats.weights_changed,
+              static_cast<std::int64_t>(cells.size() / 2))
+        << bits;
+  }
+}
+
+TEST(ProgramVariation, ErrorGrowsWithSigma) {
+  common::Rng rng(11);
+  const std::vector<std::int8_t> w = random_weights(rng, 32 * 32);
+  const auto x = random_inputs(rng, 32);
+  const auto error_at = [&](double sigma) {
+    reram::LogicalCrossbar xb({32, 32});
+    xb.program(w, 32, 32);
+    const auto clean = xb.mvm_reference(x);
+    FaultConfig faults;
+    faults.program_sigma = sigma;
+    faults.cell_bits = 2;
+    xb.apply_faults(FaultModel(faults), 12);
+    const auto noisy = xb.mvm_reference(x);
+    double err = 0.0;
+    for (std::size_t j = 0; j < clean.size(); ++j) {
+      err += std::abs(static_cast<double>(noisy[j]) - clean[j]);
+    }
+    return err;
+  };
+  const double small = error_at(0.1);
+  const double large = error_at(0.4);
+  EXPECT_GT(small, 0.0);
+  EXPECT_GT(large, small);
+}
+
+TEST(ProgramVariation, FabricRejectsNegativeSigma) {
+  common::Rng rng(13);
+  const nn::Model model(nn::lenet5(), rng);
+  const std::vector<CrossbarShape> shapes(5, {128, 128});
+  FaultConfig faults;
+  faults.program_sigma = -0.1;
+  EXPECT_THROW(SimulatedModel(model, shapes, reram::DatapathMode::kInteger,
+                              faults),
+               std::invalid_argument);
+  EXPECT_THROW(reram::monte_carlo_robustness(model, shapes, faults),
+               std::invalid_argument);
+}
+
+TEST(ProgramVariation, MonteCarloAgreementFallsWithSigma) {
+  // The variation study's measurement: mean agreement with the ideal
+  // fabric over seeded trials, with its confidence interval.
+  common::Rng rng(14);
+  const nn::Model model(nn::lenet5(), rng);
+  const std::vector<CrossbarShape> shapes(5, {128, 128});
+  reram::RobustnessOptions opts;
+  opts.trials = 4;
+  opts.samples = 8;
+  const auto at = [&](double sigma) {
+    FaultConfig faults;
+    faults.program_sigma = sigma;
+    faults.cell_bits = 2;
+    return reram::monte_carlo_robustness(model, shapes, faults, opts);
+  };
+  const auto zero = at(0.0);
+  EXPECT_EQ(zero.mean_accuracy, 1.0);
+  EXPECT_EQ(zero.fault_stats.weights_changed, 0);
+  const auto heavy = at(1.0);
+  EXPECT_GT(heavy.fault_stats.weights_changed, 0);
+  EXPECT_LT(heavy.mean_accuracy, zero.mean_accuracy);
+  EXPECT_GT(heavy.mean_logit_error, zero.mean_logit_error);
+  EXPECT_LE(heavy.accuracy_ci_lower, heavy.mean_accuracy);
+  EXPECT_GE(heavy.accuracy_ci_upper, heavy.mean_accuracy);
+}
+
 TEST(AnalyticVulnerability, MonotoneInRateAndFragmentation) {
   const auto layers = nn::lenet5().mappable_layers();
   const std::vector<CrossbarShape> big(layers.size(), {576, 512});
