@@ -201,17 +201,19 @@ FaultMapStats LogicalCrossbar::apply_faults(const FaultModel& model,
 
 FaultMapStats LogicalCrossbar::apply_faults_recording(
     const FaultModel& model, std::uint64_t crossbar_id,
-    std::vector<StuckCandidate>& out) {
-  const FaultMapStats stats = model.apply_recording(
-      cells_, shape_.rows, shape_.cols, shape_.cols, crossbar_id, out);
+    std::vector<StuckCandidate>& out, StuckBucketEnds& bucket_ends) {
+  const FaultMapStats stats =
+      model.apply_recording(cells_, shape_.rows, shape_.cols, shape_.cols,
+                            crossbar_id, out, bucket_ends);
   if (!packed_.empty()) repack();
   return stats;
 }
 
 FaultMapStats LogicalCrossbar::replay_stuck_faults(
-    const FaultModel& model, std::span<const StuckCandidate> hits) {
+    const FaultModel& model, std::span<const StuckCandidate> hits,
+    const StuckBucketEnds& bucket_ends) {
   const FaultMapStats delta =
-      model.replay_stuck(cells_, shape_.cols, shape_.cols, hits);
+      model.replay_stuck(cells_, shape_.cols, shape_.cols, hits, bucket_ends);
   if (!packed_.empty() && (delta.stuck_at_zero || delta.stuck_at_one)) {
     repack();
   }

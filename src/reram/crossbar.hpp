@@ -124,19 +124,21 @@ class LogicalCrossbar {
                              bool reference_path = false);
 
   /// Recording burn-in (FaultModel::apply_recording): programming variation
-  /// is applied, stuck-draw candidates are appended to `out` instead of
-  /// being applied. Returns the variation-only stats; replay_stuck_faults
-  /// completes the burn for any eligible rate pair. Repacks like
-  /// apply_faults.
+  /// is applied, stuck-draw candidates are written to `out` (grouped by draw
+  /// bucket, ends in `bucket_ends`) instead of being applied. Returns the
+  /// variation-only stats; replay_stuck_faults completes the burn for any
+  /// eligible rate pair. Repacks like apply_faults.
   FaultMapStats apply_faults_recording(const FaultModel& model,
                                        std::uint64_t crossbar_id,
-                                       std::vector<StuckCandidate>& out);
+                                       std::vector<StuckCandidate>& out,
+                                       StuckBucketEnds& bucket_ends);
 
   /// Replays recorded stuck candidates under `model`'s thresholds on this
   /// (post-variation) array — see FaultModel::replay_stuck. Returns the
   /// delta stats; repacks when packed.
   FaultMapStats replay_stuck_faults(const FaultModel& model,
-                                    std::span<const StuckCandidate> hits);
+                                    std::span<const StuckCandidate> hits,
+                                    const StuckBucketEnds& bucket_ends);
 
   /// Integer MVM with cycle-to-cycle read noise: every sensed cell's weight
   /// is perturbed by round(N(0, weight_sigma)) for this read only (the

@@ -292,7 +292,7 @@ FaultMapStats FaultModel::apply_fast(std::span<std::int8_t> cells,
 FaultMapStats FaultModel::apply_recording(
     std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
     std::int64_t row_stride, std::uint64_t crossbar_id,
-    std::vector<StuckCandidate>& out) const {
+    std::vector<StuckCandidate>& out, StuckBucketEnds& bucket_ends) const {
   AUTOHET_CHECK(record_eligible(),
                 "this fault config cannot be recorded (drift, zero stuck "
                 "rates, or rates beyond the recording cap)");
@@ -301,51 +301,69 @@ FaultMapStats FaultModel::apply_recording(
   AUTOHET_CHECK(rows * cols * planes_ <= 0xffffffffll,
                 "crossbar too large for 32-bit plane indices");
   common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  return apply_fast<true>(cells, rows, cols, row_stride, rng, &out);
+  // Every plane draws once and lands in a given bucket with probability
+  // 2⁻⁸: reserving the mean plus four standard deviations makes regrowth
+  // rare, and the concatenation below sizes `out` exactly.
+  std::array<std::vector<StuckCandidate>, std::tuple_size_v<StuckBucketEnds>>
+      bins;
+  const double mean = static_cast<double>(rows * cols * planes_) * 0x1.0p-8;
+  const auto expected =
+      static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) + 8.0);
+  for (auto& bin : bins) bin.reserve(expected);
+  const FaultMapStats stats =
+      apply_fast<true>(cells, rows, cols, row_stride, rng, bins.data());
+  std::size_t total = 0;
+  for (const auto& bin : bins) total += bin.size();
+  out.clear();
+  out.reserve(total);
+  for (std::size_t b = 0; b < bins.size(); ++b) {
+    out.insert(out.end(), bins[b].begin(), bins[b].end());
+    bucket_ends[b] = static_cast<std::uint32_t>(out.size());
+  }
+  return stats;
 }
 
 FaultMapStats FaultModel::replay_stuck(
     std::span<std::int8_t> cells, std::int64_t cols, std::int64_t row_stride,
-    std::span<const StuckCandidate> hits) const {
+    std::span<const StuckCandidate> hits,
+    const StuckBucketEnds& bucket_ends) const {
   FaultMapStats delta;
+  // Buckets at or above the summed threshold hold no hit: read the leading
+  // ⌈thr / 2⁴⁵⌉ of them (none at zero rates).
+  const std::uint64_t width = std::uint64_t{1} << kRecordBucketShift;
+  const std::size_t visit = std::min<std::size_t>(
+      static_cast<std::size_t>((stuck_sum_thr53_ + width - 1) >>
+                               kRecordBucketShift),
+      bucket_ends.size());
+  const std::size_t end = visit == 0 ? 0 : bucket_ends[visit - 1];
+  AUTOHET_CHECK(end <= hits.size(),
+                "bucket ends do not match the recorded candidates");
   const int b = config_.cell_bits;
   const auto planes = static_cast<std::uint32_t>(planes_);
-  std::size_t i = 0;
-  while (i < hits.size()) {
-    // Candidates are in stream order, so same-cell hits are adjacent: patch
-    // the byte once per touched cell and correct weights_changed exactly
-    // (the recording counted post-variation vs original).
-    const std::uint32_t cell = hits[i].plane / planes;
-    const std::int8_t original = hits[i].original;
-    const std::int64_t r = cell / cols;
-    const std::int64_t c = cell % cols;
-    std::int8_t& byte = cells[static_cast<std::size_t>(r * row_stride + c)];
-    const std::int8_t post_var = byte;
-    auto offset = static_cast<unsigned>(static_cast<int>(byte) + 128);
-    bool touched = false;
-    for (; i < hits.size() && hits[i].plane / planes == cell; ++i) {
-      const std::uint64_t k = hits[i].k;
-      if (k >= stuck_sum_thr53_) continue;
-      const auto p = static_cast<int>(hits[i].plane % planes);
-      unsigned forced;
-      if (k < stuck_zero_thr53_) {
-        forced = 0;
-        ++delta.stuck_at_zero;
-      } else {
-        forced = level_mask_;
-        ++delta.stuck_at_one;
-      }
-      offset = (offset & ~(level_mask_ << (p * b))) | (forced << (p * b));
-      touched = true;
+  for (const StuckCandidate& hit : hits.first(end)) {
+    if (hit.k >= stuck_sum_thr53_) continue;
+    unsigned forced;
+    if (hit.k < stuck_zero_thr53_) {
+      forced = 0;
+      ++delta.stuck_at_zero;
+    } else {
+      forced = level_mask_;
+      ++delta.stuck_at_one;
     }
-    if (touched) {
-      const auto final_w =
-          static_cast<std::int8_t>(static_cast<int>(offset) - 128);
-      byte = final_w;
-      delta.weights_changed +=
-          static_cast<int>(final_w != original) -
-          static_cast<int>(post_var != original);
-    }
+    const std::uint32_t cell = hit.plane / planes;
+    const auto p = static_cast<int>(hit.plane % planes);
+    std::int8_t& byte = cells[static_cast<std::size_t>(
+        (cell / cols) * row_stride + cell % cols)];
+    const std::int8_t before = byte;
+    auto offset = static_cast<unsigned>(static_cast<int>(before) + 128);
+    offset = (offset & ~(level_mask_ << (p * b))) | (forced << (p * b));
+    byte = static_cast<std::int8_t>(static_cast<int>(offset) - 128);
+    // Hits on one cell may sit in different buckets, so weights_changed is
+    // corrected per hit; the terms telescope to [final != original] −
+    // [post-variation != original] per cell (the recording counted the
+    // latter).
+    delta.weights_changed += static_cast<int>(byte != hit.original) -
+                             static_cast<int>(before != hit.original);
   }
   return delta;
 }
@@ -423,17 +441,17 @@ FaultMapStats FaultModel::apply_fast_impl(
     return static_cast<unsigned>(
         std::clamp(std::lround(noisy), 0l, static_cast<long>(mask)));
   };
+  // Files a captured draw under its bucket (see StuckBucketEnds).
+  const auto record = [&](std::uint64_t k, int p) {
+    const auto plane = rec_base + static_cast<std::uint64_t>(p);
+    rec[k >> kRecordBucketShift].push_back(
+        {k, static_cast<std::uint32_t>(plane), rec_orig});
+  };
   const auto stuck_override = [&](unsigned& quantized, int p) {
     const std::uint64_t k = rng.uniform_bits53();
     if constexpr (kRecord) {
       (void)quantized;
-      if (k < kRecordCap53) [[unlikely]] {
-        rec->push_back(
-            {k,
-             static_cast<std::uint32_t>(rec_base +
-                                        static_cast<std::uint64_t>(p)),
-             rec_orig});
-      }
+      if (k < kRecordCap53) [[unlikely]] record(k, p);
     } else {
       (void)p;
       if (k < stuck_sum_thr53_) {
@@ -468,13 +486,7 @@ FaultMapStats FaultModel::apply_fast_impl(
           for (int p = 0; p < planes - 1; ++p) {
             const std::uint64_t k = rng.uniform_bits53();
             if constexpr (kRecord) {
-              if (k < kRecordCap53) [[unlikely]] {
-                rec->push_back(
-                    {k,
-                     static_cast<std::uint32_t>(
-                         rec_base + static_cast<std::uint64_t>(p)),
-                     rec_orig});
-              }
+              if (k < kRecordCap53) [[unlikely]] record(k, p);
             } else if (k < stuck_sum_thr53_) [[unlikely]] {
               if (k < stuck_zero_thr53_) {
                 ++stats.stuck_at_zero;  // level was already 0
@@ -523,13 +535,7 @@ FaultMapStats FaultModel::apply_fast_impl(
         for (int rp = from; rp < to; ++rp) {
           const std::uint64_t k = rng.uniform_bits53();
           if constexpr (kRecord) {
-            if (k < kRecordCap53) [[unlikely]] {
-              rec->push_back(
-                  {k,
-                   static_cast<std::uint32_t>(
-                       rec_base + static_cast<std::uint64_t>(rp)),
-                   rec_orig});
-            }
+            if (k < kRecordCap53) [[unlikely]] record(k, rp);
           } else if (k < stuck_sum_thr53_) [[unlikely]] {
             unsigned forced;
             if (k < stuck_zero_thr53_) {

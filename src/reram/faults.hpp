@@ -37,6 +37,7 @@
 // output stays bit-identical to the fault-free build (tested).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -246,12 +247,20 @@ struct RobustnessReport {
 /// originally programmed weight of the owning logical cell (needed to
 /// recompute weights_changed exactly on replay). Only draws below
 /// FaultModel::kRecordCap53 are kept, so at sweep-scale rates the list is a
-/// few candidates per thousand cells.
+/// few candidates per thousand cells. A recording groups its candidates by
+/// draw bucket `k >> FaultModel::kRecordBucketShift` (ascending buckets,
+/// stream order inside each), so a replay at a low rate reads only the
+/// leading buckets.
 struct StuckCandidate {
   std::uint64_t k = 0;       ///< raw uniform_bits53 draw
   std::uint32_t plane = 0;   ///< (row·cols + col)·planes + plane
   std::int8_t original = 0;  ///< programmed weight before any perturbation
 };
+
+/// End offset of each draw bucket in a recorded candidate list: bucket b
+/// (draws in [b·2⁴⁵, (b+1)·2⁴⁵), i.e. uniform draws in [b·2⁻⁸, (b+1)·2⁻⁸))
+/// spans [b == 0 ? 0 : ends[b−1], ends[b]).
+using StuckBucketEnds = std::array<std::uint32_t, 16>;
 
 /// Seeded sampler that burns a FaultConfig into programmed weight arrays.
 /// Stateless across calls: every perturbation is a pure function of
@@ -290,6 +299,11 @@ class FaultModel {
   /// apply_recording, so any config whose summed stuck rate is ≤ 1/16 can be
   /// replayed from one recording (the sweep grids top out around 1e-2).
   static constexpr std::uint64_t kRecordCap53 = std::uint64_t{1} << 49;
+  /// Draw-bucket width of a recording (2⁴⁵, i.e. 2⁻⁸ of the unit interval):
+  /// the cap spans exactly the StuckBucketEnds buckets.
+  static constexpr int kRecordBucketShift = 45;
+  static_assert((kRecordCap53 >> kRecordBucketShift) ==
+                std::tuple_size_v<StuckBucketEnds>);
 
   /// True when this config's burn-in can be recorded and later replayed:
   /// fast-kernel eligible (no drift), stuck draws consumed (some stuck rate
@@ -302,29 +316,34 @@ class FaultModel {
 
   /// Recording burn-in: consumes the RNG stream exactly as apply() does for
   /// this config, applies programming variation to `cells`, but *records*
-  /// every stuck draw below kRecordCap53 into `out` (appended in stream
-  /// order) instead of applying any stuck override. The returned stats carry
-  /// the variation-only counts (stuck counts zero); replay_stuck() then
-  /// completes the burn for any rate pair within the cap. The key property
-  /// (tested): the burn-in stream position never depends on the stuck *rate
-  /// values*, so one recording serves every nonzero-rate config sharing
-  /// (seed, program_sigma, cell_bits). Requires record_eligible().
+  /// every stuck draw below kRecordCap53 into `out` (replacing its contents,
+  /// grouped by draw bucket with stream order kept inside each bucket, the
+  /// bucket ends in `bucket_ends`) instead of applying any stuck override.
+  /// The returned stats carry the variation-only counts (stuck counts zero);
+  /// replay_stuck() then completes the burn for any rate pair within the
+  /// cap. The key property (tested): the burn-in stream position never
+  /// depends on the stuck *rate values*, so one recording serves every
+  /// nonzero-rate config sharing (seed, program_sigma, cell_bits). Requires
+  /// record_eligible().
   FaultMapStats apply_recording(std::span<std::int8_t> cells,
                                 std::int64_t rows, std::int64_t cols,
                                 std::int64_t row_stride,
                                 std::uint64_t crossbar_id,
-                                std::vector<StuckCandidate>& out) const;
+                                std::vector<StuckCandidate>& out,
+                                StuckBucketEnds& bucket_ends) const;
 
   /// Completes a recorded burn on a post-variation clone: forces the planes
   /// whose recorded draw falls under this config's thresholds and returns
   /// the *delta* stats (stuck counts plus the weights_changed correction
   /// relative to the recording's variation-only count; physical_cells 0, so
-  /// recording stats + delta == apply() stats exactly). `cells` must hold
-  /// the recording's post-variation state; `hits` must be the recording's
-  /// candidate list for the same geometry.
+  /// recording stats + delta == apply() stats exactly). Only the leading
+  /// ⌈summed threshold / 2⁴⁵⌉ buckets are read; zero rates read none.
+  /// `cells` must hold the recording's post-variation state; `hits` and
+  /// `bucket_ends` must be the recording's for the same geometry.
   FaultMapStats replay_stuck(std::span<std::int8_t> cells, std::int64_t cols,
                              std::int64_t row_stride,
-                             std::span<const StuckCandidate> hits) const;
+                             std::span<const StuckCandidate> hits,
+                             const StuckBucketEnds& bucket_ends) const;
 
   /// Effective weight-space rms error per unit σ of per-level lognormal
   /// noise: A(b) = sqrt(E[v²] · Σ_p 4^{p·b}) with v uniform over the level
@@ -340,8 +359,9 @@ class FaultModel {
 
  private:
   /// The fast burn-in (apply) or, with kRecord, the recording burn-in
-  /// (apply_recording, stuck draws captured into `rec`): dispatches on the
-  /// plane count to apply_fast_impl.
+  /// (apply_recording, stuck draws captured into `rec`, an array of one
+  /// vector per draw bucket): dispatches on the plane count to
+  /// apply_fast_impl.
   template <bool kRecord>
   FaultMapStats apply_fast(std::span<std::int8_t> cells, std::int64_t rows,
                            std::int64_t cols, std::int64_t row_stride,

@@ -178,7 +178,8 @@ void MappedLayer::burn_faults_recording(const FaultModel& faults,
   const std::uint64_t base_id = layer_id * kFaultIdStride;
   for (std::size_t i = 0; i < crossbars_.size(); ++i) {
     out[i].variation = crossbars_[i].apply_faults_recording(
-        faults, base_id + static_cast<std::uint64_t>(i), out[i].hits);
+        faults, base_id + static_cast<std::uint64_t>(i), out[i].hits,
+        out[i].bucket_ends);
     fault_stats_ += out[i].variation;
   }
   arm_read_noise(faults, layer_id);
@@ -192,8 +193,8 @@ void MappedLayer::replay_faults(
   fault_stats_ = {};
   for (std::size_t i = 0; i < crossbars_.size(); ++i) {
     fault_stats_ += recorded[i].variation;
-    fault_stats_ += crossbars_[i].replay_stuck_faults(faults,
-                                                      recorded[i].hits);
+    fault_stats_ += crossbars_[i].replay_stuck_faults(
+        faults, recorded[i].hits, recorded[i].bucket_ends);
   }
   arm_read_noise(faults, layer_id);
 }

@@ -48,11 +48,14 @@ enum class KernelPolicy {
 };
 
 /// One crossbar's recorded fault burn-in: the variation-only stats of the
-/// recording pass plus the stuck-draw candidates captured from the stream
-/// (see FaultModel::apply_recording).
+/// recording pass plus the stuck-draw candidates captured from the stream,
+/// grouped by draw bucket (stream order inside each) with the bucket ends
+/// that let a replay read only the buckets its rate can reach (see
+/// FaultModel::apply_recording).
 struct CrossbarBurnRecord {
   FaultMapStats variation;
   std::vector<StuckCandidate> hits;
+  StuckBucketEnds bucket_ends{};
 };
 
 /// One recorded trial burn across a whole fabric, indexed [layer][crossbar].

@@ -42,6 +42,7 @@ inline std::int64_t hsum_epi64(__m256i v) {
 }
 
 struct Avx2Core {
+  static constexpr std::int64_t kLanes = 8;
   static std::int64_t weighted_popcount(const std::uint64_t* x8,
                                         const std::uint64_t* p,
                                         std::int64_t words) {
@@ -87,6 +88,21 @@ struct Avx2Core {
           _mm256_add_epi32(a, _mm256_mullo_epi32(x32, wv)));
     }
     for (; s < count; ++s) acc[s] += w * static_cast<std::int32_t>(xs[s]);
+  }
+  static void madd_row(std::int32_t* acc, const std::int8_t* w,
+                       std::int32_t x, std::int64_t cols) {
+    const __m256i xv = _mm256_set1_epi32(x);
+    std::int64_t j = 0;
+    for (; j + 8 <= cols; j += 8) {
+      const __m256i w32 = _mm256_cvtepi8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + j)));
+      const __m256i a =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(acc + j),
+          _mm256_add_epi32(a, _mm256_mullo_epi32(w32, xv)));
+    }
+    for (; j < cols; ++j) acc[j] += x * static_cast<std::int32_t>(w[j]);
   }
 };
 

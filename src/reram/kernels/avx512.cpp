@@ -38,6 +38,7 @@ inline std::int64_t hsum512(__m512i v) {
 }
 
 struct Avx512Core {
+  static constexpr std::int64_t kLanes = 16;
   static std::int64_t weighted_popcount(const std::uint64_t* x8,
                                         const std::uint64_t* p,
                                         std::int64_t words) {
@@ -89,6 +90,26 @@ struct Avx512Core {
       const __m512i a = _mm512_maskz_loadu_epi32(m, acc + s);
       _mm512_mask_storeu_epi32(
           acc + s, m, _mm512_add_epi32(a, _mm512_mullo_epi32(x32, wv)));
+    }
+  }
+  static void madd_row(std::int32_t* acc, const std::int8_t* w,
+                       std::int32_t x, std::int64_t cols) {
+    const __m512i xv = _mm512_set1_epi32(x);
+    std::int64_t j = 0;
+    for (; j + 16 <= cols; j += 16) {
+      const __m512i w32 = _mm512_cvtepi8_epi32(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + j)));
+      const __m512i a = _mm512_loadu_si512(acc + j);
+      _mm512_storeu_si512(acc + j,
+                          _mm512_add_epi32(a, _mm512_mullo_epi32(w32, xv)));
+    }
+    if (j < cols) {
+      const __mmask16 m = static_cast<__mmask16>((1u << (cols - j)) - 1u);
+      const __m512i w32 =
+          _mm512_cvtepi8_epi32(_mm_maskz_loadu_epi8(m, w + j));
+      const __m512i a = _mm512_maskz_loadu_epi32(m, acc + j);
+      _mm512_mask_storeu_epi32(
+          acc + j, m, _mm512_add_epi32(a, _mm512_mullo_epi32(w32, xv)));
     }
   }
 };

@@ -62,8 +62,11 @@ struct Ops {
                          std::int64_t words, const std::uint64_t* xbits,
                          std::int64_t count, std::int32_t* acc_t) = nullptr;
 
-  /// Batched integer GEMM over the raw cells (skip-zero weights):
+  /// Batched integer GEMM over the raw cells:
   ///   acc_t[j*count+s] += cells[i*row_stride+j] · inputs_t[i*count+s]
+  /// Batches at least a vector wide run batch-innermost and skip zero
+  /// weights; narrower batches run row-oriented per sample and skip zero
+  /// activations (see kernel_ops.inl). Both orders sum exact integers.
   void (*reference_batch)(const std::int8_t* cells, std::int64_t row_stride,
                           std::int64_t rows, std::int64_t cols,
                           const std::uint8_t* inputs_t, std::int64_t count,

@@ -13,6 +13,8 @@ namespace autohet::reram::kernels {
 namespace {
 
 struct PortableCore {
+  // The baseline x86-64 target auto-vectorizes int32 loops 128 bits wide.
+  static constexpr std::int64_t kLanes = 4;
   static std::int64_t weighted_popcount(const std::uint64_t* x8,
                                         const std::uint64_t* p,
                                         std::int64_t words) {
@@ -31,6 +33,12 @@ struct PortableCore {
                    std::int64_t count) {
     for (std::int64_t s = 0; s < count; ++s) {
       acc[s] += w * static_cast<std::int32_t>(xs[s]);
+    }
+  }
+  static void madd_row(std::int32_t* acc, const std::int8_t* w,
+                       std::int32_t x, std::int64_t cols) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      acc[j] += x * static_cast<std::int32_t>(w[j]);
     }
   }
 };

@@ -85,19 +85,25 @@ Tensor pool2d(const Tensor& input, std::int64_t window, std::int64_t stride,
   const std::int64_t c = input.dim(0), h = input.dim(1), w = input.dim(2);
   const std::int64_t out_h = (h - window) / stride + 1;
   const std::int64_t out_w = (w - window) / stride + 1;
-  AUTOHET_CHECK(out_h > 0 && out_w > 0, "pool output collapses to zero");
+  AUTOHET_CHECK(window <= h && window <= w && out_h > 0 && out_w > 0,
+                "pool output collapses to zero");
   Tensor out({c, out_h, out_w});
+  // The geometry checks above keep every window inside its plane, so the
+  // loops index the flat planes directly (same row-major reduce order).
+  float* dst = out.data();
   for (std::int64_t ch = 0; ch < c; ++ch) {
+    const float* plane = input.data() + ch * h * w;
     for (std::int64_t oi = 0; oi < out_h; ++oi) {
       for (std::int64_t oj = 0; oj < out_w; ++oj) {
+        const float* win = plane + oi * stride * w + oj * stride;
         float acc = init;
         for (std::int64_t ki = 0; ki < window; ++ki) {
           for (std::int64_t kj = 0; kj < window; ++kj) {
-            acc = reduce(acc, input.at(ch, oi * stride + ki, oj * stride + kj));
+            acc = reduce(acc, win[ki * w + kj]);
           }
         }
         if (average) acc /= static_cast<float>(window * window);
-        out.at(ch, oi, oj) = acc;
+        *dst++ = acc;
       }
     }
   }

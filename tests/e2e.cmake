@@ -84,6 +84,12 @@
 #       an instrumented `search` and a pooled `baselines` run write a valid
 #       Chrome-trace JSON, a parseable JSONL episode log, and an exposition
 #       with the key spans and series (registered only with AUTOHET_OBS on).
+#   fault_telemetry
+#       an instrumented `fault_sweep 20` writes the committed sweep JSON
+#       byte for byte (at least two series, each over three or more stuck
+#       rates and two or more cell widths), a valid Chrome trace with the
+#       `mc_robustness` span, and an exposition with the five
+#       autohet_fault_* series (registered only with AUTOHET_OBS on).
 cmake_minimum_required(VERSION 3.20)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -446,6 +452,47 @@ elseif(CASE STREQUAL "telemetry")
     contains(metrics.prom "${series}")
   endforeach()
   contains(baselines_metrics.prom autohet_pool_queue_depth)
+elseif(CASE STREQUAL "fault_telemetry")
+  run("${FAULT_SWEEP}" 20 --metrics-out fault_metrics.prom
+      --trace-out fault_trace.json)
+  same(BENCH_fault_sweep.json "${sweep_baseline}")
+  file(READ "${WORK_DIR}/BENCH_fault_sweep.json" doc)
+  string(JSON series LENGTH "${doc}" series)
+  if(series LESS 2)
+    message(FATAL_ERROR "need AutoHet + a homogeneous baseline series")
+  endif()
+  math(EXPR last_series "${series} - 1")
+  foreach(s RANGE ${last_series})
+    string(JSON points LENGTH "${doc}" series ${s} points)
+    math(EXPR last_point "${points} - 1")
+    set(rates)
+    set(bits)
+    foreach(p RANGE ${last_point})
+      string(JSON rate GET "${doc}" series ${s} points ${p} stuck_rate)
+      string(JSON b GET "${doc}" series ${s} points ${p} cell_bits)
+      list(APPEND rates "${rate}")
+      list(APPEND bits "${b}")
+    endforeach()
+    list(REMOVE_DUPLICATES rates)
+    list(REMOVE_DUPLICATES bits)
+    list(LENGTH rates n_rates)
+    list(LENGTH bits n_bits)
+    if(n_rates LESS 3 OR n_bits LESS 2)
+      message(FATAL_ERROR "series ${s} sweeps rates '${rates}' bits '${bits}'")
+    endif()
+  endforeach()
+  file(READ "${WORK_DIR}/fault_trace.json" text)
+  string(JSON type ERROR_VARIABLE json_error TYPE "${text}")
+  if(json_error)
+    message(FATAL_ERROR "fault_trace.json is not valid JSON: ${json_error}")
+  endif()
+  contains(fault_trace.json "\"name\":\"mc_robustness\"")
+  foreach(series autohet_fault_cells_total autohet_fault_stuck_cells_total
+                 autohet_fault_trials_total
+                 autohet_fault_trial_agreement_permille
+                 autohet_fault_accuracy_mean)
+    contains(fault_metrics.prom "${series}")
+  endforeach()
 else()
   message(FATAL_ERROR "unknown e2e case '${CASE}'")
 endif()

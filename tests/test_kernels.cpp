@@ -7,8 +7,12 @@
 // never near.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstring>
+#include <span>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -252,6 +256,78 @@ TEST_P(KernelVariantTest, ForwardMatchesScalarReference) {
   }
 }
 
+// acc_t[j*count+s] += Σ_i cells[i*stride+j] · inputs_t[i*count+s], one
+// column and sample at a time.
+void reference_batch_scalar(const std::vector<std::int8_t>& cells,
+                            std::int64_t stride, std::int64_t rows,
+                            std::int64_t cols,
+                            const std::vector<std::uint8_t>& inputs_t,
+                            std::int64_t count,
+                            std::vector<std::int32_t>& acc_t) {
+  const auto at = [](const auto& v, std::int64_t i) {
+    return static_cast<std::int32_t>(v[static_cast<std::size_t>(i)]);
+  };
+  for (std::int64_t j = 0; j < cols; ++j) {
+    for (std::int64_t s = 0; s < count; ++s) {
+      std::int32_t dot = 0;
+      for (std::int64_t i = 0; i < rows; ++i) {
+        dot += at(cells, i * stride + j) * at(inputs_t, i * count + s);
+      }
+      acc_t[static_cast<std::size_t>(j * count + s)] += dot;
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
+  // The table's reference_batch against a per-column scalar dot product,
+  // across the batch widths on both sides of every core's vector width
+  // (narrow batches take the row-oriented loop), column counts around the
+  // vector and stack-block edges, all-zero and partly zero weights and
+  // activations, and a row stride wider than the used columns. acc_t starts
+  // nonzero: the kernel accumulates.
+  common::Rng rng(0xfeed ^ static_cast<std::uint64_t>(GetParam()));
+  const auto& ops = rk::ops();
+  const std::int64_t rows = 37;
+  for (const std::int64_t cols : {1, 15, 17, 120, 513}) {
+    for (const std::int64_t stride : {cols, cols + 9}) {
+      for (const bool zero_weights : {false, true}) {
+        auto cells = random_weights(rng, rows * stride);
+        for (std::int64_t i = 0; i < rows * stride; ++i) {
+          // Every third cell, and all of row 5, is zero.
+          if (zero_weights || i % 3 == 0 || i / stride == 5) {
+            cells[static_cast<std::size_t>(i)] = 0;
+          }
+        }
+        for (std::int64_t count = 1; count <= 17; ++count) {
+          for (const bool zero_inputs : {false, true}) {
+            // 40% zero activations, and all of row 7.
+            auto inputs_t = random_input(rng, rows * count, 0.4);
+            for (std::int64_t i = 0; i < rows * count; ++i) {
+              if (zero_inputs || i / count == 7) {
+                inputs_t[static_cast<std::size_t>(i)] = 0;
+              }
+            }
+            std::vector<std::int32_t> acc_t(
+                static_cast<std::size_t>(cols * count));
+            for (auto& v : acc_t) {
+              v = static_cast<std::int32_t>(rng.uniform_int(-1000, 1000));
+            }
+            auto expected = acc_t;
+            reference_batch_scalar(cells, stride, rows, cols, inputs_t, count,
+                                   expected);
+            ops.reference_batch(cells.data(), stride, rows, cols,
+                                inputs_t.data(), count, acc_t.data());
+            EXPECT_EQ(acc_t, expected)
+                << "cols=" << cols << " stride=" << stride
+                << " count=" << count << " zero_weights=" << zero_weights
+                << " zero_inputs=" << zero_inputs;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, KernelVariantTest,
                          ::testing::Values(rk::Variant::kPortable,
                                            rk::Variant::kAvx2,
@@ -328,26 +404,37 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
   }
 }
 
-TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
+// Records one burn at `rec_fc`, then replays every rate pair and checks the
+// replayed cells and stats against a direct apply() at that pair.
+void expect_replay_matches_direct(const FaultConfig& rec_fc,
+                                  std::span<const std::array<double, 2>>
+                                      rate_pairs) {
   const std::int64_t rows = 48, cols = 40;
-  FaultConfig rec_fc;
-  rec_fc.stuck_at_zero_rate = 5e-3;
-  rec_fc.stuck_at_one_rate = 5e-3;
-  rec_fc.program_sigma = 0.01;
-  rec_fc.cell_bits = 2;
-  rec_fc.seed = 77;
   const FaultModel rec_model(rec_fc);
   ASSERT_TRUE(rec_model.record_eligible());
   common::Rng wrng(5);
   const auto original = random_weights(wrng, rows * cols);
   auto post_var = original;
   std::vector<reram::StuckCandidate> hits;
+  reram::StuckBucketEnds ends{};
   const FaultMapStats var_stats = rec_model.apply_recording(
-      post_var, rows, cols, cols, /*crossbar_id=*/9, hits);
-  // The recorded stream replays exactly for every nonzero rate pair: the
-  // thresholds move, the draw stream does not.
-  const double rate_pairs[][2] = {
-      {1e-4, 1e-4}, {5e-3, 5e-3}, {1e-2, 0.0}, {0.0, 1e-2}, {2e-2, 3e-2}};
+      post_var, rows, cols, cols, /*crossbar_id=*/9, hits, ends);
+  ASSERT_EQ(ends.back(), hits.size());
+  if (rec_fc.cell_bits == 1) {
+    // Some cell must carry hits in more than one bucket, or the per-hit
+    // weights_changed correction goes unexercised.
+    std::unordered_map<std::uint32_t, std::size_t> first_bucket;
+    bool split = false;
+    std::size_t begin = 0;
+    for (std::size_t b = 0; b < ends.size(); ++b) {
+      for (std::size_t i = begin; i < ends[b]; ++i) {
+        const auto [it, fresh] = first_bucket.try_emplace(hits[i].plane / 8, b);
+        split |= !fresh && it->second != b;
+      }
+      begin = ends[b];
+    }
+    EXPECT_TRUE(split);
+  }
   for (const auto& rates : rate_pairs) {
     FaultConfig fc = rec_fc;
     fc.stuck_at_zero_rate = rates[0];
@@ -358,17 +445,54 @@ TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
         model.apply(direct, rows, cols, cols, /*crossbar_id=*/9);
     auto replayed = post_var;
     const FaultMapStats delta =
-        model.replay_stuck(replayed, cols, cols, hits);
-    EXPECT_EQ(replayed, direct)
-        << "rates " << rates[0] << "/" << rates[1];
+        model.replay_stuck(replayed, cols, cols, hits, ends);
+    const auto msg = ::testing::Message()
+                     << "bits " << fc.cell_bits << " rates " << rates[0]
+                     << "/" << rates[1];
+    if (rates[0] == 0.0 && rates[1] == 0.0) {
+      // A zero-rate direct burn skips the stuck draws (a different stream),
+      // so only the replay side is defined: it visits nothing.
+      EXPECT_EQ(replayed, post_var) << msg;
+      expect_stats_eq(delta, FaultMapStats{});
+      continue;
+    }
+    EXPECT_EQ(replayed, direct) << msg;
     EXPECT_EQ(var_stats.physical_cells + delta.physical_cells,
-              direct_stats.physical_cells);
+              direct_stats.physical_cells) << msg;
     EXPECT_EQ(var_stats.stuck_at_zero + delta.stuck_at_zero,
-              direct_stats.stuck_at_zero);
+              direct_stats.stuck_at_zero) << msg;
     EXPECT_EQ(var_stats.stuck_at_one + delta.stuck_at_one,
-              direct_stats.stuck_at_one);
+              direct_stats.stuck_at_one) << msg;
     EXPECT_EQ(var_stats.weights_changed + delta.weights_changed,
-              direct_stats.weights_changed);
+              direct_stats.weights_changed) << msg;
+  }
+}
+
+TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
+  FaultConfig rec_fc;
+  rec_fc.stuck_at_zero_rate = 5e-3;
+  rec_fc.stuck_at_one_rate = 5e-3;
+  rec_fc.program_sigma = 0.01;
+  rec_fc.seed = 77;
+  // The recorded stream replays exactly for every rate pair within the cap:
+  // the thresholds move, the draw stream does not. A replay reads only the
+  // draw buckets (width 2⁻⁸) below its summed rate, so the pairs straddle a
+  // bucket edge (sum exactly 2⁻⁸, one ulp either side, 0.1% above), reach
+  // the cap (1/16) and include zero rates (nothing visited, zero delta).
+  const double edge = 0x1.0p-8;
+  const double below = std::nextafter(edge, 0.0);
+  const double above = std::nextafter(edge, 1.0);
+  const double cap = 0x1.0p-4;
+  const std::array<double, 2> rate_pairs[] = {
+      {1e-4, 1e-4},    {5e-3, 5e-3}, {1e-2, 0.0},         {0.0, 1e-2},
+      {2e-2, 3e-2},    {edge, 0.0},  {0.0, edge},         {edge / 2, edge / 2},
+      {below, 0.0},    {above, 0.0}, {edge * 1.001, 0.0}, {cap, 0.0},
+      {cap / 4, cap * 3 / 4}, {0.0, 0.0}};
+  for (const int bits : {1, 2, 8}) {
+    // cell_bits = 1 stores each weight in 8 one-bit planes, so a single
+    // cell carries hits from several buckets at the cap rates.
+    rec_fc.cell_bits = bits;
+    expect_replay_matches_direct(rec_fc, rate_pairs);
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -162,6 +164,47 @@ TEST(AvgPool, KnownValues) {
   const Tensor out = tensor::avgpool2d(input, 2, 2);
   EXPECT_EQ(out.numel(), 1);
   EXPECT_EQ(out[0], 2.5f);
+}
+
+TEST(Pool, MultiChannelOverlappingWindowsMatchNaive) {
+  // Three channels, a non-square plane, overlapping windows (stride <
+  // window) and a ragged edge the windows do not reach.
+  common::Rng rng(8);
+  Tensor input({3, 7, 9});
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    input[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  const std::int64_t window = 3, stride = 2;
+  const Tensor mx = tensor::maxpool2d(input, window, stride);
+  const Tensor avg = tensor::avgpool2d(input, window, stride);
+  ASSERT_EQ(mx.dim(1), 3);
+  ASSERT_EQ(mx.dim(2), 4);
+  for (std::int64_t ch = 0; ch < 3; ++ch) {
+    for (std::int64_t oi = 0; oi < 3; ++oi) {
+      for (std::int64_t oj = 0; oj < 4; ++oj) {
+        float m = -std::numeric_limits<float>::infinity();
+        float sum = 0.0f;
+        for (std::int64_t ki = 0; ki < window; ++ki) {
+          for (std::int64_t kj = 0; kj < window; ++kj) {
+            const float v =
+                input.at(ch, oi * stride + ki, oj * stride + kj);
+            m = std::max(m, v);
+            sum += v;
+          }
+        }
+        EXPECT_EQ(mx.at(ch, oi, oj), m);
+        EXPECT_EQ(avg.at(ch, oi, oj), sum / 9.0f);
+      }
+    }
+  }
+}
+
+TEST(Pool, RejectsWindowLargerThanPlane) {
+  // (2 − 3) / 2 + 1 truncates to one output row: the window check, not the
+  // output size, must reject it.
+  const Tensor input({1, 2, 6});
+  EXPECT_THROW((void)tensor::maxpool2d(input, 3, 2), std::exception);
+  EXPECT_THROW((void)tensor::avgpool2d(input, 3, 2), std::exception);
 }
 
 TEST(FullyConnected, MatchesManualDot) {
