@@ -34,6 +34,7 @@ ScheduleReport schedule_batch(const plan::DeploymentPlan& plan,
 
   ScheduleReport report;
   report.tasks.resize(static_cast<std::size_t>(batch * n));
+  report.prefix_makespan_ns.reserve(static_cast<std::size_t>(batch));
   std::vector<double> stage_busy(static_cast<std::size_t>(n), 0.0);
   for (std::int64_t i = 0; i < batch; ++i) {
     for (std::int64_t k = 0; k < n; ++k) {
@@ -61,6 +62,7 @@ ScheduleReport schedule_batch(const plan::DeploymentPlan& plan,
           report.makespan_ns,
           t.finish_ns + flow.tail_delay_ns[static_cast<std::size_t>(k)]);
     }
+    report.prefix_makespan_ns.push_back(report.makespan_ns);
   }
   if (batch > 1) {
     const double first_start = report.task(0, n - 1, n).start_ns;

@@ -34,6 +34,11 @@ struct TaskTiming {
 struct ScheduleReport {
   std::vector<TaskTiming> tasks;  ///< image-major, then layer
   double makespan_ns = 0.0;
+  /// Entry i: makespan of images 0..i alone. Image i's tasks depend only on
+  /// images <= i, so this is bit-equal to schedule_batch(plan, i + 1)
+  /// .makespan_ns, and the first b images of this schedule are that
+  /// schedule's tasks: one call serves every batch size up to `batch`.
+  std::vector<double> prefix_makespan_ns;
   /// (batch-1) / (last start gap): converges to the analytic throughput.
   double steady_throughput_inferences_per_s = 0.0;
   /// Busy time of each stage divided by the makespan.

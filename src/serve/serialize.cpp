@@ -98,13 +98,20 @@ TrafficTrace read_trace_json(const std::string& text) {
   TrafficTrace trace;
   trace.config = read_traffic_config(doc.at("config"));
   trace.num_models = as_int(doc.at("num_models"), "num_models");
-  for (const JsonValue& r : as_array(doc.at("requests"), "requests")) {
+  const std::vector<JsonValue>& requests =
+      as_array(doc.at("requests"), "requests");
+  trace.requests.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    // Keys carry the request index, so a malformed scalar names its request.
+    const std::string at = "requests[" + std::to_string(i) + "].";
+    const JsonValue& r = requests[i];
     Request request;
-    request.id = as_int(r.at("id"), "id");
-    request.model = as_int(r.at("model"), "model");
-    request.arrival_ns = as_double(r.at("arrival_ns"), "arrival_ns");
+    request.id = as_int(r.at("id"), at + "id");
+    request.model = as_int(r.at("model"), at + "model");
+    request.arrival_ns = as_double(r.at("arrival_ns"), at + "arrival_ns");
     trace.requests.push_back(request);
   }
+  trace.validate();
   return trace;
 }
 

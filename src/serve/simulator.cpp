@@ -26,67 +26,59 @@ double percentile(const std::vector<double>& sorted_values, double p) {
   return sorted_values[rank - 1];
 }
 
-LatencySummary summarize_latencies(std::vector<double> latencies_ms) {
+namespace {
+
+LatencySummary summarize_sorted_latencies(
+    const std::vector<double>& sorted_ms) {
   LatencySummary summary;
-  if (latencies_ms.empty()) return summary;
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  summary.p50_ms = percentile(latencies_ms, 50.0);
-  summary.p95_ms = percentile(latencies_ms, 95.0);
-  summary.p99_ms = percentile(latencies_ms, 99.0);
+  if (sorted_ms.empty()) return summary;
+  summary.p50_ms = percentile(sorted_ms, 50.0);
+  summary.p95_ms = percentile(sorted_ms, 95.0);
+  summary.p99_ms = percentile(sorted_ms, 99.0);
   double sum = 0.0;
-  for (const double v : latencies_ms) sum += v;
-  summary.mean_ms = sum / static_cast<double>(latencies_ms.size());
-  summary.max_ms = latencies_ms.back();
+  for (const double v : sorted_ms) sum += v;
+  summary.mean_ms = sum / static_cast<double>(sorted_ms.size());
+  summary.max_ms = sorted_ms.back();
   return summary;
 }
 
-namespace {
-
-/// Per-(model, batch-size) schedule table: each image's finish offset from
-/// batch start, plus the batch makespan.
+/// One model's batch timings for every batch size up to max_batch, read
+/// off a single max_batch schedule: a batch of b images finishes image i
+/// (i < b) at finish_offset_ns[i] after its start and frees the
+/// accelerator after prefix_makespan_ns[b - 1] (the scheduler's prefix
+/// property, so both are bit-equal to a batch-b schedule's values).
 struct ScheduleTable {
   std::vector<double> finish_offset_ns;
-  double makespan_ns = 0.0;
+  std::vector<double> prefix_makespan_ns;
 };
 
-std::vector<std::vector<ScheduleTable>> build_schedule_tables(
-    const ServingFabric& fabric, std::int64_t max_batch,
-    common::ThreadPool* pool) {
-  const auto num_models = static_cast<std::size_t>(fabric.model_count());
-  const auto batches = static_cast<std::size_t>(max_batch);
-  std::vector<std::vector<ScheduleTable>> tables(num_models);
-  for (auto& per_model : tables) per_model.resize(batches);
-
-  const auto build_one = [&](std::size_t flat) {
-    const std::size_t m = flat / batches;
-    const auto batch = static_cast<std::int64_t>(flat % batches) + 1;
+std::vector<ScheduleTable> build_schedule_tables(const ServingFabric& fabric,
+                                                 std::int64_t max_batch,
+                                                 common::ThreadPool* pool) {
+  std::vector<ScheduleTable> tables(
+      static_cast<std::size_t>(fabric.model_count()));
+  common::parallel_for(pool, 0, tables.size(), [&](std::size_t m) {
     const plan::DeploymentPlan& plan =
         fabric.model_plan(static_cast<std::int64_t>(m));
-    const reram::ScheduleReport schedule =
-        reram::schedule_batch(plan, batch);
+    reram::ScheduleReport schedule = reram::schedule_batch(plan, max_batch);
     const auto num_layers = static_cast<std::int64_t>(plan.layers.size());
-    ScheduleTable& table = tables[m][static_cast<std::size_t>(batch - 1)];
-    table.makespan_ns = schedule.makespan_ns;
-    table.finish_offset_ns.resize(static_cast<std::size_t>(batch));
-    for (std::int64_t i = 0; i < batch; ++i) {
+    ScheduleTable& table = tables[m];
+    table.finish_offset_ns.resize(static_cast<std::size_t>(max_batch));
+    for (std::int64_t i = 0; i < max_batch; ++i) {
       table.finish_offset_ns[static_cast<std::size_t>(i)] =
           schedule.task(i, num_layers - 1, num_layers).finish_ns;
     }
-  };
-
-  common::parallel_for(pool, 0, num_models * batches, build_one);
+    table.prefix_makespan_ns = std::move(schedule.prefix_makespan_ns);
+  });
   return tables;
 }
 
-/// A queue-depth change at a simulated instant. Arrivals sort before
-/// removals at the same timestamp so the running depth never dips negative.
-struct DepthEvent {
-  double t_ns = 0.0;
-  int order = 0;  ///< 0 = arrival, 1 = batch pickup
-  std::int64_t delta = 0;
-};
-
 }  // namespace
+
+LatencySummary summarize_latencies(std::vector<double> latencies_ms) {
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  return summarize_sorted_latencies(latencies_ms);
+}
 
 ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
                        const TrafficTrace& trace, common::ThreadPool* pool) {
@@ -94,6 +86,9 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
   batching.validate();
   AUTOHET_CHECK(trace.num_models == fabric.model_count(),
                 "trace was generated for a different model count");
+  // Checked once here: ingestion and the queue-depth merge below rely on
+  // in-range models and non-decreasing arrivals.
+  trace.validate();
 
   const auto num_models = static_cast<std::size_t>(fabric.model_count());
   ServingReport report;
@@ -114,7 +109,7 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
   }
   if (trace.requests.empty()) return report;
 
-  const std::vector<std::vector<ScheduleTable>> tables =
+  const std::vector<ScheduleTable> tables =
       build_schedule_tables(fabric, batching.max_batch, pool);
 
   // Counter baselines so a pre-used fabric reports this run's deltas.
@@ -129,10 +124,6 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
 
   std::vector<std::deque<Request>> queues(num_models);
   std::vector<std::vector<double>> latencies_ms(num_models);
-  std::vector<double> all_latencies_ms;
-  all_latencies_ms.reserve(trace.requests.size());
-  std::vector<DepthEvent> depth_events;
-  depth_events.reserve(2 * trace.requests.size());
 
   std::size_t next = 0;  // next trace request to ingest
   std::int64_t queued = 0;
@@ -146,11 +137,7 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
            (inclusive ? trace.requests[next].arrival_ns <= t_ns
                       : trace.requests[next].arrival_ns < t_ns)) {
       const Request& request = trace.requests[next];
-      AUTOHET_CHECK(request.model >= 0 &&
-                        request.model < fabric.model_count(),
-                    "trace request targets an unknown model");
       queues[static_cast<std::size_t>(request.model)].push_back(request);
-      depth_events.push_back({request.arrival_ns, 0, +1});
       ++queued;
       ++next;
     }
@@ -217,8 +204,7 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
     programming_latency_ns += admit.program_latency_ns;
     report.programming_energy_nj += admit.program_energy_nj;
 
-    const ScheduleTable& table =
-        tables[best_m][static_cast<std::size_t>(batch - 1)];
+    const ScheduleTable& table = tables[best_m];
     for (std::int64_t i = 0; i < batch; ++i) {
       const Request request = queue.front();
       queue.pop_front();
@@ -226,12 +212,12 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
           start_ns + table.finish_offset_ns[static_cast<std::size_t>(i)];
       const double latency_ms = (finish_ns - request.arrival_ns) / 1e6;
       latencies_ms[best_m].push_back(latency_ms);
-      all_latencies_ms.push_back(latency_ms);
     }
     queued -= batch;
-    depth_events.push_back({best_t, 1, -batch});
 
-    const double finish_ns = start_ns + table.makespan_ns;
+    const double finish_ns =
+        start_ns +
+        table.prefix_makespan_ns[static_cast<std::size_t>(batch - 1)];
     accel_free_ns = finish_ns;
     busy_ns += finish_ns - best_t;
     last_completion_ns = std::max(last_completion_ns, finish_ns);
@@ -245,24 +231,29 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
     OBS_HIST_RECORD("autohet_serve_batch_size", batch);
   }
 
-  // Queue-depth curve: merge arrival/pickup deltas in time order (stable on
-  // ties: arrivals first) and integrate.
-  std::stable_sort(depth_events.begin(), depth_events.end(),
-                   [](const DepthEvent& a, const DepthEvent& b) {
-                     if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-                     return a.order < b.order;
-                   });
-  const double first_arrival_ns = trace.requests.front().arrival_ns;
+  // Queue-depth curve: walk the two time-ordered change lists together —
+  // arrivals (trace order, non-decreasing by validate()) and batch pickups
+  // (busy_timeline starts, non-decreasing because each pickup waits for
+  // the accelerator the previous batch held) — applying every change at
+  // one instant before sampling the depth, and integrate.
+  const std::vector<Request>& arrivals = trace.requests;
+  const std::vector<ServingReport::BusyInterval>& pickups =
+      report.busy_timeline;
+  const double first_arrival_ns = arrivals.front().arrival_ns;
   double depth_integral = 0.0;
   std::int64_t depth = 0;
   std::int64_t peak = 0;
   double prev_t = first_arrival_ns;
-  for (std::size_t i = 0; i < depth_events.size();) {
-    const double t = depth_events[i].t_ns;
+  std::size_t a = 0;
+  std::size_t p = 0;
+  while (a < arrivals.size() || p < pickups.size()) {
+    double t = std::numeric_limits<double>::infinity();
+    if (a < arrivals.size()) t = arrivals[a].arrival_ns;
+    if (p < pickups.size()) t = std::min(t, pickups[p].start_ns);
     depth_integral += static_cast<double>(depth) * (t - prev_t);
-    while (i < depth_events.size() && depth_events[i].t_ns == t) {
-      depth += depth_events[i].delta;
-      ++i;
+    for (; a < arrivals.size() && arrivals[a].arrival_ns == t; ++a) ++depth;
+    for (; p < pickups.size() && pickups[p].start_ns == t; ++p) {
+      depth -= pickups[p].batch;
     }
     peak = std::max(peak, depth);
     report.queue_timeline.push_back({t, depth});
@@ -278,7 +269,20 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
       span_ns > 0.0
           ? static_cast<double>(report.total_requests) / (span_ns / 1e9)
           : 0.0;
-  report.latency = summarize_latencies(std::move(all_latencies_ms));
+  // Sort each model's latencies once; their merge is the globally sorted
+  // sequence, summarized in the same order a full sort would give.
+  std::vector<double> all_latencies_ms;
+  all_latencies_ms.reserve(trace.requests.size());
+  for (std::vector<double>& model_ms : latencies_ms) {
+    std::sort(model_ms.begin(), model_ms.end());
+    const auto middle = static_cast<std::ptrdiff_t>(all_latencies_ms.size());
+    all_latencies_ms.insert(all_latencies_ms.end(), model_ms.begin(),
+                            model_ms.end());
+    std::inplace_merge(all_latencies_ms.begin(),
+                       all_latencies_ms.begin() + middle,
+                       all_latencies_ms.end());
+  }
+  report.latency = summarize_sorted_latencies(all_latencies_ms);
   report.mean_batch = static_cast<double>(report.total_requests) /
                       static_cast<double>(report.total_batches);
   report.peak_queue_depth = peak;
@@ -295,7 +299,7 @@ ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
         stats.batches > 0 ? static_cast<double>(stats.requests) /
                                 static_cast<double>(stats.batches)
                           : 0.0;
-    stats.latency = summarize_latencies(std::move(latencies_ms[m]));
+    stats.latency = summarize_sorted_latencies(latencies_ms[m]);
     stats.inference_energy_nj =
         static_cast<double>(stats.requests) * stats.energy_per_request_nj;
     report.swap_ins += stats.swap_ins;

@@ -12,9 +12,9 @@
 //
 // Determinism is the core contract: every quantity in the ServingReport is
 // a pure function of (plans, config, trace). The only parallelism is the
-// precomputation of per-(model, batch-size) schedule tables and per-model
-// reports — pure functions stored by index — so `threads` changes wall
-// time, never a byte of output.
+// precomputation of one max_batch schedule per model (every smaller batch
+// is its prefix) and of per-model reports — pure functions stored by
+// index — so `threads` changes wall time, never a byte of output.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +112,9 @@ struct ServingReport {
   std::vector<BusyInterval> busy_timeline;
 };
 
-/// Runs the trace against an existing fabric. `pool` (optional) parallelizes
-/// the per-(model, batch-size) schedule-table precompute; output is
+/// Runs the trace against an existing fabric. The trace must pass
+/// TrafficTrace::validate() (checked on entry). `pool` (optional)
+/// parallelizes the per-model schedule precompute; output is
 /// byte-identical for every pool size.
 ServingReport simulate(ServingFabric& fabric, const BatchingConfig& batching,
                        const TrafficTrace& trace,

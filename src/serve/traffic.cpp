@@ -48,6 +48,22 @@ void TrafficConfig::validate() const {
   }
 }
 
+void TrafficTrace::validate() const {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& request = requests[i];
+    // Messages are built only on failure (AUTOHET_CHECK is lazy).
+    const auto which = [i] { return "trace request " + std::to_string(i); };
+    AUTOHET_CHECK(request.model >= 0 && request.model < num_models,
+                  which() + " targets model " + std::to_string(request.model) +
+                      ", outside [0, " + std::to_string(num_models) + ")");
+    AUTOHET_CHECK(std::isfinite(request.arrival_ns),
+                  which() + " has a non-finite arrival_ns");
+    AUTOHET_CHECK(i == 0 || request.arrival_ns >= requests[i - 1].arrival_ns,
+                  which() + " arrives before request " + std::to_string(i - 1) +
+                      " (arrival_ns must not decrease)");
+  }
+}
+
 double rate_at(const TrafficConfig& config, double t_s) {
   switch (config.profile) {
     case RateProfile::kConstant:

@@ -61,7 +61,13 @@ struct Request {
 struct TrafficTrace {
   TrafficConfig config;
   std::int64_t num_models = 0;
-  std::vector<Request> requests;  ///< sorted by arrival_ns
+  std::vector<Request> requests;  ///< in arrival order
+
+  /// The trace-order contract the simulator relies on: every request
+  /// targets a model in [0, num_models) and has a finite arrival_ns no
+  /// earlier than its predecessor's. Raises std::invalid_argument naming
+  /// the first offending request's index.
+  void validate() const;
 };
 
 /// Instantaneous arrival rate (requests/s) at time `t_s` in [0, duration).

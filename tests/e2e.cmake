@@ -24,7 +24,9 @@
 #       the same BENCH_serving.json each time; the report has its format
 #       and version, ordered latency percentiles (0 < p50 <= p95 <= p99 <=
 #       max), a positive sustained rate, request and swap-in totals equal
-#       to the per-model sums, and more swap-ins than models.
+#       to the per-model sums, and more swap-ins than models. The default
+#       `serving_sim` and `serving_sim --threads 0` each write the committed
+#       bench/BENCH_baseline/BENCH_serving.json byte for byte.
 #   paper_results
 #       `paper_results --episodes 20` (every paper figure, table and
 #       ablation section) prints the committed
@@ -54,6 +56,13 @@
 #       rerun and on a --traffic-in replay of the saved trace at
 #       --serve-threads 0; with AUTOHET_OBS on, its Chrome trace carries the
 #       queue-depth counter track and its profile the model swap-ins.
+#   serve_flags
+#       `serve` of the fixture plan as three tenants: --traffic-seed,
+#       --zipf, --max-wait-us, --tile-capacity, --eviction and --sharing
+#       each change the serving JSON from the default run's; under a tile
+#       budget that forces swaps, lfu eviction and no sharing each change
+#       the totals, not only the config echo. An unknown --eviction or
+#       --sharing name exits non-zero and writes no serving JSON.
 #   search_shapes
 #       a lenet5 search prints one winning crossbar shape per mappable
 #       layer; the removed strategy-file surfaces (`evaluate`, `--out`) are
@@ -142,6 +151,15 @@ function(same a b)
   endif()
 endfunction()
 
+# differ(<a> <b>): the two files (relative to WORK_DIR) are not identical.
+function(differ a b)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
+                  WORKING_DIRECTORY "${WORK_DIR}" RESULT_VARIABLE rc)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "${a} and ${b} are identical")
+  endif()
+endfunction()
+
 # contains(<file> <text>): the file (relative to WORK_DIR) contains the text.
 function(contains file text)
   file(READ "${WORK_DIR}/${file}" content)
@@ -182,6 +200,11 @@ elseif(CASE STREQUAL "serving_sim_threads")
   endforeach()
   same(serving_first.json serving_second.json)
   same(serving_first.json serving_threads0.json)
+  foreach(threads 1 0)
+    run("${SERVING_SIM}" --threads ${threads})
+    same(BENCH_serving.json
+         "${SOURCE_DIR}/bench/BENCH_baseline/BENCH_serving.json")
+  endforeach()
   file(READ "${WORK_DIR}/serving_first.json" doc)
   string(JSON format GET "${doc}" format)
   string(JSON version GET "${doc}" version)
@@ -331,6 +354,41 @@ elseif(CASE STREQUAL "serve_replay")
     contains(serve_trace.json serve_queue_depth)
     contains(serve_profile.json "\"model_swap\"")
   endif()
+elseif(CASE STREQUAL "serve_flags")
+  set(serve "${CLI}" serve --plan-in "${fixture_plan}"
+      --plan-in "${fixture_plan}" --plan-in "${fixture_plan}")
+  # Each fixture tenant takes 3 tiles alone, so a budget of 6 cannot hold
+  # all three and every miss swaps.
+  foreach(variant default seed|--traffic-seed|7 zipf|--zipf|0
+                  max_wait|--max-wait-us|50 capacity|--tile-capacity|6
+                  eviction|--eviction|lfu sharing|--sharing|none
+                  capacity_lfu|--tile-capacity|6|--eviction|lfu
+                  capacity_unshared|--tile-capacity|6|--sharing|none)
+    string(REPLACE "|" ";" flags "${variant}")
+    list(POP_FRONT flags name)
+    run(${serve} ${flags} --serving-json ${name}.json)
+    if(NOT name STREQUAL "default")
+      differ(default.json ${name}.json)
+    endif()
+  endforeach()
+  file(READ "${WORK_DIR}/capacity.json" doc)
+  string(JSON base_totals GET "${doc}" totals)
+  foreach(name capacity_lfu capacity_unshared)
+    file(READ "${WORK_DIR}/${name}.json" doc)
+    string(JSON totals GET "${doc}" totals)
+    if(totals STREQUAL base_totals)
+      message(FATAL_ERROR "${name}.json has the totals of capacity.json")
+    endif()
+  endforeach()
+  run_fails("unknown eviction policy: fifo"
+            ${serve} --eviction fifo --serving-json bad_eviction.json)
+  run_fails("unknown sharing scope: all"
+            ${serve} --sharing all --serving-json bad_sharing.json)
+  foreach(name bad_eviction bad_sharing)
+    if(EXISTS "${WORK_DIR}/${name}.json")
+      message(FATAL_ERROR "a rejected serve wrote ${name}.json")
+    endif()
+  endforeach()
 elseif(CASE STREQUAL "search_shapes")
   run("${CLI}" search --model lenet5 --episodes 5)
   # LeNet5 has five mappable layers.

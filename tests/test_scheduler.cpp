@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "nn/graph.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/pipeline.hpp"
 #include "reram/scheduler.hpp"
@@ -88,6 +89,90 @@ TEST(Scheduler, MakespanGrowsLinearlyInSteadyState) {
   EXPECT_NEAR(b64.makespan_ns - b32.makespan_ns,
               32.0 * pipeline.bottleneck_interval_ns,
               pipeline.bottleneck_interval_ns * 0.01);
+}
+
+/// Two residual blocks, the second ending the graph: stem -> body ->
+/// add(stem, body) -> relu -> head -> add(relu, head) -> relu. The head
+/// reads both convs through the first add (two producer edges with op
+/// delays), and the trailing add + relu leave every conv a non-zero tail
+/// delay to the graph output.
+plan::DeploymentPlan residual_tail_plan() {
+  nn::GraphBuilder b("residual_tail");
+  const auto in = b.input(8, 8, 8);
+  const auto stem = b.layer(in, nn::make_conv(8, 8, 3, 1, 1, 8, 8));
+  const auto body = b.layer(stem, nn::make_conv(8, 8, 3, 1, 1, 8, 8));
+  const auto mid = b.activation(b.residual_add(stem, body));
+  const auto head = b.layer(mid, nn::make_conv(8, 8, 3, 1, 1, 8, 8));
+  b.activation(b.residual_add(mid, head));
+  AcceleratorConfig accel;
+  accel.tile_shared = true;
+  return plan::compile_plan(b.build(),
+                            std::vector<CrossbarShape>(3, {128, 128}), accel);
+}
+
+/// Image i's tasks depend only on images <= i, so a batch of b is the first
+/// b images of a larger batch, and its makespan is that batch's prefix
+/// makespan — exactly, not approximately.
+void expect_prefix_schedules(const plan::DeploymentPlan& p,
+                             const std::vector<std::int64_t>& replication) {
+  constexpr std::int64_t kMax = 8;
+  const auto full = schedule_batch(p, kMax, replication);
+  const auto n = static_cast<std::int64_t>(p.layers.size());
+  ASSERT_EQ(full.prefix_makespan_ns.size(), static_cast<std::size_t>(kMax));
+  EXPECT_EQ(full.makespan_ns, full.prefix_makespan_ns.back());
+  for (std::int64_t b = 1; b <= kMax; ++b) {
+    const auto part = schedule_batch(p, b, replication);
+    ASSERT_EQ(part.tasks.size(), static_cast<std::size_t>(b * n));
+    for (std::int64_t i = 0; i < b; ++i) {
+      for (std::int64_t k = 0; k < n; ++k) {
+        EXPECT_EQ(part.task(i, k, n).start_ns, full.task(i, k, n).start_ns)
+            << p.network << " batch " << b << " image " << i << " layer " << k;
+        EXPECT_EQ(part.task(i, k, n).finish_ns, full.task(i, k, n).finish_ns)
+            << p.network << " batch " << b << " image " << i << " layer " << k;
+      }
+    }
+    EXPECT_EQ(part.makespan_ns,
+              full.prefix_makespan_ns[static_cast<std::size_t>(b - 1)])
+        << p.network << " batch " << b;
+    ASSERT_EQ(part.prefix_makespan_ns.size(), static_cast<std::size_t>(b));
+    for (std::int64_t i = 0; i < b; ++i) {
+      EXPECT_EQ(part.prefix_makespan_ns[static_cast<std::size_t>(i)],
+                full.prefix_makespan_ns[static_cast<std::size_t>(i)]);
+    }
+  }
+}
+
+plan::DeploymentPlan chain_plan(const nn::NetworkSpec& net) {
+  const auto layers = net.mappable_layers();
+  return plan::compile_plan(
+      net.name, layers,
+      std::vector<CrossbarShape>(layers.size(), CrossbarShape{128, 128}),
+      AcceleratorConfig{});
+}
+
+TEST(Scheduler, SmallerBatchesArePrefixesOfChainSchedules) {
+  for (const nn::NetworkSpec& net :
+       {nn::lenet5(), nn::alexnet(), nn::vgg16()}) {
+    expect_prefix_schedules(chain_plan(net), {});
+  }
+}
+
+TEST(Scheduler, SmallerBatchesArePrefixesOfReplicatedSchedules) {
+  const auto p = lenet_plan();
+  const auto rep = reram::balance_replication(p, 16);
+  ASSERT_NE(rep, std::vector<std::int64_t>(rep.size(), 1));
+  expect_prefix_schedules(p, rep);
+}
+
+TEST(Scheduler, SmallerBatchesArePrefixesOfGraphSchedules) {
+  const auto p = residual_tail_plan();
+  const plan::PlanDataflow flow = plan::plan_dataflow(p);
+  ASSERT_EQ(flow.deps.size(), 3u);
+  ASSERT_EQ(flow.deps[2].size(), 2u);
+  for (const plan::LayerDep& dep : flow.deps[2]) EXPECT_GT(dep.delay_ns, 0.0);
+  for (const double tail : flow.tail_delay_ns) EXPECT_GT(tail, 0.0);
+  expect_prefix_schedules(p, {});
+  expect_prefix_schedules(p, {2, 1, 3});
 }
 
 TEST(Scheduler, ValidatesArguments) {

@@ -5,8 +5,12 @@
 // counts, and the profiler join (swap counts vs recorded events).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +20,7 @@
 #include "nn/model_zoo.hpp"
 #include "obs/profile.hpp"
 #include "reram/functional.hpp"
+#include "reram/scheduler.hpp"
 #include "serve/serialize.hpp"
 #include "serve/simulator.hpp"
 #include "tensor/ops.hpp"
@@ -389,6 +394,178 @@ TEST(ServingSim, RejectsTraceWithWrongModelCount) {
   serve::ServingFabric fabric(named_plans(2), {});
   const serve::TrafficTrace trace = manual_trace(3, {{2, 0.0}});
   EXPECT_THROW(serve::simulate(fabric, {}, trace), std::invalid_argument);
+}
+
+// Simulating `trace` raises std::invalid_argument whose message contains
+// `expected`.
+void expect_simulate_rejects(const serve::TrafficTrace& trace,
+                             const std::string& expected) {
+  serve::ServingFabric fabric(named_plans(2), {});
+  try {
+    (void)serve::simulate(fabric, {}, trace);
+    ADD_FAILURE() << "simulated a trace that should fail with: " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServingSim, RejectsDecreasingArrivals) {
+  // Two arrivals swapped, and a negative arrival mid-trace: both used to
+  // simulate to a report (the negative one to a ~1 s p99).
+  expect_simulate_rejects(
+      manual_trace(2, {{0, 0.0}, {1, 2000.0}, {0, 1000.0}, {1, 3000.0}}),
+      "trace request 2 arrives before request 1");
+  expect_simulate_rejects(
+      manual_trace(2, {{0, 0.0}, {1, 1000.0}, {0, -1e9}, {1, 3000.0}}),
+      "trace request 2 arrives before request 1");
+}
+
+TEST(ServingSim, RejectsNonFiniteArrivals) {
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_simulate_rejects(manual_trace(2, {{0, 0.0}, {1, inf}}),
+                          "trace request 1 has a non-finite arrival_ns");
+  expect_simulate_rejects(
+      manual_trace(2, {{0, 0.0}, {1, std::nan("")}, {0, 1.0}}),
+      "trace request 1 has a non-finite arrival_ns");
+  expect_simulate_rejects(manual_trace(2, {{0, -inf}, {1, 0.0}}),
+                          "trace request 0 has a non-finite arrival_ns");
+}
+
+TEST(ServingSim, RejectsRequestsForUnknownModels) {
+  expect_simulate_rejects(manual_trace(2, {{0, 0.0}, {0, 1.0}, {2, 2.0}}),
+                          "trace request 2 targets model 2, outside [0, 2)");
+  expect_simulate_rejects(manual_trace(2, {{-1, 0.0}}),
+                          "trace request 0 targets model -1, outside [0, 2)");
+}
+
+void expect_same_summary(const serve::LatencySummary& got,
+                         const serve::LatencySummary& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.p50_ms, want.p50_ms) << what;
+  EXPECT_EQ(got.p95_ms, want.p95_ms) << what;
+  EXPECT_EQ(got.p99_ms, want.p99_ms) << what;
+  EXPECT_EQ(got.mean_ms, want.mean_ms) << what;
+  EXPECT_EQ(got.max_ms, want.max_ms) << what;
+}
+
+TEST(ServingSim, LatencySummariesEqualPerRequestReplay) {
+  // Reference for the batch timings and the latency merge: replay every
+  // request's latency from the busy timeline (FIFO per model; image i of a
+  // batch of b finishes at its offset in a fresh batch-b schedule) and
+  // summarize with the sorting summarize_latencies. Three tenants under a
+  // two-model budget and a diurnal load interleave swaps, partial and full
+  // batches.
+  serve::FabricConfig config;
+  config.scope = mapping::SharingScope::kNone;
+  serve::ServingFabric probe(named_plans(3), config);
+  config.tile_capacity = 2 * probe.standalone_tiles(0);
+  serve::ServingFabric fabric(named_plans(3), config);
+  serve::TrafficConfig traffic;
+  traffic.seed = 5;
+  traffic.duration_s = 0.05;
+  traffic.mean_qps = 6000.0;
+  traffic.profile = serve::RateProfile::kDiurnal;
+  const serve::TrafficTrace trace = serve::generate_trace(traffic, 3);
+  const serve::ServingReport report = serve::simulate(fabric, {}, trace);
+  ASSERT_GT(report.swap_ins, 3);
+
+  std::vector<std::vector<double>> arrivals(3);
+  for (const serve::Request& r : trace.requests) {
+    arrivals[static_cast<std::size_t>(r.model)].push_back(r.arrival_ns);
+  }
+  std::vector<std::vector<double>> model_ms(3);
+  std::vector<double> all_ms;
+  std::vector<std::size_t> served(3, 0);
+  std::vector<bool> batch_sizes_seen(9, false);
+  for (const serve::ServingReport::BusyInterval& b : report.busy_timeline) {
+    const auto m = static_cast<std::size_t>(b.model);
+    const plan::DeploymentPlan& p = fabric.model_plan(b.model);
+    const auto n = static_cast<std::int64_t>(p.layers.size());
+    const reram::ScheduleReport schedule = reram::schedule_batch(p, b.batch);
+    EXPECT_EQ(b.finish_ns, b.program_until_ns + schedule.makespan_ns);
+    for (std::int64_t i = 0; i < b.batch; ++i) {
+      const double finish_ns =
+          b.program_until_ns + schedule.task(i, n - 1, n).finish_ns;
+      const double ms = (finish_ns - arrivals[m][served[m]++]) / 1e6;
+      model_ms[m].push_back(ms);
+      all_ms.push_back(ms);
+    }
+    batch_sizes_seen[static_cast<std::size_t>(b.batch)] = true;
+  }
+  EXPECT_TRUE(batch_sizes_seen[8]);
+  EXPECT_GE(std::count(batch_sizes_seen.begin(), batch_sizes_seen.end(), true),
+            4);
+  ASSERT_EQ(all_ms.size(), trace.requests.size());
+  expect_same_summary(report.latency, serve::summarize_latencies(all_ms),
+                      "all models");
+  for (std::size_t m = 0; m < 3; ++m) {
+    expect_same_summary(report.models[m].latency,
+                        serve::summarize_latencies(model_ms[m]),
+                        "model " + std::to_string(m));
+  }
+}
+
+TEST(ServingSim, QueueTimelineEqualsSortedEventReplay) {
+  // Reference for the two-list merge: sort every arrival (+1) and pickup
+  // (-batch) by time, apply all changes at one instant, sample the depth.
+  // Arrivals of three tenants snapped to a 1 ms grid coincide, and with no
+  // batching wait the idle accelerator picks a batch up at the very
+  // instant its requests arrive.
+  serve::ServingFabric fabric(named_plans(3), {});
+  serve::BatchingConfig batching;
+  batching.max_wait_ns = 0.0;
+  serve::TrafficConfig config;
+  config.seed = 11;
+  config.duration_s = 0.05;
+  config.mean_qps = 5000.0;
+  serve::TrafficTrace trace = serve::generate_trace(config, 3);
+  std::vector<double> arrival_times;
+  for (serve::Request& r : trace.requests) {
+    r.arrival_ns = std::floor(r.arrival_ns / 1e6) * 1e6;
+    arrival_times.push_back(r.arrival_ns);
+  }
+  const serve::ServingReport report =
+      serve::simulate(fabric, batching, trace);
+
+  std::vector<std::pair<double, std::int64_t>> events;
+  for (const double t : arrival_times) events.push_back({t, 1});
+  std::size_t pickups_at_arrivals = 0;
+  for (const serve::ServingReport::BusyInterval& b : report.busy_timeline) {
+    events.push_back({b.start_ns, -b.batch});
+    pickups_at_arrivals += std::binary_search(
+        arrival_times.begin(), arrival_times.end(), b.start_ns);
+  }
+  EXPECT_GT(pickups_at_arrivals, 0u);
+  std::stable_sort(events.begin(), events.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.first < y.first;
+                   });
+  std::vector<serve::ServingReport::TimelinePoint> expected;
+  std::int64_t depth = 0;
+  std::int64_t peak = 0;
+  double integral = 0.0;
+  double prev_t = arrival_times.front();
+  for (std::size_t i = 0; i < events.size();) {
+    const double t = events[i].first;
+    integral += static_cast<double>(depth) * (t - prev_t);
+    for (; i < events.size() && events[i].first == t; ++i) {
+      depth += events[i].second;
+    }
+    peak = std::max(peak, depth);
+    expected.push_back({t, depth});
+    prev_t = t;
+  }
+  ASSERT_EQ(report.queue_timeline.size(), expected.size());
+  EXPECT_LT(expected.size(), events.size());  // some instants coincide
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(report.queue_timeline[i].t_ns, expected[i].t_ns) << i;
+    EXPECT_EQ(report.queue_timeline[i].queue_depth, expected[i].queue_depth)
+        << i;
+  }
+  EXPECT_EQ(report.peak_queue_depth, peak);
+  EXPECT_EQ(report.mean_queue_depth,
+            integral / (report.last_completion_ns - arrival_times.front()));
 }
 
 // --------------------------------------------------------------- profiler --

@@ -271,6 +271,59 @@ void expect_rejected(const std::string& json, const std::string& key) {
   }
 }
 
+// A five-request, two-model trace saved to JSON with request 3 changed by
+// `edit` before writing.
+template <typename Edit>
+std::string edited_trace_json(Edit edit) {
+  serve::TrafficTrace trace;
+  trace.config = base_config();
+  trace.num_models = 2;
+  for (std::int64_t i = 0; i < 5; ++i) {
+    trace.requests.push_back({i, i % 2, 1000.0 * static_cast<double>(i)});
+  }
+  edit(trace.requests[3]);
+  std::ostringstream os;
+  serve::write_trace_json(os, trace);
+  return os.str();
+}
+
+// Reading `json` raises std::invalid_argument containing `expected`.
+void expect_trace_rejected(const std::string& json,
+                           const std::string& expected) {
+  try {
+    (void)serve::read_trace_json(json);
+    ADD_FAILURE() << "accepted a trace that should fail with: " << expected;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Traffic, TraceJsonRejectsBrokenOrderContract) {
+  ASSERT_NO_THROW((void)serve::read_trace_json(
+      edited_trace_json([](serve::Request&) {})));
+  // Request 3 moved before request 2: swapped, then negative mid-trace.
+  expect_trace_rejected(
+      edited_trace_json([](serve::Request& r) { r.arrival_ns = 1500.0; }),
+      "trace request 3 arrives before request 2");
+  expect_trace_rejected(
+      edited_trace_json([](serve::Request& r) { r.arrival_ns = -5.0; }),
+      "trace request 3 arrives before request 2");
+  expect_trace_rejected(
+      edited_trace_json([](serve::Request& r) { r.model = 2; }),
+      "trace request 3 targets model 2, outside [0, 2)");
+  expect_trace_rejected(
+      edited_trace_json([](serve::Request& r) { r.model = -1; }),
+      "trace request 3 targets model -1, outside [0, 2)");
+  // JSON has no NaN or Inf; an overflowing literal is the non-finite case,
+  // rejected under the request's indexed key.
+  std::string json =
+      edited_trace_json([](serve::Request& r) { r.arrival_ns = 77.0; });
+  const std::string finite = "\"arrival_ns\": 77}";
+  json.replace(json.find(finite), finite.size(), "\"arrival_ns\": 1e999}");
+  expect_trace_rejected(json, "'requests[3].arrival_ns' overflows a double");
+}
+
 TEST(Traffic, TraceJsonRejectsMalformedScalars) {
   serve::TrafficConfig config = base_config();
   config.duration_s = 0.01;
