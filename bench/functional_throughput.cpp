@@ -1,7 +1,7 @@
 // Functional-simulation throughput: packed vs scalar MVM kernels across
 // every dispatchable ISA variant, fast vs scalar forward plumbing (plus the
-// intra-forward row-block split), and Monte-Carlo robustness wall time —
-// the perf trajectory of the fast functional engine (DESIGN.md §7).
+// intra-forward conv position-tile split), and Monte-Carlo robustness wall
+// time — the perf trajectory of the fast functional engine (DESIGN.md §7).
 //
 // Levels timed, each against its retained scalar baseline (the pre-packing
 // datapaths, kept precisely so this comparison stays honest):
@@ -10,8 +10,9 @@
 //     dispatch variant (portable/avx2/avx512) — the `dispatch` JSON section
 //     records the selected path and each variant's rate;
 //   * whole-network forwards (images/s, integer and bit-serial datapaths),
-//     plus the same forward split across row blocks / position tiles on a
-//     worker pool (bit-identical outputs, asserted);
+//     plus the same single-sample forward with its conv layers split
+//     across position tiles on a worker pool (bit-identical outputs,
+//     asserted; the JSON keeps the section name `row_block_split`);
 //   * the full fault_sweep Monte-Carlo workload — fault_sweep's three
 //     configurations over its 15-point grid (3 cell-bits × 5 stuck rates,
 //     σ=0.01, 5 trials × 12 samples), measured end-to-end through
@@ -247,9 +248,10 @@ int main(int argc, char** argv) {
          calls_per_second(
              [&] { fsink = fsink + scalar_bits.forward(image)[0]; }, 400.0)});
 
-    // Intra-forward row-block / position-tile split: one sample spread over
-    // the whole pool. Integer partials reassociate exactly, so the pooled
-    // forward must be bit-identical to the serial one.
+    // Intra-forward position-tile split: one sample's conv layers spread
+    // over the whole pool (its FC layers run as batches of one). Integer
+    // partials reassociate exactly, so the pooled forward must be
+    // bit-identical to the serial one.
     common::ThreadPool fwd_pool(static_cast<std::size_t>(hw_threads));
     const tensor::Tensor serial_out = fast_int.forward(image);
     const tensor::Tensor pooled_out = fast_int.forward(image, 0, &fwd_pool);
@@ -433,7 +435,7 @@ int main(int argc, char** argv) {
                    report::format_fixed(f.scalar_per_s, 1),
                    report::format_fixed(f.fast_per_s / f.scalar_per_s, 2)});
   }
-  table.add_row({"forward (img/s)", "integer+pool",
+  table.add_row({"forward (img/s)", "integer+conv tiles",
                  report::format_fixed(fwd_pool_per_s, 1),
                  report::format_fixed(fwd_serial_per_s, 1),
                  report::format_fixed(fwd_pool_per_s / fwd_serial_per_s, 2)});

@@ -109,51 +109,13 @@ void LogicalCrossbar::repack() {
 
 std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial(
     std::span<const std::uint8_t> input) const {
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  thread_local kernels::KernelScratch scratch;
-  mvm_bit_serial_accum(input, acc.data(), scratch);
-  return acc;
-}
-
-void LogicalCrossbar::mvm_bit_serial_accum(
-    std::span<const std::uint8_t> input, std::int32_t* out,
-    kernels::KernelScratch& scratch) const {
+  if (!is_packed()) return mvm_bit_serial_scalar(input);
   AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
                 "input length must equal rows_used");
-  if (packed_.empty()) {
-    // Scalar datapath, accumulating into the caller's buffer.
-    for (int xb = 0; xb < 8; ++xb) {
-      for (int wb = 0; wb < 8; ++wb) {
-        const std::int64_t scale =
-            (wb == 7) ? -(std::int64_t{1} << (xb + wb))
-                      : (std::int64_t{1} << (xb + wb));
-        for (std::int64_t j = 0; j < cols_used_; ++j) {
-          std::int32_t bitline_sum = 0;
-          for (std::int64_t i = 0; i < rows_used_; ++i) {
-            const unsigned xbit =
-                (input[static_cast<std::size_t>(i)] >> xb) & 1u;
-            if (!xbit) continue;
-            const auto cell = static_cast<std::uint8_t>(
-                cells_[static_cast<std::size_t>(i * shape_.cols + j)]);
-            bitline_sum += static_cast<std::int32_t>((cell >> wb) & 1u);
-          }
-          out[j] += static_cast<std::int32_t>(scale * bitline_sum);
-        }
-      }
-    }
-    return;
-  }
-  // One AND+popcount pass per (weight plane, column, input plane): the 64
-  // wordline passes of the scalar path collapse into words word ops, run by
-  // the dispatched kernel variant (count == 1 keeps acc_t[j·1+0] == out[j]).
-  const std::int64_t words = (rows_used_ + 63) / 64;
-  std::uint64_t* xbits =
-      scratch.input_planes(static_cast<std::size_t>(8 * words));
-  pack_planes(input.data(), rows_used_, 1, words, xbits);
-  kernels::ops().bit_serial_mvm(packed_.data(), shape_.cols, packed_words_,
-                                cols_used_, words, xbits, 1, out);
-  OBS_COUNTER_ADD("autohet_kernel_bit_serial_words_total",
-                  64 * cols_used_ * words);
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
+  thread_local kernels::KernelScratch scratch;
+  mvm_bit_serial_batch_accum(input.data(), 1, acc.data(), scratch);
+  return acc;
 }
 
 std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial_scalar(
@@ -223,10 +185,6 @@ FaultMapStats LogicalCrossbar::replay_stuck_faults(
 void LogicalCrossbar::mvm_read_noisy_accum(
     std::span<const std::uint8_t> input, common::Rng& rng,
     double weight_sigma, std::int32_t* out) const {
-  if (weight_sigma == 0.0) {
-    mvm_reference_accum(input, out);
-    return;
-  }
   AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
                 "input length must equal rows_used");
   for (std::int64_t i = 0; i < rows_used_; ++i) {
@@ -239,57 +197,6 @@ void LogicalCrossbar::mvm_read_noisy_accum(
       const auto w = static_cast<std::int32_t>(
           std::lround(std::clamp(noisy, -128.0, 127.0)));
       out[j] += x * w;
-    }
-  }
-}
-
-std::vector<std::int32_t> LogicalCrossbar::mvm_read_noisy(
-    std::span<const std::uint8_t> input, common::Rng& rng,
-    double weight_sigma) const {
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  mvm_read_noisy_accum(input, rng, weight_sigma, acc.data());
-  return acc;
-}
-
-void LogicalCrossbar::mvm_reference_accum(std::span<const std::uint8_t> input,
-                                          std::int32_t* out) const {
-  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
-                "input length must equal rows_used");
-  // Blocked GEMV: gather up to four nonzero-activation rows and fuse their
-  // widening int8 multiply-adds into one pass over the accumulators, so the
-  // out[] traffic amortizes across rows (integer adds reassociate exactly).
-  const std::int64_t stride = shape_.cols;
-  std::int64_t rows[4];
-  std::int64_t i = 0;
-  while (i < rows_used_) {
-    int n = 0;
-    while (i < rows_used_ && n < 4) {
-      if (input[static_cast<std::size_t>(i)] != 0) rows[n++] = i;
-      ++i;
-    }
-    if (n == 4) {
-      const std::int32_t x0 = input[static_cast<std::size_t>(rows[0])];
-      const std::int32_t x1 = input[static_cast<std::size_t>(rows[1])];
-      const std::int32_t x2 = input[static_cast<std::size_t>(rows[2])];
-      const std::int32_t x3 = input[static_cast<std::size_t>(rows[3])];
-      const std::int8_t* r0 = cells_.data() + rows[0] * stride;
-      const std::int8_t* r1 = cells_.data() + rows[1] * stride;
-      const std::int8_t* r2 = cells_.data() + rows[2] * stride;
-      const std::int8_t* r3 = cells_.data() + rows[3] * stride;
-      for (std::int64_t j = 0; j < cols_used_; ++j) {
-        out[j] += x0 * static_cast<std::int32_t>(r0[j]) +
-                  x1 * static_cast<std::int32_t>(r1[j]) +
-                  x2 * static_cast<std::int32_t>(r2[j]) +
-                  x3 * static_cast<std::int32_t>(r3[j]);
-      }
-    } else {
-      for (int m = 0; m < n; ++m) {
-        const std::int32_t x = input[static_cast<std::size_t>(rows[m])];
-        const std::int8_t* row = cells_.data() + rows[m] * stride;
-        for (std::int64_t j = 0; j < cols_used_; ++j) {
-          out[j] += x * static_cast<std::int32_t>(row[j]);
-        }
-      }
     }
   }
 }
@@ -321,8 +228,10 @@ void LogicalCrossbar::mvm_bit_serial_batch_accum(
 
 std::vector<std::int32_t> LogicalCrossbar::mvm_reference(
     std::span<const std::uint8_t> input) const {
+  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
+                "input length must equal rows_used");
   std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  mvm_reference_accum(input, acc.data());
+  mvm_reference_batch_accum(input.data(), 1, acc.data());
   return acc;
 }
 

@@ -14,8 +14,11 @@
 // Fast path: the eight weight bit planes can additionally be packed into
 // per-column uint64 masks (ensure_packed()), turning the bit-serial
 // datapath into AND+popcount over words — the bit-level kernel style
-// CIM-Explorer uses. Packed kernels are bit-identical to the retained
-// *_scalar paths (tested); bulk program() packs eagerly, program_cell
+// CIM-Explorer uses. Every noise-free MVM runs through the dispatched
+// kernels::ops() table as a batch of `count` columns; a single column is a
+// batch of one. The *_scalar paths are the retained oracles (tested
+// bit-identical); read noise has its own per-cell path
+// (mvm_read_noisy_accum). Bulk program() packs eagerly, program_cell
 // updates the pack incrementally, and fault burn-in repacks. Cell
 // precision is a storage property of the fault model
 // (FaultConfig::cell_bits), not a separate compute path.
@@ -60,13 +63,14 @@ class LogicalCrossbar {
   bool is_packed() const noexcept { return !packed_.empty(); }
 
   /// Bit-serial MVM over the used region. `input` must have rows_used()
-  /// entries. Returns one int32 accumulation per used column. Uses the
-  /// packed AND+popcount kernel when the planes are packed, the scalar
-  /// datapath otherwise — bit-identical either way.
+  /// entries. Returns one int32 accumulation per used column. A packed
+  /// crossbar runs the batched AND+popcount kernel with count = 1, an
+  /// unpacked one the scalar datapath — bit-identical either way.
   std::vector<std::int32_t> mvm_bit_serial(
       std::span<const std::uint8_t> input) const;
 
-  /// Direct integer reference MVM (identical results, no bit slicing).
+  /// Direct integer reference MVM (identical results, no bit slicing): the
+  /// batched integer kernel with count = 1.
   std::vector<std::int32_t> mvm_reference(
       std::span<const std::uint8_t> input) const;
 
@@ -77,25 +81,15 @@ class LogicalCrossbar {
   std::vector<std::int32_t> mvm_reference_scalar(
       std::span<const std::uint8_t> input) const;
 
-  /// Allocation-free variants: accumulate into out[0 .. cols_used) on top of
-  /// whatever is already there (the adder-tree merge happens in the caller's
-  /// buffer directly). `scratch` is caller-owned kernel scratch (packed
-  /// input planes), grown as needed — pass a per-thread instance to keep
-  /// the hot loop allocation-free.
-  void mvm_bit_serial_accum(std::span<const std::uint8_t> input,
-                            std::int32_t* out,
-                            kernels::KernelScratch& scratch) const;
-  void mvm_reference_accum(std::span<const std::uint8_t> input,
-                           std::int32_t* out) const;
   /// Batched reference accumulate over `count` input columns in transposed
   /// layout: inputs_t is rows_used × count row-major (input row i for all
   /// columns at inputs_t[i·count ..]), acc_t is cols_used × count (output
   /// col j for all columns at acc_t[j·count ..]). The innermost loop runs
   /// contiguously over the batch dimension, so it vectorizes regardless of
   /// how narrow the crossbar is. Integer sums are exact and reassociate
-  /// freely — results are bit-identical to `count` separate
-  /// mvm_reference_accum calls (zero weights/activations contribute exactly
-  /// zero, so skipping them never changes a sum).
+  /// freely — results are bit-identical to `count` separate mvm_reference
+  /// calls (zero weights/activations contribute exactly zero, so skipping
+  /// them never changes a sum). Accumulates on top of acc_t.
   void mvm_reference_batch_accum(const std::uint8_t* inputs_t,
                                  std::int64_t count,
                                  std::int32_t* acc_t) const;
@@ -103,11 +97,18 @@ class LogicalCrossbar {
   /// layout as mvm_reference_batch_accum (inputs_t rows_used × count,
   /// acc_t cols_used × count). All `count` samples' input planes are packed
   /// once and run through a single kernel dispatch, so the indirect-call and
-  /// weight-plane traffic amortize over the batch. Require is_packed();
-  /// bit-identical to `count` separate single-sample accum calls.
+  /// weight-plane traffic amortize over the batch. Requires is_packed();
+  /// bit-identical to `count` separate mvm_bit_serial_scalar calls.
+  /// `scratch` is caller-owned kernel scratch (packed input planes), grown
+  /// as needed — pass a per-thread instance to stay allocation-free.
   void mvm_bit_serial_batch_accum(const std::uint8_t* inputs_t,
                                   std::int64_t count, std::int32_t* acc_t,
                                   kernels::KernelScratch& scratch) const;
+  /// Integer MVM with cycle-to-cycle read noise, accumulated into
+  /// out[0 .. cols_used): every sensed cell's weight is perturbed by
+  /// round(N(0, weight_sigma)) for this read only (the programmed array is
+  /// untouched). `weight_sigma` is in weight LSBs — use
+  /// FaultModel::read_noise_weight_sigma().
   void mvm_read_noisy_accum(std::span<const std::uint8_t> input,
                             common::Rng& rng, double weight_sigma,
                             std::int32_t* out) const;
@@ -140,21 +141,8 @@ class LogicalCrossbar {
                                     std::span<const StuckCandidate> hits,
                                     const StuckBucketEnds& bucket_ends);
 
-  /// Integer MVM with cycle-to-cycle read noise: every sensed cell's weight
-  /// is perturbed by round(N(0, weight_sigma)) for this read only (the
-  /// programmed array is untouched). `weight_sigma` is in weight LSBs —
-  /// use FaultModel::read_noise_weight_sigma(). Falls back to
-  /// mvm_reference when weight_sigma == 0.
-  std::vector<std::int32_t> mvm_read_noisy(std::span<const std::uint8_t> input,
-                                           common::Rng& rng,
-                                           double weight_sigma) const;
-
  private:
   void repack();
-  const std::uint64_t* plane(int bit, std::int64_t col) const noexcept {
-    return packed_.data() +
-           static_cast<std::size_t>((bit * shape_.cols + col) * packed_words_);
-  }
   mapping::CrossbarShape shape_;
   std::int64_t rows_used_ = 0;
   std::int64_t cols_used_ = 0;

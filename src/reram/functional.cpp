@@ -47,9 +47,9 @@ std::vector<MappedLayer> program_layers(
                          fm.ideal() ? nullptr : &fm,
                          static_cast<std::uint64_t>(i), policy);
     };
-    layers.push_back(cache == nullptr ? build()
-                                      : *cache->layer(model, i, shapes[i],
-                                                      faults, policy, build));
+    layers.push_back(cache == nullptr
+                         ? build()
+                         : *cache->layer(model, i, shapes[i], faults, build));
   }
   return layers;
 }
@@ -92,7 +92,7 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
                          const mapping::CrossbarShape& shape,
                          const FaultModel* faults, std::uint64_t layer_id,
                          KernelPolicy policy)
-    : spec_(spec), mapping_(mapping::map_layer(spec, shape)), policy_(policy) {
+    : spec_(spec), mapping_(mapping::map_layer(spec, shape)) {
   const std::int64_t k2 = spec.kernel * spec.kernel;
   const std::int64_t wrows = spec.weight_rows();
   const std::int64_t wcols = spec.weight_cols();
@@ -151,8 +151,7 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
   // maps and programming variation are burned into the arrays the moment
   // the weights are written (reram/faults.hpp).
   if (faults != nullptr && !faults->ideal()) {
-    burn_faults(*faults, layer_id,
-                policy_ == KernelPolicy::kScalarReference);
+    burn_faults(*faults, layer_id, policy == KernelPolicy::kScalarReference);
   }
 }
 
@@ -210,10 +209,9 @@ void MappedLayer::prepare_packed() {
   for (auto& xb : crossbars_) xb.ensure_packed();
 }
 
-void MappedLayer::mvm_into(std::span<const std::uint8_t> input_column,
-                           DatapathMode mode, std::span<std::int32_t> out,
-                           kernels::KernelScratch& scratch,
-                           std::uint64_t call_key) const {
+void MappedLayer::mvm_read_noisy_into(
+    std::span<const std::uint8_t> input_column, std::span<std::int32_t> out,
+    std::uint64_t call_key) const {
   AUTOHET_CHECK(
       static_cast<std::int64_t>(input_column.size()) == spec_.weight_rows(),
       "input column length mismatch");
@@ -222,44 +220,24 @@ void MappedLayer::mvm_into(std::span<const std::uint8_t> input_column,
       "output span length mismatch");
   OBS_COUNTER_ADD("autohet_functional_mvm_total", 1);
   std::fill(out.begin(), out.end(), 0);
-  for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
-    mvm_row_block_accum(rb, input_column, mode, out.data(), scratch, call_key);
-  }
-}
-
-void MappedLayer::mvm_row_block_accum(std::int64_t rb,
-                                      std::span<const std::uint8_t>
-                                          input_column,
-                                      DatapathMode mode, std::int32_t* out,
-                                      kernels::KernelScratch& scratch,
-                                      std::uint64_t call_key) const {
-  const bool noisy = read_sigma_weights_ > 0.0;
   // One child derivation per call keeps concurrent forwards deterministic
-  // without mutating shared state (the old advanced-in-place stream raced);
-  // Rng::child is pure, so deriving per row block repeats the same stream.
-  const common::Rng call_base =
-      noisy ? read_base_.child(call_key) : common::Rng();
+  // without mutating shared state; each crossbar then draws from its own
+  // child of the call stream.
+  const common::Rng call_base = read_base_.child(call_key);
   const std::int64_t cb_count = mapping_.col_blocks;
-  const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
-  const std::span<const std::uint8_t> slice =
-      input_column.subspan(static_cast<std::size_t>(r0),
-                           static_cast<std::size_t>(r1 - r0));
-  for (std::int64_t cb = 0; cb < cb_count; ++cb) {
-    const std::size_t idx = static_cast<std::size_t>(rb * cb_count + cb);
-    const auto& xb = crossbars_[idx];
-    // Adder tree: row-block partials accumulate straight into the output
-    // slice for this column block — no per-crossbar partial vectors.
-    std::int32_t* outp = out + cb * mapping_.shape.cols;
-    if (mode == DatapathMode::kBitSerial) {
-      xb.mvm_bit_serial_accum(slice, outp, scratch);
-    } else if (noisy) {
-      // Read variation is sampled at MVM time (per read, per sensed
-      // cell); it requires the integer datapath — SimulatedModel
-      // enforces that.
+  for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
+    const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
+    const std::span<const std::uint8_t> slice =
+        input_column.subspan(static_cast<std::size_t>(r0),
+                             static_cast<std::size_t>(r1 - r0));
+    for (std::int64_t cb = 0; cb < cb_count; ++cb) {
+      const std::size_t idx = static_cast<std::size_t>(rb * cb_count + cb);
       common::Rng rng = call_base.child(static_cast<std::uint64_t>(idx));
-      xb.mvm_read_noisy_accum(slice, rng, read_sigma_weights_, outp);
-    } else {
-      xb.mvm_reference_accum(slice, outp);
+      // Adder tree: row-block partials accumulate straight into the output
+      // slice for this column block.
+      crossbars_[idx].mvm_read_noisy_accum(
+          slice, rng, read_sigma_weights_,
+          out.data() + cb * mapping_.shape.cols);
     }
   }
 }
@@ -297,15 +275,17 @@ void MappedLayer::mvm_batch_into(const std::uint8_t* columns_t,
 std::vector<std::int32_t> MappedLayer::mvm_scalar(
     std::span<const std::uint8_t> input_column, DatapathMode mode,
     std::uint64_t call_key) const {
+  std::vector<std::int32_t> out(
+      static_cast<std::size_t>(spec_.weight_cols()), 0);
+  // The read-noise datapath is already per cell and per column.
+  if (mode == DatapathMode::kInteger && read_noisy()) {
+    mvm_read_noisy_into(input_column, out, call_key);
+    return out;
+  }
   AUTOHET_CHECK(
       static_cast<std::int64_t>(input_column.size()) == spec_.weight_rows(),
       "input column length mismatch");
   OBS_COUNTER_ADD("autohet_functional_mvm_total", 1);
-  std::vector<std::int32_t> out(
-      static_cast<std::size_t>(spec_.weight_cols()), 0);
-  const bool noisy = read_sigma_weights_ > 0.0;
-  const common::Rng call_base =
-      noisy ? read_base_.child(call_key) : common::Rng();
   const std::int64_t cb_count = mapping_.col_blocks;
   for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
     const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
@@ -313,17 +293,10 @@ std::vector<std::int32_t> MappedLayer::mvm_scalar(
         input_column.subspan(static_cast<std::size_t>(r0),
                              static_cast<std::size_t>(r1 - r0));
     for (std::int64_t cb = 0; cb < cb_count; ++cb) {
-      const std::size_t idx = static_cast<std::size_t>(rb * cb_count + cb);
-      const auto& xb = crossbars_[idx];
-      std::vector<std::int32_t> partial;
-      if (mode == DatapathMode::kBitSerial) {
-        partial = xb.mvm_bit_serial_scalar(slice);
-      } else if (noisy) {
-        common::Rng rng = call_base.child(static_cast<std::uint64_t>(idx));
-        partial = xb.mvm_read_noisy(slice, rng, read_sigma_weights_);
-      } else {
-        partial = xb.mvm_reference_scalar(slice);
-      }
+      const auto& xb = crossbars_[static_cast<std::size_t>(rb * cb_count + cb)];
+      const std::vector<std::int32_t> partial =
+          mode == DatapathMode::kBitSerial ? xb.mvm_bit_serial_scalar(slice)
+                                           : xb.mvm_reference_scalar(slice);
       const std::int64_t c0 = cb * mapping_.shape.cols;
       for (std::size_t j = 0; j < partial.size(); ++j) {
         out[static_cast<std::size_t>(c0) + j] += partial[j];
@@ -525,7 +498,6 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
   // execution order, so parallel rows reproduce the serial pass exactly.
   const auto run_row = [&](std::size_t oi_idx) {
     const auto oi = static_cast<std::int64_t>(oi_idx);
-    thread_local kernels::KernelScratch row_scratch;
     std::vector<std::uint8_t> column(
         static_cast<std::size_t>(spec.weight_rows()));
     std::vector<std::int32_t> acc(
@@ -538,7 +510,7 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
       if (scalar) {
         acc = layer.mvm_scalar(column, mode_, key);
       } else {
-        layer.mvm_into(column, mode_, acc, row_scratch, key);
+        layer.mvm_read_noisy_into(column, acc, key);
       }
       for (std::int64_t co = 0; co < spec.out_channels; ++co) {
         op[co * plane] =
@@ -583,11 +555,11 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
   const std::int32_t* acc = nullptr;
   std::int64_t s_step = 1;
   std::int64_t j_step = count;
-  if (!scalar && !layer.read_noisy() && count > 1) {
-    // Noise-free fast path: all samples through one batched MVM per
-    // crossbar, batch dimension innermost. Integer sums are exact and each
-    // sample is scaled by its own out_scale afterwards, so this is bit for
-    // bit the per-sample result.
+  if (!scalar && !layer.read_noisy()) {
+    // Noise-free fast path: all samples (a single sample is a batch of one)
+    // through one batched MVM per crossbar, batch dimension innermost.
+    // Integer sums are exact and each sample is scaled by its own out_scale
+    // afterwards, so this is bit for bit the per-sample result.
     std::uint8_t* cols_t =
         scratch.columns_t(static_cast<std::size_t>(rows * count));
     for (std::int64_t r = 0; r < rows; ++r) {
@@ -603,8 +575,8 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
         std::span(accs_t, static_cast<std::size_t>(cols * count)), scratch);
     acc = accs_t;
   } else {
+    // Per-sample fallback (read-noisy fabrics and the scalar baseline).
     per_sample.assign(static_cast<std::size_t>(count * cols), 0);
-    const std::int64_t rbs = layer.row_block_count();
     for (std::int64_t s = 0; s < count; ++s) {
       const std::span<const std::uint8_t> column(
           qas[static_cast<std::size_t>(s)].values);
@@ -615,28 +587,9 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
         const std::vector<std::int32_t> a =
             layer.mvm_scalar(column, mode_, key);
         std::copy(a.begin(), a.end(), out);
-      } else if (pool != nullptr && rbs > 1) {
-        // Row-block split: each block's partial lands in its own slice,
-        // then the slices merge in block order — exact integer sums, so
-        // the result is bit-identical for any pool size.
-        std::vector<std::int32_t> partials(
-            static_cast<std::size_t>(rbs * cols), 0);
-        const auto run_block = [&](std::size_t rb) {
-          thread_local kernels::KernelScratch rb_scratch;
-          layer.mvm_row_block_accum(
-              static_cast<std::int64_t>(rb), column, mode_,
-              partials.data() + static_cast<std::int64_t>(rb) * cols,
-              rb_scratch, key);
-        };
-        pool->parallel_for(0, static_cast<std::size_t>(rbs), run_block);
-        for (std::int64_t rb = 0; rb < rbs; ++rb) {
-          const std::int32_t* p = partials.data() + rb * cols;
-          for (std::int64_t j = 0; j < cols; ++j) out[j] += p[j];
-        }
       } else {
-        layer.mvm_into(column, mode_,
-                       std::span(out, static_cast<std::size_t>(cols)),
-                       scratch, key);
+        layer.mvm_read_noisy_into(
+            column, std::span(out, static_cast<std::size_t>(cols)), key);
       }
     }
     acc = per_sample.data();
@@ -775,18 +728,16 @@ TrialFabricCache::Stats TrialFabricCache::stats() const {
 std::shared_ptr<const MappedLayer> LayerFabricCache::layer(
     const nn::Model& model, std::size_t layer_index,
     const mapping::CrossbarShape& shape, const FaultConfig& faults,
-    KernelPolicy policy, const std::function<MappedLayer()>& build) {
+    const std::function<MappedLayer()>& build) {
   return layers_.get(
-      {model.identity(), layer_index, shape.rows, shape.cols, faults, policy},
-      build);
+      {model.identity(), layer_index, shape.rows, shape.cols, faults}, build);
 }
 
 std::shared_ptr<const TrialFabricCache::IdealRefs>
 LayerFabricCache::ideal_refs(
     const nn::Model& model, int samples, std::uint64_t input_seed,
-    KernelPolicy policy,
     const std::function<TrialFabricCache::IdealRefs()>& build) {
-  return refs_.get({model.identity(), samples, input_seed, policy}, build);
+  return refs_.get({model.identity(), samples, input_seed}, build);
 }
 
 LayerFabricCache::Stats LayerFabricCache::stats() const {
@@ -876,8 +827,7 @@ RobustnessReport monte_carlo_robustness(
   const std::shared_ptr<const TrialFabricCache::IdealRefs> refs =
       layer_cache != nullptr
           ? layer_cache->ideal_refs(model, options.samples,
-                                    options.input_seed, options.kernels,
-                                    build_refs)
+                                    options.input_seed, build_refs)
       : cache != nullptr
           ? cache->ideal_refs(workload, build_refs)
           : std::make_shared<const TrialFabricCache::IdealRefs>(build_refs());
@@ -986,8 +936,8 @@ RobustnessReport monte_carlo_robustness(
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   // Chunking makes the parallel path worthwhile even for a single trial
-  // with enough samples; intra-forward row-block/tile splitting (the pool
-  // handed down to forward_batch) covers the rest, so threads > 1
+  // with enough samples; intra-forward conv position-tile splitting (the
+  // pool handed down to forward_batch) covers the rest, so threads > 1
   // alone justifies a pool — even for a lone trial and sample.
   std::optional<common::ThreadPool> local_pool;
   common::ThreadPool* pool = nullptr;

@@ -10,12 +10,14 @@
 // accelerator implements. Pooling layers run on the tile's pooling module
 // (plain float here).
 //
-// Two kernel policies exist: KernelPolicy::kFast (packed bit-plane kernels,
-// allocation-free accumulation, fast fault burn-in) and
-// KernelPolicy::kScalarReference (the retained per-cell datapaths and
-// per-crossbar partial vectors). They produce bit-identical numbers
-// (tested); the scalar policy is the equivalence oracle and the
-// speedup-measurement baseline.
+// Two kernel policies exist: KernelPolicy::kFast (every noise-free MVM, a
+// single column included, as one batched call per crossbar through the
+// dispatched kernels; fast fault burn-in) and KernelPolicy::kScalarReference
+// (the retained per-cell datapaths and per-crossbar partial vectors). They
+// produce bit-identical numbers (tested); the scalar policy is the
+// equivalence oracle and the speedup-measurement baseline. Read noise is
+// keyed per column, so a read-noisy fabric runs one column at a time under
+// either policy (mvm_read_noisy_into).
 #pragma once
 
 #include <cstdint>
@@ -81,35 +83,17 @@ class MappedLayer {
   float weight_scale() const noexcept { return weight_scale_; }
   const nn::LayerSpec& spec() const noexcept { return spec_; }
 
-  /// Integer MVM of one unfolded input column (length Cin·k², 8-bit):
-  /// writes one int32 accumulation per output channel into `out` (length
-  /// weight_cols(), zero-filled here) — the row-block partial sums merged
-  /// by the adder tree directly in the caller's buffer, allocation-free.
-  /// `scratch` is per-thread kernel scratch (packed input planes etc.).
-  ///
-  /// `call_key` seeds this call's read-noise stream: noise is drawn from an
-  /// RNG derived from (fault seed, layer id, call_key, crossbar index), so
-  /// the method is const in the strict sense — concurrent forwards on one
-  /// fabric are race-free and deterministic. Callers that want independent
-  /// noise across MVMs pass distinct keys (SimulatedModel derives them from
-  /// the sample/noise stream and the output position); identical keys
-  /// reproduce identical noise. Ignored on noise-free fabrics.
-  void mvm_into(std::span<const std::uint8_t> input_column, DatapathMode mode,
-                std::span<std::int32_t> out, kernels::KernelScratch& scratch,
-                std::uint64_t call_key = 0) const;
-
   /// Batched MVM over `count` input columns in transposed layout:
   /// columns_t is weight_rows() × count row-major (input row i for every
   /// column at columns_t[i·count ..]); accs_t is weight_cols() × count
   /// (output col j for every column at accs_t[j·count ..], zero-filled
   /// here). The batch dimension is innermost and contiguous, so the kernel
-  /// vectorizes even on narrow crossbars and the per-call overhead of
-  /// `count` separate mvm_into calls is amortized away. Supports the
-  /// integer datapath (batched GEMM kernel) and the bit-serial datapath
-  /// (all samples' packed input planes pushed through one dispatched
-  /// AND+popcount kernel; requires prepare_packed()). Integer sums are
-  /// exact — results are bit-identical to per-column mvm_into. Noise-free
-  /// fabrics only (checked).
+  /// vectorizes even on narrow crossbars; a single column is count = 1.
+  /// Supports the integer datapath (batched GEMM kernel) and the bit-serial
+  /// datapath (all samples' packed input planes pushed through one
+  /// dispatched AND+popcount kernel; requires prepare_packed()). Integer
+  /// sums are exact — results are bit-identical to per-column mvm_scalar.
+  /// Noise-free fabrics only (checked).
   void mvm_batch_into(const std::uint8_t* columns_t, std::int64_t count,
                       DatapathMode mode, std::span<std::int32_t> accs_t,
                       kernels::KernelScratch& scratch) const;
@@ -118,25 +102,26 @@ class MappedLayer {
   /// RNG path); batched MVMs are unavailable then.
   bool read_noisy() const noexcept { return read_sigma_weights_ > 0.0; }
 
-  /// Number of row blocks in the mapping — the intra-MVM parallel axis: a
-  /// row block's partial sums touch only its own crossbars, so distinct
-  /// blocks can run concurrently and merge by exact integer addition.
-  std::int64_t row_block_count() const noexcept { return mapping_.row_blocks; }
-
-  /// Accumulates row block `rb`'s partial MVM into `out` (length
-  /// weight_cols(), NOT zero-filled — accumulates on top). mvm_into equals
-  /// zero-fill + this for rb = 0 .. row_block_count()-1 in any order (the
-  /// read-noise stream is keyed per crossbar, not per execution order, so
-  /// even noisy partials are order-free).
-  void mvm_row_block_accum(std::int64_t rb,
-                           std::span<const std::uint8_t> input_column,
-                           DatapathMode mode, std::int32_t* out,
-                           kernels::KernelScratch& scratch,
+  /// Integer MVM of one unfolded input column (length Cin·k², 8-bit) under
+  /// read noise: writes one int32 accumulation per output channel into
+  /// `out` (length weight_cols(), zero-filled here) — the row-block partial
+  /// sums merged by the adder tree directly in the caller's buffer.
+  ///
+  /// `call_key` seeds this call's read-noise stream: noise is drawn from an
+  /// RNG derived from (fault seed, layer id, call_key, crossbar index), so
+  /// the method is const in the strict sense — concurrent forwards on one
+  /// fabric are race-free and deterministic. Callers that want independent
+  /// noise across MVMs pass distinct keys (SimulatedModel derives them from
+  /// the sample/noise stream and the output position); identical keys
+  /// reproduce identical noise.
+  void mvm_read_noisy_into(std::span<const std::uint8_t> input_column,
+                           std::span<std::int32_t> out,
                            std::uint64_t call_key = 0) const;
 
   /// The retained pre-packing datapath: scalar kernels, one partial vector
   /// per crossbar, merged into a freshly allocated output — the
-  /// KernelPolicy::kScalarReference path. Bit-identical to mvm_into.
+  /// KernelPolicy::kScalarReference path. Bit-identical to mvm_batch_into;
+  /// on a read-noisy fabric the integer datapath is mvm_read_noisy_into.
   std::vector<std::int32_t> mvm_scalar(
       std::span<const std::uint8_t> input_column, DatapathMode mode,
       std::uint64_t call_key = 0) const;
@@ -179,7 +164,6 @@ class MappedLayer {
   nn::LayerSpec spec_;
   mapping::LayerMapping mapping_;
   float weight_scale_ = 1.0f;
-  KernelPolicy policy_ = KernelPolicy::kFast;
   // Crossbar grid, row-major: crossbars_[rb * col_blocks + cb].
   std::vector<LogicalCrossbar> crossbars_;
   // Channel range [start, end) of each row block (kernel-aligned path) or
@@ -255,16 +239,17 @@ class SimulatedModel {
   /// Runs the model's graph on the fabric for a batch of CHW inputs, sample
   /// i on read-noise stream `noise_stream0 + i` (equal streams repeat a
   /// pass, distinct streams draw independent noise; see
-  /// MappedLayer::mvm_into). Concurrent calls on one instance are safe.
+  /// MappedLayer::mvm_read_noisy_into). Concurrent calls on one instance
+  /// are safe.
   ///
   /// Mappable nodes run on their MappedLayer, noise-free fast FC layers as
   /// one batched MVM across the samples; pooling nodes run on the tile's
   /// pooling module; residual adds run on the vector unit in exact integer
   /// arithmetic (both operands on one symmetric 8-bit grid, summed in
-  /// int32, dequantized once). A non-null `pool` splits each layer's work
-  /// within a sample (conv position tiles; FC row blocks when the FC layer
-  /// runs per sample). Integer sums reassociate exactly, so every result is
-  /// bit-identical to running each sample alone and serially.
+  /// int32, dequantized once). A non-null `pool` splits each conv layer's
+  /// work within a sample across position tiles (position rows on a
+  /// read-noisy fabric). Integer sums reassociate exactly, so every result
+  /// is bit-identical to running each sample alone and serially.
   std::vector<ForwardTrace> forward_batch(
       std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0 = 0,
       common::ThreadPool* pool = nullptr) const;
@@ -302,7 +287,8 @@ class SimulatedModel {
                                std::uint64_t)>& burn) const;
   /// One mappable layer over a batch, sample i on noise stream
   /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
-  /// noise-free fast fabric take one batched MVM for two or more samples.
+  /// noise-free fast fabric take one batched MVM over all samples (one
+  /// sample is a batch of one).
   std::vector<tensor::Tensor> run_mappable(
       const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
       std::uint64_t noise_stream0, common::ThreadPool* pool) const;
@@ -413,13 +399,13 @@ class TrialFabricCache {
 /// Cross-allocation per-layer fabric cache (the in-search fabric cache).
 ///
 /// A programmed-and-burned MappedLayer is a pure function of (layer spec +
-/// weights, crossbar shape, fault config, layer id, kernel policy): the
-/// burn-in RNG stream is seeded per layer, independent of the rest of the
-/// allocation. An RL search revisits the same per-layer (layer, candidate)
-/// choices under one fixed FaultConfig even though whole allocations rarely
-/// repeat, so an L×C table of prebuilt layers turns the per-episode
-/// Monte-Carlo fabric construction into plain copies — no re-quantization,
-/// no burn-in RNG. Fabrics assembled from cached layers are bit-identical
+/// weights, crossbar shape, fault config, layer id): the burn-in RNG stream
+/// is seeded per layer, independent of the rest of the allocation. Only
+/// the fast kernel policy uses the cache, so the policy is not keyed. An RL
+/// search revisits the same per-layer (layer, candidate) choices under one
+/// fixed FaultConfig even though whole allocations rarely repeat, so an L×C
+/// table of prebuilt layers turns the per-episode Monte-Carlo fabric
+/// construction into plain copies — no re-quantization, no burn-in RNG. Fabrics assembled from cached layers are bit-identical
 /// to constructor-built ones (tested).
 ///
 /// Thread-safe; bounded (all entries are dropped when the cap is hit — the
@@ -433,17 +419,16 @@ class LayerFabricCache {
   std::shared_ptr<const MappedLayer> layer(
       const nn::Model& model, std::size_t layer_index,
       const mapping::CrossbarShape& shape, const FaultConfig& faults,
-      KernelPolicy policy, const std::function<MappedLayer()>& build);
+      const std::function<MappedLayer()>& build);
 
   /// Allocation-invariant ideal references for the assembly path, keyed by
-  /// (model, samples, input_seed, policy) — no shapes. One reference
+  /// (model, samples, input_seed) — no shapes. One reference
   /// set serves every allocation: the ideal fabric's forward is
   /// partition-exact (integer sums reassociate exactly and an ideal fabric
   /// has no read noise), so reference outputs are bit-identical across
   /// crossbar tilings (tested).
   std::shared_ptr<const TrialFabricCache::IdealRefs> ideal_refs(
-      const nn::Model& model, int samples,
-      std::uint64_t input_seed, KernelPolicy policy,
+      const nn::Model& model, int samples, std::uint64_t input_seed,
       const std::function<TrialFabricCache::IdealRefs()>& build);
 
   struct Stats {
@@ -462,14 +447,12 @@ class LayerFabricCache {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
     FaultConfig faults;
-    KernelPolicy policy = KernelPolicy::kFast;
     bool operator==(const Key&) const = default;
   };
   struct RefsKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
     int samples = 0;
     std::uint64_t input_seed = 0;
-    KernelPolicy policy = KernelPolicy::kFast;
     bool operator==(const RefsKey&) const = default;
   };
 

@@ -67,6 +67,12 @@
 #       a lenet5 search prints one winning crossbar shape per mappable
 #       layer; the removed strategy-file surfaces (`evaluate`, `--out`) are
 #       rejected.
+#   search_flags
+#       an 8-episode lenet5 search over --candidates square prints only
+#       square shapes and saves a different plan than over hybrid (at 4
+#       episodes both sets still pick 32x32 everywhere); its --csv history
+#       holds the header plus one row per episode. An unknown candidate set
+#       exits non-zero naming it and writes no plan.
 #   negative_counts
 #       a count below its minimum (a negative --eval-threads,
 #       --serve-threads, --top or --functional-samples; a zero --pes-per-tile,
@@ -401,6 +407,36 @@ elseif(CASE STREQUAL "search_shapes")
   run_fails("unknown command: evaluate" "${CLI}" evaluate)
   run_fails("unknown option: --out"
             "${CLI}" search --model lenet5 --episodes 5 --out strategy.txt)
+elseif(CASE STREQUAL "search_flags")
+  set(search "${CLI}" search --model lenet5 --episodes 8)
+  run(${search} --candidates square --plan-out square.json --csv h.csv)
+  string(REGEX MATCHALL "  L[0-9]+: [0-9]+x[0-9]+\n" rows "${OUTPUT}")
+  list(LENGTH rows count)
+  if(NOT count EQUAL 5)
+    message(FATAL_ERROR "search printed no per-layer shapes:\n${OUTPUT}")
+  endif()
+  foreach(row IN LISTS rows)
+    if(NOT row MATCHES ": ([0-9]+)x([0-9]+)"
+       OR NOT CMAKE_MATCH_1 EQUAL CMAKE_MATCH_2)
+      message(FATAL_ERROR "--candidates square chose a non-square shape:\n"
+                          "${OUTPUT}")
+    endif()
+  endforeach()
+  run(${search} --candidates hybrid --plan-out hybrid.json)
+  differ(square.json hybrid.json)
+  file(STRINGS "${WORK_DIR}/h.csv" csv_lines)
+  list(LENGTH csv_lines csv_count)
+  list(GET csv_lines 0 csv_header)
+  if(NOT csv_header STREQUAL "episode,reward,utilization,energy_nj,rue"
+     OR NOT csv_count EQUAL 9)
+    message(FATAL_ERROR "h.csv is not a header plus 8 episode rows:\n"
+                        "${csv_lines}")
+  endif()
+  run_fails("unknown candidate set: bogus"
+            ${search} --candidates bogus --plan-out bogus.json)
+  if(EXISTS "${WORK_DIR}/bogus.json")
+    message(FATAL_ERROR "an unknown candidate set still wrote a plan")
+  endif()
 elseif(CASE STREQUAL "negative_counts")
   set(replay "${CLI}" replay --plan-in "${fixture_plan}")
   set(serve "${CLI}" serve --plan-in "${fixture_plan}")

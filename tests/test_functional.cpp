@@ -17,14 +17,18 @@ using reram::DatapathMode;
 using reram::MappedLayer;
 using reram::SimulatedModel;
 
-/// One noise-free MVM of `x` through `layer`, returned by value.
+/// One noise-free MVM of `x` through `layer` (a batch of one), returned by
+/// value. The bit-serial batch kernel reads packed planes, so it runs on a
+/// packed copy of the layer.
 std::vector<std::int32_t> mvm(const MappedLayer& layer,
                               std::span<const std::uint8_t> x,
                               DatapathMode mode) {
+  MappedLayer packed = layer;
+  if (mode == DatapathMode::kBitSerial) packed.prepare_packed();
   std::vector<std::int32_t> out(
       static_cast<std::size_t>(layer.spec().weight_cols()));
   reram::kernels::KernelScratch scratch;
-  layer.mvm_into(x, mode, out, scratch);
+  packed.mvm_batch_into(x.data(), 1, mode, out, scratch);
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/metrics.hpp"
 #include "reram/crossbar.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
@@ -139,7 +140,7 @@ TEST(PackedKernels, BatchedReferenceMatchesPerColumn) {
         column[static_cast<std::size_t>(i)] =
             cols_t[static_cast<std::size_t>(i * batch + p)];
       }
-      const auto expected = xb.mvm_reference(column);
+      const auto expected = xb.mvm_reference_scalar(column);
       for (std::int64_t j = 0; j < c.cols; ++j) {
         EXPECT_EQ(acc_t[static_cast<std::size_t>(j * batch + p)],
                   expected[static_cast<std::size_t>(j)])
@@ -222,7 +223,7 @@ TEST_P(KernelVariantTest, BatchedPackedMatchesPerColumn) {
         column[static_cast<std::size_t>(i)] =
             cols_t[static_cast<std::size_t>(i * batch + p)];
       }
-      const auto expected_bs = xb.mvm_bit_serial(column);
+      const auto expected_bs = xb.mvm_bit_serial_scalar(column);
       for (std::int64_t j = 0; j < c.cols; ++j) {
         EXPECT_EQ(bs_t[static_cast<std::size_t>(j * batch + p)],
                   expected_bs[static_cast<std::size_t>(j)])
@@ -629,9 +630,10 @@ TEST(MonteCarloIdentity, ReadNoiseThreadInvariance) {
 }
 
 TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
-  // Intra-forward parallelism (FC row blocks + conv position tiles) must be
-  // bit-identical to the serial pass: integer partials reassociate exactly,
-  // and the read-noise streams are keyed by position, not execution order.
+  // Intra-forward parallelism (conv position tiles, or position rows under
+  // read noise) must be bit-identical to the serial pass: integer partials
+  // reassociate exactly, and the read-noise streams are keyed by position,
+  // not execution order.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
@@ -645,6 +647,9 @@ TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
   noisy.read_sigma = 0.05;
   noisy.program_sigma = 0.01;
   common::ThreadPool pool(4);
+  // Both forwards must also count the same functional MVMs.
+  const obs::Counter& mvms =
+      obs::Registry::global().counter("autohet_functional_mvm_total");
   struct Case {
     reram::DatapathMode mode;
     FaultConfig faults;
@@ -654,9 +659,14 @@ TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
                         {reram::DatapathMode::kInteger, noisy}};
   for (const auto& c : cases) {
     const SimulatedModel fabric(model, shapes, c.mode, c.faults);
+    const std::uint64_t before_serial = mvms.value();
     const tensor::Tensor serial = fabric.forward(image, /*noise_stream=*/3);
+    const std::uint64_t serial_mvms = mvms.value() - before_serial;
+    const std::uint64_t before_pooled = mvms.value();
     const tensor::Tensor pooled =
         fabric.forward(image, /*noise_stream=*/3, &pool);
+    EXPECT_EQ(mvms.value() - before_pooled, serial_mvms)
+        << "mode " << static_cast<int>(c.mode);
     ASSERT_EQ(serial.numel(), pooled.numel());
     for (std::int64_t i = 0; i < serial.numel(); ++i) {
       EXPECT_EQ(serial[i], pooled[i])
