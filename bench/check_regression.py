@@ -71,8 +71,6 @@ MANIFEST = [
     ("BENCH_functional_throughput.json",
      "forward.[datapath=integer].speedup", "min", 0.50, True),
     ("BENCH_functional_throughput.json",
-     "row_block_split.identical", "bool", 0.0, False),
-    ("BENCH_functional_throughput.json",
      "monte_carlo.configs.[config=AutoHet (RL)].reports_identical",
      "bool", 0.0, False),
     ("BENCH_functional_throughput.json",

@@ -1,7 +1,7 @@
 // Functional-simulation throughput: packed vs scalar MVM kernels across
-// every dispatchable ISA variant, fast vs scalar forward plumbing (plus the
-// intra-forward conv position-tile split), and Monte-Carlo robustness wall
-// time — the perf trajectory of the fast functional engine (DESIGN.md §7).
+// every dispatchable ISA variant, fast vs scalar forward plumbing, and
+// Monte-Carlo robustness wall time — the perf trajectory of the fast
+// functional engine (DESIGN.md §7).
 //
 // Levels timed, each against its retained scalar baseline (the pre-packing
 // datapaths, kept precisely so this comparison stays honest):
@@ -9,10 +9,7 @@
 //     with the bit-serial kernel additionally timed under every supported
 //     dispatch variant (portable/avx2/avx512) — the `dispatch` JSON section
 //     records the selected path and each variant's rate;
-//   * whole-network forwards (images/s, integer and bit-serial datapaths),
-//     plus the same single-sample forward with its conv layers split
-//     across position tiles on a worker pool (bit-identical outputs,
-//     asserted; the JSON keeps the section name `row_block_split`);
+//   * whole-network forwards (images/s, integer and bit-serial datapaths);
 //   * the full fault_sweep Monte-Carlo workload — fault_sweep's three
 //     configurations over its 15-point grid (3 cell-bits × 5 stuck rates,
 //     σ=0.01, 5 trials × 12 samples), measured end-to-end through
@@ -37,11 +34,9 @@
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
 #include "reram/kernels/kernels.hpp"
-#include "tensor/ops.hpp"
 
 using namespace autohet;
 
@@ -224,8 +219,6 @@ int main(int argc, char** argv) {
     double fast_per_s, scalar_per_s;
   };
   std::vector<ForwardRow> forwards;
-  double fwd_serial_per_s = 0.0;
-  double fwd_pool_per_s = 0.0;
   {
     const reram::SimulatedModel fast_int(model, shapes,
                                          reram::DatapathMode::kInteger);
@@ -247,20 +240,6 @@ int main(int argc, char** argv) {
          calls_per_second([&] { fsink = fsink + fast_bits.forward(image)[0]; }),
          calls_per_second(
              [&] { fsink = fsink + scalar_bits.forward(image)[0]; }, 400.0)});
-
-    // Intra-forward position-tile split: one sample's conv layers spread
-    // over the whole pool (its FC layers run as batches of one). Integer
-    // partials reassociate exactly, so the pooled forward must be
-    // bit-identical to the serial one.
-    common::ThreadPool fwd_pool(static_cast<std::size_t>(hw_threads));
-    const tensor::Tensor serial_out = fast_int.forward(image);
-    const tensor::Tensor pooled_out = fast_int.forward(image, 0, &fwd_pool);
-    AUTOHET_CHECK(tensor::max_abs_diff(serial_out, pooled_out) == 0.0f,
-                  "pooled forward diverged from the serial forward");
-    fwd_serial_per_s =
-        calls_per_second([&] { fsink = fsink + fast_int.forward(image)[0]; });
-    fwd_pool_per_s = calls_per_second(
-        [&] { fsink = fsink + fast_int.forward(image, 0, &fwd_pool)[0]; });
   }
 
   // --- Monte-Carlo wall time on the fault_sweep workload ----------------
@@ -435,10 +414,6 @@ int main(int argc, char** argv) {
                    report::format_fixed(f.scalar_per_s, 1),
                    report::format_fixed(f.fast_per_s / f.scalar_per_s, 2)});
   }
-  table.add_row({"forward (img/s)", "integer+conv tiles",
-                 report::format_fixed(fwd_pool_per_s, 1),
-                 report::format_fixed(fwd_serial_per_s, 1),
-                 report::format_fixed(fwd_pool_per_s / fwd_serial_per_s, 2)});
   for (const auto& m : mc_rows) {
     table.add_row({"MC grid (ms)", m.config,
                    report::format_fixed(m.fast_parallel_ms, 1),
@@ -496,11 +471,7 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << f.fast_per_s / f.scalar_per_s << "}";
     first_row = false;
   }
-  json << "\n  ],\n  \"row_block_split\": {\n"
-       << "    \"pool_threads\": " << hw_threads << ",\n"
-       << "    \"serial_images_per_s\": " << fwd_serial_per_s << ",\n"
-       << "    \"pool_images_per_s\": " << fwd_pool_per_s << ",\n"
-       << "    \"identical\": true\n  },\n  \"monte_carlo\": {\n"
+  json << "\n  ],\n  \"monte_carlo\": {\n"
        << "    \"workload\": \"fault_sweep\",\n"
        << "    \"episodes\": " << episodes << ",\n"
        << "    \"cell_bits\": [1, 2, 4],\n"

@@ -211,9 +211,6 @@ int run_replay(const common::ArgParser& args) {
     std::cout << "functional inference: " << agree << '/' << samples
               << " argmax agreement with float reference\n";
   }
-  AUTOHET_CHECK(trials == 0 || !plan.has_graph(),
-                "robustness MC replays the linear path; it is not "
-                "available for DAG (v2) plans yet");
   if (trials == 0) return 0;
   reram::RobustnessOptions opts;
   opts.trials = trials;
@@ -259,9 +256,6 @@ int run_profile(const common::ArgParser& args, obs::ObsSession& session) {
   // describe the same deployment.
   const auto samples = args.count("functional-samples");
   const auto trials = args.count("mc-trials");
-  AUTOHET_CHECK(trials == 0 || !plan.has_graph(),
-                "robustness MC replays the linear path; it is not "
-                "available for DAG (v2) plans yet");
   if (samples > 0 || trials > 0) {
     const nn::Model model = reram::replay_model(plan);
     if (samples > 0) {

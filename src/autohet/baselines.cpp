@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "obs/obs.hpp"
 
 namespace autohet::core {
@@ -18,11 +17,6 @@ StrategyResult finish(const CrossbarEnv& env, std::string name,
   r.actions = std::move(actions);
   return r;
 }
-
-/// Evaluation chunk for the enumerating searchers: big enough to amortize
-/// thread-pool dispatch, small enough to keep peak memory flat on the
-/// exhaustive C^N space.
-constexpr std::size_t kSweepChunk = 1024;
 }  // namespace
 
 StrategyResult evaluate_homogeneous_strategy(const CrossbarEnv& env,
@@ -103,89 +97,6 @@ StrategyResult greedy_search(const CrossbarEnv& env) {
     actions.push_back(best_c);
   }
   return finish(env, "Greedy", std::move(actions));
-}
-
-StrategyResult random_search(const CrossbarEnv& env, int evaluations,
-                             std::uint64_t seed) {
-  AUTOHET_CHECK(evaluations > 0, "evaluations must be positive");
-  OBS_SPAN("random_search");
-  common::Rng rng(seed);
-  StrategyResult best;
-  best.name = "Random";
-  best.reward = -1.0;
-  // Draw every configuration up front (the RNG stream is untouched by
-  // evaluation, so the sampled sequence matches the old interleaved loop),
-  // then sweep in embarrassingly-parallel chunks through the engine.
-  std::vector<std::vector<std::size_t>> chunk;
-  chunk.reserve(kSweepChunk);
-  int drawn = 0;
-  while (drawn < evaluations) {
-    chunk.clear();
-    while (drawn < evaluations && chunk.size() < kSweepChunk) {
-      std::vector<std::size_t> actions(env.num_layers());
-      for (auto& a : actions) a = rng.uniform_u64(env.num_actions());
-      chunk.push_back(std::move(actions));
-      ++drawn;
-    }
-    const auto reports = env.evaluate_batch(chunk);
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      const double reward = env.reward(reports[i]);
-      if (reward > best.reward) {  // first maximum wins, as before
-        best.reward = reward;
-        best.report = reports[i];
-        best.actions = chunk[i];
-      }
-    }
-  }
-  return best;
-}
-
-StrategyResult exhaustive_search(const CrossbarEnv& env,
-                                 std::int64_t max_evaluations) {
-  OBS_SPAN("exhaustive_search");
-  const std::size_t n = env.num_layers();
-  const std::size_t c = env.num_actions();
-  // Overflow-safe space-size check.
-  std::int64_t space = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    AUTOHET_CHECK(space <= max_evaluations / static_cast<std::int64_t>(c),
-                  "exhaustive search space exceeds max_evaluations");
-    space *= static_cast<std::int64_t>(c);
-  }
-
-  StrategyResult best;
-  best.name = "Exhaustive";
-  best.reward = -1.0;
-  std::vector<std::size_t> actions(n, 0);
-  std::vector<std::vector<std::size_t>> chunk;
-  chunk.reserve(kSweepChunk);
-  bool done = false;
-  while (!done) {
-    // Enumerate the next odometer chunk of the C^N space...
-    chunk.clear();
-    while (!done && chunk.size() < kSweepChunk) {
-      chunk.push_back(actions);
-      std::size_t pos = 0;
-      while (pos < n) {
-        if (++actions[pos] < c) break;
-        actions[pos] = 0;
-        ++pos;
-      }
-      done = (pos == n);
-    }
-    // ...and fan it out; scanning in enumeration order keeps the returned
-    // optimum identical to the serial loop (first maximum wins).
-    const auto reports = env.evaluate_batch(chunk);
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      const double reward = env.reward(reports[i]);
-      if (reward > best.reward) {
-        best.reward = reward;
-        best.report = reports[i];
-        best.actions = chunk[i];
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace autohet::core

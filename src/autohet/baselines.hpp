@@ -1,16 +1,13 @@
-// Comparator strategies: the paper's baselines plus validation searchers.
+// Comparator strategies: the paper's baselines.
 //
 //   * Homogeneous accelerators (the paper's five SXB baselines, §4.1).
 //   * Manual-Hetero (Fig. 3): hand-assigned 512x512 / 256x256 split.
 //   * Greedy: per-layer argmax of layer-level utilization/energy — the
 //     natural non-learning heuristic; used to show what layer-local choices
 //     miss (the tile-granular system effects the RL reward captures).
-//   * Random search: ablates the learning in the RL agent at equal budget.
-//   * Exhaustive search: ground-truth optimum for small models/candidate
-//     sets, used to bound the RL optimality gap.
 #pragma once
 
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "autohet/env.hpp"
@@ -41,14 +38,5 @@ StrategyResult manual_hetero(const CrossbarEnv& env, std::size_t head_index,
 
 /// Greedy per-layer choice maximizing layer utilization / layer energy.
 StrategyResult greedy_search(const CrossbarEnv& env);
-
-/// Uniform random search with the given evaluation budget.
-StrategyResult random_search(const CrossbarEnv& env, int evaluations,
-                             std::uint64_t seed);
-
-/// Exhaustive enumeration of all C^N configurations; throws when the space
-/// exceeds `max_evaluations`.
-StrategyResult exhaustive_search(const CrossbarEnv& env,
-                                 std::int64_t max_evaluations = 2'000'000);
 
 }  // namespace autohet::core

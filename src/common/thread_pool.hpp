@@ -2,9 +2,9 @@
 //
 // Used by the search drivers to evaluate independent accelerator
 // configurations concurrently (e.g. the homogeneous baseline sweep and the
-// search-time benchmark), and by the functional simulator to split one
-// forward pass across row blocks / position tiles. Work items must be
-// independent; the pool provides no ordering guarantees beyond
+// search-time benchmark), and by the Monte-Carlo robustness evaluation to
+// build trial fabrics and run (trial, sample-chunk) items concurrently.
+// Work items must be independent; the pool provides no ordering guarantees beyond
 // wait()/parallel_for joining all tasks.
 //
 // parallel_for is safe to call concurrently from several threads and to

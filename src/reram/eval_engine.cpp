@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "mapping/layer_mapping.hpp"
+#include "mapping/plan.hpp"
 #include "mapping/tile_allocator.hpp"
 #include "obs/obs.hpp"
 
@@ -212,35 +213,6 @@ NetworkReport EvaluationEngine::evaluate(
   return report;
 }
 
-NetworkReport EvaluationEngine::evaluate(
-    const plan::DeploymentPlan& plan) const {
-  OBS_PROFILE_RECORD(obs::ProfileKind::kPlanEval, -1, 0, 1);
-  plan.validate();
-  AUTOHET_CHECK(plan.accel == accel_,
-                "plan was compiled for a different accelerator config");
-  AUTOHET_CHECK(plan.layers == layers_,
-                "plan layers do not match the engine's layers");
-  // Map the plan's shapes back to candidate indices; the frozen allocation
-  // is then exactly what compute() re-derives, so the memoized
-  // action-vector path serves the plan bit-identically.
-  std::vector<std::size_t> actions;
-  actions.reserve(plan.layers.size());
-  for (const auto& shape : plan.shapes()) {
-    std::size_t index = candidates_.size();
-    for (std::size_t c = 0; c < candidates_.size(); ++c) {
-      if (candidates_[c] == shape) {
-        index = c;
-        break;
-      }
-    }
-    AUTOHET_CHECK(index < candidates_.size(),
-                  "plan shape " + shape.name() +
-                      " is not in the engine's candidate set");
-    actions.push_back(index);
-  }
-  return evaluate(actions);
-}
-
 std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
     const std::vector<std::vector<std::size_t>>& batch) const {
   OBS_SPAN("evaluate_batch");
@@ -349,7 +321,6 @@ std::size_t EvaluationEngine::RobustnessKeyHash::operator()(
   mix(static_cast<std::uint64_t>(k.trials));
   mix(static_cast<std::uint64_t>(k.samples));
   mix(k.input_seed);
-  mix(static_cast<std::uint64_t>(k.kernels));
   mix(static_cast<std::uint64_t>(k.budget.mode));
   mix(std::bit_cast<std::uint64_t>(k.budget.ci_halfwidth));
   mix(static_cast<std::uint64_t>(k.budget.min_trials));
@@ -363,7 +334,7 @@ RobustnessReport EvaluationEngine::evaluate_robustness_cached(
     const FaultConfig& faults, const RobustnessOptions& options) const {
   const RobustnessKey key{model.identity(), actions,         faults,
                           options.trials,   options.samples, options.input_seed,
-                          options.kernels,  options.budget};
+                          options.budget};
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const RobustnessReport* hit = rob_memo_.find(key)) {

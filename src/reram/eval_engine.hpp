@@ -43,7 +43,6 @@
 
 #include "common/thread_pool.hpp"
 #include "mapping/crossbar_shape.hpp"
-#include "mapping/plan.hpp"
 #include "nn/layer.hpp"
 #include "reram/functional.hpp"
 #include "reram/hardware_model.hpp"
@@ -76,13 +75,6 @@ class EvaluationEngine {
   /// Memoized.
   NetworkReport evaluate(const std::vector<std::size_t>& actions) const;
 
-  /// Evaluation of a compiled DeploymentPlan. The plan must have been
-  /// compiled for this engine's layers and accelerator config (checked),
-  /// and every plan shape must be in the candidate set — the call then maps
-  /// shapes back to candidate indices and shares the memo with the
-  /// action-vector path. Bit-identical to `evaluate_plan`.
-  NetworkReport evaluate(const plan::DeploymentPlan& plan) const;
-
   /// Evaluates many independent action vectors, deduplicating repeats and
   /// fanning cache misses out over the thread pool (serial when
   /// `threads == 0`). Results are positionally aligned with `batch`
@@ -113,8 +105,8 @@ class EvaluationEngine {
   /// FaultConfig, budget knobs), so a search that revisits an allocation
   /// pays the Monte-Carlo cost once. Pair it with a small adaptive
   /// `RobustnessBudget` — the memo amortizes repeats, the budget bounds
-  /// first-visit cost. Thread settings are deliberately not part of the
-  /// key (reports are byte-identical at any thread count).
+  /// first-visit cost. Thread and kernel-policy settings are deliberately
+  /// not part of the key (reports are byte-identical across both).
   RobustnessReport evaluate_robustness_cached(
       const nn::Model& model, const std::vector<std::size_t>& actions,
       const FaultConfig& faults, const RobustnessOptions& options = {}) const;
@@ -175,8 +167,9 @@ class EvaluationEngine {
     }
   };
   /// Everything evaluate_robustness_cached's result depends on. Thread /
-  /// pool / cache knobs are excluded on purpose: reports are byte-identical
-  /// across them, so one memo serves every execution configuration.
+  /// pool / cache knobs and the kernel policy are excluded on purpose:
+  /// reports are byte-identical across them, so one memo serves every
+  /// execution configuration.
   struct RobustnessKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
     std::vector<std::size_t> actions;
@@ -184,7 +177,6 @@ class EvaluationEngine {
     int trials = 0;
     int samples = 0;
     std::uint64_t input_seed = 0;
-    KernelPolicy kernels = KernelPolicy::kFast;
     RobustnessBudget budget;
     bool operator==(const RobustnessKey&) const = default;
   };

@@ -395,8 +395,7 @@ SimulatedModel SimulatedModel::clone_burned(
 
 tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
                                         const tensor::Tensor& input,
-                                        std::uint64_t noise_stream,
-                                        common::ThreadPool* pool) const {
+                                        std::uint64_t noise_stream) const {
   const nn::LayerSpec& spec = layer.spec();
   OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
                      &layer - layers_.data(), 0, spec.mvm_count());
@@ -452,20 +451,16 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
   // fabric): im2col a tile of output positions and push them through one
   // batched MVM per crossbar. Integer sums are exact, so the results are
   // bit-identical to the per-position loop below — only per-position call
-  // overhead goes. Tiles write disjoint output slices, so a pool runs them
-  // concurrently with no reduction step at all.
+  // overhead goes.
   if (!scalar && !layer.read_noisy()) {
     constexpr std::int64_t kTile = 96;
     const std::int64_t positions = oh * ow;
     const std::int64_t rows = spec.weight_rows();
     const std::int64_t cols = spec.weight_cols();
-    const std::int64_t tiles = (positions + kTile - 1) / kTile;
-    const auto run_tile = [&](std::size_t tile_idx) {
-      thread_local kernels::KernelScratch tile_scratch;
-      const std::int64_t p0 = static_cast<std::int64_t>(tile_idx) * kTile;
+    thread_local kernels::KernelScratch tile_scratch;
+    std::uint8_t* column = tile_scratch.column(static_cast<std::size_t>(rows));
+    for (std::int64_t p0 = 0; p0 < positions; p0 += kTile) {
       const std::int64_t n = std::min(kTile, positions - p0);
-      std::uint8_t* column =
-          tile_scratch.column(static_cast<std::size_t>(rows));
       std::uint8_t* cols_t =
           tile_scratch.columns_t(static_cast<std::size_t>(n * rows));
       std::int32_t* accs_t =
@@ -488,20 +483,16 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
           op[t] = static_cast<float>(a[t]) * out_scale;
         }
       }
-    };
-    common::parallel_for(pool, 0, static_cast<std::size_t>(tiles), run_tile);
+    }
     return out;
   }
 
   // Per-position fallback (read-noisy fabrics and the scalar baseline).
-  // The read-noise stream is keyed on the output position, not on
-  // execution order, so parallel rows reproduce the serial pass exactly.
-  const auto run_row = [&](std::size_t oi_idx) {
-    const auto oi = static_cast<std::int64_t>(oi_idx);
-    std::vector<std::uint8_t> column(
-        static_cast<std::size_t>(spec.weight_rows()));
-    std::vector<std::int32_t> acc(
-        static_cast<std::size_t>(spec.weight_cols()));
+  // The read-noise stream is keyed on the output position.
+  std::vector<std::uint8_t> column(
+      static_cast<std::size_t>(spec.weight_rows()));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(spec.weight_cols()));
+  for (std::int64_t oi = 0; oi < oh; ++oi) {
     for (std::int64_t oj = 0; oj < ow; ++oj) {
       fill_column(oi, oj, column.data());
       const std::uint64_t key =
@@ -517,22 +508,20 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
             static_cast<float>(acc[static_cast<std::size_t>(co)]) * out_scale;
       }
     }
-  };
-  common::parallel_for(pool, 0, static_cast<std::size_t>(oh), run_row);
+  }
   return out;
 }
 
 std::vector<tensor::Tensor> SimulatedModel::run_mappable(
     const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
-    std::uint64_t noise_stream0, common::ThreadPool* pool) const {
+    std::uint64_t noise_stream0) const {
   const nn::LayerSpec& spec = layer.spec();
   const bool scalar = policy_ == KernelPolicy::kScalarReference;
-  if (scalar) pool = nullptr;  // the baseline stays honestly serial
   std::vector<tensor::Tensor> outs;
   outs.reserve(inputs.size());
   if (spec.type == nn::LayerType::kConv) {
     for (std::size_t s = 0; s < inputs.size(); ++s) {
-      outs.push_back(run_conv(layer, inputs[s], noise_stream0 + s, pool));
+      outs.push_back(run_conv(layer, inputs[s], noise_stream0 + s));
     }
     return outs;
   }
@@ -609,15 +598,13 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
 }
 
 tensor::Tensor SimulatedModel::forward(const tensor::Tensor& input,
-                                       std::uint64_t noise_stream,
-                                       common::ThreadPool* pool) const {
+                                       std::uint64_t noise_stream) const {
   return std::move(
-      forward_batch(std::span(&input, 1), noise_stream, pool).front().output);
+      forward_batch(std::span(&input, 1), noise_stream).front().output);
 }
 
 std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_batch(
-    std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0,
-    common::ThreadPool* pool) const {
+    std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0) const {
   const nn::Graph& graph = model_->graph();
   AUTOHET_CHECK(graph.node_count() > 0,
                 "network is not sequentially runnable (" +
@@ -667,8 +654,7 @@ std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_batch(
         }
         Batch v;
         if (nn::is_mappable(node)) {
-          v = run_mappable(layers_[mappable_idx++], *x[0], noise_stream0,
-                           pool);
+          v = run_mappable(layers_[mappable_idx++], *x[0], noise_stream0);
           for (std::size_t s = 0; s < v.size(); ++s) {
             traces[s].mappable_outputs.push_back(v[s]);  // pre-activation
           }
@@ -904,14 +890,14 @@ RobustnessReport monte_carlo_robustness(
   // bit-identical to one-sample forwards. Returns the chunk's wall
   // time so the per-trial total can be folded deterministically later.
   const auto run_chunk = [&](const SimulatedModel& faulty, TrialResult& res,
-                             int c, common::ThreadPool* pool) -> double {
+                             int c) -> double {
     const auto t0 = std::chrono::steady_clock::now();
     const int s0 = c * kSampleChunk;
     const int s1 = std::min(options.samples, s0 + kSampleChunk);
     const auto traces = faulty.forward_batch(
         std::span(images).subspan(static_cast<std::size_t>(s0),
                                   static_cast<std::size_t>(s1 - s0)),
-        /*noise_stream0=*/static_cast<std::uint64_t>(s0), pool);
+        /*noise_stream0=*/static_cast<std::uint64_t>(s0));
     for (int s = s0; s < s1; ++s) {
       const auto si = static_cast<std::size_t>(s);
       const auto& trace = traces[static_cast<std::size_t>(s - s0)];
@@ -935,10 +921,9 @@ RobustnessReport monte_carlo_robustness(
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Chunking makes the parallel path worthwhile even for a single trial
-  // with enough samples; intra-forward conv position-tile splitting (the
-  // pool handed down to forward_batch) covers the rest, so threads > 1
-  // alone justifies a pool — even for a lone trial and sample.
+  // The (trial, sample-chunk) items are the one parallel level: chunking
+  // keeps a pool busy even for a single trial with enough samples, and each
+  // forward inside an item runs serially.
   std::optional<common::ThreadPool> local_pool;
   common::ThreadPool* pool = nullptr;
   if (!scalar && threads > 1) {
@@ -971,7 +956,7 @@ RobustnessReport monte_carlo_robustness(
         OBS_SPAN("fault_trial_chunk");
         const std::size_t t = b0 + item / cpt;
         const int c = static_cast<int>(item % cpt);
-        chunk_ms[item] = run_chunk(*fabrics[t - b0], trials[t], c, pool);
+        chunk_ms[item] = run_chunk(*fabrics[t - b0], trials[t], c);
       });
       // Chunks of one trial run concurrently; fold their times in order.
       for (std::size_t item = 0; item < chunk_ms.size(); ++item) {

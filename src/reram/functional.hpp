@@ -246,18 +246,15 @@ class SimulatedModel {
   /// one batched MVM across the samples; pooling nodes run on the tile's
   /// pooling module; residual adds run on the vector unit in exact integer
   /// arithmetic (both operands on one symmetric 8-bit grid, summed in
-  /// int32, dequantized once). A non-null `pool` splits each conv layer's
-  /// work within a sample across position tiles (position rows on a
-  /// read-noisy fabric). Integer sums reassociate exactly, so every result
-  /// is bit-identical to running each sample alone and serially.
+  /// int32, dequantized once). Integer sums are exact, so every result is
+  /// bit-identical to running each sample alone.
   std::vector<ForwardTrace> forward_batch(
-      std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0 = 0,
-      common::ThreadPool* pool = nullptr) const;
+      std::span<const tensor::Tensor> inputs,
+      std::uint64_t noise_stream0 = 0) const;
 
   /// Output of forward_batch over the single sample `input`.
   tensor::Tensor forward(const tensor::Tensor& input,
-                         std::uint64_t noise_stream = 0,
-                         common::ThreadPool* pool = nullptr) const;
+                         std::uint64_t noise_stream = 0) const;
 
   const std::vector<MappedLayer>& mapped_layers() const noexcept {
     return layers_;
@@ -291,11 +288,10 @@ class SimulatedModel {
   /// sample is a batch of one).
   std::vector<tensor::Tensor> run_mappable(
       const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
-      std::uint64_t noise_stream0, common::ThreadPool* pool) const;
+      std::uint64_t noise_stream0) const;
   tensor::Tensor run_conv(const MappedLayer& layer,
                           const tensor::Tensor& input,
-                          std::uint64_t noise_stream,
-                          common::ThreadPool* pool) const;
+                          std::uint64_t noise_stream) const;
 
   const nn::Model* model_;
   DatapathMode mode_;

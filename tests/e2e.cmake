@@ -18,7 +18,13 @@
 #   fault_sweep_adaptive_pooled, fault_sweep_adaptive_serial
 #       `fault_sweep 20 0 adaptive` (pooled) and `fault_sweep 20 1 adaptive`
 #       (serial) write BENCH_fault_sweep_adaptive.json byte-identical to the
-#       committed baseline, and leave BENCH_fault_sweep.json unwritten.
+#       committed baseline, and leave BENCH_fault_sweep.json unwritten. The
+#       pooled case also checks the adaptive run against the committed
+#       fixed-mode sweep: budget mode `adaptive`, mc_savings_ratio >= 3,
+#       every zero-stuck-rate point stopped at min_trials, the same series
+#       names and tile shapes, and every point's CI overlapping the fixed
+#       run's CI (the adaptive trials are a seeded prefix of the fixed
+#       stream, so disjoint intervals mean a broken stopping rule).
 #   serving_sim_threads
 #       `serving_sim 500` run twice, and once more with --threads 0, writes
 #       the same BENCH_serving.json each time; the report has its format
@@ -39,7 +45,8 @@
 #       report JSON.
 #   graph_cifar_functional
 #       functional replay of the cifar-resnet v2 plan runs and reports its
-#       argmax agreement.
+#       argmax agreement; its robustness MC replay prints the same report at
+#       1 and at 4 Monte-Carlo threads.
 #   plan_roundtrip
 #       a 20-episode lenet5 search saves its plan and report; two replays of
 #       the saved plan each reproduce the search-time report byte for byte,
@@ -184,8 +191,10 @@ elseif(CASE STREQUAL "fault_sweep_serial")
   run("${FAULT_SWEEP}" 20 1)
   same(BENCH_fault_sweep.json "${sweep_baseline}")
 elseif(CASE MATCHES "^fault_sweep_adaptive_(pooled|serial)$")
+  set(pooled ON)
   set(threads 0)
   if(CMAKE_MATCH_1 STREQUAL "serial")
+    set(pooled OFF)
     set(threads 1)
   endif()
   run("${FAULT_SWEEP}" 20 ${threads} adaptive)
@@ -193,6 +202,66 @@ elseif(CASE MATCHES "^fault_sweep_adaptive_(pooled|serial)$")
        "${SOURCE_DIR}/bench/BENCH_baseline/BENCH_fault_sweep_adaptive.json")
   if(EXISTS "${WORK_DIR}/BENCH_fault_sweep.json")
     message(FATAL_ERROR "the adaptive sweep wrote BENCH_fault_sweep.json")
+  endif()
+  if(pooled)
+    file(READ "${WORK_DIR}/BENCH_fault_sweep_adaptive.json" adaptive)
+    file(READ "${sweep_baseline}" fixed)
+    string(JSON mode GET "${adaptive}" budget mode)
+    if(NOT mode STREQUAL "adaptive")
+      message(FATAL_ERROR "adaptive sweep budget mode is '${mode}'")
+    endif()
+    string(JSON savings GET "${adaptive}" mc_savings_ratio)
+    if(savings LESS 3)
+      message(FATAL_ERROR "adaptive mc_savings_ratio ${savings} < 3")
+    endif()
+    string(JSON min_trials GET "${adaptive}" budget min_trials)
+    string(JSON series LENGTH "${fixed}" series)
+    string(JSON adaptive_series LENGTH "${adaptive}" series)
+    if(NOT series EQUAL adaptive_series)
+      message(FATAL_ERROR "${adaptive_series} adaptive series, ${series} fixed")
+    endif()
+    math(EXPR last_series "${series} - 1")
+    foreach(s RANGE ${last_series})
+      foreach(key name tile_shapes)
+        string(JSON want GET "${fixed}" series ${s} ${key})
+        string(JSON got GET "${adaptive}" series ${s} ${key})
+        if(NOT got STREQUAL want)
+          message(FATAL_ERROR "series ${s} ${key}: adaptive ${got}, "
+                              "fixed ${want}")
+        endif()
+      endforeach()
+      string(JSON points LENGTH "${fixed}" series ${s} points)
+      string(JSON adaptive_points LENGTH "${adaptive}" series ${s} points)
+      if(NOT points EQUAL adaptive_points)
+        message(FATAL_ERROR "series ${s}: ${adaptive_points} adaptive "
+                            "points, ${points} fixed")
+      endif()
+      math(EXPR last_point "${points} - 1")
+      foreach(p RANGE ${last_point})
+        set(at "series ${s} point ${p}")
+        string(JSON rate GET "${fixed}" series ${s} points ${p} stuck_rate)
+        if(rate EQUAL 0)
+          string(JSON trials_run GET "${adaptive}"
+                 series ${s} points ${p} mc_trials_run)
+          if(NOT trials_run EQUAL min_trials)
+            message(FATAL_ERROR "${at}: zero stuck rate ran ${trials_run} "
+                                "trials, not min_trials ${min_trials}")
+          endif()
+        endif()
+        foreach(doc fixed adaptive)
+          foreach(bound lower upper)
+            string(JSON ${doc}_${bound} GET "${${doc}}"
+                   series ${s} points ${p} accuracy_ci_${bound})
+          endforeach()
+        endforeach()
+        if(fixed_lower GREATER adaptive_upper OR
+           adaptive_lower GREATER fixed_upper)
+          message(FATAL_ERROR "${at}: adaptive CI [${adaptive_lower}, "
+                              "${adaptive_upper}] misses fixed CI "
+                              "[${fixed_lower}, ${fixed_upper}]")
+        endif()
+      endforeach()
+    endforeach()
   endif()
 elseif(CASE STREQUAL "serving_sim_threads")
   foreach(tag first second threads0)
@@ -280,6 +349,17 @@ elseif(CASE STREQUAL "graph_cifar_functional")
   run("${CLI}" replay --plan-in cifar_v2.json --functional-samples 2)
   if(NOT OUTPUT MATCHES "argmax agreement")
     message(FATAL_ERROR "replay printed no argmax agreement:\n${OUTPUT}")
+  endif()
+  foreach(threads 1 4)
+    run("${CLI}" replay --plan-in cifar_v2.json --mc-trials 3
+        --mc-threads ${threads})
+    set(mc_${threads} "${OUTPUT}")
+  endforeach()
+  if(NOT mc_1 MATCHES "robustness MC")
+    message(FATAL_ERROR "replay printed no robustness MC:\n${mc_1}")
+  endif()
+  if(NOT mc_1 STREQUAL mc_4)
+    message(FATAL_ERROR "MC replay differs across threads:\n${mc_1}\n${mc_4}")
   endif()
 elseif(CASE STREQUAL "plan_roundtrip")
   run("${CLI}" search --model lenet5 --episodes 20 --plan-out plan.json

@@ -403,13 +403,11 @@ TEST(GraphFunctional, CifarResnetBatchMatchesPerSample) {
   }
   reram::FaultConfig noisy;
   noisy.read_sigma = 0.05;
-  common::ThreadPool pool(2);
   for (const reram::FaultConfig& faults : {reram::FaultConfig{}, noisy}) {
     const reram::SimulatedModel fabric(model, shapes,
                                        reram::DatapathMode::kInteger, faults);
     const std::uint64_t s0 = 5;
     const auto batched = fabric.forward_batch(images, s0);
-    const auto pooled = fabric.forward_batch(images, s0, &pool);
     ASSERT_EQ(batched.size(), images.size());
     for (std::size_t s = 0; s < images.size(); ++s) {
       const std::string what = "read_sigma " +
@@ -418,7 +416,6 @@ TEST(GraphFunctional, CifarResnetBatchMatchesPerSample) {
       const auto single = fabric.forward_batch(
           std::span(&images[s], 1), s0 + static_cast<std::uint64_t>(s));
       expect_same_trace(batched[s], single.front(), what);
-      expect_same_trace(batched[s], pooled[s], what + " pooled");
       EXPECT_EQ(tensor::max_abs_diff(
                     batched[s].output,
                     fabric.forward(images[s],
@@ -427,6 +424,65 @@ TEST(GraphFunctional, CifarResnetBatchMatchesPerSample) {
           << what;
     }
   }
+}
+
+TEST(GraphFunctional, CifarResnetMonteCarloIsThreadAndCacheInvariant) {
+  // Robustness MC walks the model's graph: residual adds and global pooling
+  // run between the faulty crossbar layers, and the report must not depend
+  // on the thread count or on the trial-fabric cache.
+  const nn::Graph g = nn::cifar_resnet_graph();
+  common::Rng weight_rng(7);
+  const nn::Model model(g, weight_rng);
+  const std::vector<CrossbarShape> shapes(g.mappable_layers().size(),
+                                          CrossbarShape{64, 64});
+  reram::FaultConfig faults;
+  faults.stuck_at_zero_rate = 1e-3;
+  faults.stuck_at_one_rate = 1e-3;
+  faults.program_sigma = 0.01;
+  faults.read_sigma = 0.05;
+  reram::RobustnessOptions mc;
+  mc.trials = 2;
+  mc.samples = 3;
+  const reram::RobustnessReport serial =
+      reram::monte_carlo_robustness(model, shapes, faults, mc);
+  EXPECT_EQ(serial.trials, 2);
+  EXPECT_EQ(serial.layer_error.size(), g.mappable_layers().size());
+  EXPECT_GT(serial.fault_stats.stuck_at_zero + serial.fault_stats.stuck_at_one,
+            0);
+
+  const auto expect_same = [&](const reram::RobustnessReport& r,
+                               const std::string& what) {
+    EXPECT_EQ(r.trials, serial.trials) << what;
+    EXPECT_EQ(r.mean_accuracy, serial.mean_accuracy) << what;
+    EXPECT_EQ(r.stddev_accuracy, serial.stddev_accuracy) << what;
+    EXPECT_EQ(r.min_accuracy, serial.min_accuracy) << what;
+    EXPECT_EQ(r.max_accuracy, serial.max_accuracy) << what;
+    EXPECT_EQ(r.accuracy_ci_lower, serial.accuracy_ci_lower) << what;
+    EXPECT_EQ(r.accuracy_ci_upper, serial.accuracy_ci_upper) << what;
+    EXPECT_EQ(r.mean_logit_error, serial.mean_logit_error) << what;
+    EXPECT_EQ(r.layer_error, serial.layer_error) << what;
+    EXPECT_EQ(r.fault_stats.stuck_at_zero, serial.fault_stats.stuck_at_zero)
+        << what;
+    EXPECT_EQ(r.fault_stats.stuck_at_one, serial.fault_stats.stuck_at_one)
+        << what;
+    EXPECT_EQ(r.fault_stats.weights_changed,
+              serial.fault_stats.weights_changed)
+        << what;
+  };
+  reram::RobustnessOptions pooled = mc;
+  pooled.threads = 4;
+  expect_same(reram::monte_carlo_robustness(model, shapes, faults, pooled),
+              "4 threads");
+  // The first cached call records each trial's burn-in, the second
+  // replays it.
+  reram::TrialFabricCache cache;
+  reram::RobustnessOptions cached = pooled;
+  cached.cache = &cache;
+  expect_same(reram::monte_carlo_robustness(model, shapes, faults, cached),
+              "cache record");
+  expect_same(reram::monte_carlo_robustness(model, shapes, faults, cached),
+              "cache replay");
+  EXPECT_EQ(cache.stats().trial_replays, 2u);
 }
 
 TEST(GraphAccounting, BranchyOpsCarryEnergyAndLatency) {

@@ -629,52 +629,6 @@ TEST(MonteCarloIdentity, ReadNoiseThreadInvariance) {
   EXPECT_TRUE(reports_equal(serial, parallel));
 }
 
-TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
-  // Intra-forward parallelism (conv position tiles, or position rows under
-  // read noise) must be bit-identical to the serial pass: integer partials
-  // reassociate exactly, and the read-noise streams are keyed by position,
-  // not execution order.
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
-  common::Rng ir(4);
-  const nn::LayerSpec& first = net.layers.front();
-  const tensor::Tensor image = nn::synthetic_image(
-      ir, first.in_channels, first.in_height, first.in_width);
-  FaultConfig noisy;
-  noisy.read_sigma = 0.05;
-  noisy.program_sigma = 0.01;
-  common::ThreadPool pool(4);
-  // Both forwards must also count the same functional MVMs.
-  const obs::Counter& mvms =
-      obs::Registry::global().counter("autohet_functional_mvm_total");
-  struct Case {
-    reram::DatapathMode mode;
-    FaultConfig faults;
-  };
-  const Case cases[] = {{reram::DatapathMode::kInteger, {}},
-                        {reram::DatapathMode::kBitSerial, {}},
-                        {reram::DatapathMode::kInteger, noisy}};
-  for (const auto& c : cases) {
-    const SimulatedModel fabric(model, shapes, c.mode, c.faults);
-    const std::uint64_t before_serial = mvms.value();
-    const tensor::Tensor serial = fabric.forward(image, /*noise_stream=*/3);
-    const std::uint64_t serial_mvms = mvms.value() - before_serial;
-    const std::uint64_t before_pooled = mvms.value();
-    const tensor::Tensor pooled =
-        fabric.forward(image, /*noise_stream=*/3, &pool);
-    EXPECT_EQ(mvms.value() - before_pooled, serial_mvms)
-        << "mode " << static_cast<int>(c.mode);
-    ASSERT_EQ(serial.numel(), pooled.numel());
-    for (std::int64_t i = 0; i < serial.numel(); ++i) {
-      EXPECT_EQ(serial[i], pooled[i])
-          << "mode " << static_cast<int>(c.mode) << " i " << i;
-    }
-  }
-}
-
 TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
@@ -734,8 +688,8 @@ TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
 }
 
 TEST(MonteCarloIdentity, SingleTrialThreadInvariance) {
-  // One trial, many threads: the (trial, sample-chunk) fan-out plus the
-  // intra-forward split must still reproduce the serial report exactly.
+  // One trial, many threads: the (trial, sample-chunk) fan-out must still
+  // reproduce the serial report exactly.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
@@ -753,7 +707,7 @@ TEST(MonteCarloIdentity, SingleTrialThreadInvariance) {
   mc.threads = 4;
   const auto parallel = reram::monte_carlo_robustness(model, shapes, fc, mc);
   EXPECT_TRUE(reports_equal(serial, parallel));
-  // A single sample still goes through the pool (intra-forward split only).
+  // A single sample is a single item: the pool has nothing to split.
   mc.samples = 1;
   mc.threads = 1;
   const auto serial1 = reram::monte_carlo_robustness(model, shapes, fc, mc);
@@ -784,45 +738,110 @@ TEST(MonteCarloIdentity, ExternalPoolInvariance) {
   EXPECT_TRUE(reports_equal(serial, pooled));
 }
 
-TEST(SimulatedModelKernels, ConcurrentForwardsAreDeterministic) {
-  // Shared const fabric, concurrent forwards with per-call noise streams —
-  // the race TSan hunts for; results must equal the serial run exactly.
+TEST(SimulatedModelKernels, ReadNoiseStreamsRepeatAndDiffer) {
+  // A read-noisy forward is a pure function of its stream: the same stream
+  // repeats the pass, another stream draws other noise. A noise-free fabric
+  // ignores the stream.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
   const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
                                           {72, 64});
-  FaultConfig fc;
-  fc.read_sigma = 0.05;
-  fc.program_sigma = 0.01;
-  const SimulatedModel fabric(model, shapes, reram::DatapathMode::kInteger,
-                              fc);
   common::Rng ir(4);
   const nn::LayerSpec& first = net.layers.front();
   const tensor::Tensor image =
       nn::synthetic_image(ir, first.in_channels, first.in_height,
                           first.in_width);
+  FaultConfig noisy;
+  noisy.read_sigma = 0.05;
+  const SimulatedModel noisy_fabric(model, shapes,
+                                    reram::DatapathMode::kInteger, noisy);
+  const tensor::Tensor a = noisy_fabric.forward(image, 7);
+  EXPECT_EQ(tensor::max_abs_diff(a, noisy_fabric.forward(image, 7)), 0.0f);
+  EXPECT_GT(tensor::max_abs_diff(a, noisy_fabric.forward(image, 8)), 0.0f);
+
+  const SimulatedModel clean_fabric(model, shapes,
+                                    reram::DatapathMode::kInteger, {});
+  EXPECT_EQ(tensor::max_abs_diff(clean_fabric.forward(image, 7),
+                                 clean_fabric.forward(image, 8)),
+            0.0f);
+}
+
+TEST(SimulatedModelKernels, ConcurrentForwardsAreDeterministic) {
+  // Shared const fabric, concurrent forwards with per-call noise streams —
+  // the race TSan hunts for. On the integer, bit-serial and read-noisy
+  // datapaths the results must equal the serial run exactly, and every
+  // forward counts one functional MVM per output position of each mappable
+  // layer, however its positions are batched.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
+                                          {72, 64});
+  common::Rng ir(4);
+  const nn::LayerSpec& first = net.layers.front();
+  const tensor::Tensor image =
+      nn::synthetic_image(ir, first.in_channels, first.in_height,
+                          first.in_width);
+  FaultConfig noisy;
+  noisy.read_sigma = 0.05;
+  noisy.program_sigma = 0.01;
+  struct Case {
+    reram::DatapathMode mode;
+    FaultConfig faults;
+  };
+  const Case cases[] = {{reram::DatapathMode::kInteger, {}},
+                        {reram::DatapathMode::kBitSerial, {}},
+                        {reram::DatapathMode::kInteger, noisy}};
+#if !defined(AUTOHET_OBS_DISABLED)
+  const obs::Counter& mvms =
+      obs::Registry::global().counter("autohet_functional_mvm_total");
+  std::uint64_t mvms_per_forward = 0;
+  for (const nn::LayerSpec& layer : net.mappable_layers()) {
+    mvms_per_forward += static_cast<std::uint64_t>(layer.mvm_count());
+  }
+#endif
   constexpr int kStreams = 4;
-  std::vector<tensor::Tensor> serial;
-  for (int s = 0; s < kStreams; ++s) {
-    serial.push_back(fabric.forward(image, static_cast<std::uint64_t>(s)));
-  }
-  std::vector<tensor::Tensor> concurrent(kStreams);
-  {
-    std::vector<std::thread> workers;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "mode " << static_cast<int>(c.mode) << " read_sigma "
+                 << c.faults.read_sigma);
+    const SimulatedModel fabric(model, shapes, c.mode, c.faults);
+    std::vector<tensor::Tensor> serial;
     for (int s = 0; s < kStreams; ++s) {
-      workers.emplace_back([&, s] {
-        concurrent[static_cast<std::size_t>(s)] =
-            fabric.forward(image, static_cast<std::uint64_t>(s));
-      });
+#if !defined(AUTOHET_OBS_DISABLED)
+      const std::uint64_t before = mvms.value();
+#endif
+      serial.push_back(fabric.forward(image, static_cast<std::uint64_t>(s)));
+#if !defined(AUTOHET_OBS_DISABLED)
+      EXPECT_EQ(mvms.value() - before, mvms_per_forward) << "stream " << s;
+#endif
     }
-    for (auto& t : workers) t.join();
-  }
-  for (int s = 0; s < kStreams; ++s) {
-    const auto& a = serial[static_cast<std::size_t>(s)];
-    const auto& b = concurrent[static_cast<std::size_t>(s)];
-    ASSERT_EQ(a.numel(), b.numel());
-    for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]);
+    std::vector<tensor::Tensor> concurrent(kStreams);
+#if !defined(AUTOHET_OBS_DISABLED)
+    const std::uint64_t before_concurrent = mvms.value();
+#endif
+    {
+      std::vector<std::thread> workers;
+      for (int s = 0; s < kStreams; ++s) {
+        workers.emplace_back([&, s] {
+          concurrent[static_cast<std::size_t>(s)] =
+              fabric.forward(image, static_cast<std::uint64_t>(s));
+        });
+      }
+      for (auto& t : workers) t.join();
+    }
+#if !defined(AUTOHET_OBS_DISABLED)
+    EXPECT_EQ(mvms.value() - before_concurrent, kStreams * mvms_per_forward);
+#endif
+    for (int s = 0; s < kStreams; ++s) {
+      const auto& a = serial[static_cast<std::size_t>(s)];
+      const auto& b = concurrent[static_cast<std::size_t>(s)];
+      ASSERT_EQ(a.numel(), b.numel());
+      for (std::int64_t i = 0; i < a.numel(); ++i) {
+        EXPECT_EQ(a[i], b[i]) << "stream " << s << " i " << i;
+      }
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "autohet/env.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/eval_engine.hpp"
@@ -558,6 +559,120 @@ TEST(RobustnessMemoTest, KeyDiscriminatesFaultsAndBudget) {
                                           tighter);
   EXPECT_EQ(engine.robustness_cache_stats().misses, 3u);
   EXPECT_EQ(engine.robustness_cache_stats().hits, 0u);
+}
+
+TEST(RobustnessMemoTest, KernelPolicyAloneHitsTheMemo) {
+  // Reports are byte-identical across kernel policies, so the scalar oracle
+  // is served from the entry the fast path memoized — and equals its own
+  // uncached run.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto engine = lenet_engine(net);
+  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+
+  const RobustnessOptions fast = adaptive_mc(4);
+  const auto first =
+      engine.evaluate_robustness_cached(model, actions, noisy_config(), fast);
+  RobustnessOptions scalar = fast;
+  scalar.kernels = KernelPolicy::kScalarReference;
+  const auto hit =
+      engine.evaluate_robustness_cached(model, actions, noisy_config(), scalar);
+  EXPECT_EQ(engine.robustness_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.robustness_cache_stats().hits, 1u);
+  expect_reports_identical(first, hit);
+  expect_reports_identical(
+      first,
+      engine.evaluate_robustness(model, actions, noisy_config(), scalar));
+}
+
+TEST(RobustnessMemoTest, ThreadKnobsAloneHitTheMemo) {
+  // Thread count and a caller-owned pool only change wall time, so they are
+  // not part of the key: every variant is served from the first entry.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto engine = lenet_engine(net);
+  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+
+  const RobustnessOptions serial = adaptive_mc(4);
+  const auto first =
+      engine.evaluate_robustness_cached(model, actions, noisy_config(), serial);
+  RobustnessOptions threaded = serial;
+  threaded.threads = 3;
+  expect_reports_identical(first, engine.evaluate_robustness_cached(
+                                      model, actions, noisy_config(), threaded));
+  common::ThreadPool pool(2);
+  RobustnessOptions pooled = serial;
+  pooled.threads = 2;
+  pooled.pool = &pool;
+  expect_reports_identical(first, engine.evaluate_robustness_cached(
+                                      model, actions, noisy_config(), pooled));
+  EXPECT_EQ(engine.robustness_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.robustness_cache_stats().hits, 2u);
+  // The served entry is what a threaded uncached run computes.
+  expect_reports_identical(
+      first,
+      engine.evaluate_robustness(model, actions, noisy_config(), threaded));
+}
+
+TEST(RobustnessMemoTest, KeyDiscriminatesActionsSamplesAndSeed) {
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto engine = lenet_engine(net);
+  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+
+  const RobustnessOptions mc = adaptive_mc(4);
+  const auto base =
+      engine.evaluate_robustness_cached(model, actions, noisy_config(), mc);
+  std::vector<std::size_t> other_actions = actions;
+  other_actions.front() = 1;
+  (void)engine.evaluate_robustness_cached(model, other_actions,
+                                          noisy_config(), mc);
+  RobustnessOptions more_samples = mc;
+  more_samples.samples = mc.samples + 2;
+  const auto wider = engine.evaluate_robustness_cached(
+      model, actions, noisy_config(), more_samples);
+  EXPECT_EQ(wider.samples, more_samples.samples);
+  RobustnessOptions other_seed = mc;
+  other_seed.input_seed = mc.input_seed + 1;
+  (void)engine.evaluate_robustness_cached(model, actions, noisy_config(),
+                                          other_seed);
+  RobustnessOptions more_trials = mc;
+  more_trials.trials = mc.trials + 2;
+  (void)engine.evaluate_robustness_cached(model, actions, noisy_config(),
+                                          more_trials);
+  EXPECT_EQ(engine.robustness_cache_stats().misses, 5u);
+  EXPECT_EQ(engine.robustness_cache_stats().hits, 0u);
+  // The original key still hits its own entry.
+  expect_reports_identical(base, engine.evaluate_robustness_cached(
+                                     model, actions, noisy_config(), mc));
+  EXPECT_EQ(engine.robustness_cache_stats().hits, 1u);
+}
+
+TEST(EngineRobustnessTest, EngineWorkerThreadsMatchASerialEngine) {
+  // An engine built with worker threads fans serial-default MC calls out on
+  // its own pool; the reports equal a serial engine's, call after call.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto serial_engine = lenet_engine(net);
+  const reram::EvaluationEngine threaded_engine(
+      net.mappable_layers(), mapping::hybrid_candidates(),
+      reram::AcceleratorConfig{}, /*threads=*/3);
+  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+  RobustnessOptions mc;
+  mc.trials = 3;
+  mc.samples = 5;
+  const auto serial =
+      serial_engine.evaluate_robustness(model, actions, noisy_config(), mc);
+  for (int call = 0; call < 2; ++call) {
+    expect_reports_identical(serial, threaded_engine.evaluate_robustness(
+                                         model, actions, noisy_config(), mc));
+  }
+  EXPECT_EQ(serial.trials, 3);
+  EXPECT_EQ(serial.layer_error.size(), actions.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -120,38 +120,6 @@ TEST(DeploymentPlan, EvaluateMatchesEngineForAllZooNetworks) {
   }
 }
 
-TEST(DeploymentPlan, EngineEvaluateMatchesActionPath) {
-  const nn::NetworkSpec net = nn::alexnet();
-  const auto layers = net.mappable_layers();
-  const auto candidates = mapping::hybrid_candidates();
-  reram::AcceleratorConfig accel;
-  accel.tile_shared = true;
-  const reram::EvaluationEngine engine(layers, candidates, accel);
-
-  std::vector<std::size_t> actions;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    actions.push_back(i % candidates.size());
-  }
-  std::vector<CrossbarShape> shapes;
-  for (std::size_t a : actions) shapes.push_back(candidates[a]);
-
-  const auto p = plan::compile_plan(net.name, layers, shapes, accel);
-  expect_reports_identical(engine.evaluate(p), engine.evaluate(actions));
-
-  // The engine rejects plans compiled for a different accelerator or with
-  // shapes outside its candidate set.
-  reram::AcceleratorConfig other = accel;
-  other.tile_shared = false;
-  EXPECT_THROW(
-      engine.evaluate(plan::compile_plan(net.name, layers, shapes, other)),
-      std::invalid_argument);
-  const std::vector<CrossbarShape> alien(layers.size(),
-                                         CrossbarShape{48, 48});
-  EXPECT_THROW(
-      engine.evaluate(plan::compile_plan(net.name, layers, alien, accel)),
-      std::invalid_argument);
-}
-
 TEST(DeploymentPlan, ValidateRejectsTamperedPlans) {
   const nn::NetworkSpec net = nn::lenet5();
   const auto layers = net.mappable_layers();

@@ -6,6 +6,7 @@
 
 #include "autohet/baselines.hpp"
 #include "autohet/search.hpp"
+#include "brute_force.hpp"
 #include "nn/model_zoo.hpp"
 
 namespace autohet {
@@ -79,7 +80,7 @@ TEST(AutoHetSearch, NearOptimalOnSmallSpace) {
   // With the exhaustive optimum known (5^4 = 625 configs), the RL search
   // must land within 5% of it.
   const auto env = make_env(toy_net());
-  const auto optimum = core::exhaustive_search(env);
+  const auto optimum = test::brute_force_optimum(env);
   const auto result = AutoHetSearch(env, fast_config(120)).run();
   EXPECT_GE(result.best_reward, 0.95 * optimum.reward);
 }
