@@ -8,6 +8,7 @@
 // It is small, fast, and has no global state.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -114,6 +115,13 @@ class Rng {
     std::uint64_t sm = state_[0] ^ (stream * 0x9e3779b97f4a7c15ULL);
     Rng out(splitmix64(sm));
     return out;
+  }
+
+  /// The four xoshiro256** state words: lets a SIMD kernel advance this
+  /// exact stream in one vector lane (the cached normal deviate is not part
+  /// of it).
+  std::array<std::uint64_t, 4> state() const noexcept {
+    return {state_[0], state_[1], state_[2], state_[3]};
   }
 
  private:

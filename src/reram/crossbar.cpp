@@ -151,24 +151,36 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial_scalar(
 FaultMapStats LogicalCrossbar::apply_faults(const FaultModel& model,
                                             std::uint64_t crossbar_id,
                                             bool reference_path) {
-  const FaultMapStats stats =
-      reference_path
-          ? model.apply_reference(cells_, shape_.rows, shape_.cols,
-                                  shape_.cols, crossbar_id)
-          : model.apply(cells_, shape_.rows, shape_.cols, shape_.cols,
-                        crossbar_id);
-  if (!packed_.empty() && !model.ideal()) repack();
-  return stats;
+  if (reference_path) {
+    const FaultMapStats stats = model.apply_reference(
+        cells_, shape_.rows, shape_.cols, shape_.cols, crossbar_id);
+    if (!packed_.empty() && !model.ideal()) repack();
+    return stats;
+  }
+  LogicalCrossbar* self = this;
+  BurnTarget burn;
+  burn.seed = model.config().seed;
+  burn_clones(model, crossbar_id, std::span(&self, 1), std::span(&burn, 1));
+  return burn.stats;
 }
 
-FaultMapStats LogicalCrossbar::apply_faults_recording(
-    const FaultModel& model, std::uint64_t crossbar_id,
-    std::vector<StuckCandidate>& out, StuckBucketEnds& bucket_ends) {
-  const FaultMapStats stats =
-      model.apply_recording(cells_, shape_.rows, shape_.cols, shape_.cols,
-                            crossbar_id, out, bucket_ends);
-  if (!packed_.empty()) repack();
-  return stats;
+void LogicalCrossbar::burn_clones(const FaultModel& model,
+                                  std::uint64_t crossbar_id,
+                                  std::span<LogicalCrossbar* const> clones,
+                                  std::span<BurnTarget> burns) {
+  AUTOHET_CHECK(clones.size() == burns.size(), "one burn per clone required");
+  if (clones.empty()) return;
+  const mapping::CrossbarShape shape = clones.front()->shape_;
+  for (std::size_t i = 0; i < clones.size(); ++i) {
+    AUTOHET_CHECK(clones[i]->shape_ == shape,
+                  "burn clones must share one crossbar shape");
+    burns[i].cells = clones[i]->cells_;
+  }
+  model.burn(burns, shape.rows, shape.cols, shape.cols, crossbar_id);
+  const bool moved = burns.front().hits != nullptr || !model.ideal();
+  for (LogicalCrossbar* xb : clones) {
+    if (!xb->packed_.empty() && moved) xb->repack();
+  }
 }
 
 FaultMapStats LogicalCrossbar::replay_stuck_faults(

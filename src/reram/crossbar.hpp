@@ -124,15 +124,15 @@ class LogicalCrossbar {
                              std::uint64_t crossbar_id,
                              bool reference_path = false);
 
-  /// Recording burn-in (FaultModel::apply_recording): programming variation
-  /// is applied, stuck-draw candidates are written to `out` (grouped by draw
-  /// bucket, ends in `bucket_ends`) instead of being applied. Returns the
-  /// variation-only stats; replay_stuck_faults completes the burn for any
-  /// eligible rate pair. Repacks like apply_faults.
-  FaultMapStats apply_faults_recording(const FaultModel& model,
-                                       std::uint64_t crossbar_id,
-                                       std::vector<StuckCandidate>& out,
-                                       StuckBucketEnds& bucket_ends);
+  /// Burns `model` into `clones` — copies of one programmed crossbar —
+  /// in one FaultModel::burn call: clone i under burns[i].seed, recording
+  /// when burns[i].hits is set (see FaultModel::apply_recording; the stats
+  /// are then the variation-only counts that replay_stuck_faults
+  /// completes). Fills in each burn's cells span, and repacks every packed
+  /// clone whose cells may have moved. apply_faults is this with one clone.
+  static void burn_clones(const FaultModel& model, std::uint64_t crossbar_id,
+                          std::span<LogicalCrossbar* const> clones,
+                          std::span<BurnTarget> burns);
 
   /// Replays recorded stuck candidates under `model`'s thresholds on this
   /// (post-variation) array — see FaultModel::replay_stuck. Returns the

@@ -1,11 +1,11 @@
 #include "reram/faults.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
+#include "reram/kernels/kernels.hpp"
 
 namespace autohet::reram {
 
@@ -130,7 +130,7 @@ bool SequentialStopper::should_stop() const noexcept {
 
 FaultConfig spanning_probe(const FaultConfig& config) noexcept {
   FaultConfig probe = config;
-  // kRecordCap53 · 2⁻⁵³ = 2⁻⁴ exactly, so thr53(rate) lands on the cap.
+  // kRecordCap53 · 2⁻⁵³ = 2⁻⁶ exactly, so thr53(rate) lands on the cap.
   probe.stuck_at_zero_rate =
       static_cast<double>(FaultModel::kRecordCap53) * 0x1.0p-53;
   probe.stuck_at_one_rate = 0.0;
@@ -224,42 +224,113 @@ std::int8_t FaultModel::perturb_weight(std::int8_t weight, common::Rng& rng,
   return perturbed;
 }
 
+void FaultModel::burn(std::span<BurnTarget> targets, std::int64_t rows,
+                      std::int64_t cols, std::int64_t row_stride,
+                      std::uint64_t crossbar_id) const {
+  if (targets.empty()) return;
+  const bool record = targets.front().hits != nullptr;
+  for (const BurnTarget& t : targets) {
+    AUTOHET_CHECK((t.hits != nullptr) == record &&
+                      (t.bucket_ends != nullptr) == record,
+                  "a burn records for every target or for none");
+  }
+  if (record) {
+    AUTOHET_CHECK(record_eligible(),
+                  "this fault config cannot be recorded (drift, zero stuck "
+                  "rates, or rates beyond the recording cap)");
+  } else if (ideal()) {
+    for (BurnTarget& t : targets) t.stats = {};
+    return;
+  }
+  AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
+                "invalid fault-map geometry");
+  AUTOHET_CHECK(!record || rows * cols * planes_ <= 0xffffffffll,
+                "crossbar too large for 32-bit plane indices");
+  const auto extent = static_cast<std::size_t>(
+      rows == 0 ? 0 : (rows - 1) * row_stride + cols);
+  for (const BurnTarget& t : targets) {
+    AUTOHET_CHECK(t.cells.size() >= extent,
+                  "burn target smaller than its fault-map geometry");
+  }
+  if (!fast_eligible_) {
+    for (BurnTarget& t : targets) {
+      t.stats = burn_reference(t.cells, rows, cols, row_stride,
+                               common::Rng(t.seed).child(crossbar_id));
+    }
+  } else {
+    const kernels::BurnSpec spec{
+        planes_,
+        config_.program_sigma,
+        config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0,
+        record,
+        stuck_zero_thr53_,
+        stuck_sum_thr53_,
+        level_s_safe_.data()};
+    // A recording lane files its draws into one vector per bucket; every
+    // plane lands in a given bucket with probability 2⁻⁸, so reserving the
+    // mean plus four standard deviations makes regrowth rare, and the
+    // concatenation below sizes `hits` exactly.
+    using Bins = std::array<std::vector<StuckCandidate>,
+                            std::tuple_size_v<StuckBucketEnds>>;
+    std::vector<Bins> bins(record ? targets.size() : 0);
+    const double mean = static_cast<double>(rows * cols * planes_) * 0x1.0p-8;
+    const auto expected =
+        static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) + 8.0);
+    std::vector<kernels::BurnLane> lanes(targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      lanes[i].rng = common::Rng(targets[i].seed).child(crossbar_id);
+      lanes[i].cells = targets[i].cells.data();
+      lanes[i].stats = &targets[i].stats;
+      if (record) {
+        for (auto& bin : bins[i]) bin.reserve(expected);
+        lanes[i].bins = bins[i].data();
+      }
+    }
+    kernels::ops().burn(spec, rows, cols, row_stride, lanes.data(),
+                        lanes.size());
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      std::size_t total = 0;
+      for (const auto& bin : bins[i]) total += bin.size();
+      std::vector<StuckCandidate>& out = *targets[i].hits;
+      out.clear();
+      out.reserve(total);
+      for (std::size_t b = 0; b < bins[i].size(); ++b) {
+        out.insert(out.end(), bins[i][b].begin(), bins[i][b].end());
+        (*targets[i].bucket_ends)[b] = static_cast<std::uint32_t>(out.size());
+      }
+    }
+  }
+  if (record) return;  // a recording's counts are completed by its replays
+  for (const BurnTarget& t : targets) {
+    OBS_COUNTER_ADD("autohet_fault_cells_total",
+                    static_cast<std::uint64_t>(t.stats.physical_cells));
+    OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
+                    static_cast<std::uint64_t>(t.stats.stuck_at_zero +
+                                               t.stats.stuck_at_one));
+  }
+}
+
 FaultMapStats FaultModel::apply(std::span<std::int8_t> cells,
                                 std::int64_t rows, std::int64_t cols,
                                 std::int64_t row_stride,
                                 std::uint64_t crossbar_id) const {
-  if (!fast_eligible_) {
-    return apply_reference(cells, rows, cols, row_stride, crossbar_id);
-  }
-  FaultMapStats stats;
-  if (ideal()) return stats;
-  AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
-                "invalid fault-map geometry");
-  common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  stats = apply_fast<false>(cells, rows, cols, row_stride, rng, nullptr);
-  OBS_COUNTER_ADD("autohet_fault_cells_total",
-                  static_cast<std::uint64_t>(stats.physical_cells));
-  OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
-                  static_cast<std::uint64_t>(stats.stuck_at_zero +
-                                             stats.stuck_at_one));
-  return stats;
+  BurnTarget target;
+  target.seed = config_.seed;
+  target.cells = cells;
+  burn(std::span(&target, 1), rows, cols, row_stride, crossbar_id);
+  return target.stats;
 }
 
 FaultMapStats FaultModel::apply_reference(std::span<std::int8_t> cells,
                                           std::int64_t rows, std::int64_t cols,
                                           std::int64_t row_stride,
                                           std::uint64_t crossbar_id) const {
-  FaultMapStats stats;
-  if (ideal()) return stats;
+  if (ideal()) return {};
   AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
                 "invalid fault-map geometry");
-  common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int8_t* row = cells.data() + r * row_stride;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      row[c] = perturb_weight(row[c], rng, stats);
-    }
-  }
+  const FaultMapStats stats =
+      burn_reference(cells, rows, cols, row_stride,
+                     common::Rng(config_.seed).child(crossbar_id));
   OBS_COUNTER_ADD("autohet_fault_cells_total",
                   static_cast<std::uint64_t>(stats.physical_cells));
   OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
@@ -268,65 +339,42 @@ FaultMapStats FaultModel::apply_reference(std::span<std::int8_t> cells,
   return stats;
 }
 
-template <bool kRecord>
-FaultMapStats FaultModel::apply_fast(std::span<std::int8_t> cells,
-                                     std::int64_t rows, std::int64_t cols,
-                                     std::int64_t row_stride, common::Rng& rng,
-                                     std::vector<StuckCandidate>* rec) const {
-  switch (planes_) {
-    case 8:
-      return apply_fast_impl<8, kRecord>(cells, rows, cols, row_stride, rng,
-                                         rec);
-    case 4:
-      return apply_fast_impl<4, kRecord>(cells, rows, cols, row_stride, rng,
-                                         rec);
-    case 2:
-      return apply_fast_impl<2, kRecord>(cells, rows, cols, row_stride, rng,
-                                         rec);
-    default:
-      return apply_fast_impl<1, kRecord>(cells, rows, cols, row_stride, rng,
-                                         rec);
+FaultMapStats FaultModel::burn_reference(std::span<std::int8_t> cells,
+                                         std::int64_t rows, std::int64_t cols,
+                                         std::int64_t row_stride,
+                                         common::Rng rng) const {
+  FaultMapStats stats;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::int8_t* row = cells.data() + r * row_stride;
+    for (std::int64_t c = 0; c < cols; ++c) {
+      row[c] = perturb_weight(row[c], rng, stats);
+    }
   }
+  return stats;
 }
 
 FaultMapStats FaultModel::apply_recording(
     std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
     std::int64_t row_stride, std::uint64_t crossbar_id,
     std::vector<StuckCandidate>& out, StuckBucketEnds& bucket_ends) const {
-  AUTOHET_CHECK(record_eligible(),
-                "this fault config cannot be recorded (drift, zero stuck "
-                "rates, or rates beyond the recording cap)");
-  AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
-                "invalid fault-map geometry");
-  AUTOHET_CHECK(rows * cols * planes_ <= 0xffffffffll,
-                "crossbar too large for 32-bit plane indices");
-  common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  // Every plane draws once and lands in a given bucket with probability
-  // 2⁻⁸: reserving the mean plus four standard deviations makes regrowth
-  // rare, and the concatenation below sizes `out` exactly.
-  std::array<std::vector<StuckCandidate>, std::tuple_size_v<StuckBucketEnds>>
-      bins;
-  const double mean = static_cast<double>(rows * cols * planes_) * 0x1.0p-8;
-  const auto expected =
-      static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) + 8.0);
-  for (auto& bin : bins) bin.reserve(expected);
-  const FaultMapStats stats =
-      apply_fast<true>(cells, rows, cols, row_stride, rng, bins.data());
-  std::size_t total = 0;
-  for (const auto& bin : bins) total += bin.size();
-  out.clear();
-  out.reserve(total);
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    out.insert(out.end(), bins[b].begin(), bins[b].end());
-    bucket_ends[b] = static_cast<std::uint32_t>(out.size());
-  }
-  return stats;
+  BurnTarget target;
+  target.seed = config_.seed;
+  target.cells = cells;
+  target.hits = &out;
+  target.bucket_ends = &bucket_ends;
+  burn(std::span(&target, 1), rows, cols, row_stride, crossbar_id);
+  return target.stats;
 }
 
 FaultMapStats FaultModel::replay_stuck(
     std::span<std::int8_t> cells, std::int64_t cols, std::int64_t row_stride,
     std::span<const StuckCandidate> hits,
     const StuckBucketEnds& bucket_ends) const {
+  // Zero rates force nothing and stay replayable; any other config must be
+  // recordable, or the draws in [cap, threshold) it needs were never kept.
+  AUTOHET_CHECK(record_eligible() || (fast_eligible_ && stuck_sum_thr53_ == 0),
+                "this fault config cannot be replayed (drift, or rates "
+                "beyond the recording cap)");
   FaultMapStats delta;
   // Buckets at or above the summed threshold hold no hit: read the leading
   // ⌈thr / 2⁴⁵⌉ of them (none at zero rates).
@@ -366,214 +414,6 @@ FaultMapStats FaultModel::replay_stuck(
                              static_cast<int>(before != hit.original);
   }
   return delta;
-}
-
-template <int kPlanes, bool kRecord>
-FaultMapStats FaultModel::apply_fast_impl(
-    std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
-    std::int64_t row_stride, common::Rng& rng,
-    std::vector<StuckCandidate>* rec) const {
-  // Burn-in dominates Monte-Carlo robustness wall time (it touches every
-  // physical cell of every trial fabric), so this kernel strips the per-cell
-  // cost to raw RNG stream advancement wherever the result provably cannot
-  // change. It replicates perturb_weight's stream consumption draw for draw:
-  //   * the lognormal variation draws one polar-method normal per nonzero
-  //     level — here the rejection loop runs identically, but the sqrt/log/
-  //     exp/lround are skipped whenever s > level_s_safe_[L] proves the
-  //     rounded level is unchanged (the overwhelmingly common case at
-  //     realistic σ). The polar pair cache lives in locals: legal because
-  //     this rng is crossbar-local and discarded when apply() returns.
-  //   * the stuck-at uniform compares raw 53-bit draws against precomputed
-  //     integer thresholds instead of materializing doubles.
-  const int b = 8 / kPlanes;
-  constexpr int planes = kPlanes;
-  const unsigned mask = level_mask_;
-  const double sigma = config_.program_sigma;
-  const bool variation = sigma > 0.0;
-  const bool stuck =
-      config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0;
-  // A zero weight encodes as offset 128 = top_level in the top plane alone
-  // (for every cell_bits dividing 8), so its draw pattern is fixed.
-  const unsigned top_level = 1u << (b - 1);
-  const int top_shift = (planes - 1) * b;
-  const double s_safe_top = variation ? level_s_safe_[top_level] : 1.0;
-  FaultMapStats stats;
-  stats.physical_cells = rows * cols * planes;
-  // Polar pair cache (mirrors Rng::normal's cached second deviate, with the
-  // value deferred: only s and the pair are kept until someone needs it).
-  bool has_pending = false;
-  double pu = 0.0, pv = 0.0, ps = 0.0;
-  // Recording locals: flat plane-index base and original weight of the cell
-  // currently being processed (unused when !kRecord).
-  std::uint64_t rec_base = 0;
-  std::int8_t rec_orig = 0;
-  // uniform(-1, 1) = -1 + 2·(k·2⁻⁵³) with k = uniform_bits53(). The doubling
-  // and the subtraction are both exact (k·2⁻⁵² and k·2⁻⁵² − 1 each fit in 53
-  // significant bits since |k − 2⁵²| ≤ 2⁵²), so the single convert+multiply
-  // below is bit-identical with a shorter dependency chain in the rejection
-  // loop.
-  const auto unit_draw = [&rng]() {
-    return static_cast<double>(static_cast<std::int64_t>(rng.uniform_bits53()) -
-                               (std::int64_t{1} << 52)) *
-           0x1.0p-52;
-  };
-  const auto next_normal_su = [&](double& s, double& uv) {
-    if (has_pending) {
-      has_pending = false;
-      s = ps;
-      uv = pv;  // second deviate of the pair, as Rng::normal caches
-    } else {
-      do {
-        pu = unit_draw();
-        pv = unit_draw();
-        ps = pu * pu + pv * pv;
-      } while (ps >= 1.0 || ps == 0.0);
-      has_pending = true;
-      s = ps;
-      uv = pu;
-    }
-  };
-  // Rare: the deviate is large enough to possibly move the level.
-  const auto requantize = [&](unsigned level, double s, double uv) {
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
-    const double noisy =
-        static_cast<double>(level) * std::exp(sigma * (uv * m));
-    return static_cast<unsigned>(
-        std::clamp(std::lround(noisy), 0l, static_cast<long>(mask)));
-  };
-  // Files a captured draw under its bucket (see StuckBucketEnds).
-  const auto record = [&](std::uint64_t k, int p) {
-    const auto plane = rec_base + static_cast<std::uint64_t>(p);
-    rec[k >> kRecordBucketShift].push_back(
-        {k, static_cast<std::uint32_t>(plane), rec_orig});
-  };
-  const auto stuck_override = [&](unsigned& quantized, int p) {
-    const std::uint64_t k = rng.uniform_bits53();
-    if constexpr (kRecord) {
-      (void)quantized;
-      if (k < kRecordCap53) [[unlikely]] record(k, p);
-    } else {
-      (void)p;
-      if (k < stuck_sum_thr53_) {
-        if (k < stuck_zero_thr53_) {
-          quantized = 0;
-          ++stats.stuck_at_zero;
-        } else {
-          quantized = mask;
-          ++stats.stuck_at_one;
-        }
-      }
-    }
-  };
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int8_t* row = cells.data() + r * row_stride;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      const std::int8_t weight = row[c];
-      if (weight == 0) {
-        // Zero weight — the vast majority of a sparsely used physical array
-        // (stuck-at maps cover every cell, used or not). Its plane pattern
-        // is known up front, so the per-plane `level > 0` test that costs
-        // the generic path a mispredict per plane disappears: the lower
-        // planes collapse to a straight run of stuck draws and only the top
-        // plane draws variation. Stream consumption is identical.
-        unsigned out = 0;
-        if constexpr (kRecord) {
-          rec_base =
-              static_cast<std::uint64_t>(r * cols + c) * planes;
-          rec_orig = 0;
-        }
-        if (stuck) {
-          for (int p = 0; p < planes - 1; ++p) {
-            const std::uint64_t k = rng.uniform_bits53();
-            if constexpr (kRecord) {
-              if (k < kRecordCap53) [[unlikely]] record(k, p);
-            } else if (k < stuck_sum_thr53_) [[unlikely]] {
-              if (k < stuck_zero_thr53_) {
-                ++stats.stuck_at_zero;  // level was already 0
-              } else {
-                out |= mask << (p * b);
-                ++stats.stuck_at_one;
-              }
-            }
-          }
-        }
-        unsigned quantized = top_level;
-        if (variation) {
-          double s, uv;
-          next_normal_su(s, uv);
-          if (s <= s_safe_top) [[unlikely]] {
-            quantized = requantize(top_level, s, uv);
-          }
-        }
-        if (stuck) stuck_override(quantized, planes - 1);
-        out |= (quantized & mask) << top_shift;
-        const auto perturbed =
-            static_cast<std::int8_t>(static_cast<int>(out) - 128);
-        if (perturbed != 0) ++stats.weights_changed;
-        row[c] = perturbed;
-        continue;
-      }
-      const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
-      if constexpr (kRecord) {
-        rec_base = static_cast<std::uint64_t>(r * cols + c) * planes;
-        rec_orig = weight;
-      }
-      // Branchless mask of planes holding a nonzero level. Iterating its set
-      // bits (below) replaces `planes` unpredictable per-plane `level > 0`
-      // branches — the dominant cost on random weights, where each plane
-      // mispredicts half the time — with one loop whose trip count is the
-      // set-plane count.
-      unsigned plane_mask = 0;
-      for (int p = 0; p < planes; ++p) {
-        plane_mask |= ((offset >> (p * b)) & mask) ? 1u << p : 0u;
-      }
-      if (!variation) plane_mask = 0;  // no draws → every plane is stuck-only
-      unsigned out = offset;
-      // Planes outside the draw mask keep their stored level unless a stuck
-      // draw hits (rare), so the run loops touch `out` only on a hit.
-      const auto stuck_run = [&](int from, int to) {
-        for (int rp = from; rp < to; ++rp) {
-          const std::uint64_t k = rng.uniform_bits53();
-          if constexpr (kRecord) {
-            if (k < kRecordCap53) [[unlikely]] record(k, rp);
-          } else if (k < stuck_sum_thr53_) [[unlikely]] {
-            unsigned forced;
-            if (k < stuck_zero_thr53_) {
-              forced = 0;
-              ++stats.stuck_at_zero;
-            } else {
-              forced = mask;
-              ++stats.stuck_at_one;
-            }
-            out = (out & ~(mask << (rp * b))) | (forced << (rp * b));
-          }
-        }
-      };
-      int p = 0;
-      unsigned pending_planes = plane_mask;
-      while (pending_planes) {
-        const int q = std::countr_zero(pending_planes);
-        pending_planes &= pending_planes - 1;
-        if (stuck) stuck_run(p, q);
-        const unsigned level = (offset >> (q * b)) & mask;
-        unsigned quantized = level;
-        double s, uv;
-        next_normal_su(s, uv);
-        if (s <= level_s_safe_[level]) {
-          quantized = requantize(level, s, uv);
-        }
-        if (stuck) stuck_override(quantized, q);
-        out = (out & ~(mask << (q * b))) | (quantized << (q * b));
-        p = q + 1;
-      }
-      if (stuck) stuck_run(p, planes);
-      const auto perturbed =
-          static_cast<std::int8_t>(static_cast<int>(out) - 128);
-      if (perturbed != weight) ++stats.weights_changed;
-      row[c] = perturbed;
-    }
-  }
-  return stats;
 }
 
 double analytic_layer_vulnerability(const mapping::LayerMapping& m,

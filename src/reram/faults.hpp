@@ -242,7 +242,7 @@ struct RobustnessReport {
 };
 
 /// One stuck-at draw candidate captured by a recording burn-in pass
-/// (FaultModel::apply_recording): the raw 53-bit uniform draw `k`, the flat
+/// (FaultModel::apply_recording / burn): the raw 53-bit uniform draw `k`, the flat
 /// physical-plane index it targets ((row·cols + col)·planes + plane) and the
 /// originally programmed weight of the owning logical cell (needed to
 /// recompute weights_changed exactly on replay). Only draws below
@@ -260,7 +260,19 @@ struct StuckCandidate {
 /// End offset of each draw bucket in a recorded candidate list: bucket b
 /// (draws in [b·2⁴⁵, (b+1)·2⁴⁵), i.e. uniform draws in [b·2⁻⁸, (b+1)·2⁻⁸))
 /// spans [b == 0 ? 0 : ends[b−1], ends[b]).
-using StuckBucketEnds = std::array<std::uint32_t, 16>;
+using StuckBucketEnds = std::array<std::uint32_t, 4>;
+
+/// One destination of a burn (FaultModel::burn): a trial's seed and its
+/// copy of the programmed weights, burned in place.
+struct BurnTarget {
+  std::uint64_t seed = 0;         ///< the trial's FaultConfig::seed
+  std::span<std::int8_t> cells;   ///< rows × cols at row_stride
+  /// Recording burns set both (see FaultModel::apply_recording); plain
+  /// burns leave both null.
+  std::vector<StuckCandidate>* hits = nullptr;
+  StuckBucketEnds* bucket_ends = nullptr;
+  FaultMapStats stats;  ///< out: this target's counts
+};
 
 /// Seeded sampler that burns a FaultConfig into programmed weight arrays.
 /// Stateless across calls: every perturbation is a pure function of
@@ -273,12 +285,24 @@ class FaultModel {
   const FaultConfig& config() const noexcept { return config_; }
   bool ideal() const noexcept { return config_.ideal(); }
 
-  /// Applies stuck-at faults, programming variation and drift to a full
-  /// rows×cols two's-complement weight array (row-major, stride
-  /// `row_stride`). Deterministic in (config.seed, crossbar_id).
-  /// Dispatches to a stream-exact fast kernel when eligible (no drift):
-  /// cells, stats and the consumed RNG stream are bit-identical to
-  /// apply_reference (tested), only the wall time differs.
+  /// The burn entry point. Burns this config into every target, target i
+  /// under the stream (targets[i].seed, crossbar_id): stuck-at faults,
+  /// programming variation and drift on a full rows×cols two's-complement
+  /// weight array (row-major, stride `row_stride`). Every target must hold
+  /// the same programmed weights — the trials of one point burn clones of
+  /// one clean array — so the kernel table's burn op
+  /// (kernels::Ops::burn) can run them in lockstep lane groups; each
+  /// target ends exactly as a burn of it alone would leave it. Eligible
+  /// configs (no drift) take that stream-exact fast kernel, whose cells,
+  /// stats and consumed RNG stream are bit-identical to apply_reference
+  /// (tested); drifted ones take apply_reference's per-cell path. Targets
+  /// with `hits` set burn recording (see apply_recording); a call records
+  /// for every target or for none. One target is a batch of one.
+  void burn(std::span<BurnTarget> targets, std::int64_t rows,
+            std::int64_t cols, std::int64_t row_stride,
+            std::uint64_t crossbar_id) const;
+
+  /// burn() of one target under config().seed, returning its stats.
   FaultMapStats apply(std::span<std::int8_t> cells, std::int64_t rows,
                       std::int64_t cols, std::int64_t row_stride,
                       std::uint64_t crossbar_id) const;
@@ -295,10 +319,13 @@ class FaultModel {
   std::int8_t perturb_weight(std::int8_t weight, common::Rng& rng,
                              FaultMapStats& stats) const;
 
-  /// Recording cap: stuck draws with k < 2⁵³/16 are captured by
-  /// apply_recording, so any config whose summed stuck rate is ≤ 1/16 can be
-  /// replayed from one recording (the sweep grids top out around 1e-2).
-  static constexpr std::uint64_t kRecordCap53 = std::uint64_t{1} << 49;
+  /// Recording cap: stuck draws with k < 2⁵³/64 are captured by
+  /// apply_recording, so any config whose summed stuck rate is ≤ 2⁻⁶
+  /// (≈ 1.56%) can be replayed from one recording. Every sweep grid tops
+  /// out at 1e-2; configs above the cap take the direct burn. A low cap
+  /// keeps a recording small (≈ 1.6% of the planes), which matters once a
+  /// point's trials all record at the same time.
+  static constexpr std::uint64_t kRecordCap53 = std::uint64_t{1} << 47;
   /// Draw-bucket width of a recording (2⁴⁵, i.e. 2⁻⁸ of the unit interval):
   /// the cap spans exactly the StuckBucketEnds buckets.
   static constexpr int kRecordBucketShift = 45;
@@ -314,7 +341,8 @@ class FaultModel {
            stuck_sum_thr53_ <= kRecordCap53;
   }
 
-  /// Recording burn-in: consumes the RNG stream exactly as apply() does for
+  /// Recording burn-in (burn() of one recording target under
+  /// config().seed): consumes the RNG stream exactly as apply() does for
   /// this config, applies programming variation to `cells`, but *records*
   /// every stuck draw below kRecordCap53 into `out` (replacing its contents,
   /// grouped by draw bucket with stream order kept inside each bucket, the
@@ -339,7 +367,9 @@ class FaultModel {
   /// recording stats + delta == apply() stats exactly). Only the leading
   /// ⌈summed threshold / 2⁴⁵⌉ buckets are read; zero rates read none.
   /// `cells` must hold the recording's post-variation state; `hits` and
-  /// `bucket_ends` must be the recording's for the same geometry.
+  /// `bucket_ends` must be the recording's for the same geometry. A config
+  /// above the recording cap (or with drift) is rejected: its draws in
+  /// [cap, threshold) were never recorded, so the replay would be wrong.
   FaultMapStats replay_stuck(std::span<std::int8_t> cells, std::int64_t cols,
                              std::int64_t row_stride,
                              std::span<const StuckCandidate> hits,
@@ -358,36 +388,23 @@ class FaultModel {
   }
 
  private:
-  /// The fast burn-in (apply) or, with kRecord, the recording burn-in
-  /// (apply_recording, stuck draws captured into `rec`, an array of one
-  /// vector per draw bucket): dispatches on the plane count to
-  /// apply_fast_impl.
-  template <bool kRecord>
-  FaultMapStats apply_fast(std::span<std::int8_t> cells, std::int64_t rows,
-                           std::int64_t cols, std::int64_t row_stride,
-                           common::Rng& rng,
-                           std::vector<StuckCandidate>* rec) const;
-  /// apply_fast body with the plane count baked in at compile time so the
-  /// per-plane loops fully unroll (defined in faults.cpp; instantiated for
-  /// every legal 8 / cell_bits). With kRecord the stuck draws are captured
-  /// into `rec` instead of applied (the apply_recording path); the branch is
-  /// compile-time, so the hot non-recording kernel is unchanged.
-  template <int kPlanes, bool kRecord>
-  FaultMapStats apply_fast_impl(std::span<std::int8_t> cells,
-                                std::int64_t rows, std::int64_t cols,
-                                std::int64_t row_stride, common::Rng& rng,
-                                std::vector<StuckCandidate>* rec) const;
+  /// apply_reference's per-cell loop on one stream, without the counters.
+  FaultMapStats burn_reference(std::span<std::int8_t> cells,
+                               std::int64_t rows, std::int64_t cols,
+                               std::int64_t row_stride,
+                               common::Rng rng) const;
 
   FaultConfig config_;
   int planes_ = 8;           ///< 8 / cell_bits
   unsigned level_mask_ = 1;  ///< 2^cell_bits − 1
   double drift_factor_ = 1.0;
   double read_sigma_weights_ = 0.0;
-  // Fast-kernel precompute (see apply_fast): integer stuck-at thresholds on
-  // the raw 53-bit uniform draw, and per-level polar-rejection safety bounds
-  // s_safe[L] — when the accepted polar s exceeds s_safe[L] the lognormal
-  // perturbation provably cannot move level L off its grid point, so the
-  // sqrt/log/exp are skipped while the RNG stream advances identically.
+  // Fast-kernel precompute (see kernels::BurnSpec): integer stuck-at
+  // thresholds on the raw 53-bit uniform draw, and per-level
+  // polar-rejection safety bounds s_safe[L] — when the accepted polar s
+  // exceeds s_safe[L] the lognormal perturbation provably cannot move level
+  // L off its grid point, so the sqrt/log/exp are skipped while the RNG
+  // stream advances identically.
   bool fast_eligible_ = false;
   std::uint64_t stuck_zero_thr53_ = 0;  ///< u < z₀ ⟺ bits53 < this
   std::uint64_t stuck_sum_thr53_ = 0;   ///< u < z₀+z₁ ⟺ bits53 < this
@@ -396,7 +413,7 @@ class FaultModel {
 
 /// The canonical recording config for cross-rate cache spanning: `config`
 /// with its stuck rates replaced by the largest recordable rate (summed
-/// threshold == FaultModel::kRecordCap53, i.e. 2⁻⁴). A recording burn
+/// threshold == FaultModel::kRecordCap53, i.e. 2⁻⁶). A recording burn
 /// captures *every* stuck draw below the cap regardless of the rate values,
 /// so the probe's recording is identical to the one any in-cap nonzero-rate
 /// config sharing (seed, program_sigma, cell_bits) would produce — it exists

@@ -1,6 +1,7 @@
 #include "reram/functional.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "common/thread_pool.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/obs.hpp"
+#include "reram/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace autohet::reram {
@@ -157,31 +159,39 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
 
 void MappedLayer::burn_faults(const FaultModel& faults, std::uint64_t layer_id,
                               bool reference_path) {
-  fault_stats_ = {};
-  read_sigma_weights_ = 0.0;
-  if (faults.ideal()) return;
-  const std::uint64_t base_id = layer_id * kFaultIdStride;
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    fault_stats_ += crossbars_[i].apply_faults(
-        faults, base_id + static_cast<std::uint64_t>(i), reference_path);
+  FaultMapStats stats;
+  if (!faults.ideal()) {
+    const std::uint64_t base_id = layer_id * kFaultIdStride;
+    for (std::size_t i = 0; i < crossbars_.size(); ++i) {
+      stats += crossbars_[i].apply_faults(
+          faults, base_id + static_cast<std::uint64_t>(i), reference_path);
+    }
   }
-  arm_read_noise(faults, layer_id);
+  finish_burn(faults, layer_id, stats);
 }
 
-void MappedLayer::burn_faults_recording(const FaultModel& faults,
-                                        std::uint64_t layer_id,
-                                        std::vector<CrossbarBurnRecord>& out) {
-  fault_stats_ = {};
-  out.clear();
-  out.resize(crossbars_.size());
-  const std::uint64_t base_id = layer_id * kFaultIdStride;
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    out[i].variation = crossbars_[i].apply_faults_recording(
-        faults, base_id + static_cast<std::uint64_t>(i), out[i].hits,
-        out[i].bucket_ends);
-    fault_stats_ += out[i].variation;
+void MappedLayer::burn_crossbar(const FaultModel& faults,
+                                std::uint64_t layer_id, std::size_t index,
+                                std::span<MappedLayer* const> clones,
+                                std::span<BurnTarget> burns) {
+  std::array<LogicalCrossbar*, kernels::kBurnLanes> group{};
+  AUTOHET_CHECK(clones.size() <= group.size(),
+                "a burn step takes at most one lane group of clones");
+  for (std::size_t i = 0; i < clones.size(); ++i) {
+    AUTOHET_CHECK(index < clones[i]->crossbars_.size(),
+                  "crossbar index outside the layer's grid");
+    group[i] = &clones[i]->crossbars_[index];
   }
-  arm_read_noise(faults, layer_id);
+  LogicalCrossbar::burn_clones(
+      faults, layer_id * kFaultIdStride + static_cast<std::uint64_t>(index),
+      std::span(group.data(), clones.size()), burns);
+}
+
+void MappedLayer::finish_burn(const FaultModel& faults, std::uint64_t layer_id,
+                              const FaultMapStats& stats) {
+  fault_stats_ = stats;
+  read_sigma_weights_ = 0.0;
+  if (!faults.ideal()) arm_read_noise(faults, layer_id);
 }
 
 void MappedLayer::replay_faults(
@@ -348,47 +358,133 @@ SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
 }
 
 SimulatedModel SimulatedModel::with_faults(const FaultConfig& faults) const {
-  AUTOHET_CHECK(fault_model_.ideal(),
-                "with_faults requires a clean (ideal) fabric to clone");
-  return clone_burned(faults, [](MappedLayer& layer, const FaultModel& fm,
-                                 std::uint64_t id) {
-    layer.burn_faults(fm, id);
-  });
+  return std::move(with_faults(std::span(&faults, 1)).front());
 }
 
 SimulatedModel SimulatedModel::with_faults_recorded(
     const FaultConfig& faults, TrialBurnRecord& record) const {
-  AUTOHET_CHECK(fault_model_.ideal(),
-                "recording requires a clean (ideal) fabric to clone");
-  AUTOHET_CHECK(FaultModel(faults).record_eligible(),
+  return std::move(
+      with_faults_recorded(std::span(&faults, 1), std::span(&record, 1))
+          .front());
+}
+
+std::vector<SimulatedModel> SimulatedModel::with_faults(
+    std::span<const FaultConfig> faults, common::ThreadPool* pool) const {
+  return burn_clones(faults, {}, pool);
+}
+
+std::vector<SimulatedModel> SimulatedModel::with_faults_recorded(
+    std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
+    common::ThreadPool* pool) const {
+  AUTOHET_CHECK(records.size() == faults.size(),
+                "one burn record per recorded config required");
+  AUTOHET_CHECK(faults.empty() || FaultModel(faults.front()).record_eligible(),
                 "fault config is not record-eligible");
-  record.layers.assign(layers_.size(), {});
-  return clone_burned(faults, [&](MappedLayer& layer, const FaultModel& fm,
-                                  std::uint64_t id) {
-    layer.burn_faults_recording(fm, id, record.layers[id]);
+  return burn_clones(faults, records, pool);
+}
+
+std::vector<SimulatedModel> SimulatedModel::burn_clones(
+    std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
+    common::ThreadPool* pool) const {
+  AUTOHET_CHECK(fault_model_.ideal(),
+                "burning faults requires a clean (ideal) fabric to clone");
+  if (faults.empty()) return {};
+  const bool record = !records.empty();
+  const FaultModel shared(faults.front());
+  for (const FaultConfig& fc : faults) {
+    FaultConfig same_seed = fc;
+    same_seed.seed = faults.front().seed;
+    AUTOHET_CHECK(same_seed == faults.front(),
+                  "a batched burn's configs may differ only in seed");
+  }
+  AUTOHET_CHECK(faults.front().read_sigma == 0.0 ||
+                    mode_ == DatapathMode::kInteger,
+                "read noise requires the integer datapath");
+  const std::size_t n = faults.size();
+  // Clones reuse the quantization and the programmed cells.
+  std::vector<SimulatedModel> out(n, *this);
+  for (std::size_t t = 0; t < n; ++t) {
+    out[t].fault_model_ = FaultModel(faults[t]);
+  }
+  // One item per (layer, crossbar, lane group), largest crossbar first so
+  // a pool's tail is the small ones. Item k's stats land in slot
+  // (first[l] + x) · n + t of `stats`, folded per layer afterwards.
+  struct Item {
+    std::size_t layer, crossbar, lane0;
+    std::int64_t cells;
+  };
+  std::vector<Item> items;
+  std::vector<std::size_t> first(layers_.size() + 1, 0);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const std::size_t count = layers_[l].crossbar_count();
+    first[l + 1] = first[l] + count;
+    for (std::size_t x = 0; x < count; ++x) {
+      for (std::size_t t0 = 0; t0 < n; t0 += kernels::kBurnLanes) {
+        items.push_back({l, x, t0, layers_[l].crossbar_cells()});
+      }
+    }
+    if (record) {
+      for (TrialBurnRecord& rec : records) {
+        rec.layers.resize(layers_.size());
+        rec.layers[l].assign(count, {});
+      }
+    }
+  }
+  std::stable_sort(
+      items.begin(), items.end(),
+      [](const Item& a, const Item& b) { return a.cells > b.cells; });
+  std::vector<FaultMapStats> stats(first.back() * n);
+  common::parallel_for(pool, 0, items.size(), [&](std::size_t k) {
+    const Item& item = items[k];
+    const std::size_t lanes = std::min(kernels::kBurnLanes, n - item.lane0);
+    std::array<MappedLayer*, kernels::kBurnLanes> clones{};
+    std::array<BurnTarget, kernels::kBurnLanes> burns{};
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t t = item.lane0 + j;
+      clones[j] = &out[t].layers_[item.layer];
+      burns[j].seed = faults[t].seed;
+      if (record) {
+        CrossbarBurnRecord& rec = records[t].layers[item.layer][item.crossbar];
+        burns[j].hits = &rec.hits;
+        burns[j].bucket_ends = &rec.bucket_ends;
+      }
+    }
+    MappedLayer::burn_crossbar(shared, item.layer, item.crossbar,
+                               std::span(clones.data(), lanes),
+                               std::span(burns.data(), lanes));
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t t = item.lane0 + j;
+      stats[(first[item.layer] + item.crossbar) * n + t] = burns[j].stats;
+      if (record) {
+        records[t].layers[item.layer][item.crossbar].variation =
+            burns[j].stats;
+      }
+    }
   });
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      FaultMapStats total;
+      for (std::size_t i = first[l]; i < first[l + 1]; ++i) {
+        total += stats[i * n + t];
+      }
+      out[t].layers_[l].finish_burn(out[t].fault_model_, l, total);
+    }
+  }
+  return out;
 }
 
 SimulatedModel SimulatedModel::replay_faults(
     const FaultConfig& faults, const TrialBurnRecord& record) const {
   AUTOHET_CHECK(record.layers.size() == layers_.size(),
                 "burn record does not match this fabric's layer count");
-  return clone_burned(faults, [&](MappedLayer& layer, const FaultModel& fm,
-                                  std::uint64_t id) {
-    layer.replay_faults(fm, id, record.layers[id]);
-  });
-}
-
-SimulatedModel SimulatedModel::clone_burned(
-    const FaultConfig& faults,
-    const std::function<void(MappedLayer&, const FaultModel&, std::uint64_t)>&
-        burn) const {
   AUTOHET_CHECK(faults.read_sigma == 0.0 || mode_ == DatapathMode::kInteger,
                 "read noise requires the integer datapath");
-  SimulatedModel out = *this;  // reuses quantization + programmed cells
+  SimulatedModel out = *this;  // the recording's post-variation cells
   out.fault_model_ = FaultModel(faults);
   for (std::size_t i = 0; i < out.layers_.size(); ++i) {
-    burn(out.layers_[i], out.fault_model_, static_cast<std::uint64_t>(i));
+    out.layers_[i].replay_faults(out.fault_model_,
+                                 static_cast<std::uint64_t>(i),
+                                 record.layers[i]);
   }
   return out;
 }
@@ -690,19 +786,30 @@ TrialFabricCache::ideal_refs(const WorkloadKey& key,
   return ideal_.get(key, build);
 }
 
-std::shared_ptr<const TrialFabricCache::TrialFabric>
-TrialFabricCache::trial_fabric(const WorkloadKey& workload,
-                               const FaultConfig& trial_faults,
-                               const std::function<TrialFabric()>& build) {
-  const TrialKey key{workload, trial_faults.cell_bits,
-                     trial_faults.program_sigma, trial_faults.seed};
+std::vector<std::shared_ptr<const TrialFabricCache::TrialFabric>>
+TrialFabricCache::trial_fabrics(
+    const WorkloadKey& workload, std::span<const FaultConfig> trial_faults,
+    const std::function<std::vector<TrialFabric>(
+        std::span<const FaultConfig>)>& build) {
+  std::vector<TrialKey> keys;
+  keys.reserve(trial_faults.size());
+  for (const FaultConfig& fc : trial_faults) {
+    keys.push_back({workload, fc.cell_bits, fc.program_sigma, fc.seed});
+  }
   // Another workload, or another (cell_bits, sigma) generation of this one,
   // can never hit again within a sweep — drop its fabrics eagerly.
-  return trials_.get(key, build, [&](const TrialKey& resident) {
-    return resident.workload != key.workload ||
-           resident.cell_bits != key.cell_bits ||
-           resident.program_sigma != key.program_sigma;
-  });
+  return trials_.get_many(
+      std::span<const TrialKey>(keys),
+      [&](std::span<const std::size_t> missing) {
+        std::vector<FaultConfig> configs;
+        for (const std::size_t i : missing) configs.push_back(trial_faults[i]);
+        return build(configs);
+      },
+      [&](const TrialKey& resident) {
+        return resident.workload != workload ||
+               resident.cell_bits != keys.front().cell_bits ||
+               resident.program_sigma != keys.front().program_sigma;
+      });
 }
 
 TrialFabricCache::Stats TrialFabricCache::stats() const {
@@ -854,35 +961,84 @@ RobustnessReport monte_carlo_robustness(
         .count();
   };
 
-  // Phase A body: build one trial's faulty fabric. Cloning the clean fabric
-  // and burning this trial's faults is bit-identical to a fresh build (both
-  // are pure functions of the seeds); with a cache, the burn is recorded
-  // once and replayed per rate point. The scalar baseline reconstructs from
-  // scratch, as before. Layer assembly beats the record/replay machinery
-  // when allocations churn (the trial seed stream is fixed, so every layer
-  // burn is shared across episodes); the workload-keyed TrialFabricCache
-  // would evict on every new allocation anyway.
-  const auto build_fabric = [&](std::size_t t) -> SimulatedModel {
-    const FaultConfig trial_faults =
-        faults.for_trial(static_cast<std::uint64_t>(t));
-    if (scalar || layer_cache != nullptr) return program(trial_faults);
-    if (cache_trials || span_zero) {
-      const auto slot = cache->trial_fabric(workload, trial_faults, [&] {
-        TrialBurnRecord rec;
-        // A spanning (zero-rate) point burns the canonical probe config so
-        // the recording it leaves behind is the exact one every in-cap
-        // nonzero-rate point of this (seed, sigma, bits) generation records
-        // — one burned fabric family serves the whole rate row.
-        const FaultConfig burn =
-            span_zero ? spanning_probe(trial_faults) : trial_faults;
-        SimulatedModel fabric = refs->ideal.with_faults_recorded(burn, rec);
-        return TrialFabricCache::TrialFabric{std::move(fabric),
-                                             std::move(rec)};
-      });
-      return slot->fabric.replay_faults(trial_faults, slot->record);
-    }
-    return refs->ideal.with_faults(trial_faults);
-  };
+  // Phase A body: build the faulty fabrics of trials [b0, b1) into
+  // `fabrics`, setting each trial's stats and its share of the build time.
+  // Cloning the clean fabric and burning a trial's faults is bit-identical
+  // to a fresh build (both are pure functions of the seeds), and the
+  // block's trials burn together: each crossbar runs them in lockstep lane
+  // groups, the (crossbar, lane group) items spread over the pool. With a
+  // cache, a block's missing trials are recorded together once and
+  // replayed per rate point. The scalar baseline reconstructs each trial
+  // from scratch, as before. Layer assembly beats the record/replay
+  // machinery when allocations churn (the trial seed stream is fixed, so
+  // every layer burn is shared across episodes); the workload-keyed
+  // TrialFabricCache would evict on every new allocation anyway.
+  const auto build_fabrics =
+      [&](std::size_t b0, std::size_t b1, common::ThreadPool* pool,
+          std::vector<std::optional<SimulatedModel>>& fabrics) {
+        std::vector<FaultConfig> configs;
+        for (std::size_t t = b0; t < b1; ++t) {
+          configs.push_back(faults.for_trial(static_cast<std::uint64_t>(t)));
+        }
+        const auto install = [&](std::size_t t, SimulatedModel fabric,
+                                 double ms) {
+          fabrics[t - b0].emplace(std::move(fabric));
+          trials[t].stats = fabrics[t - b0]->fault_stats();
+          trials[t].wall_ms = ms;
+        };
+        if (scalar || layer_cache != nullptr) {
+          common::parallel_for(pool, b0, b1, [&](std::size_t t) {
+            OBS_SPAN("fault_trial_build");
+            const auto t0 = std::chrono::steady_clock::now();
+            SimulatedModel fabric = program(configs[t - b0]);
+            install(t, std::move(fabric), ms_since(t0));
+          });
+          return;
+        }
+        OBS_SPAN("fault_trial_build");
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto share = [&] {
+          return ms_since(t0) / static_cast<double>(b1 - b0);
+        };
+        if (!cache_trials && !span_zero) {
+          std::vector<SimulatedModel> built =
+              refs->ideal.with_faults(configs, pool);
+          const double ms = share();
+          for (std::size_t t = b0; t < b1; ++t) {
+            install(t, std::move(built[t - b0]), ms);
+          }
+          return;
+        }
+        const auto slots = cache->trial_fabrics(
+            workload, configs, [&](std::span<const FaultConfig> missing) {
+              // A spanning (zero-rate) point burns the canonical probe
+              // config so the recording it leaves behind is the exact one
+              // every in-cap nonzero-rate point of this (seed, sigma, bits)
+              // generation records — one burned fabric family serves the
+              // whole rate row.
+              std::vector<FaultConfig> burns(missing.begin(), missing.end());
+              if (span_zero) {
+                for (FaultConfig& fc : burns) fc = spanning_probe(fc);
+              }
+              std::vector<TrialBurnRecord> records(burns.size());
+              std::vector<SimulatedModel> recorded =
+                  refs->ideal.with_faults_recorded(burns, records, pool);
+              std::vector<TrialFabricCache::TrialFabric> out;
+              for (std::size_t i = 0; i < burns.size(); ++i) {
+                out.push_back(
+                    {std::move(recorded[i]), std::move(records[i])});
+              }
+              return out;
+            });
+        const double ms = share();
+        common::parallel_for(pool, b0, b1, [&](std::size_t t) {
+          const auto t1 = std::chrono::steady_clock::now();
+          const auto& slot = slots[t - b0];
+          SimulatedModel fabric =
+              slot->fabric.replay_faults(configs[t - b0], slot->record);
+          install(t, std::move(fabric), ms + ms_since(t1));
+        });
+      };
 
   // Phase B body: run one chunk of samples through an already-built trial
   // fabric. Sample s keeps noise stream s and its own result slots, so
@@ -921,36 +1077,52 @@ RobustnessReport monte_carlo_robustness(
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // The (trial, sample-chunk) items are the one parallel level: chunking
-  // keeps a pool busy even for a single trial with enough samples, and each
-  // forward inside an item runs serially.
+  // Trials run in blocks: phase A builds a block's trial fabrics, phase B
+  // runs the block's flattened (trial, sample-chunk) items. Blocking bounds
+  // peak fabric memory at one block instead of the whole budget: a lane
+  // group's width for lockstep burns (more with a larger pool), and a
+  // single fabric when a serial run programs each trial on its own.
+  const bool per_trial = scalar || layer_cache != nullptr;
+  const bool parallel = !scalar && threads > 1;
+  const std::size_t workers = options.pool != nullptr
+                                  ? options.pool->size()
+                                  : static_cast<std::size_t>(threads);
+  const std::size_t block =
+      per_trial && !parallel
+          ? 1
+          : std::max(parallel ? workers : 1, kernels::kBurnLanes);
+  const auto cpt = static_cast<std::size_t>(chunks_per_trial);
+  // The parallel items of each phase in the first (largest) block: phase A
+  // spreads (crossbar, lane group) burn items — or whole trials where each
+  // trial is programmed on its own — and phase B (trial, chunk) items. Each
+  // forward inside an item runs serially. A pool only pays when a phase
+  // has two or more items, and a local one never needs more workers than
+  // the larger phase has items.
+  const std::size_t first_block =
+      std::min(block, static_cast<std::size_t>(requested));
+  std::size_t crossbars = 0;
+  for (const MappedLayer& layer : refs->ideal.mapped_layers()) {
+    crossbars += layer.crossbar_count();
+  }
+  const std::size_t phase_a =
+      per_trial ? first_block
+          : crossbars * ((first_block + kernels::kBurnLanes - 1) /
+                         kernels::kBurnLanes);
+  const std::size_t items = std::max(phase_a, first_block * cpt);
   std::optional<common::ThreadPool> local_pool;
   common::ThreadPool* pool = nullptr;
-  if (!scalar && threads > 1) {
+  if (parallel && items >= 2) {
     pool = options.pool;
     if (pool == nullptr) {
-      pool = &local_pool.emplace(static_cast<std::size_t>(threads));
+      pool = &local_pool.emplace(
+          std::min(static_cast<std::size_t>(threads), items));
     }
   }
-  // Runs trials [w0, w1), filling their result slots, in generations:
-  // phase A builds a block of trial fabrics (concurrently with a pool),
-  // phase B runs the block's flattened (trial, chunk) items. Blocking
-  // bounds peak fabric memory at one block — a single fabric without a
-  // pool — instead of the whole budget.
-  const std::size_t block =
-      pool != nullptr ? std::max<std::size_t>(pool->size(), 8) : 1;
-  const auto cpt = static_cast<std::size_t>(chunks_per_trial);
   const auto run_trials = [&](std::size_t w0, std::size_t w1) {
     for (std::size_t b0 = w0; b0 < w1; b0 += block) {
       const std::size_t b1 = std::min(w1, b0 + block);
       std::vector<std::optional<SimulatedModel>> fabrics(b1 - b0);
-      common::parallel_for(pool, b0, b1, [&](std::size_t t) {
-        OBS_SPAN("fault_trial_build");
-        const auto t0 = std::chrono::steady_clock::now();
-        fabrics[t - b0].emplace(build_fabric(t));
-        trials[t].stats = fabrics[t - b0]->fault_stats();
-        trials[t].wall_ms = ms_since(t0);
-      });
+      build_fabrics(b0, b1, pool, fabrics);
       std::vector<double> chunk_ms((b1 - b0) * cpt, 0.0);
       common::parallel_for(pool, 0, (b1 - b0) * cpt, [&](std::size_t item) {
         OBS_SPAN("fault_trial_chunk");

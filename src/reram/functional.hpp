@@ -138,12 +138,28 @@ class MappedLayer {
   void burn_faults(const FaultModel& faults, std::uint64_t layer_id,
                    bool reference_path = false);
 
-  /// burn_faults variant that applies programming variation and *records*
-  /// the stuck-draw stream per crossbar instead of applying it (see
-  /// FaultModel::apply_recording). Fault stats hold the variation-only
-  /// counts until replay_faults completes the burn.
-  void burn_faults_recording(const FaultModel& faults, std::uint64_t layer_id,
-                             std::vector<CrossbarBurnRecord>& out);
+  /// The logical crossbars, one shape each: crossbar_count() of
+  /// crossbar_cells() physical cells.
+  std::size_t crossbar_count() const noexcept { return crossbars_.size(); }
+  std::int64_t crossbar_cells() const noexcept {
+    return mapping_.shape.rows * mapping_.shape.cols;
+  }
+
+  /// One step of a batched burn: burns crossbar `index` of every layer in
+  /// `clones` (copies of one clean layer with id `layer_id`) in one
+  /// FaultModel::burn call, clone i under burns[i].seed (recording when
+  /// burns[i].hits is set). Touches only that crossbar of each clone, so
+  /// distinct indices may run concurrently; once every crossbar of a clone
+  /// is burned, finish_burn installs its totals.
+  static void burn_crossbar(const FaultModel& faults, std::uint64_t layer_id,
+                            std::size_t index,
+                            std::span<MappedLayer* const> clones,
+                            std::span<BurnTarget> burns);
+
+  /// Completes a burn under `faults`: installs the summed crossbar stats
+  /// and, for a non-ideal config, this layer's read-noise stream.
+  void finish_burn(const FaultModel& faults, std::uint64_t layer_id,
+                   const FaultMapStats& stats);
 
   /// Completes a recorded burn on this layer (a clone of the recording's
   /// post-variation state): forces the recorded candidates that fall under
@@ -218,6 +234,23 @@ class SimulatedModel {
   SimulatedModel with_faults_recorded(const FaultConfig& faults,
                                       TrialBurnRecord& record) const;
 
+  /// Batched with_faults over the trials of one point: one fabric per
+  /// config, each bit-identical to with_faults(faults[i]). The configs may
+  /// differ only in seed (FaultConfig::for_trial of one point). Every
+  /// crossbar burns its trials in lockstep lane groups of up to
+  /// kernels::kBurnLanes (FaultModel::burn); `pool`, when given, spreads
+  /// the (crossbar, lane group) items, largest crossbar first. The
+  /// single-config with_faults is this with one config.
+  std::vector<SimulatedModel> with_faults(
+      std::span<const FaultConfig> faults,
+      common::ThreadPool* pool = nullptr) const;
+
+  /// Batched with_faults_recorded: fabric i and records[i] are exactly
+  /// with_faults_recorded(faults[i], records[i]).
+  std::vector<SimulatedModel> with_faults_recorded(
+      std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
+      common::ThreadPool* pool = nullptr) const;
+
   /// Completes a recorded burn: clones this post-variation fabric (the
   /// with_faults_recorded result) and forces the recorded candidates under
   /// `faults`' stuck thresholds. Bit-identical to with_faults(faults) on
@@ -275,13 +308,11 @@ class SimulatedModel {
   FaultMapStats fault_stats() const noexcept;
 
  private:
-  /// Copies this fabric under `faults` and runs `burn(layer, model, i)` on
-  /// each layer i of the copy — the one clone step of with_faults,
-  /// with_faults_recorded and replay_faults.
-  SimulatedModel clone_burned(
-      const FaultConfig& faults,
-      const std::function<void(MappedLayer&, const FaultModel&,
-                               std::uint64_t)>& burn) const;
+  /// The batched burn behind with_faults and with_faults_recorded
+  /// (recording into `records` when it is non-empty).
+  std::vector<SimulatedModel> burn_clones(std::span<const FaultConfig> faults,
+                                          std::span<TrialBurnRecord> records,
+                                          common::ThreadPool* pool) const;
   /// One mappable layer over a batch, sample i on noise stream
   /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
   /// noise-free fast fabric take one batched MVM over all samples (one
@@ -357,20 +388,24 @@ class TrialFabricCache {
   std::shared_ptr<const IdealRefs> ideal_refs(
       const WorkloadKey& key, const std::function<IdealRefs()>& build);
 
-  /// Returns the recorded trial fabric of `workload` for `trial_faults` (a
-  /// for_trial-derived, record-eligible config), recording via `build` on
-  /// first use. Keyed by (workload, cell_bits, program_sigma, seed), so one
-  /// recording per trial serves every stuck-rate point of a sweep grid.
-  /// Builds for distinct trials proceed concurrently (per-slot locking).
-  std::shared_ptr<const TrialFabric> trial_fabric(
-      const WorkloadKey& workload, const FaultConfig& trial_faults,
-      const std::function<TrialFabric()>& build);
+  /// Returns the recorded trial fabric of `workload` for each config in
+  /// `trial_faults` (for_trial-derived, record-eligible configs of one
+  /// point), recording every missing one in a single `build(missing)` call
+  /// that returns one fabric per missing config, in order — so a point's
+  /// trials record together. Keyed by (workload, cell_bits, program_sigma,
+  /// seed), so one recording per trial serves every stuck-rate point of a
+  /// sweep grid. Calls for disjoint trials proceed concurrently (per-slot
+  /// locking).
+  std::vector<std::shared_ptr<const TrialFabric>> trial_fabrics(
+      const WorkloadKey& workload, std::span<const FaultConfig> trial_faults,
+      const std::function<std::vector<TrialFabric>(
+          std::span<const FaultConfig>)>& build);
 
   struct Stats {
     std::uint64_t ideal_builds = 0;
     std::uint64_t ideal_hits = 0;
-    std::uint64_t trial_records = 0;  ///< recording burns executed
-    std::uint64_t trial_replays = 0;  ///< cache hits replayed instead
+    std::uint64_t trial_records = 0;  ///< trials recorded
+    std::uint64_t trial_replays = 0;  ///< trials found recorded
   };
   Stats stats() const;
 
@@ -472,7 +507,7 @@ struct RobustnessOptions {
   RobustnessBudget budget;
   std::uint64_t input_seed = 0x1a9e5ULL;
   /// Worker threads for the trial fan-out: 1 = serial (default), 0 = one
-  /// per hardware thread, n > 1 = exactly n. Every thread count produces
+  /// per hardware thread, n > 1 = up to n. Every thread count produces
   /// byte-identical reports (trials are independently seeded and the
   /// reduction replays the serial accumulation order).
   int threads = 1;
@@ -498,11 +533,13 @@ struct RobustnessOptions {
   /// supplies the engine's cache automatically.
   LayerFabricCache* layer_cache = nullptr;
   /// Optional externally owned worker pool for the parallel fan-out. When
-  /// null and threads > 1, a pool of `threads` workers is created for the
-  /// call; when set, `pool` is used as-is (its size wins over `threads`
-  /// for actual concurrency — `threads` still gates whether the parallel
-  /// path is taken at all). EvaluationEngine passes its shared pool so MC
-  /// calls don't re-spawn workers. Reports stay byte-identical either way.
+  /// null and threads > 1, a pool of up to `threads` workers is created for
+  /// the call if a phase has two or more items to spread (sized to the
+  /// larger phase's item count); when set, `pool` is used as-is (its size
+  /// wins over `threads` for actual concurrency — `threads` still gates
+  /// whether the parallel path is taken at all). EvaluationEngine passes
+  /// its shared pool so MC calls don't re-spawn workers. Reports stay
+  /// byte-identical either way.
   common::ThreadPool* pool = nullptr;
 };
 

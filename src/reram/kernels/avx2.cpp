@@ -16,6 +16,8 @@
 
 #include <bit>
 
+#include "reram/faults.hpp"
+#include "reram/kernels/burn_ops.inl"
 #include "reram/kernels/kernel_ops.inl"
 
 namespace autohet::reram::kernels {
@@ -125,7 +127,8 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch};
+const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch,
+                             burn_scalar};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -7,6 +7,8 @@
 
 #include "reram/kernels/kernels.hpp"
 
+#include "reram/faults.hpp"
+#include "reram/kernels/burn_ops.inl"
 #include "reram/kernels/kernel_ops.inl"
 
 namespace autohet::reram::kernels {
@@ -62,7 +64,8 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
 }  // namespace
 
 namespace detail {
-const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch};
+const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch,
+                                 burn_scalar};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -3,12 +3,14 @@
 // LruMemo (bounded report memo, under both EvaluationEngine memos).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,19 +38,7 @@ class SlotStore {
     std::shared_ptr<Slot> slot;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      for (const auto& [k, s] : slots_) {
-        if (k == key) {
-          slot = s;
-          break;
-        }
-      }
-      if (!slot) {
-        if (stale) {
-          std::erase_if(slots_, [&](const auto& e) { return stale(e.first); });
-        }
-        if (slots_.size() >= capacity_) slots_.clear();
-        slot = slots_.emplace_back(key, std::make_shared<Slot>()).second;
-      }
+      slot = find_or_insert(key, stale);
     }
     const std::lock_guard<std::mutex> fill(slot->mutex);
     const bool hit = slot->value != nullptr;
@@ -56,6 +46,49 @@ class SlotStore {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++(hit ? counts_.hits : counts_.builds);
     return slot->value;
+  }
+
+  /// get() over several keys at once: the values of `keys`, with every
+  /// missing one built by a single `build(missing)` call that receives the
+  /// indices of the missing keys and returns their values in that order.
+  /// The call holds all of its slots while it builds, locked in address
+  /// order, so overlapping calls never deadlock and still build each key
+  /// once; counts are per key.
+  template <class BuildMissing>
+  std::vector<std::shared_ptr<const Value>> get_many(
+      std::span<const Key> keys, const BuildMissing& build,
+      const std::function<bool(const Key&)>& stale = nullptr) {
+    std::vector<std::shared_ptr<Slot>> slots;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (const Key& key : keys) slots.push_back(find_or_insert(key, stale));
+    }
+    std::vector<Slot*> order;
+    for (const auto& slot : slots) order.push_back(slot.get());
+    std::sort(order.begin(), order.end());
+    order.erase(std::unique(order.begin(), order.end()), order.end());
+    std::vector<std::unique_lock<std::mutex>> fills;
+    for (Slot* slot : order) fills.emplace_back(slot->mutex);
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const bool repeat = std::any_of(
+          slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(i),
+          [&](const auto& s) { return s == slots[i]; });
+      if (!slots[i]->value && !repeat) missing.push_back(i);
+    }
+    if (!missing.empty()) {
+      std::vector<Value> built = build(std::span<const std::size_t>(missing));
+      for (std::size_t j = 0; j < missing.size(); ++j) {
+        slots[missing[j]]->value =
+            std::make_shared<const Value>(std::move(built[j]));
+      }
+    }
+    std::vector<std::shared_ptr<const Value>> values;
+    for (const auto& slot : slots) values.push_back(slot->value);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    counts_.builds += missing.size();
+    counts_.hits += keys.size() - missing.size();
+    return values;
   }
 
   struct Counts {
@@ -77,6 +110,21 @@ class SlotStore {
     std::mutex mutex;
     std::shared_ptr<const Value> value;
   };
+
+  /// The slot of `key`, inserted (after the stale and capacity evictions)
+  /// when absent. The caller holds mutex_.
+  std::shared_ptr<Slot> find_or_insert(
+      const Key& key, const std::function<bool(const Key&)>& stale) {
+    for (const auto& [k, s] : slots_) {
+      if (k == key) return s;
+    }
+    if (stale) {
+      std::erase_if(slots_, [&](const auto& e) { return stale(e.first); });
+    }
+    if (slots_.size() >= capacity_) slots_.clear();
+    return slots_.emplace_back(key, std::make_shared<Slot>()).second;
+  }
+
   std::size_t capacity_;
   mutable std::mutex mutex_;  ///< guards the slot list and counters
   std::vector<std::pair<Key, std::shared_ptr<Slot>>> slots_;

@@ -58,6 +58,10 @@
 #       matches its schema: format/version, the six sections, the counters,
 #       one known bottleneck per layer and a timeline that starts busy at
 #       t=0 and drains to zero.
+#   replay_mc_threads
+#       a one-trial robustness MC replay of the fixture plan (four samples:
+#       a single (trial, sample-chunk) item) prints the same report at 1
+#       and at 4 Monte-Carlo threads.
 #   serve_replay
 #       `serve` of the fixture plan twice gives the same serving JSON on a
 #       rerun and on a --traffic-in replay of the saved trace at
@@ -370,6 +374,18 @@ elseif(CASE STREQUAL "plan_roundtrip")
   same(search_report.json replay2.json)
   run_fails("--plan-in cannot be combined with --episodes"
             "${CLI}" replay --plan-in plan.json --episodes 5)
+elseif(CASE STREQUAL "replay_mc_threads")
+  foreach(threads 1 4)
+    run("${CLI}" replay --plan-in "${fixture_plan}" --mc-trials 1
+        --mc-threads ${threads})
+    set(mc_${threads} "${OUTPUT}")
+  endforeach()
+  if(NOT mc_1 MATCHES "robustness MC")
+    message(FATAL_ERROR "replay printed no robustness MC:\n${mc_1}")
+  endif()
+  if(NOT mc_1 STREQUAL mc_4)
+    message(FATAL_ERROR "MC replay differs across threads:\n${mc_1}\n${mc_4}")
+  endif()
 elseif(CASE STREQUAL "profile_threads")
   foreach(threads 1 4)
     run("${CLI}" profile --plan-in "${fixture_plan}" --functional-samples 2

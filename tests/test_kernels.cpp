@@ -329,6 +329,244 @@ TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
   }
 }
 
+// The fault configs of the batched-burn matrix.
+enum class BurnKind { kVariationOnly, kStuckOnly, kBoth };
+
+FaultConfig burn_config(BurnKind kind, int bits) {
+  FaultConfig fc;
+  fc.cell_bits = bits;
+  fc.seed = 0xb0a7 + static_cast<std::uint64_t>(bits);
+  if (kind != BurnKind::kStuckOnly) fc.program_sigma = 0.2;
+  if (kind != BurnKind::kVariationOnly) {
+    fc.stuck_at_zero_rate = 4e-3;
+    fc.stuck_at_one_rate = 3e-3;
+  }
+  return fc;
+}
+
+// A sparse array (a small random block in a mostly zero crossbar, as the
+// large candidate shapes hold most layers) or a dense one (random weights
+// in every cell).
+struct BurnArray {
+  std::int64_t rows, cols;
+  std::vector<std::int8_t> cells;
+};
+
+BurnArray burn_array(bool sparse) {
+  common::Rng rng(sparse ? 31 : 32);
+  BurnArray a{sparse ? 120 : 72, sparse ? 80 : 64, {}};
+  a.cells.assign(static_cast<std::size_t>(a.rows * a.cols), 0);
+  const std::int64_t used_rows = sparse ? 30 : a.rows;
+  const std::int64_t used_cols = sparse ? 25 : a.cols;
+  for (std::int64_t r = 0; r < used_rows; ++r) {
+    for (std::int64_t c = 0; c < used_cols; ++c) {
+      a.cells[static_cast<std::size_t>(r * a.cols + c)] =
+          static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+  }
+  return a;
+}
+
+#if !defined(AUTOHET_OBS_DISABLED)
+// The two burn counters, read together.
+std::array<std::uint64_t, 2> burn_counters() {
+  auto& registry = obs::Registry::global();
+  return {registry.counter("autohet_fault_cells_total").value(),
+          registry.counter("autohet_fault_stuck_cells_total").value()};
+}
+#endif
+
+TEST_P(KernelVariantTest, BatchedBurnMatchesSingleSeedBurns) {
+  // FaultModel::burn over N trial seeds (crossing the 8-lane group at 9)
+  // against N one-seed burns: plain burns against the per-cell reference,
+  // recording burns against apply_recording. Cells, stats, recorded hits
+  // and bucket ends, and the burn counters must all agree.
+  constexpr std::size_t kCellId = 5;
+  for (const bool sparse : {true, false}) {
+    const BurnArray array = burn_array(sparse);
+    for (const int bits : {1, 2, 4, 8}) {
+      for (const BurnKind kind : {BurnKind::kVariationOnly,
+                                  BurnKind::kStuckOnly, BurnKind::kBoth}) {
+        const FaultConfig fc = burn_config(kind, bits);
+        const FaultModel model(fc);
+        for (const bool record : {false, true}) {
+          if (record && !model.record_eligible()) continue;
+          for (const std::size_t n : {1, 2, 5, 8, 9}) {
+            SCOPED_TRACE(testing::Message()
+                         << "sparse " << sparse << " bits " << bits
+                         << " kind " << static_cast<int>(kind) << " record "
+                         << record << " n " << n);
+            std::vector<std::vector<std::int8_t>> want(n, array.cells);
+            std::vector<FaultMapStats> want_stats(n);
+            std::vector<std::vector<reram::StuckCandidate>> want_hits(n);
+            std::vector<reram::StuckBucketEnds> want_ends(n);
+#if !defined(AUTOHET_OBS_DISABLED)
+            const auto before_single = burn_counters();
+#endif
+            for (std::size_t t = 0; t < n; ++t) {
+              const FaultModel single(fc.for_trial(t));
+              want_stats[t] =
+                  record ? single.apply_recording(
+                               want[t], array.rows, array.cols, array.cols,
+                               kCellId, want_hits[t], want_ends[t])
+                         : single.apply_reference(want[t], array.rows,
+                                                  array.cols, array.cols,
+                                                  kCellId);
+            }
+#if !defined(AUTOHET_OBS_DISABLED)
+            const auto after_single = burn_counters();
+#endif
+            std::vector<std::vector<std::int8_t>> got(n, array.cells);
+            std::vector<std::vector<reram::StuckCandidate>> got_hits(n);
+            std::vector<reram::StuckBucketEnds> got_ends(n);
+            std::vector<reram::BurnTarget> targets(n);
+            for (std::size_t t = 0; t < n; ++t) {
+              targets[t].seed = fc.for_trial(t).seed;
+              targets[t].cells = got[t];
+              if (record) {
+                targets[t].hits = &got_hits[t];
+                targets[t].bucket_ends = &got_ends[t];
+              }
+            }
+            model.burn(targets, array.rows, array.cols, array.cols, kCellId);
+#if !defined(AUTOHET_OBS_DISABLED)
+            const auto after_batch = burn_counters();
+            EXPECT_EQ(after_batch[0] - after_single[0],
+                      after_single[0] - before_single[0]);
+            EXPECT_EQ(after_batch[1] - after_single[1],
+                      after_single[1] - before_single[1]);
+#endif
+            for (std::size_t t = 0; t < n; ++t) {
+              EXPECT_EQ(got[t], want[t]) << "trial " << t;
+              expect_stats_eq(targets[t].stats, want_stats[t]);
+              if (!record) continue;
+              EXPECT_EQ(got_ends[t], want_ends[t]) << "trial " << t;
+              ASSERT_EQ(got_hits[t].size(), want_hits[t].size());
+              for (std::size_t i = 0; i < got_hits[t].size(); ++i) {
+                EXPECT_EQ(got_hits[t][i].k, want_hits[t][i].k);
+                EXPECT_EQ(got_hits[t][i].plane, want_hits[t][i].plane);
+                EXPECT_EQ(got_hits[t][i].original, want_hits[t][i].original);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, BatchedBurnWithDriftTakesTheReferencePath) {
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = 4e-3;
+  fc.program_sigma = 0.05;
+  fc.drift_time_s = 1e5;
+  fc.drift_nu = 0.05;
+  fc.cell_bits = 2;
+  const FaultModel model(fc);
+  const BurnArray array = burn_array(/*sparse=*/false);
+  constexpr std::size_t n = 3;
+  std::vector<std::vector<std::int8_t>> got(n, array.cells);
+  std::vector<reram::BurnTarget> targets(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    targets[t].seed = fc.for_trial(t).seed;
+    targets[t].cells = got[t];
+  }
+  model.burn(targets, array.rows, array.cols, array.cols, 2);
+  for (std::size_t t = 0; t < n; ++t) {
+    auto want = array.cells;
+    const FaultMapStats stats = FaultModel(fc.for_trial(t)).apply_reference(
+        want, array.rows, array.cols, array.cols, 2);
+    EXPECT_EQ(got[t], want) << "trial " << t;
+    expect_stats_eq(targets[t].stats, stats);
+  }
+}
+
+TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
+  // Packed clones burned together read back through the packed bit-serial
+  // kernel exactly as a one-seed burn of each reads through either path.
+  common::Rng rng(77);
+  const std::int64_t rows = 70, cols = 33;
+  LogicalCrossbar clean({72, 40});
+  clean.program(random_weights(rng, rows * cols), rows, cols);
+  ASSERT_TRUE(clean.is_packed());
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = 0.01;
+  fc.stuck_at_one_rate = 0.01;
+  fc.program_sigma = 0.1;
+  fc.cell_bits = 2;
+  constexpr std::size_t n = 6;
+  std::vector<LogicalCrossbar> clones(n, clean);
+  std::vector<LogicalCrossbar*> lanes;
+  std::vector<reram::BurnTarget> burns(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    lanes.push_back(&clones[t]);
+    burns[t].seed = fc.for_trial(t).seed;
+  }
+  LogicalCrossbar::burn_clones(FaultModel(fc), 11, lanes, burns);
+  const auto x = random_input(rng, rows);
+  for (std::size_t t = 0; t < n; ++t) {
+    LogicalCrossbar single = clean;
+    const FaultMapStats stats =
+        single.apply_faults(FaultModel(fc.for_trial(t)), 11);
+    expect_stats_eq(burns[t].stats, stats);
+    ASSERT_TRUE(clones[t].is_packed());
+    EXPECT_EQ(clones[t].mvm_bit_serial(x), single.mvm_bit_serial_scalar(x))
+        << "trial " << t;
+    EXPECT_EQ(clones[t].mvm_bit_serial(x), clones[t].mvm_reference_scalar(x))
+        << "trial " << t;
+  }
+}
+
+TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
+  // One LeNet-5 rate row — rate 0 (plain lockstep burns), the first nonzero
+  // rate (the trials record together) and a second (replays) — serial and
+  // pooled through a fabric cache, against the portable kernels' uncached
+  // serial reports. 9 trials cross the 8-lane group.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
+                                          {72, 64});
+  RobustnessOptions mc;
+  mc.trials = 9;
+  mc.samples = 2;
+  const auto rate_fc = [](double rate) {
+    FaultConfig fc;
+    fc.stuck_at_zero_rate = rate / 2;
+    fc.stuck_at_one_rate = rate / 2;
+    fc.program_sigma = 0.05;
+    fc.cell_bits = 2;
+    return fc;
+  };
+  const double rates[] = {0.0, 1e-3, 5e-3};
+  std::vector<RobustnessReport> portable;
+  rk::set_variant(rk::Variant::kPortable);
+  for (const double rate : rates) {
+    portable.push_back(
+        reram::monte_carlo_robustness(model, shapes, rate_fc(rate), mc));
+  }
+  rk::set_variant(GetParam());
+  common::ThreadPool pool(3);
+  for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                &pool}) {
+    reram::TrialFabricCache cache;
+    RobustnessOptions run = mc;
+    run.cache = &cache;
+    run.pool = p;
+    run.threads = p != nullptr ? 3 : 1;
+    for (std::size_t i = 0; i < std::size(rates); ++i) {
+      EXPECT_TRUE(reports_equal(
+          reram::monte_carlo_robustness(model, shapes, rate_fc(rates[i]),
+                                        run),
+          portable[i]))
+          << "rate " << rates[i] << " pooled " << (p != nullptr);
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.trial_records, 9u);
+    EXPECT_EQ(stats.trial_replays, 9u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, KernelVariantTest,
                          ::testing::Values(rk::Variant::kPortable,
                                            rk::Variant::kAvx2,
@@ -479,21 +717,37 @@ TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
   // the thresholds move, the draw stream does not. A replay reads only the
   // draw buckets (width 2⁻⁸) below its summed rate, so the pairs straddle a
   // bucket edge (sum exactly 2⁻⁸, one ulp either side, 0.1% above), reach
-  // the cap (1/16) and include zero rates (nothing visited, zero delta).
+  // the cap and include zero rates (nothing visited, zero delta).
   const double edge = 0x1.0p-8;
   const double below = std::nextafter(edge, 0.0);
   const double above = std::nextafter(edge, 1.0);
-  const double cap = 0x1.0p-4;
+  const double cap =
+      static_cast<double>(FaultModel::kRecordCap53) * 0x1.0p-53;
   const std::array<double, 2> rate_pairs[] = {
       {1e-4, 1e-4},    {5e-3, 5e-3}, {1e-2, 0.0},         {0.0, 1e-2},
-      {2e-2, 3e-2},    {edge, 0.0},  {0.0, edge},         {edge / 2, edge / 2},
-      {below, 0.0},    {above, 0.0}, {edge * 1.001, 0.0}, {cap, 0.0},
+      {edge, 0.0},     {0.0, edge},  {edge / 2, edge / 2}, {below, 0.0},
+      {above, 0.0},    {edge * 1.001, 0.0}, {cap, 0.0},
       {cap / 4, cap * 3 / 4}, {0.0, 0.0}};
   for (const int bits : {1, 2, 8}) {
     // cell_bits = 1 stores each weight in 8 one-bit planes, so a single
     // cell carries hits from several buckets at the cap rates.
     rec_fc.cell_bits = bits;
     expect_replay_matches_direct(rec_fc, rate_pairs);
+    // Above the cap (one ulp past it, and a 5% pair) the draws in
+    // [cap, threshold) were never recorded: the replay refuses instead of
+    // returning wrong cells.
+    for (const auto& rates : {std::array<double, 2>{std::nextafter(cap, 1.0),
+                                                    0.0},
+                              std::array<double, 2>{2e-2, 3e-2}}) {
+      FaultConfig fc = rec_fc;
+      fc.stuck_at_zero_rate = rates[0];
+      fc.stuck_at_one_rate = rates[1];
+      std::vector<std::int8_t> cells(16, 0);
+      const reram::StuckBucketEnds ends{};
+      EXPECT_THROW(FaultModel(fc).replay_stuck(cells, 4, 4, {}, ends),
+                   std::invalid_argument)
+          << "bits " << bits << " rates " << rates[0] << "/" << rates[1];
+    }
   }
 }
 
@@ -610,6 +864,39 @@ TEST(MonteCarloIdentity, TrialFabricCacheInvariance) {
   EXPECT_EQ(stats.trial_records, 6u);
   EXPECT_EQ(stats.trial_replays, 6u);
   EXPECT_GT(stats.ideal_hits, 0u);
+}
+
+TEST(MonteCarloIdentity, CachedPointAboveRecordingCapIsUncached) {
+  // A summed stuck rate of 0.03 is above the recording cap: the point takes
+  // the direct burn, equals the uncached report and records nothing. A
+  // recorded fabric refuses to replay it.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
+                                          {72, 64});
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = 0.015;
+  fc.stuck_at_one_rate = 0.015;
+  fc.program_sigma = 0.01;
+  ASSERT_FALSE(FaultModel(fc).record_eligible());
+  reram::TrialFabricCache cache;
+  RobustnessOptions mc = small_mc();
+  mc.cache = &cache;
+  const auto cached = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  mc.cache = nullptr;
+  const auto uncached = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  EXPECT_TRUE(reports_equal(cached, uncached));
+  EXPECT_EQ(cache.stats().trial_records, 0u);
+  EXPECT_EQ(cache.stats().trial_replays, 0u);
+
+  FaultConfig in_cap = fc;
+  in_cap.stuck_at_zero_rate = 1e-3;
+  in_cap.stuck_at_one_rate = 1e-3;
+  const SimulatedModel ideal(model, shapes);
+  reram::TrialBurnRecord record;
+  const SimulatedModel recorded = ideal.with_faults_recorded(in_cap, record);
+  EXPECT_THROW((void)recorded.replay_faults(fc, record), std::invalid_argument);
 }
 
 TEST(MonteCarloIdentity, ReadNoiseThreadInvariance) {
