@@ -3,8 +3,8 @@
 // Monte-Carlo robustness wall time — the perf trajectory of the fast
 // functional engine (DESIGN.md §7).
 //
-// Levels timed, each against its retained scalar baseline (the pre-packing
-// datapaths, kept precisely so this comparison stays honest):
+// Levels timed, each against its scalar baseline, the per-cell oracles of
+// tests/oracle.hpp that the test suite checks the fast paths against:
 //   * raw crossbar kernels (bit-serial / reference MVMs/s),
 //     with the bit-serial kernel additionally timed under every supported
 //     dispatch variant (portable/avx2/avx512) — the `dispatch` JSON section
@@ -14,8 +14,9 @@
 //     configurations over its 15-point grid (3 cell-bits × 5 stuck rates,
 //     σ=0.01, 5 trials × 12 samples), measured end-to-end through
 //     EvaluationEngine::evaluate_robustness. Every (variant, thread-count)
-//     combination's reports are byte-compared against the scalar serial
-//     reference (asserted here and in CI), and per config the parallel
+//     combination's reports are byte-compared against the serial oracle
+//     Monte-Carlo (asserted here and by the e2e_functional_throughput
+//     test), and per config the parallel
 //     path must not lose to the serial one (`parallel_vs_serial`; on a
 //     single-hardware-thread host the parallel path runs the identical
 //     serial code, so the serial timing is reused and flagged).
@@ -34,6 +35,7 @@
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
+#include "oracle.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
 #include "reram/kernels/kernels.hpp"
@@ -169,7 +171,7 @@ int main(int argc, char** argv) {
   };
   std::vector<VariantRate> variant_rates;
   const std::vector<std::int32_t> bit_serial_oracle =
-      xb.mvm_bit_serial_scalar(input);
+      oracle::mvm_bit_serial_scalar(xb, input);
   for (const rk::Variant v : variants) {
     rk::set_variant(v);
     AUTOHET_CHECK(xb.mvm_bit_serial(input) == bit_serial_oracle,
@@ -197,12 +199,12 @@ int main(int argc, char** argv) {
   kernels.push_back({"bit_serial",
                      time_kernel([&] { return xb.mvm_bit_serial(input); }),
                      time_kernel([&] {
-                       return xb.mvm_bit_serial_scalar(input);
+                       return oracle::mvm_bit_serial_scalar(xb, input);
                      })});
   kernels.push_back({"reference",
                      time_kernel([&] { return xb.mvm_reference(input); }),
                      time_kernel([&] {
-                       return xb.mvm_reference_scalar(input);
+                       return oracle::mvm_reference_scalar(xb, input);
                      })});
 
   // --- Whole-network forward rates --------------------------------------
@@ -222,24 +224,23 @@ int main(int argc, char** argv) {
   {
     const reram::SimulatedModel fast_int(model, shapes,
                                          reram::DatapathMode::kInteger);
-    const reram::SimulatedModel scalar_int(
-        model, shapes, reram::DatapathMode::kInteger, {},
-        reram::KernelPolicy::kScalarReference);
+    const oracle::Fabric scalar_int(model, shapes,
+                                    reram::DatapathMode::kInteger);
     forwards.push_back(
         {"integer",
          calls_per_second([&] { fsink = fsink + fast_int.forward(image)[0]; }),
          calls_per_second(
-             [&] { fsink = fsink + scalar_int.forward(image)[0]; })});
+             [&] { fsink = fsink + scalar_int.forward(image).output[0]; })});
     const reram::SimulatedModel fast_bits(model, shapes,
                                           reram::DatapathMode::kBitSerial);
-    const reram::SimulatedModel scalar_bits(
-        model, shapes, reram::DatapathMode::kBitSerial, {},
-        reram::KernelPolicy::kScalarReference);
+    const oracle::Fabric scalar_bits(model, shapes,
+                                     reram::DatapathMode::kBitSerial);
     forwards.push_back(
         {"bit_serial",
          calls_per_second([&] { fsink = fsink + fast_bits.forward(image)[0]; }),
          calls_per_second(
-             [&] { fsink = fsink + scalar_bits.forward(image)[0]; }, 400.0)});
+             [&] { fsink = fsink + scalar_bits.forward(image).output[0]; },
+             400.0)});
   }
 
   // --- Monte-Carlo wall time on the fault_sweep workload ----------------
@@ -270,32 +271,42 @@ int main(int argc, char** argv) {
        std::vector<std::size_t>(env0.num_layers(), largest)});
 
   using Reports = std::vector<reram::RobustnessReport>;
-  const auto grid_wall = [&](const McConfig& cfg,
-                             const reram::RobustnessOptions& opts,
-                             Reports* out) {
-    const auto env = bench::make_env(net, mapping::hybrid_candidates(),
-                                     /*tile_shared=*/true);
+  // Wall time of one pass of `evaluate` over the 15-point grid; the
+  // reports land in `out` when it is set.
+  const auto grid_wall = [&](const auto& evaluate, Reports* out) {
     Reports reports;
     const auto t0 = Clock::now();
     for (const int cell_bits : kCellBits) {
       for (const double rate : kStuckRates) {
-        reports.push_back(env.engine().evaluate_robustness(
-            model, cfg.actions, point_config(rate, cell_bits), opts));
+        reports.push_back(evaluate(point_config(rate, cell_bits)));
       }
     }
     const double wall = ms_since(t0);
     if (out != nullptr) *out = std::move(reports);
     return wall;
   };
-  const auto best_grid = [&](const McConfig& cfg,
-                             const reram::RobustnessOptions& opts,
-                             Reports* out, int reps) {
+  // Best of `reps` timings of run(out); only the first run reports.
+  const auto best_of = [](int reps, Reports* out, const auto& run) {
     double best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      const double wall = grid_wall(cfg, opts, rep == 0 ? out : nullptr);
+      const double wall = run(rep == 0 ? out : nullptr);
       if (rep == 0 || wall < best) best = wall;
     }
     return best;
+  };
+  const auto best_grid = [&](const McConfig& cfg,
+                             const reram::RobustnessOptions& opts,
+                             Reports* out, int reps) {
+    return best_of(reps, out, [&](Reports* rep_out) {
+      const auto env = bench::make_env(net, mapping::hybrid_candidates(),
+                                       /*tile_shared=*/true);
+      return grid_wall(
+          [&](const reram::FaultConfig& faults) {
+            return env.engine().evaluate_robustness(model, cfg.actions,
+                                                    faults, opts);
+          },
+          rep_out);
+    });
   };
 
   reram::RobustnessOptions mc;
@@ -306,14 +317,24 @@ int main(int argc, char** argv) {
   // re-timing it would only measure noise — reuse the serial wall time.
   const bool reuse_serial_for_parallel = hw_threads <= 1;
 
-  // Scalar serial reference, once per configuration (the expensive leg).
+  // The oracle's serial Monte-Carlo, once per configuration (the expensive
+  // leg): every trial fabric programmed and burned from scratch, every
+  // sample through scalar per-column MVMs.
   std::vector<Reports> ref_reports(mc_configs.size());
   std::vector<double> scalar_ms(mc_configs.size(), 0.0);
   for (std::size_t c = 0; c < mc_configs.size(); ++c) {
-    reram::RobustnessOptions scalar_opts = mc;
-    scalar_opts.kernels = reram::KernelPolicy::kScalarReference;
-    scalar_ms[c] =
-        best_grid(mc_configs[c], scalar_opts, &ref_reports[c], mc_reps);
+    std::vector<mapping::CrossbarShape> cfg_shapes;
+    for (const std::size_t a : mc_configs[c].actions) {
+      cfg_shapes.push_back(candidates[a]);
+    }
+    scalar_ms[c] = best_of(mc_reps, &ref_reports[c], [&](Reports* out) {
+      return grid_wall(
+          [&](const reram::FaultConfig& faults) {
+            return oracle::monte_carlo_robustness(model, cfg_shapes, faults,
+                                                  mc);
+          },
+          out);
+    });
   }
 
   // Every supported variant, serial and parallel, byte-compared against the

@@ -52,8 +52,10 @@ std::uint64_t fault_fingerprint(const reram::FaultConfig& faults) {
   h.mix(faults.stuck_at_one_rate);
   h.mix(faults.program_sigma);
   h.mix(faults.read_sigma);
-  h.mix(faults.drift_time_s);
-  h.mix(faults.drift_nu);
+  // The two retention-drift slots of the format, always 0, keep stored
+  // fingerprints unchanged.
+  h.mix(0.0);
+  h.mix(0.0);
   h.mix(static_cast<std::uint64_t>(faults.cell_bits));
   h.mix(faults.seed);
   return h.hash();

@@ -227,8 +227,8 @@ void write_faults_json(std::ostream& os, const reram::FaultConfig& fc,
      << ",\n"
      << indent << "  \"program_sigma\": " << f(fc.program_sigma) << ",\n"
      << indent << "  \"read_sigma\": " << f(fc.read_sigma) << ",\n"
-     << indent << "  \"drift_time_s\": " << f(fc.drift_time_s) << ",\n"
-     << indent << "  \"drift_nu\": " << f(fc.drift_nu) << ",\n"
+     << indent << "  \"drift_time_s\": 0,\n"
+     << indent << "  \"drift_nu\": 0,\n"
      << indent << "  \"cell_bits\": " << fc.cell_bits << ",\n"
      << indent << "  \"seed\": \"" << fc.seed << "\"\n"
      << indent << '}';
@@ -326,8 +326,15 @@ reram::FaultConfig read_faults(const JsonValue& obj) {
   AUTOHET_READ_D(obj, fc, stuck_at_one_rate);
   AUTOHET_READ_D(obj, fc, program_sigma);
   AUTOHET_READ_D(obj, fc, read_sigma);
-  AUTOHET_READ_D(obj, fc, drift_time_s);
-  AUTOHET_READ_D(obj, fc, drift_nu);
+  // The fault model has no retention drift; its two keys stay in the
+  // format, always 0, so stored plans keep their bytes.
+  for (const char* key : {"drift_time_s", "drift_nu"}) {
+    const JsonValue& v = obj.at(key);
+    AUTOHET_CHECK(as_double(v, key) == 0.0,
+                  std::string("JSON key '") + key +
+                      "' must be 0: retention drift is not modelled (line " +
+                      std::to_string(v.line) + ")");
+  }
   AUTOHET_READ_I(obj, fc, cell_bits);
   fc.seed = as_u64_string(obj.at("seed"), "seed");
   return fc;

@@ -109,7 +109,8 @@ void LogicalCrossbar::repack() {
 
 std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial(
     std::span<const std::uint8_t> input) const {
-  if (!is_packed()) return mvm_bit_serial_scalar(input);
+  AUTOHET_CHECK(is_packed(),
+                "bit-serial MVM requires packed planes (ensure_packed())");
   AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
                 "input length must equal rows_used");
   std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
@@ -118,45 +119,8 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial(
   return acc;
 }
 
-std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial_scalar(
-    std::span<const std::uint8_t> input) const {
-  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
-                "input length must equal rows_used");
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  // For every input bit cycle (1-bit DAC) and every weight bit plane
-  // (1-bit cells), form the binary bitline sums and shift-add them in.
-  for (int xb = 0; xb < 8; ++xb) {
-    for (int wb = 0; wb < 8; ++wb) {
-      // Weight bit 7 is the two's-complement sign plane: value -2^7.
-      const std::int64_t scale =
-          (wb == 7) ? -(std::int64_t{1} << (xb + wb))
-                    : (std::int64_t{1} << (xb + wb));
-      for (std::int64_t j = 0; j < cols_used_; ++j) {
-        std::int32_t bitline_sum = 0;  // current summation on the bitline
-        for (std::int64_t i = 0; i < rows_used_; ++i) {
-          const unsigned xbit = (input[static_cast<std::size_t>(i)] >> xb) & 1u;
-          if (!xbit) continue;
-          const auto cell = static_cast<std::uint8_t>(
-              cells_[static_cast<std::size_t>(i * shape_.cols + j)]);
-          bitline_sum += static_cast<std::int32_t>((cell >> wb) & 1u);
-        }
-        acc[static_cast<std::size_t>(j)] +=
-            static_cast<std::int32_t>(scale * bitline_sum);
-      }
-    }
-  }
-  return acc;
-}
-
 FaultMapStats LogicalCrossbar::apply_faults(const FaultModel& model,
-                                            std::uint64_t crossbar_id,
-                                            bool reference_path) {
-  if (reference_path) {
-    const FaultMapStats stats = model.apply_reference(
-        cells_, shape_.rows, shape_.cols, shape_.cols, crossbar_id);
-    if (!packed_.empty() && !model.ideal()) repack();
-    return stats;
-  }
+                                            std::uint64_t crossbar_id) {
   LogicalCrossbar* self = this;
   BurnTarget burn;
   burn.seed = model.config().seed;
@@ -244,22 +208,6 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_reference(
                 "input length must equal rows_used");
   std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
   mvm_reference_batch_accum(input.data(), 1, acc.data());
-  return acc;
-}
-
-std::vector<std::int32_t> LogicalCrossbar::mvm_reference_scalar(
-    std::span<const std::uint8_t> input) const {
-  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
-                "input length must equal rows_used");
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(cols_used_), 0);
-  for (std::int64_t i = 0; i < rows_used_; ++i) {
-    const std::int32_t x = input[static_cast<std::size_t>(i)];
-    if (x == 0) continue;
-    const std::int8_t* row = cells_.data() + i * shape_.cols;
-    for (std::int64_t j = 0; j < cols_used_; ++j) {
-      acc[static_cast<std::size_t>(j)] += x * static_cast<std::int32_t>(row[j]);
-    }
-  }
   return acc;
 }
 

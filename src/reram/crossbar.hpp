@@ -16,8 +16,8 @@
 // datapath into AND+popcount over words — the bit-level kernel style
 // CIM-Explorer uses. Every noise-free MVM runs through the dispatched
 // kernels::ops() table as a batch of `count` columns; a single column is a
-// batch of one. The *_scalar paths are the retained oracles (tested
-// bit-identical); read noise has its own per-cell path
+// batch of one. The scalar per-cell datapaths they are tested against live
+// in tests/oracle.hpp; read noise has its own per-cell path
 // (mvm_read_noisy_accum). Bulk program() packs eagerly, program_cell
 // updates the pack incrementally, and fault burn-in repacks. Cell
 // precision is a storage property of the fault model
@@ -52,8 +52,8 @@ class LogicalCrossbar {
 
   /// Places a weight at an explicit (row, col) cell; used by the
   /// kernel-aligned mapper which leaves gaps inside a row block. Updates the
-  /// packed planes incrementally when they exist; otherwise stays scalar
-  /// (pack later with ensure_packed() only if the fast bit kernels are
+  /// packed planes incrementally when they exist; otherwise stays unpacked
+  /// (pack later with ensure_packed() only if the bit-serial datapath is
   /// wanted — the integer datapath never needs the planes).
   void program_cell(std::int64_t row, std::int64_t col, std::int8_t value);
 
@@ -62,23 +62,18 @@ class LogicalCrossbar {
   void ensure_packed();
   bool is_packed() const noexcept { return !packed_.empty(); }
 
-  /// Bit-serial MVM over the used region. `input` must have rows_used()
-  /// entries. Returns one int32 accumulation per used column. A packed
-  /// crossbar runs the batched AND+popcount kernel with count = 1, an
-  /// unpacked one the scalar datapath — bit-identical either way.
+  /// The full shape.rows × shape.cols cell array, row-major.
+  std::span<const std::int8_t> cells() const noexcept { return cells_; }
+
+  /// Bit-serial MVM over the used region: the batched AND+popcount kernel
+  /// with count = 1. `input` must have rows_used() entries. Returns one
+  /// int32 accumulation per used column. Requires is_packed() (checked).
   std::vector<std::int32_t> mvm_bit_serial(
       std::span<const std::uint8_t> input) const;
 
   /// Direct integer reference MVM (identical results, no bit slicing): the
   /// batched integer kernel with count = 1.
   std::vector<std::int32_t> mvm_reference(
-      std::span<const std::uint8_t> input) const;
-
-  /// Retained scalar datapaths — the equivalence oracles for the packed
-  /// kernels and the KernelPolicy::kScalar baseline.
-  std::vector<std::int32_t> mvm_bit_serial_scalar(
-      std::span<const std::uint8_t> input) const;
-  std::vector<std::int32_t> mvm_reference_scalar(
       std::span<const std::uint8_t> input) const;
 
   /// Batched reference accumulate over `count` input columns in transposed
@@ -98,7 +93,7 @@ class LogicalCrossbar {
   /// acc_t cols_used × count). All `count` samples' input planes are packed
   /// once and run through a single kernel dispatch, so the indirect-call and
   /// weight-plane traffic amortize over the batch. Requires is_packed();
-  /// bit-identical to `count` separate mvm_bit_serial_scalar calls.
+  /// bit-identical to `count` separate mvm_bit_serial calls.
   /// `scratch` is caller-owned kernel scratch (packed input planes), grown
   /// as needed — pass a per-thread instance to stay allocation-free.
   void mvm_bit_serial_batch_accum(const std::uint8_t* inputs_t,
@@ -114,15 +109,13 @@ class LogicalCrossbar {
                             std::int32_t* out) const;
 
   /// Burns a seeded fault model into the whole physical array (stuck-at
-  /// maps, programming variation, retention drift — see reram/faults.hpp).
+  /// maps and programming variation — see reram/faults.hpp).
   /// Deterministic in (model.config().seed, crossbar_id); gap cells inside
   /// the used region are perturbed too (their stuck-at-1 faults inject
   /// spurious bitline current exactly as on real fabric). A no-op for an
-  /// ideal model. `reference_path` forces the retained per-cell burn-in
-  /// (the KernelPolicy::kScalar baseline); both paths are bit-identical.
+  /// ideal model.
   FaultMapStats apply_faults(const FaultModel& model,
-                             std::uint64_t crossbar_id,
-                             bool reference_path = false);
+                             std::uint64_t crossbar_id);
 
   /// Burns `model` into `clones` — copies of one programmed crossbar —
   /// in one FaultModel::burn call: clone i under burns[i].seed, recording
@@ -148,7 +141,7 @@ class LogicalCrossbar {
   std::int64_t cols_used_ = 0;
   std::vector<std::int8_t> cells_;  // full r×c array, row-major
   /// Packed weight bit planes, [bit][col][word] with words covering all
-  /// shape_.rows wordlines; empty = not packed (scalar kernels used).
+  /// shape_.rows wordlines; empty = not packed (integer datapath only).
   std::vector<std::uint64_t> packed_;
   std::int64_t packed_words_ = 0;  ///< ceil(shape_.rows / 64)
 };

@@ -32,8 +32,6 @@ void FaultConfig::validate() const {
                 "stuck-at rates must be probabilities summing to <= 1");
   AUTOHET_CHECK(program_sigma >= 0.0 && read_sigma >= 0.0,
                 "variation sigmas must be non-negative");
-  AUTOHET_CHECK(drift_time_s >= 0.0 && drift_nu >= 0.0,
-                "drift parameters must be non-negative");
   AUTOHET_CHECK(cell_bits > 0 && cell_bits <= 8 && 8 % cell_bits == 0,
                 "cell_bits must divide 8");
 }
@@ -149,27 +147,19 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
   config_.validate();
   planes_ = 8 / config_.cell_bits;
   level_mask_ = (1u << config_.cell_bits) - 1u;
-  drift_factor_ =
-      (config_.drift_time_s > 0.0 && config_.drift_nu > 0.0)
-          ? std::pow(1.0 + config_.drift_time_s, -config_.drift_nu)
-          : 1.0;
   read_sigma_weights_ =
       config_.read_sigma * level_noise_amplification(config_.cell_bits);
 
-  // Fast-kernel precompute. Retention drift multiplies every level by a
-  // constant != 1, defeating the "level provably unchanged" shortcut, so
-  // drifted configs stay on the reference path.
-  fast_eligible_ = drift_factor_ == 1.0;
-  // uniform() returns k·2⁻⁵³ with k = uniform_bits53(); multiplying a rate
+  // Burn-kernel precompute. uniform() returns k·2⁻⁵³ with k = uniform_bits53(); multiplying a rate
   // by 2⁵³ is exact (pure exponent shift), so k·2⁻⁵³ < rate ⟺ k < ceil(T).
   const auto thr53 = [](double rate) {
     return static_cast<std::uint64_t>(std::ceil(rate * 0x1.0p53));
   };
   stuck_zero_thr53_ = thr53(config_.stuck_at_zero_rate);
-  // The sum is rounded in double first, exactly as perturb_weight compares.
+  // The sum is rounded in double first, as the per-cell compare does.
   stuck_sum_thr53_ =
       thr53(config_.stuck_at_zero_rate + config_.stuck_at_one_rate);
-  if (fast_eligible_ && config_.program_sigma > 0.0) {
+  if (config_.program_sigma > 0.0) {
     // Marsaglia polar: the accepted pair (u, v) with s = u²+v² yields
     // deviates u·m and v·m with m = sqrt(−2 ln s / s), so |N| ≤ sqrt(−2 ln s)
     // (since |u|,|v| ≤ √s). Level L survives lround(L·exp(σN)) == L whenever
@@ -188,42 +178,6 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
   }
 }
 
-std::int8_t FaultModel::perturb_weight(std::int8_t weight, common::Rng& rng,
-                                       FaultMapStats& stats) const {
-  const int b = config_.cell_bits;
-  const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
-  unsigned out = 0;
-  for (int p = 0; p < planes_; ++p, ++stats.physical_cells) {
-    double level = static_cast<double>((offset >> (p * b)) & level_mask_);
-    // Programming variation: lognormal on the stored conductance level
-    // (HRS level 0 stays 0 — an off cell has nothing to vary).
-    if (config_.program_sigma > 0.0 && level > 0.0) {
-      level *= std::exp(rng.normal(0.0, config_.program_sigma));
-    }
-    level *= drift_factor_;  // deterministic retention decay
-    auto quantized = static_cast<unsigned>(std::clamp(
-        std::lround(level), 0l, static_cast<long>(level_mask_)));
-    // Stuck-at faults override whatever was programmed. One uniform draw
-    // per physical cell whenever either rate is nonzero keeps the map a
-    // pure function of the RNG stream position.
-    if (config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0) {
-      const double u = rng.uniform();
-      if (u < config_.stuck_at_zero_rate) {
-        quantized = 0;
-        ++stats.stuck_at_zero;
-      } else if (u < config_.stuck_at_zero_rate + config_.stuck_at_one_rate) {
-        quantized = level_mask_;
-        ++stats.stuck_at_one;
-      }
-    }
-    out |= (quantized & level_mask_) << (p * b);
-  }
-  const auto perturbed =
-      static_cast<std::int8_t>(static_cast<int>(out) - 128);
-  if (perturbed != weight) ++stats.weights_changed;
-  return perturbed;
-}
-
 void FaultModel::burn(std::span<BurnTarget> targets, std::int64_t rows,
                       std::int64_t cols, std::int64_t row_stride,
                       std::uint64_t crossbar_id) const {
@@ -236,8 +190,8 @@ void FaultModel::burn(std::span<BurnTarget> targets, std::int64_t rows,
   }
   if (record) {
     AUTOHET_CHECK(record_eligible(),
-                  "this fault config cannot be recorded (drift, zero stuck "
-                  "rates, or rates beyond the recording cap)");
+                  "this fault config cannot be recorded (zero stuck rates, "
+                  "or rates beyond the recording cap)");
   } else if (ideal()) {
     for (BurnTarget& t : targets) t.stats = {};
     return;
@@ -252,52 +206,45 @@ void FaultModel::burn(std::span<BurnTarget> targets, std::int64_t rows,
     AUTOHET_CHECK(t.cells.size() >= extent,
                   "burn target smaller than its fault-map geometry");
   }
-  if (!fast_eligible_) {
-    for (BurnTarget& t : targets) {
-      t.stats = burn_reference(t.cells, rows, cols, row_stride,
-                               common::Rng(t.seed).child(crossbar_id));
+  const kernels::BurnSpec spec{
+      planes_,
+      config_.program_sigma,
+      config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0,
+      record,
+      stuck_zero_thr53_,
+      stuck_sum_thr53_,
+      level_s_safe_.data()};
+  // A recording lane files its draws into one vector per bucket; every
+  // plane lands in a given bucket with probability 2⁻⁸, so reserving the
+  // mean plus four standard deviations makes regrowth rare, and the
+  // concatenation below sizes `hits` exactly.
+  using Bins = std::array<std::vector<StuckCandidate>,
+                          std::tuple_size_v<StuckBucketEnds>>;
+  std::vector<Bins> bins(record ? targets.size() : 0);
+  const double mean = static_cast<double>(rows * cols * planes_) * 0x1.0p-8;
+  const auto expected =
+      static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) + 8.0);
+  std::vector<kernels::BurnLane> lanes(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    lanes[i].rng = common::Rng(targets[i].seed).child(crossbar_id);
+    lanes[i].cells = targets[i].cells.data();
+    lanes[i].stats = &targets[i].stats;
+    if (record) {
+      for (auto& bin : bins[i]) bin.reserve(expected);
+      lanes[i].bins = bins[i].data();
     }
-  } else {
-    const kernels::BurnSpec spec{
-        planes_,
-        config_.program_sigma,
-        config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0,
-        record,
-        stuck_zero_thr53_,
-        stuck_sum_thr53_,
-        level_s_safe_.data()};
-    // A recording lane files its draws into one vector per bucket; every
-    // plane lands in a given bucket with probability 2⁻⁸, so reserving the
-    // mean plus four standard deviations makes regrowth rare, and the
-    // concatenation below sizes `hits` exactly.
-    using Bins = std::array<std::vector<StuckCandidate>,
-                            std::tuple_size_v<StuckBucketEnds>>;
-    std::vector<Bins> bins(record ? targets.size() : 0);
-    const double mean = static_cast<double>(rows * cols * planes_) * 0x1.0p-8;
-    const auto expected =
-        static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) + 8.0);
-    std::vector<kernels::BurnLane> lanes(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      lanes[i].rng = common::Rng(targets[i].seed).child(crossbar_id);
-      lanes[i].cells = targets[i].cells.data();
-      lanes[i].stats = &targets[i].stats;
-      if (record) {
-        for (auto& bin : bins[i]) bin.reserve(expected);
-        lanes[i].bins = bins[i].data();
-      }
-    }
-    kernels::ops().burn(spec, rows, cols, row_stride, lanes.data(),
-                        lanes.size());
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-      std::size_t total = 0;
-      for (const auto& bin : bins[i]) total += bin.size();
-      std::vector<StuckCandidate>& out = *targets[i].hits;
-      out.clear();
-      out.reserve(total);
-      for (std::size_t b = 0; b < bins[i].size(); ++b) {
-        out.insert(out.end(), bins[i][b].begin(), bins[i][b].end());
-        (*targets[i].bucket_ends)[b] = static_cast<std::uint32_t>(out.size());
-      }
+  }
+  kernels::ops().burn(spec, rows, cols, row_stride, lanes.data(),
+                      lanes.size());
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    std::size_t total = 0;
+    for (const auto& bin : bins[i]) total += bin.size();
+    std::vector<StuckCandidate>& out = *targets[i].hits;
+    out.clear();
+    out.reserve(total);
+    for (std::size_t b = 0; b < bins[i].size(); ++b) {
+      out.insert(out.end(), bins[i][b].begin(), bins[i][b].end());
+      (*targets[i].bucket_ends)[b] = static_cast<std::uint32_t>(out.size());
     }
   }
   if (record) return;  // a recording's counts are completed by its replays
@@ -321,38 +268,6 @@ FaultMapStats FaultModel::apply(std::span<std::int8_t> cells,
   return target.stats;
 }
 
-FaultMapStats FaultModel::apply_reference(std::span<std::int8_t> cells,
-                                          std::int64_t rows, std::int64_t cols,
-                                          std::int64_t row_stride,
-                                          std::uint64_t crossbar_id) const {
-  if (ideal()) return {};
-  AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
-                "invalid fault-map geometry");
-  const FaultMapStats stats =
-      burn_reference(cells, rows, cols, row_stride,
-                     common::Rng(config_.seed).child(crossbar_id));
-  OBS_COUNTER_ADD("autohet_fault_cells_total",
-                  static_cast<std::uint64_t>(stats.physical_cells));
-  OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
-                  static_cast<std::uint64_t>(stats.stuck_at_zero +
-                                             stats.stuck_at_one));
-  return stats;
-}
-
-FaultMapStats FaultModel::burn_reference(std::span<std::int8_t> cells,
-                                         std::int64_t rows, std::int64_t cols,
-                                         std::int64_t row_stride,
-                                         common::Rng rng) const {
-  FaultMapStats stats;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int8_t* row = cells.data() + r * row_stride;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      row[c] = perturb_weight(row[c], rng, stats);
-    }
-  }
-  return stats;
-}
-
 FaultMapStats FaultModel::apply_recording(
     std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
     std::int64_t row_stride, std::uint64_t crossbar_id,
@@ -372,9 +287,9 @@ FaultMapStats FaultModel::replay_stuck(
     const StuckBucketEnds& bucket_ends) const {
   // Zero rates force nothing and stay replayable; any other config must be
   // recordable, or the draws in [cap, threshold) it needs were never kept.
-  AUTOHET_CHECK(record_eligible() || (fast_eligible_ && stuck_sum_thr53_ == 0),
-                "this fault config cannot be replayed (drift, or rates "
-                "beyond the recording cap)");
+  AUTOHET_CHECK(record_eligible() || stuck_sum_thr53_ == 0,
+                "this fault config cannot be replayed (rates beyond the "
+                "recording cap)");
   FaultMapStats delta;
   // Buckets at or above the summed threshold hold no hit: read the leading
   // ⌈thr / 2⁴⁵⌉ of them (none at zero rates).
@@ -420,14 +335,10 @@ double analytic_layer_vulnerability(const mapping::LayerMapping& m,
                                     const FaultConfig& faults) {
   if (faults.ideal()) return 0.0;
   faults.validate();
-  const double drift_loss =
-      (faults.drift_time_s > 0.0 && faults.drift_nu > 0.0)
-          ? 1.0 - std::pow(1.0 + faults.drift_time_s, -faults.drift_nu)
-          : 0.0;
   const double per_level_variance =
       faults.stuck_at_zero_rate + faults.stuck_at_one_rate +
       faults.program_sigma * faults.program_sigma +
-      faults.read_sigma * faults.read_sigma + drift_loss * drift_loss;
+      faults.read_sigma * faults.read_sigma;
   const double cell_error =
       std::sqrt(per_level_variance) *
       FaultModel::level_noise_amplification(faults.cell_bits) / 127.0;

@@ -1,5 +1,5 @@
-// ReRAM non-ideality model: stuck-at faults, conductance variation and
-// retention drift, seeded and deterministic.
+// ReRAM non-ideality model: stuck-at faults and conductance variation,
+// seeded and deterministic.
 //
 // The paper evaluates an *ideal* device; multi-bit ReRAM cells are precisely
 // the ones most vulnerable to conductance variation and stuck-at defects
@@ -26,10 +26,6 @@
 //     the *effective* weight-space error grows with bits per cell:
 //     σ_w = σ · A(b) with A(b)² = E[v²] · Σ_p 4^{p·b} (see weight_sigma()).
 //
-//   * Retention drift. Conductance decays with time as the deterministic
-//     power law g(t) = g0 · (1 + t)^{−ν} (t in seconds, ν = drift_nu),
-//     applied to every nonzero level before rounding.
-//
 // Faults and programming variation are burned in at weight-programming time
 // (`LogicalCrossbar::apply_faults`, called by `MappedLayer`); cycle-to-cycle
 // read variation (`read_sigma`) is sampled at MVM time on the integer
@@ -54,8 +50,6 @@ struct FaultConfig {
   double stuck_at_one_rate = 0.0;   ///< per physical cell, Bernoulli
   double program_sigma = 0.0;  ///< lognormal σ of programmed conductance
   double read_sigma = 0.0;     ///< lognormal σ per MVM read (cycle-to-cycle)
-  double drift_time_s = 0.0;   ///< retention time since programming; 0 = off
-  double drift_nu = 0.0;       ///< drift exponent ν (typically ~0.1)
   int cell_bits = 1;           ///< bits per physical cell (1, 2, 4 or 8)
   std::uint64_t seed = 0xfa0175eedULL;  // "faults-eed"
 
@@ -63,8 +57,7 @@ struct FaultConfig {
   /// touches an RNG and programmed arrays stay bit-identical.
   bool ideal() const noexcept {
     return stuck_at_zero_rate == 0.0 && stuck_at_one_rate == 0.0 &&
-           program_sigma == 0.0 && read_sigma == 0.0 &&
-           (drift_time_s == 0.0 || drift_nu == 0.0);
+           program_sigma == 0.0 && read_sigma == 0.0;
   }
 
   /// Derives the trial-t configuration for Monte-Carlo sweeps: identical
@@ -286,18 +279,17 @@ class FaultModel {
   bool ideal() const noexcept { return config_.ideal(); }
 
   /// The burn entry point. Burns this config into every target, target i
-  /// under the stream (targets[i].seed, crossbar_id): stuck-at faults,
-  /// programming variation and drift on a full rows×cols two's-complement
-  /// weight array (row-major, stride `row_stride`). Every target must hold
-  /// the same programmed weights — the trials of one point burn clones of
-  /// one clean array — so the kernel table's burn op
-  /// (kernels::Ops::burn) can run them in lockstep lane groups; each
-  /// target ends exactly as a burn of it alone would leave it. Eligible
-  /// configs (no drift) take that stream-exact fast kernel, whose cells,
-  /// stats and consumed RNG stream are bit-identical to apply_reference
-  /// (tested); drifted ones take apply_reference's per-cell path. Targets
-  /// with `hits` set burn recording (see apply_recording); a call records
-  /// for every target or for none. One target is a batch of one.
+  /// under the stream (targets[i].seed, crossbar_id): stuck-at faults and
+  /// programming variation on a full rows×cols two's-complement weight
+  /// array (row-major, stride `row_stride`). Every target must hold the
+  /// same programmed weights — the trials of one point burn clones of one
+  /// clean array — so the kernel table's burn op (kernels::Ops::burn) can
+  /// run them in lockstep lane groups; each target ends exactly as a burn
+  /// of it alone would leave it. The kernel is stream-exact: its cells,
+  /// stats and consumed RNG stream are bit-identical to the per-cell
+  /// oracle in tests/oracle.hpp (tested). Targets with `hits` set burn
+  /// recording (see apply_recording); a call records for every target or
+  /// for none. One target is a batch of one.
   void burn(std::span<BurnTarget> targets, std::int64_t rows,
             std::int64_t cols, std::int64_t row_stride,
             std::uint64_t crossbar_id) const;
@@ -306,18 +298,6 @@ class FaultModel {
   FaultMapStats apply(std::span<std::int8_t> cells, std::int64_t rows,
                       std::int64_t cols, std::int64_t row_stride,
                       std::uint64_t crossbar_id) const;
-
-  /// The straightforward per-cell path (perturb_weight per logical weight).
-  /// Retained as the equivalence oracle for the fast kernel and as the
-  /// scalar-baseline burn-in for KernelPolicy::kScalar fabrics.
-  FaultMapStats apply_reference(std::span<std::int8_t> cells,
-                                std::int64_t rows, std::int64_t cols,
-                                std::int64_t row_stride,
-                                std::uint64_t crossbar_id) const;
-
-  /// Perturbs one weight (used by apply_reference(); exposed for tests).
-  std::int8_t perturb_weight(std::int8_t weight, common::Rng& rng,
-                             FaultMapStats& stats) const;
 
   /// Recording cap: stuck draws with k < 2⁵³/64 are captured by
   /// apply_recording, so any config whose summed stuck rate is ≤ 2⁻⁶
@@ -333,12 +313,11 @@ class FaultModel {
                 std::tuple_size_v<StuckBucketEnds>);
 
   /// True when this config's burn-in can be recorded and later replayed:
-  /// fast-kernel eligible (no drift), stuck draws consumed (some stuck rate
-  /// > 0 — a zero-rate stream skips the draws entirely and is a different
-  /// stream) and thresholds within the recording cap.
+  /// stuck draws consumed (some stuck rate > 0 — a zero-rate stream skips
+  /// the draws entirely and is a different stream) and thresholds within
+  /// the recording cap.
   bool record_eligible() const noexcept {
-    return fast_eligible_ && stuck_sum_thr53_ > 0 &&
-           stuck_sum_thr53_ <= kRecordCap53;
+    return stuck_sum_thr53_ > 0 && stuck_sum_thr53_ <= kRecordCap53;
   }
 
   /// Recording burn-in (burn() of one recording target under
@@ -368,8 +347,8 @@ class FaultModel {
   /// ⌈summed threshold / 2⁴⁵⌉ buckets are read; zero rates read none.
   /// `cells` must hold the recording's post-variation state; `hits` and
   /// `bucket_ends` must be the recording's for the same geometry. A config
-  /// above the recording cap (or with drift) is rejected: its draws in
-  /// [cap, threshold) were never recorded, so the replay would be wrong.
+  /// above the recording cap is rejected: its draws in [cap, threshold)
+  /// were never recorded, so the replay would be wrong.
   FaultMapStats replay_stuck(std::span<std::int8_t> cells, std::int64_t cols,
                              std::int64_t row_stride,
                              std::span<const StuckCandidate> hits,
@@ -388,16 +367,9 @@ class FaultModel {
   }
 
  private:
-  /// apply_reference's per-cell loop on one stream, without the counters.
-  FaultMapStats burn_reference(std::span<std::int8_t> cells,
-                               std::int64_t rows, std::int64_t cols,
-                               std::int64_t row_stride,
-                               common::Rng rng) const;
-
   FaultConfig config_;
   int planes_ = 8;           ///< 8 / cell_bits
   unsigned level_mask_ = 1;  ///< 2^cell_bits − 1
-  double drift_factor_ = 1.0;
   double read_sigma_weights_ = 0.0;
   // Fast-kernel precompute (see kernels::BurnSpec): integer stuck-at
   // thresholds on the raw 53-bit uniform draw, and per-level
@@ -405,7 +377,6 @@ class FaultModel {
   // exceeds s_safe[L] the lognormal perturbation provably cannot move level
   // L off its grid point, so the sqrt/log/exp are skipped while the RNG
   // stream advances identically.
-  bool fast_eligible_ = false;
   std::uint64_t stuck_zero_thr53_ = 0;  ///< u < z₀ ⟺ bits53 < this
   std::uint64_t stuck_sum_thr53_ = 0;   ///< u < z₀+z₁ ⟺ bits53 < this
   std::vector<double> level_s_safe_;    ///< indexed by level, [0..mask]
@@ -425,7 +396,7 @@ FaultConfig spanning_probe(const FaultConfig& config) noexcept;
 /// Closed-form per-layer fault vulnerability in [0, 1]: the expected
 /// relative MVM output error of `layer` mapped as `m` under `faults`.
 ///
-///   ε_cell = sqrt(p₀ + p₁ + σ_prog² + σ_read² + drift_loss²) · A(b) / 127
+///   ε_cell = sqrt(p₀ + p₁ + σ_prog² + σ_read²) · A(b) / 127
 ///   ε_layer = min(1, ε_cell · sqrt(row_blocks))
 ///
 /// The √row_blocks factor models the adder-tree merge of independently

@@ -18,10 +18,6 @@
 namespace autohet::reram {
 
 namespace {
-/// Crossbar-id stride between layers: fault maps stay stable per crossbar
-/// as long as no layer spans more than 2^20 logical crossbars.
-constexpr std::uint64_t kFaultIdStride = std::uint64_t{1} << 20;
-
 /// Read-noise stream key for one MVM call: the per-pass noise stream in the
 /// high bits, the output-position ordinal in the low 20 (no conv in the zoo
 /// comes near 2^20 output positions).
@@ -35,8 +31,7 @@ constexpr std::uint64_t make_call_key(std::uint64_t noise_stream,
 /// layer is a copy of the cache's shared build for its key.
 std::vector<MappedLayer> program_layers(
     const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-    const FaultConfig& faults, KernelPolicy policy,
-    LayerFabricCache* cache = nullptr) {
+    const FaultConfig& faults, LayerFabricCache* cache = nullptr) {
   const auto mappable = model.spec().mappable_layers();
   AUTOHET_CHECK(shapes.size() == mappable.size(),
                 "one crossbar shape per mappable layer required");
@@ -47,7 +42,7 @@ std::vector<MappedLayer> program_layers(
     const auto build = [&] {
       return MappedLayer(mappable[i], model.weight(i), shapes[i],
                          fm.ideal() ? nullptr : &fm,
-                         static_cast<std::uint64_t>(i), policy);
+                         static_cast<std::uint64_t>(i));
     };
     layers.push_back(cache == nullptr
                          ? build()
@@ -92,8 +87,7 @@ tensor::Tensor residual_add_exact(const tensor::Tensor& a,
 MappedLayer::MappedLayer(const nn::LayerSpec& spec,
                          const tensor::Tensor& weight,
                          const mapping::CrossbarShape& shape,
-                         const FaultModel* faults, std::uint64_t layer_id,
-                         KernelPolicy policy)
+                         const FaultModel* faults, std::uint64_t layer_id)
     : spec_(spec), mapping_(mapping::map_layer(spec, shape)) {
   const std::int64_t k2 = spec.kernel * spec.kernel;
   const std::int64_t wrows = spec.weight_rows();
@@ -153,18 +147,18 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
   // maps and programming variation are burned into the arrays the moment
   // the weights are written (reram/faults.hpp).
   if (faults != nullptr && !faults->ideal()) {
-    burn_faults(*faults, layer_id, policy == KernelPolicy::kScalarReference);
+    burn_faults(*faults, layer_id);
   }
 }
 
-void MappedLayer::burn_faults(const FaultModel& faults, std::uint64_t layer_id,
-                              bool reference_path) {
+void MappedLayer::burn_faults(const FaultModel& faults,
+                              std::uint64_t layer_id) {
   FaultMapStats stats;
   if (!faults.ideal()) {
     const std::uint64_t base_id = layer_id * kFaultIdStride;
     for (std::size_t i = 0; i < crossbars_.size(); ++i) {
       stats += crossbars_[i].apply_faults(
-          faults, base_id + static_cast<std::uint64_t>(i), reference_path);
+          faults, base_id + static_cast<std::uint64_t>(i));
     }
   }
   finish_burn(faults, layer_id, stats);
@@ -282,40 +276,6 @@ void MappedLayer::mvm_batch_into(const std::uint8_t* columns_t,
   }
 }
 
-std::vector<std::int32_t> MappedLayer::mvm_scalar(
-    std::span<const std::uint8_t> input_column, DatapathMode mode,
-    std::uint64_t call_key) const {
-  std::vector<std::int32_t> out(
-      static_cast<std::size_t>(spec_.weight_cols()), 0);
-  // The read-noise datapath is already per cell and per column.
-  if (mode == DatapathMode::kInteger && read_noisy()) {
-    mvm_read_noisy_into(input_column, out, call_key);
-    return out;
-  }
-  AUTOHET_CHECK(
-      static_cast<std::int64_t>(input_column.size()) == spec_.weight_rows(),
-      "input column length mismatch");
-  OBS_COUNTER_ADD("autohet_functional_mvm_total", 1);
-  const std::int64_t cb_count = mapping_.col_blocks;
-  for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
-    const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
-    const std::span<const std::uint8_t> slice =
-        input_column.subspan(static_cast<std::size_t>(r0),
-                             static_cast<std::size_t>(r1 - r0));
-    for (std::int64_t cb = 0; cb < cb_count; ++cb) {
-      const auto& xb = crossbars_[static_cast<std::size_t>(rb * cb_count + cb)];
-      const std::vector<std::int32_t> partial =
-          mode == DatapathMode::kBitSerial ? xb.mvm_bit_serial_scalar(slice)
-                                           : xb.mvm_reference_scalar(slice);
-      const std::int64_t c0 = cb * mapping_.shape.cols;
-      for (std::size_t j = 0; j < partial.size(); ++j) {
-        out[static_cast<std::size_t>(c0) + j] += partial[j];
-      }
-    }
-  }
-  return out;
-}
-
 FaultMapStats SimulatedModel::fault_stats() const noexcept {
   FaultMapStats total;
   for (const auto& layer : layers_) total += layer.fault_stats();
@@ -325,34 +285,33 @@ FaultMapStats SimulatedModel::fault_stats() const noexcept {
 SimulatedModel::SimulatedModel(
     const nn::Model& model,
     const std::vector<mapping::CrossbarShape>& shapes, DatapathMode mode,
-    const FaultConfig& faults, KernelPolicy policy)
-    : SimulatedModel(model, mode, faults, policy,
-                     program_layers(model, shapes, faults, policy)) {}
+    const FaultConfig& faults)
+    : SimulatedModel(model, mode, faults,
+                     program_layers(model, shapes, faults)) {}
 
 SimulatedModel::SimulatedModel(const nn::Model& model,
                                const plan::DeploymentPlan& plan,
-                               DatapathMode mode, KernelPolicy policy)
-    : SimulatedModel(model, mode, plan.accel.faults, policy,
+                               DatapathMode mode)
+    : SimulatedModel(model, mode, plan.accel.faults,
                      program_layers(model, plan_shapes(model, plan),
-                                    plan.accel.faults, policy)) {}
+                                    plan.accel.faults)) {}
 
 SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
-                               const FaultConfig& faults, KernelPolicy policy,
+                               const FaultConfig& faults,
                                std::vector<MappedLayer> layers)
     : model_(&model),
       mode_(mode),
       fault_model_(faults),
-      policy_(policy),
       layers_(std::move(layers)) {
   AUTOHET_CHECK(layers_.size() == model.spec().mappable_layers().size(),
                 "one prebuilt layer per mappable layer required");
   AUTOHET_CHECK(faults.read_sigma == 0.0 || mode == DatapathMode::kInteger,
                 "read noise requires the integer datapath");
-  // The integer datapath never reads the packed planes; pack only when the
-  // bit-serial fast kernels will actually run (packing costs a pass per
-  // crossbar, wasted on every Monte-Carlo trial fabric otherwise). Packing
-  // is idempotent, so layers prebuilt packed pass through untouched.
-  if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
+  // The integer datapath never reads the packed planes; pack only for the
+  // bit-serial datapath (packing costs a pass per crossbar, wasted on
+  // every Monte-Carlo trial fabric otherwise). Packing is idempotent, so
+  // layers prebuilt packed pass through untouched.
+  if (mode_ == DatapathMode::kBitSerial) {
     for (auto& layer : layers_) layer.prepare_packed();
   }
 }
@@ -500,7 +459,6 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
   const nn::QuantizedActivations qa =
       nn::quantize_activations(input, /*bits=*/8);
   const float out_scale = layer.weight_scale() * qa.scale;
-  const bool scalar = policy_ == KernelPolicy::kScalarReference;
 
   // CONV: integer im2col over the quantized activations, one MVM per output
   // position (spec.mvm_count() invocations, as the hardware model charges).
@@ -546,9 +504,9 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
   // GEMM-shaped fast path (integer or bit-serial datapath, noise-free
   // fabric): im2col a tile of output positions and push them through one
   // batched MVM per crossbar. Integer sums are exact, so the results are
-  // bit-identical to the per-position loop below — only per-position call
-  // overhead goes.
-  if (!scalar && !layer.read_noisy()) {
+  // bit-identical to per-position MVMs — only per-position call overhead
+  // goes.
+  if (!layer.read_noisy()) {
     constexpr std::int64_t kTile = 96;
     const std::int64_t positions = oh * ow;
     const std::int64_t rows = spec.weight_rows();
@@ -583,8 +541,8 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
     return out;
   }
 
-  // Per-position fallback (read-noisy fabrics and the scalar baseline).
-  // The read-noise stream is keyed on the output position.
+  // Read-noisy fabrics run per position: the read-noise stream is keyed on
+  // the output position.
   std::vector<std::uint8_t> column(
       static_cast<std::size_t>(spec.weight_rows()));
   std::vector<std::int32_t> acc(static_cast<std::size_t>(spec.weight_cols()));
@@ -594,11 +552,7 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
       const std::uint64_t key =
           make_call_key(noise_stream, static_cast<std::uint64_t>(oi * ow + oj));
       float* const op = out_base + oi * ow + oj;
-      if (scalar) {
-        acc = layer.mvm_scalar(column, mode_, key);
-      } else {
-        layer.mvm_read_noisy_into(column, acc, key);
-      }
+      layer.mvm_read_noisy_into(column, acc, key);
       for (std::int64_t co = 0; co < spec.out_channels; ++co) {
         op[co * plane] =
             static_cast<float>(acc[static_cast<std::size_t>(co)]) * out_scale;
@@ -612,7 +566,6 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
     const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
     std::uint64_t noise_stream0) const {
   const nn::LayerSpec& spec = layer.spec();
-  const bool scalar = policy_ == KernelPolicy::kScalarReference;
   std::vector<tensor::Tensor> outs;
   outs.reserve(inputs.size());
   if (spec.type == nn::LayerType::kConv) {
@@ -640,8 +593,8 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
   const std::int32_t* acc = nullptr;
   std::int64_t s_step = 1;
   std::int64_t j_step = count;
-  if (!scalar && !layer.read_noisy()) {
-    // Noise-free fast path: all samples (a single sample is a batch of one)
+  if (!layer.read_noisy()) {
+    // Noise-free fabric: all samples (a single sample is a batch of one)
     // through one batched MVM per crossbar, batch dimension innermost.
     // Integer sums are exact and each sample is scaled by its own out_scale
     // afterwards, so this is bit for bit the per-sample result.
@@ -660,7 +613,7 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
         std::span(accs_t, static_cast<std::size_t>(cols * count)), scratch);
     acc = accs_t;
   } else {
-    // Per-sample fallback (read-noisy fabrics and the scalar baseline).
+    // Read-noisy fabrics run per sample, each on its own noise stream.
     per_sample.assign(static_cast<std::size_t>(count * cols), 0);
     for (std::int64_t s = 0; s < count; ++s) {
       const std::span<const std::uint8_t> column(
@@ -668,14 +621,8 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
       const std::uint64_t key =
           make_call_key(noise_stream0 + static_cast<std::uint64_t>(s), 0);
       std::int32_t* out = per_sample.data() + s * cols;
-      if (scalar) {
-        const std::vector<std::int32_t> a =
-            layer.mvm_scalar(column, mode_, key);
-        std::copy(a.begin(), a.end(), out);
-      } else {
-        layer.mvm_read_noisy_into(
-            column, std::span(out, static_cast<std::size_t>(cols)), key);
-      }
+      layer.mvm_read_noisy_into(
+          column, std::span(out, static_cast<std::size_t>(cols)), key);
     }
     acc = per_sample.data();
     s_step = cols;
@@ -860,10 +807,7 @@ RobustnessReport monte_carlo_robustness(
   // mode ignores it for decisions and only reads the final CI off it.
   SequentialStopper stopper(options.budget, options.trials);
   const int requested = adaptive ? stopper.cap() : options.trials;
-  const bool scalar = options.kernels == KernelPolicy::kScalarReference;
-  // The scalar baseline must measure the honest uncached path; the cache
-  // only ever accelerates the fast kernels.
-  TrialFabricCache* cache = scalar ? nullptr : options.cache;
+  TrialFabricCache* cache = options.cache;
   const bool cache_trials =
       cache != nullptr && FaultModel(faults).record_eligible();
   // Adaptive-only cross-rate spanning: a zero-stuck-rate config cannot be
@@ -886,11 +830,10 @@ RobustnessReport monte_carlo_robustness(
   // fast path) it is stitched together from shared prebuilt layers —
   // bit-identical to a fresh build, because programming and burn-in are
   // pure per-layer functions of the key.
-  LayerFabricCache* layer_cache = scalar ? nullptr : options.layer_cache;
+  LayerFabricCache* layer_cache = options.layer_cache;
   const auto program = [&](const FaultConfig& fc) {
-    return SimulatedModel(
-        model, DatapathMode::kInteger, fc, options.kernels,
-        program_layers(model, shapes, fc, options.kernels, layer_cache));
+    return SimulatedModel(model, DatapathMode::kInteger, fc,
+                          program_layers(model, shapes, fc, layer_cache));
   };
 
   // The ideal fabric is the reference: agreement with it isolates device
@@ -968,8 +911,7 @@ RobustnessReport monte_carlo_robustness(
   // block's trials burn together: each crossbar runs them in lockstep lane
   // groups, the (crossbar, lane group) items spread over the pool. With a
   // cache, a block's missing trials are recorded together once and
-  // replayed per rate point. The scalar baseline reconstructs each trial
-  // from scratch, as before. Layer assembly beats the record/replay
+  // replayed per rate point. Layer assembly beats the record/replay
   // machinery when allocations churn (the trial seed stream is fixed, so
   // every layer burn is shared across episodes); the workload-keyed
   // TrialFabricCache would evict on every new allocation anyway.
@@ -986,7 +928,7 @@ RobustnessReport monte_carlo_robustness(
           trials[t].stats = fabrics[t - b0]->fault_stats();
           trials[t].wall_ms = ms;
         };
-        if (scalar || layer_cache != nullptr) {
+        if (layer_cache != nullptr) {
           common::parallel_for(pool, b0, b1, [&](std::size_t t) {
             OBS_SPAN("fault_trial_build");
             const auto t0 = std::chrono::steady_clock::now();
@@ -1081,9 +1023,9 @@ RobustnessReport monte_carlo_robustness(
   // runs the block's flattened (trial, sample-chunk) items. Blocking bounds
   // peak fabric memory at one block instead of the whole budget: a lane
   // group's width for lockstep burns (more with a larger pool), and a
-  // single fabric when a serial run programs each trial on its own.
-  const bool per_trial = scalar || layer_cache != nullptr;
-  const bool parallel = !scalar && threads > 1;
+  // single fabric when a serial run assembles each trial on its own.
+  const bool per_trial = layer_cache != nullptr;
+  const bool parallel = threads > 1;
   const std::size_t workers = options.pool != nullptr
                                   ? options.pool->size()
                                   : static_cast<std::size_t>(threads);
@@ -1178,7 +1120,7 @@ RobustnessReport monte_carlo_robustness(
 
   // Ordered reduction over the executed trials: every accumulator sees its
   // terms in the exact (t, s, l) order of the serial loop, so reports are
-  // byte-identical across thread counts and kernel policies.
+  // byte-identical across thread counts.
   double acc_sum = 0.0;
   double acc_sq_sum = 0.0;
   double logit_err_sum = 0.0;

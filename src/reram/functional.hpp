@@ -10,14 +10,13 @@
 // accelerator implements. Pooling layers run on the tile's pooling module
 // (plain float here).
 //
-// Two kernel policies exist: KernelPolicy::kFast (every noise-free MVM, a
-// single column included, as one batched call per crossbar through the
-// dispatched kernels; fast fault burn-in) and KernelPolicy::kScalarReference
-// (the retained per-cell datapaths and per-crossbar partial vectors). They
-// produce bit-identical numbers (tested); the scalar policy is the
-// equivalence oracle and the speedup-measurement baseline. Read noise is
-// keyed per column, so a read-noisy fabric runs one column at a time under
-// either policy (mvm_read_noisy_into).
+// There is one datapath per operation: every noise-free MVM, a single
+// column included, is one batched call per crossbar through the dispatched
+// kernels, and every fault burn-in is the lockstep burn kernel. Read noise
+// is keyed per column, so a read-noisy fabric runs one column at a time
+// (mvm_read_noisy_into). The scalar per-cell implementations these are
+// tested against — MVMs, burn-in, a network forward and a serial
+// Monte-Carlo — live in the oracle library tests/oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +43,10 @@ enum class DatapathMode {
   kInteger     ///< int32 GEMV shortcut (bit-exact to kBitSerial)
 };
 
-enum class KernelPolicy {
-  kFast,            ///< packed bit-plane kernels + fast fault burn-in
-  kScalarReference  ///< retained scalar datapaths (oracle / baseline)
-};
+/// Crossbar-id stride between layers: crossbar i of mappable layer l burns
+/// its fault map under id l·kFaultIdStride + i. Fault maps stay stable per
+/// crossbar as long as no layer spans more than 2^20 logical crossbars.
+inline constexpr std::uint64_t kFaultIdStride = std::uint64_t{1} << 20;
 
 /// One crossbar's recorded fault burn-in: the variation-only stats of the
 /// recording pass plus the stuck-draw candidates captured from the stream,
@@ -71,13 +70,12 @@ class MappedLayer {
  public:
   /// Quantizes `weight` ([Cout,Cin,k,k] or [out,in]) to 8 bits and programs
   /// it across crossbars of the given shape. When `faults` is non-null and
-  /// non-ideal, stuck-at maps / programming variation / drift are burned
-  /// into the arrays at this programming step (deterministic in the fault
-  /// seed and `layer_id`), and MVMs sample the configured read noise.
+  /// non-ideal, stuck-at maps and programming variation are burned into
+  /// the arrays at this programming step (deterministic in the fault seed
+  /// and `layer_id`), and MVMs sample the configured read noise.
   MappedLayer(const nn::LayerSpec& spec, const tensor::Tensor& weight,
               const mapping::CrossbarShape& shape,
-              const FaultModel* faults = nullptr, std::uint64_t layer_id = 0,
-              KernelPolicy policy = KernelPolicy::kFast);
+              const FaultModel* faults = nullptr, std::uint64_t layer_id = 0);
 
   const mapping::LayerMapping& mapping() const noexcept { return mapping_; }
   float weight_scale() const noexcept { return weight_scale_; }
@@ -92,7 +90,7 @@ class MappedLayer {
   /// Supports the integer datapath (batched GEMM kernel) and the bit-serial
   /// datapath (all samples' packed input planes pushed through one
   /// dispatched AND+popcount kernel; requires prepare_packed()). Integer
-  /// sums are exact — results are bit-identical to per-column mvm_scalar.
+  /// sums are exact — results are bit-identical to per-column MVMs.
   /// Noise-free fabrics only (checked).
   void mvm_batch_into(const std::uint8_t* columns_t, std::int64_t count,
                       DatapathMode mode, std::span<std::int32_t> accs_t,
@@ -118,14 +116,6 @@ class MappedLayer {
                            std::span<std::int32_t> out,
                            std::uint64_t call_key = 0) const;
 
-  /// The retained pre-packing datapath: scalar kernels, one partial vector
-  /// per crossbar, merged into a freshly allocated output — the
-  /// KernelPolicy::kScalarReference path. Bit-identical to mvm_batch_into;
-  /// on a read-noisy fabric the integer datapath is mvm_read_noisy_into.
-  std::vector<std::int32_t> mvm_scalar(
-      std::span<const std::uint8_t> input_column, DatapathMode mode,
-      std::uint64_t call_key = 0) const;
-
   /// Packs every crossbar's weight bit planes (idempotent) so bit-serial
   /// MVMs take the AND+popcount kernel.
   void prepare_packed();
@@ -133,10 +123,8 @@ class MappedLayer {
   /// Burns a fault model into the (clean) programmed arrays: the same
   /// operation the fault-model constructor path performs, exposed so a
   /// fabric clone can re-burn per-trial faults without re-quantizing and
-  /// re-programming the weights. `reference_path` forces the retained
-  /// per-cell burn-in kernel (bit-identical, slower).
-  void burn_faults(const FaultModel& faults, std::uint64_t layer_id,
-                   bool reference_path = false);
+  /// re-programming the weights.
+  void burn_faults(const FaultModel& faults, std::uint64_t layer_id);
 
   /// The logical crossbars, one shape each: crossbar_count() of
   /// crossbar_cells() physical cells.
@@ -206,8 +194,7 @@ class SimulatedModel {
   SimulatedModel(const nn::Model& model,
                  const std::vector<mapping::CrossbarShape>& shapes,
                  DatapathMode mode = DatapathMode::kInteger,
-                 const FaultConfig& faults = {},
-                 KernelPolicy policy = KernelPolicy::kFast);
+                 const FaultConfig& faults = {});
 
   /// Builds the fabric from a compiled DeploymentPlan: each mappable layer
   /// is programmed onto the plan's crossbar shape under the plan's
@@ -217,8 +204,7 @@ class SimulatedModel {
   /// model.graph(). Bit-identical to the shape-list constructor on the
   /// inputs the plan was compiled from.
   SimulatedModel(const nn::Model& model, const plan::DeploymentPlan& plan,
-                 DatapathMode mode = DatapathMode::kInteger,
-                 KernelPolicy policy = KernelPolicy::kFast);
+                 DatapathMode mode = DatapathMode::kInteger);
 
   /// Clones this (clean) fabric and burns `faults` into the copy — the
   /// quantization and weight-programming work is reused, only the fault
@@ -296,12 +282,11 @@ class SimulatedModel {
   /// Assembles a fabric from prebuilt per-layer fabrics (the
   /// LayerFabricCache path). `layers[i]` must have been built from this
   /// model's mappable layer i (same spec, weight, shape) under `faults`
-  /// with layer id i and `policy` — then the result is bit-identical to
-  /// the shape-list constructor: per-layer programming and burn-in are
-  /// pure functions of exactly those inputs.
+  /// with layer id i — then the result is bit-identical to the shape-list
+  /// constructor: per-layer programming and burn-in are pure functions of
+  /// exactly those inputs.
   SimulatedModel(const nn::Model& model, DatapathMode mode,
-                 const FaultConfig& faults, KernelPolicy policy,
-                 std::vector<MappedLayer> layers);
+                 const FaultConfig& faults, std::vector<MappedLayer> layers);
 
   /// Aggregate stuck-at / variation counts over all layers (zero when the
   /// fabric is ideal).
@@ -315,8 +300,8 @@ class SimulatedModel {
                                           common::ThreadPool* pool) const;
   /// One mappable layer over a batch, sample i on noise stream
   /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
-  /// noise-free fast fabric take one batched MVM over all samples (one
-  /// sample is a batch of one).
+  /// noise-free fabric take one batched MVM over all samples (one sample
+  /// is a batch of one).
   std::vector<tensor::Tensor> run_mappable(
       const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
       std::uint64_t noise_stream0) const;
@@ -327,7 +312,6 @@ class SimulatedModel {
   const nn::Model* model_;
   DatapathMode mode_;
   FaultModel fault_model_;
-  KernelPolicy policy_ = KernelPolicy::kFast;
   std::vector<MappedLayer> layers_;  // one per mappable layer
 };
 
@@ -431,8 +415,7 @@ class TrialFabricCache {
 ///
 /// A programmed-and-burned MappedLayer is a pure function of (layer spec +
 /// weights, crossbar shape, fault config, layer id): the burn-in RNG stream
-/// is seeded per layer, independent of the rest of the allocation. Only
-/// the fast kernel policy uses the cache, so the policy is not keyed. An RL
+/// is seeded per layer, independent of the rest of the allocation. An RL
 /// search revisits the same per-layer (layer, candidate) choices under one
 /// fixed FaultConfig even though whole allocations rarely repeat, so an L×C
 /// table of prebuilt layers turns the per-episode Monte-Carlo fabric
@@ -511,26 +494,21 @@ struct RobustnessOptions {
   /// byte-identical reports (trials are independently seeded and the
   /// reduction replays the serial accumulation order).
   int threads = 1;
-  /// kScalarReference runs the retained scalar kernels with per-trial
-  /// fabric reconstruction, always serially — the measurement baseline and
-  /// equivalence oracle for the fast path. Reports are bit-identical.
-  KernelPolicy kernels = KernelPolicy::kFast;
   /// Optional cross-call fabric cache. When set, the ideal references are
   /// shared across calls and — for record-eligible fault configs — trial
   /// fabrics are recorded once and replayed per rate point. Reports stay
-  /// byte-identical to the uncached path (tested). Ignored by the scalar
-  /// baseline. EvaluationEngine::evaluate_robustness supplies its own
-  /// cache automatically.
+  /// byte-identical to the uncached path (tested).
+  /// EvaluationEngine::evaluate_robustness supplies its own cache
+  /// automatically.
   TrialFabricCache* cache = nullptr;
   /// Optional cross-allocation per-layer fabric cache (see
-  /// LayerFabricCache). When set (and the fast kernels are active), the
-  /// ideal fabric and every trial fabric are assembled from shared
+  /// LayerFabricCache). When set, the ideal fabric and every trial fabric are assembled from shared
   /// prebuilt layers instead of re-programming and re-burning per call —
   /// the fast path for the per-episode in-search robustness reward, where
   /// consecutive calls differ in allocation but share per-layer choices.
-  /// Reports are bit-identical to the uncached path (tested). Ignored by
-  /// the scalar baseline. EvaluationEngine::evaluate_robustness_cached
-  /// supplies the engine's cache automatically.
+  /// Reports are bit-identical to the uncached path (tested).
+  /// EvaluationEngine::evaluate_robustness_cached supplies the engine's
+  /// cache automatically.
   LayerFabricCache* layer_cache = nullptr;
   /// Optional externally owned worker pool for the parallel fan-out. When
   /// null and threads > 1, a pool of up to `threads` workers is created for
@@ -549,7 +527,7 @@ struct RobustnessOptions {
 /// (isolating device non-ideality from quantization). Reports mean/stddev
 /// across trials plus each layer's mean relative output error.
 /// Deterministic: same model, shapes, faults and options ⇒ same report,
-/// regardless of options.threads and options.kernels.
+/// regardless of options.threads and options.pool.
 RobustnessReport monte_carlo_robustness(
     const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
     const FaultConfig& faults, const RobustnessOptions& options = {});

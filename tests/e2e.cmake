@@ -5,6 +5,7 @@
 #         [-DFAULT_SWEEP=<fault_sweep binary>] [-DCLI=<autohet_cli binary>]
 #         [-DSERVING_SIM=<serving_sim binary>]
 #         [-DPAPER_RESULTS=<paper_results binary>]
+#         [-DFUNCTIONAL_THROUGHPUT=<functional_throughput binary>]
 #         [-DTEST_KERNELS=<test_kernels binary>]
 #         -P tests/e2e.cmake
 #
@@ -37,6 +38,15 @@
 #       `paper_results --episodes 20` (every paper figure, table and
 #       ablation section) prints the committed
 #       bench/BENCH_baseline/paper_results_e20.txt byte for byte.
+#   functional_throughput
+#       `functional_throughput 1 8` (one rep of the fault_sweep Monte-Carlo
+#       workload) reports every fast serial and parallel robustness report
+#       identical to the oracle's serial Monte-Carlo under every supported
+#       kernel variant, over all three configurations; the aggregate
+#       speedup is at least 1.5x, every raw kernel beats its scalar oracle,
+#       the selected variant is a supported one and every supported variant
+#       was timed and byte-checked, and the parallel path is at most 1.05x
+#       the serial one. Runs alone (RUN_SERIAL): the last bound is a timing.
 #   graph_resnet152_replay
 #       resnet152 as a residual DAG compiles to a v2 plan whose chain
 #       skeleton checks out, and two replays give the same report JSON.
@@ -50,7 +60,10 @@
 #   plan_roundtrip
 #       a 20-episode lenet5 search saves its plan and report; two replays of
 #       the saved plan each reproduce the search-time report byte for byte,
-#       and replay rejects a search option next to --plan-in.
+#       and replay rejects a search option next to --plan-in. A copy of the
+#       fixture plan with a nonzero drift_time_s or drift_nu fails replay
+#       with an error naming the key (the fault model has no retention
+#       drift).
 #   profile_threads
 #       `profile` of the committed v1 fixture plan (tests/data) with
 #       functional samples and Monte-Carlo trials writes the same
@@ -332,6 +345,91 @@ elseif(CASE STREQUAL "paper_results")
   endif()
   same(paper_results_e20.txt
        "${SOURCE_DIR}/bench/BENCH_baseline/paper_results_e20.txt")
+elseif(CASE STREQUAL "functional_throughput")
+  run("${FUNCTIONAL_THROUGHPUT}" 1 8)
+  file(READ "${WORK_DIR}/BENCH_functional_throughput.json" doc)
+  string(JSON identical GET "${doc}" mc_reports_identical)
+  if(NOT identical)
+    message(FATAL_ERROR "mc_reports_identical is ${identical}")
+  endif()
+  string(JSON workload GET "${doc}" monte_carlo workload)
+  if(NOT workload STREQUAL "fault_sweep")
+    message(FATAL_ERROR "monte_carlo workload is '${workload}'")
+  endif()
+  string(JSON configs LENGTH "${doc}" monte_carlo configs)
+  if(NOT configs EQUAL 3)
+    message(FATAL_ERROR "${configs} Monte-Carlo configs, not 3")
+  endif()
+  foreach(c RANGE 2)
+    string(JSON identical GET "${doc}" monte_carlo configs ${c}
+           reports_identical)
+    if(NOT identical)
+      message(FATAL_ERROR "config ${c} reports differ from the oracle")
+    endif()
+  endforeach()
+  string(JSON speedup GET "${doc}" mc_speedup)
+  if(speedup LESS 1.5)
+    message(FATAL_ERROR "mc_speedup ${speedup} < 1.5")
+  endif()
+  string(JSON kernels LENGTH "${doc}" kernels)
+  math(EXPR last "${kernels} - 1")
+  foreach(k RANGE ${last})
+    string(JSON speedup GET "${doc}" kernels ${k} speedup)
+    if(NOT speedup GREATER 1.0)
+      message(FATAL_ERROR "kernel ${k} speedup ${speedup} <= 1")
+    endif()
+  endforeach()
+  # Dispatch: the selected variant is a supported one, and every supported
+  # variant was timed and byte-checked.
+  # names(<var> <path>... <field>): the sorted distinct <field> values of
+  # the objects in the array at <path>.
+  function(names var)
+    set(path ${ARGN})
+    list(POP_BACK path field)
+    string(JSON n LENGTH "${doc}" ${path})
+    math(EXPR last "${n} - 1")
+    set(out)
+    foreach(i RANGE ${last})
+      string(JSON name GET "${doc}" ${path} ${i} ${field})
+      list(APPEND out "${name}")
+    endforeach()
+    list(REMOVE_DUPLICATES out)
+    list(SORT out)
+    set(${var} "${out}" PARENT_SCOPE)
+  endfunction()
+  string(JSON selected GET "${doc}" dispatch selected)
+  string(JSON n LENGTH "${doc}" dispatch supported)
+  math(EXPR last "${n} - 1")
+  set(supported)
+  foreach(i RANGE ${last})
+    string(JSON name GET "${doc}" dispatch supported ${i})
+    list(APPEND supported "${name}")
+  endforeach()
+  list(SORT supported)
+  if(NOT selected IN_LIST supported)
+    message(FATAL_ERROR "selected '${selected}' not in '${supported}'")
+  endif()
+  names(timed dispatch variants name)
+  names(checked monte_carlo variant_checks variant)
+  if(NOT timed STREQUAL supported OR NOT checked STREQUAL supported)
+    message(FATAL_ERROR "timed '${timed}', checked '${checked}', "
+                        "supported '${supported}'")
+  endif()
+  string(JSON checks LENGTH "${doc}" monte_carlo variant_checks)
+  math(EXPR last "${checks} - 1")
+  foreach(i RANGE ${last})
+    string(JSON identical GET "${doc}" monte_carlo variant_checks ${i}
+           reports_identical)
+    if(NOT identical)
+      message(FATAL_ERROR "variant check ${i} differs from the oracle")
+    endif()
+  endforeach()
+  # The bench hard-fails per config at 1.05x after a retry; the aggregate
+  # allows the same single-rep noise margin.
+  string(JSON ratio GET "${doc}" parallel_vs_serial)
+  if(ratio GREATER 1.05)
+    message(FATAL_ERROR "parallel_vs_serial ${ratio} > 1.05")
+  endif()
 elseif(CASE STREQUAL "graph_resnet152_replay")
   run("${CLI}" graph --network resnet152 --dot-out resnet152.dot
       --plan-out graph_plan.json --check-skeleton)
@@ -374,6 +472,13 @@ elseif(CASE STREQUAL "plan_roundtrip")
   same(search_report.json replay2.json)
   run_fails("--plan-in cannot be combined with --episodes"
             "${CLI}" replay --plan-in plan.json --episodes 5)
+  file(READ "${fixture_plan}" fixture)
+  foreach(key drift_time_s drift_nu)
+    string(REPLACE "\"${key}\": 0," "\"${key}\": 0.1," drifted "${fixture}")
+    file(WRITE "${WORK_DIR}/${key}.json" "${drifted}")
+    run_fails("JSON key '${key}' must be 0"
+              "${CLI}" replay --plan-in ${key}.json)
+  endforeach()
 elseif(CASE STREQUAL "replay_mc_threads")
   foreach(threads 1 4)
     run("${CLI}" replay --plan-in "${fixture_plan}" --mc-trials 1

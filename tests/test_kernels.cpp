@@ -1,10 +1,11 @@
-// Equivalence suite for the fast functional-simulation engine: packed
-// bit-plane kernels vs the retained scalar datapaths, the batched integer
-// GEMM kernel vs per-column MVMs, the fast fault burn-in vs the per-cell
-// reference, the record/replay trial-fabric path, and byte-identity of the
-// Monte-Carlo robustness reports across thread counts, kernel policies, and
-// the TrialFabricCache. Everything here is an exactness claim — EXPECT_EQ,
-// never near.
+// Equivalence suite for the fast functional-simulation engine against the
+// scalar oracles (oracle.hpp): packed bit-plane kernels vs the per-cell
+// datapaths, the batched integer GEMM kernel vs per-column MVMs, the burn
+// kernel vs the per-cell burn, the record/replay trial-fabric path, the
+// network forward vs the oracle forward, and byte-identity of the
+// Monte-Carlo robustness reports against the oracle Monte-Carlo and across
+// thread counts and the TrialFabricCache. Everything here is an exactness
+// claim — EXPECT_EQ, never near.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,6 +21,7 @@
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
+#include "oracle.hpp"
 #include "reram/crossbar.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
@@ -33,7 +35,6 @@ using mapping::CrossbarShape;
 using reram::FaultConfig;
 using reram::FaultMapStats;
 using reram::FaultModel;
-using reram::KernelPolicy;
 using reram::LogicalCrossbar;
 using reram::RobustnessOptions;
 using reram::RobustnessReport;
@@ -64,7 +65,11 @@ void expect_stats_eq(const FaultMapStats& a, const FaultMapStats& b) {
 }
 
 bool reports_equal(const RobustnessReport& a, const RobustnessReport& b) {
-  return a.trials == b.trials && a.samples == b.samples &&
+  return a.trials == b.trials && a.trials_requested == b.trials_requested &&
+         a.early_stopped == b.early_stopped &&
+         a.accuracy_ci_lower == b.accuracy_ci_lower &&
+         a.accuracy_ci_upper == b.accuracy_ci_upper &&
+         a.samples == b.samples &&
          a.mean_accuracy == b.mean_accuracy &&
          a.stddev_accuracy == b.stddev_accuracy &&
          a.min_accuracy == b.min_accuracy && a.max_accuracy == b.max_accuracy &&
@@ -77,7 +82,7 @@ bool reports_equal(const RobustnessReport& a, const RobustnessReport& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed kernels vs retained scalar datapaths.
+// Packed kernels vs the scalar oracle datapaths.
 
 struct KernelCase {
   CrossbarShape shape;
@@ -94,9 +99,9 @@ TEST(PackedKernels, MatchScalarOnRaggedShapes) {
     xb.program(random_weights(rng, c.rows * c.cols), c.rows, c.cols);
     ASSERT_TRUE(xb.is_packed());
     const auto x = random_input(rng, c.rows);
-    EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_bit_serial_scalar(x));
-    EXPECT_EQ(xb.mvm_reference(x), xb.mvm_reference_scalar(x));
-    EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_reference_scalar(x));
+    EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x));
+    EXPECT_EQ(xb.mvm_reference(x), oracle::mvm_reference_scalar(xb, x));
+    EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_reference_scalar(xb, x));
   }
 }
 
@@ -111,8 +116,8 @@ TEST(PackedKernels, MatchScalarAfterFaultBurn) {
   fc.cell_bits = 2;
   xb.apply_faults(FaultModel(fc), /*crossbar_id=*/3);
   const auto x = random_input(rng, 90);
-  EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_bit_serial_scalar(x));
-  EXPECT_EQ(xb.mvm_reference(x), xb.mvm_reference_scalar(x));
+  EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x));
+  EXPECT_EQ(xb.mvm_reference(x), oracle::mvm_reference_scalar(xb, x));
 }
 
 TEST(PackedKernels, BatchedReferenceMatchesPerColumn) {
@@ -140,7 +145,7 @@ TEST(PackedKernels, BatchedReferenceMatchesPerColumn) {
         column[static_cast<std::size_t>(i)] =
             cols_t[static_cast<std::size_t>(i * batch + p)];
       }
-      const auto expected = xb.mvm_reference_scalar(column);
+      const auto expected = oracle::mvm_reference_scalar(xb, column);
       for (std::int64_t j = 0; j < c.cols; ++j) {
         EXPECT_EQ(acc_t[static_cast<std::size_t>(j * batch + p)],
                   expected[static_cast<std::size_t>(j)])
@@ -190,9 +195,9 @@ TEST_P(KernelVariantTest, RandomRaggedShapesMatchScalar) {
     xb.program(random_weights(rng, rows * cols), rows, cols);
     ASSERT_TRUE(xb.is_packed());
     const auto x = random_input(rng, rows);
-    EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_bit_serial_scalar(x))
+    EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x))
         << "rows=" << rows << " cols=" << cols;
-    EXPECT_EQ(xb.mvm_reference(x), xb.mvm_reference_scalar(x))
+    EXPECT_EQ(xb.mvm_reference(x), oracle::mvm_reference_scalar(xb, x))
         << "rows=" << rows << " cols=" << cols;
   }
 }
@@ -223,7 +228,7 @@ TEST_P(KernelVariantTest, BatchedPackedMatchesPerColumn) {
         column[static_cast<std::size_t>(i)] =
             cols_t[static_cast<std::size_t>(i * batch + p)];
       }
-      const auto expected_bs = xb.mvm_bit_serial_scalar(column);
+      const auto expected_bs = oracle::mvm_bit_serial_scalar(xb, column);
       for (std::int64_t j = 0; j < c.cols; ++j) {
         EXPECT_EQ(bs_t[static_cast<std::size_t>(j * batch + p)],
                   expected_bs[static_cast<std::size_t>(j)])
@@ -246,14 +251,11 @@ TEST_P(KernelVariantTest, ForwardMatchesScalarReference) {
   for (const auto mode :
        {reram::DatapathMode::kInteger, reram::DatapathMode::kBitSerial}) {
     const SimulatedModel fast(model, shapes, mode);
-    const SimulatedModel scalar(model, shapes, mode, {},
-                                KernelPolicy::kScalarReference);
-    const tensor::Tensor a = fast.forward(image);
-    const tensor::Tensor b = scalar.forward(image);
-    ASSERT_EQ(a.numel(), b.numel());
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "mode " << static_cast<int>(mode);
-    }
+    const oracle::Fabric scalar(model, shapes, mode);
+    EXPECT_EQ(tensor::max_abs_diff(fast.forward(image),
+                                   scalar.forward(image).output),
+              0.0f)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -378,9 +380,10 @@ std::array<std::uint64_t, 2> burn_counters() {
 
 TEST_P(KernelVariantTest, BatchedBurnMatchesSingleSeedBurns) {
   // FaultModel::burn over N trial seeds (crossing the 8-lane group at 9)
-  // against N one-seed burns: plain burns against the per-cell reference,
+  // against N one-seed burns: plain burns against the per-cell oracle,
   // recording burns against apply_recording. Cells, stats, recorded hits
-  // and bucket ends, and the burn counters must all agree.
+  // and bucket ends must all agree, and the burn counters must grow by the
+  // plain burns' counts (a recording's counts wait for its replays).
   constexpr std::size_t kCellId = 5;
   for (const bool sparse : {true, false}) {
     const BurnArray array = burn_array(sparse);
@@ -400,21 +403,25 @@ TEST_P(KernelVariantTest, BatchedBurnMatchesSingleSeedBurns) {
             std::vector<FaultMapStats> want_stats(n);
             std::vector<std::vector<reram::StuckCandidate>> want_hits(n);
             std::vector<reram::StuckBucketEnds> want_ends(n);
-#if !defined(AUTOHET_OBS_DISABLED)
-            const auto before_single = burn_counters();
-#endif
+            std::array<std::uint64_t, 2> want_counts{};
             for (std::size_t t = 0; t < n; ++t) {
-              const FaultModel single(fc.for_trial(t));
+              const FaultConfig single = fc.for_trial(t);
               want_stats[t] =
-                  record ? single.apply_recording(
+                  record ? FaultModel(single).apply_recording(
                                want[t], array.rows, array.cols, array.cols,
                                kCellId, want_hits[t], want_ends[t])
-                         : single.apply_reference(want[t], array.rows,
-                                                  array.cols, array.cols,
-                                                  kCellId);
+                         : oracle::apply_reference(single, want[t],
+                                                   array.rows, array.cols,
+                                                   array.cols, kCellId);
+              if (!record) {
+                want_counts[0] += static_cast<std::uint64_t>(
+                    want_stats[t].physical_cells);
+                want_counts[1] += static_cast<std::uint64_t>(
+                    want_stats[t].stuck_at_zero + want_stats[t].stuck_at_one);
+              }
             }
 #if !defined(AUTOHET_OBS_DISABLED)
-            const auto after_single = burn_counters();
+            const auto before_batch = burn_counters();
 #endif
             std::vector<std::vector<std::int8_t>> got(n, array.cells);
             std::vector<std::vector<reram::StuckCandidate>> got_hits(n);
@@ -431,10 +438,8 @@ TEST_P(KernelVariantTest, BatchedBurnMatchesSingleSeedBurns) {
             model.burn(targets, array.rows, array.cols, array.cols, kCellId);
 #if !defined(AUTOHET_OBS_DISABLED)
             const auto after_batch = burn_counters();
-            EXPECT_EQ(after_batch[0] - after_single[0],
-                      after_single[0] - before_single[0]);
-            EXPECT_EQ(after_batch[1] - after_single[1],
-                      after_single[1] - before_single[1]);
+            EXPECT_EQ(after_batch[0] - before_batch[0], want_counts[0]);
+            EXPECT_EQ(after_batch[1] - before_batch[1], want_counts[1]);
 #endif
             for (std::size_t t = 0; t < n; ++t) {
               EXPECT_EQ(got[t], want[t]) << "trial " << t;
@@ -455,29 +460,30 @@ TEST_P(KernelVariantTest, BatchedBurnMatchesSingleSeedBurns) {
   }
 }
 
-TEST_P(KernelVariantTest, BatchedBurnWithDriftTakesTheReferencePath) {
+TEST_P(KernelVariantTest, MonteCarloMatchesOracle) {
+  // Under each kernel variant the production Monte-Carlo (lockstep burns
+  // through the variant's burn op, batched forwards through its MVM
+  // kernels), serial and pooled, reproduces the oracle's from-scratch
+  // scalar run byte for byte.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
+                                          {72, 64});
   FaultConfig fc;
-  fc.stuck_at_zero_rate = 4e-3;
-  fc.program_sigma = 0.05;
-  fc.drift_time_s = 1e5;
-  fc.drift_nu = 0.05;
+  fc.stuck_at_zero_rate = 2e-3;
+  fc.stuck_at_one_rate = 1e-3;
+  fc.program_sigma = 0.03;
   fc.cell_bits = 2;
-  const FaultModel model(fc);
-  const BurnArray array = burn_array(/*sparse=*/false);
-  constexpr std::size_t n = 3;
-  std::vector<std::vector<std::int8_t>> got(n, array.cells);
-  std::vector<reram::BurnTarget> targets(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    targets[t].seed = fc.for_trial(t).seed;
-    targets[t].cells = got[t];
-  }
-  model.burn(targets, array.rows, array.cols, array.cols, 2);
-  for (std::size_t t = 0; t < n; ++t) {
-    auto want = array.cells;
-    const FaultMapStats stats = FaultModel(fc.for_trial(t)).apply_reference(
-        want, array.rows, array.cols, array.cols, 2);
-    EXPECT_EQ(got[t], want) << "trial " << t;
-    expect_stats_eq(targets[t].stats, stats);
+  RobustnessOptions mc;
+  mc.trials = 9;  // crosses the burn op's 8-lane trial group
+  mc.samples = 3;
+  const auto want = oracle::monte_carlo_robustness(model, shapes, fc, mc);
+  for (const int threads : {1, 3}) {
+    mc.threads = threads;
+    EXPECT_TRUE(reports_equal(
+        reram::monte_carlo_robustness(model, shapes, fc, mc), want))
+        << threads << " threads";
   }
 }
 
@@ -510,9 +516,11 @@ TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
         single.apply_faults(FaultModel(fc.for_trial(t)), 11);
     expect_stats_eq(burns[t].stats, stats);
     ASSERT_TRUE(clones[t].is_packed());
-    EXPECT_EQ(clones[t].mvm_bit_serial(x), single.mvm_bit_serial_scalar(x))
+    EXPECT_EQ(clones[t].mvm_bit_serial(x),
+              oracle::mvm_bit_serial_scalar(single, x))
         << "trial " << t;
-    EXPECT_EQ(clones[t].mvm_bit_serial(x), clones[t].mvm_reference_scalar(x))
+    EXPECT_EQ(clones[t].mvm_bit_serial(x),
+              oracle::mvm_reference_scalar(clones[t], x))
         << "trial " << t;
   }
 }
@@ -609,21 +617,17 @@ TEST(KernelScratch, BuffersGrowMonotonicallyAndAreReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast fault burn-in vs the per-cell reference implementation.
+// The burn kernel vs the per-cell oracle burn.
 
 TEST(FaultBurnIn, FastApplyMatchesReference) {
   const std::int64_t rows = 60, cols = 52;
-  FaultConfig configs[4];
+  FaultConfig configs[3];
   configs[0].stuck_at_zero_rate = 0.01;  // stuck-only
   configs[0].stuck_at_one_rate = 0.005;
   configs[1].program_sigma = 0.3;  // heavy variation-only
   configs[2].stuck_at_zero_rate = 0.002;  // both, multi-level
   configs[2].stuck_at_one_rate = 0.002;
   configs[2].program_sigma = 0.01;
-  configs[3].stuck_at_zero_rate = 0.004;  // drift forces reference dispatch
-  configs[3].program_sigma = 0.02;
-  configs[3].drift_time_s = 1e5;
-  configs[3].drift_nu = 0.05;
   for (FaultConfig fc : configs) {
     for (const int bits : {1, 2, 4, 8}) {
       fc.cell_bits = bits;
@@ -635,8 +639,8 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
       auto ref = original;
       const FaultMapStats fast_stats =
           model.apply(fast, rows, cols, cols, /*crossbar_id=*/17);
-      const FaultMapStats ref_stats =
-          model.apply_reference(ref, rows, cols, cols, /*crossbar_id=*/17);
+      const FaultMapStats ref_stats = oracle::apply_reference(
+          fc, ref, rows, cols, cols, /*crossbar_id=*/17);
       EXPECT_EQ(fast, ref) << "bits=" << bits;
       expect_stats_eq(fast_stats, ref_stats);
     }
@@ -752,34 +756,49 @@ TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-fabric equivalence: fast kernels vs the scalar-reference policy.
+// Whole-fabric equivalence: the production forward vs the oracle forward.
 
 TEST(SimulatedModelKernels, FastForwardMatchesScalarReference) {
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const auto mappable = net.mappable_layers();
-  const std::vector<CrossbarShape> shapes(mappable.size(), {72, 64});
-  FaultConfig fc;
-  fc.stuck_at_zero_rate = 5e-4;
-  fc.stuck_at_one_rate = 5e-4;
-  fc.program_sigma = 0.01;
-  fc.cell_bits = 2;
-  common::Rng ir(4);
-  const nn::LayerSpec& first = net.layers.front();
-  const tensor::Tensor image =
-      nn::synthetic_image(ir, first.in_channels, first.in_height,
-                          first.in_width);
-  for (const auto mode :
-       {reram::DatapathMode::kInteger, reram::DatapathMode::kBitSerial}) {
-    const SimulatedModel fast(model, shapes, mode, fc);
-    const SimulatedModel scalar(model, shapes, mode, fc,
-                                KernelPolicy::kScalarReference);
-    const tensor::Tensor a = fast.forward(image);
-    const tensor::Tensor b = scalar.forward(image);
-    ASSERT_EQ(a.numel(), b.numel());
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "mode " << static_cast<int>(mode);
+  // LeNet-5 (a chain) and the CIFAR ResNet (residual adds, a strided 1x1
+  // projection, global average pooling), on both datapaths, ideal and
+  // burned with stuck-at faults plus programming variation: the output and
+  // every mappable layer's pre-activation output equal the oracle's.
+  FaultConfig stuck;
+  stuck.stuck_at_zero_rate = 5e-4;
+  stuck.stuck_at_one_rate = 5e-4;
+  stuck.program_sigma = 0.01;
+  stuck.cell_bits = 2;
+  common::Rng lenet_rng(21);
+  common::Rng resnet_rng(3);
+  const nn::Model models[] = {nn::Model(nn::lenet5(), lenet_rng),
+                              nn::Model(nn::cifar_resnet_graph(), resnet_rng)};
+  for (const nn::Model& model : models) {
+    const std::vector<CrossbarShape> shapes(
+        model.spec().mappable_layers().size(), {72, 64});
+    common::Rng ir(4);
+    const nn::LayerSpec& first = model.spec().layers.front();
+    const tensor::Tensor image = nn::synthetic_image(
+        ir, first.in_channels, first.in_height, first.in_width);
+    for (const auto mode :
+         {reram::DatapathMode::kInteger, reram::DatapathMode::kBitSerial}) {
+      for (const FaultConfig& fc : {FaultConfig{}, stuck}) {
+        SCOPED_TRACE(testing::Message()
+                     << model.spec().name << " mode "
+                     << static_cast<int>(mode) << " ideal " << fc.ideal());
+        const SimulatedModel fast(model, shapes, mode, fc);
+        const oracle::Fabric scalar(model, shapes, mode, fc);
+        const auto got = fast.forward_batch(std::span(&image, 1)).front();
+        const auto want = scalar.forward(image);
+        expect_stats_eq(fast.fault_stats(), scalar.fault_stats());
+        EXPECT_EQ(tensor::max_abs_diff(got.output, want.output), 0.0f);
+        ASSERT_EQ(got.mappable_outputs.size(), want.mappable_outputs.size());
+        for (std::size_t l = 0; l < got.mappable_outputs.size(); ++l) {
+          EXPECT_EQ(tensor::max_abs_diff(got.mappable_outputs[l],
+                                         want.mappable_outputs[l]),
+                    0.0f)
+              << "layer " << l;
+        }
+      }
     }
   }
 }
@@ -816,6 +835,9 @@ TEST(MonteCarloIdentity, ThreadCountInvariance) {
 }
 
 TEST(MonteCarloIdentity, ScalarReferencePolicyInvariance) {
+  // The production Monte-Carlo (lockstep burns, batched forwards, serial
+  // and pooled) reproduces the oracle's from-scratch serial run byte for
+  // byte, the CI included.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
@@ -827,10 +849,12 @@ TEST(MonteCarloIdentity, ScalarReferencePolicyInvariance) {
   fc.program_sigma = 0.02;
   fc.cell_bits = 4;
   RobustnessOptions mc = small_mc();
-  const auto fast = reram::monte_carlo_robustness(model, shapes, fc, mc);
-  mc.kernels = KernelPolicy::kScalarReference;
-  const auto scalar = reram::monte_carlo_robustness(model, shapes, fc, mc);
-  EXPECT_TRUE(reports_equal(fast, scalar));
+  const auto want = oracle::monte_carlo_robustness(model, shapes, fc, mc);
+  EXPECT_TRUE(reports_equal(
+      reram::monte_carlo_robustness(model, shapes, fc, mc), want));
+  mc.threads = 3;
+  EXPECT_TRUE(reports_equal(
+      reram::monte_carlo_robustness(model, shapes, fc, mc), want));
 }
 
 TEST(MonteCarloIdentity, TrialFabricCacheInvariance) {

@@ -22,6 +22,7 @@
 #include "common/thread_pool.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
+#include "oracle.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
@@ -32,7 +33,6 @@ namespace {
 
 using mapping::CrossbarShape;
 using reram::FaultConfig;
-using reram::KernelPolicy;
 using reram::RobustnessBudget;
 using reram::RobustnessOptions;
 using reram::RobustnessReport;
@@ -299,20 +299,16 @@ TEST(FixedModeTest, BitIdenticalAcrossThreadsAndKernels) {
   RobustnessOptions mc;
   mc.trials = 3;
   mc.samples = 4;
+  // The oracle's serial from-scratch run is the reference.
   const auto baseline =
-      reram::monte_carlo_robustness(model, shapes, noisy_config(), mc);
+      oracle::monte_carlo_robustness(model, shapes, noisy_config(), mc);
   for (const int threads : {1, 3}) {
-    for (const KernelPolicy kernels :
-         {KernelPolicy::kFast, KernelPolicy::kScalarReference}) {
-      RobustnessOptions v = mc;
-      v.threads = threads;
-      v.kernels = kernels;
-      const auto report =
-          reram::monte_carlo_robustness(model, shapes, noisy_config(), v);
-      SCOPED_TRACE(testing::Message() << "threads " << threads << " kernels "
-                                      << static_cast<int>(kernels));
-      expect_reports_identical(baseline, report);
-    }
+    RobustnessOptions v = mc;
+    v.threads = threads;
+    const auto report =
+        reram::monte_carlo_robustness(model, shapes, noisy_config(), v);
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    expect_reports_identical(baseline, report);
   }
 }
 
@@ -541,6 +537,33 @@ TEST(RobustnessMemoTest, CachedEntryMatchesUncachedAndHitsOnRepeat) {
   expect_reports_identical(first, uncached);
 }
 
+TEST(RobustnessMemoTest, LayerCachedEntriesMatchOracle) {
+  // The memo's first visit assembles fabrics from the engine's layer cache.
+  // A second allocation that shares all but the last layer's candidate is
+  // built mostly from cached burned layers. Both reports equal the oracle's
+  // from-scratch serial run on the same crossbar shapes.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto engine = lenet_engine(net);
+  const auto candidates = mapping::hybrid_candidates();
+  std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+
+  RobustnessOptions mc;
+  mc.trials = 3;
+  mc.samples = 4;
+  for (const std::size_t last : {std::size_t{2}, std::size_t{1}}) {
+    actions.back() = last;
+    std::vector<CrossbarShape> shapes;
+    for (const std::size_t a : actions) shapes.push_back(candidates[a]);
+    SCOPED_TRACE(testing::Message() << "last layer candidate " << last);
+    expect_reports_identical(
+        oracle::monte_carlo_robustness(model, shapes, noisy_config(), mc),
+        engine.evaluate_robustness_cached(model, actions, noisy_config(), mc));
+  }
+  EXPECT_EQ(engine.robustness_cache_stats().misses, 2u);
+}
+
 TEST(RobustnessMemoTest, KeyDiscriminatesFaultsAndBudget) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
@@ -559,31 +582,6 @@ TEST(RobustnessMemoTest, KeyDiscriminatesFaultsAndBudget) {
                                           tighter);
   EXPECT_EQ(engine.robustness_cache_stats().misses, 3u);
   EXPECT_EQ(engine.robustness_cache_stats().hits, 0u);
-}
-
-TEST(RobustnessMemoTest, KernelPolicyAloneHitsTheMemo) {
-  // Reports are byte-identical across kernel policies, so the scalar oracle
-  // is served from the entry the fast path memoized — and equals its own
-  // uncached run.
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const auto engine = lenet_engine(net);
-  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
-
-  const RobustnessOptions fast = adaptive_mc(4);
-  const auto first =
-      engine.evaluate_robustness_cached(model, actions, noisy_config(), fast);
-  RobustnessOptions scalar = fast;
-  scalar.kernels = KernelPolicy::kScalarReference;
-  const auto hit =
-      engine.evaluate_robustness_cached(model, actions, noisy_config(), scalar);
-  EXPECT_EQ(engine.robustness_cache_stats().misses, 1u);
-  EXPECT_EQ(engine.robustness_cache_stats().hits, 1u);
-  expect_reports_identical(first, hit);
-  expect_reports_identical(
-      first,
-      engine.evaluate_robustness(model, actions, noisy_config(), scalar));
 }
 
 TEST(RobustnessMemoTest, ThreadKnobsAloneHitTheMemo) {

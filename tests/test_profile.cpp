@@ -176,22 +176,21 @@ TEST(Profiler, McRecordingInvariantAcrossThreadsAndKernels) {
   common::Rng rng(3);
   const nn::Model model(net, rng);
 
-  auto run = [&](int threads, reram::KernelPolicy policy) {
+  auto run = [&](int threads) {
     ScopedProfiler scoped;
     reram::RobustnessOptions opts;
     opts.trials = 3;
     opts.samples = 4;
     opts.threads = threads;
-    opts.kernels = policy;
     (void)reram::monte_carlo_robustness(model, plan, opts);
     return obs::Profiler::global().snapshot();
   };
 
-  const auto serial = run(1, reram::KernelPolicy::kFast);
+  const auto serial = run(1);
   EXPECT_EQ(serial.total(obs::ProfileKind::kMcTrial), 3u);
   EXPECT_GT(serial.total(obs::ProfileKind::kFunctionalMvm), 0u);
-  EXPECT_EQ(run(0, reram::KernelPolicy::kFast), serial);
-  EXPECT_EQ(run(3, reram::KernelPolicy::kFast), serial);
+  EXPECT_EQ(run(0), serial);
+  EXPECT_EQ(run(3), serial);
 }
 
 #endif  // !defined(AUTOHET_OBS_DISABLED)

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "mapping/plan.hpp"
 #include "nn/model_zoo.hpp"
@@ -108,6 +109,25 @@ TEST(ReadPlanJson, RejectsMalformedScalars) {
   EXPECT_EQ(report::as_double(report::parse_json("4.9406564584124654e-324"),
                               "subnormal"),
             std::numeric_limits<double>::denorm_min());
+}
+
+TEST(ReadPlanJson, RejectsRetentionDrift) {
+  // The fault model has no retention drift: its two keys stay in the format
+  // at 0, and a plan asking for drift fails naming the key and its line.
+  const std::string fixture = read_fixture();
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"drift_time_s", "1"},
+        {"drift_nu", "0.1"}}) {
+    try {
+      (void)report::read_plan_json(with_value(fixture, key, value));
+      ADD_FAILURE() << "accepted " << key << " = " << value;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + key + "' must be 0"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("(line "), std::string::npos) << what;
+    }
+  }
 }
 
 // ----------------------------------------------------- JSON scalar readers --
