@@ -29,6 +29,7 @@
 //   mc_reps  — repetitions of each Monte-Carlo timing (best-of; default 1)
 //   episodes — search budget for the AutoHet configuration (default 60,
 //              matching fault_sweep)
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -369,14 +370,24 @@ int main(int argc, char** argv) {
         row.fast_parallel_ms =
             best_grid(cfg, parallel_opts, &par_reports, reps);
         // Satellite gate: intra-trial chunking must keep the parallel path
-        // at least at parity per configuration. Re-time once before
-        // failing — a single scheduling hiccup is not a regression.
+        // at least at parity per configuration. Before failing, time serial
+        // and parallel alternately, three runs each, and compare the
+        // fastest of each: on small configurations the two walls are close
+        // enough that one scheduling hiccup or a burst of host load on a
+        // single run is not a regression.
         if (is_selected &&
             row.fast_parallel_ms > 1.05 * row.fast_serial_ms) {
-          row.fast_serial_ms =
-              best_grid(cfg, serial_opts, nullptr, reps);
-          row.fast_parallel_ms =
-              best_grid(cfg, parallel_opts, nullptr, reps);
+          for (int run = 0; run < 3; ++run) {
+            const double serial_ms =
+                best_grid(cfg, serial_opts, nullptr, reps);
+            const double parallel_ms =
+                best_grid(cfg, parallel_opts, nullptr, reps);
+            row.fast_serial_ms =
+                run == 0 ? serial_ms : std::min(row.fast_serial_ms, serial_ms);
+            row.fast_parallel_ms =
+                run == 0 ? parallel_ms
+                         : std::min(row.fast_parallel_ms, parallel_ms);
+          }
           AUTOHET_CHECK(
               row.fast_parallel_ms <= 1.05 * row.fast_serial_ms,
               "parallel MC slower than serial for " + cfg.name);

@@ -119,15 +119,6 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial(
   return acc;
 }
 
-FaultMapStats LogicalCrossbar::apply_faults(const FaultModel& model,
-                                            std::uint64_t crossbar_id) {
-  LogicalCrossbar* self = this;
-  BurnTarget burn;
-  burn.seed = model.config().seed;
-  burn_clones(model, crossbar_id, std::span(&self, 1), std::span(&burn, 1));
-  return burn.stats;
-}
-
 void LogicalCrossbar::burn_clones(const FaultModel& model,
                                   std::uint64_t crossbar_id,
                                   std::span<LogicalCrossbar* const> clones,

@@ -108,21 +108,16 @@ class LogicalCrossbar {
                             common::Rng& rng, double weight_sigma,
                             std::int32_t* out) const;
 
-  /// Burns a seeded fault model into the whole physical array (stuck-at
-  /// maps and programming variation — see reram/faults.hpp).
-  /// Deterministic in (model.config().seed, crossbar_id); gap cells inside
-  /// the used region are perturbed too (their stuck-at-1 faults inject
-  /// spurious bitline current exactly as on real fabric). A no-op for an
-  /// ideal model.
-  FaultMapStats apply_faults(const FaultModel& model,
-                             std::uint64_t crossbar_id);
-
-  /// Burns `model` into `clones` — copies of one programmed crossbar —
-  /// in one FaultModel::burn call: clone i under burns[i].seed, recording
-  /// when burns[i].hits is set (see FaultModel::apply_recording; the stats
-  /// are then the variation-only counts that replay_stuck_faults
-  /// completes). Fills in each burn's cells span, and repacks every packed
-  /// clone whose cells may have moved. apply_faults is this with one clone.
+  /// Burns a seeded fault model (stuck-at maps and programming variation —
+  /// see reram/faults.hpp) into `clones` — copies of one programmed
+  /// crossbar — in one FaultModel::burn call: clone i under burns[i].seed,
+  /// recording when burns[i].hits is set (see FaultModel::apply_recording;
+  /// the stats are then the variation-only counts that replay_stuck_faults
+  /// completes). Deterministic in (seed, crossbar_id); the whole physical
+  /// array burns, gap cells inside the used region included (their
+  /// stuck-at-1 faults inject spurious bitline current exactly as on real
+  /// fabric). Fills in each burn's cells span, and repacks every packed
+  /// clone whose cells may have moved. A no-op for an ideal model.
   static void burn_clones(const FaultModel& model, std::uint64_t crossbar_id,
                           std::span<LogicalCrossbar* const> clones,
                           std::span<BurnTarget> burns);

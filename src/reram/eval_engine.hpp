@@ -105,7 +105,7 @@ class EvaluationEngine {
   /// FaultConfig, budget knobs), so a search that revisits an allocation
   /// pays the Monte-Carlo cost once. Pair it with a small adaptive
   /// `RobustnessBudget` — the memo amortizes repeats, the budget bounds
-  /// first-visit cost. Thread and kernel-policy settings are deliberately
+  /// first-visit cost. Thread counts and kernel variants are deliberately
   /// not part of the key (reports are byte-identical across both).
   RobustnessReport evaluate_robustness_cached(
       const nn::Model& model, const std::vector<std::size_t>& actions,
@@ -167,7 +167,7 @@ class EvaluationEngine {
     }
   };
   /// Everything evaluate_robustness_cached's result depends on. Thread /
-  /// pool / cache knobs and the kernel policy are excluded on purpose:
+  /// pool / cache knobs and the kernel variant are excluded on purpose:
   /// reports are byte-identical across them, so one memo serves every
   /// execution configuration.
   struct RobustnessKey {

@@ -26,8 +26,9 @@
 //     the *effective* weight-space error grows with bits per cell:
 //     σ_w = σ · A(b) with A(b)² = E[v²] · Σ_p 4^{p·b} (see weight_sigma()).
 //
-// Faults and programming variation are burned in at weight-programming time
-// (`LogicalCrossbar::apply_faults`, called by `MappedLayer`); cycle-to-cycle
+// Faults and programming variation are burned into a clean copy of the
+// programmed weights (`MappedLayer::burn`, which drives
+// `LogicalCrossbar::burn_clones` per crossbar); cycle-to-cycle
 // read variation (`read_sigma`) is sampled at MVM time on the integer
 // datapath. A default `FaultConfig{}` is ideal: no RNG is consumed and every
 // output stays bit-identical to the fault-free build (tested).

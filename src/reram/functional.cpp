@@ -26,27 +26,18 @@ constexpr std::uint64_t make_call_key(std::uint64_t noise_stream,
   return (noise_stream << 20) | position;
 }
 
-/// Programs `model`'s mappable layers onto the given crossbar shapes,
-/// burning `faults` in as the weights are written. With a `cache`, each
-/// layer is a copy of the cache's shared build for its key.
+/// Programs `model`'s mappable layers, clean, onto the given crossbar
+/// shapes.
 std::vector<MappedLayer> program_layers(
-    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-    const FaultConfig& faults, LayerFabricCache* cache = nullptr) {
+    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes) {
   const auto mappable = model.spec().mappable_layers();
   AUTOHET_CHECK(shapes.size() == mappable.size(),
                 "one crossbar shape per mappable layer required");
-  const FaultModel fm(faults);
   std::vector<MappedLayer> layers;
   layers.reserve(mappable.size());
   for (std::size_t i = 0; i < mappable.size(); ++i) {
-    const auto build = [&] {
-      return MappedLayer(mappable[i], model.weight(i), shapes[i],
-                         fm.ideal() ? nullptr : &fm,
-                         static_cast<std::uint64_t>(i));
-    };
-    layers.push_back(cache == nullptr
-                         ? build()
-                         : *cache->layer(model, i, shapes[i], faults, build));
+    layers.emplace_back(mappable[i], model.weight(i), shapes[i],
+                        static_cast<std::uint64_t>(i));
   }
   return layers;
 }
@@ -87,7 +78,7 @@ tensor::Tensor residual_add_exact(const tensor::Tensor& a,
 MappedLayer::MappedLayer(const nn::LayerSpec& spec,
                          const tensor::Tensor& weight,
                          const mapping::CrossbarShape& shape,
-                         const FaultModel* faults, std::uint64_t layer_id)
+                         std::uint64_t layer_id)
     : spec_(spec), mapping_(mapping::map_layer(spec, shape)) {
   const std::int64_t k2 = spec.kernel * spec.kernel;
   const std::int64_t wrows = spec.weight_rows();
@@ -142,50 +133,95 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
       crossbars_.push_back(std::move(xb));
     }
   }
-
-  // Device non-ideality enters at this programming step: the seeded fault
-  // maps and programming variation are burned into the arrays the moment
-  // the weights are written (reram/faults.hpp).
-  if (faults != nullptr && !faults->ideal()) {
-    burn_faults(*faults, layer_id);
-  }
 }
 
-void MappedLayer::burn_faults(const FaultModel& faults,
-                              std::uint64_t layer_id) {
-  FaultMapStats stats;
-  if (!faults.ideal()) {
-    const std::uint64_t base_id = layer_id * kFaultIdStride;
-    for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-      stats += crossbars_[i].apply_faults(
-          faults, base_id + static_cast<std::uint64_t>(i));
+void MappedLayer::burn(std::span<const FaultConfig> faults,
+                       std::span<const Clones> jobs,
+                       std::span<TrialBurnRecord> records,
+                       common::ThreadPool* pool) {
+  const bool record = !records.empty();
+  AUTOHET_CHECK(!record || records.size() == faults.size(),
+                "one burn record per recorded config required");
+  std::vector<FaultModel> models;
+  for (const FaultConfig& fc : faults) {
+    FaultConfig same_seed = fc;
+    same_seed.seed = faults.front().seed;
+    AUTOHET_CHECK(same_seed == faults.front(),
+                  "a batched burn's configs may differ only in seed");
+    models.emplace_back(fc);
+  }
+  // One item per (job, crossbar, lane group), largest crossbar first so a
+  // pool's tail is the small ones; each lane keeps its crossbar's stats.
+  struct Item {
+    const Clones* job;
+    std::size_t crossbar, clone0, lanes;
+    std::int64_t cells;
+    std::array<FaultMapStats, kernels::kBurnLanes> stats{};
+  };
+  std::vector<Item> items;
+  for (const Clones& job : jobs) {
+    AUTOHET_CHECK(job.layers.size() == job.trials.size(),
+                  "one trial per clone required");
+    if (job.layers.empty()) continue;
+    for (std::size_t c = 0; c < job.layers.size(); ++c) {
+      const std::size_t t = job.trials[c];
+      if (!models[t].ideal()) {
+        job.layers[c]->arm_read_noise(models[t], job.layer_id);
+      }
+      if (record) {
+        records[t].layers[job.layer_id].assign(
+            job.layers[c]->crossbar_count(), {});
+      }
+    }
+    const MappedLayer& lead = *job.layers.front();
+    for (std::size_t x = 0; x < lead.crossbar_count(); ++x) {
+      for (std::size_t c0 = 0; c0 < job.layers.size();
+           c0 += kernels::kBurnLanes) {
+        items.push_back({&job, x, c0,
+                         std::min(kernels::kBurnLanes, job.layers.size() - c0),
+                         lead.crossbar_cells()});
+      }
     }
   }
-  finish_burn(faults, layer_id, stats);
-}
-
-void MappedLayer::burn_crossbar(const FaultModel& faults,
-                                std::uint64_t layer_id, std::size_t index,
-                                std::span<MappedLayer* const> clones,
-                                std::span<BurnTarget> burns) {
-  std::array<LogicalCrossbar*, kernels::kBurnLanes> group{};
-  AUTOHET_CHECK(clones.size() <= group.size(),
-                "a burn step takes at most one lane group of clones");
-  for (std::size_t i = 0; i < clones.size(); ++i) {
-    AUTOHET_CHECK(index < clones[i]->crossbars_.size(),
-                  "crossbar index outside the layer's grid");
-    group[i] = &clones[i]->crossbars_[index];
+  std::stable_sort(
+      items.begin(), items.end(),
+      [](const Item& a, const Item& b) { return a.cells > b.cells; });
+  common::parallel_for(pool, 0, items.size(), [&](std::size_t k) {
+    Item& item = items[k];
+    std::array<LogicalCrossbar*, kernels::kBurnLanes> group{};
+    std::array<BurnTarget, kernels::kBurnLanes> burns{};
+    for (std::size_t i = 0; i < item.lanes; ++i) {
+      MappedLayer& clone = *item.job->layers[item.clone0 + i];
+      AUTOHET_CHECK(item.crossbar < clone.crossbars_.size(),
+                    "a burn's clones must share one crossbar grid");
+      group[i] = &clone.crossbars_[item.crossbar];
+      const std::size_t t = item.job->trials[item.clone0 + i];
+      burns[i].seed = faults[t].seed;
+      if (record) {
+        CrossbarBurnRecord& rec =
+            records[t].layers[item.job->layer_id][item.crossbar];
+        burns[i].hits = &rec.hits;
+        burns[i].bucket_ends = &rec.bucket_ends;
+      }
+    }
+    LogicalCrossbar::burn_clones(
+        models.front(), item.job->layer_id * kFaultIdStride + item.crossbar,
+        std::span(group.data(), item.lanes),
+        std::span(burns.data(), item.lanes));
+    for (std::size_t i = 0; i < item.lanes; ++i) {
+      item.stats[i] = burns[i].stats;
+      if (record) {
+        records[item.job->trials[item.clone0 + i]]
+            .layers[item.job->layer_id][item.crossbar]
+            .variation = burns[i].stats;
+      }
+    }
+  });
+  for (const Item& item : items) {
+    for (std::size_t i = 0; i < item.lanes; ++i) {
+      item.job->layers[item.clone0 + i]->fault_stats_ += item.stats[i];
+    }
   }
-  LogicalCrossbar::burn_clones(
-      faults, layer_id * kFaultIdStride + static_cast<std::uint64_t>(index),
-      std::span(group.data(), clones.size()), burns);
-}
-
-void MappedLayer::finish_burn(const FaultModel& faults, std::uint64_t layer_id,
-                              const FaultMapStats& stats) {
-  fault_stats_ = stats;
-  read_sigma_weights_ = 0.0;
-  if (!faults.ideal()) arm_read_noise(faults, layer_id);
 }
 
 void MappedLayer::replay_faults(
@@ -286,50 +322,70 @@ SimulatedModel::SimulatedModel(
     const nn::Model& model,
     const std::vector<mapping::CrossbarShape>& shapes, DatapathMode mode,
     const FaultConfig& faults)
-    : SimulatedModel(model, mode, faults,
-                     program_layers(model, shapes, faults)) {}
+    : SimulatedModel(model, mode, program_layers(model, shapes)) {
+  burn(std::span(this, 1), std::span(&faults, 1), {}, nullptr);
+}
 
 SimulatedModel::SimulatedModel(const nn::Model& model,
                                const plan::DeploymentPlan& plan,
                                DatapathMode mode)
-    : SimulatedModel(model, mode, plan.accel.faults,
-                     program_layers(model, plan_shapes(model, plan),
-                                    plan.accel.faults)) {}
+    : SimulatedModel(model, mode,
+                     program_layers(model, plan_shapes(model, plan))) {
+  burn(std::span(this, 1), std::span(&plan.accel.faults, 1), {}, nullptr);
+}
 
 SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
-                               const FaultConfig& faults,
                                std::vector<MappedLayer> layers)
     : model_(&model),
       mode_(mode),
-      fault_model_(faults),
+      fault_model_(FaultConfig{}),
       layers_(std::move(layers)) {
   AUTOHET_CHECK(layers_.size() == model.spec().mappable_layers().size(),
-                "one prebuilt layer per mappable layer required");
-  AUTOHET_CHECK(faults.read_sigma == 0.0 || mode == DatapathMode::kInteger,
-                "read noise requires the integer datapath");
+                "one layer per mappable layer required");
   // The integer datapath never reads the packed planes; pack only for the
   // bit-serial datapath (packing costs a pass per crossbar, wasted on
-  // every Monte-Carlo trial fabric otherwise). Packing is idempotent, so
-  // layers prebuilt packed pass through untouched.
+  // every Monte-Carlo trial fabric otherwise). Burns repack what they move.
   if (mode_ == DatapathMode::kBitSerial) {
     for (auto& layer : layers_) layer.prepare_packed();
   }
+}
+
+void SimulatedModel::burn(std::span<SimulatedModel> fabrics,
+                          std::span<const FaultConfig> faults,
+                          std::span<TrialBurnRecord> records,
+                          common::ThreadPool* pool) {
+  AUTOHET_CHECK(fabrics.size() == faults.size(),
+                "one fault config per fabric required");
+  std::vector<MappedLayer::Clones> jobs;
+  for (std::size_t t = 0; t < fabrics.size(); ++t) {
+    SimulatedModel& fabric = fabrics[t];
+    AUTOHET_CHECK(fabric.fault_model_.ideal(),
+                  "burning faults requires a clean (ideal) fabric");
+    AUTOHET_CHECK(faults[t].read_sigma == 0.0 ||
+                      fabric.mode_ == DatapathMode::kInteger,
+                  "read noise requires the integer datapath");
+    fabric.fault_model_ = FaultModel(faults[t]);
+    jobs.resize(fabric.layers_.size());
+    for (std::size_t l = 0; l < jobs.size(); ++l) {
+      jobs[l].layer_id = l;
+      jobs[l].layers.push_back(&fabric.layers_[l]);
+      jobs[l].trials.push_back(t);
+    }
+    if (!records.empty()) records[t].layers.resize(jobs.size());
+  }
+  MappedLayer::burn(faults, jobs, records, pool);
 }
 
 SimulatedModel SimulatedModel::with_faults(const FaultConfig& faults) const {
   return std::move(with_faults(std::span(&faults, 1)).front());
 }
 
-SimulatedModel SimulatedModel::with_faults_recorded(
-    const FaultConfig& faults, TrialBurnRecord& record) const {
-  return std::move(
-      with_faults_recorded(std::span(&faults, 1), std::span(&record, 1))
-          .front());
-}
-
 std::vector<SimulatedModel> SimulatedModel::with_faults(
     std::span<const FaultConfig> faults, common::ThreadPool* pool) const {
-  return burn_clones(faults, {}, pool);
+  // Clones reuse the quantization and the programmed cells.
+  std::vector<SimulatedModel> out(faults.size(), *this);
+  burn(out, faults, {}, pool);
+  return out;
 }
 
 std::vector<SimulatedModel> SimulatedModel::with_faults_recorded(
@@ -339,96 +395,8 @@ std::vector<SimulatedModel> SimulatedModel::with_faults_recorded(
                 "one burn record per recorded config required");
   AUTOHET_CHECK(faults.empty() || FaultModel(faults.front()).record_eligible(),
                 "fault config is not record-eligible");
-  return burn_clones(faults, records, pool);
-}
-
-std::vector<SimulatedModel> SimulatedModel::burn_clones(
-    std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
-    common::ThreadPool* pool) const {
-  AUTOHET_CHECK(fault_model_.ideal(),
-                "burning faults requires a clean (ideal) fabric to clone");
-  if (faults.empty()) return {};
-  const bool record = !records.empty();
-  const FaultModel shared(faults.front());
-  for (const FaultConfig& fc : faults) {
-    FaultConfig same_seed = fc;
-    same_seed.seed = faults.front().seed;
-    AUTOHET_CHECK(same_seed == faults.front(),
-                  "a batched burn's configs may differ only in seed");
-  }
-  AUTOHET_CHECK(faults.front().read_sigma == 0.0 ||
-                    mode_ == DatapathMode::kInteger,
-                "read noise requires the integer datapath");
-  const std::size_t n = faults.size();
-  // Clones reuse the quantization and the programmed cells.
-  std::vector<SimulatedModel> out(n, *this);
-  for (std::size_t t = 0; t < n; ++t) {
-    out[t].fault_model_ = FaultModel(faults[t]);
-  }
-  // One item per (layer, crossbar, lane group), largest crossbar first so
-  // a pool's tail is the small ones. Item k's stats land in slot
-  // (first[l] + x) · n + t of `stats`, folded per layer afterwards.
-  struct Item {
-    std::size_t layer, crossbar, lane0;
-    std::int64_t cells;
-  };
-  std::vector<Item> items;
-  std::vector<std::size_t> first(layers_.size() + 1, 0);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const std::size_t count = layers_[l].crossbar_count();
-    first[l + 1] = first[l] + count;
-    for (std::size_t x = 0; x < count; ++x) {
-      for (std::size_t t0 = 0; t0 < n; t0 += kernels::kBurnLanes) {
-        items.push_back({l, x, t0, layers_[l].crossbar_cells()});
-      }
-    }
-    if (record) {
-      for (TrialBurnRecord& rec : records) {
-        rec.layers.resize(layers_.size());
-        rec.layers[l].assign(count, {});
-      }
-    }
-  }
-  std::stable_sort(
-      items.begin(), items.end(),
-      [](const Item& a, const Item& b) { return a.cells > b.cells; });
-  std::vector<FaultMapStats> stats(first.back() * n);
-  common::parallel_for(pool, 0, items.size(), [&](std::size_t k) {
-    const Item& item = items[k];
-    const std::size_t lanes = std::min(kernels::kBurnLanes, n - item.lane0);
-    std::array<MappedLayer*, kernels::kBurnLanes> clones{};
-    std::array<BurnTarget, kernels::kBurnLanes> burns{};
-    for (std::size_t j = 0; j < lanes; ++j) {
-      const std::size_t t = item.lane0 + j;
-      clones[j] = &out[t].layers_[item.layer];
-      burns[j].seed = faults[t].seed;
-      if (record) {
-        CrossbarBurnRecord& rec = records[t].layers[item.layer][item.crossbar];
-        burns[j].hits = &rec.hits;
-        burns[j].bucket_ends = &rec.bucket_ends;
-      }
-    }
-    MappedLayer::burn_crossbar(shared, item.layer, item.crossbar,
-                               std::span(clones.data(), lanes),
-                               std::span(burns.data(), lanes));
-    for (std::size_t j = 0; j < lanes; ++j) {
-      const std::size_t t = item.lane0 + j;
-      stats[(first[item.layer] + item.crossbar) * n + t] = burns[j].stats;
-      if (record) {
-        records[t].layers[item.layer][item.crossbar].variation =
-            burns[j].stats;
-      }
-    }
-  });
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      FaultMapStats total;
-      for (std::size_t i = first[l]; i < first[l + 1]; ++i) {
-        total += stats[i * n + t];
-      }
-      out[t].layers_[l].finish_burn(out[t].fault_model_, l, total);
-    }
-  }
+  std::vector<SimulatedModel> out(faults.size(), *this);
+  burn(out, faults, records, pool);
   return out;
 }
 
@@ -765,12 +733,59 @@ TrialFabricCache::Stats TrialFabricCache::stats() const {
   return {ideal.builds, ideal.hits, trials.builds, trials.hits};
 }
 
-std::shared_ptr<const MappedLayer> LayerFabricCache::layer(
-    const nn::Model& model, std::size_t layer_index,
-    const mapping::CrossbarShape& shape, const FaultConfig& faults,
-    const std::function<MappedLayer()>& build) {
-  return layers_.get(
-      {model.identity(), layer_index, shape.rows, shape.cols, faults}, build);
+std::vector<SimulatedModel> LayerFabricCache::fabrics(
+    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
+    std::span<const FaultConfig> faults, common::ThreadPool* pool) {
+  const auto mappable = model.spec().mappable_layers();
+  AUTOHET_CHECK(shapes.size() == mappable.size(),
+                "one crossbar shape per mappable layer required");
+  const std::size_t n = faults.size();
+  const auto key = [&](std::size_t l, const FaultConfig& fc) {
+    return Key{model.identity(), l, shapes[l].rows, shapes[l].cols, fc};
+  };
+  // Entry l·n + i is layer l burned under faults[i].
+  std::vector<Key> keys;
+  keys.reserve(mappable.size() * n);
+  for (std::size_t l = 0; l < mappable.size(); ++l) {
+    for (const FaultConfig& fc : faults) keys.push_back(key(l, fc));
+  }
+  const auto entries = burned_.get_many(
+      std::span<const Key>(keys), [&](std::span<const std::size_t> missing) {
+        // Each miss copies its layer's clean programming; the misses of one
+        // layer (contiguous, keys are layer-major) form one burn job.
+        std::vector<MappedLayer> built;
+        built.reserve(missing.size());
+        std::vector<MappedLayer::Clones> jobs;
+        std::shared_ptr<const MappedLayer> clean;
+        for (const std::size_t k : missing) {
+          const std::size_t l = k / n;
+          if (jobs.empty() || jobs.back().layer_id != l) {
+            clean = clean_.get(key(l, FaultConfig{}), [&] {
+              return MappedLayer(mappable[l], model.weight(l), shapes[l],
+                                 static_cast<std::uint64_t>(l));
+            });
+            jobs.push_back({l, {}, {}});
+          }
+          jobs.back().layers.push_back(&built.emplace_back(*clean));
+          jobs.back().trials.push_back(k % n);
+        }
+        MappedLayer::burn(faults, jobs, {}, pool);
+        return built;
+      });
+  std::vector<SimulatedModel> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<MappedLayer> layers;
+    layers.reserve(mappable.size());
+    for (std::size_t l = 0; l < mappable.size(); ++l) {
+      layers.push_back(*entries[l * n + i]);
+    }
+    SimulatedModel& fabric =
+        out.emplace_back(SimulatedModel(model, DatapathMode::kInteger,
+                                        std::move(layers)));
+    fabric.fault_model_ = FaultModel(faults[i]);
+  }
+  return out;
 }
 
 std::shared_ptr<const TrialFabricCache::IdealRefs>
@@ -781,13 +796,16 @@ LayerFabricCache::ideal_refs(
 }
 
 LayerFabricCache::Stats LayerFabricCache::stats() const {
-  const auto layers = layers_.counts();
+  const auto clean = clean_.counts();
+  const auto burned = burned_.counts();
   const auto refs = refs_.counts();
-  return {layers.builds, layers.hits, refs.builds, refs.hits};
+  return {clean.builds + burned.builds, clean.hits + burned.hits, refs.builds,
+          refs.hits};
 }
 
 void LayerFabricCache::clear() {
-  layers_.clear();
+  clean_.clear();
+  burned_.clear();
   refs_.clear();
 }
 
@@ -826,22 +844,14 @@ RobustnessReport monte_carlo_robustness(
   report.samples = options.samples;
   report.min_accuracy = 1.0;
 
-  // A fabric programmed under `fc`. With a LayerFabricCache (the in-search
-  // fast path) it is stitched together from shared prebuilt layers —
-  // bit-identical to a fresh build, because programming and burn-in are
-  // pure per-layer functions of the key.
   LayerFabricCache* layer_cache = options.layer_cache;
-  const auto program = [&](const FaultConfig& fc) {
-    return SimulatedModel(model, DatapathMode::kInteger, fc,
-                          program_layers(model, shapes, fc, layer_cache));
-  };
 
   // The ideal fabric is the reference: agreement with it isolates device
   // non-ideality from the (always present) 8-bit quantization error. The
   // references depend on no fault knob, so a cache shares one build across
   // a sweep's whole rate × cell-bits grid.
   const auto build_refs = [&]() {
-    TrialFabricCache::IdealRefs refs{program({}), {}, {}};
+    TrialFabricCache::IdealRefs refs{SimulatedModel(model, shapes), {}, {}};
     const nn::LayerSpec& first = model.spec().layers.front();
     common::Rng img_rng(options.input_seed);
     refs.images.reserve(static_cast<std::size_t>(options.samples));
@@ -906,18 +916,23 @@ RobustnessReport monte_carlo_robustness(
 
   // Phase A body: build the faulty fabrics of trials [b0, b1) into
   // `fabrics`, setting each trial's stats and its share of the build time.
-  // Cloning the clean fabric and burning a trial's faults is bit-identical
-  // to a fresh build (both are pure functions of the seeds), and the
-  // block's trials burn together: each crossbar runs them in lockstep lane
-  // groups, the (crossbar, lane group) items spread over the pool. With a
-  // cache, a block's missing trials are recorded together once and
-  // replayed per rate point. Layer assembly beats the record/replay
-  // machinery when allocations churn (the trial seed stream is fixed, so
-  // every layer burn is shared across episodes); the workload-keyed
-  // TrialFabricCache would evict on every new allocation anyway.
+  // Every trial fabric is a clean copy with the trial's faults burned in by
+  // MappedLayer::burn — bit-identical to a fresh build (both are pure
+  // functions of the seeds). There are two sources. (1) The block's trials
+  // burn together (with_faults): each crossbar runs them in lockstep lane
+  // groups, the (crossbar, lane group) items spread over the pool. A
+  // LayerFabricCache memoizes this per (layer, trial): cached entries are
+  // copied and only the block's misses burn, from the cached clean layers.
+  // It wins over (2) when allocations churn (the trial seed stream is
+  // fixed, so every layer burn is shared across episodes; the
+  // workload-keyed TrialFabricCache would evict on every allocation).
+  // (2) With a TrialFabricCache, a block's missing trials are recorded
+  // together once and replayed per rate point.
   const auto build_fabrics =
       [&](std::size_t b0, std::size_t b1, common::ThreadPool* pool,
           std::vector<std::optional<SimulatedModel>>& fabrics) {
+        OBS_SPAN("fault_trial_build");
+        const auto t0 = std::chrono::steady_clock::now();
         std::vector<FaultConfig> configs;
         for (std::size_t t = b0; t < b1; ++t) {
           configs.push_back(faults.for_trial(static_cast<std::uint64_t>(t)));
@@ -928,23 +943,14 @@ RobustnessReport monte_carlo_robustness(
           trials[t].stats = fabrics[t - b0]->fault_stats();
           trials[t].wall_ms = ms;
         };
-        if (layer_cache != nullptr) {
-          common::parallel_for(pool, b0, b1, [&](std::size_t t) {
-            OBS_SPAN("fault_trial_build");
-            const auto t0 = std::chrono::steady_clock::now();
-            SimulatedModel fabric = program(configs[t - b0]);
-            install(t, std::move(fabric), ms_since(t0));
-          });
-          return;
-        }
-        OBS_SPAN("fault_trial_build");
-        const auto t0 = std::chrono::steady_clock::now();
         const auto share = [&] {
           return ms_since(t0) / static_cast<double>(b1 - b0);
         };
-        if (!cache_trials && !span_zero) {
+        if (layer_cache != nullptr || (!cache_trials && !span_zero)) {
           std::vector<SimulatedModel> built =
-              refs->ideal.with_faults(configs, pool);
+              layer_cache != nullptr
+                  ? layer_cache->fabrics(model, shapes, configs, pool)
+                  : refs->ideal.with_faults(configs, pool);
           const double ms = share();
           for (std::size_t t = b0; t < b1; ++t) {
             install(t, std::move(built[t - b0]), ms);
@@ -1022,34 +1028,30 @@ RobustnessReport monte_carlo_robustness(
   // Trials run in blocks: phase A builds a block's trial fabrics, phase B
   // runs the block's flattened (trial, sample-chunk) items. Blocking bounds
   // peak fabric memory at one block instead of the whole budget: a lane
-  // group's width for lockstep burns (more with a larger pool), and a
-  // single fabric when a serial run assembles each trial on its own.
-  const bool per_trial = layer_cache != nullptr;
+  // group's width for lockstep burns, more with a larger pool.
   const bool parallel = threads > 1;
   const std::size_t workers = options.pool != nullptr
                                   ? options.pool->size()
                                   : static_cast<std::size_t>(threads);
-  const std::size_t block =
-      per_trial && !parallel
-          ? 1
-          : std::max(parallel ? workers : 1, kernels::kBurnLanes);
+  const std::size_t block = std::max(parallel ? workers : 1,
+                                     kernels::kBurnLanes);
   const auto cpt = static_cast<std::size_t>(chunks_per_trial);
   // The parallel items of each phase in the first (largest) block: phase A
-  // spreads (crossbar, lane group) burn items — or whole trials where each
-  // trial is programmed on its own — and phase B (trial, chunk) items. Each
-  // forward inside an item runs serially. A pool only pays when a phase
-  // has two or more items, and a local one never needs more workers than
-  // the larger phase has items.
+  // spreads (crossbar, lane group) burn items and phase B (trial, chunk)
+  // items. Each forward inside an item runs serially. A pool only pays
+  // when a phase has two or more items, and a local one never needs more
+  // workers than the larger phase has items.
   const std::size_t first_block =
       std::min(block, static_cast<std::size_t>(requested));
+  const auto mappable = model.spec().mappable_layers();
   std::size_t crossbars = 0;
-  for (const MappedLayer& layer : refs->ideal.mapped_layers()) {
-    crossbars += layer.crossbar_count();
+  for (std::size_t l = 0; l < shapes.size(); ++l) {
+    const mapping::LayerMapping m = mapping::map_layer(mappable[l], shapes[l]);
+    crossbars += static_cast<std::size_t>(m.row_blocks * m.col_blocks);
   }
   const std::size_t phase_a =
-      per_trial ? first_block
-          : crossbars * ((first_block + kernels::kBurnLanes - 1) /
-                         kernels::kBurnLanes);
+      crossbars * ((first_block + kernels::kBurnLanes - 1) /
+                   kernels::kBurnLanes);
   const std::size_t items = std::max(phase_a, first_block * cpt);
   std::optional<common::ThreadPool> local_pool;
   common::ThreadPool* pool = nullptr;

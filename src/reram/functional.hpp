@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -69,13 +68,11 @@ struct TrialBurnRecord {
 class MappedLayer {
  public:
   /// Quantizes `weight` ([Cout,Cin,k,k] or [out,in]) to 8 bits and programs
-  /// it across crossbars of the given shape. When `faults` is non-null and
-  /// non-ideal, stuck-at maps and programming variation are burned into
-  /// the arrays at this programming step (deterministic in the fault seed
-  /// and `layer_id`), and MVMs sample the configured read noise.
+  /// it, clean, across crossbars of the given shape (`layer_id` tags the
+  /// programming profile records). Faults enter only through burn().
   MappedLayer(const nn::LayerSpec& spec, const tensor::Tensor& weight,
               const mapping::CrossbarShape& shape,
-              const FaultModel* faults = nullptr, std::uint64_t layer_id = 0);
+              std::uint64_t layer_id = 0);
 
   const mapping::LayerMapping& mapping() const noexcept { return mapping_; }
   float weight_scale() const noexcept { return weight_scale_; }
@@ -120,12 +117,6 @@ class MappedLayer {
   /// MVMs take the AND+popcount kernel.
   void prepare_packed();
 
-  /// Burns a fault model into the (clean) programmed arrays: the same
-  /// operation the fault-model constructor path performs, exposed so a
-  /// fabric clone can re-burn per-trial faults without re-quantizing and
-  /// re-programming the weights.
-  void burn_faults(const FaultModel& faults, std::uint64_t layer_id);
-
   /// The logical crossbars, one shape each: crossbar_count() of
   /// crossbar_cells() physical cells.
   std::size_t crossbar_count() const noexcept { return crossbars_.size(); }
@@ -133,31 +124,34 @@ class MappedLayer {
     return mapping_.shape.rows * mapping_.shape.cols;
   }
 
-  /// One step of a batched burn: burns crossbar `index` of every layer in
-  /// `clones` (copies of one clean layer with id `layer_id`) in one
-  /// FaultModel::burn call, clone i under burns[i].seed (recording when
-  /// burns[i].hits is set). Touches only that crossbar of each clone, so
-  /// distinct indices may run concurrently; once every crossbar of a clone
-  /// is burned, finish_burn installs its totals.
-  static void burn_crossbar(const FaultModel& faults, std::uint64_t layer_id,
-                            std::size_t index,
-                            std::span<MappedLayer* const> clones,
-                            std::span<BurnTarget> burns);
+  /// One layer's share of a burn: copies of one clean layer with id
+  /// `layer_id`, layers[i] burned under the config of trial trials[i].
+  struct Clones {
+    std::uint64_t layer_id = 0;
+    std::vector<MappedLayer*> layers;
+    std::vector<std::size_t> trials;
+  };
 
-  /// Completes a burn under `faults`: installs the summed crossbar stats
-  /// and, for a non-ideal config, this layer's read-noise stream.
-  void finish_burn(const FaultModel& faults, std::uint64_t layer_id,
-                   const FaultMapStats& stats);
+  /// The one fault burn-in: burns faults[t] (one config per trial, the
+  /// configs differing only in seed) into each job's clean clones. Each
+  /// crossbar burns its clones in lockstep lane groups of up to
+  /// kernels::kBurnLanes; `pool`, when given, spreads the (job, crossbar,
+  /// lane group) items, largest crossbar first. With `records` (one per
+  /// trial, layers sized by the caller) it records trial t's stuck draws
+  /// and leaves the post-variation cells (FaultModel::apply_recording).
+  static void burn(std::span<const FaultConfig> faults,
+                   std::span<const Clones> jobs,
+                   std::span<TrialBurnRecord> records,
+                   common::ThreadPool* pool = nullptr);
 
   /// Completes a recorded burn on this layer (a clone of the recording's
   /// post-variation state): forces the recorded candidates that fall under
   /// `faults`' stuck thresholds and installs exactly the fault stats and
-  /// read-noise streams burn_faults would have produced.
+  /// read-noise streams burn would have produced.
   void replay_faults(const FaultModel& faults, std::uint64_t layer_id,
                      const std::vector<CrossbarBurnRecord>& recorded);
 
-  /// Stuck-at / variation counts burned in at construction (all zero when
-  /// the layer was programmed without a fault model).
+  /// Stuck-at / variation counts burned in (all zero on a clean layer).
   const FaultMapStats& fault_stats() const noexcept { return fault_stats_; }
 
  private:
@@ -187,10 +181,11 @@ class SimulatedModel {
  public:
   /// `shapes` assigns a crossbar shape to each mappable layer (same order
   /// as NetworkSpec::mappable_layers()). A non-ideal `faults` config runs
-  /// the whole network on a faulty fabric: stuck-at maps and programming
-  /// variation are burned in at construction, read noise is sampled at MVM
-  /// time (integer datapath only). The default ideal config is bit-identical
-  /// to the fault-free fabric.
+  /// the whole network on a faulty fabric: the layers are programmed clean
+  /// and the stuck-at maps and programming variation burned in by
+  /// MappedLayer::burn, read noise is sampled at MVM time (integer datapath
+  /// only). The default ideal config is bit-identical to the fault-free
+  /// fabric.
   SimulatedModel(const nn::Model& model,
                  const std::vector<mapping::CrossbarShape>& shapes,
                  DatapathMode mode = DatapathMode::kInteger,
@@ -209,35 +204,29 @@ class SimulatedModel {
   /// Clones this (clean) fabric and burns `faults` into the copy — the
   /// quantization and weight-programming work is reused, only the fault
   /// burn-in runs. Bit-identical to constructing a fresh SimulatedModel
-  /// with the same faults (the programmed cells and the fault RNG streams
-  /// are both pure functions of their seeds). Requires an ideal fabric.
+  /// with the same faults: both burn a clean copy through MappedLayer::burn.
+  /// Requires an ideal fabric.
   SimulatedModel with_faults(const FaultConfig& faults) const;
-
-  /// with_faults variant that burns `faults`' programming variation while
-  /// *recording* the stuck-draw stream into `record`: the returned fabric is
-  /// the post-variation state, completed per-rate by replay_faults. Requires
-  /// an ideal source fabric and FaultModel(faults).record_eligible().
-  SimulatedModel with_faults_recorded(const FaultConfig& faults,
-                                      TrialBurnRecord& record) const;
 
   /// Batched with_faults over the trials of one point: one fabric per
   /// config, each bit-identical to with_faults(faults[i]). The configs may
-  /// differ only in seed (FaultConfig::for_trial of one point). Every
-  /// crossbar burns its trials in lockstep lane groups of up to
-  /// kernels::kBurnLanes (FaultModel::burn); `pool`, when given, spreads
-  /// the (crossbar, lane group) items, largest crossbar first. The
-  /// single-config with_faults is this with one config.
+  /// differ only in seed (FaultConfig::for_trial of one point); every
+  /// crossbar burns its trials in lockstep (MappedLayer::burn), the items
+  /// spread over `pool` when given. The single-config with_faults is this
+  /// with one config.
   std::vector<SimulatedModel> with_faults(
       std::span<const FaultConfig> faults,
       common::ThreadPool* pool = nullptr) const;
 
-  /// Batched with_faults_recorded: fabric i and records[i] are exactly
-  /// with_faults_recorded(faults[i], records[i]).
+  /// with_faults that burns each config's programming variation while
+  /// *recording* its stuck-draw stream into records[i]: fabric i is the
+  /// post-variation state, completed per rate by replay_faults. Requires an
+  /// ideal source fabric and record-eligible configs.
   std::vector<SimulatedModel> with_faults_recorded(
       std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
       common::ThreadPool* pool = nullptr) const;
 
-  /// Completes a recorded burn: clones this post-variation fabric (the
+  /// Completes a recorded burn: clones this post-variation fabric (a
   /// with_faults_recorded result) and forces the recorded candidates under
   /// `faults`' stuck thresholds. Bit-identical to with_faults(faults) on
   /// the original ideal fabric for any `faults` sharing the recording's RNG
@@ -279,25 +268,25 @@ class SimulatedModel {
     return layers_;
   }
 
-  /// Assembles a fabric from prebuilt per-layer fabrics (the
-  /// LayerFabricCache path). `layers[i]` must have been built from this
-  /// model's mappable layer i (same spec, weight, shape) under `faults`
-  /// with layer id i — then the result is bit-identical to the shape-list
-  /// constructor: per-layer programming and burn-in are pure functions of
-  /// exactly those inputs.
-  SimulatedModel(const nn::Model& model, DatapathMode mode,
-                 const FaultConfig& faults, std::vector<MappedLayer> layers);
-
   /// Aggregate stuck-at / variation counts over all layers (zero when the
   /// fabric is ideal).
   FaultMapStats fault_stats() const noexcept;
 
  private:
-  /// The batched burn behind with_faults and with_faults_recorded
-  /// (recording into `records` when it is non-empty).
-  std::vector<SimulatedModel> burn_clones(std::span<const FaultConfig> faults,
-                                          std::span<TrialBurnRecord> records,
-                                          common::ThreadPool* pool) const;
+  friend class LayerFabricCache;  // assembles fabrics from cached layers
+
+  /// A fabric of `layers` (layer i programmed from the model's mappable
+  /// layer i with layer id i) under the ideal fault model.
+  SimulatedModel(const nn::Model& model, DatapathMode mode,
+                 std::vector<MappedLayer> layers);
+
+  /// Burns faults[i] into fabrics[i] — clean fabrics of one model and
+  /// allocation — in one MappedLayer::burn over all their layers,
+  /// recording into `records` when it is non-empty.
+  static void burn(std::span<SimulatedModel> fabrics,
+                   std::span<const FaultConfig> faults,
+                   std::span<TrialBurnRecord> records,
+                   common::ThreadPool* pool);
   /// One mappable layer over a batch, sample i on noise stream
   /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
   /// noise-free fabric take one batched MVM over all samples (one sample
@@ -413,27 +402,31 @@ class TrialFabricCache {
 
 /// Cross-allocation per-layer fabric cache (the in-search fabric cache).
 ///
-/// A programmed-and-burned MappedLayer is a pure function of (layer spec +
-/// weights, crossbar shape, fault config, layer id): the burn-in RNG stream
-/// is seeded per layer, independent of the rest of the allocation. An RL
+/// A burned MappedLayer is a pure function of (layer spec + weights,
+/// crossbar shape, fault config, layer id): the burn-in RNG stream is
+/// seeded per layer, independent of the rest of the allocation. An RL
 /// search revisits the same per-layer (layer, candidate) choices under one
 /// fixed FaultConfig even though whole allocations rarely repeat, so an L×C
-/// table of prebuilt layers turns the per-episode Monte-Carlo fabric
-/// construction into plain copies — no re-quantization, no burn-in RNG. Fabrics assembled from cached layers are bit-identical
-/// to constructor-built ones (tested).
+/// table of clean programmed layers plus their burned (layer, trial)
+/// copies turns the per-episode Monte-Carlo fabric construction into plain
+/// copies. Fabrics assembled from cached layers are bit-identical to
+/// constructor-built ones (tested).
 ///
-/// Thread-safe; bounded (all entries are dropped when the cap is hit — the
-/// steady state of one search is a few dozen entries, so eviction only
-/// fires when workloads churn).
+/// Thread-safe; bounded (all entries of a store are dropped when its cap is
+/// hit — the steady state of one search is a few dozen entries, so
+/// eviction only fires when workloads churn).
 class LayerFabricCache {
  public:
-  /// Returns the (shared, immutable) prebuilt layer for the key, building
-  /// it via `build` on first use. Builds for distinct keys proceed
-  /// concurrently (per-slot locking).
-  std::shared_ptr<const MappedLayer> layer(
-      const nn::Model& model, std::size_t layer_index,
-      const mapping::CrossbarShape& shape, const FaultConfig& faults,
-      const std::function<MappedLayer()>& build);
+  /// One integer-datapath fabric per config, fabric i bit-identical to
+  /// SimulatedModel(model, shapes).with_faults(faults[i]) (the configs
+  /// differ only in seed). Burned (layer, config) entries already cached
+  /// are copied; every miss is a copy of its layer's cached clean
+  /// programming (programmed on first use), and all of the call's misses
+  /// burn together in one MappedLayer::burn over `pool`. Calls for
+  /// distinct keys proceed concurrently (per-slot locking).
+  std::vector<SimulatedModel> fabrics(
+      const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
+      std::span<const FaultConfig> faults, common::ThreadPool* pool = nullptr);
 
   /// Allocation-invariant ideal references for the assembly path, keyed by
   /// (model, samples, input_seed) — no shapes. One reference
@@ -445,6 +438,8 @@ class LayerFabricCache {
       const nn::Model& model, int samples, std::uint64_t input_seed,
       const std::function<TrialFabricCache::IdealRefs()>& build);
 
+  /// Layer entries: `builds` counts clean programmings plus burned
+  /// (layer, config) misses, `hits` the lookups either store served.
   struct Stats {
     std::uint64_t builds = 0;
     std::uint64_t hits = 0;
@@ -460,7 +455,7 @@ class LayerFabricCache {
     std::size_t layer_index = 0;
     std::int64_t rows = 0;
     std::int64_t cols = 0;
-    FaultConfig faults;
+    FaultConfig faults;  ///< the burn's config; ideal for a clean entry
     bool operator==(const Key&) const = default;
   };
   struct RefsKey {
@@ -470,10 +465,12 @@ class LayerFabricCache {
     bool operator==(const RefsKey&) const = default;
   };
 
-  /// One search holds L layers × C candidates × (ideal + one trial config)
-  /// ≈ dozens; 512 leaves room for several concurrent workloads before
-  /// wholesale eviction.
-  SlotStore<Key, MappedLayer> layers_{512};
+  /// One search holds L layers × C candidates clean, and as many burned
+  /// entries per trial config ≈ dozens; the caps leave room for several
+  /// concurrent workloads before wholesale eviction. A miss holds its
+  /// burned slot while it reads the clean store, never the reverse.
+  SlotStore<Key, MappedLayer> clean_{256};
+  SlotStore<Key, MappedLayer> burned_{512};
   SlotStore<RefsKey, TrialFabricCache::IdealRefs> refs_{8};
 };
 
@@ -502,11 +499,11 @@ struct RobustnessOptions {
   /// automatically.
   TrialFabricCache* cache = nullptr;
   /// Optional cross-allocation per-layer fabric cache (see
-  /// LayerFabricCache). When set, the ideal fabric and every trial fabric are assembled from shared
-  /// prebuilt layers instead of re-programming and re-burning per call —
-  /// the fast path for the per-episode in-search robustness reward, where
-  /// consecutive calls differ in allocation but share per-layer choices.
-  /// Reports are bit-identical to the uncached path (tested).
+  /// LayerFabricCache). When set, it builds every trial fabric and the
+  /// ideal references, taking precedence over `cache` — the fast path for
+  /// the per-episode in-search robustness reward, where consecutive calls
+  /// differ in allocation but share per-layer choices. Reports are
+  /// bit-identical to the uncached path (tested).
   /// EvaluationEngine::evaluate_robustness_cached supplies the engine's
   /// cache automatically.
   LayerFabricCache* layer_cache = nullptr;

@@ -6,7 +6,7 @@
 #         [-DSERVING_SIM=<serving_sim binary>]
 #         [-DPAPER_RESULTS=<paper_results binary>]
 #         [-DFUNCTIONAL_THROUGHPUT=<functional_throughput binary>]
-#         [-DTEST_KERNELS=<test_kernels binary>]
+#         [-DTEST_KERNELS=<test_kernels binary>] [-DTEST_MLP=<test_mlp binary>]
 #         -P tests/e2e.cmake
 #
 # Each case starts from an empty WORK_DIR (the binaries write their
@@ -112,6 +112,12 @@
 #       (test_kernels) passes once per supported variant with
 #       AUTOHET_KERNEL forcing it, so a lost CPUID rule or a variant that
 #       diverges from the scalar oracles fails here.
+#   rl_dispatch
+#       the same for the rl table: `autohet_cli kernels` lists the rl
+#       variants this host supports (portable among them); under
+#       AUTOHET_KERNEL=<v> it shows <v> active for rl and the MLP suite
+#       (test_mlp) passes, once per supported variant. test_search_anchor
+#       already checks every supported rl variant in one process.
 #   bench_args
 #       the bench binaries reject a bad positional count, budget mode,
 #       paper section, --episodes, --threads or --kernel, naming the
@@ -687,6 +693,25 @@ elseif(CASE STREQUAL "reram_dispatch")
   endif()
   foreach(variant IN LISTS variants)
     run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${TEST_KERNELS}")
+  endforeach()
+elseif(CASE STREQUAL "rl_dispatch")
+  run("${CLI}" kernels)
+  string(REGEX MATCHALL "\\| rl +\\| [a-z0-9]+ +\\| yes " rows "${OUTPUT}")
+  set(variants)
+  foreach(row IN LISTS rows)
+    string(REGEX REPLACE "^\\| rl +\\| ([a-z0-9]+) .*" "\\1" variant
+           "${row}")
+    list(APPEND variants ${variant})
+  endforeach()
+  if(NOT "portable" IN_LIST variants)
+    message(FATAL_ERROR "no supported rl variants listed:\n${OUTPUT}")
+  endif()
+  foreach(variant IN LISTS variants)
+    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${CLI}" kernels)
+    if(NOT OUTPUT MATCHES "\\| rl +\\| ${variant} +\\| yes +\\| yes +\\|")
+      message(FATAL_ERROR "${variant} is not active for rl:\n${OUTPUT}")
+    endif()
+    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${TEST_MLP}")
   endforeach()
 elseif(CASE STREQUAL "bench_args")
   run_fails("argument <budget> must be fixed or adaptive: adaptiv"

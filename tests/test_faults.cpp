@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "autohet/env.hpp"
@@ -252,7 +253,13 @@ TEST_P(CellStorageRoundTrip, SubLevelVariationKeepsWeightsExact) {
   const auto before = xb.mvm_reference(x);
   const FaultModel model(sub_level_variation(cell_bits));
   ASSERT_FALSE(model.ideal());
-  const FaultMapStats stats = xb.apply_faults(model, /*crossbar_id=*/3);
+  reram::LogicalCrossbar* clone = &xb;
+  reram::BurnTarget burn;
+  burn.seed = model.config().seed;
+  reram::LogicalCrossbar::burn_clones(model, /*crossbar_id=*/3,
+                                      std::span(&clone, 1),
+                                      std::span(&burn, 1));
+  const FaultMapStats stats = burn.stats;
   EXPECT_EQ(stats.physical_cells, 36 * 32 * (8 / cell_bits));
   EXPECT_EQ(stats.weights_changed, 0);
   EXPECT_EQ(xb.mvm_reference(x), before);
@@ -304,7 +311,13 @@ TEST(CellStorage, BurnedCellsFeedBothDatapathsIdentically) {
     const auto clean = xb.mvm_reference(x);
     FaultConfig faults = stuck_config(0.01, bits);
     faults.program_sigma = 0.3;
-    const FaultMapStats stats = xb.apply_faults(FaultModel(faults), 5);
+    reram::LogicalCrossbar* clone = &xb;
+    reram::BurnTarget burn;
+    burn.seed = faults.seed;
+    reram::LogicalCrossbar::burn_clones(FaultModel(faults), 5,
+                                        std::span(&clone, 1),
+                                        std::span(&burn, 1));
+    const FaultMapStats stats = burn.stats;
     EXPECT_GT(stats.weights_changed, 0) << bits;
     const auto noisy = xb.mvm_reference(x);
     EXPECT_NE(noisy, clean) << bits;
@@ -344,7 +357,12 @@ TEST(ProgramVariation, ErrorGrowsWithSigma) {
     FaultConfig faults;
     faults.program_sigma = sigma;
     faults.cell_bits = 2;
-    xb.apply_faults(FaultModel(faults), 12);
+    reram::LogicalCrossbar* clone = &xb;
+    reram::BurnTarget burn;
+    burn.seed = faults.seed;
+    reram::LogicalCrossbar::burn_clones(FaultModel(faults), 12,
+                                        std::span(&clone, 1),
+                                        std::span(&burn, 1));
     const auto noisy = xb.mvm_reference(x);
     double err = 0.0;
     for (std::size_t j = 0; j < clean.size(); ++j) {

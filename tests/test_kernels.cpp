@@ -114,7 +114,11 @@ TEST(PackedKernels, MatchScalarAfterFaultBurn) {
   fc.stuck_at_one_rate = 0.01;
   fc.program_sigma = 0.05;
   fc.cell_bits = 2;
-  xb.apply_faults(FaultModel(fc), /*crossbar_id=*/3);
+  LogicalCrossbar* clone = &xb;
+  reram::BurnTarget burn;
+  burn.seed = fc.seed;
+  LogicalCrossbar::burn_clones(FaultModel(fc), /*crossbar_id=*/3,
+                               std::span(&clone, 1), std::span(&burn, 1));
   const auto x = random_input(rng, 90);
   EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x));
   EXPECT_EQ(xb.mvm_reference(x), oracle::mvm_reference_scalar(xb, x));
@@ -512,9 +516,12 @@ TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
   const auto x = random_input(rng, rows);
   for (std::size_t t = 0; t < n; ++t) {
     LogicalCrossbar single = clean;
-    const FaultMapStats stats =
-        single.apply_faults(FaultModel(fc.for_trial(t)), 11);
-    expect_stats_eq(burns[t].stats, stats);
+    LogicalCrossbar* lane = &single;
+    reram::BurnTarget burn;
+    burn.seed = fc.for_trial(t).seed;
+    LogicalCrossbar::burn_clones(FaultModel(fc.for_trial(t)), 11,
+                                 std::span(&lane, 1), std::span(&burn, 1));
+    expect_stats_eq(burns[t].stats, burn.stats);
     ASSERT_TRUE(clones[t].is_packed());
     EXPECT_EQ(clones[t].mvm_bit_serial(x),
               oracle::mvm_bit_serial_scalar(single, x))
@@ -918,9 +925,11 @@ TEST(MonteCarloIdentity, CachedPointAboveRecordingCapIsUncached) {
   in_cap.stuck_at_zero_rate = 1e-3;
   in_cap.stuck_at_one_rate = 1e-3;
   const SimulatedModel ideal(model, shapes);
-  reram::TrialBurnRecord record;
-  const SimulatedModel recorded = ideal.with_faults_recorded(in_cap, record);
-  EXPECT_THROW((void)recorded.replay_faults(fc, record), std::invalid_argument);
+  std::vector<reram::TrialBurnRecord> records(1);
+  const std::vector<SimulatedModel> recorded =
+      ideal.with_faults_recorded(std::span(&in_cap, 1), records);
+  EXPECT_THROW((void)recorded.front().replay_faults(fc, records.front()),
+               std::invalid_argument);
 }
 
 TEST(MonteCarloIdentity, ReadNoiseThreadInvariance) {

@@ -538,30 +538,69 @@ TEST(RobustnessMemoTest, CachedEntryMatchesUncachedAndHitsOnRepeat) {
 }
 
 TEST(RobustnessMemoTest, LayerCachedEntriesMatchOracle) {
-  // The memo's first visit assembles fabrics from the engine's layer cache.
-  // A second allocation that shares all but the last layer's candidate is
+  // The memo's first visit assembles fabrics from a layer cache — the
+  // engine's own, or a caller-owned one passed in options.layer_cache. A
+  // second allocation that shares all but the last layer's candidate is
   // built mostly from cached burned layers. Both reports equal the oracle's
-  // from-scratch serial run on the same crossbar shapes.
+  // from-scratch serial run on the same crossbar shapes, at 3 trials (one
+  // block) and 9 (a full 8-lane block, then one more trial), serial and
+  // on 3 threads.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
-  const auto engine = lenet_engine(net);
   const auto candidates = mapping::hybrid_candidates();
-  std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+  const std::uint64_t layers = net.mappable_layers().size();
 
-  RobustnessOptions mc;
-  mc.trials = 3;
-  mc.samples = 4;
-  for (const std::size_t last : {std::size_t{2}, std::size_t{1}}) {
-    actions.back() = last;
-    std::vector<CrossbarShape> shapes;
-    for (const std::size_t a : actions) shapes.push_back(candidates[a]);
-    SCOPED_TRACE(testing::Message() << "last layer candidate " << last);
-    expect_reports_identical(
-        oracle::monte_carlo_robustness(model, shapes, noisy_config(), mc),
-        engine.evaluate_robustness_cached(model, actions, noisy_config(), mc));
+  for (const int trials : {3, 9}) {
+    RobustnessOptions mc;
+    mc.trials = trials;
+    mc.samples = 4;
+    std::vector<std::vector<std::size_t>> allocations;
+    std::vector<reram::RobustnessReport> oracles;
+    for (const std::size_t last : {std::size_t{2}, std::size_t{1}}) {
+      std::vector<std::size_t> actions(layers, 2);
+      actions.back() = last;
+      std::vector<CrossbarShape> shapes;
+      for (const std::size_t a : actions) shapes.push_back(candidates[a]);
+      allocations.push_back(actions);
+      oracles.push_back(
+          oracle::monte_carlo_robustness(model, shapes, noisy_config(), mc));
+    }
+    // Blocks hold up to 8 trials; every block with a miss looks up the
+    // clean layers it copies, so the second block of 9 trials finds them.
+    const auto t = static_cast<std::uint64_t>(trials);
+    const std::uint64_t second_block = trials > 8 ? 1 : 0;
+    // After the first allocation: every layer programmed clean once and
+    // burned once per trial. After the second: the last layer's new shape
+    // programmed and burned per trial, every other burned layer copied.
+    const std::uint64_t builds[] = {layers + layers * t,
+                                    layers + layers * t + 1 + t};
+    const std::uint64_t hits[] = {second_block * layers,
+                                  second_block * (layers + 1) +
+                                      (layers - 1) * t};
+    for (const int threads : {1, 3}) {
+      for (const bool caller_cache : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << trials << " trials, " << threads << " threads, "
+                     << (caller_cache ? "caller" : "engine") << " cache");
+        const auto engine = lenet_engine(net);
+        reram::LayerFabricCache cache;
+        RobustnessOptions opts = mc;
+        opts.threads = threads;
+        if (caller_cache) opts.layer_cache = &cache;
+        for (std::size_t a = 0; a < allocations.size(); ++a) {
+          expect_reports_identical(
+              oracles[a], engine.evaluate_robustness_cached(
+                              model, allocations[a], noisy_config(), opts));
+          if (caller_cache) {
+            EXPECT_EQ(cache.stats().builds, builds[a]) << "allocation " << a;
+            EXPECT_EQ(cache.stats().hits, hits[a]) << "allocation " << a;
+          }
+        }
+        EXPECT_EQ(engine.robustness_cache_stats().misses, 2u);
+      }
+    }
   }
-  EXPECT_EQ(engine.robustness_cache_stats().misses, 2u);
 }
 
 TEST(RobustnessMemoTest, KeyDiscriminatesFaultsAndBudget) {
