@@ -70,7 +70,6 @@ core::CrossbarEnv build_env(const common::ArgParser& args,
   cfg.candidates = candidates_by_name(args.option("candidates"));
   cfg.accel.tile_shared = !args.flag("no-tile-shared");
   cfg.accel.pes_per_tile = args.count("pes-per-tile");
-  cfg.eval_threads = static_cast<std::size_t>(args.count("eval-threads"));
   return core::CrossbarEnv(net.mappable_layers(), cfg);
 }
 
@@ -655,9 +654,6 @@ int main(int argc, char** argv) {
   args.add_option("mc-max-trials", "0",
                   "'replay'/'profile': trial cap for the adaptive budget "
                   "(0 = --mc-trials); ignored without --mc-ci");
-  args.add_option("eval-threads", "0",
-                  "worker threads for batched hardware evaluation "
-                  "(0 = serial)");
   core::add_kernel_option(args);
   args.add_flag("no-tile-shared", "disable the tile-shared allocation");
   args.add_option("requests", "2000",
@@ -726,7 +722,7 @@ int main(int argc, char** argv) {
     }
     for (const char* name :
          {"top", "functional-samples", "mc-trials", "mc-threads",
-          "mc-max-trials", "eval-threads", "tile-capacity", "serve-threads"}) {
+          "mc-max-trials", "tile-capacity", "serve-threads"}) {
       args.count(name);
     }
     AUTOHET_CHECK(args.option_double("qps") >= 0.0,

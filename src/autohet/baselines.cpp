@@ -30,23 +30,10 @@ StrategyResult evaluate_homogeneous_strategy(const CrossbarEnv& env,
 
 std::vector<StrategyResult> homogeneous_sweep(const CrossbarEnv& env) {
   OBS_SPAN("homogeneous_sweep");
-  // One batch through the engine: the C configurations are independent, so
-  // cache misses evaluate in parallel when the env has eval threads.
-  std::vector<std::vector<std::size_t>> batch;
-  batch.reserve(env.num_actions());
-  for (std::size_t c = 0; c < env.num_actions(); ++c) {
-    batch.emplace_back(env.num_layers(), c);
-  }
-  const auto reports = env.evaluate_batch(batch);
   std::vector<StrategyResult> out;
   out.reserve(env.num_actions());
   for (std::size_t c = 0; c < env.num_actions(); ++c) {
-    StrategyResult r;
-    r.name = env.candidates()[c].name();
-    r.report = reports[c];
-    r.reward = env.reward(r.report);
-    r.actions = std::move(batch[c]);
-    out.push_back(std::move(r));
+    out.push_back(evaluate_homogeneous_strategy(env, c));
   }
   return out;
 }

@@ -27,7 +27,7 @@ CrossbarEnv::CrossbarEnv(std::vector<nn::LayerSpec> mappable_layers,
     max_ins_ = std::max(max_ins_, static_cast<double>(layer.input_size()));
   }
   engine_ = std::make_shared<reram::EvaluationEngine>(
-      layers_, config_.candidates, config_.accel, config_.eval_threads);
+      layers_, config_.candidates, config_.accel);
   // Calibrate against the largest candidate used homogeneously; any fixed
   // positive constant preserves the reward ordering. Routed through the
   // engine, which also warms the memo for the homogeneous sweeps.
@@ -84,11 +84,6 @@ double CrossbarEnv::layer_utilization(std::size_t k,
 reram::NetworkReport CrossbarEnv::evaluate(
     const std::vector<std::size_t>& action_indices) const {
   return engine_->evaluate(action_indices);
-}
-
-std::vector<reram::NetworkReport> CrossbarEnv::evaluate_batch(
-    const std::vector<std::vector<std::size_t>>& batch) const {
-  return engine_->evaluate_batch(batch);
 }
 
 plan::DeploymentPlan CrossbarEnv::compile(

@@ -71,9 +71,6 @@ struct EnvConfig {
   std::vector<mapping::CrossbarShape> candidates;  ///< the action space
   reram::AcceleratorConfig accel;
   RewardObjective objective = RewardObjective::kUtilizationPerEnergy;
-  /// Worker threads of the hardware-evaluation engine's evaluate_batch
-  /// (0 = serial; see reram/eval_engine.hpp).
-  std::size_t eval_threads = 0;
   /// Measured robustness in the reward loop. When non-null and the
   /// objective is kRobustnessAware (with a non-ideal accel.faults), each
   /// episode's analytic (1 − v) factor is replaced by the *measured*
@@ -125,11 +122,6 @@ class CrossbarEnv {
   /// bit-identical to the uncached path.
   reram::NetworkReport evaluate(
       const std::vector<std::size_t>& action_indices) const;
-
-  /// Evaluates many independent assignments through the engine, fanning
-  /// cache misses out over its thread pool when one is configured.
-  std::vector<reram::NetworkReport> evaluate_batch(
-      const std::vector<std::vector<std::size_t>>& batch) const;
 
   /// The shared evaluation engine (L×C layer-report table + report memo).
   const reram::EvaluationEngine& engine() const noexcept { return *engine_; }

@@ -1,9 +1,8 @@
 // Fixed-size thread pool with a parallel_for helper.
 //
-// Used by the search drivers to evaluate independent accelerator
-// configurations concurrently (e.g. the homogeneous baseline sweep and the
-// search-time benchmark), and by the Monte-Carlo robustness evaluation to
-// build trial fabrics and run (trial, sample-chunk) items concurrently.
+// Used by the Monte-Carlo robustness evaluation to burn trial fabrics and
+// run (trial, sample-chunk) items concurrently, and by the serving
+// simulator to precompute per-model tables.
 // Work items must be independent; the pool provides no ordering guarantees beyond
 // wait()/parallel_for joining all tasks.
 //

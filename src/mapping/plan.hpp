@@ -109,7 +109,7 @@ DeploymentPlan compile_plan(std::string network,
 /// the same allocator as the chain path (one shape per mappable layer, in
 /// graph.mappable_layers() order) and embeds the graph in a v2 plan. For a
 /// chain-shaped graph the allocation — and every downstream report — is
-/// bit-identical to compiling graph.linearize() through the v1 path.
+/// bit-identical to compiling graph.skeleton() through the v1 path.
 DeploymentPlan compile_plan(const nn::Graph& graph,
                             const std::vector<mapping::CrossbarShape>& shapes,
                             const reram::AcceleratorConfig& accel);

@@ -133,19 +133,6 @@ bool Graph::is_chain() const {
   return true;
 }
 
-NetworkSpec Graph::linearize() const {
-  if (!is_chain()) {
-    fail("graph '" + name_ + "' is not chain-shaped; linearize() undefined");
-  }
-  NetworkSpec net;
-  net.name = name_;
-  net.sequential_runnable = true;
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    net.layers.push_back(nodes_[i].layer);
-  }
-  return net;
-}
-
 NetworkSpec Graph::skeleton() const {
   NetworkSpec net;
   net.name = name_;

@@ -11,7 +11,7 @@
 // and validates the output shape of every node as it is added.
 //
 // Chain-shaped graphs (kInput followed by a single path of kLayer nodes)
-// are exactly today's NetworkSpec chains: linearize() recovers the
+// are exactly today's NetworkSpec chains: skeleton() recovers the
 // NetworkSpec, and every consumer (mapping, hardware model, functional sim,
 // scheduler) is required to treat such graphs bit-identically to the
 // legacy linear path. Branchy graphs add non-mappable ops that the
@@ -92,13 +92,9 @@ class Graph {
   /// kLayer nodes — i.e. exactly a legacy NetworkSpec chain.
   bool is_chain() const;
 
-  /// Recovers the legacy NetworkSpec for a chain-shaped graph (the exact
-  /// inverse of graph_from_network). Throws std::invalid_argument when the
-  /// graph is not a chain.
-  NetworkSpec linearize() const;
-
   /// The conv/FC/pool skeleton: all kLayer specs in topological order, as a
-  /// NetworkSpec. sequential_runnable is true only for chain graphs.
+  /// NetworkSpec. sequential_runnable is true only for chain graphs, for
+  /// which the skeleton is the exact inverse of graph_from_network.
   NetworkSpec skeleton() const;
 
   /// Re-runs the builder's structural and shape checks over the stored
@@ -153,7 +149,7 @@ class GraphBuilder {
 };
 
 /// Wraps a legacy sequential NetworkSpec as a chain graph (kInput followed
-/// by one kLayer node per layer). linearize() of the result recovers `net`.
+/// by one kLayer node per layer). skeleton() of the result recovers `net`.
 Graph graph_from_network(const NetworkSpec& net);
 
 /// Runs `graph` once, the one walk every executor shares: visits the nodes

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <map>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -34,12 +33,10 @@ void count_evictions(EvaluationEngine::CacheStats& stats,
 
 EvaluationEngine::EvaluationEngine(
     std::vector<nn::LayerSpec> layers,
-    std::vector<mapping::CrossbarShape> candidates, AcceleratorConfig accel,
-    std::size_t threads)
+    std::vector<mapping::CrossbarShape> candidates, AcceleratorConfig accel)
     : layers_(std::move(layers)),
       candidates_(std::move(candidates)),
       accel_(accel),
-      threads_(threads),
       memo_(kMemoCapacity) {
   accel_.validate();
   AUTOHET_CHECK(!candidates_.empty(),
@@ -213,71 +210,6 @@ NetworkReport EvaluationEngine::evaluate(
   return report;
 }
 
-std::vector<NetworkReport> EvaluationEngine::evaluate_batch(
-    const std::vector<std::vector<std::size_t>>& batch) const {
-  OBS_SPAN("evaluate_batch");
-  OBS_SCOPED_LATENCY("autohet_eval_batch_latency_ns");
-  OBS_HIST_RECORD("autohet_eval_batch_size", batch.size());
-  std::vector<NetworkReport> results(batch.size());
-  for (const auto& actions : batch) check_actions(actions);
-
-  // Phase 1 (locked): satisfy hits, dedup misses in first-seen order.
-  std::unordered_map<std::vector<std::size_t>, std::size_t, KeyHash> slots;
-  std::vector<std::size_t> first_position;  // unique miss -> position
-  std::vector<std::vector<std::size_t>> positions;  // unique miss -> all
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t batch_hits = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (const NetworkReport* hit = memo_.find(batch[i])) {
-        ++stats_.hits;
-        ++batch_hits;
-        results[i] = *hit;
-        continue;
-      }
-      const auto [it, inserted] =
-          slots.emplace(batch[i], first_position.size());
-      if (inserted) {
-        ++stats_.misses;  // misses == number of compute() calls
-        first_position.push_back(i);
-        positions.emplace_back();
-      } else {
-        ++stats_.hits;  // duplicate within the batch: served by the dedup
-        ++batch_hits;
-      }
-      positions[it->second].push_back(i);
-    }
-    OBS_COUNTER_ADD(kHits, batch_hits);
-    OBS_COUNTER_ADD(kMisses, first_position.size());
-    OBS_TRACE_COUNTER("eval_cache_hit_rate", stats_.hit_rate());
-    (void)batch_hits;
-    if (!first_position.empty() && threads_ > 0 && !pool_) {
-      pool_ = std::make_unique<common::ThreadPool>(threads_);
-    }
-  }
-
-  // Phase 2 (lock-free): compute unique misses, in parallel when a pool is
-  // configured. compute() is pure, so results do not depend on scheduling.
-  std::vector<NetworkReport> computed(first_position.size());
-  common::parallel_for(pool_.get(), 0, first_position.size(),
-                       [&](std::size_t u) {
-                         computed[u] = compute(batch[first_position[u]]);
-                       });
-
-  // Phase 3 (locked): memoize in first-seen order and scatter to positions.
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t u = 0; u < computed.size(); ++u) {
-      count_evictions(stats_,
-                      memo_.insert(batch[first_position[u]], computed[u]));
-    }
-  }
-  for (std::size_t u = 0; u < computed.size(); ++u) {
-    for (std::size_t pos : positions[u]) results[pos] = computed[u];
-  }
-  return results;
-}
-
 RobustnessReport EvaluationEngine::evaluate_robustness(
     const nn::Model& model, const std::vector<std::size_t>& actions,
     const FaultConfig& faults, const RobustnessOptions& options) const {
@@ -287,20 +219,7 @@ RobustnessReport EvaluationEngine::evaluate_robustness(
   std::vector<mapping::CrossbarShape> shapes;
   shapes.reserve(actions.size());
   for (std::size_t a : actions) shapes.push_back(candidates_[a]);
-  // Callers that leave the trial parallelism at its serial default inherit
-  // the engine's configured worker count (reports are byte-identical at
-  // any thread count, so this is purely a wall-time knob).
   RobustnessOptions effective = options;
-  if (effective.threads == 1 && threads_ > 1) {
-    effective.threads = static_cast<int>(threads_);
-  }
-  // Hand the engine's shared pool to the MC fan-out so repeated robustness
-  // calls (fault sweeps) don't spawn a fresh set of workers per call.
-  if (effective.pool == nullptr && effective.threads > 1 && threads_ > 0) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!pool_) pool_ = std::make_unique<common::ThreadPool>(threads_);
-    effective.pool = pool_.get();
-  }
   // Sweeps that revisit one configuration across fault grids reuse the
   // engine's trial-fabric cache (byte-identical reports, see
   // TrialFabricCache); callers can still pass their own cache.

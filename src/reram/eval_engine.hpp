@@ -1,4 +1,4 @@
-// Memoized, thread-parallel hardware evaluation engine.
+// Memoized, thread-safe hardware evaluation engine.
 //
 // Every DDPG episode, every baseline sweep, and every figure benchmark
 // funnels through one question: "what does configuration (a_1..a_L) cost?"
@@ -18,8 +18,7 @@
 //      (`mapping::drain_tiles`) runs on at most L tiles instead of
 //      materializing every `Tile`.
 //   3. Full `NetworkReport`s are memoized in an LRU keyed by the action
-//      vector, and `evaluate_batch()` fans independent configurations out
-//      over a `common::ThreadPool`.
+//      vector.
 //
 // Determinism contract: results are bit-identical to
 // `plan::evaluate_plan` on the plan compiled from the same action vector,
@@ -32,16 +31,15 @@
 // Thread-safety contract: after construction the L×C table and all derived
 // per-candidate constants are immutable; the only mutable state is the LRU
 // memo (+ its hit/miss/eviction counters), guarded by an internal mutex.
-// `evaluate()` and `evaluate_batch()` are safe to call concurrently from
-// any thread; uncached computation itself runs lock-free.
+// `evaluate()` is safe to call concurrently from any thread; uncached
+// computation itself runs lock-free. The engine owns no threads: callers
+// that want parallel evaluation call `evaluate()` from their own.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "mapping/crossbar_shape.hpp"
 #include "nn/layer.hpp"
 #include "reram/functional.hpp"
@@ -53,12 +51,10 @@ namespace autohet::reram {
 class EvaluationEngine {
  public:
   /// Precomputes the L×C `LayerReport` table. `layers` must contain only
-  /// mappable layers; `candidates` is the action space. `threads` is the
-  /// worker count for `evaluate_batch`: 0 = evaluate serially on the
-  /// calling thread; N > 0 = lazily create an internal ThreadPool(N).
+  /// mappable layers; `candidates` is the action space.
   EvaluationEngine(std::vector<nn::LayerSpec> layers,
                    std::vector<mapping::CrossbarShape> candidates,
-                   AcceleratorConfig accel, std::size_t threads = 0);
+                   AcceleratorConfig accel);
 
   std::size_t num_layers() const noexcept { return layers_.size(); }
   std::size_t num_candidates() const noexcept { return candidates_.size(); }
@@ -75,13 +71,6 @@ class EvaluationEngine {
   /// Memoized.
   NetworkReport evaluate(const std::vector<std::size_t>& actions) const;
 
-  /// Evaluates many independent action vectors, deduplicating repeats and
-  /// fanning cache misses out over the thread pool (serial when
-  /// `threads == 0`). Results are positionally aligned with `batch`
-  /// and independent of thread scheduling.
-  std::vector<NetworkReport> evaluate_batch(
-      const std::vector<std::vector<std::size_t>>& batch) const;
-
   /// Monte-Carlo accuracy-under-faults of one action vector: maps each
   /// action to its candidate shape and runs `monte_carlo_robustness` on the
   /// functional fabric. `model`'s mappable layers must match the engine's
@@ -93,9 +82,6 @@ class EvaluationEngine {
   /// large wall-time savings. Use the analytic `fault_vulnerability` in
   /// `evaluate()` reports for in-loop search feedback and this for the
   /// expensive ground truth.
-  /// When `options.threads` is the serial default (1) and the engine was
-  /// configured with worker threads, the Monte-Carlo trials fan out across
-  /// that many threads (byte-identical reports either way).
   RobustnessReport evaluate_robustness(
       const nn::Model& model, const std::vector<std::size_t>& actions,
       const FaultConfig& faults, const RobustnessOptions& options = {}) const;
@@ -152,7 +138,6 @@ class EvaluationEngine {
   std::vector<nn::LayerSpec> layers_;
   std::vector<mapping::CrossbarShape> candidates_;
   AcceleratorConfig accel_;
-  std::size_t threads_;
   std::vector<LayerCandidate> table_;   ///< L×C, row-major by layer
   std::vector<CandidateInfo> cand_info_;
 
@@ -197,7 +182,6 @@ class EvaluationEngine {
       rob_memo_{kRobustnessMemoCapacity};
   mutable CacheStats rob_stats_;
 
-  mutable std::unique_ptr<common::ThreadPool> pool_;  ///< lazy, when threads>0
   /// Cross-call Monte-Carlo fabric cache for evaluate_robustness (its own
   /// internal locking; byte-identical reports — see TrialFabricCache).
   mutable TrialFabricCache mc_cache_;

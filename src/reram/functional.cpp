@@ -342,12 +342,6 @@ SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
       layers_(std::move(layers)) {
   AUTOHET_CHECK(layers_.size() == model.spec().mappable_layers().size(),
                 "one layer per mappable layer required");
-  // The integer datapath never reads the packed planes; pack only for the
-  // bit-serial datapath (packing costs a pass per crossbar, wasted on
-  // every Monte-Carlo trial fabric otherwise). Burns repack what they move.
-  if (mode_ == DatapathMode::kBitSerial) {
-    for (auto& layer : layers_) layer.prepare_packed();
-  }
 }
 
 void SimulatedModel::burn(std::span<SimulatedModel> fabrics,
@@ -374,6 +368,13 @@ void SimulatedModel::burn(std::span<SimulatedModel> fabrics,
     if (!records.empty()) records[t].layers.resize(jobs.size());
   }
   MappedLayer::burn(faults, jobs, records, pool);
+  // Only the bit-serial datapath reads packed planes, and it packs once the
+  // cells are final: clean layers stay unpacked until here, and the burn
+  // repacked every packed clone it moved.
+  for (SimulatedModel& fabric : fabrics) {
+    if (fabric.mode_ != DatapathMode::kBitSerial) continue;
+    for (MappedLayer& layer : fabric.layers_) layer.prepare_packed();
+  }
 }
 
 SimulatedModel SimulatedModel::with_faults(const FaultConfig& faults) const {

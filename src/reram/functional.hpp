@@ -276,13 +276,15 @@ class SimulatedModel {
   friend class LayerFabricCache;  // assembles fabrics from cached layers
 
   /// A fabric of `layers` (layer i programmed from the model's mappable
-  /// layer i with layer id i) under the ideal fault model.
+  /// layer i with layer id i) under the ideal fault model, unpacked until
+  /// burn() packs it.
   SimulatedModel(const nn::Model& model, DatapathMode mode,
                  std::vector<MappedLayer> layers);
 
   /// Burns faults[i] into fabrics[i] — clean fabrics of one model and
   /// allocation — in one MappedLayer::burn over all their layers,
-  /// recording into `records` when it is non-empty.
+  /// recording into `records` when it is non-empty, then packs the
+  /// bit-serial fabrics.
   static void burn(std::span<SimulatedModel> fabrics,
                    std::span<const FaultConfig> faults,
                    std::span<TrialBurnRecord> records,

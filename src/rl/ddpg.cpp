@@ -54,8 +54,19 @@ DdpgAgent::DdpgAgent(DdpgConfig config, common::Rng rng)
   critic_target_.copy_params_from(critic_);
 }
 
+namespace {
+/// One sample through `net` as a batch of one. The scratch is per thread,
+/// so steady-state calls allocate nothing and concurrent calls stay safe.
+double forward_one(const Mlp& net, std::span<const double> input) {
+  AUTOHET_CHECK(static_cast<int>(input.size()) == net.input_size(),
+                "MLP input size mismatch");
+  thread_local Mlp::BatchCache cache;
+  return net.forward_batch(input.data(), 1, cache)[0];
+}
+}  // namespace
+
 double DdpgAgent::act(std::span<const double> state) const {
-  return actor_.forward(state)[0];
+  return forward_one(actor_, state);
 }
 
 double DdpgAgent::act_with_noise(std::span<const double> state) {
@@ -69,7 +80,7 @@ double DdpgAgent::noise_sigma() const noexcept { return noise_.sigma(); }
 double DdpgAgent::q_value(std::span<const double> state, double action) const {
   std::vector<double> sa(state.begin(), state.end());
   sa.push_back(action);
-  return critic_.forward(sa)[0];
+  return forward_one(critic_, sa);
 }
 
 void DdpgAgent::remember(Transition t) { replay_.add(std::move(t)); }

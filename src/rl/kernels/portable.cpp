@@ -11,8 +11,8 @@ namespace {
 
 // Register-tiled C += A·B micro-kernel. For every C element the
 // k-accumulation runs in strictly ascending k — the exact order of the
-// per-sample scalar path — so results are bit-identical to calling
-// Mlp::forward()/backward() one sample at a time.
+// per-sample scalar path — so results are bit-identical to running the
+// MLP one sample at a time (oracle::MlpReference in tests/oracle.hpp).
 //
 // The 4×16 accumulator tile is held in explicit vector-extension registers:
 // a plain-array formulation of this tile was spilled to the stack by GCC and

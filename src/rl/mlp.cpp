@@ -67,71 +67,6 @@ Mlp::Mlp(std::vector<int> sizes, std::vector<Activation> activations,
   }
 }
 
-std::vector<double> Mlp::forward(std::span<const double> input) const {
-  Cache cache;
-  return forward(input, cache);
-}
-
-std::vector<double> Mlp::forward(std::span<const double> input,
-                                 Cache& cache) const {
-  AUTOHET_CHECK(static_cast<int>(input.size()) == sizes_.front(),
-                "MLP input size mismatch");
-  cache.post.clear();
-  cache.post.emplace_back(input.begin(), input.end());
-  for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
-    const std::vector<double>& x = cache.post.back();
-    const int in = sizes_[l];
-    const int out = sizes_[l + 1];
-    std::vector<double> y(static_cast<std::size_t>(out));
-    const double* w = params_.data() + weight_offset(l);
-    const double* b = params_.data() + bias_offset(l);
-    for (int o = 0; o < out; ++o) {
-      double acc = b[o];
-      const double* wrow = w + static_cast<std::size_t>(o) * in;
-      for (int i = 0; i < in; ++i) acc += wrow[i] * x[static_cast<std::size_t>(i)];
-      y[static_cast<std::size_t>(o)] = apply_activation(activations_[l], acc);
-    }
-    cache.post.push_back(std::move(y));
-  }
-  return cache.post.back();
-}
-
-std::vector<double> Mlp::backward(const Cache& cache,
-                                  std::span<const double> grad_output) {
-  AUTOHET_CHECK(cache.post.size() == sizes_.size(),
-                "cache does not match network depth");
-  AUTOHET_CHECK(static_cast<int>(grad_output.size()) == sizes_.back(),
-                "grad_output size mismatch");
-  std::vector<double> delta(grad_output.begin(), grad_output.end());
-  for (std::size_t l = sizes_.size() - 1; l-- > 0;) {
-    const int in = sizes_[l];
-    const int out = sizes_[l + 1];
-    const std::vector<double>& y = cache.post[l + 1];
-    const std::vector<double>& x = cache.post[l];
-    // Through the activation: delta ← delta ⊙ f'(y).
-    for (int o = 0; o < out; ++o) {
-      delta[static_cast<std::size_t>(o)] *= activation_grad_from_output(
-          activations_[l], y[static_cast<std::size_t>(o)]);
-    }
-    double* gw = grads_.data() + weight_offset(l);
-    double* gb = grads_.data() + bias_offset(l);
-    const double* w = params_.data() + weight_offset(l);
-    std::vector<double> next_delta(static_cast<std::size_t>(in), 0.0);
-    for (int o = 0; o < out; ++o) {
-      const double d = delta[static_cast<std::size_t>(o)];
-      gb[o] += d;
-      double* gwrow = gw + static_cast<std::size_t>(o) * in;
-      const double* wrow = w + static_cast<std::size_t>(o) * in;
-      for (int i = 0; i < in; ++i) {
-        gwrow[i] += d * x[static_cast<std::size_t>(i)];
-        next_delta[static_cast<std::size_t>(i)] += d * wrow[i];
-      }
-    }
-    delta = std::move(next_delta);
-  }
-  return delta;
-}
-
 const std::vector<double>& Mlp::forward_batch(const double* x,
                                               std::size_t batch,
                                               BatchCache& cache) const {
@@ -158,8 +93,7 @@ const std::vector<double>& Mlp::forward_batch(const double* x,
     for (std::size_t s = 0; s < batch; ++s) {
       std::copy(b, b + out, Y.data() + s * out);
     }
-    // Y[s][o] = b[o] + Σ_i X[s][i]·wt[i][o], i ascending — the order the
-    // per-sample forward() uses.
+    // Y[s][o] = b[o] + Σ_i X[s][i]·wt[i][o], i ascending.
     kernels::ops().gemm_acc(batch, in, out, X.data(), in, 1, cache.wt.data(),
                             out, Y.data(), out);
     // Activation applied over the whole batch; the ReLU case is written
@@ -222,7 +156,7 @@ void Mlp::backward_batch(BatchCache& cache,
     const kernels::Ops& k = kernels::ops();
     if (accumulate_param_grads) {
       // gb[o] += Σ_s delta[s][o] and gw[o][i] += Σ_s delta[s][o]·X[s][i],
-      // both s ascending — the order per-sample backward() accumulates in.
+      // both s ascending — the order one-sample passes accumulate in.
       for (std::size_t o = 0; o < out; ++o) {
         double acc = gb[o];
         for (std::size_t s = 0; s < batch; ++s)

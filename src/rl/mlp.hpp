@@ -2,10 +2,11 @@
 //
 // Small and allocation-friendly: parameters live in one flat vector so the
 // Adam optimizer and DDPG's target-network soft updates operate on plain
-// arrays. Double precision throughout. The batched passes are the DDPG
-// update's hot path; their GEMMs (and Adam and the soft update) run through
-// the ISA-dispatched table of rl/kernels/dense.hpp, whose variants are all
-// bit-identical to the per-sample scalar path.
+// arrays. Double precision throughout. Every pass is batched — a single
+// sample is a batch of one — and its GEMMs (and Adam and the soft update)
+// run through the ISA-dispatched table of rl/kernels/dense.hpp, whose
+// variants are all bit-identical to the per-sample scalar reference in
+// tests/oracle.hpp.
 #pragma once
 
 #include <cstddef>
@@ -37,32 +38,16 @@ class Mlp {
   const std::vector<double>& params() const noexcept { return params_; }
   std::vector<double>& grads() noexcept { return grads_; }
 
-  /// Plain forward pass.
-  std::vector<double> forward(std::span<const double> input) const;
-
-  /// Activations cache for backward(). post[0] is the input itself;
-  /// post[l] is the output of affine layer l-1 after its activation.
-  struct Cache {
-    std::vector<std::vector<double>> post;
-  };
-  std::vector<double> forward(std::span<const double> input,
-                              Cache& cache) const;
-
-  /// Accumulates parameter gradients for dL/d(output) = `grad_output` and
-  /// returns dL/d(input). Call zero_grads() between minibatches.
-  std::vector<double> backward(const Cache& cache,
-                               std::span<const double> grad_output);
-
-  // ---- batched kernels (the DDPG update hot path) ----
+  // ---- batched passes ----
   //
   // Row-major batch×width activations. The arithmetic is element-for-
-  // element the same as the per-sample path — each output neuron's dot
-  // product accumulates over inputs in the same order, and parameter
-  // gradients accumulate over the batch in sample order — but the products
-  // run as register-tiled GEMMs (weights transposed into scratch) that
-  // vectorize across output columns without reassociating any
-  // floating-point reduction. All scratch lives in the caller's
-  // BatchCache; steady-state calls allocate nothing.
+  // element that of a per-sample pass — each output neuron's dot product
+  // accumulates over inputs in ascending order, and parameter gradients
+  // accumulate over the batch in sample order — but the products run as
+  // register-tiled GEMMs (weights transposed into scratch) that vectorize
+  // across output columns without reassociating any floating-point
+  // reduction. All scratch lives in the caller's BatchCache; steady-state
+  // calls allocate nothing.
 
   struct BatchCache {
     std::size_t batch = 0;
@@ -80,9 +65,9 @@ class Mlp {
                                            BatchCache& cache) const;
 
   /// Batched backward: `grad_output` is batch × output_size. Accumulates
-  /// parameter gradients (sample-major, matching repeated per-sample
-  /// backward calls) and, when `grad_input` is non-null, writes
-  /// dL/d(input) as batch × input_size. Pass `accumulate_param_grads =
+  /// parameter gradients (sample-major, as repeated one-sample passes
+  /// would; call zero_grads() between minibatches) and, when `grad_input`
+  /// is non-null, writes dL/d(input) as batch × input_size. Pass `accumulate_param_grads =
   /// false` when only dL/d(input) is wanted (DDPG's actor pass
   /// differentiates the critic w.r.t. the action, not its weights).
   void backward_batch(BatchCache& cache, std::span<const double> grad_output,

@@ -98,11 +98,11 @@
 #       holds the header plus one row per episode. An unknown candidate set
 #       exits non-zero naming it and writes no plan.
 #   negative_counts
-#       a count below its minimum (a negative --eval-threads,
-#       --serve-threads, --top or --functional-samples; a zero --pes-per-tile,
-#       --requests, --batch or --max-batch; a negative --pes-per-tile), an
-#       --episodes beyond int and a negative --qps exit 2 with an error
-#       naming the flag.
+#       a count below its minimum (a negative --serve-threads, --top or
+#       --functional-samples; a zero --pes-per-tile, --requests, --batch or
+#       --max-batch; a negative --pes-per-tile), an --episodes beyond int
+#       and a negative --qps exit 2 with an error naming the flag; the
+#       removed --eval-threads exits 2 as an unknown option.
 #   kernel_env
 #       `autohet_cli kernels` under AUTOHET_KERNEL=portable shows portable
 #       active for both kernel tables; AUTOHET_KERNEL=neon is rejected.
@@ -126,9 +126,11 @@
 #       40` writes a valid Chrome-trace JSON and an exposition with the
 #       eval-cache series (registered only with AUTOHET_OBS on).
 #   telemetry
-#       an instrumented `search` and a pooled `baselines` run write a valid
-#       Chrome-trace JSON, a parseable JSONL episode log, and an exposition
-#       with the key spans and series (registered only with AUTOHET_OBS on).
+#       an instrumented `search`, a `baselines` run and a pooled
+#       (--mc-threads 2) robustness MC replay of the fixture plan write
+#       valid Chrome-trace JSON, a parseable JSONL episode log, and
+#       expositions with the key spans and series (registered only with
+#       AUTOHET_OBS on).
 #   fault_telemetry
 #       an instrumented `fault_sweep 20` writes the committed sweep JSON
 #       byte for byte (at least two series, each over three or more stuck
@@ -648,8 +650,8 @@ elseif(CASE STREQUAL "negative_counts")
   set(replay "${CLI}" replay --plan-in "${fixture_plan}")
   set(serve "${CLI}" serve --plan-in "${fixture_plan}")
   set(search "${CLI}" search --model lenet5)
-  run_rejected("option --eval-threads must be an integer >= 0: -1"
-               "${CLI}" baselines --model lenet5 --eval-threads -1)
+  run_rejected("unknown option: --eval-threads"
+               "${CLI}" baselines --model lenet5 --eval-threads 2)
   run_rejected("option --serve-threads must be an integer >= 0: -2"
                ${serve} --serve-threads -2)
   run_rejected("option --top must be an integer >= 0: -1"
@@ -744,9 +746,12 @@ elseif(CASE STREQUAL "bench_args")
 elseif(CASE STREQUAL "telemetry")
   run("${CLI}" search --model lenet5 --episodes 20 --trace-out trace.json
       --metrics-out metrics.prom --episode-log episodes.jsonl)
-  run("${CLI}" baselines --model lenet5 --eval-threads 2
+  run("${CLI}" baselines --model lenet5
       --trace-out baselines_trace.json --metrics-out baselines_metrics.prom)
-  foreach(trace trace.json baselines_trace.json)
+  run("${CLI}" replay --plan-in "${fixture_plan}" --mc-trials 2
+      --mc-threads 2 --trace-out replay_trace.json
+      --metrics-out replay_metrics.prom)
+  foreach(trace trace.json baselines_trace.json replay_trace.json)
     file(READ "${WORK_DIR}/${trace}" text)
     string(JSON type ERROR_VARIABLE json_error TYPE "${text}")
     if(json_error)
@@ -766,12 +771,13 @@ elseif(CASE STREQUAL "telemetry")
   endforeach()
   contains(trace.json "\"name\":\"episode\"")
   contains(trace.json "\"name\":\"tile_shared_remap\"")
-  contains(baselines_trace.json "\"name\":\"evaluate_batch\"")
+  contains(baselines_trace.json "\"name\":\"homogeneous_sweep\"")
+  contains(replay_trace.json "\"name\":\"pool_task\"")
   foreach(series autohet_eval_cache_hits_total autohet_eval_cache_misses_total
                  autohet_search_episode_reward)
     contains(metrics.prom "${series}")
   endforeach()
-  contains(baselines_metrics.prom autohet_pool_queue_depth)
+  contains(replay_metrics.prom autohet_pool_queue_depth)
 elseif(CASE STREQUAL "fault_telemetry")
   run("${FAULT_SWEEP}" 20 --metrics-out fault_metrics.prom
       --trace-out fault_trace.json)

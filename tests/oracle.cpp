@@ -397,4 +397,81 @@ reram::RobustnessReport monte_carlo_robustness(
   return report;
 }
 
+namespace {
+/// Start of affine layer l's parameter block (weights, then biases).
+std::size_t layer_offset(const std::vector<int>& sizes, std::size_t l) {
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < l; ++i) {
+    offset += static_cast<std::size_t>(sizes[i + 1]) *
+                  static_cast<std::size_t>(sizes[i]) +
+              static_cast<std::size_t>(sizes[i + 1]);
+  }
+  return offset;
+}
+}  // namespace
+
+std::vector<std::vector<double>> MlpReference::forward(
+    const rl::Mlp& net, std::span<const double> input) const {
+  AUTOHET_CHECK(static_cast<int>(input.size()) == sizes.front(),
+                "MLP input size mismatch");
+  std::vector<std::vector<double>> post;
+  post.emplace_back(input.begin(), input.end());
+  for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
+    const std::vector<double>& x = post.back();
+    const int in = sizes[l];
+    const int out = sizes[l + 1];
+    const double* w = net.params().data() + layer_offset(sizes, l);
+    const double* b = w + static_cast<std::size_t>(out) * in;
+    std::vector<double> y(static_cast<std::size_t>(out));
+    for (int o = 0; o < out; ++o) {
+      double acc = b[o];
+      const double* wrow = w + static_cast<std::size_t>(o) * in;
+      for (int i = 0; i < in; ++i) {
+        acc += wrow[i] * x[static_cast<std::size_t>(i)];
+      }
+      y[static_cast<std::size_t>(o)] = rl::apply_activation(activations[l], acc);
+    }
+    post.push_back(std::move(y));
+  }
+  return post;
+}
+
+std::vector<double> MlpReference::backward(
+    rl::Mlp& net, const std::vector<std::vector<double>>& post,
+    std::span<const double> grad_output) const {
+  AUTOHET_CHECK(post.size() == sizes.size(),
+                "cache does not match network depth");
+  AUTOHET_CHECK(static_cast<int>(grad_output.size()) == sizes.back(),
+                "grad_output size mismatch");
+  std::vector<double> delta(grad_output.begin(), grad_output.end());
+  for (std::size_t l = sizes.size() - 1; l-- > 0;) {
+    const int in = sizes[l];
+    const int out = sizes[l + 1];
+    const std::vector<double>& y = post[l + 1];
+    const std::vector<double>& x = post[l];
+    // Through the activation: delta ← delta ⊙ f'(y).
+    for (int o = 0; o < out; ++o) {
+      delta[static_cast<std::size_t>(o)] *= rl::activation_grad_from_output(
+          activations[l], y[static_cast<std::size_t>(o)]);
+    }
+    const std::size_t offset = layer_offset(sizes, l);
+    const double* w = net.params().data() + offset;
+    double* gw = net.grads().data() + offset;
+    double* gb = gw + static_cast<std::size_t>(out) * in;
+    std::vector<double> next_delta(static_cast<std::size_t>(in), 0.0);
+    for (int o = 0; o < out; ++o) {
+      const double d = delta[static_cast<std::size_t>(o)];
+      gb[o] += d;
+      double* gwrow = gw + static_cast<std::size_t>(o) * in;
+      const double* wrow = w + static_cast<std::size_t>(o) * in;
+      for (int i = 0; i < in; ++i) {
+        gwrow[i] += d * x[static_cast<std::size_t>(i)];
+        next_delta[static_cast<std::size_t>(i)] += d * wrow[i];
+      }
+    }
+    delta = std::move(next_delta);
+  }
+  return delta;
+}
+
 }  // namespace autohet::oracle

@@ -1,13 +1,15 @@
-// Scalar oracles of the functional simulator: plain per-cell
-// implementations of fault burn-in, crossbar MVMs, the network forward and
-// the Monte-Carlo robustness evaluation. The production datapaths
-// (reram/faults.hpp, reram/crossbar.hpp, reram/functional.hpp) run
-// dispatched SIMD kernels, lockstep multi-trial burns, batched MVMs,
-// fabric caches and a thread pool; each is tested bit for bit against the
-// straightforward loop here, and bench/functional_throughput times them
-// against these loops as the scalar baseline. Nothing here is fast, and
-// nothing here shares code with the path it checks beyond the public
-// building blocks (quantization, the graph walk, the RNG, the stopper).
+// Scalar oracles: plain per-cell implementations of fault burn-in,
+// crossbar MVMs, the network forward and the Monte-Carlo robustness
+// evaluation of the functional simulator, and the per-sample passes of the
+// RL agent's MLP. The production datapaths (reram/faults.hpp,
+// reram/crossbar.hpp, reram/functional.hpp, rl/mlp.hpp) run dispatched
+// SIMD kernels, lockstep multi-trial burns, batched MVMs and GEMMs, fabric
+// caches and a thread pool; each is tested bit for bit against the
+// straightforward loop here, and bench/functional_throughput times the
+// simulator against these loops as the scalar baseline. Nothing here is
+// fast, and nothing here shares code with the path it checks beyond the
+// public building blocks (quantization, the graph walk, the RNG, the
+// stopper, the activation functions).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "reram/crossbar.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
+#include "rl/mlp.hpp"
 #include "tensor/tensor.hpp"
 
 namespace autohet::oracle {
@@ -119,5 +122,27 @@ class Fabric {
 reram::RobustnessReport monte_carlo_robustness(
     const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
     const reram::FaultConfig& faults, const reram::RobustnessOptions& options);
+
+// ------------------------------------------------------------------- MLP --
+
+/// The per-sample passes of an rl::Mlp built with `sizes` and
+/// `activations`, one neuron at a time, on that network's parameters (per
+/// affine layer l: weights sizes[l+1] × sizes[l] row-major, then biases).
+/// The batched, dispatched Mlp passes must match them bit for bit.
+struct MlpReference {
+  std::vector<int> sizes;
+  std::vector<rl::Activation> activations;
+
+  /// One sample forward: post[0] is `input`, post[l] the activated output
+  /// of affine layer l-1, so post.back() is the network output.
+  std::vector<std::vector<double>> forward(
+      const rl::Mlp& net, std::span<const double> input) const;
+
+  /// One sample backward through a forward's `post`: accumulates the
+  /// parameter gradients into net.grads() and returns dL/d(input).
+  std::vector<double> backward(rl::Mlp& net,
+                               const std::vector<std::vector<double>>& post,
+                               std::span<const double> grad_output) const;
+};
 
 }  // namespace autohet::oracle

@@ -40,6 +40,26 @@ TEST(Baselines, HomogeneousSweepCoversAllCandidates) {
   }
 }
 
+TEST(Baselines, HomogeneousSweepIsOneMemoizedEvaluationPerCandidate) {
+  // Each sweep entry is that candidate's homogeneous strategy, and the
+  // sweep costs one engine evaluation per candidate: the largest one was
+  // already evaluated by the reward calibration and hits the memo.
+  const auto env = make_env(nn::vgg16());
+  const auto sweep = core::homogeneous_sweep(env);
+  const auto stats = env.engine().cache_stats();
+  EXPECT_EQ(stats.misses, sweep.size());
+  EXPECT_EQ(stats.hits, 1u);
+  ASSERT_EQ(sweep.size(), env.num_actions());
+  for (std::size_t c = 0; c < sweep.size(); ++c) {
+    const auto one = core::evaluate_homogeneous_strategy(env, c);
+    EXPECT_EQ(sweep[c].name, one.name);
+    EXPECT_EQ(sweep[c].actions, one.actions);
+    EXPECT_EQ(sweep[c].reward, one.reward);
+    EXPECT_EQ(sweep[c].report.energy.total_nj(), one.report.energy.total_nj());
+    EXPECT_EQ(sweep[c].report.utilization, one.report.utilization);
+  }
+}
+
 TEST(Baselines, BestHomogeneousPicksHighestRue) {
   const auto env = make_env(nn::vgg16());
   const auto best = core::best_homogeneous(env);

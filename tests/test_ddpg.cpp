@@ -37,6 +37,14 @@ TEST(Ddpg, ActionsAreInUnitInterval) {
   }
 }
 
+TEST(Ddpg, ActRejectsWrongStateSize) {
+  const rl::DdpgAgent agent(small_config(), common::Rng(1));
+  const std::vector<double> wrong = {1.0, 2.0, 3.0};
+  EXPECT_THROW(agent.act(wrong), std::invalid_argument);
+  EXPECT_THROW(agent.act({}), std::invalid_argument);
+  EXPECT_THROW(agent.q_value(wrong, 0.5), std::invalid_argument);
+}
+
 TEST(Ddpg, UpdateIsNoopUntilBatchAvailable) {
   rl::DdpgAgent agent(small_config(), common::Rng(3));
   EXPECT_EQ(agent.update(), 0.0);

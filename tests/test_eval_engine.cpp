@@ -1,15 +1,14 @@
-// EvaluationEngine: the memoized/batched path must be bit-identical to
+// EvaluationEngine: the memoized path must be bit-identical to
 // evaluate_plan on the compiled plan (whose full tile allocator is the
 // reference for the engine's compact aggregation), the LRU memo must evict
-// in touch order, and evaluate_batch must match serial evaluation regardless
-// of thread count.
+// in touch order, and concurrent evaluate() calls must match serial ones.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "mapping/crossbar_shape.hpp"
 #include "mapping/plan.hpp"
 #include "nn/model_zoo.hpp"
@@ -296,48 +295,39 @@ TEST(EvalEngine, ValidatesActions) {
   EXPECT_THROW(engine.evaluate(bad), std::invalid_argument);
 }
 
-TEST(EvalEngine, BatchMatchesSerialAcrossThreadCounts) {
+TEST(EvalEngine, ConcurrentEvaluateMatchesSerialAndCountsEveryCall) {
+  // Threads of a pool evaluate overlapping action vectors on one engine: the
+  // engine's mutex guards its memo, every report equals a serial engine's,
+  // and each call is exactly one hit or one miss.
   const auto layers = test_layers();
   const auto candidates = test_candidates();
   AcceleratorConfig accel;
   accel.tile_shared = true;
-
-  // Serial reference on an engine with no threads and no memo reuse across
-  // the comparison (fresh engine per thread count keeps stats clean).
   common::Rng rng(7);
-  std::vector<std::vector<std::size_t>> batch;
-  for (int i = 0; i < 40; ++i) {
+  std::vector<std::vector<std::size_t>> distinct;
+  for (int i = 0; i < 12; ++i) {
     std::vector<std::size_t> actions(layers.size());
     for (auto& a : actions) a = rng.uniform_u64(candidates.size());
-    batch.push_back(std::move(actions));
+    distinct.push_back(std::move(actions));
   }
-  batch.push_back(batch.front());  // duplicate: exercises dedup
   EvaluationEngine serial(layers, candidates, accel);
   std::vector<NetworkReport> want;
-  want.reserve(batch.size());
-  for (const auto& actions : batch) want.push_back(serial.evaluate(actions));
+  for (const auto& actions : distinct) want.push_back(serial.evaluate(actions));
 
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, hw}) {
-    EvaluationEngine engine(layers, candidates, accel, threads);
-    const auto got = engine.evaluate_batch(batch);
-    ASSERT_EQ(got.size(), batch.size()) << threads << " threads";
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      expect_identical(got[i], want[i]);
-    }
-    // The duplicated vector must be a dedup/memo hit, not a recompute.
-    EXPECT_GT(engine.cache_stats().hits, 0u) << threads << " threads";
+  constexpr std::size_t kCalls = 96;  // each vector evaluated 8 times
+  EvaluationEngine engine(layers, candidates, accel);
+  std::vector<NetworkReport> got(kCalls);
+  common::ThreadPool pool(4);
+  pool.parallel_for(0, kCalls, [&](std::size_t i) {
+    got[i] = engine.evaluate(distinct[i % distinct.size()]);
+  });
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    expect_identical(got[i], want[i % distinct.size()]);
   }
-}
-
-TEST(EvalEngine, BatchOfOneAndEmptyBatch) {
-  const auto layers = test_layers();
-  EvaluationEngine engine(layers, test_candidates(), AcceleratorConfig{});
-  EXPECT_TRUE(engine.evaluate_batch({}).empty());
-  const std::vector<std::size_t> actions(layers.size(), 2);
-  const auto got = engine.evaluate_batch({actions});
-  ASSERT_EQ(got.size(), 1u);
-  expect_identical(got[0], engine.evaluate(actions));
+  const auto stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, kCalls);
+  EXPECT_GE(stats.misses, distinct.size());
+  EXPECT_GT(stats.hits, 0u);
 }
 
 }  // namespace

@@ -153,12 +153,11 @@ TEST(GraphIr, ChainRoundTripRecoversNetworkSpec) {
   const nn::Graph g = nn::graph_from_network(net);
   EXPECT_TRUE(g.is_chain());
   EXPECT_NO_THROW(g.validate());
-  const nn::NetworkSpec back = g.linearize();
+  const nn::NetworkSpec back = g.skeleton();
   EXPECT_EQ(back.name, net.name);
   EXPECT_EQ(back.layers, net.layers);
   EXPECT_TRUE(back.sequential_runnable);
-  EXPECT_TRUE(g.skeleton().sequential_runnable);
-  EXPECT_THROW(branchy_graph().linearize(), std::invalid_argument);
+  EXPECT_FALSE(branchy_graph().skeleton().sequential_runnable);
 }
 
 TEST(GraphIr, DotRenderingIsDeterministic) {

@@ -810,6 +810,49 @@ TEST(SimulatedModelKernels, FastForwardMatchesScalarReference) {
   }
 }
 
+TEST(SimulatedModelKernels, FaultyCopiesOfAPackedFabricMatchScalarReference) {
+  // A clean bit-serial fabric carries packed planes. Its faulty copies —
+  // burned (with_faults), or recorded and replayed (with_faults_recorded +
+  // replay_faults) — must read back through their own packed planes
+  // exactly as the oracle fabric built with the faults does.
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = 5e-4;
+  fc.stuck_at_one_rate = 5e-4;
+  fc.program_sigma = 0.01;
+  fc.cell_bits = 2;
+  common::Rng wr(21);
+  const nn::Model model(nn::lenet5(), wr);
+  const std::vector<CrossbarShape> shapes(
+      model.spec().mappable_layers().size(), {72, 64});
+  common::Rng ir(4);
+  const nn::LayerSpec& first = model.spec().layers.front();
+  const tensor::Tensor image = nn::synthetic_image(
+      ir, first.in_channels, first.in_height, first.in_width);
+  const SimulatedModel clean(model, shapes, reram::DatapathMode::kBitSerial);
+  const SimulatedModel burned = clean.with_faults(fc);
+  std::vector<reram::TrialBurnRecord> records(1);
+  const SimulatedModel replayed =
+      clean.with_faults_recorded(std::span(&fc, 1), records)
+          .front()
+          .replay_faults(fc, records.front());
+  const oracle::Fabric scalar(model, shapes, reram::DatapathMode::kBitSerial,
+                              fc);
+  const auto want = scalar.forward(image);
+  for (const SimulatedModel* fabric : {&burned, &replayed}) {
+    SCOPED_TRACE(fabric == &burned ? "burned" : "replayed");
+    const auto got = fabric->forward_batch(std::span(&image, 1)).front();
+    expect_stats_eq(fabric->fault_stats(), scalar.fault_stats());
+    EXPECT_EQ(tensor::max_abs_diff(got.output, want.output), 0.0f);
+    ASSERT_EQ(got.mappable_outputs.size(), want.mappable_outputs.size());
+    for (std::size_t l = 0; l < got.mappable_outputs.size(); ++l) {
+      EXPECT_EQ(tensor::max_abs_diff(got.mappable_outputs[l],
+                                     want.mappable_outputs[l]),
+                0.0f)
+          << "layer " << l;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Monte-Carlo byte-identity: thread counts, kernel policy, fabric cache.
 

@@ -688,30 +688,6 @@ TEST(RobustnessMemoTest, KeyDiscriminatesActionsSamplesAndSeed) {
   EXPECT_EQ(engine.robustness_cache_stats().hits, 1u);
 }
 
-TEST(EngineRobustnessTest, EngineWorkerThreadsMatchASerialEngine) {
-  // An engine built with worker threads fans serial-default MC calls out on
-  // its own pool; the reports equal a serial engine's, call after call.
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const auto serial_engine = lenet_engine(net);
-  const reram::EvaluationEngine threaded_engine(
-      net.mappable_layers(), mapping::hybrid_candidates(),
-      reram::AcceleratorConfig{}, /*threads=*/3);
-  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
-  RobustnessOptions mc;
-  mc.trials = 3;
-  mc.samples = 5;
-  const auto serial =
-      serial_engine.evaluate_robustness(model, actions, noisy_config(), mc);
-  for (int call = 0; call < 2; ++call) {
-    expect_reports_identical(serial, threaded_engine.evaluate_robustness(
-                                         model, actions, noisy_config(), mc));
-  }
-  EXPECT_EQ(serial.trials, 3);
-  EXPECT_EQ(serial.layer_error.size(), actions.size());
-}
-
 // ---------------------------------------------------------------------------
 // SlotStore: the build-once store under both fabric caches.
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracle.hpp"
 #include "rl/adam.hpp"
 #include "rl/kernels/dense.hpp"
 #include "rl/mlp.hpp"
@@ -31,11 +32,18 @@ TEST(Activations, ValuesAndGrads) {
               1e-12);
 }
 
+/// The outputs of `net` on a batch of `batch` rows of `x`.
+std::vector<double> forward(const Mlp& net, const std::vector<double>& x,
+                            std::size_t batch) {
+  Mlp::BatchCache cache;
+  return net.forward_batch(x.data(), batch, cache);
+}
+
 TEST(Mlp, ForwardShape) {
   common::Rng rng(1);
   Mlp net({3, 8, 2}, {Activation::kRelu, Activation::kLinear}, rng);
   const std::vector<double> x = {0.1, -0.2, 0.3};
-  const auto y = net.forward(x);
+  const auto y = forward(net, x, 1);
   EXPECT_EQ(y.size(), 2u);
   EXPECT_EQ(net.input_size(), 3);
   EXPECT_EQ(net.output_size(), 2);
@@ -50,49 +58,45 @@ TEST(Mlp, ValidatesConstruction) {
                std::invalid_argument);
 }
 
-TEST(Mlp, ForwardRejectsWrongInputSize) {
-  common::Rng rng(1);
-  Mlp net({3, 2}, {Activation::kLinear}, rng);
-  const std::vector<double> wrong = {1.0, 2.0};
-  EXPECT_THROW(net.forward(wrong), std::invalid_argument);
-}
-
-// Finite-difference gradient check: the cornerstone of the manual backprop.
+// Finite-difference gradient checks: the cornerstone of the manual
+// backprop, at a batch of one (the agent's act) and a small minibatch.
 class MlpGradCheck : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(MlpGradCheck, ParameterGradientsMatchFiniteDifferences) {
   const Activation hidden_act = GetParam();
-  common::Rng rng(42);
-  Mlp net({4, 6, 5, 2}, {hidden_act, hidden_act, Activation::kLinear}, rng);
-  std::vector<double> x(4);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  // Loss L = sum of squared outputs; dL/dy = 2y.
-  const auto loss_of = [&net, &x]() {
-    const auto y = net.forward(x);
-    double l = 0.0;
-    for (double v : y) l += v * v;
-    return l;
-  };
+  for (const std::size_t batch : {1u, 5u}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    common::Rng rng(42);
+    Mlp net({4, 6, 5, 2}, {hidden_act, hidden_act, Activation::kLinear}, rng);
+    std::vector<double> x(4 * batch);
+    for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+    // Loss L = sum of squared outputs over the batch; dL/dy = 2y.
+    const auto loss_of = [&net, &x, batch]() {
+      double l = 0.0;
+      for (double v : forward(net, x, batch)) l += v * v;
+      return l;
+    };
 
-  Mlp::Cache cache;
-  const auto y = net.forward(x, cache);
-  std::vector<double> dy(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) dy[i] = 2.0 * y[i];
-  net.zero_grads();
-  net.backward(cache, dy);
+    Mlp::BatchCache cache;
+    const std::vector<double> y = net.forward_batch(x.data(), batch, cache);
+    std::vector<double> dy(y.size());
+    for (std::size_t i = 0; i < y.size(); ++i) dy[i] = 2.0 * y[i];
+    net.zero_grads();
+    net.backward_batch(cache, dy, nullptr);
 
-  const double eps = 1e-6;
-  // Check a deterministic sample of parameters across the whole vector.
-  for (std::size_t p = 0; p < net.param_count(); p += 7) {
-    const double original = net.params()[p];
-    net.params()[p] = original + eps;
-    const double l_plus = loss_of();
-    net.params()[p] = original - eps;
-    const double l_minus = loss_of();
-    net.params()[p] = original;
-    const double fd = (l_plus - l_minus) / (2.0 * eps);
-    EXPECT_NEAR(net.grads()[p], fd, 1e-4 * std::max(1.0, std::fabs(fd)))
-        << "param " << p;
+    const double eps = 1e-6;
+    // Check a deterministic sample of parameters across the whole vector.
+    for (std::size_t p = 0; p < net.param_count(); p += 7) {
+      const double original = net.params()[p];
+      net.params()[p] = original + eps;
+      const double l_plus = loss_of();
+      net.params()[p] = original - eps;
+      const double l_minus = loss_of();
+      net.params()[p] = original;
+      const double fd = (l_plus - l_minus) / (2.0 * eps);
+      EXPECT_NEAR(net.grads()[p], fd, 1e-4 * std::max(1.0, std::fabs(fd)))
+          << "param " << p;
+    }
   }
 }
 
@@ -102,25 +106,33 @@ INSTANTIATE_TEST_SUITE_P(Activations, MlpGradCheck,
                                            Activation::kRelu));
 
 TEST(Mlp, InputGradientMatchesFiniteDifferences) {
-  common::Rng rng(43);
-  Mlp net({3, 5, 1}, {Activation::kTanh, Activation::kLinear}, rng);
-  std::vector<double> x = {0.2, -0.4, 0.6};
+  for (const std::size_t batch : {1u, 5u}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    common::Rng rng(43);
+    Mlp net({3, 5, 1}, {Activation::kTanh, Activation::kLinear}, rng);
+    std::vector<double> x(3 * batch);
+    for (auto& v : x) v = rng.uniform(-1.0, 1.0);
 
-  Mlp::Cache cache;
-  net.forward(x, cache);
-  const double one = 1.0;
-  net.zero_grads();
-  const auto dx = net.backward(cache, std::span<const double>(&one, 1));
+    Mlp::BatchCache cache;
+    net.forward_batch(x.data(), batch, cache);
+    const std::vector<double> ones(batch, 1.0);
+    std::vector<double> dx;
+    net.zero_grads();
+    net.backward_batch(cache, ones, &dx);
+    ASSERT_EQ(dx.size(), x.size());
 
-  const double eps = 1e-6;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double orig = x[i];
-    x[i] = orig + eps;
-    const double y_plus = net.forward(x)[0];
-    x[i] = orig - eps;
-    const double y_minus = net.forward(x)[0];
-    x[i] = orig;
-    EXPECT_NEAR(dx[i], (y_plus - y_minus) / (2 * eps), 1e-5) << i;
+    // Row s's output depends only on row s's input.
+    const double eps = 1e-6;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::size_t row = i / 3;
+      const double orig = x[i];
+      x[i] = orig + eps;
+      const double y_plus = forward(net, x, batch)[row];
+      x[i] = orig - eps;
+      const double y_minus = forward(net, x, batch)[row];
+      x[i] = orig;
+      EXPECT_NEAR(dx[i], (y_plus - y_minus) / (2 * eps), 1e-5) << i;
+    }
   }
 }
 
@@ -128,17 +140,17 @@ TEST(Mlp, BackwardAccumulatesAcrossCalls) {
   common::Rng rng(44);
   Mlp net({2, 3, 1}, {Activation::kTanh, Activation::kLinear}, rng);
   const std::vector<double> x = {0.5, -0.5};
-  const double one = 1.0;
+  const std::vector<double> one = {1.0};
 
-  Mlp::Cache cache;
-  net.forward(x, cache);
+  Mlp::BatchCache cache;
+  net.forward_batch(x.data(), 1, cache);
   net.zero_grads();
-  net.backward(cache, std::span<const double>(&one, 1));
+  net.backward_batch(cache, one, nullptr);
   const std::vector<double> single = net.grads();
 
   net.zero_grads();
-  net.backward(cache, std::span<const double>(&one, 1));
-  net.backward(cache, std::span<const double>(&one, 1));
+  net.backward_batch(cache, one, nullptr);
+  net.backward_batch(cache, one, nullptr);
   for (std::size_t i = 0; i < single.size(); ++i) {
     EXPECT_NEAR(net.grads()[i], 2.0 * single[i], 1e-12);
   }
@@ -166,7 +178,7 @@ TEST(Mlp, CopyParamsExactly) {
   Mlp b({2, 4, 1}, {Activation::kRelu, Activation::kSigmoid}, rng);
   b.copy_params_from(a);
   const std::vector<double> x = {0.3, 0.7};
-  EXPECT_EQ(a.forward(x)[0], b.forward(x)[0]);
+  EXPECT_EQ(forward(a, x, 1)[0], forward(b, x, 1)[0]);
 }
 
 TEST(Mlp, SigmoidOutputStaysInUnitInterval) {
@@ -175,7 +187,7 @@ TEST(Mlp, SigmoidOutputStaysInUnitInterval) {
   for (int t = 0; t < 100; ++t) {
     std::vector<double> x(10);
     for (auto& v : x) v = rng.uniform(-10.0, 10.0);
-    const double y = net.forward(x)[0];
+    const double y = forward(net, x, 1)[0];
     EXPECT_GT(y, 0.0);
     EXPECT_LT(y, 1.0);
   }
@@ -184,7 +196,8 @@ TEST(Mlp, SigmoidOutputStaysInUnitInterval) {
 // ---------------------------------------------------------------------------
 // RL kernel variants: the batched passes, Adam and the soft update run
 // through the ISA-dispatched dense kernels, and every variant must give the
-// bits of the per-sample scalar path (EXPECT_EQ on doubles, not NEAR).
+// bits of the per-sample scalar reference oracle::MlpReference (EXPECT_EQ
+// on doubles, not NEAR).
 // Variants the host cannot run are skipped, not silently passed.
 
 namespace rk = rl::kernels;
@@ -223,10 +236,10 @@ TEST_P(RlVariantTest, BatchedPassesMatchPerSampleBitForBit) {
         SCOPED_TRACE("batch " + std::to_string(batch) + " width " +
                      std::to_string(width) + " in " + std::to_string(in));
         common::Rng rng(100 + batch + static_cast<std::size_t>(width * in));
-        Mlp per_sample({in, width, width},
-                       {Activation::kRelu, Activation::kTanh}, rng);
-        Mlp batched({in, width, width}, {Activation::kRelu, Activation::kTanh},
-                    rng);
+        const oracle::MlpReference ref{{in, width, width},
+                                       {Activation::kRelu, Activation::kTanh}};
+        Mlp per_sample(ref.sizes, ref.activations, rng);
+        Mlp batched(ref.sizes, ref.activations, rng);
         batched.copy_params_from(per_sample);
         const auto uin = static_cast<std::size_t>(in);
         const auto uw = static_cast<std::size_t>(width);
@@ -236,12 +249,11 @@ TEST_P(RlVariantTest, BatchedPassesMatchPerSampleBitForBit) {
         per_sample.zero_grads();
         std::vector<double> y_ref, dx_ref;
         for (std::size_t s = 0; s < batch; ++s) {
-          Mlp::Cache cache;
-          const auto y = per_sample.forward(
-              std::span<const double>(x.data() + s * uin, uin), cache);
-          y_ref.insert(y_ref.end(), y.begin(), y.end());
-          const auto dx = per_sample.backward(
-              cache, std::span<const double>(dy.data() + s * uw, uw));
+          const auto post = ref.forward(
+              per_sample, std::span<const double>(x.data() + s * uin, uin));
+          y_ref.insert(y_ref.end(), post.back().begin(), post.back().end());
+          const auto dx = ref.backward(
+              per_sample, post, std::span<const double>(dy.data() + s * uw, uw));
           dx_ref.insert(dx_ref.end(), dx.begin(), dx.end());
         }
 
