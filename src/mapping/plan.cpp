@@ -51,9 +51,9 @@ std::uint64_t fault_fingerprint(const reram::FaultConfig& faults) {
   h.mix(faults.stuck_at_zero_rate);
   h.mix(faults.stuck_at_one_rate);
   h.mix(faults.program_sigma);
-  h.mix(faults.read_sigma);
-  // The two retention-drift slots of the format, always 0, keep stored
-  // fingerprints unchanged.
+  // The read-noise and two retention-drift slots of the format, always 0,
+  // keep stored fingerprints unchanged.
+  h.mix(0.0);
   h.mix(0.0);
   h.mix(0.0);
   h.mix(static_cast<std::uint64_t>(faults.cell_bits));

@@ -7,39 +7,13 @@
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
+#include "report/json.hpp"
 #include "report/serialize.hpp"
 #include "report/table.hpp"
 
 namespace autohet::report {
 
 namespace {
-
-/// Minimal JSON string escape — names here are network/shape identifiers,
-/// but a plan file is external input, so quotes/backslashes must not break
-/// the emitted document.
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 const char* classify_bottleneck(const reram::LayerLatencyTerms& t) {
   // Roofline-style classification of the per-MVM latency: the dominant
@@ -195,7 +169,7 @@ void write_profile_json(std::ostream& os, const PlanProfile& profile) {
   os << "{\n";
   os << "  \"format\": \"autohet-profile\",\n";
   os << "  \"version\": 1,\n";
-  os << "  \"network\": \"" << escape_json(profile.network) << "\",\n";
+  os << "  \"network\": \"" << json_escape(profile.network) << "\",\n";
   os << "  \"batch\": " << profile.batch << ",\n";
 
   const reram::NetworkReport& r = profile.totals;
@@ -228,7 +202,7 @@ void write_profile_json(std::ostream& os, const PlanProfile& profile) {
   for (std::size_t i = 0; i < profile.layers.size(); ++i) {
     const LayerProfile& l = profile.layers[i];
     os << "    {\"layer\": " << l.layer << ", \"shape\": \""
-       << escape_json(l.shape) << "\", \"tiles\": " << l.tiles
+       << json_escape(l.shape) << "\", \"tiles\": " << l.tiles
        << ", \"crossbars\": " << l.crossbars
        << ", \"utilization\": " << format_double_json(l.utilization)
        << ",\n     \"mvms_analytic\": " << l.mvms_analytic
@@ -261,7 +235,7 @@ void write_profile_json(std::ostream& os, const PlanProfile& profile) {
   for (std::size_t i = 0; i < profile.tiles.size(); ++i) {
     const TileProfile& t = profile.tiles[i];
     os << "    {\"tile\": " << t.tile << ", \"shape\": \""
-       << escape_json(t.shape)
+       << json_escape(t.shape)
        << "\", \"empty_crossbars\": " << t.empty_crossbars
        << ", \"released\": " << (t.released ? "true" : "false")
        << ", \"energy_nj\": " << format_double_json(t.energy_nj)

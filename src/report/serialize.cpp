@@ -226,7 +226,7 @@ void write_faults_json(std::ostream& os, const reram::FaultConfig& fc,
      << indent << "  \"stuck_at_one_rate\": " << f(fc.stuck_at_one_rate)
      << ",\n"
      << indent << "  \"program_sigma\": " << f(fc.program_sigma) << ",\n"
-     << indent << "  \"read_sigma\": " << f(fc.read_sigma) << ",\n"
+     << indent << "  \"read_sigma\": 0,\n"
      << indent << "  \"drift_time_s\": 0,\n"
      << indent << "  \"drift_nu\": 0,\n"
      << indent << "  \"cell_bits\": " << fc.cell_bits << ",\n"
@@ -325,15 +325,17 @@ reram::FaultConfig read_faults(const JsonValue& obj) {
   AUTOHET_READ_D(obj, fc, stuck_at_zero_rate);
   AUTOHET_READ_D(obj, fc, stuck_at_one_rate);
   AUTOHET_READ_D(obj, fc, program_sigma);
-  AUTOHET_READ_D(obj, fc, read_sigma);
-  // The fault model has no retention drift; its two keys stay in the
-  // format, always 0, so stored plans keep their bytes.
-  for (const char* key : {"drift_time_s", "drift_nu"}) {
+  // The fault model has no read noise or retention drift; their keys stay
+  // in the format, always 0, so stored plans keep their bytes.
+  for (const auto& [key, effect] :
+       {std::pair{"read_sigma", "read noise"},
+        std::pair{"drift_time_s", "retention drift"},
+        std::pair{"drift_nu", "retention drift"}}) {
     const JsonValue& v = obj.at(key);
     AUTOHET_CHECK(as_double(v, key) == 0.0,
-                  std::string("JSON key '") + key +
-                      "' must be 0: retention drift is not modelled (line " +
-                      std::to_string(v.line) + ")");
+                  std::string("JSON key '") + key + "' must be 0: " + effect +
+                      " is not modelled (line " + std::to_string(v.line) +
+                      ")");
   }
   AUTOHET_READ_I(obj, fc, cell_bits);
   fc.seed = as_u64_string(obj.at("seed"), "seed");

@@ -1,7 +1,6 @@
 #include "reram/crossbar.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -147,25 +146,6 @@ FaultMapStats LogicalCrossbar::replay_stuck_faults(
     repack();
   }
   return delta;
-}
-
-void LogicalCrossbar::mvm_read_noisy_accum(
-    std::span<const std::uint8_t> input, common::Rng& rng,
-    double weight_sigma, std::int32_t* out) const {
-  AUTOHET_CHECK(static_cast<std::int64_t>(input.size()) == rows_used_,
-                "input length must equal rows_used");
-  for (std::int64_t i = 0; i < rows_used_; ++i) {
-    const std::int32_t x = input[static_cast<std::size_t>(i)];
-    if (x == 0) continue;  // gated wordline: cells are not sensed
-    const std::int8_t* row = cells_.data() + i * shape_.cols;
-    for (std::int64_t j = 0; j < cols_used_; ++j) {
-      const double noisy =
-          static_cast<double>(row[j]) + rng.normal(0.0, weight_sigma);
-      const auto w = static_cast<std::int32_t>(
-          std::lround(std::clamp(noisy, -128.0, 127.0)));
-      out[j] += x * w;
-    }
-  }
 }
 
 void LogicalCrossbar::mvm_reference_batch_accum(const std::uint8_t* inputs_t,

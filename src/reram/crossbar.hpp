@@ -14,11 +14,10 @@
 // Fast path: the eight weight bit planes can additionally be packed into
 // per-column uint64 masks (ensure_packed()), turning the bit-serial
 // datapath into AND+popcount over words — the bit-level kernel style
-// CIM-Explorer uses. Every noise-free MVM runs through the dispatched
-// kernels::ops() table as a batch of `count` columns; a single column is a
-// batch of one. The scalar per-cell datapaths they are tested against live
-// in tests/oracle.hpp; read noise has its own per-cell path
-// (mvm_read_noisy_accum). Bulk program() packs eagerly, program_cell
+// CIM-Explorer uses. Every MVM runs through the dispatched kernels::ops()
+// table as a batch of `count` columns; a single column is a batch of one.
+// The scalar per-cell datapaths they are tested against live in
+// tests/oracle.hpp. Bulk program() packs eagerly, program_cell
 // updates the pack incrementally, and fault burn-in repacks. Cell
 // precision is a storage property of the fault model
 // (FaultConfig::cell_bits), not a separate compute path.
@@ -28,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "mapping/crossbar_shape.hpp"
 #include "reram/faults.hpp"
 #include "reram/kernels/kernels.hpp"
@@ -99,14 +97,6 @@ class LogicalCrossbar {
   void mvm_bit_serial_batch_accum(const std::uint8_t* inputs_t,
                                   std::int64_t count, std::int32_t* acc_t,
                                   kernels::KernelScratch& scratch) const;
-  /// Integer MVM with cycle-to-cycle read noise, accumulated into
-  /// out[0 .. cols_used): every sensed cell's weight is perturbed by
-  /// round(N(0, weight_sigma)) for this read only (the programmed array is
-  /// untouched). `weight_sigma` is in weight LSBs — use
-  /// FaultModel::read_noise_weight_sigma().
-  void mvm_read_noisy_accum(std::span<const std::uint8_t> input,
-                            common::Rng& rng, double weight_sigma,
-                            std::int32_t* out) const;
 
   /// Burns a seeded fault model (stuck-at maps and programming variation —
   /// see reram/faults.hpp) into `clones` — copies of one programmed

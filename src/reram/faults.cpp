@@ -30,8 +30,8 @@ void FaultConfig::validate() const {
                     stuck_at_one_rate >= 0.0 && stuck_at_one_rate <= 1.0 &&
                     stuck_at_zero_rate + stuck_at_one_rate <= 1.0,
                 "stuck-at rates must be probabilities summing to <= 1");
-  AUTOHET_CHECK(program_sigma >= 0.0 && read_sigma >= 0.0,
-                "variation sigmas must be non-negative");
+  AUTOHET_CHECK(program_sigma >= 0.0,
+                "program_sigma must be non-negative");
   AUTOHET_CHECK(cell_bits > 0 && cell_bits <= 8 && 8 % cell_bits == 0,
                 "cell_bits must divide 8");
 }
@@ -147,8 +147,6 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
   config_.validate();
   planes_ = 8 / config_.cell_bits;
   level_mask_ = (1u << config_.cell_bits) - 1u;
-  read_sigma_weights_ =
-      config_.read_sigma * level_noise_amplification(config_.cell_bits);
 
   // Burn-kernel precompute. uniform() returns k·2⁻⁵³ with k = uniform_bits53(); multiplying a rate
   // by 2⁵³ is exact (pure exponent shift), so k·2⁻⁵³ < rate ⟺ k < ceil(T).
@@ -337,8 +335,7 @@ double analytic_layer_vulnerability(const mapping::LayerMapping& m,
   faults.validate();
   const double per_level_variance =
       faults.stuck_at_zero_rate + faults.stuck_at_one_rate +
-      faults.program_sigma * faults.program_sigma +
-      faults.read_sigma * faults.read_sigma;
+      faults.program_sigma * faults.program_sigma;
   const double cell_error =
       std::sqrt(per_level_variance) *
       FaultModel::level_noise_amplification(faults.cell_bits) / 127.0;

@@ -28,10 +28,9 @@
 //
 // Faults and programming variation are burned into a clean copy of the
 // programmed weights (`MappedLayer::burn`, which drives
-// `LogicalCrossbar::burn_clones` per crossbar); cycle-to-cycle
-// read variation (`read_sigma`) is sampled at MVM time on the integer
-// datapath. A default `FaultConfig{}` is ideal: no RNG is consumed and every
-// output stays bit-identical to the fault-free build (tested).
+// `LogicalCrossbar::burn_clones` per crossbar). A default `FaultConfig{}`
+// is ideal: no RNG is consumed and every output stays bit-identical to the
+// fault-free build (tested).
 #pragma once
 
 #include <array>
@@ -50,7 +49,6 @@ struct FaultConfig {
   double stuck_at_zero_rate = 0.0;  ///< per physical cell, Bernoulli
   double stuck_at_one_rate = 0.0;   ///< per physical cell, Bernoulli
   double program_sigma = 0.0;  ///< lognormal σ of programmed conductance
-  double read_sigma = 0.0;     ///< lognormal σ per MVM read (cycle-to-cycle)
   int cell_bits = 1;           ///< bits per physical cell (1, 2, 4 or 8)
   std::uint64_t seed = 0xfa0175eedULL;  // "faults-eed"
 
@@ -58,7 +56,7 @@ struct FaultConfig {
   /// touches an RNG and programmed arrays stay bit-identical.
   bool ideal() const noexcept {
     return stuck_at_zero_rate == 0.0 && stuck_at_one_rate == 0.0 &&
-           program_sigma == 0.0 && read_sigma == 0.0;
+           program_sigma == 0.0;
   }
 
   /// Derives the trial-t configuration for Monte-Carlo sweeps: identical
@@ -361,17 +359,10 @@ class FaultModel {
   /// the same conductance spread costs more weight-space error.
   static double level_noise_amplification(int cell_bits) noexcept;
 
-  /// rms weight perturbation (in weight LSBs) the configured read noise
-  /// injects per MVM; 0 when read_sigma == 0.
-  double read_noise_weight_sigma() const noexcept {
-    return read_sigma_weights_;
-  }
-
  private:
   FaultConfig config_;
   int planes_ = 8;           ///< 8 / cell_bits
   unsigned level_mask_ = 1;  ///< 2^cell_bits − 1
-  double read_sigma_weights_ = 0.0;
   // Fast-kernel precompute (see kernels::BurnSpec): integer stuck-at
   // thresholds on the raw 53-bit uniform draw, and per-level
   // polar-rejection safety bounds s_safe[L] — when the accepted polar s
@@ -397,7 +388,7 @@ FaultConfig spanning_probe(const FaultConfig& config) noexcept;
 /// Closed-form per-layer fault vulnerability in [0, 1]: the expected
 /// relative MVM output error of `layer` mapped as `m` under `faults`.
 ///
-///   ε_cell = sqrt(p₀ + p₁ + σ_prog² + σ_read²) · A(b) / 127
+///   ε_cell = sqrt(p₀ + p₁ + σ_prog²) · A(b) / 127
 ///   ε_layer = min(1, ε_cell · sqrt(row_blocks))
 ///
 /// The √row_blocks factor models the adder-tree merge of independently

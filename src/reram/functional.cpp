@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -18,14 +17,6 @@
 namespace autohet::reram {
 
 namespace {
-/// Read-noise stream key for one MVM call: the per-pass noise stream in the
-/// high bits, the output-position ordinal in the low 20 (no conv in the zoo
-/// comes near 2^20 output positions).
-constexpr std::uint64_t make_call_key(std::uint64_t noise_stream,
-                                      std::uint64_t position) noexcept {
-  return (noise_stream << 20) | position;
-}
-
 /// Programs `model`'s mappable layers, clean, onto the given crossbar
 /// shapes.
 std::vector<MappedLayer> program_layers(
@@ -142,14 +133,15 @@ void MappedLayer::burn(std::span<const FaultConfig> faults,
   const bool record = !records.empty();
   AUTOHET_CHECK(!record || records.size() == faults.size(),
                 "one burn record per recorded config required");
-  std::vector<FaultModel> models;
   for (const FaultConfig& fc : faults) {
     FaultConfig same_seed = fc;
     same_seed.seed = faults.front().seed;
     AUTOHET_CHECK(same_seed == faults.front(),
                   "a batched burn's configs may differ only in seed");
-    models.emplace_back(fc);
   }
+  if (faults.empty()) return;
+  // One model serves every lane: each burns under its own trial's seed.
+  const FaultModel model(faults.front());
   // One item per (job, crossbar, lane group), largest crossbar first so a
   // pool's tail is the small ones; each lane keeps its crossbar's stats.
   struct Item {
@@ -163,13 +155,9 @@ void MappedLayer::burn(std::span<const FaultConfig> faults,
     AUTOHET_CHECK(job.layers.size() == job.trials.size(),
                   "one trial per clone required");
     if (job.layers.empty()) continue;
-    for (std::size_t c = 0; c < job.layers.size(); ++c) {
-      const std::size_t t = job.trials[c];
-      if (!models[t].ideal()) {
-        job.layers[c]->arm_read_noise(models[t], job.layer_id);
-      }
-      if (record) {
-        records[t].layers[job.layer_id].assign(
+    if (record) {
+      for (std::size_t c = 0; c < job.layers.size(); ++c) {
+        records[job.trials[c]].layers[job.layer_id].assign(
             job.layers[c]->crossbar_count(), {});
       }
     }
@@ -205,7 +193,7 @@ void MappedLayer::burn(std::span<const FaultConfig> faults,
       }
     }
     LogicalCrossbar::burn_clones(
-        models.front(), item.job->layer_id * kFaultIdStride + item.crossbar,
+        model, item.job->layer_id * kFaultIdStride + item.crossbar,
         std::span(group.data(), item.lanes),
         std::span(burns.data(), item.lanes));
     for (std::size_t i = 0; i < item.lanes; ++i) {
@@ -225,7 +213,7 @@ void MappedLayer::burn(std::span<const FaultConfig> faults,
 }
 
 void MappedLayer::replay_faults(
-    const FaultModel& faults, std::uint64_t layer_id,
+    const FaultModel& faults,
     const std::vector<CrossbarBurnRecord>& recorded) {
   AUTOHET_CHECK(recorded.size() == crossbars_.size(),
                 "recorded burn does not match this layer's crossbar grid");
@@ -235,51 +223,10 @@ void MappedLayer::replay_faults(
     fault_stats_ += crossbars_[i].replay_stuck_faults(
         faults, recorded[i].hits, recorded[i].bucket_ends);
   }
-  arm_read_noise(faults, layer_id);
-}
-
-void MappedLayer::arm_read_noise(const FaultModel& faults,
-                                 std::uint64_t layer_id) {
-  read_sigma_weights_ = faults.read_noise_weight_sigma();
-  read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
-                   .child(layer_id);
 }
 
 void MappedLayer::prepare_packed() {
   for (auto& xb : crossbars_) xb.ensure_packed();
-}
-
-void MappedLayer::mvm_read_noisy_into(
-    std::span<const std::uint8_t> input_column, std::span<std::int32_t> out,
-    std::uint64_t call_key) const {
-  AUTOHET_CHECK(
-      static_cast<std::int64_t>(input_column.size()) == spec_.weight_rows(),
-      "input column length mismatch");
-  AUTOHET_CHECK(
-      static_cast<std::int64_t>(out.size()) == spec_.weight_cols(),
-      "output span length mismatch");
-  OBS_COUNTER_ADD("autohet_functional_mvm_total", 1);
-  std::fill(out.begin(), out.end(), 0);
-  // One child derivation per call keeps concurrent forwards deterministic
-  // without mutating shared state; each crossbar then draws from its own
-  // child of the call stream.
-  const common::Rng call_base = read_base_.child(call_key);
-  const std::int64_t cb_count = mapping_.col_blocks;
-  for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
-    const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
-    const std::span<const std::uint8_t> slice =
-        input_column.subspan(static_cast<std::size_t>(r0),
-                             static_cast<std::size_t>(r1 - r0));
-    for (std::int64_t cb = 0; cb < cb_count; ++cb) {
-      const std::size_t idx = static_cast<std::size_t>(rb * cb_count + cb);
-      common::Rng rng = call_base.child(static_cast<std::uint64_t>(idx));
-      // Adder tree: row-block partials accumulate straight into the output
-      // slice for this column block.
-      crossbars_[idx].mvm_read_noisy_accum(
-          slice, rng, read_sigma_weights_,
-          out.data() + cb * mapping_.shape.cols);
-    }
-  }
 }
 
 void MappedLayer::mvm_batch_into(const std::uint8_t* columns_t,
@@ -289,8 +236,6 @@ void MappedLayer::mvm_batch_into(const std::uint8_t* columns_t,
   const std::int64_t cols = spec_.weight_cols();
   AUTOHET_CHECK(static_cast<std::int64_t>(accs_t.size()) == count * cols,
                 "accumulator span must be weight_cols x count");
-  AUTOHET_CHECK(read_sigma_weights_ == 0.0,
-                "batched MVMs require a noise-free fabric");
   OBS_COUNTER_ADD("autohet_functional_mvm_total",
                   static_cast<std::uint64_t>(count));
   std::fill(accs_t.begin(), accs_t.end(), 0);
@@ -355,9 +300,6 @@ void SimulatedModel::burn(std::span<SimulatedModel> fabrics,
     SimulatedModel& fabric = fabrics[t];
     AUTOHET_CHECK(fabric.fault_model_.ideal(),
                   "burning faults requires a clean (ideal) fabric");
-    AUTOHET_CHECK(faults[t].read_sigma == 0.0 ||
-                      fabric.mode_ == DatapathMode::kInteger,
-                  "read noise requires the integer datapath");
     fabric.fault_model_ = FaultModel(faults[t]);
     jobs.resize(fabric.layers_.size());
     for (std::size_t l = 0; l < jobs.size(); ++l) {
@@ -405,21 +347,16 @@ SimulatedModel SimulatedModel::replay_faults(
     const FaultConfig& faults, const TrialBurnRecord& record) const {
   AUTOHET_CHECK(record.layers.size() == layers_.size(),
                 "burn record does not match this fabric's layer count");
-  AUTOHET_CHECK(faults.read_sigma == 0.0 || mode_ == DatapathMode::kInteger,
-                "read noise requires the integer datapath");
   SimulatedModel out = *this;  // the recording's post-variation cells
   out.fault_model_ = FaultModel(faults);
   for (std::size_t i = 0; i < out.layers_.size(); ++i) {
-    out.layers_[i].replay_faults(out.fault_model_,
-                                 static_cast<std::uint64_t>(i),
-                                 record.layers[i]);
+    out.layers_[i].replay_faults(out.fault_model_, record.layers[i]);
   }
   return out;
 }
 
 tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
-                                        const tensor::Tensor& input,
-                                        std::uint64_t noise_stream) const {
+                                        const tensor::Tensor& input) const {
   const nn::LayerSpec& spec = layer.spec();
   OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
                      &layer - layers_.data(), 0, spec.mvm_count());
@@ -470,61 +407,36 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
     }
   };
 
-  // GEMM-shaped fast path (integer or bit-serial datapath, noise-free
-  // fabric): im2col a tile of output positions and push them through one
-  // batched MVM per crossbar. Integer sums are exact, so the results are
-  // bit-identical to per-position MVMs — only per-position call overhead
-  // goes.
-  if (!layer.read_noisy()) {
-    constexpr std::int64_t kTile = 96;
-    const std::int64_t positions = oh * ow;
-    const std::int64_t rows = spec.weight_rows();
-    const std::int64_t cols = spec.weight_cols();
-    thread_local kernels::KernelScratch tile_scratch;
-    std::uint8_t* column = tile_scratch.column(static_cast<std::size_t>(rows));
-    for (std::int64_t p0 = 0; p0 < positions; p0 += kTile) {
-      const std::int64_t n = std::min(kTile, positions - p0);
-      std::uint8_t* cols_t =
-          tile_scratch.columns_t(static_cast<std::size_t>(n * rows));
-      std::int32_t* accs_t =
-          tile_scratch.accs_t(static_cast<std::size_t>(n * cols));
-      for (std::int64_t t = 0; t < n; ++t) {
-        fill_column((p0 + t) / ow, (p0 + t) % ow, column);
-        for (std::int64_t i = 0; i < rows; ++i) {
-          cols_t[static_cast<std::size_t>(i * n + t)] =
-              column[static_cast<std::size_t>(i)];
-        }
-      }
-      layer.mvm_batch_into(
-          cols_t, n, mode_,
-          std::span(accs_t, static_cast<std::size_t>(n * cols)),
-          tile_scratch);
-      for (std::int64_t co = 0; co < spec.out_channels; ++co) {
-        float* const op = out_base + co * plane + p0;
-        const std::int32_t* a = accs_t + co * n;
-        for (std::int64_t t = 0; t < n; ++t) {
-          op[t] = static_cast<float>(a[t]) * out_scale;
-        }
+  // im2col a tile of output positions and push them through one batched
+  // MVM per crossbar (integer or bit-serial datapath). Integer sums are
+  // exact, so the results are bit-identical to per-position MVMs.
+  constexpr std::int64_t kTile = 96;
+  const std::int64_t positions = oh * ow;
+  const std::int64_t rows = spec.weight_rows();
+  const std::int64_t cols = spec.weight_cols();
+  thread_local kernels::KernelScratch tile_scratch;
+  std::uint8_t* column = tile_scratch.column(static_cast<std::size_t>(rows));
+  for (std::int64_t p0 = 0; p0 < positions; p0 += kTile) {
+    const std::int64_t n = std::min(kTile, positions - p0);
+    std::uint8_t* cols_t =
+        tile_scratch.columns_t(static_cast<std::size_t>(n * rows));
+    std::int32_t* accs_t =
+        tile_scratch.accs_t(static_cast<std::size_t>(n * cols));
+    for (std::int64_t t = 0; t < n; ++t) {
+      fill_column((p0 + t) / ow, (p0 + t) % ow, column);
+      for (std::int64_t i = 0; i < rows; ++i) {
+        cols_t[static_cast<std::size_t>(i * n + t)] =
+            column[static_cast<std::size_t>(i)];
       }
     }
-    return out;
-  }
-
-  // Read-noisy fabrics run per position: the read-noise stream is keyed on
-  // the output position.
-  std::vector<std::uint8_t> column(
-      static_cast<std::size_t>(spec.weight_rows()));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(spec.weight_cols()));
-  for (std::int64_t oi = 0; oi < oh; ++oi) {
-    for (std::int64_t oj = 0; oj < ow; ++oj) {
-      fill_column(oi, oj, column.data());
-      const std::uint64_t key =
-          make_call_key(noise_stream, static_cast<std::uint64_t>(oi * ow + oj));
-      float* const op = out_base + oi * ow + oj;
-      layer.mvm_read_noisy_into(column, acc, key);
-      for (std::int64_t co = 0; co < spec.out_channels; ++co) {
-        op[co * plane] =
-            static_cast<float>(acc[static_cast<std::size_t>(co)]) * out_scale;
+    layer.mvm_batch_into(
+        cols_t, n, mode_,
+        std::span(accs_t, static_cast<std::size_t>(n * cols)), tile_scratch);
+    for (std::int64_t co = 0; co < spec.out_channels; ++co) {
+      float* const op = out_base + co * plane + p0;
+      const std::int32_t* a = accs_t + co * n;
+      for (std::int64_t t = 0; t < n; ++t) {
+        op[t] = static_cast<float>(a[t]) * out_scale;
       }
     }
   }
@@ -532,14 +444,13 @@ tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
 }
 
 std::vector<tensor::Tensor> SimulatedModel::run_mappable(
-    const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
-    std::uint64_t noise_stream0) const {
+    const MappedLayer& layer, std::span<const tensor::Tensor> inputs) const {
   const nn::LayerSpec& spec = layer.spec();
   std::vector<tensor::Tensor> outs;
   outs.reserve(inputs.size());
   if (spec.type == nn::LayerType::kConv) {
     for (std::size_t s = 0; s < inputs.size(); ++s) {
-      outs.push_back(run_conv(layer, inputs[s], noise_stream0 + s));
+      outs.push_back(run_conv(layer, inputs[s]));
     }
     return outs;
   }
@@ -556,67 +467,42 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
     qas.push_back(nn::quantize_activations(x.reshaped({x.numel()}),
                                            /*bits=*/8));
   }
-  // Sample s's accumulation for output j is acc[s * s_step + j * j_step].
+  // All samples (a single sample is a batch of one) through one batched
+  // MVM per crossbar, batch dimension innermost. Integer sums are exact and
+  // each sample is scaled by its own out_scale afterwards, so this is bit
+  // for bit the per-sample result.
   thread_local kernels::KernelScratch scratch;
-  std::vector<std::int32_t> per_sample;
-  const std::int32_t* acc = nullptr;
-  std::int64_t s_step = 1;
-  std::int64_t j_step = count;
-  if (!layer.read_noisy()) {
-    // Noise-free fabric: all samples (a single sample is a batch of one)
-    // through one batched MVM per crossbar, batch dimension innermost.
-    // Integer sums are exact and each sample is scaled by its own out_scale
-    // afterwards, so this is bit for bit the per-sample result.
-    std::uint8_t* cols_t =
-        scratch.columns_t(static_cast<std::size_t>(rows * count));
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t s = 0; s < count; ++s) {
-        cols_t[r * count + s] = qas[static_cast<std::size_t>(s)].values
-                                    [static_cast<std::size_t>(r)];
-      }
-    }
-    std::int32_t* accs_t =
-        scratch.accs_t(static_cast<std::size_t>(cols * count));
-    layer.mvm_batch_into(
-        cols_t, count, mode_,
-        std::span(accs_t, static_cast<std::size_t>(cols * count)), scratch);
-    acc = accs_t;
-  } else {
-    // Read-noisy fabrics run per sample, each on its own noise stream.
-    per_sample.assign(static_cast<std::size_t>(count * cols), 0);
+  std::uint8_t* cols_t =
+      scratch.columns_t(static_cast<std::size_t>(rows * count));
+  for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t s = 0; s < count; ++s) {
-      const std::span<const std::uint8_t> column(
-          qas[static_cast<std::size_t>(s)].values);
-      const std::uint64_t key =
-          make_call_key(noise_stream0 + static_cast<std::uint64_t>(s), 0);
-      std::int32_t* out = per_sample.data() + s * cols;
-      layer.mvm_read_noisy_into(
-          column, std::span(out, static_cast<std::size_t>(cols)), key);
+      cols_t[r * count + s] =
+          qas[static_cast<std::size_t>(s)].values[static_cast<std::size_t>(r)];
     }
-    acc = per_sample.data();
-    s_step = cols;
-    j_step = 1;
   }
+  std::int32_t* accs_t =
+      scratch.accs_t(static_cast<std::size_t>(cols * count));
+  layer.mvm_batch_into(
+      cols_t, count, mode_,
+      std::span(accs_t, static_cast<std::size_t>(cols * count)), scratch);
   for (std::int64_t s = 0; s < count; ++s) {
     const float out_scale =
         layer.weight_scale() * qas[static_cast<std::size_t>(s)].scale;
     tensor::Tensor out({spec.out_channels});
     for (std::int64_t j = 0; j < spec.out_channels; ++j) {
-      out[j] = static_cast<float>(acc[s * s_step + j * j_step]) * out_scale;
+      out[j] = static_cast<float>(accs_t[s + j * count]) * out_scale;
     }
     outs.push_back(std::move(out));
   }
   return outs;
 }
 
-tensor::Tensor SimulatedModel::forward(const tensor::Tensor& input,
-                                       std::uint64_t noise_stream) const {
-  return std::move(
-      forward_batch(std::span(&input, 1), noise_stream).front().output);
+tensor::Tensor SimulatedModel::forward(const tensor::Tensor& input) const {
+  return std::move(forward_batch(std::span(&input, 1)).front().output);
 }
 
 std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_batch(
-    std::span<const tensor::Tensor> inputs, std::uint64_t noise_stream0) const {
+    std::span<const tensor::Tensor> inputs) const {
   const nn::Graph& graph = model_->graph();
   AUTOHET_CHECK(graph.node_count() > 0,
                 "network is not sequentially runnable (" +
@@ -666,7 +552,7 @@ std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_batch(
         }
         Batch v;
         if (nn::is_mappable(node)) {
-          v = run_mappable(layers_[mappable_idx++], *x[0], noise_stream0);
+          v = run_mappable(layers_[mappable_idx++], *x[0]);
           for (std::size_t s = 0; s < v.size(); ++s) {
             traces[s].mappable_outputs.push_back(v[s]);  // pre-activation
           }
@@ -860,8 +746,6 @@ RobustnessReport monte_carlo_robustness(
       refs.images.push_back(nn::synthetic_image(
           img_rng, first.in_channels, first.in_height, first.in_width));
     }
-    // The ideal fabric has no read noise, so the per-sample streams
-    // forward_batch assigns cannot change the references.
     refs.references = refs.ideal.forward_batch(refs.images);
     return refs;
   };
@@ -899,7 +783,6 @@ RobustnessReport monte_carlo_robustness(
     std::vector<char> agree;        // per sample: argmax matched reference
     std::vector<double> logit_err;  // per sample: max |logit diff|
     std::vector<double> layer_err;  // samples × num_layers, row-major
-    double wall_ms = 0.0;           // build + sum of this trial's chunks
   };
   std::vector<TrialResult> trials(static_cast<std::size_t>(requested));
   for (auto& res : trials) {
@@ -909,14 +792,8 @@ RobustnessReport monte_carlo_robustness(
                          num_layers);
   }
 
-  const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
   // Phase A body: build the faulty fabrics of trials [b0, b1) into
-  // `fabrics`, setting each trial's stats and its share of the build time.
+  // `fabrics`, setting each trial's stats.
   // Every trial fabric is a clean copy with the trial's faults burned in by
   // MappedLayer::burn — bit-identical to a fresh build (both are pure
   // functions of the seeds). There are two sources. (1) The block's trials
@@ -933,28 +810,21 @@ RobustnessReport monte_carlo_robustness(
       [&](std::size_t b0, std::size_t b1, common::ThreadPool* pool,
           std::vector<std::optional<SimulatedModel>>& fabrics) {
         OBS_SPAN("fault_trial_build");
-        const auto t0 = std::chrono::steady_clock::now();
         std::vector<FaultConfig> configs;
         for (std::size_t t = b0; t < b1; ++t) {
           configs.push_back(faults.for_trial(static_cast<std::uint64_t>(t)));
         }
-        const auto install = [&](std::size_t t, SimulatedModel fabric,
-                                 double ms) {
+        const auto install = [&](std::size_t t, SimulatedModel fabric) {
           fabrics[t - b0].emplace(std::move(fabric));
           trials[t].stats = fabrics[t - b0]->fault_stats();
-          trials[t].wall_ms = ms;
-        };
-        const auto share = [&] {
-          return ms_since(t0) / static_cast<double>(b1 - b0);
         };
         if (layer_cache != nullptr || (!cache_trials && !span_zero)) {
           std::vector<SimulatedModel> built =
               layer_cache != nullptr
                   ? layer_cache->fabrics(model, shapes, configs, pool)
                   : refs->ideal.with_faults(configs, pool);
-          const double ms = share();
           for (std::size_t t = b0; t < b1; ++t) {
-            install(t, std::move(built[t - b0]), ms);
+            install(t, std::move(built[t - b0]));
           }
           return;
         }
@@ -979,30 +849,22 @@ RobustnessReport monte_carlo_robustness(
               }
               return out;
             });
-        const double ms = share();
         common::parallel_for(pool, b0, b1, [&](std::size_t t) {
-          const auto t1 = std::chrono::steady_clock::now();
           const auto& slot = slots[t - b0];
-          SimulatedModel fabric =
-              slot->fabric.replay_faults(configs[t - b0], slot->record);
-          install(t, std::move(fabric), ms + ms_since(t1));
+          install(t, slot->fabric.replay_faults(configs[t - b0], slot->record));
         });
       };
 
   // Phase B body: run one chunk of samples through an already-built trial
-  // fabric. Sample s keeps noise stream s and its own result slots, so
-  // chunks of one trial can run concurrently — and forward_batch is
-  // bit-identical to one-sample forwards. Returns the chunk's wall
-  // time so the per-trial total can be folded deterministically later.
+  // fabric. Each sample keeps its own result slots, so chunks of one trial
+  // can run concurrently — and forward_batch is bit-identical to one-sample
+  // forwards.
   const auto run_chunk = [&](const SimulatedModel& faulty, TrialResult& res,
-                             int c) -> double {
-    const auto t0 = std::chrono::steady_clock::now();
+                             int c) {
     const int s0 = c * kSampleChunk;
     const int s1 = std::min(options.samples, s0 + kSampleChunk);
-    const auto traces = faulty.forward_batch(
-        std::span(images).subspan(static_cast<std::size_t>(s0),
-                                  static_cast<std::size_t>(s1 - s0)),
-        /*noise_stream0=*/static_cast<std::uint64_t>(s0));
+    const auto traces = faulty.forward_batch(std::span(images).subspan(
+        static_cast<std::size_t>(s0), static_cast<std::size_t>(s1 - s0)));
     for (int s = s0; s < s1; ++s) {
       const auto si = static_cast<std::size_t>(s);
       const auto& trace = traces[static_cast<std::size_t>(s - s0)];
@@ -1019,7 +881,6 @@ RobustnessReport monte_carlo_robustness(
             ref_scale;
       }
     }
-    return ms_since(t0);
   };
 
   int threads = options.threads;
@@ -1068,17 +929,11 @@ RobustnessReport monte_carlo_robustness(
       const std::size_t b1 = std::min(w1, b0 + block);
       std::vector<std::optional<SimulatedModel>> fabrics(b1 - b0);
       build_fabrics(b0, b1, pool, fabrics);
-      std::vector<double> chunk_ms((b1 - b0) * cpt, 0.0);
       common::parallel_for(pool, 0, (b1 - b0) * cpt, [&](std::size_t item) {
         OBS_SPAN("fault_trial_chunk");
         const std::size_t t = b0 + item / cpt;
-        const int c = static_cast<int>(item % cpt);
-        chunk_ms[item] = run_chunk(*fabrics[t - b0], trials[t], c);
+        run_chunk(*fabrics[t - b0], trials[t], static_cast<int>(item % cpt));
       });
-      // Chunks of one trial run concurrently; fold their times in order.
-      for (std::size_t item = 0; item < chunk_ms.size(); ++item) {
-        trials[b0 + item / cpt].wall_ms += chunk_ms[item];
-      }
     }
   };
 
@@ -1149,7 +1004,6 @@ RobustnessReport monte_carlo_robustness(
     OBS_PROFILE_RECORD(obs::ProfileKind::kMcTrial, -1, 0, 1);
     OBS_HIST_RECORD("autohet_fault_trial_agreement_permille",
                     accuracy * 1000.0);
-    OBS_HIST_RECORD("autohet_mc_trial_ms", res.wall_ms);
   }
 
   const double n = static_cast<double>(executed);

@@ -10,13 +10,12 @@
 // accelerator implements. Pooling layers run on the tile's pooling module
 // (plain float here).
 //
-// There is one datapath per operation: every noise-free MVM, a single
-// column included, is one batched call per crossbar through the dispatched
-// kernels, and every fault burn-in is the lockstep burn kernel. Read noise
-// is keyed per column, so a read-noisy fabric runs one column at a time
-// (mvm_read_noisy_into). The scalar per-cell implementations these are
-// tested against — MVMs, burn-in, a network forward and a serial
-// Monte-Carlo — live in the oracle library tests/oracle.hpp.
+// There is one datapath per operation: every MVM, a single column included,
+// is one batched call per crossbar through the dispatched kernels, and
+// every fault burn-in is the lockstep burn kernel. The scalar per-cell
+// implementations these are tested against — MVMs, burn-in, a network
+// forward and a serial Monte-Carlo — live in the oracle library
+// tests/oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -88,30 +87,9 @@ class MappedLayer {
   /// datapath (all samples' packed input planes pushed through one
   /// dispatched AND+popcount kernel; requires prepare_packed()). Integer
   /// sums are exact — results are bit-identical to per-column MVMs.
-  /// Noise-free fabrics only (checked).
   void mvm_batch_into(const std::uint8_t* columns_t, std::int64_t count,
                       DatapathMode mode, std::span<std::int32_t> accs_t,
                       kernels::KernelScratch& scratch) const;
-
-  /// True when this layer's fabric carries read noise (the per-call keyed
-  /// RNG path); batched MVMs are unavailable then.
-  bool read_noisy() const noexcept { return read_sigma_weights_ > 0.0; }
-
-  /// Integer MVM of one unfolded input column (length Cin·k², 8-bit) under
-  /// read noise: writes one int32 accumulation per output channel into
-  /// `out` (length weight_cols(), zero-filled here) — the row-block partial
-  /// sums merged by the adder tree directly in the caller's buffer.
-  ///
-  /// `call_key` seeds this call's read-noise stream: noise is drawn from an
-  /// RNG derived from (fault seed, layer id, call_key, crossbar index), so
-  /// the method is const in the strict sense — concurrent forwards on one
-  /// fabric are race-free and deterministic. Callers that want independent
-  /// noise across MVMs pass distinct keys (SimulatedModel derives them from
-  /// the sample/noise stream and the output position); identical keys
-  /// reproduce identical noise.
-  void mvm_read_noisy_into(std::span<const std::uint8_t> input_column,
-                           std::span<std::int32_t> out,
-                           std::uint64_t call_key = 0) const;
 
   /// Packs every crossbar's weight bit planes (idempotent) so bit-serial
   /// MVMs take the AND+popcount kernel.
@@ -146,19 +124,15 @@ class MappedLayer {
 
   /// Completes a recorded burn on this layer (a clone of the recording's
   /// post-variation state): forces the recorded candidates that fall under
-  /// `faults`' stuck thresholds and installs exactly the fault stats and
-  /// read-noise streams burn would have produced.
-  void replay_faults(const FaultModel& faults, std::uint64_t layer_id,
+  /// `faults`' stuck thresholds and installs exactly the fault stats burn
+  /// would have produced.
+  void replay_faults(const FaultModel& faults,
                      const std::vector<CrossbarBurnRecord>& recorded);
 
   /// Stuck-at / variation counts burned in (all zero on a clean layer).
   const FaultMapStats& fault_stats() const noexcept { return fault_stats_; }
 
  private:
-  /// Installs `faults`' read-noise level and this layer's noise stream —
-  /// the last step of every burn.
-  void arm_read_noise(const FaultModel& faults, std::uint64_t layer_id);
-
   nn::LayerSpec spec_;
   mapping::LayerMapping mapping_;
   float weight_scale_ = 1.0f;
@@ -168,12 +142,6 @@ class MappedLayer {
   // row range (split path).
   std::vector<std::pair<std::int64_t, std::int64_t>> row_ranges_;
   FaultMapStats fault_stats_;
-  double read_sigma_weights_ = 0.0;  ///< per-read weight-LSB noise rms
-  /// Base of the cycle-to-cycle read-noise stream, seeded from the fault
-  /// seed and layer id. Never advanced in place: each MVM derives a child
-  /// stream from (call_key, crossbar index), keeping const methods
-  /// genuinely read-only so concurrent forwards are safe.
-  common::Rng read_base_;
 };
 
 /// Whole-network functional simulation on the heterogeneous fabric.
@@ -183,9 +151,8 @@ class SimulatedModel {
   /// as NetworkSpec::mappable_layers()). A non-ideal `faults` config runs
   /// the whole network on a faulty fabric: the layers are programmed clean
   /// and the stuck-at maps and programming variation burned in by
-  /// MappedLayer::burn, read noise is sampled at MVM time (integer datapath
-  /// only). The default ideal config is bit-identical to the fault-free
-  /// fabric.
+  /// MappedLayer::burn. The default ideal config is bit-identical to the
+  /// fault-free fabric.
   SimulatedModel(const nn::Model& model,
                  const std::vector<mapping::CrossbarShape>& shapes,
                  DatapathMode mode = DatapathMode::kInteger,
@@ -244,25 +211,20 @@ class SimulatedModel {
     std::vector<tensor::Tensor> mappable_outputs;
   };
 
-  /// Runs the model's graph on the fabric for a batch of CHW inputs, sample
-  /// i on read-noise stream `noise_stream0 + i` (equal streams repeat a
-  /// pass, distinct streams draw independent noise; see
-  /// MappedLayer::mvm_read_noisy_into). Concurrent calls on one instance
-  /// are safe.
+  /// Runs the model's graph on the fabric for a batch of CHW inputs.
+  /// Concurrent calls on one instance are safe.
   ///
-  /// Mappable nodes run on their MappedLayer, noise-free fast FC layers as
-  /// one batched MVM across the samples; pooling nodes run on the tile's
+  /// Mappable nodes run on their MappedLayer, FC layers as one batched MVM
+  /// across the samples; pooling nodes run on the tile's
   /// pooling module; residual adds run on the vector unit in exact integer
   /// arithmetic (both operands on one symmetric 8-bit grid, summed in
   /// int32, dequantized once). Integer sums are exact, so every result is
   /// bit-identical to running each sample alone.
   std::vector<ForwardTrace> forward_batch(
-      std::span<const tensor::Tensor> inputs,
-      std::uint64_t noise_stream0 = 0) const;
+      std::span<const tensor::Tensor> inputs) const;
 
   /// Output of forward_batch over the single sample `input`.
-  tensor::Tensor forward(const tensor::Tensor& input,
-                         std::uint64_t noise_stream = 0) const;
+  tensor::Tensor forward(const tensor::Tensor& input) const;
 
   const std::vector<MappedLayer>& mapped_layers() const noexcept {
     return layers_;
@@ -289,16 +251,13 @@ class SimulatedModel {
                    std::span<const FaultConfig> faults,
                    std::span<TrialBurnRecord> records,
                    common::ThreadPool* pool);
-  /// One mappable layer over a batch, sample i on noise stream
-  /// `noise_stream0 + i`: convs run per sample (run_conv); FC layers on a
-  /// noise-free fabric take one batched MVM over all samples (one sample
-  /// is a batch of one).
+  /// One mappable layer over a batch: convs run per sample (run_conv); FC
+  /// layers take one batched MVM over all samples (one sample is a batch
+  /// of one).
   std::vector<tensor::Tensor> run_mappable(
-      const MappedLayer& layer, std::span<const tensor::Tensor> inputs,
-      std::uint64_t noise_stream0) const;
+      const MappedLayer& layer, std::span<const tensor::Tensor> inputs) const;
   tensor::Tensor run_conv(const MappedLayer& layer,
-                          const tensor::Tensor& input,
-                          std::uint64_t noise_stream) const;
+                          const tensor::Tensor& input) const;
 
   const nn::Model* model_;
   DatapathMode mode_;
@@ -433,9 +392,8 @@ class LayerFabricCache {
   /// Allocation-invariant ideal references for the assembly path, keyed by
   /// (model, samples, input_seed) — no shapes. One reference
   /// set serves every allocation: the ideal fabric's forward is
-  /// partition-exact (integer sums reassociate exactly and an ideal fabric
-  /// has no read noise), so reference outputs are bit-identical across
-  /// crossbar tilings (tested).
+  /// partition-exact (integer sums reassociate exactly), so reference
+  /// outputs are bit-identical across crossbar tilings (tested).
   std::shared_ptr<const TrialFabricCache::IdealRefs> ideal_refs(
       const nn::Model& model, int samples, std::uint64_t input_seed,
       const std::function<TrialFabricCache::IdealRefs()>& build);

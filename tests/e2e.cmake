@@ -61,9 +61,9 @@
 #       a 20-episode lenet5 search saves its plan and report; two replays of
 #       the saved plan each reproduce the search-time report byte for byte,
 #       and replay rejects a search option next to --plan-in. A copy of the
-#       fixture plan with a nonzero drift_time_s or drift_nu fails replay
-#       with an error naming the key (the fault model has no retention
-#       drift).
+#       fixture plan with a nonzero read_sigma, drift_time_s or drift_nu
+#       fails replay with an error naming the key (the fault model has no
+#       read noise or retention drift).
 #   profile_threads
 #       `profile` of the committed v1 fixture plan (tests/data) with
 #       functional samples and Monte-Carlo trials writes the same
@@ -481,7 +481,7 @@ elseif(CASE STREQUAL "plan_roundtrip")
   run_fails("--plan-in cannot be combined with --episodes"
             "${CLI}" replay --plan-in plan.json --episodes 5)
   file(READ "${fixture_plan}" fixture)
-  foreach(key drift_time_s drift_nu)
+  foreach(key read_sigma drift_time_s drift_nu)
     string(REPLACE "\"${key}\": 0," "\"${key}\": 0.1," drifted "${fixture}")
     file(WRITE "${WORK_DIR}/${key}.json" "${drifted}")
     run_fails("JSON key '${key}' must be 0"

@@ -156,8 +156,6 @@ Fabric::Fabric(const nn::Model& model,
                const std::vector<mapping::CrossbarShape>& shapes,
                reram::DatapathMode mode, const reram::FaultConfig& faults)
     : model_(&model), mode_(mode) {
-  AUTOHET_CHECK(faults.read_sigma == 0.0,
-                "the oracle fabric is noise-free (read_sigma must be 0)");
   const auto mappable = model.spec().mappable_layers();
   AUTOHET_CHECK(shapes.size() == mappable.size(),
                 "one crossbar shape per mappable layer required");

@@ -65,11 +65,10 @@ std::vector<std::int32_t> mvm_reference_scalar(
 
 // ---------------------------------------------------- network and MC ----
 
-/// A noise-free fabric programmed from scratch: every mappable layer
-/// quantized, cut into crossbars by the kernel-aligned mapping and burned
-/// per crossbar with apply_reference; every forward runs one scalar MVM per
-/// input column. Read noise is refused (it is keyed per MVM call, which
-/// only the production datapath defines).
+/// A fabric programmed from scratch: every mappable layer quantized, cut
+/// into crossbars by the kernel-aligned mapping and burned per crossbar
+/// with apply_reference; every forward runs one scalar MVM per input
+/// column.
 class Fabric {
  public:
   Fabric(const nn::Model& model,
@@ -118,7 +117,7 @@ class Fabric {
 /// order with the CI from a SequentialStopper fed one trial at a time —
 /// the report reram::monte_carlo_robustness must reproduce byte for byte.
 /// Only options.trials, samples, input_seed and budget are read; the
-/// budget must be fixed and the config free of read noise.
+/// budget must be fixed.
 reram::RobustnessReport monte_carlo_robustness(
     const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
     const reram::FaultConfig& faults, const reram::RobustnessOptions& options);

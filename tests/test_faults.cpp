@@ -170,24 +170,6 @@ TEST(SimulatedModelFaults, SameSeedSameFabric) {
   EXPECT_EQ(tensor::max_abs_diff(a.forward(img), b.forward(img)), 0.0f);
 }
 
-TEST(SimulatedModelFaults, ReadNoiseIsDeterministicPerInstance) {
-  common::Rng rng(11);
-  const nn::Model model(nn::lenet5(), rng);
-  const std::vector<CrossbarShape> shapes(5, {128, 128});
-  FaultConfig faults;
-  faults.read_sigma = 0.002;
-  const SimulatedModel a(model, shapes, reram::DatapathMode::kInteger, faults);
-  const SimulatedModel b(model, shapes, reram::DatapathMode::kInteger, faults);
-  common::Rng img_rng(12);
-  const auto img = nn::synthetic_image(img_rng, 1, 32, 32);
-  // Fresh fabrics start their read-noise streams at the same point.
-  EXPECT_EQ(tensor::max_abs_diff(a.forward(img), b.forward(img)), 0.0f);
-  // Read noise is only modeled on the integer datapath.
-  EXPECT_THROW(SimulatedModel(model, shapes, reram::DatapathMode::kBitSerial,
-                              faults),
-               std::invalid_argument);
-}
-
 TEST(SimulatedModelFaults, ProgramVariationDegradesAccuracyGracefully) {
   // LeNet-5 with 2-bit cells: small programming variation keeps most argmax
   // agreement with the float model; huge variation does no better.

@@ -400,26 +400,24 @@ TEST(GraphFunctional, CifarResnetBatchMatchesPerSample) {
   for (int s = 0; s < 3; ++s) {
     images.push_back(nn::synthetic_image(input_rng, 3, 32, 32));
   }
-  reram::FaultConfig noisy;
-  noisy.read_sigma = 0.05;
-  for (const reram::FaultConfig& faults : {reram::FaultConfig{}, noisy}) {
+  reram::FaultConfig faulty;
+  faulty.stuck_at_zero_rate = 1e-3;
+  faulty.stuck_at_one_rate = 1e-3;
+  faulty.program_sigma = 0.01;
+  for (const reram::FaultConfig& faults : {reram::FaultConfig{}, faulty}) {
     const reram::SimulatedModel fabric(model, shapes,
                                        reram::DatapathMode::kInteger, faults);
-    const std::uint64_t s0 = 5;
-    const auto batched = fabric.forward_batch(images, s0);
+    const auto batched = fabric.forward_batch(images);
     ASSERT_EQ(batched.size(), images.size());
     for (std::size_t s = 0; s < images.size(); ++s) {
-      const std::string what = "read_sigma " +
-                               std::to_string(faults.read_sigma) +
-                               " sample " + std::to_string(s);
-      const auto single = fabric.forward_batch(
-          std::span(&images[s], 1), s0 + static_cast<std::uint64_t>(s));
+      const std::string what =
+          (faults.ideal() ? "ideal sample " : "faulty sample ") +
+          std::to_string(s);
+      const auto single = fabric.forward_batch(std::span(&images[s], 1));
       expect_same_trace(batched[s], single.front(), what);
-      EXPECT_EQ(tensor::max_abs_diff(
-                    batched[s].output,
-                    fabric.forward(images[s],
-                                   s0 + static_cast<std::uint64_t>(s))),
-                0.0f)
+      EXPECT_EQ(
+          tensor::max_abs_diff(batched[s].output, fabric.forward(images[s])),
+          0.0f)
           << what;
     }
   }
@@ -438,7 +436,6 @@ TEST(GraphFunctional, CifarResnetMonteCarloIsThreadAndCacheInvariant) {
   faults.stuck_at_zero_rate = 1e-3;
   faults.stuck_at_one_rate = 1e-3;
   faults.program_sigma = 0.01;
-  faults.read_sigma = 0.05;
   reram::RobustnessOptions mc;
   mc.trials = 2;
   mc.samples = 3;

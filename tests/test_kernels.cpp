@@ -975,23 +975,6 @@ TEST(MonteCarloIdentity, CachedPointAboveRecordingCapIsUncached) {
                std::invalid_argument);
 }
 
-TEST(MonteCarloIdentity, ReadNoiseThreadInvariance) {
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
-  FaultConfig fc;
-  fc.read_sigma = 0.05;
-  fc.program_sigma = 0.01;
-  RobustnessOptions mc = small_mc();
-  mc.threads = 1;
-  const auto serial = reram::monte_carlo_robustness(model, shapes, fc, mc);
-  mc.threads = 4;
-  const auto parallel = reram::monte_carlo_robustness(model, shapes, fc, mc);
-  EXPECT_TRUE(reports_equal(serial, parallel));
-}
-
 TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
@@ -1005,8 +988,6 @@ TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
     images.push_back(nn::synthetic_image(ir, first.in_channels,
                                          first.in_height, first.in_width));
   }
-  FaultConfig noisy;
-  noisy.read_sigma = 0.05;
   FaultConfig stuck;
   stuck.stuck_at_zero_rate = 1e-3;
   stuck.stuck_at_one_rate = 1e-3;
@@ -1015,23 +996,17 @@ TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
     reram::DatapathMode mode;
     FaultConfig faults;
   };
-  // Noise-free cases take the batched-FC fast path; the read-noisy case
-  // exercises the per-sample fallback with per-sample noise streams.
   const Case cases[] = {{reram::DatapathMode::kInteger, {}},
                         {reram::DatapathMode::kBitSerial, {}},
                         {reram::DatapathMode::kInteger, stuck},
-                        {reram::DatapathMode::kInteger, noisy}};
+                        {reram::DatapathMode::kBitSerial, stuck}};
   for (const auto& c : cases) {
     const SimulatedModel fabric(model, shapes, c.mode, c.faults);
-    const std::uint64_t stream0 = 11;
-    const auto batched = fabric.forward_batch(images, stream0);
+    const auto batched = fabric.forward_batch(images);
     ASSERT_EQ(batched.size(), images.size());
     for (std::size_t s = 0; s < images.size(); ++s) {
       const auto single =
-          fabric
-              .forward_batch(std::span(&images[s], 1),
-                             stream0 + static_cast<std::uint64_t>(s))
-              .front();
+          fabric.forward_batch(std::span(&images[s], 1)).front();
       ASSERT_EQ(batched[s].output.numel(), single.output.numel());
       for (std::int64_t i = 0; i < single.output.numel(); ++i) {
         EXPECT_EQ(batched[s].output[i], single.output[i])
@@ -1101,61 +1076,37 @@ TEST(MonteCarloIdentity, ExternalPoolInvariance) {
   EXPECT_TRUE(reports_equal(serial, pooled));
 }
 
-TEST(SimulatedModelKernels, ReadNoiseStreamsRepeatAndDiffer) {
-  // A read-noisy forward is a pure function of its stream: the same stream
-  // repeats the pass, another stream draws other noise. A noise-free fabric
-  // ignores the stream.
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
-  common::Rng ir(4);
-  const nn::LayerSpec& first = net.layers.front();
-  const tensor::Tensor image =
-      nn::synthetic_image(ir, first.in_channels, first.in_height,
-                          first.in_width);
-  FaultConfig noisy;
-  noisy.read_sigma = 0.05;
-  const SimulatedModel noisy_fabric(model, shapes,
-                                    reram::DatapathMode::kInteger, noisy);
-  const tensor::Tensor a = noisy_fabric.forward(image, 7);
-  EXPECT_EQ(tensor::max_abs_diff(a, noisy_fabric.forward(image, 7)), 0.0f);
-  EXPECT_GT(tensor::max_abs_diff(a, noisy_fabric.forward(image, 8)), 0.0f);
-
-  const SimulatedModel clean_fabric(model, shapes,
-                                    reram::DatapathMode::kInteger, {});
-  EXPECT_EQ(tensor::max_abs_diff(clean_fabric.forward(image, 7),
-                                 clean_fabric.forward(image, 8)),
-            0.0f);
-}
-
 TEST(SimulatedModelKernels, ConcurrentForwardsAreDeterministic) {
-  // Shared const fabric, concurrent forwards with per-call noise streams —
-  // the race TSan hunts for. On the integer, bit-serial and read-noisy
-  // datapaths the results must equal the serial run exactly, and every
-  // forward counts one functional MVM per output position of each mappable
-  // layer, however its positions are batched.
+  // Shared const fabric, concurrent forwards of distinct inputs — the race
+  // TSan hunts for. On clean and faulty fabrics of both datapaths the
+  // results must equal the serial run exactly, and every forward counts one
+  // functional MVM per output position of each mappable layer, however its
+  // positions are batched.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
   const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
                                           {72, 64});
+  constexpr int kForwards = 4;
   common::Rng ir(4);
   const nn::LayerSpec& first = net.layers.front();
-  const tensor::Tensor image =
-      nn::synthetic_image(ir, first.in_channels, first.in_height,
-                          first.in_width);
-  FaultConfig noisy;
-  noisy.read_sigma = 0.05;
-  noisy.program_sigma = 0.01;
+  std::vector<tensor::Tensor> images;
+  for (int s = 0; s < kForwards; ++s) {
+    images.push_back(nn::synthetic_image(ir, first.in_channels,
+                                         first.in_height, first.in_width));
+  }
+  FaultConfig faulty;
+  faulty.stuck_at_zero_rate = 1e-3;
+  faulty.stuck_at_one_rate = 1e-3;
+  faulty.program_sigma = 0.01;
   struct Case {
     reram::DatapathMode mode;
     FaultConfig faults;
   };
   const Case cases[] = {{reram::DatapathMode::kInteger, {}},
                         {reram::DatapathMode::kBitSerial, {}},
-                        {reram::DatapathMode::kInteger, noisy}};
+                        {reram::DatapathMode::kInteger, faulty},
+                        {reram::DatapathMode::kBitSerial, faulty}};
 #if !defined(AUTOHET_OBS_DISABLED)
   const obs::Counter& mvms =
       obs::Registry::global().counter("autohet_functional_mvm_total");
@@ -1164,45 +1115,44 @@ TEST(SimulatedModelKernels, ConcurrentForwardsAreDeterministic) {
     mvms_per_forward += static_cast<std::uint64_t>(layer.mvm_count());
   }
 #endif
-  constexpr int kStreams = 4;
   for (const auto& c : cases) {
-    SCOPED_TRACE(testing::Message()
-                 << "mode " << static_cast<int>(c.mode) << " read_sigma "
-                 << c.faults.read_sigma);
+    SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(c.mode)
+                                    << " ideal " << c.faults.ideal());
     const SimulatedModel fabric(model, shapes, c.mode, c.faults);
     std::vector<tensor::Tensor> serial;
-    for (int s = 0; s < kStreams; ++s) {
+    for (const tensor::Tensor& image : images) {
 #if !defined(AUTOHET_OBS_DISABLED)
       const std::uint64_t before = mvms.value();
 #endif
-      serial.push_back(fabric.forward(image, static_cast<std::uint64_t>(s)));
+      serial.push_back(fabric.forward(image));
 #if !defined(AUTOHET_OBS_DISABLED)
-      EXPECT_EQ(mvms.value() - before, mvms_per_forward) << "stream " << s;
+      EXPECT_EQ(mvms.value() - before, mvms_per_forward)
+          << "sample " << serial.size() - 1;
 #endif
     }
-    std::vector<tensor::Tensor> concurrent(kStreams);
+    std::vector<tensor::Tensor> concurrent(kForwards);
 #if !defined(AUTOHET_OBS_DISABLED)
     const std::uint64_t before_concurrent = mvms.value();
 #endif
     {
       std::vector<std::thread> workers;
-      for (int s = 0; s < kStreams; ++s) {
+      for (int s = 0; s < kForwards; ++s) {
         workers.emplace_back([&, s] {
-          concurrent[static_cast<std::size_t>(s)] =
-              fabric.forward(image, static_cast<std::uint64_t>(s));
+          const auto i = static_cast<std::size_t>(s);
+          concurrent[i] = fabric.forward(images[i]);
         });
       }
       for (auto& t : workers) t.join();
     }
 #if !defined(AUTOHET_OBS_DISABLED)
-    EXPECT_EQ(mvms.value() - before_concurrent, kStreams * mvms_per_forward);
+    EXPECT_EQ(mvms.value() - before_concurrent, kForwards * mvms_per_forward);
 #endif
-    for (int s = 0; s < kStreams; ++s) {
+    for (int s = 0; s < kForwards; ++s) {
       const auto& a = serial[static_cast<std::size_t>(s)];
       const auto& b = concurrent[static_cast<std::size_t>(s)];
       ASSERT_EQ(a.numel(), b.numel());
       for (std::int64_t i = 0; i < a.numel(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << "stream " << s << " i " << i;
+        EXPECT_EQ(a[i], b[i]) << "sample " << s << " i " << i;
       }
     }
   }

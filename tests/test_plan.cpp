@@ -319,5 +319,14 @@ TEST(DeploymentPlan, FaultFingerprintSeparatesConfigs) {
             plan::fault_fingerprint(reseeded));
 }
 
+TEST(DeploymentPlan, FaultFingerprintIsPinned) {
+  // Stored plans carry their fingerprint, so its value is part of the plan
+  // format: the read-noise and drift slots hash a fixed 0.
+  EXPECT_EQ(plan::fault_fingerprint(reram::FaultConfig{}),
+            6246747184277700905ULL);
+  EXPECT_EQ(plan::fault_fingerprint(faulty_config()),
+            11061495402010739544ULL);
+}
+
 }  // namespace
 }  // namespace autohet

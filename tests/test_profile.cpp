@@ -19,6 +19,7 @@
 #include "reram/functional.hpp"
 #include "reram/hardware_model.hpp"
 #include "reram/scheduler.hpp"
+#include "report/json.hpp"
 #include "report/profile_report.hpp"
 
 namespace {
@@ -356,6 +357,43 @@ TEST(PlanProfile, RecordsJsonIsDeterministic) {
                 "{\"kind\": \"program_write\", \"layer\": 1, \"unit\": 2, "
                 "\"value\": 42}"),
             std::string::npos);
+}
+
+TEST(PlanProfile, JsonEscapesControlBytesInNames) {
+  // Plan names are external input: every control byte in a name must leave
+  // profile.json escaped, and the escaped names must read back verbatim.
+  const auto plan = lenet_plan();
+  report::PlanProfile profile = build_profile(plan).profile;
+  ASSERT_FALSE(profile.layers.empty());
+  profile.network = "lenet\r5\x01";
+  profile.layers.front().shape = "72x\r64\x01";
+  std::ostringstream os;
+  report::write_profile_json(os, profile);
+  const std::string doc = os.str();
+  EXPECT_NE(doc.find("\"lenet\\r5\\u0001\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"72x\\r64\\u0001\""), std::string::npos) << doc;
+  bool in_string = false;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const auto c = static_cast<unsigned char>(doc[i]);
+    if (in_string && c < 0x20) {
+      ADD_FAILURE() << "raw control byte " << static_cast<int>(c)
+                    << " inside a string at offset " << i;
+    }
+    if (c == '\\' && in_string) {
+      ++i;  // the escaped byte never ends the string
+    } else if (c == '"') {
+      in_string = !in_string;
+    }
+  }
+  const report::JsonValue parsed = report::parse_json(doc);
+  EXPECT_EQ(report::as_string(parsed.at("network"), "network"),
+            profile.network);
+  EXPECT_EQ(report::as_string(
+                report::as_array(parsed.at("layers"), "layers")
+                    .front()
+                    .at("shape"),
+                "shape"),
+            profile.layers.front().shape);
 }
 
 TEST(PlanProfile, HotspotTablePrintsTopNByEnergy) {

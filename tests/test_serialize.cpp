@@ -112,11 +112,13 @@ TEST(ReadPlanJson, RejectsMalformedScalars) {
 }
 
 TEST(ReadPlanJson, RejectsRetentionDrift) {
-  // The fault model has no retention drift: its two keys stay in the format
-  // at 0, and a plan asking for drift fails naming the key and its line.
+  // The fault model has no read noise or retention drift: their keys stay
+  // in the format at 0, and a plan asking for either fails naming the key
+  // and its line.
   const std::string fixture = read_fixture();
   for (const auto& [key, value] :
-       {std::pair<std::string, std::string>{"drift_time_s", "1"},
+       {std::pair<std::string, std::string>{"read_sigma", "0.05"},
+        {"drift_time_s", "1"},
         {"drift_nu", "0.1"}}) {
     try {
       (void)report::read_plan_json(with_value(fixture, key, value));
@@ -128,6 +130,41 @@ TEST(ReadPlanJson, RejectsRetentionDrift) {
       EXPECT_NE(what.find("(line "), std::string::npos) << what;
     }
   }
+}
+
+TEST(WritePlanJson, KeepsReadNoiseAndDriftKeysAtZero) {
+  // A written plan keeps the read-noise and drift keys at 0, so readers of
+  // the format find every key, and it reads back to the same faults.
+  const auto layers = nn::lenet5().mappable_layers();
+  reram::AcceleratorConfig accel;
+  accel.faults.stuck_at_zero_rate = 0.01;
+  accel.faults.stuck_at_one_rate = 0.002;
+  accel.faults.program_sigma = 0.05;
+  const plan::DeploymentPlan written = plan::compile_plan(
+      "LeNet5", layers,
+      std::vector<mapping::CrossbarShape>(layers.size(), {64, 64}), accel);
+  std::ostringstream os;
+  report::write_plan_json(os, written);
+  const std::string json = os.str();
+  for (const char* key : {"read_sigma", "drift_time_s", "drift_nu"}) {
+    const std::string entry = std::string("\"") + key + "\": 0,\n";
+    const std::size_t at = json.find(entry);
+    EXPECT_NE(at, std::string::npos) << key;
+    EXPECT_EQ(json.find(entry, at + 1), std::string::npos) << key;
+  }
+
+  const plan::DeploymentPlan read = report::read_plan_json(json);
+  const reram::FaultConfig& a = written.accel.faults;
+  const reram::FaultConfig& b = read.accel.faults;
+  EXPECT_EQ(b.stuck_at_zero_rate, a.stuck_at_zero_rate);
+  EXPECT_EQ(b.stuck_at_one_rate, a.stuck_at_one_rate);
+  EXPECT_EQ(b.program_sigma, a.program_sigma);
+  EXPECT_EQ(b.cell_bits, a.cell_bits);
+  EXPECT_EQ(b.seed, a.seed);
+  EXPECT_EQ(read.fault_fingerprint, written.fault_fingerprint);
+  std::ostringstream again;
+  report::write_plan_json(again, read);
+  EXPECT_EQ(again.str(), json);
 }
 
 // ----------------------------------------------------- JSON scalar readers --
