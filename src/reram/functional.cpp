@@ -355,105 +355,146 @@ SimulatedModel SimulatedModel::replay_faults(
   return out;
 }
 
-tensor::Tensor SimulatedModel::run_conv(const MappedLayer& layer,
-                                        const tensor::Tensor& input) const {
+std::vector<tensor::Tensor> SimulatedModel::run_conv(
+    const MappedLayer& layer, std::span<const tensor::Tensor> inputs) const {
   const nn::LayerSpec& spec = layer.spec();
-  OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
-                     &layer - layers_.data(), 0, spec.mvm_count());
-  // Quantize the whole activation tensor once (8-bit, unsigned: inputs are
-  // post-ReLU or raw non-negative pixels).
-  const nn::QuantizedActivations qa =
-      nn::quantize_activations(input, /*bits=*/8);
-  const float out_scale = layer.weight_scale() * qa.scale;
+  // Each sample's activation tensor is quantized once, under its own scale
+  // (8-bit, unsigned: inputs are post-ReLU or raw non-negative pixels).
+  std::vector<nn::QuantizedActivations> qas;
+  qas.reserve(inputs.size());
+  std::vector<tensor::Tensor> outs;
+  outs.reserve(inputs.size());
+  for (const tensor::Tensor& x : inputs) {
+    OBS_PROFILE_RECORD(obs::ProfileKind::kFunctionalMvm,
+                       &layer - layers_.data(), 0, spec.mvm_count());
+    qas.push_back(nn::quantize_activations(x, /*bits=*/8));
+    outs.emplace_back(
+        std::vector<std::int64_t>{spec.out_channels, spec.out_height(),
+                                  spec.out_width()});
+  }
 
-  // CONV: integer im2col over the quantized activations, one MVM per output
-  // position (spec.mvm_count() invocations, as the hardware model charges).
+  // CONV: one MVM per output position (spec.mvm_count() per sample, as the
+  // hardware model charges), the positions of all samples pushed kTile at a
+  // time through one batched MVM per crossbar (integer or bit-serial
+  // datapath). Integer sums are exact, so the results are bit-identical to
+  // per-position MVMs.
+  constexpr std::int64_t kTile = 96;
   const std::int64_t k = spec.kernel;
-  const std::int64_t oh = spec.out_height();
-  const std::int64_t ow = spec.out_width();
+  const std::int64_t stride = spec.stride;
+  const std::int64_t pad = spec.pad;
   const std::int64_t h = spec.in_height;
   const std::int64_t w = spec.in_width;
-  tensor::Tensor out({spec.out_channels, oh, ow});
-  const std::int64_t plane = oh * ow;
-  float* const out_base = out.data();
-  const auto fill_column = [&](std::int64_t oi, std::int64_t oj,
-                               std::uint8_t* col) {
-    const std::int64_t i0 = oi * spec.stride - spec.pad;
-    const std::int64_t j0 = oj * spec.stride - spec.pad;
-    if (i0 >= 0 && j0 >= 0 && i0 + k <= h && j0 + k <= w) {
-      // Interior window (every window when pad == 0): each kernel row is a
-      // contiguous k-byte slice of the activation plane.
-      for (std::int64_t ch = 0; ch < spec.in_channels; ++ch) {
-        const std::uint8_t* src =
-            qa.values.data() +
-            static_cast<std::size_t>((ch * h + i0) * w + j0);
-        for (std::int64_t ki = 0; ki < k; ++ki, src += w, col += k) {
-          std::memcpy(col, src, static_cast<std::size_t>(k));
-        }
+  const std::int64_t ow = spec.out_width();
+  const std::int64_t plane = spec.out_height() * ow;
+  const std::int64_t rows = spec.weight_rows();
+  const std::int64_t cols = spec.weight_cols();
+  // Output columns [lo[kj], hi[kj]) read inside the input row at kernel
+  // column kj: 0 <= oj·stride + kj − pad < w.
+  std::vector<std::int64_t> lo(static_cast<std::size_t>(k));
+  std::vector<std::int64_t> hi(static_cast<std::size_t>(k));
+  for (std::int64_t kj = 0; kj < k; ++kj) {
+    const std::int64_t before = pad - kj;  // input columns left of the row
+    lo[kj] = before > 0 ? (before + stride - 1) / stride : 0;
+    hi[kj] = std::max<std::int64_t>(
+        lo[kj], std::min(ow, (w + before + stride - 1) / stride));
+  }
+  // A tile holds spans, the positions [p, p + m) of one sample at tile
+  // columns [t, t + m), and each span is cut into runs, the positions of
+  // one output row: output columns [oj, oj + m) of row oi at tile column t.
+  struct Span {
+    std::size_t sample;
+    std::int64_t p, m, t;
+  };
+  struct Run {
+    const std::uint8_t* x;  // the sample's quantized activations
+    std::int64_t oi, oj, m, t;
+  };
+  std::array<Span, kTile> spans;
+  std::array<Run, kTile> runs;
+  thread_local kernels::KernelScratch tile_scratch;
+  const std::int64_t total = plane * static_cast<std::int64_t>(inputs.size());
+  for (std::int64_t g0 = 0; g0 < total; g0 += kTile) {
+    const std::int64_t n = std::min(kTile, total - g0);
+    std::size_t span_count = 0;
+    std::size_t run_count = 0;
+    for (std::int64_t g = g0; g < g0 + n;) {
+      const Span span{static_cast<std::size_t>(g / plane), g % plane,
+                      std::min(plane - g % plane, g0 + n - g), g - g0};
+      spans[span_count++] = span;
+      for (std::int64_t q = 0; q < span.m;) {
+        const std::int64_t p = span.p + q;
+        const std::int64_t m = std::min(ow - p % ow, span.m - q);
+        runs[run_count++] = {qas[span.sample].values.data(), p / ow, p % ow,
+                             m, span.t + q};
+        q += m;
       }
-    } else {
-      for (std::int64_t ch = 0; ch < spec.in_channels; ++ch) {
-        for (std::int64_t ki = 0; ki < k; ++ki) {
-          for (std::int64_t kj = 0; kj < k; ++kj, ++col) {
-            const std::int64_t ii = i0 + ki;
-            const std::int64_t jj = j0 + kj;
-            *col = (ii >= 0 && ii < h && jj >= 0 && jj < w)
-                       ? qa.values[static_cast<std::size_t>(
-                             (ch * h + ii) * w + jj)]
-                       : std::uint8_t{0};
+      g += span.m;
+    }
+    // The transposed im2col tile, cols_t[i·n + t] for weight row
+    // i = (ch, ki, kj): each run is one strided (for stride 1, contiguous)
+    // slice of one input row, zero-filled where it reads the padding.
+    std::uint8_t* cols_t =
+        tile_scratch.columns_t(static_cast<std::size_t>(n * rows));
+    std::uint8_t* dst = cols_t;
+    for (std::int64_t ch = 0; ch < spec.in_channels; ++ch) {
+      for (std::int64_t ki = 0; ki < k; ++ki) {
+        for (std::int64_t kj = 0; kj < k; ++kj, dst += n) {
+          for (std::size_t r = 0; r < run_count; ++r) {
+            const Run& run = runs[r];
+            std::uint8_t* d = dst + run.t;
+            const std::int64_t ii = run.oi * stride + ki - pad;
+            const std::int64_t end = run.oj + run.m;
+            const std::int64_t a =
+                ii < 0 || ii >= h ? end : std::clamp(lo[kj], run.oj, end);
+            const std::int64_t b = std::clamp(hi[kj], a, end);
+            if (a > run.oj) {
+              std::memset(d, 0, static_cast<std::size_t>(a - run.oj));
+            }
+            if (b > a) {
+              const std::uint8_t* src =
+                  run.x + (ch * h + ii) * w + a * stride + kj - pad;
+              if (stride == 1) {
+                std::memcpy(d + (a - run.oj), src,
+                            static_cast<std::size_t>(b - a));
+              } else {
+                for (std::int64_t oj = a; oj < b; ++oj) {
+                  d[oj - run.oj] = src[(oj - a) * stride];
+                }
+              }
+            }
+            if (end > b) {
+              std::memset(d + (b - run.oj), 0,
+                          static_cast<std::size_t>(end - b));
+            }
           }
         }
       }
     }
-  };
-
-  // im2col a tile of output positions and push them through one batched
-  // MVM per crossbar (integer or bit-serial datapath). Integer sums are
-  // exact, so the results are bit-identical to per-position MVMs.
-  constexpr std::int64_t kTile = 96;
-  const std::int64_t positions = oh * ow;
-  const std::int64_t rows = spec.weight_rows();
-  const std::int64_t cols = spec.weight_cols();
-  thread_local kernels::KernelScratch tile_scratch;
-  std::uint8_t* column = tile_scratch.column(static_cast<std::size_t>(rows));
-  for (std::int64_t p0 = 0; p0 < positions; p0 += kTile) {
-    const std::int64_t n = std::min(kTile, positions - p0);
-    std::uint8_t* cols_t =
-        tile_scratch.columns_t(static_cast<std::size_t>(n * rows));
     std::int32_t* accs_t =
         tile_scratch.accs_t(static_cast<std::size_t>(n * cols));
-    for (std::int64_t t = 0; t < n; ++t) {
-      fill_column((p0 + t) / ow, (p0 + t) % ow, column);
-      for (std::int64_t i = 0; i < rows; ++i) {
-        cols_t[static_cast<std::size_t>(i * n + t)] =
-            column[static_cast<std::size_t>(i)];
-      }
-    }
     layer.mvm_batch_into(
         cols_t, n, mode_,
         std::span(accs_t, static_cast<std::size_t>(n * cols)), tile_scratch);
-    for (std::int64_t co = 0; co < spec.out_channels; ++co) {
-      float* const op = out_base + co * plane + p0;
-      const std::int32_t* a = accs_t + co * n;
-      for (std::int64_t t = 0; t < n; ++t) {
-        op[t] = static_cast<float>(a[t]) * out_scale;
+    for (std::size_t i = 0; i < span_count; ++i) {
+      const Span& span = spans[i];
+      const float out_scale = layer.weight_scale() * qas[span.sample].scale;
+      float* const o = outs[span.sample].data() + span.p;
+      for (std::int64_t co = 0; co < cols; ++co) {
+        const std::int32_t* a = accs_t + co * n + span.t;
+        float* const op = o + co * plane;
+        for (std::int64_t t = 0; t < span.m; ++t) {
+          op[t] = static_cast<float>(a[t]) * out_scale;
+        }
       }
     }
   }
-  return out;
+  return outs;
 }
 
 std::vector<tensor::Tensor> SimulatedModel::run_mappable(
     const MappedLayer& layer, std::span<const tensor::Tensor> inputs) const {
   const nn::LayerSpec& spec = layer.spec();
-  std::vector<tensor::Tensor> outs;
-  outs.reserve(inputs.size());
-  if (spec.type == nn::LayerType::kConv) {
-    for (std::size_t s = 0; s < inputs.size(); ++s) {
-      outs.push_back(run_conv(layer, inputs[s]));
-    }
-    return outs;
-  }
+  if (spec.type == nn::LayerType::kConv) return run_conv(layer, inputs);
 
   // FC: one MVM per sample over its own 8-bit activation quantization.
   const auto count = static_cast<std::int64_t>(inputs.size());
@@ -463,6 +504,8 @@ std::vector<tensor::Tensor> SimulatedModel::run_mappable(
                      &layer - layers_.data(), 0, count);
   std::vector<nn::QuantizedActivations> qas;
   qas.reserve(inputs.size());
+  std::vector<tensor::Tensor> outs;
+  outs.reserve(inputs.size());
   for (const tensor::Tensor& x : inputs) {
     qas.push_back(nn::quantize_activations(x.reshaped({x.numel()}),
                                            /*bits=*/8));
@@ -768,6 +811,15 @@ RobustnessReport monte_carlo_robustness(
 
   const std::size_t num_layers = refs->ideal.mapped_layers().size();
   report.layer_error.assign(num_layers, 0.0);
+  // Each layer error is relative to the reference output's magnitude (at
+  // least 1), one scale per (sample, layer) shared by every trial.
+  std::vector<float> ref_scales;
+  ref_scales.reserve(static_cast<std::size_t>(options.samples) * num_layers);
+  for (const SimulatedModel::ForwardTrace& ref : references) {
+    for (const tensor::Tensor& out : ref.mappable_outputs) {
+      ref_scales.push_back(std::max(1.0f, out.abs_max()));
+    }
+  }
 
   // The parallel unit is a (trial, sample-chunk) item, not a whole trial:
   // splitting trials into chunks of a few samples keeps every worker busy
@@ -873,12 +925,10 @@ RobustnessReport monte_carlo_robustness(
       res.logit_err[si] =
           tensor::max_abs_diff(trace.output, references[si].output);
       for (std::size_t l = 0; l < num_layers; ++l) {
-        const float ref_scale =
-            std::max(1.0f, references[si].mappable_outputs[l].abs_max());
         res.layer_err[si * num_layers + l] =
             tensor::max_abs_diff(trace.mappable_outputs[l],
                                  references[si].mappable_outputs[l]) /
-            ref_scale;
+            ref_scales[si * num_layers + l];
       }
     }
   };

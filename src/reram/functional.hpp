@@ -215,8 +215,9 @@ class SimulatedModel {
   /// Concurrent calls on one instance are safe.
   ///
   /// Mappable nodes run on their MappedLayer, FC layers as one batched MVM
-  /// across the samples; pooling nodes run on the tile's
-  /// pooling module; residual adds run on the vector unit in exact integer
+  /// across the samples and conv layers with the output positions of all
+  /// samples in shared tiles; pooling nodes run on the tile's pooling
+  /// module; residual adds run on the vector unit in exact integer
   /// arithmetic (both operands on one symmetric 8-bit grid, summed in
   /// int32, dequantized once). Integer sums are exact, so every result is
   /// bit-identical to running each sample alone.
@@ -251,13 +252,15 @@ class SimulatedModel {
                    std::span<const FaultConfig> faults,
                    std::span<TrialBurnRecord> records,
                    common::ThreadPool* pool);
-  /// One mappable layer over a batch: convs run per sample (run_conv); FC
-  /// layers take one batched MVM over all samples (one sample is a batch
-  /// of one).
+  /// One mappable layer over a batch: convs through run_conv; FC layers
+  /// take one batched MVM over all samples (one sample is a batch of one).
   std::vector<tensor::Tensor> run_mappable(
       const MappedLayer& layer, std::span<const tensor::Tensor> inputs) const;
-  tensor::Tensor run_conv(const MappedLayer& layer,
-                          const tensor::Tensor& input) const;
+  /// A conv layer over a batch: the output positions of all samples in
+  /// batched tiles, each tile's im2col written transposed straight from the
+  /// samples' quantized activations (each sample keeps its own scale).
+  std::vector<tensor::Tensor> run_conv(
+      const MappedLayer& layer, std::span<const tensor::Tensor> inputs) const;
 
   const nn::Model* model_;
   DatapathMode mode_;

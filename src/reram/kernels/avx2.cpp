@@ -76,20 +76,22 @@ struct Avx2Core {
     }
     return n;
   }
-  static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
-                   std::int64_t count) {
-    const __m256i wv = _mm256_set1_epi32(w);
-    std::int64_t s = 0;
-    for (; s + 8 <= count; s += 8) {
-      const __m256i x32 = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xs + s)));
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + s));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(acc + s),
-          _mm256_add_epi32(a, _mm256_mullo_epi32(x32, wv)));
-    }
-    for (; s < count; ++s) acc[s] += w * static_cast<std::int32_t>(xs[s]);
+  // Register tile: 4 columns × 2 vectors = 8 of the 16 ymm accumulators.
+  static constexpr int kTileCols = 4;
+  static constexpr int kTileVecs = 2;
+  using Vec = __m256i;
+  static Vec zero() { return _mm256_setzero_si256(); }
+  static Vec load_x(const std::uint8_t* xs) {
+    return _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xs)));
+  }
+  static Vec weight(std::int8_t w) { return _mm256_set1_epi32(w); }
+  static Vec madd(Vec acc, Vec x, Vec w) {
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(x, w));
+  }
+  static void add_store(std::int32_t* acc, Vec v) {
+    __m256i* p = reinterpret_cast<__m256i*>(acc);
+    _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), v));
   }
   static void madd_row(std::int32_t* acc, const std::int8_t* w,
                        std::int32_t x, std::int64_t cols) {
@@ -102,7 +104,7 @@ struct Avx2Core {
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j));
       _mm256_storeu_si256(
           reinterpret_cast<__m256i*>(acc + j),
-          _mm256_add_epi32(a, _mm256_mullo_epi32(w32, xv)));
+          _mm256_add_epi32(a, _mm256_madd_epi16(w32, xv)));
     }
     for (; j < cols; ++j) acc[j] += x * static_cast<std::int32_t>(w[j]);
   }

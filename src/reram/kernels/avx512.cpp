@@ -78,26 +78,21 @@ struct Avx512Core {
     }
     return hsum512(acc);
   }
-  static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
-                   std::int64_t count) {
-    const __m512i wv = _mm512_set1_epi32(w);
-    std::int64_t s = 0;
-    for (; s + 16 <= count; s += 16) {
-      const __m512i x32 = _mm512_cvtepu8_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xs + s)));
-      const __m512i a = _mm512_loadu_si512(acc + s);
-      _mm512_storeu_si512(acc + s,
-                          _mm512_add_epi32(a, _mm512_mullo_epi32(x32, wv)));
-    }
-    if (s < count) {
-      const __mmask16 m =
-          static_cast<__mmask16>((1u << (count - s)) - 1u);
-      const __m512i x32 =
-          _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, xs + s));
-      const __m512i a = _mm512_maskz_loadu_epi32(m, acc + s);
-      _mm512_mask_storeu_epi32(
-          acc + s, m, _mm512_add_epi32(a, _mm512_mullo_epi32(x32, wv)));
-    }
+  // Register tile: 4 columns × 4 vectors = 16 of the 32 zmm accumulators.
+  static constexpr int kTileCols = 4;
+  static constexpr int kTileVecs = 4;
+  using Vec = __m512i;
+  static Vec zero() { return _mm512_setzero_si512(); }
+  static Vec load_x(const std::uint8_t* xs) {
+    return _mm512_cvtepu8_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(xs)));
+  }
+  static Vec weight(std::int8_t w) { return _mm512_set1_epi32(w); }
+  static Vec madd(Vec acc, Vec x, Vec w) {
+    return _mm512_add_epi32(acc, _mm512_madd_epi16(x, w));
+  }
+  static void add_store(std::int32_t* acc, Vec v) {
+    _mm512_storeu_si512(acc, _mm512_add_epi32(_mm512_loadu_si512(acc), v));
   }
   static void madd_row(std::int32_t* acc, const std::int8_t* w,
                        std::int32_t x, std::int64_t cols) {
@@ -108,7 +103,7 @@ struct Avx512Core {
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + j)));
       const __m512i a = _mm512_loadu_si512(acc + j);
       _mm512_storeu_si512(acc + j,
-                          _mm512_add_epi32(a, _mm512_mullo_epi32(w32, xv)));
+                          _mm512_add_epi32(a, _mm512_madd_epi16(w32, xv)));
     }
     if (j < cols) {
       const __mmask16 m = static_cast<__mmask16>((1u << (cols - j)) - 1u);
@@ -116,7 +111,7 @@ struct Avx512Core {
           _mm512_cvtepi8_epi32(_mm_maskz_loadu_epi8(m, w + j));
       const __m512i a = _mm512_maskz_loadu_epi32(m, acc + j);
       _mm512_mask_storeu_epi32(
-          acc + j, m, _mm512_add_epi32(a, _mm512_mullo_epi32(w32, xv)));
+          acc + j, m, _mm512_add_epi32(a, _mm512_madd_epi16(w32, xv)));
     }
   }
 };

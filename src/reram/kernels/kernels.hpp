@@ -10,10 +10,12 @@
 //   portable — plain C++ word loops, compiled with the project's baseline
 //              flags; always available and the equivalence baseline.
 //   avx2     — 256-bit lanes, popcount via the nibble-LUT (vpshufb) +
-//              psadbw byte-sum technique; requires AVX2.
-//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction, and a
-//              lockstep fault burn-in that runs up to 8 trial streams in
-//              one vector; requires AVX-512 F/BW/VL/VPOPCNTDQ/DQ.
+//              psadbw byte-sum technique, and the register-tiled vpmaddwd
+//              integer GEMM; requires AVX2.
+//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction, the
+//              register-tiled vpmaddwd integer GEMM, and a lockstep fault
+//              burn-in that runs up to 8 trial streams in one vector;
+//              requires AVX-512 F/BW/VL/VPOPCNTDQ/DQ.
 //
 // Every op is integer-exact, so all variants produce bit-identical results
 // on identical inputs — the scalar-reference oracle and the byte-identical
@@ -104,9 +106,11 @@ struct Ops {
 
   /// Batched integer GEMM over the raw cells:
   ///   acc_t[j*count+s] += cells[i*row_stride+j] · inputs_t[i*count+s]
-  /// Batches at least a vector wide run batch-innermost and skip zero
-  /// weights; narrower batches run row-oriented per sample and skip zero
-  /// activations (see kernel_ops.inl). Both orders sum exact integers.
+  /// The samples that fill whole vectors run in register tiles (a block of
+  /// columns × sample vectors of accumulators carried across every row,
+  /// multiplied with vpmaddwd on the SIMD variants); the remaining samples
+  /// run row-oriented per sample and skip zero activations (see
+  /// kernel_ops.inl). Every order sums exact integers.
   void (*reference_batch)(const std::int8_t* cells, std::int64_t row_stride,
                           std::int64_t rows, std::int64_t cols,
                           const std::uint8_t* inputs_t, std::int64_t count,
@@ -144,8 +148,6 @@ class KernelScratch {
   std::uint64_t* input_planes(std::size_t words) {
     return grown(planes_, words);
   }
-  /// One unfolded im2col column (weight_rows bytes).
-  std::uint8_t* column(std::size_t n) { return grown(column_, n); }
   /// Transposed input tile (rows × count bytes, batch innermost).
   std::uint8_t* columns_t(std::size_t n) { return grown(columns_t_, n); }
   /// Transposed accumulator tile (cols × count int32).
@@ -158,7 +160,6 @@ class KernelScratch {
     return v.data();
   }
   std::vector<std::uint64_t> planes_;
-  std::vector<std::uint8_t> column_;
   std::vector<std::uint8_t> columns_t_;
   std::vector<std::int32_t> accs_t_;
 };

@@ -89,21 +89,26 @@ Tensor pool2d(const Tensor& input, std::int64_t window, std::int64_t stride,
                 "pool output collapses to zero");
   Tensor out({c, out_h, out_w});
   // The geometry checks above keep every window inside its plane, so the
-  // loops index the flat planes directly (same row-major reduce order).
+  // loops index the flat planes directly. A whole output row reduces at
+  // once, window cell by window cell, so the innermost loop runs over the
+  // row's outputs and vectorizes; each output still sees its window in
+  // row-major (ki, kj) order — std::max is order-sensitive on ±0.
+  const float cells = static_cast<float>(window * window);
   float* dst = out.data();
   for (std::int64_t ch = 0; ch < c; ++ch) {
     const float* plane = input.data() + ch * h * w;
-    for (std::int64_t oi = 0; oi < out_h; ++oi) {
-      for (std::int64_t oj = 0; oj < out_w; ++oj) {
-        const float* win = plane + oi * stride * w + oj * stride;
-        float acc = init;
-        for (std::int64_t ki = 0; ki < window; ++ki) {
-          for (std::int64_t kj = 0; kj < window; ++kj) {
-            acc = reduce(acc, win[ki * w + kj]);
+    for (std::int64_t oi = 0; oi < out_h; ++oi, dst += out_w) {
+      std::fill(dst, dst + out_w, init);
+      for (std::int64_t ki = 0; ki < window; ++ki) {
+        for (std::int64_t kj = 0; kj < window; ++kj) {
+          const float* src = plane + (oi * stride + ki) * w + kj;
+          for (std::int64_t oj = 0; oj < out_w; ++oj) {
+            dst[oj] = reduce(dst[oj], src[oj * stride]);
           }
         }
-        if (average) acc /= static_cast<float>(window * window);
-        *dst++ = acc;
+      }
+      if (average) {
+        for (std::int64_t oj = 0; oj < out_w; ++oj) dst[oj] /= cells;
       }
     }
   }

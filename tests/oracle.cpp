@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "mapping/layer_mapping.hpp"
@@ -142,6 +143,69 @@ reram::FaultMapStats apply_reference(const reram::FaultConfig& config,
                         common::Rng(config.seed).child(crossbar_id));
 }
 
+nn::QuantizedActivations quantize_activations(const tensor::Tensor& t,
+                                              int bits) {
+  AUTOHET_CHECK(bits >= 2 && bits <= 8, "activation bits must be in [2, 8]");
+  nn::QuantizedActivations q;
+  q.shape = t.shape();
+  q.bits = bits;
+  const float qmax = static_cast<float>((1 << bits) - 1);
+  float vmax = 0.0f;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    AUTOHET_CHECK(t[i] >= 0.0f, "activation quantization expects x >= 0");
+    vmax = std::max(vmax, t[i]);
+  }
+  q.scale = (vmax > 0.0f) ? vmax / qmax : 1.0f;
+  q.values.resize(static_cast<std::size_t>(t.numel()));
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float clamped = std::clamp(std::round(t[i] / q.scale), 0.0f, qmax);
+    q.values[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(clamped);
+  }
+  return q;
+}
+
+namespace {
+template <typename Reduce>
+tensor::Tensor pool2d(const tensor::Tensor& input, std::int64_t window,
+                      std::int64_t stride, float init, Reduce reduce,
+                      bool average) {
+  AUTOHET_CHECK(input.rank() == 3, "pool expects CHW input");
+  const std::int64_t c = input.dim(0), h = input.dim(1), w = input.dim(2);
+  const std::int64_t out_h = (h - window) / stride + 1;
+  const std::int64_t out_w = (w - window) / stride + 1;
+  tensor::Tensor out({c, out_h, out_w});
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    for (std::int64_t oi = 0; oi < out_h; ++oi) {
+      for (std::int64_t oj = 0; oj < out_w; ++oj) {
+        float acc = init;
+        for (std::int64_t ki = 0; ki < window; ++ki) {
+          for (std::int64_t kj = 0; kj < window; ++kj) {
+            acc = reduce(acc, input.at(ch, oi * stride + ki, oj * stride + kj));
+          }
+        }
+        if (average) acc /= static_cast<float>(window * window);
+        out.at(ch, oi, oj) = acc;
+      }
+    }
+  }
+  return out;
+}
+}  // namespace
+
+tensor::Tensor maxpool2d(const tensor::Tensor& input, std::int64_t window,
+                         std::int64_t stride) {
+  return pool2d(
+      input, window, stride, -std::numeric_limits<float>::infinity(),
+      [](float a, float b) { return std::max(a, b); }, /*average=*/false);
+}
+
+tensor::Tensor avgpool2d(const tensor::Tensor& input, std::int64_t window,
+                         std::int64_t stride) {
+  return pool2d(
+      input, window, stride, 0.0f, [](float a, float b) { return a + b; },
+      /*average=*/true);
+}
+
 std::vector<std::int32_t> mvm_bit_serial_scalar(
     const reram::LogicalCrossbar& xb, std::span<const std::uint8_t> input) {
   return bit_serial(view(xb), input);
@@ -234,7 +298,7 @@ tensor::Tensor Fabric::run(const Layer& layer, const nn::LayerSpec& spec,
                            const tensor::Tensor& input) const {
   if (spec.type != nn::LayerType::kConv) {
     const nn::QuantizedActivations qa =
-        nn::quantize_activations(input.reshaped({input.numel()}), 8);
+        quantize_activations(input.reshaped({input.numel()}), 8);
     const float out_scale = layer.weight_scale * qa.scale;
     const std::vector<std::int32_t> acc = mvm(layer, qa.values);
     tensor::Tensor out({spec.out_channels});
@@ -243,7 +307,7 @@ tensor::Tensor Fabric::run(const Layer& layer, const nn::LayerSpec& spec,
     }
     return out;
   }
-  const nn::QuantizedActivations qa = nn::quantize_activations(input, 8);
+  const nn::QuantizedActivations qa = quantize_activations(input, 8);
   const float out_scale = layer.weight_scale * qa.scale;
   const std::int64_t k = spec.kernel;
   const std::int64_t h = spec.in_height;
@@ -285,7 +349,7 @@ reram::SimulatedModel::ForwardTrace Fabric::forward(
   std::size_t mappable = 0;
   trace.output = nn::execute<tensor::Tensor>(
       model_->graph(),
-      [&](const nn::GraphNode& node, std::size_t layer,
+      [&](const nn::GraphNode& node, std::size_t /*layer*/,
           std::span<const tensor::Tensor* const> x) -> tensor::Tensor {
         tensor::Tensor v;
         switch (node.kind) {
@@ -296,8 +360,11 @@ reram::SimulatedModel::ForwardTrace Fabric::forward(
             if (nn::is_mappable(node)) {
               v = run(layers_[mappable++], node.layer, *x[0]);
               trace.mappable_outputs.push_back(v);
-            } else {
-              v = model_->forward_layer(layer, *x[0]);
+            } else {  // the pooling module
+              const auto pool = node.layer.type == nn::LayerType::kMaxPool
+                                    ? maxpool2d
+                                    : avgpool2d;
+              v = pool(*x[0], node.layer.kernel, node.layer.stride);
             }
             break;
           case nn::OpKind::kResidualAdd:

@@ -8,8 +8,9 @@
 // straightforward loop here, and bench/functional_throughput times the
 // simulator against these loops as the scalar baseline. Nothing here is
 // fast, and nothing here shares code with the path it checks beyond the
-// public building blocks (quantization, the graph walk, the RNG, the
-// stopper, the activation functions).
+// public building blocks (the graph walk, the RNG, the stopper, the
+// activation functions). Activation quantization and pooling have their
+// own per-element loops here, which oracle::Fabric runs.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +51,22 @@ reram::FaultMapStats apply_reference(const reram::FaultConfig& config,
                                      std::int64_t rows, std::int64_t cols,
                                      std::int64_t row_stride,
                                      std::uint64_t crossbar_id);
+
+// ---------------------------------------- quantization and pooling --
+
+/// nn::quantize_activations one element at a time: every input checked
+/// (x >= 0, so NaN fails), the maximum taken in input order, then
+/// clamp(std::round(x / scale), 0, 2^bits − 1) per element.
+nn::QuantizedActivations quantize_activations(const tensor::Tensor& t,
+                                              int bits = 8);
+
+/// tensor::maxpool2d / avgpool2d one window at a time: each window reduced
+/// in row-major order from −inf (std::max) or 0 (sum, then divided by the
+/// window's cell count).
+tensor::Tensor maxpool2d(const tensor::Tensor& input, std::int64_t window,
+                         std::int64_t stride);
+tensor::Tensor avgpool2d(const tensor::Tensor& input, std::int64_t window,
+                         std::int64_t stride);
 
 // ------------------------------------------------------------------ MVMs --
 

@@ -287,15 +287,21 @@ void reference_batch_scalar(const std::vector<std::int8_t>& cells,
 
 TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
   // The table's reference_batch against a per-column scalar dot product,
-  // across the batch widths on both sides of every core's vector width
-  // (narrow batches take the row-oriented loop), column counts around the
-  // vector and stack-block edges, all-zero and partly zero weights and
-  // activations, and a row stride wider than the used columns. acc_t starts
-  // nonzero: the kernel accumulates.
+  // across the batch widths on both sides of every core's vector width and
+  // of its register tile's sample block (the samples past the last whole
+  // vector take the row-oriented loop), column counts around the register
+  // tile's column block and the vector and stack-block edges, all-zero and
+  // partly zero weights and activations, and a row stride wider than the
+  // used columns. acc_t starts nonzero: the kernel accumulates.
   common::Rng rng(0xfeed ^ static_cast<std::uint64_t>(GetParam()));
   const auto& ops = rk::ops();
   const std::int64_t rows = 37;
-  for (const std::int64_t cols : {1, 15, 17, 120, 513}) {
+  std::vector<std::int64_t> counts;
+  for (std::int64_t count = 1; count <= 17; ++count) counts.push_back(count);
+  for (const std::int64_t count : {31, 32, 33, 63, 64, 65, 95, 96, 97, 200}) {
+    counts.push_back(count);
+  }
+  for (const std::int64_t cols : {1, 2, 3, 6, 15, 17, 120, 513}) {
     for (const std::int64_t stride : {cols, cols + 9}) {
       for (const bool zero_weights : {false, true}) {
         auto cells = random_weights(rng, rows * stride);
@@ -305,7 +311,7 @@ TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
             cells[static_cast<std::size_t>(i)] = 0;
           }
         }
-        for (std::int64_t count = 1; count <= 17; ++count) {
+        for (const std::int64_t count : counts) {
           for (const bool zero_inputs : {false, true}) {
             // 40% zero activations, and all of row 7.
             auto inputs_t = random_input(rng, rows * count, 0.4);
@@ -328,6 +334,93 @@ TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
                 << "cols=" << cols << " stride=" << stride
                 << " count=" << count << " zero_weights=" << zero_weights
                 << " zero_inputs=" << zero_inputs;
+          }
+        }
+      }
+    }
+  }
+  // The largest sum a 576-row crossbar can form: every cell −128 and every
+  // input 255 give 576 · −128 · 255 = −18,800,640 per output, inside int32
+  // whatever order the kernel adds the products in.
+  const std::int64_t tall = 576;
+  for (const std::int64_t cols : {1, 5, 64}) {
+    const std::vector<std::int8_t> cells(static_cast<std::size_t>(tall * cols),
+                                         std::int8_t{-128});
+    for (const std::int64_t count : {1, 4, 16, 33, 96, 200}) {
+      const std::vector<std::uint8_t> inputs_t(
+          static_cast<std::size_t>(tall * count), std::uint8_t{255});
+      std::vector<std::int32_t> acc_t(static_cast<std::size_t>(cols * count),
+                                      0);
+      ops.reference_batch(cells.data(), cols, tall, cols, inputs_t.data(),
+                          count, acc_t.data());
+      for (const std::int32_t v : acc_t) {
+        ASSERT_EQ(v, -18800640) << "cols=" << cols << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, ConvGeometryMatchesOracle) {
+  // One conv layer per geometry (every kernel size, stride and padding
+  // below, on H != W planes whose position counts are not multiples of the
+  // 96-position conv tile) forwarded as a batch of three, so tiles straddle
+  // samples, on both datapaths, ideal and faulty, against the oracle
+  // fabric's one-column MVMs. Crossbar shapes cover split kernels (16 rows
+  // < 25) and several row and column blocks.
+  common::Rng rng(0xc0de ^ static_cast<std::uint64_t>(GetParam()));
+  FaultConfig faulty;
+  faulty.stuck_at_zero_rate = 2e-3;
+  faulty.stuck_at_one_rate = 2e-3;
+  faulty.program_sigma = 0.05;
+  faulty.cell_bits = 2;
+  faulty.seed = 0x9e0;
+  const CrossbarShape shapes[] = {{16, 8}, {32, 16}, {72, 64}};
+  for (const std::int64_t k : {1, 2, 3, 5}) {
+    for (const std::int64_t stride : {1, 2, 3}) {
+      for (const std::int64_t pad : {0, 1, 2}) {
+        const auto in_c = static_cast<std::int64_t>(rng.uniform_int(1, 2));
+        const auto out_c = static_cast<std::int64_t>(rng.uniform_int(1, 20));
+        const auto h = static_cast<std::int64_t>(
+            rng.uniform_int(std::max<std::int64_t>(1, k - 2 * pad), k + 9));
+        std::int64_t w = h + static_cast<std::int64_t>(rng.uniform_int(1, 4));
+        const auto positions = [&] {
+          return ((h + 2 * pad - k) / stride + 1) *
+                 ((w + 2 * pad - k) / stride + 1);
+        };
+        while (positions() % 96 == 0 || 3 * positions() % 96 == 0) ++w;
+        nn::NetworkSpec net;
+        net.name = "conv";
+        net.layers.push_back(nn::make_conv(in_c, out_c, k, stride, pad, h, w));
+        const nn::Model model(net, rng);
+        const std::vector<CrossbarShape> shape = {
+            shapes[rng.uniform_int(0, 2)]};
+        std::vector<tensor::Tensor> images;
+        for (int s = 0; s < 3; ++s) {
+          images.push_back(nn::synthetic_image(rng, in_c, h, w));
+        }
+        for (const auto mode :
+             {reram::DatapathMode::kInteger, reram::DatapathMode::kBitSerial}) {
+          for (const FaultConfig& fc : {FaultConfig{}, faulty}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << k << " stride=" << stride << " pad=" << pad
+                         << " " << in_c << "x" << h << "x" << w << " -> "
+                         << out_c << " on " << shape[0].rows << "x"
+                         << shape[0].cols << " mode " << static_cast<int>(mode)
+                         << (fc.ideal() ? " ideal" : " faulty"));
+            const SimulatedModel fast(model, shape, mode, fc);
+            const oracle::Fabric scalar(model, shape, mode, fc);
+            expect_stats_eq(fast.fault_stats(), scalar.fault_stats());
+            const auto traces = fast.forward_batch(images);
+            for (std::size_t s = 0; s < images.size(); ++s) {
+              const auto want = scalar.forward(images[s]);
+              ASSERT_EQ(traces[s].mappable_outputs.size(), 1u);
+              EXPECT_EQ(traces[s].mappable_outputs[0].shape(),
+                        want.mappable_outputs[0].shape());
+              EXPECT_EQ(tensor::max_abs_diff(traces[s].mappable_outputs[0],
+                                             want.mappable_outputs[0]),
+                        0.0f)
+                  << "sample " << s;
+            }
           }
         }
       }
@@ -614,12 +707,12 @@ TEST(KernelScratch, BuffersGrowMonotonicallyAndAreReusable) {
   std::memset(p64, 0, 64 * sizeof(std::uint64_t));
   // A smaller request must not shrink or move the buffer.
   EXPECT_EQ(scratch.input_planes(16), p64);
-  std::uint8_t* c = scratch.column(100);
-  EXPECT_EQ(scratch.column(50), c);
+  std::uint8_t* c = scratch.columns_t(100);
+  EXPECT_EQ(scratch.columns_t(50), c);
   std::int32_t* a = scratch.accs_t(32);
   EXPECT_EQ(scratch.accs_t(32), a);
   // Distinct buffer families never alias.
-  EXPECT_NE(static_cast<void*>(scratch.column(8)),
+  EXPECT_NE(static_cast<void*>(scratch.input_planes(8)),
             static_cast<void*>(scratch.columns_t(8)));
 }
 

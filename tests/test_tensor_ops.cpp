@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracle.hpp"
 #include "tensor/ops.hpp"
 
 namespace autohet {
@@ -197,6 +199,57 @@ TEST(Pool, MultiChannelOverlappingWindowsMatchNaive) {
       }
     }
   }
+}
+
+/// Expects two tensors to hold the same float bit patterns (so +0 and −0
+/// differ).
+void expect_same_bits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(Pool, MatchesPerWindowLoopBitForBit) {
+  // Window and stride combinations, overlapping and gapped, on planes whose
+  // width is not a multiple of any vector width. Inputs mix ±0 with signed
+  // values: std::max keeps its first argument on ±0 ties, so a reordered
+  // max reduction flips the sign of a zero result, and a reordered sum
+  // rounds differently.
+  common::Rng rng(12);
+  const std::pair<std::int64_t, std::int64_t> geometries[] = {
+      {2, 2}, {2, 1}, {3, 2}, {3, 3}, {2, 3}, {7, 7}, {1, 1}};
+  for (const auto& [window, stride] : geometries) {
+    for (const double zeros : {0.0, 0.5, 1.0}) {
+      Tensor input({3, 15, 19});
+      for (std::int64_t i = 0; i < input.numel(); ++i) {
+        const double u = rng.uniform();
+        input[i] = u < zeros / 2   ? 0.0f
+                   : u < zeros     ? -0.0f
+                                   : static_cast<float>(rng.normal(0.0, 1.0));
+      }
+      SCOPED_TRACE(::testing::Message() << "window " << window << " stride "
+                                        << stride << " zeros " << zeros);
+      expect_same_bits(tensor::maxpool2d(input, window, stride),
+                       oracle::maxpool2d(input, window, stride));
+      expect_same_bits(tensor::avgpool2d(input, window, stride),
+                       oracle::avgpool2d(input, window, stride));
+    }
+  }
+}
+
+TEST(Pool, MaxKeepsTheFirstSignedZeroOfAWindow) {
+  // One 2x2 window per case, reduced in row-major order from −inf.
+  Tensor plus_first({1, 2, 2});
+  plus_first[1] = -0.0f;
+  plus_first[2] = -0.0f;
+  plus_first[3] = -0.0f;
+  EXPECT_FALSE(std::signbit(tensor::maxpool2d(plus_first, 2, 2)[0]));
+  Tensor minus_first({1, 2, 2});
+  minus_first[0] = -0.0f;
+  EXPECT_TRUE(std::signbit(tensor::maxpool2d(minus_first, 2, 2)[0]));
 }
 
 TEST(Pool, RejectsWindowLargerThanPlane) {
