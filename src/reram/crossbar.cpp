@@ -86,9 +86,8 @@ void LogicalCrossbar::ensure_packed() {
 
 void LogicalCrossbar::repack() {
   packed_.assign(static_cast<std::size_t>(8 * shape_.cols * packed_words_), 0);
-  // All shape_.rows wordlines are packed (fault burn-in can set cells outside
-  // the used region); the kernels' input masks zero everything past
-  // rows_used, so stray bits beyond the used rows never contribute.
+  // All shape_.rows wordlines are packed; the kernels' input masks zero
+  // everything past rows_used, and the cells there stay zero.
   for (std::int64_t r = 0; r < shape_.rows; ++r) {
     const std::int8_t* row = cells_.data() + r * shape_.cols;
     const std::uint64_t bit = std::uint64_t{1} << (r & 63);
@@ -118,34 +117,12 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial(
   return acc;
 }
 
-void LogicalCrossbar::burn_clones(const FaultModel& model,
-                                  std::uint64_t crossbar_id,
-                                  std::span<LogicalCrossbar* const> clones,
-                                  std::span<BurnTarget> burns) {
-  AUTOHET_CHECK(clones.size() == burns.size(), "one burn per clone required");
-  if (clones.empty()) return;
-  const mapping::CrossbarShape shape = clones.front()->shape_;
-  for (std::size_t i = 0; i < clones.size(); ++i) {
-    AUTOHET_CHECK(clones[i]->shape_ == shape,
-                  "burn clones must share one crossbar shape");
-    burns[i].cells = clones[i]->cells_;
-  }
-  model.burn(burns, shape.rows, shape.cols, shape.cols, crossbar_id);
-  const bool moved = burns.front().hits != nullptr || !model.ideal();
-  for (LogicalCrossbar* xb : clones) {
-    if (!xb->packed_.empty() && moved) xb->repack();
-  }
-}
-
-FaultMapStats LogicalCrossbar::replay_stuck_faults(
-    const FaultModel& model, std::span<const StuckCandidate> hits,
-    const StuckBucketEnds& bucket_ends) {
-  const FaultMapStats delta =
-      model.replay_stuck(cells_, shape_.cols, shape_.cols, hits, bucket_ends);
-  if (!packed_.empty() && (delta.stuck_at_zero || delta.stuck_at_one)) {
-    repack();
-  }
-  return delta;
+FaultMapStats LogicalCrossbar::burn(const FaultModel& faults,
+                                    const BurnKey& key) {
+  const FaultMapStats stats =
+      faults.burn(cells_, rows_used_, cols_used_, shape_.cols, key);
+  if (!packed_.empty() && stats.weights_changed > 0) repack();
+  return stats;
 }
 
 void LogicalCrossbar::mvm_reference_batch_accum(const std::uint8_t* inputs_t,

@@ -98,26 +98,12 @@ class LogicalCrossbar {
                                   std::int64_t count, std::int32_t* acc_t,
                                   kernels::KernelScratch& scratch) const;
 
-  /// Burns a seeded fault model (stuck-at maps and programming variation —
-  /// see reram/faults.hpp) into `clones` — copies of one programmed
-  /// crossbar — in one FaultModel::burn call: clone i under burns[i].seed,
-  /// recording when burns[i].hits is set (see FaultModel::apply_recording;
-  /// the stats are then the variation-only counts that replay_stuck_faults
-  /// completes). Deterministic in (seed, crossbar_id); the whole physical
-  /// array burns, gap cells inside the used region included (their
-  /// stuck-at-1 faults inject spurious bitline current exactly as on real
-  /// fabric). Fills in each burn's cells span, and repacks every packed
-  /// clone whose cells may have moved. A no-op for an ideal model.
-  static void burn_clones(const FaultModel& model, std::uint64_t crossbar_id,
-                          std::span<LogicalCrossbar* const> clones,
-                          std::span<BurnTarget> burns);
-
-  /// Replays recorded stuck candidates under `model`'s thresholds on this
-  /// (post-variation) array — see FaultModel::replay_stuck. Returns the
-  /// delta stats; repacks when packed.
-  FaultMapStats replay_stuck_faults(const FaultModel& model,
-                                    std::span<const StuckCandidate> hits,
-                                    const StuckBucketEnds& bucket_ends);
+  /// Burns `faults` (stuck-at maps and programming variation — see
+  /// reram/faults.hpp) into the programmed rows_used × cols_used cells,
+  /// keyed by `key`: FaultModel::burn. The empty cells outside that block
+  /// are never read, so they never burn. Repacks when packed and a cell
+  /// moved; an ideal model touches nothing.
+  FaultMapStats burn(const FaultModel& faults, const BurnKey& key);
 
  private:
   void repack();

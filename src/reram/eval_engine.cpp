@@ -221,7 +221,7 @@ RobustnessReport EvaluationEngine::evaluate_robustness(
   for (std::size_t a : actions) shapes.push_back(candidates_[a]);
   RobustnessOptions effective = options;
   // Sweeps that revisit one configuration across fault grids reuse the
-  // engine's trial-fabric cache (byte-identical reports, see
+  // engine's reference cache (byte-identical reports, see
   // TrialFabricCache); callers can still pass their own cache.
   if (effective.cache == nullptr) effective.cache = &mc_cache_;
   return monte_carlo_robustness(model, shapes, faults, effective);

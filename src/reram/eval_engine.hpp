@@ -75,11 +75,10 @@ class EvaluationEngine {
   /// action to its candidate shape and runs `monte_carlo_robustness` on the
   /// functional fabric. `model`'s mappable layers must match the engine's
   /// layer count (same order). Reports are not memoized, but the engine
-  /// passes its `TrialFabricCache` (unless `options.cache` is already set):
-  /// fault sweeps that revisit one configuration across stuck-rate grids
-  /// record each trial's burn-in once and replay it per rate point, and
-  /// share the ideal references across the grid — byte-identical reports,
-  /// large wall-time savings. Use the analytic `fault_vulnerability` in
+  /// passes its `TrialFabricCache` (unless `options.cache` is already set),
+  /// so fault sweeps that revisit one configuration across stuck-rate grids
+  /// share the ideal references across the grid — byte-identical reports.
+  /// Use the analytic `fault_vulnerability` in
   /// `evaluate()` reports for in-loop search feedback and this for the
   /// expensive ground truth.
   RobustnessReport evaluate_robustness(
@@ -182,8 +181,8 @@ class EvaluationEngine {
       rob_memo_{kRobustnessMemoCapacity};
   mutable CacheStats rob_stats_;
 
-  /// Cross-call Monte-Carlo fabric cache for evaluate_robustness (its own
-  /// internal locking; byte-identical reports — see TrialFabricCache).
+  /// Cross-call Monte-Carlo reference cache for evaluate_robustness (its
+  /// own internal locking; byte-identical reports — see TrialFabricCache).
   mutable TrialFabricCache mc_cache_;
   /// Cross-allocation per-layer fabric cache for
   /// evaluate_robustness_cached first visits (its own internal locking;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/obs.hpp"
-#include "reram/kernels/kernels.hpp"
 
 namespace autohet::reram {
 
@@ -14,6 +15,111 @@ namespace {
 double mean_square_level(int bits) noexcept {
   const double top = static_cast<double>((1 << bits) - 1);
   return top * (2.0 * top + 1.0) / 6.0;
+}
+
+constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+/// The number of 52-bit draws k: every threshold lies in [0, kDraws].
+constexpr std::uint64_t kDraws = std::uint64_t{1} << 52;
+
+/// The top 52 bits of the SplitMix64 finalizer of state `z`: the keyed draw
+/// of counter c under a (seed, layer) base is mix52(base + c·γ) (see
+/// FaultModel).
+inline std::uint64_t mix52(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return (z ^ (z >> 31)) >> 12;
+}
+
+/// One block burn: the block, its key base and the config's thresholds.
+struct BlockBurn {
+  std::int8_t* cells;
+  std::int64_t rows, cols, row_stride;
+  std::uint64_t base;
+  std::int64_t row0, col0;
+  std::uint64_t zero_thr, stuck_thr;
+  const std::uint64_t* bounds;  ///< null when no level can move
+  const std::uint64_t* stay_lo;
+  const std::uint64_t* stay_hi;
+};
+
+/// Burns the block at kBits bits per cell (see FaultModel). `b` is taken by
+/// value: the cell loop's int8 stores may alias any memory, so fields read
+/// through a pointer would be reloaded on every cell. A weight's plane draws
+/// are taken together and tested without branches; only a weight with a
+/// stuck plane or a moved level takes the per-plane path.
+template <int kBits>
+FaultMapStats burn_block(const BlockBurn b) {
+  constexpr int planes = 8 / kBits;
+  constexpr unsigned mask = (1u << kBits) - 1u;
+  FaultMapStats stats;
+  stats.physical_cells = b.rows * b.cols * planes;
+  const bool stuck = b.stuck_thr > 0;
+  const bool varies = b.bounds != nullptr;
+  if (!stuck && !varies) return stats;
+  for (std::int64_t i = 0; i < b.rows; ++i) {
+    std::int8_t* row = b.cells + i * b.row_stride;
+    // The SplitMix64 state of slot 0 of weight (row0 + i, col0 + j).
+    std::uint64_t z = b.base + ((static_cast<std::uint64_t>(b.row0 + i) << 32) +
+                                (static_cast<std::uint64_t>(b.col0) << 4)) *
+                                   kGamma;
+    for (std::int64_t j = 0; j < b.cols; ++j, z += 16 * kGamma) {
+      const std::int8_t weight = row[j];
+      const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
+      std::uint64_t k_stuck[planes] = {};
+      std::uint64_t k_vary[planes] = {};
+      unsigned hits = 0;
+      for (int p = 0; p < planes; ++p) {
+        const std::uint64_t slot = z + static_cast<std::uint64_t>(p) * kGamma;
+        if (stuck) {
+          k_stuck[p] = mix52(slot);
+          hits |= static_cast<unsigned>(k_stuck[p] < b.stuck_thr) << p;
+        }
+        if (varies) {
+          // Level 0 stays put: its range is [0, kDraws).
+          const unsigned level = (offset >> (p * kBits)) & mask;
+          k_vary[p] = mix52(slot + 8 * kGamma);
+          hits |= static_cast<unsigned>((k_vary[p] < b.stay_lo[level]) |
+                                        (k_vary[p] >= b.stay_hi[level]))
+                  << p;
+        }
+      }
+      if (hits == 0) continue;
+      unsigned out = offset;
+      for (int p = 0; p < planes; ++p) {
+        if (((hits >> p) & 1u) == 0) continue;
+        unsigned level;
+        if (stuck && k_stuck[p] < b.stuck_thr) {
+          if (k_stuck[p] < b.zero_thr) {
+            level = 0;
+            ++stats.stuck_at_zero;
+          } else {
+            level = mask;
+            ++stats.stuck_at_one;
+          }
+        } else {
+          const unsigned from = (offset >> (p * kBits)) & mask;
+          const std::uint64_t* bound = b.bounds + std::size_t{from} * mask;
+          level = static_cast<unsigned>(
+              std::upper_bound(bound, bound + mask, k_vary[p]) - bound);
+        }
+        out = (out & ~(mask << (p * kBits))) | (level << (p * kBits));
+      }
+      const auto perturbed =
+          static_cast<std::int8_t>(static_cast<int>(out) - 128);
+      stats.weights_changed += perturbed != weight;
+      row[j] = perturbed;
+    }
+  }
+  return stats;
+}
+
+/// The number of draws k whose uniform (k + ½)·2⁻⁵² lies below `p`: the k
+/// with 2k + 1 < p·2⁵³. The product is exact, and so are y − 1 and the
+/// halving for y in (1, 2⁵³], so `k < threshold(p)` ⟺ u < p exactly.
+std::uint64_t threshold(double p) {
+  const double y = std::min(p, 1.0) * 0x1.0p53;
+  if (!(y > 1.0)) return 0;
+  return static_cast<std::uint64_t>(std::ceil((y - 1.0) / 2.0));
 }
 }  // namespace
 
@@ -126,15 +232,6 @@ bool SequentialStopper::should_stop() const noexcept {
   return pooled_interval().halfwidth() <= budget_.ci_halfwidth;
 }
 
-FaultConfig spanning_probe(const FaultConfig& config) noexcept {
-  FaultConfig probe = config;
-  // kRecordCap53 · 2⁻⁵³ = 2⁻⁶ exactly, so thr53(rate) lands on the cap.
-  probe.stuck_at_zero_rate =
-      static_cast<double>(FaultModel::kRecordCap53) * 0x1.0p-53;
-  probe.stuck_at_one_rate = 0.0;
-  return probe;
-}
-
 double FaultModel::level_noise_amplification(int cell_bits) noexcept {
   double scale_sum = 0.0;  // Σ_p 4^{p·b} over the 8/b planes
   for (int p = 0; p < 8 / cell_bits; ++p) {
@@ -147,186 +244,92 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
   config_.validate();
   planes_ = 8 / config_.cell_bits;
   level_mask_ = (1u << config_.cell_bits) - 1u;
-
-  // Burn-kernel precompute. uniform() returns k·2⁻⁵³ with k = uniform_bits53(); multiplying a rate
-  // by 2⁵³ is exact (pure exponent shift), so k·2⁻⁵³ < rate ⟺ k < ceil(T).
-  const auto thr53 = [](double rate) {
-    return static_cast<std::uint64_t>(std::ceil(rate * 0x1.0p53));
-  };
-  stuck_zero_thr53_ = thr53(config_.stuck_at_zero_rate);
-  // The sum is rounded in double first, as the per-cell compare does.
-  stuck_sum_thr53_ =
-      thr53(config_.stuck_at_zero_rate + config_.stuck_at_one_rate);
-  if (config_.program_sigma > 0.0) {
-    // Marsaglia polar: the accepted pair (u, v) with s = u²+v² yields
-    // deviates u·m and v·m with m = sqrt(−2 ln s / s), so |N| ≤ sqrt(−2 ln s)
-    // (since |u|,|v| ≤ √s). Level L survives lround(L·exp(σN)) == L whenever
-    // |σN| < ln(1 + 1/(2L)) — the tighter of the two rounding boundaries —
-    // giving the sufficient condition s > exp(−(ln(1+1/(2L))/σ)²/2).
-    level_s_safe_.assign(level_mask_ + 1u, 1.0);  // level 0 draws no normal
-    for (unsigned level = 1; level <= level_mask_; ++level) {
-      // The 1−1e−9 shrink keeps the bound conservative against the ~1-ulp
-      // rounding of this precompute chain: borderline cells take the exact
-      // slow path instead of being (wrongly) skipped.
-      const double bound = (1.0 - 1e-9) *
-                           std::log1p(0.5 / static_cast<double>(level)) /
-                           config_.program_sigma;
-      level_s_safe_[level] = std::exp(-0.5 * bound * bound);
+  zero_thr_ = threshold(config_.stuck_at_zero_rate);
+  // The sum is rounded in double first, as `u < z₀ + z₁` rounds it.
+  stuck_thr_ =
+      threshold(config_.stuck_at_zero_rate + config_.stuck_at_one_rate);
+  if (config_.program_sigma == 0.0) return;
+  // Level L lands at most on j ⟺ L·exp(σZ) < j + ½ ⟺ u < Φ(ln((j+½)/L)/σ).
+  const unsigned mask = level_mask_;
+  std::vector<std::uint64_t> bounds(std::size_t{mask + 1} * mask, 0);
+  std::vector<std::uint64_t> lo(mask + 1, 0), hi(mask + 1, kDraws);
+  bool moves = false;
+  for (unsigned level = 1; level <= mask; ++level) {
+    std::uint64_t* row = bounds.data() + std::size_t{level} * mask;
+    for (unsigned j = 0; j < mask; ++j) {
+      const double z = std::log((static_cast<double>(j) + 0.5) /
+                                static_cast<double>(level)) /
+                       config_.program_sigma;
+      row[j] = threshold(0.5 * std::erfc(-z / std::numbers::sqrt2));
     }
+    lo[level] = row[level - 1];
+    if (level < mask) hi[level] = row[level];
+    moves = moves || lo[level] > 0 || hi[level] < kDraws;
   }
+  if (!moves) return;
+  bounds_ = std::move(bounds);
+  stay_lo_ = std::move(lo);
+  stay_hi_ = std::move(hi);
 }
 
-void FaultModel::burn(std::span<BurnTarget> targets, std::int64_t rows,
-                      std::int64_t cols, std::int64_t row_stride,
-                      std::uint64_t crossbar_id) const {
-  if (targets.empty()) return;
-  const bool record = targets.front().hits != nullptr;
-  for (const BurnTarget& t : targets) {
-    AUTOHET_CHECK((t.hits != nullptr) == record &&
-                      (t.bucket_ends != nullptr) == record,
-                  "a burn records for every target or for none");
-  }
-  if (record) {
-    AUTOHET_CHECK(record_eligible(),
-                  "this fault config cannot be recorded (zero stuck rates, "
-                  "or rates beyond the recording cap)");
-  } else if (ideal()) {
-    for (BurnTarget& t : targets) t.stats = {};
-    return;
-  }
+FaultMapStats FaultModel::burn(std::span<std::int8_t> cells,
+                               std::int64_t rows, std::int64_t cols,
+                               std::int64_t row_stride,
+                               const BurnKey& key) const {
+  if (ideal()) return {};
   AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
                 "invalid fault-map geometry");
-  AUTOHET_CHECK(!record || rows * cols * planes_ <= 0xffffffffll,
-                "crossbar too large for 32-bit plane indices");
-  const auto extent = static_cast<std::size_t>(
-      rows == 0 ? 0 : (rows - 1) * row_stride + cols);
-  for (const BurnTarget& t : targets) {
-    AUTOHET_CHECK(t.cells.size() >= extent,
-                  "burn target smaller than its fault-map geometry");
+  AUTOHET_CHECK(rows == 0 ||
+                    cells.size() >= static_cast<std::size_t>(
+                                        (rows - 1) * row_stride + cols),
+                "burn block larger than its cells");
+  AUTOHET_CHECK(key.row0 >= 0 && key.col0 >= 0 &&
+                    key.row0 + rows <= (std::int64_t{1} << 32) &&
+                    key.col0 + cols <= (std::int64_t{1} << 28),
+                "weight coordinates beyond the keyed draw space");
+  std::uint64_t base = key.seed ^ ((key.layer + 1) * kGamma);
+  base = common::splitmix64(base);
+  const BlockBurn block{cells.data(),
+                        rows,
+                        cols,
+                        row_stride,
+                        base,
+                        key.row0,
+                        key.col0,
+                        zero_thr_,
+                        stuck_thr_,
+                        bounds_.empty() ? nullptr : bounds_.data(),
+                        stay_lo_.data(),
+                        stay_hi_.data()};
+  FaultMapStats stats;
+  switch (config_.cell_bits) {
+    case 1:
+      stats = burn_block<1>(block);
+      break;
+    case 2:
+      stats = burn_block<2>(block);
+      break;
+    case 4:
+      stats = burn_block<4>(block);
+      break;
+    default:
+      stats = burn_block<8>(block);
+      break;
   }
-  const kernels::BurnSpec spec{
-      planes_,
-      config_.program_sigma,
-      config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0,
-      record,
-      stuck_zero_thr53_,
-      stuck_sum_thr53_,
-      level_s_safe_.data()};
-  // A recording lane files its draws into one vector per bucket; every
-  // plane lands in a given bucket with probability 2⁻⁸, so reserving the
-  // mean plus four standard deviations makes regrowth rare, and the
-  // concatenation below sizes `hits` exactly.
-  using Bins = std::array<std::vector<StuckCandidate>,
-                          std::tuple_size_v<StuckBucketEnds>>;
-  std::vector<Bins> bins(record ? targets.size() : 0);
-  const double mean = static_cast<double>(rows * cols * planes_) * 0x1.0p-8;
-  const auto expected =
-      static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean) + 8.0);
-  std::vector<kernels::BurnLane> lanes(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    lanes[i].rng = common::Rng(targets[i].seed).child(crossbar_id);
-    lanes[i].cells = targets[i].cells.data();
-    lanes[i].stats = &targets[i].stats;
-    if (record) {
-      for (auto& bin : bins[i]) bin.reserve(expected);
-      lanes[i].bins = bins[i].data();
-    }
-  }
-  kernels::ops().burn(spec, rows, cols, row_stride, lanes.data(),
-                      lanes.size());
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    std::size_t total = 0;
-    for (const auto& bin : bins[i]) total += bin.size();
-    std::vector<StuckCandidate>& out = *targets[i].hits;
-    out.clear();
-    out.reserve(total);
-    for (std::size_t b = 0; b < bins[i].size(); ++b) {
-      out.insert(out.end(), bins[i][b].begin(), bins[i][b].end());
-      (*targets[i].bucket_ends)[b] = static_cast<std::uint32_t>(out.size());
-    }
-  }
-  if (record) return;  // a recording's counts are completed by its replays
-  for (const BurnTarget& t : targets) {
-    OBS_COUNTER_ADD("autohet_fault_cells_total",
-                    static_cast<std::uint64_t>(t.stats.physical_cells));
-    OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
-                    static_cast<std::uint64_t>(t.stats.stuck_at_zero +
-                                               t.stats.stuck_at_one));
-  }
+  OBS_COUNTER_ADD("autohet_fault_cells_total",
+                  static_cast<std::uint64_t>(stats.physical_cells));
+  OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
+                  static_cast<std::uint64_t>(stats.stuck_at_zero +
+                                             stats.stuck_at_one));
+  return stats;
 }
 
 FaultMapStats FaultModel::apply(std::span<std::int8_t> cells,
                                 std::int64_t rows, std::int64_t cols,
                                 std::int64_t row_stride,
-                                std::uint64_t crossbar_id) const {
-  BurnTarget target;
-  target.seed = config_.seed;
-  target.cells = cells;
-  burn(std::span(&target, 1), rows, cols, row_stride, crossbar_id);
-  return target.stats;
-}
-
-FaultMapStats FaultModel::apply_recording(
-    std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
-    std::int64_t row_stride, std::uint64_t crossbar_id,
-    std::vector<StuckCandidate>& out, StuckBucketEnds& bucket_ends) const {
-  BurnTarget target;
-  target.seed = config_.seed;
-  target.cells = cells;
-  target.hits = &out;
-  target.bucket_ends = &bucket_ends;
-  burn(std::span(&target, 1), rows, cols, row_stride, crossbar_id);
-  return target.stats;
-}
-
-FaultMapStats FaultModel::replay_stuck(
-    std::span<std::int8_t> cells, std::int64_t cols, std::int64_t row_stride,
-    std::span<const StuckCandidate> hits,
-    const StuckBucketEnds& bucket_ends) const {
-  // Zero rates force nothing and stay replayable; any other config must be
-  // recordable, or the draws in [cap, threshold) it needs were never kept.
-  AUTOHET_CHECK(record_eligible() || stuck_sum_thr53_ == 0,
-                "this fault config cannot be replayed (rates beyond the "
-                "recording cap)");
-  FaultMapStats delta;
-  // Buckets at or above the summed threshold hold no hit: read the leading
-  // ⌈thr / 2⁴⁵⌉ of them (none at zero rates).
-  const std::uint64_t width = std::uint64_t{1} << kRecordBucketShift;
-  const std::size_t visit = std::min<std::size_t>(
-      static_cast<std::size_t>((stuck_sum_thr53_ + width - 1) >>
-                               kRecordBucketShift),
-      bucket_ends.size());
-  const std::size_t end = visit == 0 ? 0 : bucket_ends[visit - 1];
-  AUTOHET_CHECK(end <= hits.size(),
-                "bucket ends do not match the recorded candidates");
-  const int b = config_.cell_bits;
-  const auto planes = static_cast<std::uint32_t>(planes_);
-  for (const StuckCandidate& hit : hits.first(end)) {
-    if (hit.k >= stuck_sum_thr53_) continue;
-    unsigned forced;
-    if (hit.k < stuck_zero_thr53_) {
-      forced = 0;
-      ++delta.stuck_at_zero;
-    } else {
-      forced = level_mask_;
-      ++delta.stuck_at_one;
-    }
-    const std::uint32_t cell = hit.plane / planes;
-    const auto p = static_cast<int>(hit.plane % planes);
-    std::int8_t& byte = cells[static_cast<std::size_t>(
-        (cell / cols) * row_stride + cell % cols)];
-    const std::int8_t before = byte;
-    auto offset = static_cast<unsigned>(static_cast<int>(before) + 128);
-    offset = (offset & ~(level_mask_ << (p * b))) | (forced << (p * b));
-    byte = static_cast<std::int8_t>(static_cast<int>(offset) - 128);
-    // Hits on one cell may sit in different buckets, so weights_changed is
-    // corrected per hit; the terms telescope to [final != original] −
-    // [post-variation != original] per cell (the recording counted the
-    // latter).
-    delta.weights_changed += static_cast<int>(byte != hit.original) -
-                             static_cast<int>(before != hit.original);
-  }
-  return delta;
+                                std::uint64_t layer) const {
+  return burn(cells, rows, cols, row_stride,
+              BurnKey{config_.seed, layer, 0, 0});
 }
 
 double analytic_layer_vulnerability(const mapping::LayerMapping& m,

@@ -13,11 +13,12 @@
 //     act on the levels; the perturbed weight is folded back into the
 //     two's-complement cell that both datapaths read exactly.
 //
-//   * Stuck-at faults. Every physical cell is independently stuck-at-0
-//     (level forced to 0, HRS) with probability `stuck_at_zero_rate` and
-//     stuck-at-1 (level forced to 2^b − 1, LRS) with probability
-//     `stuck_at_one_rate`. The fault map is a pure function of
-//     (seed, crossbar_id, cell index): same seed ⇒ same map.
+//   * Stuck-at faults. Every physical cell of a programmed weight is
+//     independently stuck-at-0 (level forced to 0, HRS) with probability
+//     `stuck_at_zero_rate` and stuck-at-1 (level forced to 2^b − 1, LRS)
+//     with probability `stuck_at_one_rate`. The fault map is a pure
+//     function of (seed, layer, weight row, weight col, plane): same seed ⇒
+//     same map, whatever crossbar shape holds the layer.
 //
 //   * Conductance variation. Each programmed level is perturbed
 //     lognormally, v' = v · exp(σ·N(0,1)), then rounded back to the level
@@ -28,17 +29,15 @@
 //
 // Faults and programming variation are burned into a clean copy of the
 // programmed weights (`MappedLayer::burn`, which drives
-// `LogicalCrossbar::burn_clones` per crossbar). A default `FaultConfig{}`
-// is ideal: no RNG is consumed and every output stays bit-identical to the
-// fault-free build (tested).
+// `LogicalCrossbar::burn` per crossbar), one keyed draw per physical cell
+// (FaultModel). A default `FaultConfig{}` is ideal: nothing is drawn and
+// every output stays bit-identical to the fault-free build (tested).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "mapping/layer_mapping.hpp"
 #include "nn/layer.hpp"
 
@@ -52,8 +51,8 @@ struct FaultConfig {
   int cell_bits = 1;           ///< bits per physical cell (1, 2, 4 or 8)
   std::uint64_t seed = 0xfa0175eedULL;  // "faults-eed"
 
-  /// True when every non-ideality is off; the fault machinery then never
-  /// touches an RNG and programmed arrays stay bit-identical.
+  /// True when every non-ideality is off; the fault machinery then draws
+  /// nothing and programmed arrays stay bit-identical.
   bool ideal() const noexcept {
     return stuck_at_zero_rate == 0.0 && stuck_at_one_rate == 0.0 &&
            program_sigma == 0.0;
@@ -71,7 +70,9 @@ struct FaultConfig {
 /// Aggregate counts of one fault-map application (per crossbar, per layer
 /// or per fabric depending on who reports them).
 struct FaultMapStats {
-  std::int64_t physical_cells = 0;  ///< cells visited (rows·cols·planes)
+  /// Physical cells burned: programmed weights × planes (8 / cell_bits),
+  /// the same for every crossbar shape.
+  std::int64_t physical_cells = 0;
   std::int64_t stuck_at_zero = 0;
   std::int64_t stuck_at_one = 0;
   std::int64_t weights_changed = 0;  ///< logical weights whose value moved
@@ -116,9 +117,6 @@ WilsonInterval wilson_interval(double successes, double n,
 /// trials use the same `FaultConfig::for_trial` seed stream as fixed mode,
 /// so an adaptive run that stops after T trials reports exactly the fixed-
 /// mode statistics of its first T trials (a prefix, not an approximation).
-/// With a TrialFabricCache, adaptive zero-stuck-rate points also replay the
-/// shared variation-only recording instead of burning fresh fabrics:
-/// statistically equivalent, not byte-identical, so never in kFixed.
 struct RobustnessBudget {
   enum class Mode { kFixed, kAdaptive };
   Mode mode = Mode::kFixed;
@@ -233,43 +231,45 @@ struct RobustnessReport {
   FaultMapStats fault_stats;  ///< aggregated over every trial fabric
 };
 
-/// One stuck-at draw candidate captured by a recording burn-in pass
-/// (FaultModel::apply_recording / burn): the raw 53-bit uniform draw `k`, the flat
-/// physical-plane index it targets ((row·cols + col)·planes + plane) and the
-/// originally programmed weight of the owning logical cell (needed to
-/// recompute weights_changed exactly on replay). Only draws below
-/// FaultModel::kRecordCap53 are kept, so at sweep-scale rates the list is a
-/// few candidates per thousand cells. A recording groups its candidates by
-/// draw bucket `k >> FaultModel::kRecordBucketShift` (ascending buckets,
-/// stream order inside each), so a replay at a low rate reads only the
-/// leading buckets.
-struct StuckCandidate {
-  std::uint64_t k = 0;       ///< raw uniform_bits53 draw
-  std::uint32_t plane = 0;   ///< (row·cols + col)·planes + plane
-  std::int8_t original = 0;  ///< programmed weight before any perturbation
+/// Where a block of programmed weights sits in the keyed draw space (see
+/// FaultModel): the trial's seed, the layer and the layer-weight
+/// coordinates of the block's first cell.
+struct BurnKey {
+  std::uint64_t seed = 0;   ///< the trial's FaultConfig::seed
+  std::uint64_t layer = 0;  ///< mappable-layer index
+  std::int64_t row0 = 0;    ///< weight row the block's row 0 holds
+  std::int64_t col0 = 0;    ///< weight column the block's column 0 holds
 };
 
-/// End offset of each draw bucket in a recorded candidate list: bucket b
-/// (draws in [b·2⁴⁵, (b+1)·2⁴⁵), i.e. uniform draws in [b·2⁻⁸, (b+1)·2⁻⁸))
-/// spans [b == 0 ? 0 : ends[b−1], ends[b]).
-using StuckBucketEnds = std::array<std::uint32_t, 4>;
-
-/// One destination of a burn (FaultModel::burn): a trial's seed and its
-/// copy of the programmed weights, burned in place.
-struct BurnTarget {
-  std::uint64_t seed = 0;         ///< the trial's FaultConfig::seed
-  std::span<std::int8_t> cells;   ///< rows × cols at row_stride
-  /// Recording burns set both (see FaultModel::apply_recording); plain
-  /// burns leave both null.
-  std::vector<StuckCandidate>* hits = nullptr;
-  StuckBucketEnds* bucket_ends = nullptr;
-  FaultMapStats stats;  ///< out: this target's counts
-};
-
-/// Seeded sampler that burns a FaultConfig into programmed weight arrays.
-/// Stateless across calls: every perturbation is a pure function of
-/// (config.seed, crossbar_id), so fabrics rebuilt with the same seed see
-/// the same fault maps.
+/// Burns a FaultConfig into programmed weights with draws keyed by logical
+/// weight. Every (seed, layer, weight row r, weight col c, plane p) owns two
+/// counter-based 64-bit draws, SplitMix64 outputs at fixed counters:
+///
+///   base    = splitmix64(seed ^ (layer + 1)·γ)     (one SplitMix64 step)
+///   counter = r·2³² + c·2⁴ + slot,  slot = p (stuck) or 8 + p (variation)
+///   draw    = mix(base + counter·γ)                (SplitMix64 finalizer)
+///
+/// with γ = 0x9e3779b97f4a7c15 (Salmon et al., "Parallel Random Numbers: As
+/// Easy as 1, 2, 3", SC'11, for the counter-based idea). A draw's top 52
+/// bits k stand for the uniform u = (k + ½)·2⁻⁵², strictly inside (0, 1).
+///
+///   * Stuck-at: the plane is stuck-at-0 when u < stuck_at_zero_rate and
+///     stuck-at-1 when u < stuck_at_zero_rate + stuck_at_one_rate. A
+///     plane's stuck draw ignores the rates, so the stuck set at rate r is
+///     a subset of the stuck set at every r' > r.
+///   * Variation (non-stuck planes with a nonzero level L): the level
+///     becomes round(L·exp(σZ)) clamped to [0, 2^b − 1], with Z = Φ⁻¹(u)
+///     of the variation draw. It lands on j exactly when u lies in
+///     [Φ(ln((j − ½)/L)/σ), Φ(ln((j + ½)/L)/σ)) (from 0 for j = 0, to 1
+///     for the top level), so the burn compares k
+///     against integer thresholds built once per config from those Φ
+///     values; no transcendental runs per cell. A config whose thresholds
+///     can move no level takes no variation draw.
+///
+/// Nothing depends on the crossbar shape, so a layer burns to the same
+/// logical weights under every allocation. Only the programmed weights
+/// burn: the empty cells of a crossbar are never read. Stateless across
+/// calls.
 class FaultModel {
  public:
   explicit FaultModel(const FaultConfig& config);
@@ -277,81 +277,18 @@ class FaultModel {
   const FaultConfig& config() const noexcept { return config_; }
   bool ideal() const noexcept { return config_.ideal(); }
 
-  /// The burn entry point. Burns this config into every target, target i
-  /// under the stream (targets[i].seed, crossbar_id): stuck-at faults and
-  /// programming variation on a full rows×cols two's-complement weight
-  /// array (row-major, stride `row_stride`). Every target must hold the
-  /// same programmed weights — the trials of one point burn clones of one
-  /// clean array — so the kernel table's burn op (kernels::Ops::burn) can
-  /// run them in lockstep lane groups; each target ends exactly as a burn
-  /// of it alone would leave it. The kernel is stream-exact: its cells,
-  /// stats and consumed RNG stream are bit-identical to the per-cell
-  /// oracle in tests/oracle.hpp (tested). Targets with `hits` set burn
-  /// recording (see apply_recording); a call records for every target or
-  /// for none. One target is a batch of one.
-  void burn(std::span<BurnTarget> targets, std::int64_t rows,
-            std::int64_t cols, std::int64_t row_stride,
-            std::uint64_t crossbar_id) const;
+  /// Burns the rows × cols block of two's-complement weights at `cells`
+  /// (row-major, stride `row_stride`) in place under `key`: cell (i, j)
+  /// holds weight (key.row0 + i, key.col0 + j) of layer key.layer. Returns
+  /// the block's counts. An ideal config touches nothing.
+  FaultMapStats burn(std::span<std::int8_t> cells, std::int64_t rows,
+                     std::int64_t cols, std::int64_t row_stride,
+                     const BurnKey& key) const;
 
-  /// burn() of one target under config().seed, returning its stats.
+  /// burn() under config().seed of a block at weight (0, 0) of `layer`.
   FaultMapStats apply(std::span<std::int8_t> cells, std::int64_t rows,
                       std::int64_t cols, std::int64_t row_stride,
-                      std::uint64_t crossbar_id) const;
-
-  /// Recording cap: stuck draws with k < 2⁵³/64 are captured by
-  /// apply_recording, so any config whose summed stuck rate is ≤ 2⁻⁶
-  /// (≈ 1.56%) can be replayed from one recording. Every sweep grid tops
-  /// out at 1e-2; configs above the cap take the direct burn. A low cap
-  /// keeps a recording small (≈ 1.6% of the planes), which matters once a
-  /// point's trials all record at the same time.
-  static constexpr std::uint64_t kRecordCap53 = std::uint64_t{1} << 47;
-  /// Draw-bucket width of a recording (2⁴⁵, i.e. 2⁻⁸ of the unit interval):
-  /// the cap spans exactly the StuckBucketEnds buckets.
-  static constexpr int kRecordBucketShift = 45;
-  static_assert((kRecordCap53 >> kRecordBucketShift) ==
-                std::tuple_size_v<StuckBucketEnds>);
-
-  /// True when this config's burn-in can be recorded and later replayed:
-  /// stuck draws consumed (some stuck rate > 0 — a zero-rate stream skips
-  /// the draws entirely and is a different stream) and thresholds within
-  /// the recording cap.
-  bool record_eligible() const noexcept {
-    return stuck_sum_thr53_ > 0 && stuck_sum_thr53_ <= kRecordCap53;
-  }
-
-  /// Recording burn-in (burn() of one recording target under
-  /// config().seed): consumes the RNG stream exactly as apply() does for
-  /// this config, applies programming variation to `cells`, but *records*
-  /// every stuck draw below kRecordCap53 into `out` (replacing its contents,
-  /// grouped by draw bucket with stream order kept inside each bucket, the
-  /// bucket ends in `bucket_ends`) instead of applying any stuck override.
-  /// The returned stats carry the variation-only counts (stuck counts zero);
-  /// replay_stuck() then completes the burn for any rate pair within the
-  /// cap. The key property (tested): the burn-in stream position never
-  /// depends on the stuck *rate values*, so one recording serves every
-  /// nonzero-rate config sharing (seed, program_sigma, cell_bits). Requires
-  /// record_eligible().
-  FaultMapStats apply_recording(std::span<std::int8_t> cells,
-                                std::int64_t rows, std::int64_t cols,
-                                std::int64_t row_stride,
-                                std::uint64_t crossbar_id,
-                                std::vector<StuckCandidate>& out,
-                                StuckBucketEnds& bucket_ends) const;
-
-  /// Completes a recorded burn on a post-variation clone: forces the planes
-  /// whose recorded draw falls under this config's thresholds and returns
-  /// the *delta* stats (stuck counts plus the weights_changed correction
-  /// relative to the recording's variation-only count; physical_cells 0, so
-  /// recording stats + delta == apply() stats exactly). Only the leading
-  /// ⌈summed threshold / 2⁴⁵⌉ buckets are read; zero rates read none.
-  /// `cells` must hold the recording's post-variation state; `hits` and
-  /// `bucket_ends` must be the recording's for the same geometry. A config
-  /// above the recording cap is rejected: its draws in [cap, threshold)
-  /// were never recorded, so the replay would be wrong.
-  FaultMapStats replay_stuck(std::span<std::int8_t> cells, std::int64_t cols,
-                             std::int64_t row_stride,
-                             std::span<const StuckCandidate> hits,
-                             const StuckBucketEnds& bucket_ends) const;
+                      std::uint64_t layer) const;
 
   /// Effective weight-space rms error per unit σ of per-level lognormal
   /// noise: A(b) = sqrt(E[v²] · Σ_p 4^{p·b}) with v uniform over the level
@@ -363,27 +300,14 @@ class FaultModel {
   FaultConfig config_;
   int planes_ = 8;           ///< 8 / cell_bits
   unsigned level_mask_ = 1;  ///< 2^cell_bits − 1
-  // Fast-kernel precompute (see kernels::BurnSpec): integer stuck-at
-  // thresholds on the raw 53-bit uniform draw, and per-level
-  // polar-rejection safety bounds s_safe[L] — when the accepted polar s
-  // exceeds s_safe[L] the lognormal perturbation provably cannot move level
-  // L off its grid point, so the sqrt/log/exp are skipped while the RNG
-  // stream advances identically.
-  std::uint64_t stuck_zero_thr53_ = 0;  ///< u < z₀ ⟺ bits53 < this
-  std::uint64_t stuck_sum_thr53_ = 0;   ///< u < z₀+z₁ ⟺ bits53 < this
-  std::vector<double> level_s_safe_;    ///< indexed by level, [0..mask]
+  std::uint64_t zero_thr_ = 0;   ///< stuck-at-0 ⟺ k < this
+  std::uint64_t stuck_thr_ = 0;  ///< stuck ⟺ k < this
+  /// Variation thresholds, empty when no level can move: level L lands at
+  /// most on j ⟺ k < bounds_[L·mask + j] (j = 0 … mask − 1), and keeps L ⟺
+  /// k ∈ [bounds_[L·mask + L − 1], bounds_[L·mask + L]) (the ends clamped).
+  std::vector<std::uint64_t> bounds_;
+  std::vector<std::uint64_t> stay_lo_, stay_hi_;  ///< indexed by level
 };
-
-/// The canonical recording config for cross-rate cache spanning: `config`
-/// with its stuck rates replaced by the largest recordable rate (summed
-/// threshold == FaultModel::kRecordCap53, i.e. 2⁻⁶). A recording burn
-/// captures *every* stuck draw below the cap regardless of the rate values,
-/// so the probe's recording is identical to the one any in-cap nonzero-rate
-/// config sharing (seed, program_sigma, cell_bits) would produce — it exists
-/// so a zero-stuck-rate grid point (whose own burn-in skips the stuck draws
-/// entirely and is therefore not recordable) can join the shared recorded
-/// fabric family. Replaying it at zero rates forces no candidates.
-FaultConfig spanning_probe(const FaultConfig& config) noexcept;
 
 /// Closed-form per-layer fault vulnerability in [0, 1]: the expected
 /// relative MVM output error of `layer` mapped as `m` under `faults`.

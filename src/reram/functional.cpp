@@ -45,6 +45,18 @@ std::vector<mapping::CrossbarShape> plan_shapes(
   return plan.shapes();
 }
 
+/// The one FaultModel of a point's trial configs, which may differ only in
+/// seed: each burn job carries its own.
+FaultModel point_model(std::span<const FaultConfig> faults) {
+  for (const FaultConfig& fc : faults) {
+    FaultConfig same_seed = fc;
+    same_seed.seed = faults.front().seed;
+    AUTOHET_CHECK(same_seed == faults.front(),
+                  "a batched burn's configs may differ only in seed");
+  }
+  return FaultModel(faults.front());
+}
+
 /// Vector-unit residual add: both operands quantized to a shared symmetric
 /// 8-bit grid, summed in int32 (exact), dequantized once. Deterministic and
 /// order-free — the accelerator's SIMD unit computes the same sums.
@@ -70,7 +82,9 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
                          const tensor::Tensor& weight,
                          const mapping::CrossbarShape& shape,
                          std::uint64_t layer_id)
-    : spec_(spec), mapping_(mapping::map_layer(spec, shape)) {
+    : spec_(spec),
+      mapping_(mapping::map_layer(spec, shape)),
+      layer_id_(layer_id) {
   const std::int64_t k2 = spec.kernel * spec.kernel;
   const std::int64_t wrows = spec.weight_rows();
   const std::int64_t wcols = spec.weight_cols();
@@ -126,49 +140,24 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
   }
 }
 
-void MappedLayer::burn(std::span<const FaultConfig> faults,
-                       std::span<const Clones> jobs,
-                       std::span<TrialBurnRecord> records,
+void MappedLayer::burn(const FaultModel& faults,
+                       std::span<const BurnJob> jobs,
                        common::ThreadPool* pool) {
-  const bool record = !records.empty();
-  AUTOHET_CHECK(!record || records.size() == faults.size(),
-                "one burn record per recorded config required");
-  for (const FaultConfig& fc : faults) {
-    FaultConfig same_seed = fc;
-    same_seed.seed = faults.front().seed;
-    AUTOHET_CHECK(same_seed == faults.front(),
-                  "a batched burn's configs may differ only in seed");
-  }
-  if (faults.empty()) return;
-  // One model serves every lane: each burns under its own trial's seed.
-  const FaultModel model(faults.front());
-  // One item per (job, crossbar, lane group), largest crossbar first so a
-  // pool's tail is the small ones; each lane keeps its crossbar's stats.
+  if (faults.ideal()) return;
+  // One item per (clone, crossbar), largest programmed block first so a
+  // pool's tail is the small ones; each item keeps its crossbar's stats.
   struct Item {
-    const Clones* job;
-    std::size_t crossbar, clone0, lanes;
+    const BurnJob* job;
+    std::size_t crossbar;
     std::int64_t cells;
-    std::array<FaultMapStats, kernels::kBurnLanes> stats{};
+    FaultMapStats stats;
   };
   std::vector<Item> items;
-  for (const Clones& job : jobs) {
-    AUTOHET_CHECK(job.layers.size() == job.trials.size(),
-                  "one trial per clone required");
-    if (job.layers.empty()) continue;
-    if (record) {
-      for (std::size_t c = 0; c < job.layers.size(); ++c) {
-        records[job.trials[c]].layers[job.layer_id].assign(
-            job.layers[c]->crossbar_count(), {});
-      }
-    }
-    const MappedLayer& lead = *job.layers.front();
-    for (std::size_t x = 0; x < lead.crossbar_count(); ++x) {
-      for (std::size_t c0 = 0; c0 < job.layers.size();
-           c0 += kernels::kBurnLanes) {
-        items.push_back({&job, x, c0,
-                         std::min(kernels::kBurnLanes, job.layers.size() - c0),
-                         lead.crossbar_cells()});
-      }
+  for (const BurnJob& job : jobs) {
+    const MappedLayer& layer = *job.layer;
+    for (std::size_t x = 0; x < layer.crossbars_.size(); ++x) {
+      const LogicalCrossbar& xb = layer.crossbars_[x];
+      items.push_back({&job, x, xb.rows_used() * xb.cols_used(), {}});
     }
   }
   std::stable_sort(
@@ -176,53 +165,16 @@ void MappedLayer::burn(std::span<const FaultConfig> faults,
       [](const Item& a, const Item& b) { return a.cells > b.cells; });
   common::parallel_for(pool, 0, items.size(), [&](std::size_t k) {
     Item& item = items[k];
-    std::array<LogicalCrossbar*, kernels::kBurnLanes> group{};
-    std::array<BurnTarget, kernels::kBurnLanes> burns{};
-    for (std::size_t i = 0; i < item.lanes; ++i) {
-      MappedLayer& clone = *item.job->layers[item.clone0 + i];
-      AUTOHET_CHECK(item.crossbar < clone.crossbars_.size(),
-                    "a burn's clones must share one crossbar grid");
-      group[i] = &clone.crossbars_[item.crossbar];
-      const std::size_t t = item.job->trials[item.clone0 + i];
-      burns[i].seed = faults[t].seed;
-      if (record) {
-        CrossbarBurnRecord& rec =
-            records[t].layers[item.job->layer_id][item.crossbar];
-        burns[i].hits = &rec.hits;
-        burns[i].bucket_ends = &rec.bucket_ends;
-      }
-    }
-    LogicalCrossbar::burn_clones(
-        model, item.job->layer_id * kFaultIdStride + item.crossbar,
-        std::span(group.data(), item.lanes),
-        std::span(burns.data(), item.lanes));
-    for (std::size_t i = 0; i < item.lanes; ++i) {
-      item.stats[i] = burns[i].stats;
-      if (record) {
-        records[item.job->trials[item.clone0 + i]]
-            .layers[item.job->layer_id][item.crossbar]
-            .variation = burns[i].stats;
-      }
-    }
+    MappedLayer& layer = *item.job->layer;
+    const auto cb_count = static_cast<std::size_t>(layer.mapping_.col_blocks);
+    const std::size_t rb = item.crossbar / cb_count;
+    const std::size_t cb = item.crossbar % cb_count;
+    item.stats = layer.crossbars_[item.crossbar].burn(
+        faults,
+        BurnKey{item.job->seed, layer.layer_id_, layer.row_ranges_[rb].first,
+                static_cast<std::int64_t>(cb) * layer.mapping_.shape.cols});
   });
-  for (const Item& item : items) {
-    for (std::size_t i = 0; i < item.lanes; ++i) {
-      item.job->layers[item.clone0 + i]->fault_stats_ += item.stats[i];
-    }
-  }
-}
-
-void MappedLayer::replay_faults(
-    const FaultModel& faults,
-    const std::vector<CrossbarBurnRecord>& recorded) {
-  AUTOHET_CHECK(recorded.size() == crossbars_.size(),
-                "recorded burn does not match this layer's crossbar grid");
-  fault_stats_ = {};
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    fault_stats_ += recorded[i].variation;
-    fault_stats_ += crossbars_[i].replay_stuck_faults(
-        faults, recorded[i].hits, recorded[i].bucket_ends);
-  }
+  for (const Item& item : items) item.job->layer->fault_stats_ += item.stats;
 }
 
 void MappedLayer::prepare_packed() {
@@ -268,7 +220,7 @@ SimulatedModel::SimulatedModel(
     const std::vector<mapping::CrossbarShape>& shapes, DatapathMode mode,
     const FaultConfig& faults)
     : SimulatedModel(model, mode, program_layers(model, shapes)) {
-  burn(std::span(this, 1), std::span(&faults, 1), {}, nullptr);
+  burn(std::span(this, 1), std::span(&faults, 1), nullptr);
 }
 
 SimulatedModel::SimulatedModel(const nn::Model& model,
@@ -276,14 +228,13 @@ SimulatedModel::SimulatedModel(const nn::Model& model,
                                DatapathMode mode)
     : SimulatedModel(model, mode,
                      program_layers(model, plan_shapes(model, plan))) {
-  burn(std::span(this, 1), std::span(&plan.accel.faults, 1), {}, nullptr);
+  burn(std::span(this, 1), std::span(&plan.accel.faults, 1), nullptr);
 }
 
 SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
                                std::vector<MappedLayer> layers)
     : model_(&model),
       mode_(mode),
-      fault_model_(FaultConfig{}),
       layers_(std::move(layers)) {
   AUTOHET_CHECK(layers_.size() == model.spec().mappable_layers().size(),
                 "one layer per mappable layer required");
@@ -291,28 +242,24 @@ SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
 
 void SimulatedModel::burn(std::span<SimulatedModel> fabrics,
                           std::span<const FaultConfig> faults,
-                          std::span<TrialBurnRecord> records,
                           common::ThreadPool* pool) {
   AUTOHET_CHECK(fabrics.size() == faults.size(),
                 "one fault config per fabric required");
-  std::vector<MappedLayer::Clones> jobs;
+  if (faults.empty()) return;
+  const FaultModel model = point_model(faults);
+  std::vector<MappedLayer::BurnJob> jobs;
   for (std::size_t t = 0; t < fabrics.size(); ++t) {
     SimulatedModel& fabric = fabrics[t];
-    AUTOHET_CHECK(fabric.fault_model_.ideal(),
+    AUTOHET_CHECK(fabric.faults_.ideal(),
                   "burning faults requires a clean (ideal) fabric");
-    fabric.fault_model_ = FaultModel(faults[t]);
-    jobs.resize(fabric.layers_.size());
-    for (std::size_t l = 0; l < jobs.size(); ++l) {
-      jobs[l].layer_id = l;
-      jobs[l].layers.push_back(&fabric.layers_[l]);
-      jobs[l].trials.push_back(t);
+    fabric.faults_ = faults[t];
+    for (MappedLayer& layer : fabric.layers_) {
+      jobs.push_back({&layer, faults[t].seed});
     }
-    if (!records.empty()) records[t].layers.resize(jobs.size());
   }
-  MappedLayer::burn(faults, jobs, records, pool);
+  MappedLayer::burn(model, jobs, pool);
   // Only the bit-serial datapath reads packed planes, and it packs once the
-  // cells are final: clean layers stay unpacked until here, and the burn
-  // repacked every packed clone it moved.
+  // cells are final: clean layers stay unpacked until here.
   for (SimulatedModel& fabric : fabrics) {
     if (fabric.mode_ != DatapathMode::kBitSerial) continue;
     for (MappedLayer& layer : fabric.layers_) layer.prepare_packed();
@@ -327,31 +274,7 @@ std::vector<SimulatedModel> SimulatedModel::with_faults(
     std::span<const FaultConfig> faults, common::ThreadPool* pool) const {
   // Clones reuse the quantization and the programmed cells.
   std::vector<SimulatedModel> out(faults.size(), *this);
-  burn(out, faults, {}, pool);
-  return out;
-}
-
-std::vector<SimulatedModel> SimulatedModel::with_faults_recorded(
-    std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
-    common::ThreadPool* pool) const {
-  AUTOHET_CHECK(records.size() == faults.size(),
-                "one burn record per recorded config required");
-  AUTOHET_CHECK(faults.empty() || FaultModel(faults.front()).record_eligible(),
-                "fault config is not record-eligible");
-  std::vector<SimulatedModel> out(faults.size(), *this);
-  burn(out, faults, records, pool);
-  return out;
-}
-
-SimulatedModel SimulatedModel::replay_faults(
-    const FaultConfig& faults, const TrialBurnRecord& record) const {
-  AUTOHET_CHECK(record.layers.size() == layers_.size(),
-                "burn record does not match this fabric's layer count");
-  SimulatedModel out = *this;  // the recording's post-variation cells
-  out.fault_model_ = FaultModel(faults);
-  for (std::size_t i = 0; i < out.layers_.size(); ++i) {
-    out.layers_[i].replay_faults(out.fault_model_, record.layers[i]);
-  }
+  burn(out, faults, pool);
   return out;
 }
 
@@ -631,36 +554,9 @@ TrialFabricCache::ideal_refs(const WorkloadKey& key,
   return ideal_.get(key, build);
 }
 
-std::vector<std::shared_ptr<const TrialFabricCache::TrialFabric>>
-TrialFabricCache::trial_fabrics(
-    const WorkloadKey& workload, std::span<const FaultConfig> trial_faults,
-    const std::function<std::vector<TrialFabric>(
-        std::span<const FaultConfig>)>& build) {
-  std::vector<TrialKey> keys;
-  keys.reserve(trial_faults.size());
-  for (const FaultConfig& fc : trial_faults) {
-    keys.push_back({workload, fc.cell_bits, fc.program_sigma, fc.seed});
-  }
-  // Another workload, or another (cell_bits, sigma) generation of this one,
-  // can never hit again within a sweep — drop its fabrics eagerly.
-  return trials_.get_many(
-      std::span<const TrialKey>(keys),
-      [&](std::span<const std::size_t> missing) {
-        std::vector<FaultConfig> configs;
-        for (const std::size_t i : missing) configs.push_back(trial_faults[i]);
-        return build(configs);
-      },
-      [&](const TrialKey& resident) {
-        return resident.workload != workload ||
-               resident.cell_bits != keys.front().cell_bits ||
-               resident.program_sigma != keys.front().program_sigma;
-      });
-}
-
 TrialFabricCache::Stats TrialFabricCache::stats() const {
   const auto ideal = ideal_.counts();
-  const auto trials = trials_.counts();
-  return {ideal.builds, ideal.hits, trials.builds, trials.hits};
+  return {ideal.builds, ideal.hits, 0, 0};
 }
 
 std::vector<SimulatedModel> LayerFabricCache::fabrics(
@@ -681,25 +577,26 @@ std::vector<SimulatedModel> LayerFabricCache::fabrics(
   }
   const auto entries = burned_.get_many(
       std::span<const Key>(keys), [&](std::span<const std::size_t> missing) {
-        // Each miss copies its layer's clean programming; the misses of one
-        // layer (contiguous, keys are layer-major) form one burn job.
+        // Each miss is one burn job on a copy of its layer's clean
+        // programming, looked up once per layer (a layer's misses are
+        // contiguous: keys are layer-major).
         std::vector<MappedLayer> built;
         built.reserve(missing.size());
-        std::vector<MappedLayer::Clones> jobs;
+        std::vector<MappedLayer::BurnJob> jobs;
         std::shared_ptr<const MappedLayer> clean;
+        std::size_t clean_layer = mappable.size();
         for (const std::size_t k : missing) {
           const std::size_t l = k / n;
-          if (jobs.empty() || jobs.back().layer_id != l) {
+          if (l != clean_layer) {
             clean = clean_.get(key(l, FaultConfig{}), [&] {
               return MappedLayer(mappable[l], model.weight(l), shapes[l],
                                  static_cast<std::uint64_t>(l));
             });
-            jobs.push_back({l, {}, {}});
+            clean_layer = l;
           }
-          jobs.back().layers.push_back(&built.emplace_back(*clean));
-          jobs.back().trials.push_back(k % n);
+          jobs.push_back({&built.emplace_back(*clean), faults[k % n].seed});
         }
-        MappedLayer::burn(faults, jobs, {}, pool);
+        MappedLayer::burn(point_model(faults), jobs, pool);
         return built;
       });
   std::vector<SimulatedModel> out;
@@ -713,7 +610,7 @@ std::vector<SimulatedModel> LayerFabricCache::fabrics(
     SimulatedModel& fabric =
         out.emplace_back(SimulatedModel(model, DatapathMode::kInteger,
                                         std::move(layers)));
-    fabric.fault_model_ = FaultModel(faults[i]);
+    fabric.faults_ = faults[i];
   }
   return out;
 }
@@ -756,18 +653,6 @@ RobustnessReport monte_carlo_robustness(
   SequentialStopper stopper(options.budget, options.trials);
   const int requested = adaptive ? stopper.cap() : options.trials;
   TrialFabricCache* cache = options.cache;
-  const bool cache_trials =
-      cache != nullptr && FaultModel(faults).record_eligible();
-  // Adaptive-only cross-rate spanning: a zero-stuck-rate config cannot be
-  // recorded from its own stream (the stuck draws are skipped entirely),
-  // but it *can* replay the shared recorded family — the probe recording is
-  // rate-independent and replaying it under zero thresholds forces nothing.
-  // Statistically equivalent, not byte-identical, so kFixed never takes it.
-  const bool span_zero =
-      adaptive && cache != nullptr &&
-      !cache_trials && faults.stuck_at_zero_rate == 0.0 &&
-      faults.stuck_at_one_rate == 0.0 && faults.program_sigma > 0.0 &&
-      FaultModel(spanning_probe(faults)).record_eligible();
 
   RobustnessReport report;
   report.trials_requested = requested;
@@ -845,19 +730,12 @@ RobustnessReport monte_carlo_robustness(
   }
 
   // Phase A body: build the faulty fabrics of trials [b0, b1) into
-  // `fabrics`, setting each trial's stats.
-  // Every trial fabric is a clean copy with the trial's faults burned in by
-  // MappedLayer::burn — bit-identical to a fresh build (both are pure
-  // functions of the seeds). There are two sources. (1) The block's trials
-  // burn together (with_faults): each crossbar runs them in lockstep lane
-  // groups, the (crossbar, lane group) items spread over the pool. A
-  // LayerFabricCache memoizes this per (layer, trial): cached entries are
-  // copied and only the block's misses burn, from the cached clean layers.
-  // It wins over (2) when allocations churn (the trial seed stream is
-  // fixed, so every layer burn is shared across episodes; the
-  // workload-keyed TrialFabricCache would evict on every allocation).
-  // (2) With a TrialFabricCache, a block's missing trials are recorded
-  // together once and replayed per rate point.
+  // `fabrics`, setting each trial's stats. Every trial fabric is a clean
+  // copy with the trial's faults burned in by MappedLayer::burn — its
+  // (clone, crossbar) items spread over the pool. A LayerFabricCache
+  // memoizes this per (layer, trial): cached entries are copied and only
+  // the block's misses burn, from the cached clean layers. Both are
+  // bit-identical to a fresh build (pure functions of the seeds).
   const auto build_fabrics =
       [&](std::size_t b0, std::size_t b1, common::ThreadPool* pool,
           std::vector<std::optional<SimulatedModel>>& fabrics) {
@@ -866,45 +744,14 @@ RobustnessReport monte_carlo_robustness(
         for (std::size_t t = b0; t < b1; ++t) {
           configs.push_back(faults.for_trial(static_cast<std::uint64_t>(t)));
         }
-        const auto install = [&](std::size_t t, SimulatedModel fabric) {
-          fabrics[t - b0].emplace(std::move(fabric));
+        std::vector<SimulatedModel> built =
+            layer_cache != nullptr
+                ? layer_cache->fabrics(model, shapes, configs, pool)
+                : refs->ideal.with_faults(configs, pool);
+        for (std::size_t t = b0; t < b1; ++t) {
+          fabrics[t - b0].emplace(std::move(built[t - b0]));
           trials[t].stats = fabrics[t - b0]->fault_stats();
-        };
-        if (layer_cache != nullptr || (!cache_trials && !span_zero)) {
-          std::vector<SimulatedModel> built =
-              layer_cache != nullptr
-                  ? layer_cache->fabrics(model, shapes, configs, pool)
-                  : refs->ideal.with_faults(configs, pool);
-          for (std::size_t t = b0; t < b1; ++t) {
-            install(t, std::move(built[t - b0]));
-          }
-          return;
         }
-        const auto slots = cache->trial_fabrics(
-            workload, configs, [&](std::span<const FaultConfig> missing) {
-              // A spanning (zero-rate) point burns the canonical probe
-              // config so the recording it leaves behind is the exact one
-              // every in-cap nonzero-rate point of this (seed, sigma, bits)
-              // generation records — one burned fabric family serves the
-              // whole rate row.
-              std::vector<FaultConfig> burns(missing.begin(), missing.end());
-              if (span_zero) {
-                for (FaultConfig& fc : burns) fc = spanning_probe(fc);
-              }
-              std::vector<TrialBurnRecord> records(burns.size());
-              std::vector<SimulatedModel> recorded =
-                  refs->ideal.with_faults_recorded(burns, records, pool);
-              std::vector<TrialFabricCache::TrialFabric> out;
-              for (std::size_t i = 0; i < burns.size(); ++i) {
-                out.push_back(
-                    {std::move(recorded[i]), std::move(records[i])});
-              }
-              return out;
-            });
-        common::parallel_for(pool, b0, b1, [&](std::size_t t) {
-          const auto& slot = slots[t - b0];
-          install(t, slot->fabric.replay_faults(configs[t - b0], slot->record));
-        });
       };
 
   // Phase B body: run one chunk of samples through an already-built trial
@@ -939,20 +786,20 @@ RobustnessReport monte_carlo_robustness(
   }
   // Trials run in blocks: phase A builds a block's trial fabrics, phase B
   // runs the block's flattened (trial, sample-chunk) items. Blocking bounds
-  // peak fabric memory at one block instead of the whole budget: a lane
-  // group's width for lockstep burns, more with a larger pool.
+  // peak fabric memory at one block of kBlockTrials (more with a larger
+  // pool) instead of the whole budget.
+  constexpr std::size_t kBlockTrials = 8;
   const bool parallel = threads > 1;
   const std::size_t workers = options.pool != nullptr
                                   ? options.pool->size()
                                   : static_cast<std::size_t>(threads);
-  const std::size_t block = std::max(parallel ? workers : 1,
-                                     kernels::kBurnLanes);
+  const std::size_t block = std::max(parallel ? workers : 1, kBlockTrials);
   const auto cpt = static_cast<std::size_t>(chunks_per_trial);
   // The parallel items of each phase in the first (largest) block: phase A
-  // spreads (crossbar, lane group) burn items and phase B (trial, chunk)
-  // items. Each forward inside an item runs serially. A pool only pays
-  // when a phase has two or more items, and a local one never needs more
-  // workers than the larger phase has items.
+  // spreads (clone, crossbar) burn items and phase B (trial, chunk) items.
+  // Each forward inside an item runs serially. A pool only pays when a
+  // phase has two or more items, and a local one never needs more workers
+  // than the larger phase has items.
   const std::size_t first_block =
       std::min(block, static_cast<std::size_t>(requested));
   const auto mappable = model.spec().mappable_layers();
@@ -961,10 +808,7 @@ RobustnessReport monte_carlo_robustness(
     const mapping::LayerMapping m = mapping::map_layer(mappable[l], shapes[l]);
     crossbars += static_cast<std::size_t>(m.row_blocks * m.col_blocks);
   }
-  const std::size_t phase_a =
-      crossbars * ((first_block + kernels::kBurnLanes - 1) /
-                   kernels::kBurnLanes);
-  const std::size_t items = std::max(phase_a, first_block * cpt);
+  const std::size_t items = first_block * std::max(crossbars, cpt);
   std::optional<common::ThreadPool> local_pool;
   common::ThreadPool* pool = nullptr;
   if (parallel && items >= 2) {

@@ -12,7 +12,8 @@
 //
 // There is one datapath per operation: every MVM, a single column included,
 // is one batched call per crossbar through the dispatched kernels, and
-// every fault burn-in is the lockstep burn kernel. The scalar per-cell
+// every fault burn-in is one keyed loop over the programmed cells
+// (FaultModel::burn). The scalar per-cell
 // implementations these are tested against — MVMs, burn-in, a network
 // forward and a serial Monte-Carlo — live in the oracle library
 // tests/oracle.hpp.
@@ -41,34 +42,12 @@ enum class DatapathMode {
   kInteger     ///< int32 GEMV shortcut (bit-exact to kBitSerial)
 };
 
-/// Crossbar-id stride between layers: crossbar i of mappable layer l burns
-/// its fault map under id l·kFaultIdStride + i. Fault maps stay stable per
-/// crossbar as long as no layer spans more than 2^20 logical crossbars.
-inline constexpr std::uint64_t kFaultIdStride = std::uint64_t{1} << 20;
-
-/// One crossbar's recorded fault burn-in: the variation-only stats of the
-/// recording pass plus the stuck-draw candidates captured from the stream,
-/// grouped by draw bucket (stream order inside each) with the bucket ends
-/// that let a replay read only the buckets its rate can reach (see
-/// FaultModel::apply_recording).
-struct CrossbarBurnRecord {
-  FaultMapStats variation;
-  std::vector<StuckCandidate> hits;
-  StuckBucketEnds bucket_ends{};
-};
-
-/// One recorded trial burn across a whole fabric, indexed [layer][crossbar].
-/// Together with the post-variation fabric clone this replays the burn-in
-/// for any stuck-at rates within FaultModel::kRecordCap53.
-struct TrialBurnRecord {
-  std::vector<std::vector<CrossbarBurnRecord>> layers;
-};
-
 class MappedLayer {
  public:
   /// Quantizes `weight` ([Cout,Cin,k,k] or [out,in]) to 8 bits and programs
-  /// it, clean, across crossbars of the given shape (`layer_id` tags the
-  /// programming profile records). Faults enter only through burn().
+  /// it, clean, across crossbars of the given shape. `layer_id` (the
+  /// mappable-layer index) tags the programming profile records and keys
+  /// the layer's fault draws. Faults enter only through burn().
   MappedLayer(const nn::LayerSpec& spec, const tensor::Tensor& weight,
               const mapping::CrossbarShape& shape,
               std::uint64_t layer_id = 0);
@@ -95,39 +74,20 @@ class MappedLayer {
   /// MVMs take the AND+popcount kernel.
   void prepare_packed();
 
-  /// The logical crossbars, one shape each: crossbar_count() of
-  /// crossbar_cells() physical cells.
-  std::size_t crossbar_count() const noexcept { return crossbars_.size(); }
-  std::int64_t crossbar_cells() const noexcept {
-    return mapping_.shape.rows * mapping_.shape.cols;
-  }
-
-  /// One layer's share of a burn: copies of one clean layer with id
-  /// `layer_id`, layers[i] burned under the config of trial trials[i].
-  struct Clones {
-    std::uint64_t layer_id = 0;
-    std::vector<MappedLayer*> layers;
-    std::vector<std::size_t> trials;
+  /// One clone to burn: a copy of a clean layer and its trial's seed.
+  struct BurnJob {
+    MappedLayer* layer = nullptr;
+    std::uint64_t seed = 0;
   };
 
-  /// The one fault burn-in: burns faults[t] (one config per trial, the
-  /// configs differing only in seed) into each job's clean clones. Each
-  /// crossbar burns its clones in lockstep lane groups of up to
-  /// kernels::kBurnLanes; `pool`, when given, spreads the (job, crossbar,
-  /// lane group) items, largest crossbar first. With `records` (one per
-  /// trial, layers sized by the caller) it records trial t's stuck draws
-  /// and leaves the post-variation cells (FaultModel::apply_recording).
-  static void burn(std::span<const FaultConfig> faults,
-                   std::span<const Clones> jobs,
-                   std::span<TrialBurnRecord> records,
+  /// The one fault burn-in: burns `faults` into each job's clean clone
+  /// under the job's seed. Each crossbar burns its programmed block, keyed
+  /// by (seed, layer id, weight row, weight col, plane) — see FaultModel —
+  /// so the burned logical weights do not depend on the crossbar shape.
+  /// `pool`, when given, spreads the (clone, crossbar) items, largest block
+  /// first.
+  static void burn(const FaultModel& faults, std::span<const BurnJob> jobs,
                    common::ThreadPool* pool = nullptr);
-
-  /// Completes a recorded burn on this layer (a clone of the recording's
-  /// post-variation state): forces the recorded candidates that fall under
-  /// `faults`' stuck thresholds and installs exactly the fault stats burn
-  /// would have produced.
-  void replay_faults(const FaultModel& faults,
-                     const std::vector<CrossbarBurnRecord>& recorded);
 
   /// Stuck-at / variation counts burned in (all zero on a clean layer).
   const FaultMapStats& fault_stats() const noexcept { return fault_stats_; }
@@ -136,6 +96,7 @@ class MappedLayer {
   nn::LayerSpec spec_;
   mapping::LayerMapping mapping_;
   float weight_scale_ = 1.0f;
+  std::uint64_t layer_id_ = 0;
   // Crossbar grid, row-major: crossbars_[rb * col_blocks + cb].
   std::vector<LogicalCrossbar> crossbars_;
   // Channel range [start, end) of each row block (kernel-aligned path) or
@@ -177,30 +138,12 @@ class SimulatedModel {
 
   /// Batched with_faults over the trials of one point: one fabric per
   /// config, each bit-identical to with_faults(faults[i]). The configs may
-  /// differ only in seed (FaultConfig::for_trial of one point); every
-  /// crossbar burns its trials in lockstep (MappedLayer::burn), the items
-  /// spread over `pool` when given. The single-config with_faults is this
-  /// with one config.
+  /// differ only in seed (FaultConfig::for_trial of one point); their
+  /// (clone, crossbar) burn items spread over `pool` when given. The
+  /// single-config with_faults is this with one config.
   std::vector<SimulatedModel> with_faults(
       std::span<const FaultConfig> faults,
       common::ThreadPool* pool = nullptr) const;
-
-  /// with_faults that burns each config's programming variation while
-  /// *recording* its stuck-draw stream into records[i]: fabric i is the
-  /// post-variation state, completed per rate by replay_faults. Requires an
-  /// ideal source fabric and record-eligible configs.
-  std::vector<SimulatedModel> with_faults_recorded(
-      std::span<const FaultConfig> faults, std::span<TrialBurnRecord> records,
-      common::ThreadPool* pool = nullptr) const;
-
-  /// Completes a recorded burn: clones this post-variation fabric (a
-  /// with_faults_recorded result) and forces the recorded candidates under
-  /// `faults`' stuck thresholds. Bit-identical to with_faults(faults) on
-  /// the original ideal fabric for any `faults` sharing the recording's RNG
-  /// stream — same seed, program_sigma and cell_bits, any stuck rates
-  /// within the recording cap (tested).
-  SimulatedModel replay_faults(const FaultConfig& faults,
-                               const TrialBurnRecord& record) const;
 
   /// One sample's forward result: the network output plus each mappable
   /// layer's raw (pre-activation) output — the per-layer hooks the
@@ -245,12 +188,10 @@ class SimulatedModel {
                  std::vector<MappedLayer> layers);
 
   /// Burns faults[i] into fabrics[i] — clean fabrics of one model and
-  /// allocation — in one MappedLayer::burn over all their layers,
-  /// recording into `records` when it is non-empty, then packs the
-  /// bit-serial fabrics.
+  /// allocation — in one MappedLayer::burn over all their layers, then
+  /// packs the bit-serial fabrics.
   static void burn(std::span<SimulatedModel> fabrics,
                    std::span<const FaultConfig> faults,
-                   std::span<TrialBurnRecord> records,
                    common::ThreadPool* pool);
   /// One mappable layer over a batch: convs through run_conv; FC layers
   /// take one batched MVM over all samples (one sample is a batch of one).
@@ -264,7 +205,7 @@ class SimulatedModel {
 
   const nn::Model* model_;
   DatapathMode mode_;
-  FaultModel fault_model_;
+  FaultConfig faults_;  ///< burned in; ideal for a clean fabric
   std::vector<MappedLayer> layers_;  // one per mappable layer
 };
 
@@ -274,26 +215,12 @@ class SimulatedModel {
 /// their models here.
 nn::Model replay_model(const plan::DeploymentPlan& plan);
 
-/// Cross-rate Monte-Carlo fabric cache (the trial-fabric cache).
-///
-/// FaultConfig::for_trial derives trial seeds from the base seed alone, and
-/// the burn-in stream consumes draws identically for every nonzero stuck
-/// rate (one uniform per physical cell — the thresholds move, the stream
-/// does not). Across a fault sweep's rate grid the per-trial RNG streams
-/// are therefore *identical*, and one recorded burn per (workload, trial)
-/// serves every rate point: the post-variation fabric is cached together
-/// with the sparse stuck-candidate list, and each rate point replays in a
-/// single clone-and-patch pass instead of re-burning millions of cells.
-/// The ideal reference fabric, its synthetic inputs and traced reference
-/// outputs (independent of every fault knob) are cached alongside and
-/// shared across the whole grid.
-///
-/// Reports stay byte-identical to the uncached path (tested); the cache is
-/// purely a wall-time optimization. Thread-safe. Holds one workload at a
-/// time — a new WorkloadKey drops the previous references at once and the
-/// previous trial fabrics at its first recording, matching the sweep access
-/// pattern (all rate/cell-bits points of one configuration, then the next
-/// configuration).
+/// Monte-Carlo reference cache: the ideal fabric, its synthetic inputs and
+/// traced reference outputs of one workload. They depend on no fault knob,
+/// so one build serves a sweep's whole rate × cell-bits grid. Trial fabrics
+/// are not cached: a keyed burn of a clean copy is cheaper than keeping
+/// them. Thread-safe; holds one workload at a time (a new WorkloadKey drops
+/// the previous references).
 class TrialFabricCache {
  public:
   /// Everything that identifies one MC workload besides the fault config.
@@ -313,62 +240,31 @@ class TrialFabricCache {
     std::vector<SimulatedModel::ForwardTrace> references;
   };
 
-  /// One recorded trial burn: the post-variation fabric plus the recorded
-  /// stuck candidates, replayable for any rates within the cap.
-  struct TrialFabric {
-    SimulatedModel fabric;
-    TrialBurnRecord record;
-  };
-
   /// Returns the ideal-reference slot for `key`, building it via `build` on
   /// first use of this workload (a different key evicts the previous one).
   std::shared_ptr<const IdealRefs> ideal_refs(
       const WorkloadKey& key, const std::function<IdealRefs()>& build);
 
-  /// Returns the recorded trial fabric of `workload` for each config in
-  /// `trial_faults` (for_trial-derived, record-eligible configs of one
-  /// point), recording every missing one in a single `build(missing)` call
-  /// that returns one fabric per missing config, in order — so a point's
-  /// trials record together. Keyed by (workload, cell_bits, program_sigma,
-  /// seed), so one recording per trial serves every stuck-rate point of a
-  /// sweep grid. Calls for disjoint trials proceed concurrently (per-slot
-  /// locking).
-  std::vector<std::shared_ptr<const TrialFabric>> trial_fabrics(
-      const WorkloadKey& workload, std::span<const FaultConfig> trial_faults,
-      const std::function<std::vector<TrialFabric>(
-          std::span<const FaultConfig>)>& build);
-
   struct Stats {
     std::uint64_t ideal_builds = 0;
     std::uint64_t ideal_hits = 0;
-    std::uint64_t trial_records = 0;  ///< trials recorded
-    std::uint64_t trial_replays = 0;  ///< trials found recorded
+    /// Always 0: trial fabrics are no longer recorded or replayed. Kept
+    /// until the benchmark harness that reads them is re-frozen (ROADMAP
+    /// item 11).
+    std::uint64_t trial_records = 0;
+    std::uint64_t trial_replays = 0;
   };
   Stats stats() const;
 
  private:
-  /// The workload plus the fault knobs that pin a trial's burn-in RNG
-  /// stream.
-  struct TrialKey {
-    WorkloadKey workload;
-    int cell_bits = 0;
-    double program_sigma = 0.0;
-    std::uint64_t seed = 0;
-    bool operator==(const TrialKey&) const = default;
-  };
-
   SlotStore<WorkloadKey, IdealRefs> ideal_{1};
-  /// A sweep holds trials × one (workload, cell_bits, sigma) generation at
-  /// a time; stale generations are evicted on insert, and 64 slots cap the
-  /// rest.
-  SlotStore<TrialKey, TrialFabric> trials_{64};
 };
 
 /// Cross-allocation per-layer fabric cache (the in-search fabric cache).
 ///
 /// A burned MappedLayer is a pure function of (layer spec + weights,
-/// crossbar shape, fault config, layer id): the burn-in RNG stream is
-/// seeded per layer, independent of the rest of the allocation. An RL
+/// crossbar shape, fault config, layer id): its fault draws are keyed per
+/// layer, independent of the rest of the allocation. An RL
 /// search revisits the same per-layer (layer, candidate) choices under one
 /// fixed FaultConfig even though whole allocations rarely repeat, so an L×C
 /// table of clean programmed layers plus their burned (layer, trial)
@@ -445,8 +341,7 @@ struct RobustnessOptions {
   /// `trials` — byte-identical reports. kAdaptive runs the same seeded
   /// trial stream but stops at the first chunk boundary where the pooled
   /// agreement's Wilson CI half-width meets `budget.ci_halfwidth`
-  /// (`trials` caps the spend unless budget.max_trials overrides it), and
-  /// unlocks zero-stuck-rate cache spanning when a cache is supplied.
+  /// (`trials` caps the spend unless budget.max_trials overrides it).
   RobustnessBudget budget;
   std::uint64_t input_seed = 0x1a9e5ULL;
   /// Worker threads for the trial fan-out: 1 = serial (default), 0 = one
@@ -454,10 +349,9 @@ struct RobustnessOptions {
   /// byte-identical reports (trials are independently seeded and the
   /// reduction replays the serial accumulation order).
   int threads = 1;
-  /// Optional cross-call fabric cache. When set, the ideal references are
-  /// shared across calls and — for record-eligible fault configs — trial
-  /// fabrics are recorded once and replayed per rate point. Reports stay
-  /// byte-identical to the uncached path (tested).
+  /// Optional cross-call reference cache. When set, the ideal references
+  /// are shared across calls. Reports stay byte-identical to the uncached
+  /// path (tested).
   /// EvaluationEngine::evaluate_robustness supplies its own cache
   /// automatically.
   TrialFabricCache* cache = nullptr;

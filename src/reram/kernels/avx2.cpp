@@ -16,8 +16,6 @@
 
 #include <bit>
 
-#include "reram/faults.hpp"
-#include "reram/kernels/burn_ops.inl"
 #include "reram/kernels/kernel_ops.inl"
 
 namespace autohet::reram::kernels {
@@ -129,8 +127,7 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch,
-                             burn_scalar};
+const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

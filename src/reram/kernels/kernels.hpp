@@ -12,17 +12,14 @@
 //   avx2     — 256-bit lanes, popcount via the nibble-LUT (vpshufb) +
 //              psadbw byte-sum technique, and the register-tiled vpmaddwd
 //              integer GEMM; requires AVX2.
-//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction, the
-//              register-tiled vpmaddwd integer GEMM, and a lockstep fault
-//              burn-in that runs up to 8 trial streams in one vector;
-//              requires AVX-512 F/BW/VL/VPOPCNTDQ/DQ.
+//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction and the
+//              register-tiled vpmaddwd integer GEMM; requires AVX-512
+//              F/BW/VL/VPOPCNTDQ.
 //
 // Every op is integer-exact, so all variants produce bit-identical results
 // on identical inputs — the scalar-reference oracle and the byte-identical
 // Monte-Carlo report gates hold for every variant (tested per variant in
-// tests/test_kernels.cpp). The fault burn-in op (burn) is stream-exact
-// instead: every variant consumes each lane's RNG stream draw for draw as
-// the scalar kernel does, so cells, stats and recordings are identical too.
+// tests/test_kernels.cpp).
 //
 // Selection (common::KernelDispatch): the best supported variant wins at
 // first use; AUTOHET_KERNEL or a driver's --kernel option forces one by name,
@@ -47,51 +44,14 @@
 #include <vector>
 
 #include "common/kernel_variant.hpp"
-#include "common/rng.hpp"
-
-namespace autohet::reram {
-struct FaultMapStats;
-struct StuckCandidate;
-}  // namespace autohet::reram
 
 namespace autohet::reram::kernels {
 
 using Variant = common::KernelVariant;
 
-/// The constants of one fault config's stream-exact burn-in (FaultModel's
-/// precompute), shared by every lane of a burn call.
-struct BurnSpec {
-  int planes = 8;        ///< physical cells per weight (8 / cell_bits)
-  double sigma = 0.0;    ///< programming-variation σ; 0 = no normal draws
-  bool stuck = false;    ///< one stuck draw per plane (some rate > 0)
-  /// Capture every stuck draw below FaultModel::kRecordCap53 into the
-  /// lane's bins instead of applying the thresholds below.
-  bool record = false;
-  std::uint64_t zero_thr53 = 0;  ///< stuck-at-0 ⟺ 53-bit draw < this
-  std::uint64_t sum_thr53 = 0;   ///< stuck-at-1 ⟺ zero_thr53 ≤ draw < this
-  /// Per-level polar safety bounds, indexed by level: an accepted polar
-  /// s above s_safe[L] provably leaves level L on its grid point.
-  const double* s_safe = nullptr;
-};
-
-/// One lane of a burn call: a trial's RNG stream and its copy of the
-/// programmed array.
-struct BurnLane {
-  common::Rng rng;  ///< this lane's stream, advanced by the burn
-  std::int8_t* cells = nullptr;  ///< rows × cols at row_stride, in place
-  FaultMapStats* stats = nullptr;  ///< out: this lane's counts
-  /// Recording burns: one vector per draw bucket, appended to in stream
-  /// order (bucket = draw >> FaultModel::kRecordBucketShift).
-  std::vector<StuckCandidate>* bins = nullptr;
-};
-
-/// Lanes one lockstep pass burns together: the 8 64-bit lanes of an
-/// AVX-512 vector. Callers group a point's trials by this width.
-inline constexpr std::size_t kBurnLanes = 8;
-
 /// The per-variant kernel table. The MVM ops accumulate into acc_t in the
-/// transposed [col][sample] layout documented above and are integer-exact;
-/// the burn op is stream-exact. Results are bit-identical across variants.
+/// transposed [col][sample] layout documented above and are integer-exact,
+/// so results are bit-identical across variants.
 struct Ops {
   const char* name = nullptr;
 
@@ -115,13 +75,6 @@ struct Ops {
                           std::int64_t rows, std::int64_t cols,
                           const std::uint8_t* inputs_t, std::int64_t count,
                           std::int32_t* acc_t) = nullptr;
-
-  /// Fault burn-in of `count` lanes (see BurnSpec/BurnLane): every lane's
-  /// array holds the same programmed weights and is burned in place under
-  /// its own RNG stream, exactly as the scalar kernel would burn it alone.
-  void (*burn)(const BurnSpec& spec, std::int64_t rows, std::int64_t cols,
-               std::int64_t row_stride, BurnLane* lanes,
-               std::size_t count) = nullptr;
 };
 
 // This table's dispatch, a common::KernelDispatch (see there for the

@@ -7,8 +7,6 @@
 
 #include "reram/kernels/kernels.hpp"
 
-#include "reram/faults.hpp"
-#include "reram/kernels/burn_ops.inl"
 #include "reram/kernels/kernel_ops.inl"
 
 namespace autohet::reram::kernels {
@@ -64,8 +62,7 @@ void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
 }  // namespace
 
 namespace detail {
-const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch,
-                                 burn_scalar};
+const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

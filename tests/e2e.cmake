@@ -43,8 +43,9 @@
 #       workload) reports every fast serial and parallel robustness report
 #       identical to the oracle's serial Monte-Carlo under every supported
 #       kernel variant, over all three configurations; the aggregate
-#       speedup is at least 1.5x, every raw kernel beats its scalar oracle,
-#       the selected variant is a supported one and every supported variant
+#       speedup is at least 1.5x, every raw kernel beats its scalar oracle
+#       (the bench times each leg three times, alternating, and keeps the
+#       best of each), the selected variant is a supported one and every supported variant
 #       was timed and byte-checked, and the parallel path is at most 1.05x
 #       the serial one. Runs alone (RUN_SERIAL): the last bound is a timing.
 #   graph_resnet152_replay

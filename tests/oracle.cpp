@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "common/error.hpp"
 #include "mapping/layer_mapping.hpp"
@@ -84,34 +85,56 @@ tensor::Tensor residual_add(const tensor::Tensor& a, const tensor::Tensor& b) {
 
 }  // namespace
 
+double keyed_uniform(std::uint64_t seed, std::uint64_t layer, std::int64_t row,
+                     std::int64_t col, unsigned slot) {
+  constexpr std::uint64_t gamma = 0x9e3779b97f4a7c15ULL;
+  const auto finalize = [](std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const std::uint64_t base = finalize((seed ^ ((layer + 1) * gamma)) + gamma);
+  const std::uint64_t counter = (static_cast<std::uint64_t>(row) << 32) +
+                                (static_cast<std::uint64_t>(col) << 4) + slot;
+  const std::uint64_t k = finalize(base + counter * gamma) >> 12;
+  return (static_cast<double>(k) + 0.5) * 0x1.0p-52;
+}
+
 std::int8_t perturb_weight(const reram::FaultConfig& config,
-                           std::int8_t weight, common::Rng& rng,
-                           reram::FaultMapStats& stats) {
+                           std::int8_t weight, std::uint64_t seed,
+                           std::uint64_t layer, std::int64_t row,
+                           std::int64_t col, reram::FaultMapStats& stats) {
   const int b = config.cell_bits;
   const unsigned mask = (1u << b) - 1u;
-  const bool stuck =
-      config.stuck_at_zero_rate > 0.0 || config.stuck_at_one_rate > 0.0;
+  const double sigma = config.program_sigma;
   const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
   unsigned out = 0;
   for (int p = 0; p < 8 / b; ++p, ++stats.physical_cells) {
-    double level = static_cast<double>((offset >> (p * b)) & mask);
-    // HRS level 0 has no conductance to vary.
-    if (config.program_sigma > 0.0 && level > 0.0) {
-      level *= std::exp(rng.normal(0.0, config.program_sigma));
+    const unsigned level = (offset >> (p * b)) & mask;
+    unsigned burned = level;
+    const double stuck = keyed_uniform(seed, layer, row, col,
+                                       static_cast<unsigned>(p));
+    if (stuck < config.stuck_at_zero_rate) {
+      burned = 0;
+      ++stats.stuck_at_zero;
+    } else if (stuck < config.stuck_at_zero_rate + config.stuck_at_one_rate) {
+      burned = mask;
+      ++stats.stuck_at_one;
+    } else if (sigma > 0.0 && level > 0) {  // HRS level 0 has nothing to vary
+      const double u = keyed_uniform(seed, layer, row, col,
+                                     8 + static_cast<unsigned>(p));
+      // Φ of the Z at which L·exp(σZ) crosses j + ½, the top of j's
+      // rounding interval.
+      const auto upper = [&](unsigned j) {
+        const double z = std::log((static_cast<double>(j) + 0.5) /
+                                  static_cast<double>(level)) /
+                         sigma;
+        return 0.5 * std::erfc(-z / std::numbers::sqrt2);
+      };
+      burned = 0;
+      while (burned < mask && u >= upper(burned)) ++burned;
     }
-    auto quantized = static_cast<unsigned>(
-        std::clamp(std::lround(level), 0l, static_cast<long>(mask)));
-    if (stuck) {
-      const double u = rng.uniform();
-      if (u < config.stuck_at_zero_rate) {
-        quantized = 0;
-        ++stats.stuck_at_zero;
-      } else if (u < config.stuck_at_zero_rate + config.stuck_at_one_rate) {
-        quantized = mask;
-        ++stats.stuck_at_one;
-      }
-    }
-    out |= (quantized & mask) << (p * b);
+    out |= burned << (p * b);
   }
   const auto perturbed = static_cast<std::int8_t>(static_cast<int>(out) - 128);
   if (perturbed != weight) ++stats.weights_changed;
@@ -121,26 +144,19 @@ std::int8_t perturb_weight(const reram::FaultConfig& config,
 reram::FaultMapStats burn_reference(const reram::FaultConfig& config,
                                     std::span<std::int8_t> cells,
                                     std::int64_t rows, std::int64_t cols,
-                                    std::int64_t row_stride, common::Rng rng) {
+                                    std::int64_t row_stride,
+                                    const reram::BurnKey& key) {
+  config.validate();
   reram::FaultMapStats stats;
+  if (config.ideal()) return stats;
   for (std::int64_t r = 0; r < rows; ++r) {
     std::int8_t* row = cells.data() + r * row_stride;
     for (std::int64_t c = 0; c < cols; ++c) {
-      row[c] = perturb_weight(config, row[c], rng, stats);
+      row[c] = perturb_weight(config, row[c], key.seed, key.layer,
+                              key.row0 + r, key.col0 + c, stats);
     }
   }
   return stats;
-}
-
-reram::FaultMapStats apply_reference(const reram::FaultConfig& config,
-                                     std::span<std::int8_t> cells,
-                                     std::int64_t rows, std::int64_t cols,
-                                     std::int64_t row_stride,
-                                     std::uint64_t crossbar_id) {
-  config.validate();
-  if (config.ideal()) return {};
-  return burn_reference(config, cells, rows, cols, row_stride,
-                        common::Rng(config.seed).child(crossbar_id));
 }
 
 nn::QuantizedActivations quantize_activations(const tensor::Tensor& t,
@@ -262,10 +278,9 @@ Fabric::Fabric(const nn::Model& model,
                 qw.values[static_cast<std::size_t>(c * wrows + r)];
           }
         }
-        // The whole physical array burns, gap cells included.
-        stats_ += apply_reference(
-            faults, xb.cells, shapes[l].rows, shapes[l].cols, shapes[l].cols,
-            l * reram::kFaultIdStride + layer.crossbars.size());
+        // The programmed block burns; the empty cells are never read.
+        stats_ += burn_reference(faults, xb.cells, r1 - r0, c1 - c0,
+                                 shapes[l].cols, {faults.seed, l, r0, c0});
         layer.crossbars.push_back(std::move(xb));
       }
     }

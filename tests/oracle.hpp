@@ -3,7 +3,7 @@
 // evaluation of the functional simulator, and the per-sample passes of the
 // RL agent's MLP. The production datapaths (reram/faults.hpp,
 // reram/crossbar.hpp, reram/functional.hpp, rl/mlp.hpp) run dispatched
-// SIMD kernels, lockstep multi-trial burns, batched MVMs and GEMMs, fabric
+// SIMD kernels, threshold-table fault burns, batched MVMs and GEMMs, fabric
 // caches and a thread pool; each is tested bit for bit against the
 // straightforward loop here, and bench/functional_throughput times the
 // simulator against these loops as the scalar baseline. Nothing here is
@@ -30,27 +30,33 @@ namespace autohet::oracle {
 
 // --------------------------------------------------------------- burn-in --
 
-/// Perturbs one stored weight under `config`, one physical cell (plane) at
-/// a time: a lognormal draw per nonzero level when program_sigma > 0, then
-/// one uniform stuck-at draw per plane when either stuck rate is nonzero.
-std::int8_t perturb_weight(const reram::FaultConfig& config,
-                           std::int8_t weight, common::Rng& rng,
-                           reram::FaultMapStats& stats);
+/// The keyed draw at `slot` (plane p: p for its stuck draw, 8 + p for its
+/// variation draw) of weight (row, col) of `layer` under `seed`, as the
+/// uniform (k + ½)·2⁻⁵² of its top 52 bits k. Written from the key layout
+/// documented at reram::FaultModel.
+double keyed_uniform(std::uint64_t seed, std::uint64_t layer, std::int64_t row,
+                     std::int64_t col, unsigned slot);
 
-/// perturb_weight over a rows × cols array (row-major, stride `row_stride`)
-/// on the stream `rng`, row by row.
+/// Perturbs weight (row, col) of `layer` under `config` with the trial seed
+/// `seed`, one physical cell (plane) at a time: stuck-at-0 when the plane's
+/// stuck uniform is below stuck_at_zero_rate, stuck-at-1 below the summed
+/// rate, and otherwise, for a nonzero level L with program_sigma > 0, the
+/// level j whose Φ-interval [Φ(ln((j − ½)/L)/σ), Φ(ln((j + ½)/L)/σ)) holds
+/// the variation uniform, searched upward from 0 with std::erfc.
+std::int8_t perturb_weight(const reram::FaultConfig& config,
+                           std::int8_t weight, std::uint64_t seed,
+                           std::uint64_t layer, std::int64_t row,
+                           std::int64_t col, reram::FaultMapStats& stats);
+
+/// perturb_weight over the rows × cols block at `cells` (row-major, stride
+/// `row_stride`) whose cell (i, j) holds weight (key.row0 + i,
+/// key.col0 + j) of key.layer under key.seed; an ideal config touches
+/// nothing.
 reram::FaultMapStats burn_reference(const reram::FaultConfig& config,
                                     std::span<std::int8_t> cells,
                                     std::int64_t rows, std::int64_t cols,
-                                    std::int64_t row_stride, common::Rng rng);
-
-/// The whole burn of one crossbar array: burn_reference under the stream
-/// (config.seed, crossbar_id); no RNG is touched for an ideal config.
-reram::FaultMapStats apply_reference(const reram::FaultConfig& config,
-                                     std::span<std::int8_t> cells,
-                                     std::int64_t rows, std::int64_t cols,
-                                     std::int64_t row_stride,
-                                     std::uint64_t crossbar_id);
+                                    std::int64_t row_stride,
+                                    const reram::BurnKey& key);
 
 // ---------------------------------------- quantization and pooling --
 
@@ -83,9 +89,9 @@ std::vector<std::int32_t> mvm_reference_scalar(
 // ---------------------------------------------------- network and MC ----
 
 /// A fabric programmed from scratch: every mappable layer quantized, cut
-/// into crossbars by the kernel-aligned mapping and burned per crossbar
-/// with apply_reference; every forward runs one scalar MVM per input
-/// column.
+/// into crossbars by the kernel-aligned mapping and each crossbar's
+/// programmed block burned with burn_reference; every forward runs one
+/// scalar MVM per input column.
 class Fabric {
  public:
   Fabric(const nn::Model& model,

@@ -3,9 +3,12 @@
 // degradation, and the Monte-Carlo robustness plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "autohet/env.hpp"
 #include "common/rng.hpp"
@@ -14,6 +17,7 @@
 #include "reram/eval_engine.hpp"
 #include "reram/faults.hpp"
 #include "reram/functional.hpp"
+#include "reram/kernels/kernels.hpp"
 #include "reram/programming.hpp"
 #include "tensor/ops.hpp"
 
@@ -62,8 +66,8 @@ TEST(FaultModel, SameSeedSameFaultMap) {
   const FaultModel model(stuck_config(0.05, 2));
   auto a = ramp_weights(64 * 64);
   auto b = ramp_weights(64 * 64);
-  const FaultMapStats sa = model.apply(a, 64, 64, 64, /*crossbar_id=*/42);
-  const FaultMapStats sb = model.apply(b, 64, 64, 64, /*crossbar_id=*/42);
+  const FaultMapStats sa = model.apply(a, 64, 64, 64, /*layer=*/42);
+  const FaultMapStats sb = model.apply(b, 64, 64, 64, /*layer=*/42);
   EXPECT_EQ(a, b);
   EXPECT_EQ(sa.stuck_at_zero, sb.stuck_at_zero);
   EXPECT_EQ(sa.stuck_at_one, sb.stuck_at_one);
@@ -75,8 +79,8 @@ TEST(FaultModel, DifferentCrossbarsGetIndependentMaps) {
   const FaultModel model(stuck_config(0.05));
   auto a = ramp_weights(64 * 64);
   auto b = ramp_weights(64 * 64);
-  model.apply(a, 64, 64, 64, /*crossbar_id=*/1);
-  model.apply(b, 64, 64, 64, /*crossbar_id=*/2);
+  model.apply(a, 64, 64, 64, /*layer=*/1);
+  model.apply(b, 64, 64, 64, /*layer=*/2);
   EXPECT_NE(a, b);
 }
 
@@ -235,14 +239,10 @@ TEST_P(CellStorageRoundTrip, SubLevelVariationKeepsWeightsExact) {
   const auto before = xb.mvm_reference(x);
   const FaultModel model(sub_level_variation(cell_bits));
   ASSERT_FALSE(model.ideal());
-  reram::LogicalCrossbar* clone = &xb;
-  reram::BurnTarget burn;
-  burn.seed = model.config().seed;
-  reram::LogicalCrossbar::burn_clones(model, /*crossbar_id=*/3,
-                                      std::span(&clone, 1),
-                                      std::span(&burn, 1));
-  const FaultMapStats stats = burn.stats;
-  EXPECT_EQ(stats.physical_cells, 36 * 32 * (8 / cell_bits));
+  const FaultMapStats stats =
+      xb.burn(model, reram::BurnKey{model.config().seed, 3, 0, 0});
+  // Only the programmed 30 × 20 block burns.
+  EXPECT_EQ(stats.physical_cells, 30 * 20 * (8 / cell_bits));
   EXPECT_EQ(stats.weights_changed, 0);
   EXPECT_EQ(xb.mvm_reference(x), before);
   EXPECT_EQ(xb.mvm_bit_serial(x), before);
@@ -255,10 +255,12 @@ TEST(CellStorage, ExtremeWeightsSurviveEveryPrecision) {
   const std::vector<std::int8_t> extremes = {-128, 127, 1, -1, 0};
   for (const int bits : {1, 2, 4, 8}) {
     const FaultModel model(sub_level_variation(bits));
-    common::Rng rng(17);
     FaultMapStats stats;
-    for (const std::int8_t w : extremes) {
-      EXPECT_EQ(oracle::perturb_weight(model.config(), w, rng, stats), w)
+    for (std::size_t i = 0; i < extremes.size(); ++i) {
+      const std::int8_t w = extremes[i];
+      EXPECT_EQ(oracle::perturb_weight(model.config(), w, 17, 0, 0,
+                                       static_cast<std::int64_t>(i), stats),
+                w)
           << "cell_bits=" << bits << " w=" << int{w};
     }
     EXPECT_EQ(stats.weights_changed, 0) << bits;
@@ -293,13 +295,8 @@ TEST(CellStorage, BurnedCellsFeedBothDatapathsIdentically) {
     const auto clean = xb.mvm_reference(x);
     FaultConfig faults = stuck_config(0.01, bits);
     faults.program_sigma = 0.3;
-    reram::LogicalCrossbar* clone = &xb;
-    reram::BurnTarget burn;
-    burn.seed = faults.seed;
-    reram::LogicalCrossbar::burn_clones(FaultModel(faults), 5,
-                                        std::span(&clone, 1),
-                                        std::span(&burn, 1));
-    const FaultMapStats stats = burn.stats;
+    const FaultMapStats stats =
+        xb.burn(FaultModel(faults), reram::BurnKey{faults.seed, 5, 0, 0});
     EXPECT_GT(stats.weights_changed, 0) << bits;
     const auto noisy = xb.mvm_reference(x);
     EXPECT_NE(noisy, clean) << bits;
@@ -339,12 +336,7 @@ TEST(ProgramVariation, ErrorGrowsWithSigma) {
     FaultConfig faults;
     faults.program_sigma = sigma;
     faults.cell_bits = 2;
-    reram::LogicalCrossbar* clone = &xb;
-    reram::BurnTarget burn;
-    burn.seed = faults.seed;
-    reram::LogicalCrossbar::burn_clones(FaultModel(faults), 12,
-                                        std::span(&clone, 1),
-                                        std::span(&burn, 1));
+    (void)xb.burn(FaultModel(faults), reram::BurnKey{faults.seed, 12, 0, 0});
     const auto noisy = xb.mvm_reference(x);
     double err = 0.0;
     for (std::size_t j = 0; j < clean.size(); ++j) {
@@ -537,6 +529,313 @@ TEST(Reward, RobustnessAwareReducesToPaperRewardWhenIdeal) {
               base_env.reward(report) *
                   (1.0 - faulty_report.fault_vulnerability),
               1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The keyed burn against the fault model's distribution. Seeds are fixed, so
+// every check is deterministic; each bound is a binomial quantile.
+
+/// [lo, hi] with P(X < lo) ≤ α/2 and P(X > hi) ≤ α/2 for X ~ Binomial(n, p),
+/// from the exact pmf summed over mean ± 40 sd (the mass outside is far
+/// below α).
+std::pair<std::int64_t, std::int64_t> binomial_bounds(std::int64_t n, double p,
+                                                      double alpha = 1e-6) {
+  if (p <= 0.0) return {0, 0};
+  if (p >= 1.0) return {n, n};
+  const double mean = static_cast<double>(n) * p;
+  const double span = 40.0 * std::sqrt(mean * (1.0 - p)) + 40.0;
+  const auto k0 = std::max<std::int64_t>(
+      0, static_cast<std::int64_t>(std::floor(mean - span)));
+  const auto k1 = std::min<std::int64_t>(
+      n, static_cast<std::int64_t>(std::ceil(mean + span)));
+  const double log_norm = std::lgamma(static_cast<double>(n) + 1.0);
+  std::vector<double> pmf;
+  for (std::int64_t k = k0; k <= k1; ++k) {
+    const double kd = static_cast<double>(k);
+    pmf.push_back(std::exp(log_norm - std::lgamma(kd + 1.0) -
+                           std::lgamma(static_cast<double>(n) - kd + 1.0) +
+                           kd * std::log(p) +
+                           (static_cast<double>(n) - kd) * std::log1p(-p)));
+  }
+  std::int64_t lo = k0;
+  for (double below = pmf[0]; below <= alpha / 2.0 && lo < k1;
+       below += pmf[static_cast<std::size_t>(++lo - k0)]) {
+  }
+  std::int64_t hi = k1;
+  for (double above = pmf.back(); above <= alpha / 2.0 && hi > k0;
+       above += pmf[static_cast<std::size_t>(--hi - k0)]) {
+  }
+  return {lo, hi};
+}
+
+/// Φ(ln((j + ½)/L)/σ): the probability that variation moves level L to at
+/// most j (1 past the top level).
+double level_cdf(unsigned level, unsigned j, unsigned mask, double sigma) {
+  if (j >= mask) return 1.0;
+  const double z = std::log((j + 0.5) / level) / sigma;
+  return 0.5 * std::erfc(-z / std::sqrt(2.0));
+}
+
+TEST(KeyedBurn, StuckCountsFollowTheBinomial) {
+  // A 256 × 256 block: every plane is stuck-at-0 with probability z₀ and
+  // stuck-at-1 with probability z₁, independently.
+  for (const int bits : {1, 4}) {
+    for (const double rate : {1e-4, 1e-3, 1e-2, 0.1}) {
+      FaultConfig faults;
+      faults.stuck_at_zero_rate = 0.6 * rate;
+      faults.stuck_at_one_rate = 0.4 * rate;
+      faults.cell_bits = bits;
+      faults.seed = 0x5eed + static_cast<std::uint64_t>(bits);
+      std::vector<std::int8_t> cells = ramp_weights(256 * 256);
+      const FaultMapStats stats =
+          FaultModel(faults).apply(cells, 256, 256, 256, /*layer=*/2);
+      const std::int64_t n = 256 * 256 * (8 / bits);
+      ASSERT_EQ(stats.physical_cells, n);
+      const auto zero = binomial_bounds(n, faults.stuck_at_zero_rate);
+      const auto one = binomial_bounds(n, faults.stuck_at_one_rate);
+      SCOPED_TRACE(::testing::Message() << "bits " << bits << " rate " << rate);
+      EXPECT_GE(stats.stuck_at_zero, zero.first);
+      EXPECT_LE(stats.stuck_at_zero, zero.second);
+      EXPECT_GE(stats.stuck_at_one, one.first);
+      EXPECT_LE(stats.stuck_at_one, one.second);
+    }
+  }
+}
+
+/// The stuck planes of a 128 × 96 block burned at the given stuck rates
+/// (variation off): all-127 cells (every plane at its top level) show the
+/// stuck-at-0 planes, all −128 cells (every plane at 0) the stuck-at-1
+/// planes. Returns one flag per plane, 1 = stuck-at-0 and 2 = stuck-at-1.
+std::vector<int> stuck_planes(double zero_rate, double one_rate, int bits) {
+  constexpr std::int64_t rows = 128, cols = 96;
+  FaultConfig faults;
+  faults.stuck_at_zero_rate = zero_rate;
+  faults.stuck_at_one_rate = one_rate;
+  faults.cell_bits = bits;
+  faults.seed = 0xab5e7;
+  const FaultModel model(faults);
+  std::vector<std::int8_t> high(rows * cols, 127);
+  std::vector<std::int8_t> low(rows * cols, -128);
+  (void)model.apply(high, rows, cols, cols, 1);
+  (void)model.apply(low, rows, cols, cols, 1);
+  const int planes = 8 / bits;
+  const unsigned mask = (1u << bits) - 1u;
+  std::vector<int> flags(static_cast<std::size_t>(rows * cols * planes), 0);
+  for (std::size_t i = 0; i < high.size(); ++i) {
+    const auto h = static_cast<unsigned>(high[i] + 128);
+    const auto l = static_cast<unsigned>(low[i] + 128);
+    for (int p = 0; p < planes; ++p) {
+      const bool zero = ((h >> (p * bits)) & mask) == 0;
+      const bool one = ((l >> (p * bits)) & mask) == mask;
+      EXPECT_FALSE(zero && one) << "plane stuck both ways";
+      const auto plane = i * static_cast<std::size_t>(planes) +
+                         static_cast<std::size_t>(p);
+      flags[plane] = zero ? 1 : one ? 2 : 0;
+    }
+  }
+  return flags;
+}
+
+TEST(KeyedBurn, StuckSetsNestAcrossRates) {
+  // A plane's stuck draw ignores the rates, so the stuck set at rate r is
+  // a subset of the stuck set at every r' > r (its stuck value may flip as
+  // the zero/one split moves).
+  const double rates[] = {1e-3, 5e-3, 1e-2, 5e-2, 0.2};
+  for (const int bits : {1, 2, 4}) {
+    std::vector<int> previous;
+    std::int64_t previous_count = 0;
+    for (const double rate : rates) {
+      const std::vector<int> flags = stuck_planes(0.6 * rate, 0.4 * rate, bits);
+      std::int64_t count = 0;
+      for (std::size_t i = 0; i < flags.size(); ++i) {
+        count += flags[i] != 0;
+        if (!previous.empty() && previous[i] != 0) {
+          ASSERT_NE(flags[i], 0)
+              << "bits " << bits << " rate " << rate << " plane " << i;
+        }
+      }
+      EXPECT_GT(count, previous_count) << "bits " << bits << " rate " << rate;
+      previous = flags;
+      previous_count = count;
+    }
+  }
+}
+
+TEST(KeyedBurn, LevelTransitionsFollowPhiIntervals) {
+  // 4-bit cells with both planes at level L (weight 17L − 128), 4096 per
+  // level: the frequency of L → j matches the Φ-interval probability
+  // Φ(ln((j + ½)/L)/σ) − Φ(ln((j − ½)/L)/σ), the ends clamped.
+  constexpr std::int64_t kPerLevel = 4096;
+  constexpr unsigned mask = 15;
+  for (const double sigma : {0.05, 0.1}) {
+    FaultConfig faults;
+    faults.program_sigma = sigma;
+    faults.cell_bits = 4;
+    faults.seed = 0x1e7e1;
+    std::vector<std::int8_t> cells(mask * kPerLevel);
+    for (unsigned level = 1; level <= mask; ++level) {
+      std::fill_n(cells.begin() + (level - 1) * kPerLevel, kPerLevel,
+                  static_cast<std::int8_t>(17 * static_cast<int>(level) - 128));
+    }
+    (void)FaultModel(faults).apply(cells, mask, kPerLevel, kPerLevel, 4);
+    for (unsigned level = 1; level <= mask; ++level) {
+      std::vector<std::int64_t> counts(mask + 1, 0);
+      for (std::int64_t c = 0; c < kPerLevel; ++c) {
+        const auto offset = static_cast<unsigned>(
+            cells[static_cast<std::size_t>((level - 1) * kPerLevel + c)] + 128);
+        ++counts[offset & mask];
+        ++counts[offset >> 4];
+      }
+      for (unsigned j = 0; j <= mask; ++j) {
+        const double p = level_cdf(level, j, mask, sigma) -
+                         (j == 0 ? 0.0 : level_cdf(level, j - 1, mask, sigma));
+        const auto [lo, hi] = binomial_bounds(2 * kPerLevel, p);
+        EXPECT_GE(counts[j], lo)
+            << "sigma " << sigma << " L " << level << " j " << j;
+        EXPECT_LE(counts[j], hi)
+            << "sigma " << sigma << " L " << level << " j " << j;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shape invariance: the keyed draws depend on the logical weight, never on
+// the crossbar that holds it, and both datapaths are exact integer
+// arithmetic over the programmed cells. So a faulty fabric computes the
+// same function under every allocation.
+
+std::vector<std::vector<CrossbarShape>> lenet_allocations() {
+  const auto candidates = mapping::hybrid_candidates();
+  const std::size_t layers = nn::lenet5().mappable_layers().size();
+  std::vector<CrossbarShape> hetero(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
+    hetero[l] = candidates[l % candidates.size()];
+  }
+  return {hetero, std::vector<CrossbarShape>(layers, {72, 64}),
+          std::vector<CrossbarShape>(layers, {576, 512})};
+}
+
+FaultConfig invariance_faults() {
+  FaultConfig faults = stuck_config(5e-3, 2);
+  faults.program_sigma = 0.05;
+  return faults;
+}
+
+bool same_report(const reram::RobustnessReport& a,
+                 const reram::RobustnessReport& b) {
+  return a.trials == b.trials && a.accuracy_ci_lower == b.accuracy_ci_lower &&
+         a.accuracy_ci_upper == b.accuracy_ci_upper &&
+         a.mean_accuracy == b.mean_accuracy &&
+         a.stddev_accuracy == b.stddev_accuracy &&
+         a.min_accuracy == b.min_accuracy && a.max_accuracy == b.max_accuracy &&
+         a.mean_logit_error == b.mean_logit_error &&
+         a.layer_error == b.layer_error &&
+         a.fault_stats.physical_cells == b.fault_stats.physical_cells &&
+         a.fault_stats.stuck_at_zero == b.fault_stats.stuck_at_zero &&
+         a.fault_stats.stuck_at_one == b.fault_stats.stuck_at_one &&
+         a.fault_stats.weights_changed == b.fault_stats.weights_changed;
+}
+
+TEST(ShapeInvariance, RobustnessReportsAreIdenticalAcrossAllocations) {
+  // The Monte-Carlo report (integer datapath) of LeNet-5 under one faulty
+  // config, fault_stats included, for the heterogeneous allocation,
+  // Homo(72×64) and Homo(576×512).
+  common::Rng rng(21);
+  const nn::Model model(nn::lenet5(), rng);
+  reram::RobustnessOptions mc;
+  mc.trials = 4;
+  mc.samples = 6;
+  const auto allocations = lenet_allocations();
+  const auto want = reram::monte_carlo_robustness(model, allocations[0],
+                                                  invariance_faults(), mc);
+  EXPECT_GT(want.fault_stats.weights_changed, 0);
+  EXPECT_GT(want.mean_logit_error, 0.0);
+  for (std::size_t a = 1; a < allocations.size(); ++a) {
+    EXPECT_TRUE(same_report(reram::monte_carlo_robustness(
+                                model, allocations[a], invariance_faults(), mc),
+                            want))
+        << "allocation " << a;
+  }
+}
+
+TEST(ShapeInvariance, BitSerialForwardsAreIdenticalAcrossAllocations) {
+  // The same on the bit-serial datapath: every traced output and the fault
+  // counts of one faulty fabric per allocation.
+  common::Rng rng(21);
+  const nn::Model model(nn::lenet5(), rng);
+  common::Rng img_rng(12);
+  std::vector<tensor::Tensor> images;
+  for (int s = 0; s < 4; ++s) {
+    images.push_back(nn::synthetic_image(img_rng, 1, 32, 32));
+  }
+  const auto allocations = lenet_allocations();
+  std::vector<std::vector<SimulatedModel::ForwardTrace>> traces;
+  std::vector<FaultMapStats> stats;
+  for (const auto& shapes : allocations) {
+    const SimulatedModel fabric(model, shapes,
+                                reram::DatapathMode::kBitSerial,
+                                invariance_faults());
+    traces.push_back(fabric.forward_batch(images));
+    stats.push_back(fabric.fault_stats());
+  }
+  for (std::size_t a = 1; a < allocations.size(); ++a) {
+    EXPECT_EQ(stats[a].physical_cells, stats[0].physical_cells);
+    EXPECT_EQ(stats[a].stuck_at_zero, stats[0].stuck_at_zero);
+    EXPECT_EQ(stats[a].stuck_at_one, stats[0].stuck_at_one);
+    EXPECT_EQ(stats[a].weights_changed, stats[0].weights_changed);
+    for (std::size_t s = 0; s < images.size(); ++s) {
+      EXPECT_EQ(tensor::max_abs_diff(traces[a][s].output,
+                                     traces[0][s].output),
+                0.0f)
+          << "allocation " << a << " sample " << s;
+      for (std::size_t l = 0; l < traces[0][s].mappable_outputs.size(); ++l) {
+        EXPECT_EQ(tensor::max_abs_diff(traces[a][s].mappable_outputs[l],
+                                       traces[0][s].mappable_outputs[l]),
+                  0.0f)
+            << "allocation " << a << " sample " << s << " layer " << l;
+      }
+    }
+  }
+}
+
+/// A layer's effective logical weights read back through its crossbars: the
+/// MVM of the identity batch (input row i is sample i), weight_cols ×
+/// weight_rows.
+std::vector<std::int32_t> effective_weights(const reram::MappedLayer& layer) {
+  const std::int64_t rows = layer.spec().weight_rows();
+  const std::int64_t cols = layer.spec().weight_cols();
+  std::vector<std::uint8_t> identity(static_cast<std::size_t>(rows * rows), 0);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    identity[static_cast<std::size_t>(i * rows + i)] = 1;
+  }
+  std::vector<std::int32_t> accs(static_cast<std::size_t>(cols * rows));
+  reram::kernels::KernelScratch scratch;
+  layer.mvm_batch_into(identity.data(), rows, reram::DatapathMode::kInteger,
+                       accs, scratch);
+  return accs;
+}
+
+TEST(ShapeInvariance, BurnedLogicalWeightsAreIdenticalAcrossShapes) {
+  common::Rng rng(21);
+  const nn::Model model(nn::lenet5(), rng);
+  const auto allocations = lenet_allocations();
+  const SimulatedModel clean(model, allocations[0]);
+  std::vector<SimulatedModel> burned;
+  for (const auto& shapes : allocations) {
+    burned.push_back(SimulatedModel(model, shapes).with_faults(
+        invariance_faults()));
+  }
+  std::size_t moved = 0;
+  for (std::size_t l = 0; l < clean.mapped_layers().size(); ++l) {
+    const auto want = effective_weights(burned[0].mapped_layers()[l]);
+    moved += want != effective_weights(clean.mapped_layers()[l]);
+    for (std::size_t a = 1; a < burned.size(); ++a) {
+      EXPECT_EQ(effective_weights(burned[a].mapped_layers()[l]), want)
+          << "allocation " << a << " layer " << l;
+    }
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 }  // namespace

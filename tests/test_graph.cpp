@@ -469,16 +469,17 @@ TEST(GraphFunctional, CifarResnetMonteCarloIsThreadAndCacheInvariant) {
   pooled.threads = 4;
   expect_same(reram::monte_carlo_robustness(model, shapes, faults, pooled),
               "4 threads");
-  // The first cached call records each trial's burn-in, the second
-  // replays it.
+  // The first cached call builds the ideal references, the second reuses
+  // them.
   reram::TrialFabricCache cache;
   reram::RobustnessOptions cached = pooled;
   cached.cache = &cache;
   expect_same(reram::monte_carlo_robustness(model, shapes, faults, cached),
-              "cache record");
+              "cache build");
   expect_same(reram::monte_carlo_robustness(model, shapes, faults, cached),
-              "cache replay");
-  EXPECT_EQ(cache.stats().trial_replays, 2u);
+              "cache hit");
+  EXPECT_EQ(cache.stats().ideal_builds, 1u);
+  EXPECT_EQ(cache.stats().ideal_hits, 1u);
 }
 
 TEST(GraphAccounting, BranchyOpsCarryEnergyAndLatency) {

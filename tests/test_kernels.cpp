@@ -1,10 +1,10 @@
 // Equivalence suite for the fast functional-simulation engine against the
 // scalar oracles (oracle.hpp): packed bit-plane kernels vs the per-cell
-// datapaths, the batched integer GEMM kernel vs per-column MVMs, the burn
-// kernel vs the per-cell burn, the record/replay trial-fabric path, the
-// network forward vs the oracle forward, and byte-identity of the
-// Monte-Carlo robustness reports against the oracle Monte-Carlo and across
-// thread counts and the TrialFabricCache. Everything here is an exactness
+// datapaths, the batched integer GEMM kernel vs per-column MVMs, the keyed
+// fault burn vs the oracle's per-cell keyed loop, the network forward vs
+// the oracle forward, and byte-identity of the Monte-Carlo robustness
+// reports against the oracle Monte-Carlo and across thread counts and the
+// TrialFabricCache. Everything here is an exactness
 // claim — EXPECT_EQ, never near.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <cstring>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -114,11 +113,10 @@ TEST(PackedKernels, MatchScalarAfterFaultBurn) {
   fc.stuck_at_one_rate = 0.01;
   fc.program_sigma = 0.05;
   fc.cell_bits = 2;
-  LogicalCrossbar* clone = &xb;
-  reram::BurnTarget burn;
-  burn.seed = fc.seed;
-  LogicalCrossbar::burn_clones(FaultModel(fc), /*crossbar_id=*/3,
-                               std::span(&clone, 1), std::span(&burn, 1));
+  const FaultMapStats stats =
+      xb.burn(FaultModel(fc), reram::BurnKey{fc.seed, /*layer=*/3, 0, 0});
+  EXPECT_EQ(stats.physical_cells, 90 * 70 * 4);
+  EXPECT_GT(stats.weights_changed, 0);
   const auto x = random_input(rng, 90);
   EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x));
   EXPECT_EQ(xb.mvm_reference(x), oracle::mvm_reference_scalar(xb, x));
@@ -428,140 +426,10 @@ TEST_P(KernelVariantTest, ConvGeometryMatchesOracle) {
   }
 }
 
-// The fault configs of the batched-burn matrix.
-enum class BurnKind { kVariationOnly, kStuckOnly, kBoth };
-
-FaultConfig burn_config(BurnKind kind, int bits) {
-  FaultConfig fc;
-  fc.cell_bits = bits;
-  fc.seed = 0xb0a7 + static_cast<std::uint64_t>(bits);
-  if (kind != BurnKind::kStuckOnly) fc.program_sigma = 0.2;
-  if (kind != BurnKind::kVariationOnly) {
-    fc.stuck_at_zero_rate = 4e-3;
-    fc.stuck_at_one_rate = 3e-3;
-  }
-  return fc;
-}
-
-// A sparse array (a small random block in a mostly zero crossbar, as the
-// large candidate shapes hold most layers) or a dense one (random weights
-// in every cell).
-struct BurnArray {
-  std::int64_t rows, cols;
-  std::vector<std::int8_t> cells;
-};
-
-BurnArray burn_array(bool sparse) {
-  common::Rng rng(sparse ? 31 : 32);
-  BurnArray a{sparse ? 120 : 72, sparse ? 80 : 64, {}};
-  a.cells.assign(static_cast<std::size_t>(a.rows * a.cols), 0);
-  const std::int64_t used_rows = sparse ? 30 : a.rows;
-  const std::int64_t used_cols = sparse ? 25 : a.cols;
-  for (std::int64_t r = 0; r < used_rows; ++r) {
-    for (std::int64_t c = 0; c < used_cols; ++c) {
-      a.cells[static_cast<std::size_t>(r * a.cols + c)] =
-          static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-    }
-  }
-  return a;
-}
-
-#if !defined(AUTOHET_OBS_DISABLED)
-// The two burn counters, read together.
-std::array<std::uint64_t, 2> burn_counters() {
-  auto& registry = obs::Registry::global();
-  return {registry.counter("autohet_fault_cells_total").value(),
-          registry.counter("autohet_fault_stuck_cells_total").value()};
-}
-#endif
-
-TEST_P(KernelVariantTest, BatchedBurnMatchesSingleSeedBurns) {
-  // FaultModel::burn over N trial seeds (crossing the 8-lane group at 9)
-  // against N one-seed burns: plain burns against the per-cell oracle,
-  // recording burns against apply_recording. Cells, stats, recorded hits
-  // and bucket ends must all agree, and the burn counters must grow by the
-  // plain burns' counts (a recording's counts wait for its replays).
-  constexpr std::size_t kCellId = 5;
-  for (const bool sparse : {true, false}) {
-    const BurnArray array = burn_array(sparse);
-    for (const int bits : {1, 2, 4, 8}) {
-      for (const BurnKind kind : {BurnKind::kVariationOnly,
-                                  BurnKind::kStuckOnly, BurnKind::kBoth}) {
-        const FaultConfig fc = burn_config(kind, bits);
-        const FaultModel model(fc);
-        for (const bool record : {false, true}) {
-          if (record && !model.record_eligible()) continue;
-          for (const std::size_t n : {1, 2, 5, 8, 9}) {
-            SCOPED_TRACE(testing::Message()
-                         << "sparse " << sparse << " bits " << bits
-                         << " kind " << static_cast<int>(kind) << " record "
-                         << record << " n " << n);
-            std::vector<std::vector<std::int8_t>> want(n, array.cells);
-            std::vector<FaultMapStats> want_stats(n);
-            std::vector<std::vector<reram::StuckCandidate>> want_hits(n);
-            std::vector<reram::StuckBucketEnds> want_ends(n);
-            std::array<std::uint64_t, 2> want_counts{};
-            for (std::size_t t = 0; t < n; ++t) {
-              const FaultConfig single = fc.for_trial(t);
-              want_stats[t] =
-                  record ? FaultModel(single).apply_recording(
-                               want[t], array.rows, array.cols, array.cols,
-                               kCellId, want_hits[t], want_ends[t])
-                         : oracle::apply_reference(single, want[t],
-                                                   array.rows, array.cols,
-                                                   array.cols, kCellId);
-              if (!record) {
-                want_counts[0] += static_cast<std::uint64_t>(
-                    want_stats[t].physical_cells);
-                want_counts[1] += static_cast<std::uint64_t>(
-                    want_stats[t].stuck_at_zero + want_stats[t].stuck_at_one);
-              }
-            }
-#if !defined(AUTOHET_OBS_DISABLED)
-            const auto before_batch = burn_counters();
-#endif
-            std::vector<std::vector<std::int8_t>> got(n, array.cells);
-            std::vector<std::vector<reram::StuckCandidate>> got_hits(n);
-            std::vector<reram::StuckBucketEnds> got_ends(n);
-            std::vector<reram::BurnTarget> targets(n);
-            for (std::size_t t = 0; t < n; ++t) {
-              targets[t].seed = fc.for_trial(t).seed;
-              targets[t].cells = got[t];
-              if (record) {
-                targets[t].hits = &got_hits[t];
-                targets[t].bucket_ends = &got_ends[t];
-              }
-            }
-            model.burn(targets, array.rows, array.cols, array.cols, kCellId);
-#if !defined(AUTOHET_OBS_DISABLED)
-            const auto after_batch = burn_counters();
-            EXPECT_EQ(after_batch[0] - before_batch[0], want_counts[0]);
-            EXPECT_EQ(after_batch[1] - before_batch[1], want_counts[1]);
-#endif
-            for (std::size_t t = 0; t < n; ++t) {
-              EXPECT_EQ(got[t], want[t]) << "trial " << t;
-              expect_stats_eq(targets[t].stats, want_stats[t]);
-              if (!record) continue;
-              EXPECT_EQ(got_ends[t], want_ends[t]) << "trial " << t;
-              ASSERT_EQ(got_hits[t].size(), want_hits[t].size());
-              for (std::size_t i = 0; i < got_hits[t].size(); ++i) {
-                EXPECT_EQ(got_hits[t][i].k, want_hits[t][i].k);
-                EXPECT_EQ(got_hits[t][i].plane, want_hits[t][i].plane);
-                EXPECT_EQ(got_hits[t][i].original, want_hits[t][i].original);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST_P(KernelVariantTest, MonteCarloMatchesOracle) {
-  // Under each kernel variant the production Monte-Carlo (lockstep burns
-  // through the variant's burn op, batched forwards through its MVM
-  // kernels), serial and pooled, reproduces the oracle's from-scratch
-  // scalar run byte for byte.
+  // Under each kernel variant the production Monte-Carlo (keyed burns,
+  // batched forwards through the variant's MVM kernels), serial and
+  // pooled, reproduces the oracle's from-scratch scalar run byte for byte.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
@@ -573,7 +441,7 @@ TEST_P(KernelVariantTest, MonteCarloMatchesOracle) {
   fc.program_sigma = 0.03;
   fc.cell_bits = 2;
   RobustnessOptions mc;
-  mc.trials = 9;  // crosses the burn op's 8-lane trial group
+  mc.trials = 9;  // crosses the pooled run's 8-trial block
   mc.samples = 3;
   const auto want = oracle::monte_carlo_robustness(model, shapes, fc, mc);
   for (const int threads : {1, 3}) {
@@ -585,8 +453,9 @@ TEST_P(KernelVariantTest, MonteCarloMatchesOracle) {
 }
 
 TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
-  // Packed clones burned together read back through the packed bit-serial
-  // kernel exactly as a one-seed burn of each reads through either path.
+  // Packed clones burned under several trial seeds read back through the
+  // packed bit-serial kernel exactly as an unpacked clone burned alike
+  // reads through the scalar datapaths.
   common::Rng rng(77);
   const std::int64_t rows = 70, cols = 33;
   LogicalCrossbar clean({72, 40});
@@ -597,39 +466,31 @@ TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
   fc.stuck_at_one_rate = 0.01;
   fc.program_sigma = 0.1;
   fc.cell_bits = 2;
-  constexpr std::size_t n = 6;
-  std::vector<LogicalCrossbar> clones(n, clean);
-  std::vector<LogicalCrossbar*> lanes;
-  std::vector<reram::BurnTarget> burns(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    lanes.push_back(&clones[t]);
-    burns[t].seed = fc.for_trial(t).seed;
-  }
-  LogicalCrossbar::burn_clones(FaultModel(fc), 11, lanes, burns);
+  const FaultModel model(fc);
   const auto x = random_input(rng, rows);
-  for (std::size_t t = 0; t < n; ++t) {
-    LogicalCrossbar single = clean;
-    LogicalCrossbar* lane = &single;
-    reram::BurnTarget burn;
-    burn.seed = fc.for_trial(t).seed;
-    LogicalCrossbar::burn_clones(FaultModel(fc.for_trial(t)), 11,
-                                 std::span(&lane, 1), std::span(&burn, 1));
-    expect_stats_eq(burns[t].stats, burn.stats);
-    ASSERT_TRUE(clones[t].is_packed());
-    EXPECT_EQ(clones[t].mvm_bit_serial(x),
-              oracle::mvm_bit_serial_scalar(single, x))
+  for (std::uint64_t t = 0; t < 6; ++t) {
+    const reram::BurnKey key{fc.for_trial(t).seed, 11, 0, 0};
+    LogicalCrossbar packed = clean;
+    const FaultMapStats stats = packed.burn(model, key);
+    std::vector<std::int8_t> cells(clean.cells().begin(), clean.cells().end());
+    const FaultMapStats want =
+        oracle::burn_reference(fc, cells, rows, cols, 40, key);
+    expect_stats_eq(stats, want);
+    ASSERT_TRUE(packed.is_packed());
+    EXPECT_EQ(std::vector<std::int8_t>(packed.cells().begin(),
+                                       packed.cells().end()),
+              cells)
         << "trial " << t;
-    EXPECT_EQ(clones[t].mvm_bit_serial(x),
-              oracle::mvm_reference_scalar(clones[t], x))
+    EXPECT_EQ(packed.mvm_bit_serial(x),
+              oracle::mvm_reference_scalar(packed, x))
         << "trial " << t;
   }
 }
 
 TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
-  // One LeNet-5 rate row — rate 0 (plain lockstep burns), the first nonzero
-  // rate (the trials record together) and a second (replays) — serial and
-  // pooled through a fabric cache, against the portable kernels' uncached
-  // serial reports. 9 trials cross the 8-lane group.
+  // One LeNet-5 rate row, serial and pooled through a reference cache,
+  // against the portable kernels' uncached serial reports. 9 trials cross
+  // the pooled run's 8-trial block.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
@@ -670,8 +531,8 @@ TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
           << "rate " << rates[i] << " pooled " << (p != nullptr);
     }
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.trial_records, 9u);
-    EXPECT_EQ(stats.trial_replays, 9u);
+    EXPECT_EQ(stats.ideal_builds, 1u);
+    EXPECT_EQ(stats.ideal_hits, std::size(rates) - 1);
   }
 }
 
@@ -717,7 +578,7 @@ TEST(KernelScratch, BuffersGrowMonotonicallyAndAreReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// The burn kernel vs the per-cell oracle burn.
+// The keyed burn vs the oracle's per-cell keyed loop.
 
 TEST(FaultBurnIn, FastApplyMatchesReference) {
   const std::int64_t rows = 60, cols = 52;
@@ -738,119 +599,74 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
       auto fast = original;
       auto ref = original;
       const FaultMapStats fast_stats =
-          model.apply(fast, rows, cols, cols, /*crossbar_id=*/17);
-      const FaultMapStats ref_stats = oracle::apply_reference(
-          fc, ref, rows, cols, cols, /*crossbar_id=*/17);
+          model.apply(fast, rows, cols, cols, /*layer=*/17);
+      const FaultMapStats ref_stats = oracle::burn_reference(
+          fc, ref, rows, cols, cols, {fc.seed, 17, 0, 0});
       EXPECT_EQ(fast, ref) << "bits=" << bits;
       expect_stats_eq(fast_stats, ref_stats);
     }
   }
 }
 
-// Records one burn at `rec_fc`, then replays every rate pair and checks the
-// replayed cells and stats against a direct apply() at that pair.
-void expect_replay_matches_direct(const FaultConfig& rec_fc,
-                                  std::span<const std::array<double, 2>>
-                                      rate_pairs) {
-  const std::int64_t rows = 48, cols = 40;
-  const FaultModel rec_model(rec_fc);
-  ASSERT_TRUE(rec_model.record_eligible());
-  common::Rng wrng(5);
-  const auto original = random_weights(wrng, rows * cols);
-  auto post_var = original;
-  std::vector<reram::StuckCandidate> hits;
-  reram::StuckBucketEnds ends{};
-  const FaultMapStats var_stats = rec_model.apply_recording(
-      post_var, rows, cols, cols, /*crossbar_id=*/9, hits, ends);
-  ASSERT_EQ(ends.back(), hits.size());
-  if (rec_fc.cell_bits == 1) {
-    // Some cell must carry hits in more than one bucket, or the per-hit
-    // weights_changed correction goes unexercised.
-    std::unordered_map<std::uint32_t, std::size_t> first_bucket;
-    bool split = false;
-    std::size_t begin = 0;
-    for (std::size_t b = 0; b < ends.size(); ++b) {
-      for (std::size_t i = begin; i < ends[b]; ++i) {
-        const auto [it, fresh] = first_bucket.try_emplace(hits[i].plane / 8, b);
-        split |= !fresh && it->second != b;
+TEST(FaultBurnIn, BlockBurnsMatchOracle) {
+  // A programmed block at a weight offset inside a wider zero-padded array
+  // (the row stride exceeds the block) burns under several trial seeds
+  // exactly as the oracle's keyed loop burns it: cells, stats and the two
+  // burn counters; the padding never burns.
+  const std::int64_t rows = 30, cols = 25, stride = 80;
+  common::Rng wrng(31);
+  std::vector<std::int8_t> array(static_cast<std::size_t>(120 * stride), 0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      array[static_cast<std::size_t>(r * stride + c)] =
+          static_cast<std::int8_t>(wrng.uniform_int(-128, 127));
+    }
+  }
+  for (const int bits : {1, 2, 4, 8}) {
+    for (int kind = 0; kind < 3; ++kind) {  // variation, stuck, both
+      FaultConfig fc;
+      fc.cell_bits = bits;
+      fc.seed = 0xb0a7 + static_cast<std::uint64_t>(bits);
+      if (kind != 1) fc.program_sigma = 0.2;
+      if (kind != 0) {
+        fc.stuck_at_zero_rate = 4e-3;
+        fc.stuck_at_one_rate = 3e-3;
       }
-      begin = ends[b];
-    }
-    EXPECT_TRUE(split);
-  }
-  for (const auto& rates : rate_pairs) {
-    FaultConfig fc = rec_fc;
-    fc.stuck_at_zero_rate = rates[0];
-    fc.stuck_at_one_rate = rates[1];
-    const FaultModel model(fc);
-    auto direct = original;
-    const FaultMapStats direct_stats =
-        model.apply(direct, rows, cols, cols, /*crossbar_id=*/9);
-    auto replayed = post_var;
-    const FaultMapStats delta =
-        model.replay_stuck(replayed, cols, cols, hits, ends);
-    const auto msg = ::testing::Message()
-                     << "bits " << fc.cell_bits << " rates " << rates[0]
-                     << "/" << rates[1];
-    if (rates[0] == 0.0 && rates[1] == 0.0) {
-      // A zero-rate direct burn skips the stuck draws (a different stream),
-      // so only the replay side is defined: it visits nothing.
-      EXPECT_EQ(replayed, post_var) << msg;
-      expect_stats_eq(delta, FaultMapStats{});
-      continue;
-    }
-    EXPECT_EQ(replayed, direct) << msg;
-    EXPECT_EQ(var_stats.physical_cells + delta.physical_cells,
-              direct_stats.physical_cells) << msg;
-    EXPECT_EQ(var_stats.stuck_at_zero + delta.stuck_at_zero,
-              direct_stats.stuck_at_zero) << msg;
-    EXPECT_EQ(var_stats.stuck_at_one + delta.stuck_at_one,
-              direct_stats.stuck_at_one) << msg;
-    EXPECT_EQ(var_stats.weights_changed + delta.weights_changed,
-              direct_stats.weights_changed) << msg;
-  }
-}
-
-TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
-  FaultConfig rec_fc;
-  rec_fc.stuck_at_zero_rate = 5e-3;
-  rec_fc.stuck_at_one_rate = 5e-3;
-  rec_fc.program_sigma = 0.01;
-  rec_fc.seed = 77;
-  // The recorded stream replays exactly for every rate pair within the cap:
-  // the thresholds move, the draw stream does not. A replay reads only the
-  // draw buckets (width 2⁻⁸) below its summed rate, so the pairs straddle a
-  // bucket edge (sum exactly 2⁻⁸, one ulp either side, 0.1% above), reach
-  // the cap and include zero rates (nothing visited, zero delta).
-  const double edge = 0x1.0p-8;
-  const double below = std::nextafter(edge, 0.0);
-  const double above = std::nextafter(edge, 1.0);
-  const double cap =
-      static_cast<double>(FaultModel::kRecordCap53) * 0x1.0p-53;
-  const std::array<double, 2> rate_pairs[] = {
-      {1e-4, 1e-4},    {5e-3, 5e-3}, {1e-2, 0.0},         {0.0, 1e-2},
-      {edge, 0.0},     {0.0, edge},  {edge / 2, edge / 2}, {below, 0.0},
-      {above, 0.0},    {edge * 1.001, 0.0}, {cap, 0.0},
-      {cap / 4, cap * 3 / 4}, {0.0, 0.0}};
-  for (const int bits : {1, 2, 8}) {
-    // cell_bits = 1 stores each weight in 8 one-bit planes, so a single
-    // cell carries hits from several buckets at the cap rates.
-    rec_fc.cell_bits = bits;
-    expect_replay_matches_direct(rec_fc, rate_pairs);
-    // Above the cap (one ulp past it, and a 5% pair) the draws in
-    // [cap, threshold) were never recorded: the replay refuses instead of
-    // returning wrong cells.
-    for (const auto& rates : {std::array<double, 2>{std::nextafter(cap, 1.0),
-                                                    0.0},
-                              std::array<double, 2>{2e-2, 3e-2}}) {
-      FaultConfig fc = rec_fc;
-      fc.stuck_at_zero_rate = rates[0];
-      fc.stuck_at_one_rate = rates[1];
-      std::vector<std::int8_t> cells(16, 0);
-      const reram::StuckBucketEnds ends{};
-      EXPECT_THROW(FaultModel(fc).replay_stuck(cells, 4, 4, {}, ends),
-                   std::invalid_argument)
-          << "bits " << bits << " rates " << rates[0] << "/" << rates[1];
+      const FaultModel model(fc);
+      for (std::uint64_t t = 0; t < 3; ++t) {
+        SCOPED_TRACE(testing::Message()
+                     << "bits " << bits << " kind " << kind << " trial " << t);
+        const reram::BurnKey key{fc.for_trial(t).seed, 5, 40, 24};
+        auto want = array;
+        const FaultMapStats want_stats =
+            oracle::burn_reference(fc, want, rows, cols, stride, key);
+#if !defined(AUTOHET_OBS_DISABLED)
+        auto& registry = obs::Registry::global();
+        const std::uint64_t cells0 =
+            registry.counter("autohet_fault_cells_total").value();
+        const std::uint64_t stuck0 =
+            registry.counter("autohet_fault_stuck_cells_total").value();
+#endif
+        auto got = array;
+        const FaultMapStats got_stats =
+            model.burn(got, rows, cols, stride, key);
+#if !defined(AUTOHET_OBS_DISABLED)
+        EXPECT_EQ(registry.counter("autohet_fault_cells_total").value() -
+                      cells0,
+                  static_cast<std::uint64_t>(want_stats.physical_cells));
+        EXPECT_EQ(registry.counter("autohet_fault_stuck_cells_total").value() -
+                      stuck0,
+                  static_cast<std::uint64_t>(want_stats.stuck_at_zero +
+                                             want_stats.stuck_at_one));
+#endif
+        EXPECT_EQ(got, want);
+        expect_stats_eq(got_stats, want_stats);
+        EXPECT_EQ(want_stats.physical_cells, rows * cols * (8 / bits));
+        // One-bit levels only move when σZ < ln ½ (p ≈ 3·10⁻⁴ at σ = 0.2).
+        if (bits > 1 || kind != 0) {
+          EXPECT_GT(want_stats.weights_changed, 0);
+        }
+      }
     }
   }
 }
@@ -904,10 +720,9 @@ TEST(SimulatedModelKernels, FastForwardMatchesScalarReference) {
 }
 
 TEST(SimulatedModelKernels, FaultyCopiesOfAPackedFabricMatchScalarReference) {
-  // A clean bit-serial fabric carries packed planes. Its faulty copies —
-  // burned (with_faults), or recorded and replayed (with_faults_recorded +
-  // replay_faults) — must read back through their own packed planes
-  // exactly as the oracle fabric built with the faults does.
+  // A clean bit-serial fabric carries packed planes. Its faulty copy
+  // (with_faults) must read back through its own packed planes exactly as
+  // the oracle fabric built with the faults does.
   FaultConfig fc;
   fc.stuck_at_zero_rate = 5e-4;
   fc.stuck_at_one_rate = 5e-4;
@@ -923,26 +738,18 @@ TEST(SimulatedModelKernels, FaultyCopiesOfAPackedFabricMatchScalarReference) {
       ir, first.in_channels, first.in_height, first.in_width);
   const SimulatedModel clean(model, shapes, reram::DatapathMode::kBitSerial);
   const SimulatedModel burned = clean.with_faults(fc);
-  std::vector<reram::TrialBurnRecord> records(1);
-  const SimulatedModel replayed =
-      clean.with_faults_recorded(std::span(&fc, 1), records)
-          .front()
-          .replay_faults(fc, records.front());
   const oracle::Fabric scalar(model, shapes, reram::DatapathMode::kBitSerial,
                               fc);
   const auto want = scalar.forward(image);
-  for (const SimulatedModel* fabric : {&burned, &replayed}) {
-    SCOPED_TRACE(fabric == &burned ? "burned" : "replayed");
-    const auto got = fabric->forward_batch(std::span(&image, 1)).front();
-    expect_stats_eq(fabric->fault_stats(), scalar.fault_stats());
-    EXPECT_EQ(tensor::max_abs_diff(got.output, want.output), 0.0f);
-    ASSERT_EQ(got.mappable_outputs.size(), want.mappable_outputs.size());
-    for (std::size_t l = 0; l < got.mappable_outputs.size(); ++l) {
-      EXPECT_EQ(tensor::max_abs_diff(got.mappable_outputs[l],
-                                     want.mappable_outputs[l]),
-                0.0f)
-          << "layer " << l;
-    }
+  const auto got = burned.forward_batch(std::span(&image, 1)).front();
+  expect_stats_eq(burned.fault_stats(), scalar.fault_stats());
+  EXPECT_EQ(tensor::max_abs_diff(got.output, want.output), 0.0f);
+  ASSERT_EQ(got.mappable_outputs.size(), want.mappable_outputs.size());
+  for (std::size_t l = 0; l < got.mappable_outputs.size(); ++l) {
+    EXPECT_EQ(tensor::max_abs_diff(got.mappable_outputs[l],
+                                   want.mappable_outputs[l]),
+              0.0f)
+        << "layer " << l;
   }
 }
 
@@ -978,8 +785,8 @@ TEST(MonteCarloIdentity, ThreadCountInvariance) {
 }
 
 TEST(MonteCarloIdentity, ScalarReferencePolicyInvariance) {
-  // The production Monte-Carlo (lockstep burns, batched forwards, serial
-  // and pooled) reproduces the oracle's from-scratch serial run byte for
+  // The production Monte-Carlo (keyed burns, batched forwards, serial and
+  // pooled) reproduces the oracle's from-scratch serial run byte for
   // byte, the CI included.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
@@ -1024,48 +831,13 @@ TEST(MonteCarloIdentity, TrialFabricCacheInvariance) {
           << "bits=" << bits << " rate=" << rate;
     }
   }
-  // The sweep shape guarantees the cache actually recorded and replayed:
-  // per cell_bits, 3 trials record at the first nonzero rate and replay at
-  // the second; the rate-0 points bypass (their draw stream differs).
+  // One reference build serves the whole grid; trial fabrics are never
+  // cached.
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.trial_records, 6u);
-  EXPECT_EQ(stats.trial_replays, 6u);
-  EXPECT_GT(stats.ideal_hits, 0u);
-}
-
-TEST(MonteCarloIdentity, CachedPointAboveRecordingCapIsUncached) {
-  // A summed stuck rate of 0.03 is above the recording cap: the point takes
-  // the direct burn, equals the uncached report and records nothing. A
-  // recorded fabric refuses to replay it.
-  const nn::NetworkSpec net = nn::lenet5();
-  common::Rng wr(21);
-  const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
-  FaultConfig fc;
-  fc.stuck_at_zero_rate = 0.015;
-  fc.stuck_at_one_rate = 0.015;
-  fc.program_sigma = 0.01;
-  ASSERT_FALSE(FaultModel(fc).record_eligible());
-  reram::TrialFabricCache cache;
-  RobustnessOptions mc = small_mc();
-  mc.cache = &cache;
-  const auto cached = reram::monte_carlo_robustness(model, shapes, fc, mc);
-  mc.cache = nullptr;
-  const auto uncached = reram::monte_carlo_robustness(model, shapes, fc, mc);
-  EXPECT_TRUE(reports_equal(cached, uncached));
-  EXPECT_EQ(cache.stats().trial_records, 0u);
-  EXPECT_EQ(cache.stats().trial_replays, 0u);
-
-  FaultConfig in_cap = fc;
-  in_cap.stuck_at_zero_rate = 1e-3;
-  in_cap.stuck_at_one_rate = 1e-3;
-  const SimulatedModel ideal(model, shapes);
-  std::vector<reram::TrialBurnRecord> records(1);
-  const std::vector<SimulatedModel> recorded =
-      ideal.with_faults_recorded(std::span(&in_cap, 1), records);
-  EXPECT_THROW((void)recorded.front().replay_faults(fc, records.front()),
-               std::invalid_argument);
+  EXPECT_EQ(stats.ideal_builds, 1u);
+  EXPECT_EQ(stats.ideal_hits, 5u);
+  EXPECT_EQ(stats.trial_records, 0u);
+  EXPECT_EQ(stats.trial_replays, 0u);
 }
 
 TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
