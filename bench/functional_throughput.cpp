@@ -153,7 +153,8 @@ int main(int argc, char** argv) {
     w = static_cast<std::int8_t>(cell_rng.uniform_int(-128, 127));
   }
   reram::LogicalCrossbar xb(kshape);
-  xb.program(weights, kshape.rows, kshape.cols);  // packs eagerly
+  xb.program(weights, kshape.rows, kshape.cols);
+  xb.ensure_packed();
   std::vector<std::uint8_t> input(static_cast<std::size_t>(kshape.rows));
   for (auto& v : input) {
     v = static_cast<std::uint8_t>(cell_rng.uniform_int(0, 255));

@@ -79,6 +79,7 @@ void BM_CrossbarBitSerialMvm(benchmark::State& state) {
   std::vector<std::int8_t> w(static_cast<std::size_t>(n * n));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
   xb.program(w, n, n);
+  xb.ensure_packed();
   std::vector<std::uint8_t> x(static_cast<std::size_t>(n));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
   for (auto _ : state) {

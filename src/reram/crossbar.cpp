@@ -33,51 +33,20 @@ void pack_planes(const std::uint8_t* input, std::int64_t rows,
 }  // namespace
 
 LogicalCrossbar::LogicalCrossbar(mapping::CrossbarShape shape)
-    : shape_(shape),
-      cells_(static_cast<std::size_t>(shape.cells()), 0),
-      packed_words_((shape.rows + 63) / 64) {
+    : shape_(shape) {
   AUTOHET_CHECK(shape.rows > 0 && shape.cols > 0, "invalid crossbar shape");
 }
 
 void LogicalCrossbar::program(std::span<const std::int8_t> weights,
                               std::int64_t rows, std::int64_t cols) {
-  AUTOHET_CHECK(rows >= 0 && rows <= shape_.rows, "rows exceed crossbar");
-  AUTOHET_CHECK(cols >= 0 && cols <= shape_.cols, "cols exceed crossbar");
+  AUTOHET_CHECK(rows > 0 && rows <= shape_.rows, "rows exceed crossbar");
+  AUTOHET_CHECK(cols > 0 && cols <= shape_.cols, "cols exceed crossbar");
   AUTOHET_CHECK(static_cast<std::int64_t>(weights.size()) == rows * cols,
                 "weight block size mismatch");
-  std::fill(cells_.begin(), cells_.end(), static_cast<std::int8_t>(0));
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      cells_[static_cast<std::size_t>(i * shape_.cols + j)] =
-          weights[static_cast<std::size_t>(i * cols + j)];
-    }
-  }
+  cells_.assign(weights.begin(), weights.end());
   rows_used_ = rows;
   cols_used_ = cols;
-  repack();
-}
-
-void LogicalCrossbar::program_cell(std::int64_t row, std::int64_t col,
-                                   std::int8_t value) {
-  AUTOHET_CHECK(row >= 0 && row < shape_.rows && col >= 0 && col < shape_.cols,
-                "cell index out of range");
-  cells_[static_cast<std::size_t>(row * shape_.cols + col)] = value;
-  rows_used_ = std::max(rows_used_, row + 1);
-  cols_used_ = std::max(cols_used_, col + 1);
-  if (!packed_.empty()) {
-    const auto bits = static_cast<std::uint8_t>(value);
-    const std::uint64_t bit = std::uint64_t{1} << (row & 63);
-    const std::int64_t word = row >> 6;
-    for (int wb = 0; wb < 8; ++wb) {
-      std::uint64_t& w = packed_[static_cast<std::size_t>(
-          (wb * shape_.cols + col) * packed_words_ + word)];
-      if ((bits >> wb) & 1u) {
-        w |= bit;
-      } else {
-        w &= ~bit;
-      }
-    }
-  }
+  packed_.clear();
 }
 
 void LogicalCrossbar::ensure_packed() {
@@ -85,20 +54,19 @@ void LogicalCrossbar::ensure_packed() {
 }
 
 void LogicalCrossbar::repack() {
-  packed_.assign(static_cast<std::size_t>(8 * shape_.cols * packed_words_), 0);
-  // All shape_.rows wordlines are packed; the kernels' input masks zero
-  // everything past rows_used, and the cells there stay zero.
-  for (std::int64_t r = 0; r < shape_.rows; ++r) {
-    const std::int8_t* row = cells_.data() + r * shape_.cols;
+  const std::int64_t words = (rows_used_ + 63) / 64;
+  packed_.assign(static_cast<std::size_t>(8 * cols_used_ * words), 0);
+  for (std::int64_t r = 0; r < rows_used_; ++r) {
+    const std::int8_t* row = cells_.data() + r * cols_used_;
     const std::uint64_t bit = std::uint64_t{1} << (r & 63);
     const std::int64_t word = r >> 6;
-    for (std::int64_t j = 0; j < shape_.cols; ++j) {
+    for (std::int64_t j = 0; j < cols_used_; ++j) {
       const auto bits = static_cast<std::uint8_t>(row[j]);
       if (bits == 0) continue;
       for (int wb = 0; wb < 8; ++wb) {
         if ((bits >> wb) & 1u) {
-          packed_[static_cast<std::size_t>(
-              (wb * shape_.cols + j) * packed_words_ + word)] |= bit;
+          packed_[static_cast<std::size_t>((wb * cols_used_ + j) * words +
+                                           word)] |= bit;
         }
       }
     }
@@ -120,7 +88,7 @@ std::vector<std::int32_t> LogicalCrossbar::mvm_bit_serial(
 FaultMapStats LogicalCrossbar::burn(const FaultModel& faults,
                                     const BurnKey& key) {
   const FaultMapStats stats =
-      faults.burn(cells_, rows_used_, cols_used_, shape_.cols, key);
+      faults.burn(cells_, rows_used_, cols_used_, key);
   if (!packed_.empty() && stats.weights_changed > 0) repack();
   return stats;
 }
@@ -128,8 +96,8 @@ FaultMapStats LogicalCrossbar::burn(const FaultModel& faults,
 void LogicalCrossbar::mvm_reference_batch_accum(const std::uint8_t* inputs_t,
                                                 std::int64_t count,
                                                 std::int32_t* acc_t) const {
-  kernels::ops().reference_batch(cells_.data(), shape_.cols, rows_used_,
-                                 cols_used_, inputs_t, count, acc_t);
+  kernels::ops().reference_batch(cells_.data(), rows_used_, cols_used_,
+                                 inputs_t, count, acc_t);
   OBS_COUNTER_ADD("autohet_kernel_reference_macs_total",
                   rows_used_ * cols_used_ * count);
 }
@@ -144,8 +112,8 @@ void LogicalCrossbar::mvm_bit_serial_batch_accum(
   for (std::int64_t s = 0; s < count; ++s) {
     pack_planes(inputs_t + s, rows_used_, count, words, xbits + s * 8 * words);
   }
-  kernels::ops().bit_serial_mvm(packed_.data(), shape_.cols, packed_words_,
-                                cols_used_, words, xbits, count, acc_t);
+  kernels::ops().bit_serial_mvm(packed_.data(), cols_used_, words, xbits,
+                                count, acc_t);
   OBS_COUNTER_ADD("autohet_kernel_bit_serial_words_total",
                   64 * cols_used_ * words * count);
 }

@@ -17,10 +17,12 @@
 // CIM-Explorer uses. Every MVM runs through the dispatched kernels::ops()
 // table as a batch of `count` columns; a single column is a batch of one.
 // The scalar per-cell datapaths they are tested against live in
-// tests/oracle.hpp. Bulk program() packs eagerly, program_cell
-// updates the pack incrementally, and fault burn-in repacks. Cell
-// precision is a storage property of the fault model
-// (FaultConfig::cell_bits), not a separate compute path.
+// tests/oracle.hpp. A crossbar stores only its programmed rows_used ×
+// cols_used block: the wasted cells of Fig. 2 / Fig. 7 are an analytic
+// quantity (utilization) and are never stored. program() stores the block,
+// ensure_packed() is the one pack, and fault burn-in repacks a packed
+// crossbar whose cells moved. Cell precision is a storage property of the
+// fault model (FaultConfig::cell_bits), not a separate compute path.
 #pragma once
 
 #include <cstdint>
@@ -41,26 +43,19 @@ class LogicalCrossbar {
   std::int64_t rows_used() const noexcept { return rows_used_; }
   std::int64_t cols_used() const noexcept { return cols_used_; }
 
-  /// Programs a rows_used × cols_used weight block (row-major) into the
-  /// top-left corner of the array; the rest of the cells stay zero
-  /// (the wasted cells of Fig. 2 / Fig. 7). Rebuilds the packed bit planes
-  /// eagerly so subsequent bit-serial MVMs take the fast kernel.
+  /// Programs a nonempty rows × cols weight block (row-major, within the
+  /// shape) and drops any packed planes: the crossbar then holds exactly
+  /// that block. Call ensure_packed() before a bit-serial MVM.
   void program(std::span<const std::int8_t> weights, std::int64_t rows,
                std::int64_t cols);
 
-  /// Places a weight at an explicit (row, col) cell; used by the
-  /// kernel-aligned mapper which leaves gaps inside a row block. Updates the
-  /// packed planes incrementally when they exist; otherwise stays unpacked
-  /// (pack later with ensure_packed() only if the bit-serial datapath is
-  /// wanted — the integer datapath never needs the planes).
-  void program_cell(std::int64_t row, std::int64_t col, std::int8_t value);
-
   /// Builds the packed uint64 bit planes from the current cells. Idempotent;
-  /// called automatically by program(). Costs one pass over the array.
+  /// costs one pass over the programmed block. Only the bit-serial datapath
+  /// needs the planes.
   void ensure_packed();
   bool is_packed() const noexcept { return !packed_.empty(); }
 
-  /// The full shape.rows × shape.cols cell array, row-major.
+  /// The programmed rows_used × cols_used block, row-major.
   std::span<const std::int8_t> cells() const noexcept { return cells_; }
 
   /// Bit-serial MVM over the used region: the batched AND+popcount kernel
@@ -99,10 +94,9 @@ class LogicalCrossbar {
                                   kernels::KernelScratch& scratch) const;
 
   /// Burns `faults` (stuck-at maps and programming variation — see
-  /// reram/faults.hpp) into the programmed rows_used × cols_used cells,
-  /// keyed by `key`: FaultModel::burn. The empty cells outside that block
-  /// are never read, so they never burn. Repacks when packed and a cell
-  /// moved; an ideal model touches nothing.
+  /// reram/faults.hpp) into the programmed cells, keyed by `key`:
+  /// FaultModel::burn. Repacks when packed and a cell moved; an ideal model
+  /// touches nothing.
   FaultMapStats burn(const FaultModel& faults, const BurnKey& key);
 
  private:
@@ -110,11 +104,11 @@ class LogicalCrossbar {
   mapping::CrossbarShape shape_;
   std::int64_t rows_used_ = 0;
   std::int64_t cols_used_ = 0;
-  std::vector<std::int8_t> cells_;  // full r×c array, row-major
-  /// Packed weight bit planes, [bit][col][word] with words covering all
-  /// shape_.rows wordlines; empty = not packed (integer datapath only).
+  std::vector<std::int8_t> cells_;  // rows_used × cols_used, row-major
+  /// Packed weight bit planes, [bit][col][word] over cols_used columns with
+  /// ceil(rows_used / 64) words each; empty = not packed (integer datapath
+  /// only).
   std::vector<std::uint64_t> packed_;
-  std::int64_t packed_words_ = 0;  ///< ceil(shape_.rows / 64)
 };
 
 }  // namespace autohet::reram

@@ -33,7 +33,7 @@ inline std::uint64_t mix52(std::uint64_t z) {
 /// One block burn: the block, its key base and the config's thresholds.
 struct BlockBurn {
   std::int8_t* cells;
-  std::int64_t rows, cols, row_stride;
+  std::int64_t rows, cols;
   std::uint64_t base;
   std::int64_t row0, col0;
   std::uint64_t zero_thr, stuck_thr;
@@ -57,7 +57,7 @@ FaultMapStats burn_block(const BlockBurn b) {
   const bool varies = b.bounds != nullptr;
   if (!stuck && !varies) return stats;
   for (std::int64_t i = 0; i < b.rows; ++i) {
-    std::int8_t* row = b.cells + i * b.row_stride;
+    std::int8_t* row = b.cells + i * b.cols;
     // The SplitMix64 state of slot 0 of weight (row0 + i, col0 + j).
     std::uint64_t z = b.base + ((static_cast<std::uint64_t>(b.row0 + i) << 32) +
                                 (static_cast<std::uint64_t>(b.col0) << 4)) *
@@ -274,15 +274,11 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
 
 FaultMapStats FaultModel::burn(std::span<std::int8_t> cells,
                                std::int64_t rows, std::int64_t cols,
-                               std::int64_t row_stride,
                                const BurnKey& key) const {
   if (ideal()) return {};
-  AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
-                "invalid fault-map geometry");
-  AUTOHET_CHECK(rows == 0 ||
-                    cells.size() >= static_cast<std::size_t>(
-                                        (rows - 1) * row_stride + cols),
-                "burn block larger than its cells");
+  AUTOHET_CHECK(rows >= 0 && cols >= 0, "invalid fault-map geometry");
+  AUTOHET_CHECK(cells.size() == static_cast<std::size_t>(rows * cols),
+                "burn block size differs from its cells");
   AUTOHET_CHECK(key.row0 >= 0 && key.col0 >= 0 &&
                     key.row0 + rows <= (std::int64_t{1} << 32) &&
                     key.col0 + cols <= (std::int64_t{1} << 28),
@@ -292,7 +288,6 @@ FaultMapStats FaultModel::burn(std::span<std::int8_t> cells,
   const BlockBurn block{cells.data(),
                         rows,
                         cols,
-                        row_stride,
                         base,
                         key.row0,
                         key.col0,
@@ -326,10 +321,8 @@ FaultMapStats FaultModel::burn(std::span<std::int8_t> cells,
 
 FaultMapStats FaultModel::apply(std::span<std::int8_t> cells,
                                 std::int64_t rows, std::int64_t cols,
-                                std::int64_t row_stride,
                                 std::uint64_t layer) const {
-  return burn(cells, rows, cols, row_stride,
-              BurnKey{config_.seed, layer, 0, 0});
+  return burn(cells, rows, cols, BurnKey{config_.seed, layer, 0, 0});
 }
 
 double analytic_layer_vulnerability(const mapping::LayerMapping& m,

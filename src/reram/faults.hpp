@@ -277,18 +277,16 @@ class FaultModel {
   const FaultConfig& config() const noexcept { return config_; }
   bool ideal() const noexcept { return config_.ideal(); }
 
-  /// Burns the rows × cols block of two's-complement weights at `cells`
-  /// (row-major, stride `row_stride`) in place under `key`: cell (i, j)
-  /// holds weight (key.row0 + i, key.col0 + j) of layer key.layer. Returns
-  /// the block's counts. An ideal config touches nothing.
+  /// Burns the rows × cols block of two's-complement weights `cells`
+  /// (row-major, exactly rows·cols of them) in place under `key`: cell
+  /// (i, j) holds weight (key.row0 + i, key.col0 + j) of layer key.layer.
+  /// Returns the block's counts. An ideal config touches nothing.
   FaultMapStats burn(std::span<std::int8_t> cells, std::int64_t rows,
-                     std::int64_t cols, std::int64_t row_stride,
-                     const BurnKey& key) const;
+                     std::int64_t cols, const BurnKey& key) const;
 
   /// burn() under config().seed of a block at weight (0, 0) of `layer`.
   FaultMapStats apply(std::span<std::int8_t> cells, std::int64_t rows,
-                      std::int64_t cols, std::int64_t row_stride,
-                      std::uint64_t layer) const;
+                      std::int64_t cols, std::uint64_t layer) const;
 
   /// Effective weight-space rms error per unit σ of per-level lognormal
   /// noise: A(b) = sqrt(E[v²] · Σ_p 4^{p·b}) with v uniform over the level

@@ -122,17 +122,18 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
       row_ranges_.emplace_back(r0, r1);
     }
   }
+  std::vector<std::int8_t> block;  // one crossbar's weights, row-major
   for (std::int64_t rb = 0; rb < rb_count; ++rb) {
     const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
     for (std::int64_t cb = 0; cb < cb_count; ++cb) {
       const std::int64_t c0 = cb * shape.cols;
       const std::int64_t c1 = std::min(wcols, c0 + shape.cols);
-      LogicalCrossbar xb(shape);
+      block.clear();
       for (std::int64_t r = r0; r < r1; ++r) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          xb.program_cell(r - r0, c - c0, wq(r, c));
-        }
+        for (std::int64_t c = c0; c < c1; ++c) block.push_back(wq(r, c));
       }
+      LogicalCrossbar xb(shape);
+      xb.program(block, r1 - r0, c1 - c0);
       OBS_PROFILE_RECORD(obs::ProfileKind::kProgramWrite, layer_id,
                          rb * cb_count + cb, (r1 - r0) * (c1 - c0));
       crossbars_.push_back(std::move(xb));

@@ -109,20 +109,18 @@ struct Avx512Core {
   }
 };
 
-void bit_serial_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
-                    std::int64_t col_words, std::int64_t cols,
+void bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
                     std::int64_t words, const std::uint64_t* xbits,
                     std::int64_t count, std::int32_t* acc_t) {
-  detail::bit_serial_mvm_impl<Avx512Core>(planes, plane_cols, col_words, cols,
-                                          words, xbits, count, acc_t);
+  detail::bit_serial_mvm_impl<Avx512Core>(planes, cols, words, xbits, count,
+                                          acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
-                     std::int64_t rows, std::int64_t cols,
-                     const std::uint8_t* inputs_t, std::int64_t count,
-                     std::int32_t* acc_t) {
-  detail::reference_batch_impl<Avx512Core>(cells, row_stride, rows, cols,
-                                           inputs_t, count, acc_t);
+void reference_batch(const std::int8_t* cells, std::int64_t rows,
+                     std::int64_t cols, const std::uint8_t* inputs_t,
+                     std::int64_t count, std::int32_t* acc_t) {
+  detail::reference_batch_impl<Avx512Core>(cells, rows, cols, inputs_t, count,
+                                           acc_t);
 }
 
 }  // namespace

@@ -27,10 +27,10 @@
 // exported as the `autohet_kernel_dispatch` gauge.
 //
 // Data layouts (all strides in uint64 words unless noted):
-//   * weight planes: planes[(wb * plane_cols + j) * col_words + w] — bit
-//     plane wb of column j; kernels read words [0, words) of each column
-//     (words <= col_words; trailing words cover unused rows and are zero in
-//     the input masks).
+//   * weight planes: planes[(wb * cols + j) * words + w] — bit plane wb of
+//     column j over the crossbar's programmed rows; bits past the last row
+//     of the last word are zero.
+//   * cells: cells[i * cols + j] — the programmed block, row-major, int8.
 //   * packed inputs: xbits[(s * 8 + xb) * words + w] — 8 contiguous input
 //     bit planes per sample; a single sample (count == 1) is the classic
 //     xbits[xb * words + w] layout.
@@ -59,22 +59,20 @@ struct Ops {
   ///   acc_t[j*count+s] += Σ_wb sign(wb)·2^wb · Σ_xb 2^xb ·
   ///                       popcount(xbits[s,xb] & planes[wb,j])
   /// where sign(7) = -1 (two's-complement sign plane).
-  void (*bit_serial_mvm)(const std::uint64_t* planes, std::int64_t plane_cols,
-                         std::int64_t col_words, std::int64_t cols,
+  void (*bit_serial_mvm)(const std::uint64_t* planes, std::int64_t cols,
                          std::int64_t words, const std::uint64_t* xbits,
                          std::int64_t count, std::int32_t* acc_t) = nullptr;
 
   /// Batched integer GEMM over the raw cells:
-  ///   acc_t[j*count+s] += cells[i*row_stride+j] · inputs_t[i*count+s]
+  ///   acc_t[j*count+s] += cells[i*cols+j] · inputs_t[i*count+s]
   /// The samples that fill whole vectors run in register tiles (a block of
   /// columns × sample vectors of accumulators carried across every row,
   /// multiplied with vpmaddwd on the SIMD variants); the remaining samples
   /// run row-oriented per sample and skip zero activations (see
   /// kernel_ops.inl). Every order sums exact integers.
-  void (*reference_batch)(const std::int8_t* cells, std::int64_t row_stride,
-                          std::int64_t rows, std::int64_t cols,
-                          const std::uint8_t* inputs_t, std::int64_t count,
-                          std::int32_t* acc_t) = nullptr;
+  void (*reference_batch)(const std::int8_t* cells, std::int64_t rows,
+                          std::int64_t cols, const std::uint8_t* inputs_t,
+                          std::int64_t count, std::int32_t* acc_t) = nullptr;
 };
 
 // This table's dispatch, a common::KernelDispatch (see there for the

@@ -23,7 +23,7 @@ struct CellView {
 };
 
 CellView view(const reram::LogicalCrossbar& xb) {
-  return {xb.cells().data(), xb.shape().cols, xb.rows_used(), xb.cols_used()};
+  return {xb.cells().data(), xb.cols_used(), xb.rows_used(), xb.cols_used()};
 }
 
 std::vector<std::int32_t> bit_serial(const CellView& v,

@@ -29,19 +29,28 @@ TEST(LogicalCrossbar, KnownTinyProduct) {
   LogicalCrossbar xb({4, 4});
   const std::vector<std::int8_t> w = {1, -2, 3, 4};  // 2x2
   xb.program(w, 2, 2);
+  // The crossbar holds exactly the programmed block.
+  EXPECT_EQ(xb.rows_used(), 2);
+  EXPECT_EQ(xb.cols_used(), 2);
+  EXPECT_EQ(xb.cells().size(), 4u);
   const std::vector<std::uint8_t> x = {5, 7};
   const auto ref = xb.mvm_reference(x);
   ASSERT_EQ(ref.size(), 2u);
   EXPECT_EQ(ref[0], 5 * 1 + 7 * 3);
   EXPECT_EQ(ref[1], 5 * -2 + 7 * 4);
-  const auto bits = xb.mvm_bit_serial(x);
-  EXPECT_EQ(bits, ref);
+  // program() leaves the bit planes unpacked: the bit-serial datapath
+  // refuses until they are built.
+  EXPECT_FALSE(xb.is_packed());
+  EXPECT_THROW(xb.mvm_bit_serial(x), std::invalid_argument);
+  xb.ensure_packed();
+  EXPECT_EQ(xb.mvm_bit_serial(x), ref);
 }
 
 TEST(LogicalCrossbar, ExtremeValues) {
   LogicalCrossbar xb({2, 2});
   const std::vector<std::int8_t> w = {-128, 127, 127, -128};
   xb.program(w, 2, 2);
+  xb.ensure_packed();
   const std::vector<std::uint8_t> x = {255, 255};
   const auto ref = xb.mvm_reference(x);
   EXPECT_EQ(ref[0], 255 * (-128) + 255 * 127);
@@ -52,6 +61,7 @@ TEST(LogicalCrossbar, ZeroInputGivesZero) {
   common::Rng rng(1);
   LogicalCrossbar xb({8, 8});
   xb.program(random_weights(rng, 64), 8, 8);
+  xb.ensure_packed();
   const std::vector<std::uint8_t> x(8, 0);
   for (auto v : xb.mvm_bit_serial(x)) EXPECT_EQ(v, 0);
 }
@@ -64,45 +74,21 @@ TEST_P(BitSerialEquivalence, MatchesIntegerReference) {
   const auto [rows, cols, seed] = GetParam();
   common::Rng rng(seed);
   LogicalCrossbar xb({rows, cols});
-  // Use a partially filled region to exercise the unused-cell path.
+  // A block smaller than the array; the used rows straddle the 64-bit
+  // word edges of the packed planes (61, 63, 64, 125, 128).
   const std::int64_t used_rows = std::max<std::int64_t>(1, rows - 3);
   const std::int64_t used_cols = std::max<std::int64_t>(1, cols - 2);
   xb.program(random_weights(rng, used_rows * used_cols), used_rows, used_cols);
+  xb.ensure_packed();
   const auto x = random_inputs(rng, used_rows);
   EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_reference(x));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BitSerialEquivalence,
-    ::testing::Combine(::testing::Values(1, 4, 9, 32, 36),
+    ::testing::Combine(::testing::Values(1, 4, 9, 32, 36, 64, 66, 67, 128, 131),
                        ::testing::Values(1, 5, 32),
                        ::testing::Values(11u, 22u, 33u)));
-
-TEST(LogicalCrossbar, ProgramCellSparsePattern) {
-  LogicalCrossbar xb({36, 32});
-  // Mimic the kernel-aligned layout: kernels at 9-row strides with gaps.
-  xb.program_cell(0, 0, 10);
-  xb.program_cell(9, 0, -20);
-  xb.program_cell(18, 5, 7);
-  EXPECT_EQ(xb.rows_used(), 19);
-  EXPECT_EQ(xb.cols_used(), 6);
-  std::vector<std::uint8_t> x(19, 0);
-  x[0] = 2;
-  x[9] = 3;
-  x[18] = 4;
-  const auto ref = xb.mvm_reference(x);
-  EXPECT_EQ(ref[0], 2 * 10 + 3 * -20);
-  EXPECT_EQ(ref[5], 4 * 7);
-  // program_cell leaves the bit planes unpacked: the bit-serial datapath
-  // refuses until they are built.
-  EXPECT_FALSE(xb.is_packed());
-  EXPECT_THROW(xb.mvm_bit_serial(x), std::invalid_argument);
-  xb.ensure_packed();
-  EXPECT_EQ(xb.mvm_bit_serial(x), ref);
-  // Once packed, program_cell keeps the planes current.
-  xb.program_cell(9, 0, 5);
-  EXPECT_EQ(xb.mvm_bit_serial(x), xb.mvm_reference(x));
-}
 
 TEST(LogicalCrossbar, ValidatesProgramArguments) {
   LogicalCrossbar xb({4, 4});
@@ -110,14 +96,14 @@ TEST(LogicalCrossbar, ValidatesProgramArguments) {
   EXPECT_THROW(xb.program(w, 5, 5), std::invalid_argument);
   EXPECT_THROW(xb.program(std::span<const std::int8_t>(w.data(), 3), 2, 2),
                std::invalid_argument);
-  EXPECT_THROW(xb.program_cell(4, 0, 1), std::invalid_argument);
-  EXPECT_THROW(xb.program_cell(0, -1, 1), std::invalid_argument);
+  EXPECT_THROW(xb.program({}, 0, 0), std::invalid_argument);
 }
 
 TEST(LogicalCrossbar, ValidatesInputLength) {
   LogicalCrossbar xb({4, 4});
   const std::vector<std::int8_t> w(4, 1);
   xb.program(w, 2, 2);
+  xb.ensure_packed();
   const std::vector<std::uint8_t> wrong(3, 1);
   EXPECT_THROW(xb.mvm_bit_serial(wrong), std::invalid_argument);
   EXPECT_THROW(xb.mvm_reference(wrong), std::invalid_argument);
@@ -127,13 +113,20 @@ TEST(LogicalCrossbar, ReprogramOverwritesPreviousContents) {
   LogicalCrossbar xb({4, 4});
   std::vector<std::int8_t> w1(16, 3);
   xb.program(w1, 4, 4);
+  xb.ensure_packed();
   std::vector<std::int8_t> w2(4, 1);
   xb.program(w2, 2, 2);  // smaller block; old cells must be cleared
+  EXPECT_EQ(xb.cells().size(), 4u);
+  // Reprogramming drops the old planes: no bit-serial MVM on stale bits.
+  EXPECT_FALSE(xb.is_packed());
   const std::vector<std::uint8_t> x = {1, 1};
+  EXPECT_THROW(xb.mvm_bit_serial(x), std::invalid_argument);
   const auto out = xb.mvm_reference(x);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 2);
   EXPECT_EQ(out[1], 2);
+  xb.ensure_packed();
+  EXPECT_EQ(xb.mvm_bit_serial(x), out);
 }
 
 }  // namespace

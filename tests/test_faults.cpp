@@ -66,8 +66,8 @@ TEST(FaultModel, SameSeedSameFaultMap) {
   const FaultModel model(stuck_config(0.05, 2));
   auto a = ramp_weights(64 * 64);
   auto b = ramp_weights(64 * 64);
-  const FaultMapStats sa = model.apply(a, 64, 64, 64, /*layer=*/42);
-  const FaultMapStats sb = model.apply(b, 64, 64, 64, /*layer=*/42);
+  const FaultMapStats sa = model.apply(a, 64, 64, /*layer=*/42);
+  const FaultMapStats sb = model.apply(b, 64, 64, /*layer=*/42);
   EXPECT_EQ(a, b);
   EXPECT_EQ(sa.stuck_at_zero, sb.stuck_at_zero);
   EXPECT_EQ(sa.stuck_at_one, sb.stuck_at_one);
@@ -79,8 +79,8 @@ TEST(FaultModel, DifferentCrossbarsGetIndependentMaps) {
   const FaultModel model(stuck_config(0.05));
   auto a = ramp_weights(64 * 64);
   auto b = ramp_weights(64 * 64);
-  model.apply(a, 64, 64, 64, /*layer=*/1);
-  model.apply(b, 64, 64, 64, /*layer=*/2);
+  model.apply(a, 64, 64, /*layer=*/1);
+  model.apply(b, 64, 64, /*layer=*/2);
   EXPECT_NE(a, b);
 }
 
@@ -88,7 +88,7 @@ TEST(FaultModel, IdealApplyIsNoOp) {
   const FaultModel model(FaultConfig{});
   auto w = ramp_weights(32 * 32);
   const auto original = w;
-  const FaultMapStats stats = model.apply(w, 32, 32, 32, 0);
+  const FaultMapStats stats = model.apply(w, 32, 32, 0);
   EXPECT_EQ(w, original);
   EXPECT_EQ(stats.physical_cells, 0);
   EXPECT_EQ(stats.weights_changed, 0);
@@ -99,7 +99,7 @@ TEST(FaultModel, StuckAtOneForcesFullScale) {
   faults.stuck_at_one_rate = 1.0;
   const FaultModel model(faults);
   auto w = ramp_weights(16);
-  const FaultMapStats stats = model.apply(w, 4, 4, 4, 0);
+  const FaultMapStats stats = model.apply(w, 4, 4, 0);
   // Every plane stuck at its top level: offset 255 -> weight +127.
   for (const std::int8_t v : w) EXPECT_EQ(v, 127);
   EXPECT_EQ(stats.stuck_at_one, 16 * 8);
@@ -112,7 +112,7 @@ TEST(FaultModel, StuckAtZeroForcesOffsetZero) {
   faults.cell_bits = 4;
   const FaultModel model(faults);
   auto w = ramp_weights(16);
-  const FaultMapStats stats = model.apply(w, 4, 4, 4, 0);
+  const FaultMapStats stats = model.apply(w, 4, 4, 0);
   // Every plane stuck at level 0: offset 0 -> weight -128 (HRS everywhere).
   for (const std::int8_t v : w) EXPECT_EQ(v, -128);
   EXPECT_EQ(stats.stuck_at_zero, 16 * 2);  // 2 planes at 4 bits/cell
@@ -235,6 +235,7 @@ TEST_P(CellStorageRoundTrip, SubLevelVariationKeepsWeightsExact) {
   common::Rng rng(static_cast<std::uint64_t>(cell_bits) * 101);
   reram::LogicalCrossbar xb({36, 32});
   xb.program(random_weights(rng, 30 * 20), 30, 20);
+  xb.ensure_packed();
   const auto x = random_inputs(rng, 30);
   const auto before = xb.mvm_reference(x);
   const FaultModel model(sub_level_variation(cell_bits));
@@ -291,6 +292,7 @@ TEST(CellStorage, BurnedCellsFeedBothDatapathsIdentically) {
     common::Rng rng(7);
     reram::LogicalCrossbar xb({64, 64});
     xb.program(random_weights(rng, 64 * 64), 64, 64);
+    xb.ensure_packed();  // the burn repacks the moved cells
     const auto x = random_inputs(rng, 64);
     const auto clean = xb.mvm_reference(x);
     FaultConfig faults = stuck_config(0.01, bits);
@@ -314,7 +316,7 @@ TEST(ProgramVariation, OffCellsStayOff) {
     const FaultModel model(faults);
     std::vector<std::int8_t> cells(16 * 16, -128);
     for (std::size_t i = 0; i < cells.size(); i += 2) cells[i] = 100;
-    const FaultMapStats stats = model.apply(cells, 16, 16, 16, 9);
+    const FaultMapStats stats = model.apply(cells, 16, 16, 9);
     for (std::size_t i = 1; i < cells.size(); i += 2) {
       ASSERT_EQ(cells[i], -128) << "cell_bits=" << bits << " i=" << i;
     }
@@ -588,7 +590,7 @@ TEST(KeyedBurn, StuckCountsFollowTheBinomial) {
       faults.seed = 0x5eed + static_cast<std::uint64_t>(bits);
       std::vector<std::int8_t> cells = ramp_weights(256 * 256);
       const FaultMapStats stats =
-          FaultModel(faults).apply(cells, 256, 256, 256, /*layer=*/2);
+          FaultModel(faults).apply(cells, 256, 256, /*layer=*/2);
       const std::int64_t n = 256 * 256 * (8 / bits);
       ASSERT_EQ(stats.physical_cells, n);
       const auto zero = binomial_bounds(n, faults.stuck_at_zero_rate);
@@ -616,8 +618,8 @@ std::vector<int> stuck_planes(double zero_rate, double one_rate, int bits) {
   const FaultModel model(faults);
   std::vector<std::int8_t> high(rows * cols, 127);
   std::vector<std::int8_t> low(rows * cols, -128);
-  (void)model.apply(high, rows, cols, cols, 1);
-  (void)model.apply(low, rows, cols, cols, 1);
+  (void)model.apply(high, rows, cols, 1);
+  (void)model.apply(low, rows, cols, 1);
   const int planes = 8 / bits;
   const unsigned mask = (1u << bits) - 1u;
   std::vector<int> flags(static_cast<std::size_t>(rows * cols * planes), 0);
@@ -677,7 +679,7 @@ TEST(KeyedBurn, LevelTransitionsFollowPhiIntervals) {
       std::fill_n(cells.begin() + (level - 1) * kPerLevel, kPerLevel,
                   static_cast<std::int8_t>(17 * static_cast<int>(level) - 128));
     }
-    (void)FaultModel(faults).apply(cells, mask, kPerLevel, kPerLevel, 4);
+    (void)FaultModel(faults).apply(cells, mask, kPerLevel, 4);
     for (unsigned level = 1; level <= mask; ++level) {
       std::vector<std::int64_t> counts(mask + 1, 0);
       for (std::int64_t c = 0; c < kPerLevel; ++c) {

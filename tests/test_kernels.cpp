@@ -96,7 +96,7 @@ TEST(PackedKernels, MatchScalarOnRaggedShapes) {
   for (const auto& c : cases) {
     LogicalCrossbar xb(c.shape);
     xb.program(random_weights(rng, c.rows * c.cols), c.rows, c.cols);
-    ASSERT_TRUE(xb.is_packed());
+    xb.ensure_packed();
     const auto x = random_input(rng, c.rows);
     EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x));
     EXPECT_EQ(xb.mvm_reference(x), oracle::mvm_reference_scalar(xb, x));
@@ -108,6 +108,7 @@ TEST(PackedKernels, MatchScalarAfterFaultBurn) {
   common::Rng rng(7);
   LogicalCrossbar xb({96, 80});
   xb.program(random_weights(rng, 90 * 70), 90, 70);
+  xb.ensure_packed();  // the burn below repacks the moved cells
   FaultConfig fc;
   fc.stuck_at_zero_rate = 0.01;
   fc.stuck_at_one_rate = 0.01;
@@ -195,7 +196,7 @@ TEST_P(KernelVariantTest, RandomRaggedShapesMatchScalar) {
         cols + static_cast<std::int64_t>(rng.uniform_int(0, 24))};
     LogicalCrossbar xb(shape);
     xb.program(random_weights(rng, rows * cols), rows, cols);
-    ASSERT_TRUE(xb.is_packed());
+    xb.ensure_packed();
     const auto x = random_input(rng, rows);
     EXPECT_EQ(xb.mvm_bit_serial(x), oracle::mvm_bit_serial_scalar(xb, x))
         << "rows=" << rows << " cols=" << cols;
@@ -213,7 +214,7 @@ TEST_P(KernelVariantTest, BatchedPackedMatchesPerColumn) {
   for (const auto& c : cases) {
     LogicalCrossbar xb(c.shape);
     xb.program(random_weights(rng, c.rows * c.cols), c.rows, c.cols);
-    ASSERT_TRUE(xb.is_packed());
+    xb.ensure_packed();
     const std::int64_t batch = 7;
     std::vector<std::uint8_t> cols_t(static_cast<std::size_t>(c.rows * batch));
     for (auto& v : cols_t) {
@@ -261,11 +262,10 @@ TEST_P(KernelVariantTest, ForwardMatchesScalarReference) {
   }
 }
 
-// acc_t[j*count+s] += Σ_i cells[i*stride+j] · inputs_t[i*count+s], one
+// acc_t[j*count+s] += Σ_i cells[i*cols+j] · inputs_t[i*count+s], one
 // column and sample at a time.
 void reference_batch_scalar(const std::vector<std::int8_t>& cells,
-                            std::int64_t stride, std::int64_t rows,
-                            std::int64_t cols,
+                            std::int64_t rows, std::int64_t cols,
                             const std::vector<std::uint8_t>& inputs_t,
                             std::int64_t count,
                             std::vector<std::int32_t>& acc_t) {
@@ -276,7 +276,7 @@ void reference_batch_scalar(const std::vector<std::int8_t>& cells,
     for (std::int64_t s = 0; s < count; ++s) {
       std::int32_t dot = 0;
       for (std::int64_t i = 0; i < rows; ++i) {
-        dot += at(cells, i * stride + j) * at(inputs_t, i * count + s);
+        dot += at(cells, i * cols + j) * at(inputs_t, i * count + s);
       }
       acc_t[static_cast<std::size_t>(j * count + s)] += dot;
     }
@@ -289,8 +289,8 @@ TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
   // of its register tile's sample block (the samples past the last whole
   // vector take the row-oriented loop), column counts around the register
   // tile's column block and the vector and stack-block edges, all-zero and
-  // partly zero weights and activations, and a row stride wider than the
-  // used columns. acc_t starts nonzero: the kernel accumulates.
+  // partly zero weights and activations. acc_t starts nonzero: the kernel
+  // accumulates.
   common::Rng rng(0xfeed ^ static_cast<std::uint64_t>(GetParam()));
   const auto& ops = rk::ops();
   const std::int64_t rows = 37;
@@ -300,39 +300,37 @@ TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
     counts.push_back(count);
   }
   for (const std::int64_t cols : {1, 2, 3, 6, 15, 17, 120, 513}) {
-    for (const std::int64_t stride : {cols, cols + 9}) {
-      for (const bool zero_weights : {false, true}) {
-        auto cells = random_weights(rng, rows * stride);
-        for (std::int64_t i = 0; i < rows * stride; ++i) {
-          // Every third cell, and all of row 5, is zero.
-          if (zero_weights || i % 3 == 0 || i / stride == 5) {
-            cells[static_cast<std::size_t>(i)] = 0;
-          }
+    for (const bool zero_weights : {false, true}) {
+      auto cells = random_weights(rng, rows * cols);
+      for (std::int64_t i = 0; i < rows * cols; ++i) {
+        // Every third cell, and all of row 5, is zero.
+        if (zero_weights || i % 3 == 0 || i / cols == 5) {
+          cells[static_cast<std::size_t>(i)] = 0;
         }
-        for (const std::int64_t count : counts) {
-          for (const bool zero_inputs : {false, true}) {
-            // 40% zero activations, and all of row 7.
-            auto inputs_t = random_input(rng, rows * count, 0.4);
-            for (std::int64_t i = 0; i < rows * count; ++i) {
-              if (zero_inputs || i / count == 7) {
-                inputs_t[static_cast<std::size_t>(i)] = 0;
-              }
+      }
+      for (const std::int64_t count : counts) {
+        for (const bool zero_inputs : {false, true}) {
+          // 40% zero activations, and all of row 7.
+          auto inputs_t = random_input(rng, rows * count, 0.4);
+          for (std::int64_t i = 0; i < rows * count; ++i) {
+            if (zero_inputs || i / count == 7) {
+              inputs_t[static_cast<std::size_t>(i)] = 0;
             }
-            std::vector<std::int32_t> acc_t(
-                static_cast<std::size_t>(cols * count));
-            for (auto& v : acc_t) {
-              v = static_cast<std::int32_t>(rng.uniform_int(-1000, 1000));
-            }
-            auto expected = acc_t;
-            reference_batch_scalar(cells, stride, rows, cols, inputs_t, count,
-                                   expected);
-            ops.reference_batch(cells.data(), stride, rows, cols,
-                                inputs_t.data(), count, acc_t.data());
-            EXPECT_EQ(acc_t, expected)
-                << "cols=" << cols << " stride=" << stride
-                << " count=" << count << " zero_weights=" << zero_weights
-                << " zero_inputs=" << zero_inputs;
           }
+          std::vector<std::int32_t> acc_t(
+              static_cast<std::size_t>(cols * count));
+          for (auto& v : acc_t) {
+            v = static_cast<std::int32_t>(rng.uniform_int(-1000, 1000));
+          }
+          auto expected = acc_t;
+          reference_batch_scalar(cells, rows, cols, inputs_t, count,
+                                 expected);
+          ops.reference_batch(cells.data(), rows, cols, inputs_t.data(),
+                              count, acc_t.data());
+          EXPECT_EQ(acc_t, expected)
+              << "cols=" << cols << " count=" << count
+              << " zero_weights=" << zero_weights
+              << " zero_inputs=" << zero_inputs;
         }
       }
     }
@@ -349,8 +347,8 @@ TEST_P(KernelVariantTest, ReferenceBatchMatchesPerColumnScalar) {
           static_cast<std::size_t>(tall * count), std::uint8_t{255});
       std::vector<std::int32_t> acc_t(static_cast<std::size_t>(cols * count),
                                       0);
-      ops.reference_batch(cells.data(), cols, tall, cols, inputs_t.data(),
-                          count, acc_t.data());
+      ops.reference_batch(cells.data(), tall, cols, inputs_t.data(), count,
+                          acc_t.data());
       for (const std::int32_t v : acc_t) {
         ASSERT_EQ(v, -18800640) << "cols=" << cols << " count=" << count;
       }
@@ -460,7 +458,7 @@ TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
   const std::int64_t rows = 70, cols = 33;
   LogicalCrossbar clean({72, 40});
   clean.program(random_weights(rng, rows * cols), rows, cols);
-  ASSERT_TRUE(clean.is_packed());
+  clean.ensure_packed();
   FaultConfig fc;
   fc.stuck_at_zero_rate = 0.01;
   fc.stuck_at_one_rate = 0.01;
@@ -474,7 +472,7 @@ TEST_P(KernelVariantTest, BatchedBurnRepacksPackedClones) {
     const FaultMapStats stats = packed.burn(model, key);
     std::vector<std::int8_t> cells(clean.cells().begin(), clean.cells().end());
     const FaultMapStats want =
-        oracle::burn_reference(fc, cells, rows, cols, 40, key);
+        oracle::burn_reference(fc, cells, rows, cols, cols, key);
     expect_stats_eq(stats, want);
     ASSERT_TRUE(packed.is_packed());
     EXPECT_EQ(std::vector<std::int8_t>(packed.cells().begin(),
@@ -599,7 +597,7 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
       auto fast = original;
       auto ref = original;
       const FaultMapStats fast_stats =
-          model.apply(fast, rows, cols, cols, /*layer=*/17);
+          model.apply(fast, rows, cols, /*layer=*/17);
       const FaultMapStats ref_stats = oracle::burn_reference(
           fc, ref, rows, cols, cols, {fc.seed, 17, 0, 0});
       EXPECT_EQ(fast, ref) << "bits=" << bits;
@@ -609,19 +607,12 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
 }
 
 TEST(FaultBurnIn, BlockBurnsMatchOracle) {
-  // A programmed block at a weight offset inside a wider zero-padded array
-  // (the row stride exceeds the block) burns under several trial seeds
+  // A programmed block at a weight offset burns under several trial seeds
   // exactly as the oracle's keyed loop burns it: cells, stats and the two
-  // burn counters; the padding never burns.
-  const std::int64_t rows = 30, cols = 25, stride = 80;
+  // burn counters.
+  const std::int64_t rows = 30, cols = 25;
   common::Rng wrng(31);
-  std::vector<std::int8_t> array(static_cast<std::size_t>(120 * stride), 0);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) {
-      array[static_cast<std::size_t>(r * stride + c)] =
-          static_cast<std::int8_t>(wrng.uniform_int(-128, 127));
-    }
-  }
+  const std::vector<std::int8_t> array = random_weights(wrng, rows * cols);
   for (const int bits : {1, 2, 4, 8}) {
     for (int kind = 0; kind < 3; ++kind) {  // variation, stuck, both
       FaultConfig fc;
@@ -639,7 +630,7 @@ TEST(FaultBurnIn, BlockBurnsMatchOracle) {
         const reram::BurnKey key{fc.for_trial(t).seed, 5, 40, 24};
         auto want = array;
         const FaultMapStats want_stats =
-            oracle::burn_reference(fc, want, rows, cols, stride, key);
+            oracle::burn_reference(fc, want, rows, cols, cols, key);
 #if !defined(AUTOHET_OBS_DISABLED)
         auto& registry = obs::Registry::global();
         const std::uint64_t cells0 =
@@ -649,7 +640,7 @@ TEST(FaultBurnIn, BlockBurnsMatchOracle) {
 #endif
         auto got = array;
         const FaultMapStats got_stats =
-            model.burn(got, rows, cols, stride, key);
+            model.burn(got, rows, cols, key);
 #if !defined(AUTOHET_OBS_DISABLED)
         EXPECT_EQ(registry.counter("autohet_fault_cells_total").value() -
                       cells0,
