@@ -46,9 +46,10 @@ enum class RewardObjective {
 };
 
 /// The in-search Monte-Carlo budget: a deliberately small adaptive spend
-/// (the memo amortizes revisits, the CI target keeps decisive allocations
-/// at the minimum) tuned so a robustness-aware search stays within ~2× the
-/// plain-reward wall clock (bench/search_time.cpp tracks the ratio).
+/// (the CI target keeps a decisive workload at the minimum) for the one
+/// Monte-Carlo run a robustness-aware search pays, which keeps it within
+/// ~2× the plain-reward wall clock (bench/search_time.cpp tracks the
+/// ratio).
 inline reram::RobustnessOptions default_search_mc_options() {
   reram::RobustnessOptions mc;
   mc.trials = 2;
@@ -75,8 +76,10 @@ struct EnvConfig {
   /// objective is kRobustnessAware (with a non-ideal accel.faults), each
   /// episode's analytic (1 − v) factor is replaced by the *measured*
   /// Monte-Carlo accuracy of this model on the episode's allocation, via
-  /// the engine's budgeted+memoized evaluate_robustness_cached under
-  /// default_search_mc_options(). Null (the default) keeps the analytic
+  /// the engine's evaluate_robustness_cached under
+  /// default_search_mc_options(). That accuracy is the same for every
+  /// allocation, so the memo runs the Monte-Carlo once per search and
+  /// serves every later episode. Null (the default) keeps the analytic
   /// proxy and leaves every existing reward bit-identical. The model must
   /// outlive the environment and match its mappable layers.
   const nn::Model* mc_reward_model = nullptr;

@@ -235,7 +235,6 @@ std::size_t EvaluationEngine::RobustnessKeyHash::operator()(
     h *= 1099511628211ull;
   };
   mix(k.model);
-  for (std::size_t a : k.actions) mix(a);
   mix(plan::fault_fingerprint(k.faults));
   mix(static_cast<std::uint64_t>(k.trials));
   mix(static_cast<std::uint64_t>(k.samples));
@@ -251,9 +250,10 @@ std::size_t EvaluationEngine::RobustnessKeyHash::operator()(
 RobustnessReport EvaluationEngine::evaluate_robustness_cached(
     const nn::Model& model, const std::vector<std::size_t>& actions,
     const FaultConfig& faults, const RobustnessOptions& options) const {
-  const RobustnessKey key{model.identity(), actions,         faults,
-                          options.trials,   options.samples, options.input_seed,
-                          options.budget};
+  check_actions(actions);
+  const RobustnessKey key{model.identity(),   faults,
+                          options.trials,     options.samples,
+                          options.input_seed, options.budget};
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const RobustnessReport* hit = rob_memo_.find(key)) {
@@ -264,15 +264,8 @@ RobustnessReport EvaluationEngine::evaluate_robustness_cached(
     ++rob_stats_.misses;
     OBS_COUNTER_ADD("autohet_mc_memo_misses_total", 1);
   }
-  // First visit: evaluate with the cross-allocation layer cache wired in —
-  // consecutive search episodes differ in allocation but share per-layer
-  // (layer, candidate) choices and the trial seed stream, so fabric
-  // construction collapses to copies of prebuilt burned layers. Reports
-  // are bit-identical with or without the cache.
-  RobustnessOptions opts = options;
-  if (opts.layer_cache == nullptr) opts.layer_cache = &layer_cache_;
   const RobustnessReport report =
-      evaluate_robustness(model, actions, faults, opts);
+      evaluate_robustness(model, actions, faults, options);
   const std::lock_guard<std::mutex> lock(mutex_);
   rob_stats_.evictions += rob_memo_.insert(key, report);
   return report;
@@ -295,7 +288,6 @@ void EvaluationEngine::clear_cache() const {
   stats_ = CacheStats{};
   rob_memo_.clear();
   rob_stats_ = CacheStats{};
-  layer_cache_.clear();
 }
 
 }  // namespace autohet::reram

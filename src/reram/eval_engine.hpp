@@ -85,13 +85,14 @@ class EvaluationEngine {
       const nn::Model& model, const std::vector<std::size_t>& actions,
       const FaultConfig& faults, const RobustnessOptions& options = {}) const;
 
-  /// Memoized evaluate_robustness for in-loop (per-episode) use: reports
-  /// are cached in an LRU keyed by (model, allocation fingerprint,
-  /// FaultConfig, budget knobs), so a search that revisits an allocation
-  /// pays the Monte-Carlo cost once. Pair it with a small adaptive
-  /// `RobustnessBudget` — the memo amortizes repeats, the budget bounds
-  /// first-visit cost. Thread counts and kernel variants are deliberately
-  /// not part of the key (reports are byte-identical across both).
+  /// Memoized evaluate_robustness for in-loop (per-episode) use: one
+  /// report per workload, cached in an LRU keyed by (model, FaultConfig,
+  /// budget knobs) — not by allocation (see RobustnessKey) — so a search
+  /// pays the Monte-Carlo cost once, on its first episode. `actions` is
+  /// still validated on every call and runs that first evaluation. Thread
+  /// counts and kernel variants are deliberately not part of the key
+  /// (reports are byte-identical across both). `options.layer_cache` is
+  /// ignored.
   RobustnessReport evaluate_robustness_cached(
       const nn::Model& model, const std::vector<std::size_t>& actions,
       const FaultConfig& faults, const RobustnessOptions& options = {}) const;
@@ -153,10 +154,14 @@ class EvaluationEngine {
   /// Everything evaluate_robustness_cached's result depends on. Thread /
   /// pool / cache knobs and the kernel variant are excluded on purpose:
   /// reports are byte-identical across them, so one memo serves every
-  /// execution configuration.
+  /// execution configuration. The allocation is excluded too: fault draws
+  /// are keyed by logical weight and burn only programmed cells (the keyed
+  /// burn), and the integer datapath's sums are exact under any crossbar
+  /// partition, so every allocation of one workload yields the same report.
+  /// ShapeInvariance.RobustnessReportsAreIdenticalAcrossAllocations
+  /// (tests/test_faults.cpp) and RobustnessMemoTest.* guard this.
   struct RobustnessKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
-    std::vector<std::size_t> actions;
     FaultConfig faults;
     int trials = 0;
     int samples = 0;
@@ -169,8 +174,8 @@ class EvaluationEngine {
   };
   /// Memoized NetworkReports (LRU-evicted).
   static constexpr std::size_t kMemoCapacity = 4096;
-  /// Memoized RobustnessReports: sized for a search loop, where ~500
-  /// episodes revisit far fewer distinct allocations once converged.
+  /// Memoized RobustnessReports, one per workload: a search holds one, a
+  /// sweep one per grid point.
   static constexpr std::size_t kRobustnessMemoCapacity = 1024;
 
   // ---- the two report memos and their counters (guarded by mutex_) ----
@@ -184,10 +189,6 @@ class EvaluationEngine {
   /// Cross-call Monte-Carlo reference cache for evaluate_robustness (its
   /// own internal locking; byte-identical reports — see TrialFabricCache).
   mutable TrialFabricCache mc_cache_;
-  /// Cross-allocation per-layer fabric cache for
-  /// evaluate_robustness_cached first visits (its own internal locking;
-  /// bit-identical reports — see LayerFabricCache).
-  mutable LayerFabricCache layer_cache_;
 };
 
 }  // namespace autohet::reram

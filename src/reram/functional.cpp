@@ -560,83 +560,6 @@ TrialFabricCache::Stats TrialFabricCache::stats() const {
   return {ideal.builds, ideal.hits, 0, 0};
 }
 
-std::vector<SimulatedModel> LayerFabricCache::fabrics(
-    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-    std::span<const FaultConfig> faults, common::ThreadPool* pool) {
-  const auto mappable = model.spec().mappable_layers();
-  AUTOHET_CHECK(shapes.size() == mappable.size(),
-                "one crossbar shape per mappable layer required");
-  const std::size_t n = faults.size();
-  const auto key = [&](std::size_t l, const FaultConfig& fc) {
-    return Key{model.identity(), l, shapes[l].rows, shapes[l].cols, fc};
-  };
-  // Entry l·n + i is layer l burned under faults[i].
-  std::vector<Key> keys;
-  keys.reserve(mappable.size() * n);
-  for (std::size_t l = 0; l < mappable.size(); ++l) {
-    for (const FaultConfig& fc : faults) keys.push_back(key(l, fc));
-  }
-  const auto entries = burned_.get_many(
-      std::span<const Key>(keys), [&](std::span<const std::size_t> missing) {
-        // Each miss is one burn job on a copy of its layer's clean
-        // programming, looked up once per layer (a layer's misses are
-        // contiguous: keys are layer-major).
-        std::vector<MappedLayer> built;
-        built.reserve(missing.size());
-        std::vector<MappedLayer::BurnJob> jobs;
-        std::shared_ptr<const MappedLayer> clean;
-        std::size_t clean_layer = mappable.size();
-        for (const std::size_t k : missing) {
-          const std::size_t l = k / n;
-          if (l != clean_layer) {
-            clean = clean_.get(key(l, FaultConfig{}), [&] {
-              return MappedLayer(mappable[l], model.weight(l), shapes[l],
-                                 static_cast<std::uint64_t>(l));
-            });
-            clean_layer = l;
-          }
-          jobs.push_back({&built.emplace_back(*clean), faults[k % n].seed});
-        }
-        MappedLayer::burn(point_model(faults), jobs, pool);
-        return built;
-      });
-  std::vector<SimulatedModel> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<MappedLayer> layers;
-    layers.reserve(mappable.size());
-    for (std::size_t l = 0; l < mappable.size(); ++l) {
-      layers.push_back(*entries[l * n + i]);
-    }
-    SimulatedModel& fabric =
-        out.emplace_back(SimulatedModel(model, DatapathMode::kInteger,
-                                        std::move(layers)));
-    fabric.faults_ = faults[i];
-  }
-  return out;
-}
-
-std::shared_ptr<const TrialFabricCache::IdealRefs>
-LayerFabricCache::ideal_refs(
-    const nn::Model& model, int samples, std::uint64_t input_seed,
-    const std::function<TrialFabricCache::IdealRefs()>& build) {
-  return refs_.get({model.identity(), samples, input_seed}, build);
-}
-
-LayerFabricCache::Stats LayerFabricCache::stats() const {
-  const auto clean = clean_.counts();
-  const auto burned = burned_.counts();
-  const auto refs = refs_.counts();
-  return {clean.builds + burned.builds, clean.hits + burned.hits, refs.builds,
-          refs.hits};
-}
-
-void LayerFabricCache::clear() {
-  clean_.clear();
-  burned_.clear();
-  refs_.clear();
-}
-
 RobustnessReport monte_carlo_robustness(
     const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
     const FaultConfig& faults, const RobustnessOptions& options) {
@@ -660,8 +583,6 @@ RobustnessReport monte_carlo_robustness(
   report.samples = options.samples;
   report.min_accuracy = 1.0;
 
-  LayerFabricCache* layer_cache = options.layer_cache;
-
   // The ideal fabric is the reference: agreement with it isolates device
   // non-ideality from the (always present) 8-bit quantization error. The
   // references depend on no fault knob, so a cache shares one build across
@@ -678,17 +599,10 @@ RobustnessReport monte_carlo_robustness(
     refs.references = refs.ideal.forward_batch(refs.images);
     return refs;
   };
-  // The layer cache's reference store wins when present: references are
-  // allocation-invariant (partition-exact ideal forward), so one set
-  // serves every allocation a search visits — the workload-keyed
-  // TrialFabricCache would rebuild them on each new allocation.
   const TrialFabricCache::WorkloadKey workload{
       model.identity(), shapes, options.samples, options.input_seed};
   const std::shared_ptr<const TrialFabricCache::IdealRefs> refs =
-      layer_cache != nullptr
-          ? layer_cache->ideal_refs(model, options.samples,
-                                    options.input_seed, build_refs)
-      : cache != nullptr
+      cache != nullptr
           ? cache->ideal_refs(workload, build_refs)
           : std::make_shared<const TrialFabricCache::IdealRefs>(build_refs());
   const std::vector<tensor::Tensor>& images = refs->images;
@@ -733,10 +647,8 @@ RobustnessReport monte_carlo_robustness(
   // Phase A body: build the faulty fabrics of trials [b0, b1) into
   // `fabrics`, setting each trial's stats. Every trial fabric is a clean
   // copy with the trial's faults burned in by MappedLayer::burn — its
-  // (clone, crossbar) items spread over the pool. A LayerFabricCache
-  // memoizes this per (layer, trial): cached entries are copied and only
-  // the block's misses burn, from the cached clean layers. Both are
-  // bit-identical to a fresh build (pure functions of the seeds).
+  // (clone, crossbar) items spread over the pool — bit-identical to a fresh
+  // build (a pure function of the seeds).
   const auto build_fabrics =
       [&](std::size_t b0, std::size_t b1, common::ThreadPool* pool,
           std::vector<std::optional<SimulatedModel>>& fabrics) {
@@ -746,9 +658,7 @@ RobustnessReport monte_carlo_robustness(
           configs.push_back(faults.for_trial(static_cast<std::uint64_t>(t)));
         }
         std::vector<SimulatedModel> built =
-            layer_cache != nullptr
-                ? layer_cache->fabrics(model, shapes, configs, pool)
-                : refs->ideal.with_faults(configs, pool);
+            refs->ideal.with_faults(configs, pool);
         for (std::size_t t = b0; t < b1; ++t) {
           fabrics[t - b0].emplace(std::move(built[t - b0]));
           trials[t].stats = fabrics[t - b0]->fault_stats();

@@ -179,8 +179,6 @@ class SimulatedModel {
   FaultMapStats fault_stats() const noexcept;
 
  private:
-  friend class LayerFabricCache;  // assembles fabrics from cached layers
-
   /// A fabric of `layers` (layer i programmed from the model's mappable
   /// layer i with layer id i) under the ideal fault model, unpacked until
   /// burn() packs it.
@@ -260,77 +258,16 @@ class TrialFabricCache {
   SlotStore<WorkloadKey, IdealRefs> ideal_{1};
 };
 
-/// Cross-allocation per-layer fabric cache (the in-search fabric cache).
-///
-/// A burned MappedLayer is a pure function of (layer spec + weights,
-/// crossbar shape, fault config, layer id): its fault draws are keyed per
-/// layer, independent of the rest of the allocation. An RL
-/// search revisits the same per-layer (layer, candidate) choices under one
-/// fixed FaultConfig even though whole allocations rarely repeat, so an L×C
-/// table of clean programmed layers plus their burned (layer, trial)
-/// copies turns the per-episode Monte-Carlo fabric construction into plain
-/// copies. Fabrics assembled from cached layers are bit-identical to
-/// constructor-built ones (tested).
-///
-/// Thread-safe; bounded (all entries of a store are dropped when its cap is
-/// hit — the steady state of one search is a few dozen entries, so
-/// eviction only fires when workloads churn).
+/// Empty compile shim for the frozen benchmark harness, which still builds
+/// one, passes it as RobustnessOptions::layer_cache and reads its stats.
+/// Nothing is cached and both counters read 0. Leaves with ROADMAP item 11.
 class LayerFabricCache {
  public:
-  /// One integer-datapath fabric per config, fabric i bit-identical to
-  /// SimulatedModel(model, shapes).with_faults(faults[i]) (the configs
-  /// differ only in seed). Burned (layer, config) entries already cached
-  /// are copied; every miss is a copy of its layer's cached clean
-  /// programming (programmed on first use), and all of the call's misses
-  /// burn together in one MappedLayer::burn over `pool`. Calls for
-  /// distinct keys proceed concurrently (per-slot locking).
-  std::vector<SimulatedModel> fabrics(
-      const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-      std::span<const FaultConfig> faults, common::ThreadPool* pool = nullptr);
-
-  /// Allocation-invariant ideal references for the assembly path, keyed by
-  /// (model, samples, input_seed) — no shapes. One reference
-  /// set serves every allocation: the ideal fabric's forward is
-  /// partition-exact (integer sums reassociate exactly), so reference
-  /// outputs are bit-identical across crossbar tilings (tested).
-  std::shared_ptr<const TrialFabricCache::IdealRefs> ideal_refs(
-      const nn::Model& model, int samples, std::uint64_t input_seed,
-      const std::function<TrialFabricCache::IdealRefs()>& build);
-
-  /// Layer entries: `builds` counts clean programmings plus burned
-  /// (layer, config) misses, `hits` the lookups either store served.
   struct Stats {
     std::uint64_t builds = 0;
     std::uint64_t hits = 0;
-    std::uint64_t refs_builds = 0;
-    std::uint64_t refs_hits = 0;
   };
-  Stats stats() const;
-  void clear();
-
- private:
-  struct Key {
-    std::uint64_t model = 0;  ///< nn::Model::identity()
-    std::size_t layer_index = 0;
-    std::int64_t rows = 0;
-    std::int64_t cols = 0;
-    FaultConfig faults;  ///< the burn's config; ideal for a clean entry
-    bool operator==(const Key&) const = default;
-  };
-  struct RefsKey {
-    std::uint64_t model = 0;  ///< nn::Model::identity()
-    int samples = 0;
-    std::uint64_t input_seed = 0;
-    bool operator==(const RefsKey&) const = default;
-  };
-
-  /// One search holds L layers × C candidates clean, and as many burned
-  /// entries per trial config ≈ dozens; the caps leave room for several
-  /// concurrent workloads before wholesale eviction. A miss holds its
-  /// burned slot while it reads the clean store, never the reverse.
-  SlotStore<Key, MappedLayer> clean_{256};
-  SlotStore<Key, MappedLayer> burned_{512};
-  SlotStore<RefsKey, TrialFabricCache::IdealRefs> refs_{8};
+  Stats stats() const { return {}; }
 };
 
 /// Knobs of the Monte-Carlo robustness evaluation.
@@ -355,14 +292,8 @@ struct RobustnessOptions {
   /// EvaluationEngine::evaluate_robustness supplies its own cache
   /// automatically.
   TrialFabricCache* cache = nullptr;
-  /// Optional cross-allocation per-layer fabric cache (see
-  /// LayerFabricCache). When set, it builds every trial fabric and the
-  /// ideal references, taking precedence over `cache` — the fast path for
-  /// the per-episode in-search robustness reward, where consecutive calls
-  /// differ in allocation but share per-layer choices. Reports are
-  /// bit-identical to the uncached path (tested).
-  /// EvaluationEngine::evaluate_robustness_cached supplies the engine's
-  /// cache automatically.
+  /// Ignored (see LayerFabricCache): kept only so the frozen benchmark
+  /// harness still compiles. Leaves with ROADMAP item 11.
   LayerFabricCache* layer_cache = nullptr;
   /// Optional externally owned worker pool for the parallel fan-out. When
   /// null and threads > 1, a pool of up to `threads` workers is created for

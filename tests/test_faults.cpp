@@ -718,8 +718,8 @@ std::vector<std::vector<CrossbarShape>> lenet_allocations() {
           std::vector<CrossbarShape>(layers, {576, 512})};
 }
 
-FaultConfig invariance_faults() {
-  FaultConfig faults = stuck_config(5e-3, 2);
+FaultConfig invariance_faults(int cell_bits = 2) {
+  FaultConfig faults = stuck_config(5e-3, cell_bits);
   faults.program_sigma = 0.05;
   return faults;
 }
@@ -740,24 +740,46 @@ bool same_report(const reram::RobustnessReport& a,
 }
 
 TEST(ShapeInvariance, RobustnessReportsAreIdenticalAcrossAllocations) {
-  // The Monte-Carlo report (integer datapath) of LeNet-5 under one faulty
-  // config, fault_stats included, for the heterogeneous allocation,
-  // Homo(72×64) and Homo(576×512).
+  // The Monte-Carlo report (integer datapath), fault_stats included, at 1, 2
+  // and 4 cell bits, of LeNet-5 and the CIFAR ResNet graph under nine
+  // allocations: a heterogeneous mix, the five hybrid homogeneous ones and
+  // the split-path shapes 8×8, 16×16 and 128×8 (rows < k²). The in-search
+  // Monte-Carlo memo serves one report to every allocation on this basis
+  // (EvaluationEngine::RobustnessKey).
   common::Rng rng(21);
-  const nn::Model model(nn::lenet5(), rng);
+  const nn::Model lenet(nn::lenet5(), rng);
+  const nn::Model resnet(nn::cifar_resnet_graph(), rng);
   reram::RobustnessOptions mc;
   mc.trials = 4;
   mc.samples = 6;
-  const auto allocations = lenet_allocations();
-  const auto want = reram::monte_carlo_robustness(model, allocations[0],
-                                                  invariance_faults(), mc);
-  EXPECT_GT(want.fault_stats.weights_changed, 0);
-  EXPECT_GT(want.mean_logit_error, 0.0);
-  for (std::size_t a = 1; a < allocations.size(); ++a) {
-    EXPECT_TRUE(same_report(reram::monte_carlo_robustness(
-                                model, allocations[a], invariance_faults(), mc),
-                            want))
-        << "allocation " << a;
+  const auto candidates = mapping::hybrid_candidates();
+  for (const nn::Model* model : {&lenet, &resnet}) {
+    const std::size_t layers = model->spec().mappable_layers().size();
+    std::vector<std::vector<CrossbarShape>> allocations(1);
+    for (std::size_t l = 0; l < layers; ++l) {
+      allocations[0].push_back(candidates[l % candidates.size()]);
+    }
+    for (const CrossbarShape& shape : candidates) {
+      allocations.emplace_back(layers, shape);
+    }
+    for (const CrossbarShape shape :
+         {CrossbarShape{8, 8}, CrossbarShape{16, 16}, CrossbarShape{128, 8}}) {
+      allocations.emplace_back(layers, shape);
+    }
+    for (const int bits : {1, 2, 4}) {
+      const FaultConfig faults = invariance_faults(bits);
+      const auto want =
+          reram::monte_carlo_robustness(*model, allocations[0], faults, mc);
+      EXPECT_GT(want.fault_stats.weights_changed, 0);
+      EXPECT_GT(want.mean_logit_error, 0.0);
+      for (std::size_t a = 1; a < allocations.size(); ++a) {
+        EXPECT_TRUE(same_report(reram::monte_carlo_robustness(
+                                    *model, allocations[a], faults, mc),
+                                want))
+            << model->spec().name << ", " << bits << " bits, allocation "
+            << a;
+      }
+    }
   }
 }
 

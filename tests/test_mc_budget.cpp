@@ -3,9 +3,9 @@
 // fixed-mode bit-identity across threads and kernel policies, the
 // adaptive-prefix property (an adaptive run reports exactly the fixed-mode
 // statistics of its executed trials), the reference cache at zero rates,
-// the cross-allocation LayerFabricCache, the build-once SlotStore under both
-// fabric caches, model-identity cache keys, and the in-search reward
-// plumbing.
+// the workload-keyed robustness memo (one report serves every allocation),
+// the build-once SlotStore, model-identity cache keys, and the in-search
+// reward plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "autohet/env.hpp"
+#include "autohet/search.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/model.hpp"
@@ -431,65 +432,6 @@ TEST(CacheSpanningTest, FixedModeNeverSpans) {
 }
 
 // ---------------------------------------------------------------------------
-// LayerFabricCache: cross-allocation assembly is bit-identical.
-
-TEST(LayerFabricCacheTest, AssembledFabricsMatchConstructorBuilds) {
-  common::Rng wr(21);
-  const nn::NetworkSpec net = nn::lenet5();
-  const nn::Model model(net, wr);
-  const std::size_t layers = net.mappable_layers().size();
-  reram::LayerFabricCache cache;
-
-  // Two allocations sharing some per-layer choices; warm with B, query A —
-  // A's build mixes cached layers (shared with B) and fresh ones.
-  const std::vector<CrossbarShape> alloc_b(layers, CrossbarShape{72, 64});
-  std::vector<CrossbarShape> alloc_a(layers, CrossbarShape{72, 64});
-  alloc_a[0] = {32, 32};
-  alloc_a[layers - 1] = {288, 256};
-
-  RobustnessOptions cached_mc = adaptive_mc(4);
-  cached_mc.layer_cache = &cache;
-  (void)reram::monte_carlo_robustness(model, alloc_b, noisy_config(),
-                                      cached_mc);
-  EXPECT_GT(cache.stats().builds, 0u);
-  const auto via_cache = reram::monte_carlo_robustness(
-      model, alloc_a, noisy_config(), cached_mc);
-  EXPECT_GT(cache.stats().hits, 0u);
-
-  RobustnessOptions plain_mc = adaptive_mc(4);
-  const auto direct =
-      reram::monte_carlo_robustness(model, alloc_a, noisy_config(), plain_mc);
-  expect_reports_identical(via_cache, direct);
-}
-
-TEST(LayerFabricCacheTest, IdealReferencesAreAllocationInvariant) {
-  // The refs slot is keyed without shapes: a second allocation must reuse
-  // the first allocation's references and still match the uncached report.
-  common::Rng wr(21);
-  const nn::NetworkSpec net = nn::lenet5();
-  const nn::Model model(net, wr);
-  const std::size_t layers = net.mappable_layers().size();
-  reram::LayerFabricCache cache;
-
-  RobustnessOptions mc = adaptive_mc(3);
-  mc.layer_cache = &cache;
-  (void)reram::monte_carlo_robustness(
-      model, std::vector<CrossbarShape>(layers, {72, 64}), noisy_config(), mc);
-  ASSERT_EQ(cache.stats().refs_builds, 1u);
-  const auto second = reram::monte_carlo_robustness(
-      model, std::vector<CrossbarShape>(layers, {288, 256}), noisy_config(),
-      mc);
-  EXPECT_EQ(cache.stats().refs_builds, 1u);
-  EXPECT_GT(cache.stats().refs_hits, 0u);
-
-  RobustnessOptions plain = adaptive_mc(3);
-  const auto direct = reram::monte_carlo_robustness(
-      model, std::vector<CrossbarShape>(layers, {288, 256}), noisy_config(),
-      plain);
-  expect_reports_identical(second, direct);
-}
-
-// ---------------------------------------------------------------------------
 // The memoized engine entry and the in-search reward plumbing.
 
 reram::EvaluationEngine lenet_engine(const nn::NetworkSpec& net) {
@@ -517,77 +459,78 @@ TEST(RobustnessMemoTest, CachedEntryMatchesUncachedAndHitsOnRepeat) {
   EXPECT_EQ(engine.robustness_cache_stats().hits, 1u);
   expect_reports_identical(first, repeat);
 
-  // The memoized fast path (LayerFabricCache assembly) is bit-identical to
-  // the unmemoized engine entry.
+  // The memoized entry is what the unmemoized engine entry computes.
   const auto uncached =
       engine.evaluate_robustness(model, actions, noisy_config(), mc);
   expect_reports_identical(first, uncached);
 }
 
-TEST(RobustnessMemoTest, LayerCachedEntriesMatchOracle) {
-  // The memo's first visit assembles fabrics from a layer cache — the
-  // engine's own, or a caller-owned one passed in options.layer_cache. A
-  // second allocation that shares all but the last layer's candidate is
-  // built mostly from cached burned layers. Both reports equal the oracle's
-  // from-scratch serial run on the same crossbar shapes, at 3 trials (one
-  // block) and 9 (a full 8-trial block, then one more trial), serial and
-  // on 3 threads.
+TEST(RobustnessMemoTest, OneEntryServesEveryAllocationAndMatchesOracle) {
+  // The memo is keyed by workload, not allocation: the first allocation's
+  // report serves the others, and it equals the oracle's from-scratch serial
+  // run on each allocation's own crossbar shapes — at 3 trials (one block)
+  // and 9 (a full 8-trial block, then one more trial), serial and on 3
+  // threads.
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
   const auto candidates = mapping::hybrid_candidates();
-  const std::uint64_t layers = net.mappable_layers().size();
+  const std::size_t layers = net.mappable_layers().size();
+  std::vector<std::size_t> last_differs(layers, 2);
+  last_differs.back() = 1;
+  std::vector<std::size_t> mixed(layers);
+  for (std::size_t l = 0; l < layers; ++l) mixed[l] = l % candidates.size();
+  const std::vector<std::vector<std::size_t>> allocations = {
+      std::vector<std::size_t>(layers, 2), last_differs, mixed};
 
   for (const int trials : {3, 9}) {
     RobustnessOptions mc;
     mc.trials = trials;
     mc.samples = 4;
-    std::vector<std::vector<std::size_t>> allocations;
     std::vector<reram::RobustnessReport> oracles;
-    for (const std::size_t last : {std::size_t{2}, std::size_t{1}}) {
-      std::vector<std::size_t> actions(layers, 2);
-      actions.back() = last;
+    for (const auto& actions : allocations) {
       std::vector<CrossbarShape> shapes;
       for (const std::size_t a : actions) shapes.push_back(candidates[a]);
-      allocations.push_back(actions);
       oracles.push_back(
           oracle::monte_carlo_robustness(model, shapes, noisy_config(), mc));
     }
-    // Blocks hold up to 8 trials; every block with a miss looks up the
-    // clean layers it copies, so the second block of 9 trials finds them.
-    const auto t = static_cast<std::uint64_t>(trials);
-    const std::uint64_t second_block = trials > 8 ? 1 : 0;
-    // After the first allocation: every layer programmed clean once and
-    // burned once per trial. After the second: the last layer's new shape
-    // programmed and burned per trial, every other burned layer copied.
-    const std::uint64_t builds[] = {layers + layers * t,
-                                    layers + layers * t + 1 + t};
-    const std::uint64_t hits[] = {second_block * layers,
-                                  second_block * (layers + 1) +
-                                      (layers - 1) * t};
     for (const int threads : {1, 3}) {
-      for (const bool caller_cache : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << trials << " trials, " << threads << " threads, "
-                     << (caller_cache ? "caller" : "engine") << " cache");
-        const auto engine = lenet_engine(net);
-        reram::LayerFabricCache cache;
-        RobustnessOptions opts = mc;
-        opts.threads = threads;
-        if (caller_cache) opts.layer_cache = &cache;
-        for (std::size_t a = 0; a < allocations.size(); ++a) {
-          expect_reports_identical(
-              oracles[a], engine.evaluate_robustness_cached(
-                              model, allocations[a], noisy_config(), opts));
-          if (caller_cache) {
-            EXPECT_EQ(cache.stats().builds, builds[a]) << "allocation " << a;
-            EXPECT_EQ(cache.stats().hits, hits[a]) << "allocation " << a;
-          }
-        }
-        EXPECT_EQ(engine.robustness_cache_stats().misses, 2u);
+      SCOPED_TRACE(testing::Message()
+                   << trials << " trials, " << threads << " threads");
+      const auto engine = lenet_engine(net);
+      RobustnessOptions opts = mc;
+      opts.threads = threads;
+      for (std::size_t a = 0; a < allocations.size(); ++a) {
+        expect_reports_identical(
+            oracles[a], engine.evaluate_robustness_cached(
+                            model, allocations[a], noisy_config(), opts));
       }
+      EXPECT_EQ(engine.robustness_cache_stats().misses, 1u);
+      EXPECT_EQ(engine.robustness_cache_stats().hits, allocations.size() - 1);
     }
   }
+}
+
+TEST(RobustnessMemoTest, ValidatesActionsOnAHit) {
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto engine = lenet_engine(net);
+  const std::vector<std::size_t> actions(net.mappable_layers().size(), 2);
+  const RobustnessOptions mc = adaptive_mc(4);
+  (void)engine.evaluate_robustness_cached(model, actions, noisy_config(), mc);
+
+  std::vector<std::size_t> out_of_range = actions;
+  out_of_range.back() = engine.num_candidates();
+  EXPECT_THROW((void)engine.evaluate_robustness_cached(
+                   model, out_of_range, noisy_config(), mc),
+               std::invalid_argument);
+  std::vector<std::size_t> too_short(actions.begin(), actions.end() - 1);
+  EXPECT_THROW((void)engine.evaluate_robustness_cached(model, too_short,
+                                                       noisy_config(), mc),
+               std::invalid_argument);
+  EXPECT_EQ(engine.robustness_cache_stats().misses, 1u);
+  EXPECT_EQ(engine.robustness_cache_stats().hits, 0u);
 }
 
 TEST(RobustnessMemoTest, KeyDiscriminatesFaultsAndBudget) {
@@ -640,7 +583,7 @@ TEST(RobustnessMemoTest, ThreadKnobsAloneHitTheMemo) {
       engine.evaluate_robustness(model, actions, noisy_config(), threaded));
 }
 
-TEST(RobustnessMemoTest, KeyDiscriminatesActionsSamplesAndSeed) {
+TEST(RobustnessMemoTest, KeyDiscriminatesTrialsSamplesAndSeed) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
@@ -650,10 +593,6 @@ TEST(RobustnessMemoTest, KeyDiscriminatesActionsSamplesAndSeed) {
   const RobustnessOptions mc = adaptive_mc(4);
   const auto base =
       engine.evaluate_robustness_cached(model, actions, noisy_config(), mc);
-  std::vector<std::size_t> other_actions = actions;
-  other_actions.front() = 1;
-  (void)engine.evaluate_robustness_cached(model, other_actions,
-                                          noisy_config(), mc);
   RobustnessOptions more_samples = mc;
   more_samples.samples = mc.samples + 2;
   const auto wider = engine.evaluate_robustness_cached(
@@ -667,7 +606,7 @@ TEST(RobustnessMemoTest, KeyDiscriminatesActionsSamplesAndSeed) {
   more_trials.trials = mc.trials + 2;
   (void)engine.evaluate_robustness_cached(model, actions, noisy_config(),
                                           more_trials);
-  EXPECT_EQ(engine.robustness_cache_stats().misses, 5u);
+  EXPECT_EQ(engine.robustness_cache_stats().misses, 4u);
   EXPECT_EQ(engine.robustness_cache_stats().hits, 0u);
   // The original key still hits its own entry.
   expect_reports_identical(base, engine.evaluate_robustness_cached(
@@ -676,7 +615,7 @@ TEST(RobustnessMemoTest, KeyDiscriminatesActionsSamplesAndSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// SlotStore: the build-once store under both fabric caches.
+// SlotStore: the build-once store under TrialFabricCache.
 
 TEST(SlotStoreTest, ConcurrentRequestsForOneKeyBuildOnce) {
   reram::SlotStore<int, int> store(8);
@@ -743,7 +682,7 @@ TEST(SlotStoreTest, ThrowingBuildLeavesTheSlotEmpty) {
   EXPECT_EQ(store.counts().hits, 1u);
 }
 
-TEST(SlotStoreTest, StaleKeysAndTheCapacityEvictOnInsert) {
+TEST(SlotStoreTest, TheCapacityEvictsOnInsert) {
   reram::SlotStore<int, int> store(2);
   int builds = 0;
   const auto build = [&] { return ++builds; };
@@ -752,12 +691,8 @@ TEST(SlotStoreTest, StaleKeysAndTheCapacityEvictOnInsert) {
   (void)store.get(3, build);  // at capacity: 1 and 2 are dropped
   EXPECT_EQ(*store.get(3, build), 3);
   EXPECT_EQ(*store.get(1, build), 4);  // rebuilt
-  // Odd residents are stale for an even key; a hit evicts nothing.
-  const auto odd = [](int resident) { return resident % 2 == 1; };
-  EXPECT_EQ(*store.get(1, build, odd), 4);
-  EXPECT_EQ(*store.get(4, build, odd), 5);  // drops 1 and 3
-  EXPECT_EQ(*store.get(3, build), 6);
-  EXPECT_EQ(store.counts().builds, 6u);
+  EXPECT_EQ(*store.get(3, build), 3);  // a hit evicts nothing
+  EXPECT_EQ(store.counts().builds, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -778,13 +713,10 @@ TEST(ModelIdentityTest, CachesNeverServeAnotherModelsResults) {
   mc.trials = 3;
   mc.samples = 8;
   reram::TrialFabricCache trial_cache;
-  reram::LayerFabricCache layer_cache;
   RobustnessOptions with_trials = mc;
   with_trials.cache = &trial_cache;
-  RobustnessOptions with_layers = mc;
-  with_layers.layer_cache = &layer_cache;
 
-  // The engine memo and both fabric caches must each give `model` exactly
+  // The engine memo and the reference cache must each give `model` exactly
   // the uncached report, whatever they served before.
   const auto expect_fresh = [&](const nn::Model& model) {
     const auto uncached = reram::monte_carlo_robustness(model, shapes, fc, mc);
@@ -792,9 +724,6 @@ TEST(ModelIdentityTest, CachesNeverServeAnotherModelsResults) {
         engine.evaluate_robustness_cached(model, actions, fc, mc), uncached);
     expect_reports_identical(
         reram::monte_carlo_robustness(model, shapes, fc, with_trials),
-        uncached);
-    expect_reports_identical(
-        reram::monte_carlo_robustness(model, shapes, fc, with_layers),
         uncached);
   };
 
@@ -849,6 +778,48 @@ TEST(SearchRewardTest, MeasuredRewardScalesByMonteCarloAccuracy) {
       env.reward(report) /
       (1.0 - std::clamp(report.fault_vulnerability, 0.0, 1.0));
   EXPECT_NEAR(measured, base * rob.mean_accuracy, 1e-12);
+}
+
+TEST(SearchRewardTest, RobustnessAwareSearchPaysOneMonteCarloRun) {
+  // A robustness-aware search visits many allocations but runs the
+  // Monte-Carlo evaluation once: the memo is keyed by workload. Every
+  // episode's reward is still exactly its own base reward times the
+  // accuracy that episode's allocation measures unmemoized.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  core::EnvConfig cfg;
+  cfg.candidates = mapping::hybrid_candidates();
+  cfg.objective = core::RewardObjective::kRobustnessAware;
+  cfg.accel.faults = noisy_config();
+  cfg.mc_reward_model = &model;
+  const core::CrossbarEnv env(net.mappable_layers(), cfg);
+
+  core::SearchConfig search_cfg;
+  search_cfg.episodes = 40;
+  search_cfg.warmup_episodes = 10;
+  const core::SearchResult result = core::AutoHetSearch(env, search_cfg).run();
+  ASSERT_EQ(result.history.size(), 40u);
+  EXPECT_EQ(env.engine().robustness_cache_stats().misses, 1u);
+  EXPECT_EQ(env.engine().robustness_cache_stats().hits, 39u);
+
+  std::size_t distinct = 0;
+  for (std::size_t e = 0; e < result.history.size(); ++e) {
+    const core::EpisodeRecord& record = result.history[e];
+    bool repeat = false;
+    for (std::size_t f = 0; f < e; ++f) {
+      repeat = repeat || result.history[f].actions == record.actions;
+    }
+    distinct += repeat ? 0 : 1;
+    const reram::NetworkReport& report = record.report;
+    const double base = report.utilization /
+                        (report.energy.total_nj() / env.energy_scale_nj());
+    const auto rob = env.engine().evaluate_robustness(
+        model, record.actions, cfg.accel.faults,
+        core::default_search_mc_options());
+    EXPECT_EQ(record.reward, base * rob.mean_accuracy) << "episode " << e;
+  }
+  EXPECT_GT(distinct, 1u);
 }
 
 }  // namespace
