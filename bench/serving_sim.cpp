@@ -29,7 +29,6 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "report/serialize.hpp"
-#include "reram/scheduler.hpp"
 #include "serve/serialize.hpp"
 #include "serve/simulator.hpp"
 
@@ -99,8 +98,7 @@ int main(int argc, char** argv) {
       serve::zipf_weights(fabric.model_count(), traffic.zipf_s);
   double weighted_ns_per_request = 0.0;
   for (std::int64_t m = 0; m < fabric.model_count(); ++m) {
-    const auto schedule =
-        reram::schedule_batch(fabric.model_plan(m), batching.max_batch);
+    const auto schedule = fabric.schedule(m, batching.max_batch);
     weighted_ns_per_request += weights[static_cast<std::size_t>(m)] *
                                schedule.makespan_ns /
                                static_cast<double>(batching.max_batch);

@@ -343,8 +343,7 @@ int run_serve(const common::ArgParser& args) {
           serve::zipf_weights(fabric.model_count(), tc.zipf_s);
       double weighted_ns_per_request = 0.0;
       for (std::int64_t m = 0; m < fabric.model_count(); ++m) {
-        const auto schedule =
-            reram::schedule_batch(fabric.model_plan(m), batching.max_batch);
+        const auto schedule = fabric.schedule(m, batching.max_batch);
         weighted_ns_per_request +=
             weights[static_cast<std::size_t>(m)] * schedule.makespan_ns /
             static_cast<double>(batching.max_batch);

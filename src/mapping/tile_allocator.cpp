@@ -67,6 +67,34 @@ CombMap tile_shared_remap(std::vector<Tile*>& tiles, std::int64_t xb_num) {
   return comb_map;
 }
 
+std::int64_t drain_partial_tiles(std::vector<PartialTile>& partials,
+                                 std::int64_t xb_num) {
+  AUTOHET_CHECK(xb_num > 0, "xb_num must be positive");
+  const auto group = [](const PartialTile* p) {
+    return std::tie(p->shape.rows, p->shape.cols, p->model);
+  };
+  std::vector<PartialTile*> order;
+  order.reserve(partials.size());
+  for (PartialTile& p : partials) order.push_back(&p);
+  // Group order is irrelevant (groups drain independently); drain_tiles
+  // orders each group by (empty, id) itself.
+  std::sort(order.begin(), order.end(),
+            [&](const PartialTile* a, const PartialTile* b) {
+              return group(a) < group(b);
+            });
+  std::int64_t released = 0;
+  for (auto first = order.begin(); first != order.end();) {
+    const auto last =
+        std::find_if(first, order.end(), [&](const PartialTile* p) {
+          return group(p) != group(*first);
+        });
+    released += drain_tiles(first, last, xb_num,
+                            [](PartialTile&, PartialTile&) {});
+    first = last;
+  }
+  return released;
+}
+
 AllocationResult allocate_tiles(const std::vector<ResidentModel>& models,
                                 std::int64_t xbs_per_tile, SharingScope scope) {
   AUTOHET_CHECK(xbs_per_tile > 0, "xbs_per_tile must be positive");

@@ -18,10 +18,12 @@
 // other models": with several resident models the pass runs per model or
 // across the union of their tiles (`SharingScope`).
 //
-// `allocate_tiles` is the one allocator; a single network is the one-model
-// case. `drain_tiles` is the one copy of Algorithm 1's sort and drain, shared
-// by `tile_shared_remap` (full `Tile`s) and the evaluation engine's compact
-// per-layer summary (reram/eval_engine.cpp).
+// `allocate_tiles` is the one materializing allocator; a single network is
+// the one-model case. `drain_tiles` is the one copy of Algorithm 1's sort and
+// drain, shared by `tile_shared_remap` (full `Tile`s) and
+// `drain_partial_tiles`, the compact count over each layer's partly filled
+// last tile that the evaluation engine (reram/eval_engine.cpp) and the
+// serving fabric's footprints (serve/fabric.cpp) use.
 #pragma once
 
 #include <algorithm>
@@ -123,6 +125,26 @@ std::int64_t drain_tiles(It first, It last, std::int64_t xb_num,
 /// counts / layer lists / released flags of `tiles` and returns the combMap.
 /// `xb_num` is the number of logical crossbars per tile.
 CombMap tile_shared_remap(std::vector<Tile*>& tiles, std::int64_t xb_num);
+
+/// A layer's partly filled last tile, the only tile of the layer Algorithm 1
+/// can touch: its two-pointer condition head.empty + tail.empty >= xb_num
+/// never holds when either side is full, so full tiles neither drain nor
+/// receive.
+struct PartialTile {
+  std::int64_t id = 0;  ///< the id allocate_tiles gives the tile
+  std::int64_t empty_xbs = 0;
+  CrossbarShape shape;
+  std::int64_t model = 0;  ///< sharing group within a shape (0 = one group)
+  bool released = false;
+};
+
+/// Algorithm 1 on partial tiles alone: groups `partials` by (crossbar rows,
+/// cols, model) and runs `drain_tiles` per group, updating their empty
+/// counts and released flags. Returns the number of released tiles, which
+/// equals allocate_tiles' for the same layers when the ids, empties and
+/// groups match its tiles.
+std::int64_t drain_partial_tiles(std::vector<PartialTile>& partials,
+                                 std::int64_t xb_num);
 
 struct ResidentModel {
   std::string name;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -114,25 +113,18 @@ NetworkReport EvaluationEngine::compute(
   report.fault_vulnerability = aggregate_network_vulnerability(layer_vuln);
 
   // ---- tile accounting on the compact per-layer summary ----
-  // Only a layer's last tile can hold empty PEs, so Algorithm 1's
-  // two-pointer drain (which requires head.empty + tail.empty >= PEs/tile,
-  // impossible when either side is full) operates on at most one tile per
-  // layer. Tile ids are assigned consecutively per layer, exactly as the
-  // allocator numbers them.
-  struct Partial {
-    std::int64_t id;
-    std::int64_t empty_xbs;
-    std::size_t layer;
-    bool released = false;
-  };
+  // Algorithm 1 only touches a layer's partly filled last tile
+  // (mapping::drain_partial_tiles); ids are assigned consecutively per
+  // layer, exactly as the allocator numbers them, and the partials stay in
+  // layer order.
   std::int64_t total_tiles = 0;
-  std::vector<Partial> partials;
+  std::vector<mapping::PartialTile> partials;
   partials.reserve(n);
   for (std::size_t l = 0; l < n; ++l) {
     const LayerCandidate& e = cell(l, actions[l]);
     if (e.last_tile_empty > 0) {
-      partials.push_back({total_tiles + e.tiles - 1, e.last_tile_empty, l,
-                          false});
+      partials.push_back({total_tiles + e.tiles - 1, e.last_tile_empty,
+                          cand_info_[actions[l]].shape});
     }
     total_tiles += e.tiles;
   }
@@ -141,39 +133,25 @@ NetworkReport EvaluationEngine::compute(
   if (accel_.tile_shared && !partials.empty()) {
     OBS_SPAN("tile_shared_remap");
     OBS_COUNTER_ADD("autohet_tile_remap_passes_total", 1);
-    // Group by crossbar shape (layers may only share same-size tiles, §3.4)
-    // and run the allocator's Algorithm-1 core per group.
-    std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Partial*>>
-        groups;
-    for (auto& p : partials) {
-      const auto& shape = cand_info_[actions[p.layer]].shape;
-      groups[{shape.rows, shape.cols}].push_back(&p);
-    }
-    for (auto& [shape_key, group] : groups) {
-      released_tiles += mapping::drain_tiles(group.begin(), group.end(), xpt,
-                                             [](Partial&, Partial&) {});
-    }
+    released_tiles = mapping::drain_partial_tiles(partials, xpt);
   }
   OBS_COUNTER_ADD("autohet_tiles_released_total",
                   static_cast<std::uint64_t>(released_tiles));
-  std::vector<bool> last_tile_released(n, false);
   std::int64_t empty_xbs = 0;
   for (const auto& p : partials) {
-    if (p.released) {
-      last_tile_released[p.layer] = true;
-    } else {
-      empty_xbs += p.empty_xbs;
-    }
+    if (!p.released) empty_xbs += p.empty_xbs;
   }
 
   // ---- area: same per-tile contributions, same tile-id order ----
   std::int64_t useful_cells = 0;
   std::int64_t allocated_cells = 0;
+  auto partial = partials.cbegin();
   for (std::size_t l = 0; l < n; ++l) {
     const LayerCandidate& e = cell(l, actions[l]);
     const CandidateInfo& info = cand_info_[actions[l]];
-    const std::int64_t survivors =
-        e.tiles - (last_tile_released[l] ? 1 : 0);
+    const bool last_tile_released =
+        e.last_tile_empty > 0 && (partial++)->released;
+    const std::int64_t survivors = e.tiles - (last_tile_released ? 1 : 0);
     useful_cells += e.useful_cells;
     allocated_cells += survivors * info.cells_per_tile;
     for (std::int64_t t = 0; t < survivors; ++t) {

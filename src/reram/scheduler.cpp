@@ -11,13 +11,24 @@ namespace autohet::reram {
 ScheduleReport schedule_batch(const plan::DeploymentPlan& plan,
                               std::int64_t batch,
                               const std::vector<std::int64_t>& replication) {
-  OBS_SPAN("schedule_batch");
   plan.validate();
+  return schedule_batch(plan::plan_layer_costs(plan), plan::plan_dataflow(plan),
+                        batch, replication);
+}
+
+ScheduleReport schedule_batch(const std::vector<plan::LayerCost>& costs,
+                              const plan::PlanDataflow& flow,
+                              std::int64_t batch,
+                              const std::vector<std::int64_t>& replication) {
+  OBS_SPAN("schedule_batch");
   AUTOHET_CHECK(batch > 0, "batch must be positive");
-  AUTOHET_CHECK(replication.empty() || replication.size() == plan.layers.size(),
+  AUTOHET_CHECK(!costs.empty(), "schedule needs at least one layer");
+  AUTOHET_CHECK(flow.deps.size() == costs.size() &&
+                    flow.tail_delay_ns.size() == costs.size(),
+                "dataflow must have one entry per layer");
+  AUTOHET_CHECK(replication.empty() || replication.size() == costs.size(),
                 "replication must be empty or one entry per layer");
 
-  const std::vector<plan::LayerCost> costs = plan::plan_layer_costs(plan);
   const auto n = static_cast<std::int64_t>(costs.size());
   std::vector<double> interval(static_cast<std::size_t>(n));
   for (std::int64_t k = 0; k < n; ++k) {
@@ -28,9 +39,9 @@ ScheduleReport schedule_batch(const plan::DeploymentPlan& plan,
         costs[static_cast<std::size_t>(k)].latency_ns /
         static_cast<double>(rep);
   }
-  // Graph dependency edges (for v1 chains: exactly the historical k-1
-  // rule with zero delay, so the arithmetic below is bit-identical).
-  const plan::PlanDataflow flow = plan::plan_dataflow(plan);
+  // `flow` holds the graph dependency edges (for v1 chains: exactly the
+  // historical k-1 rule with zero delay, so the arithmetic below is
+  // bit-identical).
 
   ScheduleReport report;
   report.tasks.resize(static_cast<std::size_t>(batch * n));

@@ -50,12 +50,19 @@ struct ScheduleReport {
   }
 };
 
-/// Schedules `batch` images through the layer pipeline of a compiled plan.
-/// Stage intervals come from the plan's frozen per-layer costs; no mapping
-/// is re-derived here. `replication` as in evaluate_pipeline (empty = all
-/// ones).
+/// Schedules `batch` images through the layer pipeline of a compiled plan:
+/// validates the plan, then runs the overload below on its
+/// plan_layer_costs and plan_dataflow. No mapping is re-derived here.
+/// `replication` as in evaluate_pipeline (empty = all ones).
 ScheduleReport schedule_batch(
     const plan::DeploymentPlan& plan, std::int64_t batch,
     const std::vector<std::int64_t>& replication = {});
+
+/// The scheduling loop on a plan's schedule inputs, for callers that
+/// derived them once from a plan they already validated (the serving
+/// fabric). Stage intervals are `costs[k].latency_ns / replication[k]`.
+ScheduleReport schedule_batch(
+    const std::vector<plan::LayerCost>& costs, const plan::PlanDataflow& flow,
+    std::int64_t batch, const std::vector<std::int64_t>& replication = {});
 
 }  // namespace autohet::reram

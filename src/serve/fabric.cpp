@@ -1,6 +1,8 @@
 #include "serve/fabric.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -45,22 +47,42 @@ mapping::SharingScope sharing_scope_from_name(const std::string& name) {
   return mapping::SharingScope::kCrossModel;
 }
 
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+bool contains(const std::vector<std::uint64_t>& set, std::size_t m) {
+  return ((set[m / kWordBits] >> (m % kWordBits)) & 1u) != 0;
+}
+
+void assign(std::vector<std::uint64_t>& set, std::size_t m, bool member) {
+  const std::uint64_t bit = std::uint64_t{1} << (m % kWordBits);
+  std::uint64_t& word = set[m / kWordBits];
+  word = member ? word | bit : word & ~bit;
+}
+
+}  // namespace
+
 ServingFabric::ServingFabric(std::vector<plan::DeploymentPlan> plans,
                              FabricConfig config, common::ThreadPool* pool)
     : config_(config), plans_(std::move(plans)) {
   AUTOHET_CHECK(!plans_.empty(), "need at least one plan");
   const std::size_t n = plans_.size();
+  const std::int64_t xbs_per_tile = plans_[0].allocation.xbs_per_tile;
   for (const plan::DeploymentPlan& p : plans_) {
-    AUTOHET_CHECK(
-        p.allocation.xbs_per_tile == plans_[0].allocation.xbs_per_tile,
-        "all plans must share the accelerator's crossbars-per-tile");
+    AUTOHET_CHECK(p.allocation.xbs_per_tile == xbs_per_tile,
+                  "all plans must share the accelerator's crossbars-per-tile");
   }
 
   reports_.resize(n);
   program_costs_.resize(n);
+  layer_costs_.resize(n);
+  dataflows_.resize(n);
   standalone_tiles_.assign(n, 0);
-  resident_specs_.resize(n);
-  is_resident_.assign(n, false);
+  model_tiles_.assign(n, 0);
+  partials_.resize(n);
+  resident_.assign((n + kWordBits - 1) / kWordBits, 0);
+  candidate_ = resident_;
   swap_ins_.assign(n, 0);
   evictions_.assign(n, 0);
   last_use_.assign(n, -1);
@@ -68,31 +90,39 @@ ServingFabric::ServingFabric(std::vector<plan::DeploymentPlan> plans,
   models_.resize(n);
   fabrics_.resize(n);
 
-  for (std::size_t m = 0; m < n; ++m) {
-    resident_specs_[m].name = plans_[m].network.empty()
-                                  ? "model" + std::to_string(m)
-                                  : plans_[m].network;
-    resident_specs_[m].layers = plans_[m].layers;
-    resident_specs_[m].shapes = plans_[m].shapes();
-  }
-
   // Per-model precompute: pure functions of the plan, stored by index, so
   // running them across a pool cannot change any observable result.
+  // evaluate_plan validates the plan (the fabric's only validation); the
+  // rest reads the validated allocation.
   const auto precompute = [&](std::size_t m) {
-    reports_[m] = plan::evaluate_plan(plans_[m]);
+    const plan::DeploymentPlan& p = plans_[m];
+    reports_[m] = plan::evaluate_plan(p);
     program_costs_[m] = reram::evaluate_programming(
-        plans_[m].allocation, plans_[m].accel.device, config_.programming,
-        plans_[m].accel.faults);
+        p.allocation, p.accel.device, config_.programming, p.accel.faults);
+    layer_costs_[m] = plan::plan_layer_costs(p);
+    dataflows_[m] = plan::plan_dataflow(p);
+    for (const mapping::LayerAllocation& layer : p.allocation.layers) {
+      const std::int64_t empty = layer.tiles_allocated * xbs_per_tile -
+                                 layer.mapping.logical_crossbars();
+      if (empty > 0) {
+        partials_[m].push_back({model_tiles_[m] + layer.tiles_allocated - 1,
+                                empty, layer.mapping.shape});
+      }
+      model_tiles_[m] += layer.tiles_allocated;
+    }
   };
   common::parallel_for(pool, 0, n, precompute);
 
   for (std::size_t m = 0; m < n; ++m) {
-    standalone_tiles_[m] =
-        footprint({static_cast<std::int64_t>(m)});
+    ModelSet alone(resident_.size(), 0);
+    assign(alone, m, true);
+    standalone_tiles_[m] = footprint(alone);
     AUTOHET_CHECK(
         config_.tile_capacity == 0 ||
             standalone_tiles_[m] <= config_.tile_capacity,
-        "plan '" + resident_specs_[m].name +
+        "plan '" +
+            (plans_[m].network.empty() ? "model" + std::to_string(m)
+                                       : plans_[m].network) +
             "' does not fit the tile budget even alone (" +
             std::to_string(standalone_tiles_[m]) + " > " +
             std::to_string(config_.tile_capacity) + " tiles)");
@@ -124,45 +154,64 @@ std::int64_t ServingFabric::standalone_tiles(std::int64_t m) const {
   return standalone_tiles_.at(static_cast<std::size_t>(m));
 }
 
+reram::ScheduleReport ServingFabric::schedule(std::int64_t m,
+                                              std::int64_t batch) const {
+  const auto sm = static_cast<std::size_t>(m);
+  return reram::schedule_batch(layer_costs_.at(sm), dataflows_.at(sm), batch);
+}
+
 bool ServingFabric::resident(std::int64_t m) const {
-  return is_resident_.at(static_cast<std::size_t>(m));
+  const auto sm = static_cast<std::size_t>(m);
+  if (sm >= plans_.size()) throw std::out_of_range("model index out of range");
+  return contains(resident_, sm);
 }
 
 std::vector<std::int64_t> ServingFabric::resident_models() const {
   std::vector<std::int64_t> out;
-  for (std::size_t m = 0; m < is_resident_.size(); ++m) {
-    if (is_resident_[m]) out.push_back(static_cast<std::int64_t>(m));
+  for (std::size_t m = 0; m < plans_.size(); ++m) {
+    if (contains(resident_, m)) out.push_back(static_cast<std::int64_t>(m));
   }
   return out;
 }
 
 std::int64_t ServingFabric::resident_tiles() const {
-  const std::vector<std::int64_t> models = resident_models();
-  if (models.empty()) return 0;
-  return footprint(models);
+  return footprint(resident_);
 }
 
-std::int64_t ServingFabric::footprint(
-    const std::vector<std::int64_t>& models) const {
+std::int64_t ServingFabric::footprint(const ModelSet& models) const {
   const auto it = footprint_memo_.find(models);
   if (it != footprint_memo_.end()) return it->second;
-  std::vector<mapping::ResidentModel> resident;
-  resident.reserve(models.size());
-  for (const std::int64_t m : models) {
-    resident.push_back(resident_specs_.at(static_cast<std::size_t>(m)));
+  // The set's tile-based tiles, numbered as allocate_tiles numbers them
+  // (model, then layer order), minus what Algorithm 1 drains from their
+  // partial last tiles; per-model sharing groups by position in the set.
+  std::vector<mapping::PartialTile> partials;
+  std::int64_t total = 0;
+  std::int64_t position = 0;
+  for (std::size_t m = 0; m < plans_.size(); ++m) {
+    if (!contains(models, m)) continue;
+    for (mapping::PartialTile p : partials_[m]) {
+      p.id += total;
+      p.model =
+          config_.scope == mapping::SharingScope::kPerModel ? position : 0;
+      partials.push_back(p);
+    }
+    total += model_tiles_[m];
+    ++position;
   }
-  const std::int64_t tiles =
-      mapping::allocate_tiles(resident, plans_[0].allocation.xbs_per_tile,
-                              config_.scope)
-          .occupied_tiles();
+  const std::int64_t released =
+      config_.scope == mapping::SharingScope::kNone
+          ? 0
+          : mapping::drain_partial_tiles(partials,
+                                         plans_[0].allocation.xbs_per_tile);
+  const std::int64_t tiles = total - released;
   footprint_memo_.emplace(models, tiles);
   return tiles;
 }
 
 std::int64_t ServingFabric::pick_victim() const {
   std::int64_t victim = -1;
-  for (std::size_t m = 0; m < is_resident_.size(); ++m) {
-    if (!is_resident_[m]) continue;
+  for (std::size_t m = 0; m < plans_.size(); ++m) {
+    if (!contains(resident_, m)) continue;
     const auto i = static_cast<std::int64_t>(m);
     if (victim < 0) {
       victim = i;
@@ -187,22 +236,21 @@ AdmitResult ServingFabric::admit(std::int64_t m) {
   ++use_count_[sm];
 
   AdmitResult result;
-  if (is_resident_[sm]) return result;
+  if (contains(resident_, sm)) return result;
 
   if (config_.tile_capacity > 0) {
     for (;;) {
-      std::vector<std::int64_t> candidate = resident_models();
-      candidate.insert(
-          std::lower_bound(candidate.begin(), candidate.end(), m), m);
-      if (footprint(candidate) <= config_.tile_capacity) break;
+      candidate_ = resident_;  // same size: copies, never allocates
+      assign(candidate_, sm, true);
+      if (footprint(candidate_) <= config_.tile_capacity) break;
       const std::int64_t victim = pick_victim();
       AUTOHET_CHECK(victim >= 0,
                     "resident set cannot fit the tile budget");
       const auto sv = static_cast<std::size_t>(victim);
-      is_resident_[sv] = false;
+      assign(resident_, sv, false);
       fabrics_[sv].reset();
       ++evictions_[sv];
-      result.evicted.push_back(victim);
+      ++result.evictions;
     }
   }
 
@@ -217,7 +265,7 @@ AdmitResult ServingFabric::admit(std::int64_t m) {
     fabrics_[sm] = std::make_unique<reram::SimulatedModel>(*models_[sm],
                                                            plans_[sm]);
   }
-  is_resident_[sm] = true;
+  assign(resident_, sm, true);
   ++swap_ins_[sm];
   OBS_PROFILE_RECORD(obs::ProfileKind::kModelSwap, m, 0, 1);
   OBS_COUNTER_ADD("autohet_serve_swaps_total", 1);

@@ -2,14 +2,21 @@
 //
 // A ServingFabric owns several compiled DeploymentPlans and tracks which of
 // them are currently programmed onto the fabric. Residency is bounded by a
-// tile budget: the footprint of a candidate resident set is computed by the
-// tile allocator (src/mapping/tile_allocator.hpp) under the configured
-// sharing scope, so cross-model tile sharing (§3.4's "tiles 2 and 3 become
-// available for ... other models") directly buys extra co-residency. A
+// tile budget: the footprint of a candidate resident set is Algorithm 1's
+// compact count (mapping::drain_partial_tiles) over the resident models'
+// partly filled last tiles under the configured sharing scope, equal to
+// allocate_tiles' occupied tiles for the same set, so cross-model tile
+// sharing (§3.4's "tiles 2 and 3 become available for ... other models")
+// directly buys extra co-residency. Footprints are memoized by resident-set
+// bitset, so admitting a model allocates nothing once its set was seen. A
 // request for a non-resident model evicts victims (LRU or LFU) until the
 // set fits, then pays the crossbar-programming cost model
 // (reram/programming.hpp) to bring the model in — the swap traffic the
 // future endurance subsystem will consume (Hamun, PAPERS.md).
+//
+// Every plan is validated once, by evaluate_plan at construction; the plans
+// are private and immutable after that, so the schedule inputs derived
+// there (per-layer costs and dataflow) serve every later schedule.
 //
 // In functional mode every swap-in really programs a SimulatedModel fabric
 // from the plan (recording ProfileKind::kProgramWrite per crossbar), so
@@ -29,6 +36,7 @@
 #include "nn/model.hpp"
 #include "reram/functional.hpp"
 #include "reram/programming.hpp"
+#include "reram/scheduler.hpp"
 #include "reram/stats.hpp"
 
 namespace autohet::serve {
@@ -61,7 +69,8 @@ struct FabricConfig {
 /// Outcome of admitting one request's model.
 struct AdmitResult {
   bool swapped_in = false;  ///< the model had to be programmed now
-  std::vector<std::int64_t> evicted;  ///< victims, in eviction order
+  /// Models evicted to make room (eviction_count / resident name them).
+  std::int64_t evictions = 0;
   double program_latency_ns = 0.0;
   double program_energy_nj = 0.0;
 };
@@ -87,6 +96,9 @@ class ServingFabric {
   const reram::ProgrammingReport& program_cost(std::int64_t m) const;
   /// Tiles the model occupies when resident alone.
   std::int64_t standalone_tiles(std::int64_t m) const;
+  /// reram::schedule_batch of `batch` images on the model's schedule
+  /// inputs, derived once from its plan at construction.
+  reram::ScheduleReport schedule(std::int64_t m, std::int64_t batch) const;
 
   bool resident(std::int64_t m) const;
   std::vector<std::int64_t> resident_models() const;  ///< sorted
@@ -108,18 +120,28 @@ class ServingFabric {
   const nn::Model* model_weights(std::int64_t m) const;
 
  private:
-  /// Memoized footprint of an arbitrary (sorted) model set.
-  std::int64_t footprint(const std::vector<std::int64_t>& models) const;
+  /// Resident-set bitset: bit m of word m / 64 is model m.
+  using ModelSet = std::vector<std::uint64_t>;
+
+  /// Memoized footprint of an arbitrary model set (0 when empty).
+  std::int64_t footprint(const ModelSet& models) const;
   std::int64_t pick_victim() const;
 
   FabricConfig config_;
   std::vector<plan::DeploymentPlan> plans_;
   std::vector<reram::NetworkReport> reports_;
   std::vector<reram::ProgrammingReport> program_costs_;
+  std::vector<std::vector<plan::LayerCost>> layer_costs_;
+  std::vector<plan::PlanDataflow> dataflows_;
   std::vector<std::int64_t> standalone_tiles_;
-  std::vector<mapping::ResidentModel> resident_specs_;  ///< one per model
+  /// Per model: its tile-based tile count and its layers' partly filled
+  /// last tiles, with ids as allocate_tiles numbers them for the model
+  /// alone.
+  std::vector<std::int64_t> model_tiles_;
+  std::vector<std::vector<mapping::PartialTile>> partials_;
 
-  std::vector<bool> is_resident_;
+  ModelSet resident_;
+  ModelSet candidate_;  ///< admit's scratch set, sized like resident_
   std::vector<std::int64_t> swap_ins_;
   std::vector<std::int64_t> evictions_;
   std::vector<std::int64_t> last_use_;   ///< admit ordinal, -1 = never
@@ -131,7 +153,7 @@ class ServingFabric {
   std::vector<std::unique_ptr<nn::Model>> models_;
   std::vector<std::unique_ptr<reram::SimulatedModel>> fabrics_;
 
-  mutable std::map<std::vector<std::int64_t>, std::int64_t> footprint_memo_;
+  mutable std::map<ModelSet, std::int64_t> footprint_memo_;
 };
 
 }  // namespace autohet::serve

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
-#include "reram/scheduler.hpp"
 
 namespace autohet::serve {
 
@@ -58,10 +57,10 @@ std::vector<ScheduleTable> build_schedule_tables(const ServingFabric& fabric,
   std::vector<ScheduleTable> tables(
       static_cast<std::size_t>(fabric.model_count()));
   common::parallel_for(pool, 0, tables.size(), [&](std::size_t m) {
-    const plan::DeploymentPlan& plan =
-        fabric.model_plan(static_cast<std::int64_t>(m));
-    reram::ScheduleReport schedule = reram::schedule_batch(plan, max_batch);
-    const auto num_layers = static_cast<std::int64_t>(plan.layers.size());
+    reram::ScheduleReport schedule =
+        fabric.schedule(static_cast<std::int64_t>(m), max_batch);
+    const auto num_layers =
+        static_cast<std::int64_t>(schedule.tasks.size()) / max_batch;
     ScheduleTable& table = tables[m];
     table.finish_offset_ns.resize(static_cast<std::size_t>(max_batch));
     for (std::int64_t i = 0; i < max_batch; ++i) {

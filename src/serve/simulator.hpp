@@ -5,7 +5,8 @@
 // (dispatch when max_batch requests are waiting or the oldest has waited
 // max_wait), and each dispatched batch occupies the single accelerator for
 // the makespan the existing batch scheduler (reram/scheduler.hpp) derives
-// from the model's compiled plan — a non-resident model first pays the
+// from the schedule inputs the fabric read off the model's validated plan
+// (ServingFabric::schedule) — a non-resident model first pays the
 // fabric's programming latency. Per-request completion times come from the
 // schedule's per-image finish offsets, so the latency distribution reflects
 // real pipeline fill/drain behaviour, not an average.

@@ -19,6 +19,7 @@
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/profile.hpp"
+#include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
 #include "reram/scheduler.hpp"
 #include "serve/serialize.hpp"
@@ -83,7 +84,7 @@ TEST(ServingFabric, ColdLoadCountsAsSwapIn) {
   EXPECT_FALSE(fabric.resident(0));
   const serve::AdmitResult first = fabric.admit(0);
   EXPECT_TRUE(first.swapped_in);
-  EXPECT_TRUE(first.evicted.empty());
+  EXPECT_EQ(first.evictions, 0);
   EXPECT_GT(first.program_latency_ns, 0.0);
   EXPECT_GT(first.program_energy_nj, 0.0);
   EXPECT_TRUE(fabric.resident(0));
@@ -98,7 +99,7 @@ TEST(ServingFabric, ColdLoadCountsAsSwapIn) {
   // Unbounded budget: the second model joins without evicting anyone.
   const serve::AdmitResult second = fabric.admit(1);
   EXPECT_TRUE(second.swapped_in);
-  EXPECT_TRUE(second.evicted.empty());
+  EXPECT_EQ(second.evictions, 0);
   EXPECT_EQ(fabric.resident_models(),
             (std::vector<std::int64_t>{0, 1}));
 }
@@ -135,7 +136,7 @@ TEST(ServingFabric, LruEvictsLeastRecentlyUsed) {
   fabric.admit(0);  // 1 is now the least recently used
   const serve::AdmitResult result = fabric.admit(2);
   EXPECT_TRUE(result.swapped_in);
-  EXPECT_EQ(result.evicted, (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(result.evictions, 1);
   EXPECT_EQ(fabric.resident_models(),
             (std::vector<std::int64_t>{0, 2}));
   EXPECT_EQ(fabric.eviction_count(1), 1);
@@ -154,7 +155,8 @@ TEST(ServingFabric, LfuEvictsLeastFrequentlyUsed) {
   fabric.admit(0);
   fabric.admit(1);  // used once, while 0 was used twice
   const serve::AdmitResult result = fabric.admit(2);
-  EXPECT_EQ(result.evicted, (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(result.evictions, 1);
+  EXPECT_EQ(fabric.eviction_count(1), 1);
   EXPECT_EQ(fabric.resident_models(),
             (std::vector<std::int64_t>{0, 2}));
 }
@@ -169,6 +171,113 @@ TEST(ServingFabric, CrossModelSharingShrinksResidentFootprint) {
   fabric.admit(1);
   EXPECT_LE(fabric.resident_tiles(),
             fabric.standalone_tiles(0) + fabric.standalone_tiles(1));
+}
+
+TEST(ServingFabric, FootprintEqualsAllocatorOnRandomResidentSets) {
+  // The fabric counts a resident set's footprint on its layers' partly
+  // filled last tiles (mapping::drain_partial_tiles); the materializing
+  // allocator is the oracle. Four tenants with random zoo networks and
+  // random hybrid shapes are admitted in random order, so every check sees
+  // a different set of 1-4 models. The engine's compact pass shares the
+  // helper, so its tile counts must still equal evaluate_plan's.
+  common::Rng rng(5);
+  const auto candidates = mapping::hybrid_candidates();
+  const std::vector<nn::NetworkSpec> zoo = {nn::lenet5(), nn::alexnet(),
+                                            nn::vgg16(), nn::resnet152()};
+  for (const std::int64_t xbs : {1, 2, 4, 8}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      reram::AcceleratorConfig accel;
+      accel.pes_per_tile = xbs;
+      std::vector<plan::DeploymentPlan> plans;
+      std::vector<mapping::ResidentModel> specs;
+      for (int t = 0; t < 4; ++t) {
+        const nn::NetworkSpec& net = zoo[rng.uniform_u64(zoo.size())];
+        std::vector<std::size_t> actions(net.mappable_layers().size());
+        std::vector<mapping::CrossbarShape> shapes;
+        for (std::size_t& a : actions) {
+          a = rng.uniform_u64(candidates.size());
+          shapes.push_back(candidates[a]);
+        }
+        accel.tile_shared = rng.uniform_u64(2) == 1;
+        specs.push_back({net.name, net.mappable_layers(), shapes});
+        plans.push_back(plan::compile_plan(net.name, specs.back().layers,
+                                           shapes, accel));
+        const reram::EvaluationEngine engine(specs.back().layers, candidates,
+                                             accel);
+        const reram::NetworkReport fast = engine.evaluate(actions);
+        const reram::NetworkReport want = plan::evaluate_plan(plans.back());
+        EXPECT_EQ(fast.occupied_tiles, want.occupied_tiles) << net.name;
+        EXPECT_EQ(fast.empty_crossbars, want.empty_crossbars) << net.name;
+      }
+      for (const mapping::SharingScope scope :
+           {mapping::SharingScope::kNone, mapping::SharingScope::kPerModel,
+            mapping::SharingScope::kCrossModel}) {
+        SCOPED_TRACE("xbs=" + std::to_string(xbs) + " trial " +
+                     std::to_string(trial) + " scope " +
+                     serve::sharing_scope_name(scope));
+        serve::FabricConfig config;
+        config.scope = scope;
+        serve::ServingFabric fabric(plans, config);
+        for (std::int64_t m = 0; m < 4; ++m) {
+          EXPECT_EQ(fabric.standalone_tiles(m),
+                    mapping::allocate_tiles({specs[static_cast<std::size_t>(m)]},
+                                            xbs, scope)
+                        .occupied_tiles());
+        }
+        std::vector<std::int64_t> order = {0, 1, 2, 3};
+        for (std::size_t i = order.size(); i > 1; --i) {
+          std::swap(order[i - 1], order[rng.uniform_u64(i)]);
+        }
+        for (const std::int64_t m : order) {
+          fabric.admit(m);
+          std::vector<mapping::ResidentModel> resident;
+          for (const std::int64_t r : fabric.resident_models()) {
+            resident.push_back(specs[static_cast<std::size_t>(r)]);
+          }
+          EXPECT_EQ(fabric.resident_tiles(),
+                    mapping::allocate_tiles(resident, xbs, scope)
+                        .occupied_tiles());
+        }
+      }
+    }
+  }
+}
+
+TEST(ServingFabric, RejectsPlanWithEditedAllocation) {
+  // Construction validates every plan once (evaluate_plan), and that is
+  // the serve path's only validation: schedules and footprints read the
+  // inputs derived from the validated plans. A plan whose frozen
+  // allocation was edited after compile must fail there, whichever
+  // tenant it is.
+  const std::vector<void (*)(mapping::AllocationResult&)> edits = {
+      [](mapping::AllocationResult& a) { ++a.layers[0].tiles_allocated; },
+      [](mapping::AllocationResult& a) { ++a.tiles.front().empty_xbs; },
+      [](mapping::AllocationResult& a) { a.remap[0].push_back(0); },
+  };
+  for (std::size_t e = 0; e < edits.size(); ++e) {
+    std::vector<plan::DeploymentPlan> plans = named_plans(2);
+    edits[e](plans[1].allocation);
+    EXPECT_THROW(serve::ServingFabric(plans, {}), std::invalid_argument)
+        << "edit " << e;
+  }
+  EXPECT_NO_THROW(serve::ServingFabric(named_plans(2), {}));
+}
+
+TEST(ServingFabric, ScheduleEqualsPlanSchedule) {
+  // The fabric's schedule inputs are the validated plan's costs and
+  // dataflow, so its schedules equal schedule_batch on the plan itself.
+  serve::ServingFabric fabric(named_plans(1), {});
+  for (const std::int64_t batch : {1, 3, 8}) {
+    const reram::ScheduleReport got = fabric.schedule(0, batch);
+    const reram::ScheduleReport want =
+        reram::schedule_batch(fabric.model_plan(0), batch);
+    EXPECT_EQ(got.makespan_ns, want.makespan_ns);
+    EXPECT_EQ(got.prefix_makespan_ns, want.prefix_makespan_ns);
+    ASSERT_EQ(got.tasks.size(), want.tasks.size());
+    for (std::size_t i = 0; i < got.tasks.size(); ++i) {
+      EXPECT_EQ(got.tasks[i].finish_ns, want.tasks[i].finish_ns) << i;
+    }
+  }
 }
 
 TEST(ServingFabric, ReprogrammedModelMatchesFreshFabricBitForBit) {
@@ -201,7 +310,8 @@ TEST(ServingFabric, ReprogrammedModelMatchesFreshFabricBitForBit) {
   const tensor::Tensor before = fabric.resident_fabric(0)->forward(image);
 
   const serve::AdmitResult evicting = fabric.admit(1);
-  EXPECT_EQ(evicting.evicted, (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(evicting.evictions, 1);
+  EXPECT_FALSE(fabric.resident(0));
   EXPECT_EQ(fabric.resident_fabric(0), nullptr);
 
   const serve::AdmitResult back = fabric.admit(0);
@@ -298,6 +408,59 @@ TEST(ServingSim, LatencyIncludesQueueingAndProgramming) {
   // Model 1 waited for model 0's batch and paid its own programming.
   EXPECT_GE(report.models[1].latency.p50_ms, compute_ms + program_ms);
   EXPECT_EQ(report.swap_ins, 2);
+}
+
+TEST(ServingSim, SingleServerMatchesPollaczekKhinchine) {
+  // One model, batches of one dispatched on arrival, Poisson arrivals: an
+  // M/D/1 queue whose deterministic service time D is the model's batch-1
+  // makespan. Pollaczek-Khinchine gives the mean latency
+  // D + rho D / (2 (1 - rho)) and the mean number waiting (the simulator's
+  // queue depth drops at pickup) rho^2 / (2 (1 - rho)). Each seed is one
+  // independent estimate; the tolerance is the two-sided 99.9% Student-t
+  // interval of their mean, from the seed-to-seed spread.
+  constexpr int kSeeds = 8;
+  constexpr double kStudentT = 5.408;  // t quantile 0.9995, 7 d.o.f.
+  constexpr double kRequests = 50'000.0;
+  serve::ServingFabric fabric(named_plans(1), {});
+  fabric.admit(0);  // resident from the start: no programming in the queue
+  serve::BatchingConfig batching;
+  batching.max_batch = 1;
+  batching.max_wait_ns = 0.0;
+  const double service_ns = fabric.schedule(0, 1).makespan_ns;
+  ASSERT_GT(service_ns, 0.0);
+
+  const auto expect_in_interval = [&](const std::vector<double>& samples,
+                                      double want, const char* what) {
+    const double n = static_cast<double>(samples.size());
+    double mean = 0.0;
+    for (const double v : samples) mean += v / n;
+    double sum_sq = 0.0;
+    for (const double v : samples) sum_sq += (v - mean) * (v - mean);
+    const double half_width = kStudentT * std::sqrt(sum_sq / (n - 1.0) / n);
+    EXPECT_NEAR(mean, want, half_width) << what;
+  };
+  for (const double rho : {0.3, 0.5, 0.8}) {
+    SCOPED_TRACE("rho " + std::to_string(rho));
+    std::vector<double> latency_ms;
+    std::vector<double> depth;
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      serve::TrafficConfig config;
+      config.seed = static_cast<std::uint64_t>(seed);
+      config.profile = serve::RateProfile::kConstant;
+      config.mean_qps = rho * 1e9 / service_ns;
+      config.duration_s = kRequests / config.mean_qps;
+      const serve::ServingReport report = serve::simulate(
+          fabric, batching, serve::generate_trace(config, 1));
+      EXPECT_EQ(report.swap_ins, 0);
+      latency_ms.push_back(report.latency.mean_ms);
+      depth.push_back(report.mean_queue_depth);
+    }
+    const double wait_ns = rho * service_ns / (2.0 * (1.0 - rho));
+    expect_in_interval(latency_ms, (service_ns + wait_ns) / 1e6,
+                       "mean latency");
+    expect_in_interval(depth, rho * rho / (2.0 * (1.0 - rho)),
+                       "mean queue depth");
+  }
 }
 
 // ------------------------------------------------- accounting + percentiles --
