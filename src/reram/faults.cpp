@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
+#include "reram/kernels/kernels.hpp"
 
 namespace autohet::reram {
 
@@ -20,98 +21,6 @@ double mean_square_level(int bits) noexcept {
 constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
 /// The number of 52-bit draws k: every threshold lies in [0, kDraws].
 constexpr std::uint64_t kDraws = std::uint64_t{1} << 52;
-
-/// The top 52 bits of the SplitMix64 finalizer of state `z`: the keyed draw
-/// of counter c under a (seed, layer) base is mix52(base + c·γ) (see
-/// FaultModel).
-inline std::uint64_t mix52(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return (z ^ (z >> 31)) >> 12;
-}
-
-/// One block burn: the block, its key base and the config's thresholds.
-struct BlockBurn {
-  std::int8_t* cells;
-  std::int64_t rows, cols;
-  std::uint64_t base;
-  std::int64_t row0, col0;
-  std::uint64_t zero_thr, stuck_thr;
-  const std::uint64_t* bounds;  ///< null when no level can move
-  const std::uint64_t* stay_lo;
-  const std::uint64_t* stay_hi;
-};
-
-/// Burns the block at kBits bits per cell (see FaultModel). `b` is taken by
-/// value: the cell loop's int8 stores may alias any memory, so fields read
-/// through a pointer would be reloaded on every cell. A weight's plane draws
-/// are taken together and tested without branches; only a weight with a
-/// stuck plane or a moved level takes the per-plane path.
-template <int kBits>
-FaultMapStats burn_block(const BlockBurn b) {
-  constexpr int planes = 8 / kBits;
-  constexpr unsigned mask = (1u << kBits) - 1u;
-  FaultMapStats stats;
-  stats.physical_cells = b.rows * b.cols * planes;
-  const bool stuck = b.stuck_thr > 0;
-  const bool varies = b.bounds != nullptr;
-  if (!stuck && !varies) return stats;
-  for (std::int64_t i = 0; i < b.rows; ++i) {
-    std::int8_t* row = b.cells + i * b.cols;
-    // The SplitMix64 state of slot 0 of weight (row0 + i, col0 + j).
-    std::uint64_t z = b.base + ((static_cast<std::uint64_t>(b.row0 + i) << 32) +
-                                (static_cast<std::uint64_t>(b.col0) << 4)) *
-                                   kGamma;
-    for (std::int64_t j = 0; j < b.cols; ++j, z += 16 * kGamma) {
-      const std::int8_t weight = row[j];
-      const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
-      std::uint64_t k_stuck[planes] = {};
-      std::uint64_t k_vary[planes] = {};
-      unsigned hits = 0;
-      for (int p = 0; p < planes; ++p) {
-        const std::uint64_t slot = z + static_cast<std::uint64_t>(p) * kGamma;
-        if (stuck) {
-          k_stuck[p] = mix52(slot);
-          hits |= static_cast<unsigned>(k_stuck[p] < b.stuck_thr) << p;
-        }
-        if (varies) {
-          // Level 0 stays put: its range is [0, kDraws).
-          const unsigned level = (offset >> (p * kBits)) & mask;
-          k_vary[p] = mix52(slot + 8 * kGamma);
-          hits |= static_cast<unsigned>((k_vary[p] < b.stay_lo[level]) |
-                                        (k_vary[p] >= b.stay_hi[level]))
-                  << p;
-        }
-      }
-      if (hits == 0) continue;
-      unsigned out = offset;
-      for (int p = 0; p < planes; ++p) {
-        if (((hits >> p) & 1u) == 0) continue;
-        unsigned level;
-        if (stuck && k_stuck[p] < b.stuck_thr) {
-          if (k_stuck[p] < b.zero_thr) {
-            level = 0;
-            ++stats.stuck_at_zero;
-          } else {
-            level = mask;
-            ++stats.stuck_at_one;
-          }
-        } else {
-          const unsigned from = (offset >> (p * kBits)) & mask;
-          const std::uint64_t* bound = b.bounds + std::size_t{from} * mask;
-          level = static_cast<unsigned>(
-              std::upper_bound(bound, bound + mask, k_vary[p]) - bound);
-        }
-        out = (out & ~(mask << (p * kBits))) | (level << (p * kBits));
-      }
-      const auto perturbed =
-          static_cast<std::int8_t>(static_cast<int>(out) - 128);
-      stats.weights_changed += perturbed != weight;
-      row[j] = perturbed;
-    }
-  }
-  return stats;
-}
 
 /// The number of draws k whose uniform (k + ½)·2⁻⁵² lies below `p`: the k
 /// with 2k + 1 < p·2⁵³. The product is exact, and so are y − 1 and the
@@ -242,15 +151,13 @@ double FaultModel::level_noise_amplification(int cell_bits) noexcept {
 
 FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
   config_.validate();
-  planes_ = 8 / config_.cell_bits;
-  level_mask_ = (1u << config_.cell_bits) - 1u;
   zero_thr_ = threshold(config_.stuck_at_zero_rate);
   // The sum is rounded in double first, as `u < z₀ + z₁` rounds it.
   stuck_thr_ =
       threshold(config_.stuck_at_zero_rate + config_.stuck_at_one_rate);
   if (config_.program_sigma == 0.0) return;
   // Level L lands at most on j ⟺ L·exp(σZ) < j + ½ ⟺ u < Φ(ln((j+½)/L)/σ).
-  const unsigned mask = level_mask_;
+  const unsigned mask = (1u << config_.cell_bits) - 1u;
   std::vector<std::uint64_t> bounds(std::size_t{mask + 1} * mask, 0);
   std::vector<std::uint64_t> lo(mask + 1, 0), hi(mask + 1, kDraws);
   bool moves = false;
@@ -284,33 +191,22 @@ FaultMapStats FaultModel::burn(std::span<std::int8_t> cells,
                     key.col0 + cols <= (std::int64_t{1} << 28),
                 "weight coordinates beyond the keyed draw space");
   std::uint64_t base = key.seed ^ ((key.layer + 1) * kGamma);
-  base = common::splitmix64(base);
-  const BlockBurn block{cells.data(),
-                        rows,
-                        cols,
-                        base,
-                        key.row0,
-                        key.col0,
-                        zero_thr_,
-                        stuck_thr_,
-                        bounds_.empty() ? nullptr : bounds_.data(),
-                        stay_lo_.data(),
-                        stay_hi_.data()};
-  FaultMapStats stats;
-  switch (config_.cell_bits) {
-    case 1:
-      stats = burn_block<1>(block);
-      break;
-    case 2:
-      stats = burn_block<2>(block);
-      break;
-    case 4:
-      stats = burn_block<4>(block);
-      break;
-    default:
-      stats = burn_block<8>(block);
-      break;
+  kernels::BurnBlock block;
+  block.cells = cells.data();
+  block.rows = rows;
+  block.cols = cols;
+  block.cell_bits = config_.cell_bits;
+  block.base = common::splitmix64(base);
+  block.row0 = key.row0;
+  block.col0 = key.col0;
+  block.zero_thr = zero_thr_;
+  block.stuck_thr = stuck_thr_;
+  if (!bounds_.empty()) {
+    block.bounds = bounds_.data();
+    block.stay_lo = stay_lo_.data();
+    block.stay_hi = stay_hi_.data();
   }
+  const FaultMapStats stats = kernels::ops().burn_block(block);
   OBS_COUNTER_ADD("autohet_fault_cells_total",
                   static_cast<std::uint64_t>(stats.physical_cells));
   OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",

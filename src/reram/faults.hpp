@@ -270,6 +270,12 @@ struct BurnKey {
 /// logical weights under every allocation. Only the programmed weights
 /// burn: the empty cells of a crossbar are never read. Stateless across
 /// calls.
+///
+/// The per-block loop is the `burn_block` op of the reram kernel table
+/// (kernels/kernels.hpp): burn() checks the block, derives the key base and
+/// hands the thresholds to `kernels::ops()`. The vector variants draw
+/// consecutive weights of a row in lanes (8 per zmm on avx512); every
+/// variant burns the same cells and counts.
 class FaultModel {
  public:
   explicit FaultModel(const FaultConfig& config);
@@ -296,8 +302,6 @@ class FaultModel {
 
  private:
   FaultConfig config_;
-  int planes_ = 8;           ///< 8 / cell_bits
-  unsigned level_mask_ = 1;  ///< 2^cell_bits − 1
   std::uint64_t zero_thr_ = 0;   ///< stuck-at-0 ⟺ k < this
   std::uint64_t stuck_thr_ = 0;  ///< stuck ⟺ k < this
   /// Variation thresholds, empty when no level can move: level L lands at

@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <bit>
+#include <cstring>
 
 #include "reram/kernels/kernel_ops.inl"
 
@@ -106,6 +107,77 @@ struct Avx2Core {
     }
     for (; j < cols; ++j) acc[j] += x * static_cast<std::int32_t>(w[j]);
   }
+  // Keyed burn: 4 weights per ymm. AVX2 has no 64-bit multiply, so each
+  // mix52 multiply takes three vpmuludq; draws and thresholds are below
+  // 2^53, so the signed compares are exact.
+  static constexpr int kBurnLanes = 4;
+  using Draws = __m256i;
+  struct StayTable {
+    const std::uint64_t* lo;
+    const std::uint64_t* hi;
+  };
+  static StayTable stay_table(const std::uint64_t* lo, const std::uint64_t* hi,
+                              int) {
+    return {lo, hi};
+  }
+  static Draws offsets(const std::int8_t* w, int n) {
+    std::int32_t bytes = 0;
+    std::memcpy(&bytes, w, static_cast<std::size_t>(n));
+    return _mm256_add_epi64(_mm256_cvtepi8_epi64(_mm_cvtsi32_si128(bytes)),
+                            _mm256_set1_epi64x(128));
+  }
+  static Draws lane_states(std::uint64_t z) {
+    constexpr std::uint64_t g = 16 * detail::kGamma;
+    return add(_mm256_set_epi64x(static_cast<long long>(3 * g),
+                                 static_cast<long long>(2 * g),
+                                 static_cast<long long>(g), 0),
+               z);
+  }
+  static Draws add(Draws v, std::uint64_t c) {
+    return _mm256_add_epi64(v, _mm256_set1_epi64x(static_cast<long long>(c)));
+  }
+  static Draws mul(Draws z, std::uint64_t c) {
+    const __m256i lo =
+        _mm256_set1_epi64x(static_cast<long long>(c & 0xffffffffULL));
+    const __m256i hi = _mm256_set1_epi64x(static_cast<long long>(c >> 32));
+    const __m256i cross =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(z, 32), lo),
+                         _mm256_mul_epu32(z, hi));
+    return _mm256_add_epi64(_mm256_mul_epu32(z, lo),
+                            _mm256_slli_epi64(cross, 32));
+  }
+  static Draws mix52(Draws z) {
+    z = mul(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)),
+            0xbf58476d1ce4e5b9ULL);
+    z = mul(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)),
+            0x94d049bb133111ebULL);
+    return _mm256_srli_epi64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 31)),
+                             12);
+  }
+  static Draws plane_levels(Draws offsets, int shift, unsigned mask) {
+    return _mm256_and_si256(
+        _mm256_srl_epi64(offsets, _mm_cvtsi32_si128(shift)),
+        _mm256_set1_epi64x(static_cast<long long>(mask)));
+  }
+  static unsigned lanes(__m256i m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
+  }
+  static unsigned below(Draws k, std::uint64_t thr) {
+    return lanes(_mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(thr)), k));
+  }
+  static unsigned moved(Draws k, Draws levels, const StayTable& t) {
+    const __m256i lo = _mm256_i64gather_epi64(
+        reinterpret_cast<const long long*>(t.lo), levels, 8);
+    const __m256i hi = _mm256_i64gather_epi64(
+        reinterpret_cast<const long long*>(t.hi), levels, 8);
+    // k < lo or k >= hi ⟺ not (k >= lo and hi > k).
+    return lanes(_mm256_cmpgt_epi64(lo, k)) |
+           (lanes(_mm256_cmpgt_epi64(hi, k)) ^ 0xfu);
+  }
+  static void store(std::uint64_t* out, Draws v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), v);
+  }
 };
 
 void bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
@@ -122,10 +194,14 @@ void reference_batch(const std::int8_t* cells, std::int64_t rows,
                                          acc_t);
 }
 
+FaultMapStats burn_block(const BurnBlock& block) {
+  return detail::burn_block_impl<Avx2Core>(block);
+}
+
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch};
+const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch, burn_block};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

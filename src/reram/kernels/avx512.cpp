@@ -1,6 +1,7 @@
 // AVX-512 kernel variant: 512-bit lanes with the dedicated VPOPCNTDQ
-// per-64-bit popcount instruction and masked loads for ragged word tails.
-// Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512vpopcntdq
+// per-64-bit popcount instruction and masked loads for ragged word tails,
+// and the keyed burn's 8-lane SplitMix64 on vpmullq.
+// Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512dq -mavx512vpopcntdq
 // (per-file flags in src/reram/CMakeLists.txt — never globally); gated on
 // AUTOHET_KERNELS_AVX512 exactly like the AVX2 unit.
 #include <cstdint>
@@ -10,6 +11,8 @@
 #if defined(AUTOHET_KERNELS_AVX512)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "reram/kernels/kernel_ops.inl"
 
@@ -107,6 +110,68 @@ struct Avx512Core {
           acc + j, m, _mm512_add_epi32(a, _mm512_madd_epi16(w32, xv)));
     }
   }
+  // Keyed burn: 8 weights per zmm, one uint64 draw state per lane.
+  static constexpr int kBurnLanes = 8;
+  using Draws = __m512i;
+  // The stay bounds of up to 16 levels, two registers each, looked up with
+  // one vpermi2q per bound.
+  struct StayTable {
+    __m512i lo0, lo1, hi0, hi1;
+  };
+  static StayTable stay_table(const std::uint64_t* lo, const std::uint64_t* hi,
+                              int levels) {
+    const auto first = static_cast<__mmask8>((1u << std::min(levels, 8)) - 1u);
+    const auto second =
+        static_cast<__mmask8>((1u << std::max(levels - 8, 0)) - 1u);
+    return {_mm512_maskz_loadu_epi64(first, lo),
+            _mm512_maskz_loadu_epi64(second, lo + 8),
+            _mm512_maskz_loadu_epi64(first, hi),
+            _mm512_maskz_loadu_epi64(second, hi + 8)};
+  }
+  static Draws offsets(const std::int8_t* w, int n) {
+    const auto m = static_cast<__mmask16>((1u << n) - 1u);
+    return _mm512_add_epi64(_mm512_cvtepi8_epi64(_mm_maskz_loadu_epi8(m, w)),
+                            _mm512_set1_epi64(128));
+  }
+  static Draws lane_states(std::uint64_t z) {
+    constexpr std::uint64_t g = 16 * detail::kGamma;
+    const __m512i lanes = _mm512_set_epi64(
+        static_cast<long long>(7 * g), static_cast<long long>(6 * g),
+        static_cast<long long>(5 * g), static_cast<long long>(4 * g),
+        static_cast<long long>(3 * g), static_cast<long long>(2 * g),
+        static_cast<long long>(g), 0);
+    return add(lanes, z);
+  }
+  static Draws add(Draws v, std::uint64_t c) {
+    return _mm512_add_epi64(v, _mm512_set1_epi64(static_cast<long long>(c)));
+  }
+  static Draws mix52(Draws z) {
+    z = _mm512_mullo_epi64(
+        _mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
+        _mm512_set1_epi64(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
+    z = _mm512_mullo_epi64(
+        _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
+        _mm512_set1_epi64(static_cast<long long>(0x94d049bb133111ebULL)));
+    return _mm512_srli_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 31)),
+                             12);
+  }
+  static Draws plane_levels(Draws offsets, int shift, unsigned mask) {
+    return _mm512_and_si512(
+        _mm512_srl_epi64(offsets, _mm_cvtsi32_si128(shift)),
+        _mm512_set1_epi64(static_cast<long long>(mask)));
+  }
+  static unsigned below(Draws k, std::uint64_t thr) {
+    return _mm512_cmplt_epu64_mask(
+        k, _mm512_set1_epi64(static_cast<long long>(thr)));
+  }
+  static unsigned moved(Draws k, Draws levels, const StayTable& t) {
+    const __m512i lo = _mm512_permutex2var_epi64(t.lo0, levels, t.lo1);
+    const __m512i hi = _mm512_permutex2var_epi64(t.hi0, levels, t.hi1);
+    return _mm512_cmplt_epu64_mask(k, lo) | _mm512_cmpge_epu64_mask(k, hi);
+  }
+  static void store(std::uint64_t* out, Draws v) {
+    _mm512_storeu_si512(out, v);
+  }
 };
 
 void bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
@@ -123,10 +188,15 @@ void reference_batch(const std::int8_t* cells, std::int64_t rows,
                                            acc_t);
 }
 
+FaultMapStats burn_block(const BurnBlock& block) {
+  return detail::burn_block_impl<Avx512Core>(block);
+}
+
 }  // namespace
 
 namespace detail {
-const Ops kAvx512Ops = {"avx512", bit_serial_mvm, reference_batch};
+const Ops kAvx512Ops = {"avx512", bit_serial_mvm, reference_batch,
+                        burn_block};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -13,6 +13,7 @@ bool cpu_supports([[maybe_unused]] Variant v) {
   return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512bw") != 0 &&
          __builtin_cpu_supports("avx512vl") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0 &&
          __builtin_cpu_supports("avx512vpopcntdq") != 0;
 #else
   return false;

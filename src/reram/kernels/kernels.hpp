@@ -12,9 +12,15 @@
 //   avx2     — 256-bit lanes, popcount via the nibble-LUT (vpshufb) +
 //              psadbw byte-sum technique, and the register-tiled vpmaddwd
 //              integer GEMM; requires AVX2.
-//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction and the
-//              register-tiled vpmaddwd integer GEMM; requires AVX-512
-//              F/BW/VL/VPOPCNTDQ.
+//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction, the
+//              register-tiled vpmaddwd integer GEMM and the vpmullq burn;
+//              requires AVX-512 F/BW/VL/DQ/VPOPCNTDQ.
+//
+// The keyed fault burn (`burn_block`) is an op of the same table: the
+// portable variant runs one weight at a time; the vector variants draw the
+// SplitMix64 counters of kBurnLanes consecutive weights of a row side by
+// side (avx512: 8 weights per zmm, vpmullq) and resolve a lane that hits
+// from the draws already taken (see kernel_ops.inl).
 //
 // Every op is integer-exact, so all variants produce bit-identical results
 // on identical inputs — the scalar-reference oracle and the byte-identical
@@ -44,10 +50,27 @@
 #include <vector>
 
 #include "common/kernel_variant.hpp"
+#include "reram/faults.hpp"
 
 namespace autohet::reram::kernels {
 
 using Variant = common::KernelVariant;
+
+/// One programmed block's keyed fault burn (see reram::FaultModel for the
+/// draw keys and thresholds): the block, its key base and the config's
+/// integer thresholds.
+struct BurnBlock {
+  std::int8_t* cells = nullptr;  ///< rows × cols weights, row-major
+  std::int64_t rows = 0, cols = 0;
+  int cell_bits = 1;             ///< 1, 2, 4 or 8
+  std::uint64_t base = 0;        ///< the (seed, layer) SplitMix64 base
+  std::int64_t row0 = 0, col0 = 0;  ///< weight coordinates of cell (0, 0)
+  std::uint64_t zero_thr = 0;    ///< stuck-at-0 ⟺ k < this
+  std::uint64_t stuck_thr = 0;   ///< stuck ⟺ k < this; 0 = no stuck draws
+  const std::uint64_t* bounds = nullptr;  ///< null when no level can move
+  const std::uint64_t* stay_lo = nullptr;  ///< per level, with bounds
+  const std::uint64_t* stay_hi = nullptr;
+};
 
 /// The per-variant kernel table. The MVM ops accumulate into acc_t in the
 /// transposed [col][sample] layout documented above and are integer-exact,
@@ -73,6 +96,11 @@ struct Ops {
   void (*reference_batch)(const std::int8_t* cells, std::int64_t rows,
                           std::int64_t cols, const std::uint8_t* inputs_t,
                           std::int64_t count, std::int32_t* acc_t) = nullptr;
+
+  /// Keyed fault burn of one programmed block, in place: every plane of
+  /// every weight tested against the block's thresholds with the draws
+  /// FaultModel documents. Returns the block's counts.
+  FaultMapStats (*burn_block)(const BurnBlock& block) = nullptr;
 };
 
 // This table's dispatch, a common::KernelDispatch (see there for the

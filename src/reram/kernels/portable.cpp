@@ -57,10 +57,15 @@ void reference_batch(const std::int8_t* cells, std::int64_t rows,
                                              count, acc_t);
 }
 
+FaultMapStats burn_block(const BurnBlock& block) {
+  return detail::burn_block_impl<PortableCore>(block);
+}
+
 }  // namespace
 
 namespace detail {
-const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch};
+const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch,
+                          burn_block};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -112,7 +112,14 @@
 #       (portable among them), and the kernel equivalence suite
 #       (test_kernels) passes once per supported variant with
 #       AUTOHET_KERNEL forcing it, so a lost CPUID rule or a variant that
-#       diverges from the scalar oracles fails here.
+#       diverges from the scalar oracles fails here. The forced runs skip
+#       the AllVariants/* cases: each of those already steps through every
+#       supported variant in the plain test_kernels run.
+#   fault_sweep_variants
+#       under each reram variant `autohet_cli kernels` lists as supported,
+#       forced by AUTOHET_KERNEL, `fault_sweep 20` and `fault_sweep 20 0
+#       adaptive` write the committed BENCH_fault_sweep.json and
+#       BENCH_fault_sweep_adaptive.json byte for byte.
 #   rl_dispatch
 #       the same for the rl table: `autohet_cli kernels` lists the rl
 #       variants this host supports (portable among them); under
@@ -206,6 +213,25 @@ function(contains file text)
   if(at EQUAL -1)
     message(FATAL_ERROR "${file} does not contain '${text}'")
   endif()
+endfunction()
+
+# kernel_variants(<table> <out>): the variants of kernel table <table>
+# (reram or rl) that `autohet_cli kernels` lists as supported on this host
+# (portable among them).
+function(kernel_variants table out)
+  run("${CLI}" kernels)
+  string(REGEX MATCHALL "\\| ${table} +\\| [a-z0-9]+ +\\| yes " rows
+         "${OUTPUT}")
+  set(variants)
+  foreach(row IN LISTS rows)
+    string(REGEX REPLACE "^\\| ${table} +\\| ([a-z0-9]+) .*" "\\1" variant
+           "${row}")
+    list(APPEND variants ${variant})
+  endforeach()
+  if(NOT "portable" IN_LIST variants)
+    message(FATAL_ERROR "no supported ${table} variants listed:\n${OUTPUT}")
+  endif()
+  set(${out} ${variants} PARENT_SCOPE)
 endfunction()
 
 set(sweep_baseline "${SOURCE_DIR}/bench/BENCH_baseline/BENCH_fault_sweep.json")
@@ -682,33 +708,26 @@ elseif(CASE STREQUAL "kernel_env")
   run_fails("unknown kernel variant 'neon'"
             "${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=neon "${CLI}" kernels)
 elseif(CASE STREQUAL "reram_dispatch")
-  run("${CLI}" kernels)
-  string(REGEX MATCHALL "\\| reram +\\| [a-z0-9]+ +\\| yes " rows
-         "${OUTPUT}")
-  set(variants)
-  foreach(row IN LISTS rows)
-    string(REGEX REPLACE "^\\| reram +\\| ([a-z0-9]+) .*" "\\1" variant
-           "${row}")
-    list(APPEND variants ${variant})
-  endforeach()
-  if(NOT "portable" IN_LIST variants)
-    message(FATAL_ERROR "no supported reram variants listed:\n${OUTPUT}")
-  endif()
+  kernel_variants(reram variants)
   foreach(variant IN LISTS variants)
-    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${TEST_KERNELS}")
+    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${TEST_KERNELS}"
+        --gtest_filter=-AllVariants/*)
+  endforeach()
+elseif(CASE STREQUAL "fault_sweep_variants")
+  kernel_variants(reram variants)
+  foreach(variant IN LISTS variants)
+    message(STATUS "fault_sweep under AUTOHET_KERNEL=${variant}")
+    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${FAULT_SWEEP}" 20)
+    same(BENCH_fault_sweep.json "${sweep_baseline}")
+    run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${FAULT_SWEEP}" 20
+        0 adaptive)
+    same(BENCH_fault_sweep_adaptive.json
+         "${SOURCE_DIR}/bench/BENCH_baseline/BENCH_fault_sweep_adaptive.json")
+    file(REMOVE "${WORK_DIR}/BENCH_fault_sweep.json"
+         "${WORK_DIR}/BENCH_fault_sweep_adaptive.json")
   endforeach()
 elseif(CASE STREQUAL "rl_dispatch")
-  run("${CLI}" kernels)
-  string(REGEX MATCHALL "\\| rl +\\| [a-z0-9]+ +\\| yes " rows "${OUTPUT}")
-  set(variants)
-  foreach(row IN LISTS rows)
-    string(REGEX REPLACE "^\\| rl +\\| ([a-z0-9]+) .*" "\\1" variant
-           "${row}")
-    list(APPEND variants ${variant})
-  endforeach()
-  if(NOT "portable" IN_LIST variants)
-    message(FATAL_ERROR "no supported rl variants listed:\n${OUTPUT}")
-  endif()
+  kernel_variants(rl variants)
   foreach(variant IN LISTS variants)
     run("${CMAKE_COMMAND}" -E env AUTOHET_KERNEL=${variant} "${CLI}" kernels)
     if(NOT OUTPUT MATCHES "\\| rl +\\| ${variant} +\\| yes +\\| yes +\\|")

@@ -534,14 +534,16 @@ TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, KernelVariantTest,
-                         ::testing::Values(rk::Variant::kPortable,
-                                           rk::Variant::kAvx2,
-                                           rk::Variant::kAvx512),
-                         [](const auto& param_info) {
-                           return std::string(
-                               rk::variant_name(param_info.param));
-                         });
+const auto kAllVariants = ::testing::Values(
+    rk::Variant::kPortable, rk::Variant::kAvx2, rk::Variant::kAvx512);
+
+std::string variant_param_name(
+    const ::testing::TestParamInfo<rk::Variant>& info) {
+  return rk::variant_name(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, KernelVariantTest, kAllVariants,
+                         variant_param_name);
 
 TEST(KernelDispatch, SupportedVariantsListsPortableFirst) {
   const auto variants = rk::supported_variants();
@@ -576,9 +578,53 @@ TEST(KernelScratch, BuffersGrowMonotonicallyAndAreReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// The keyed burn vs the oracle's per-cell keyed loop.
+// The keyed burn vs the oracle's per-cell keyed loop, under every kernel
+// variant (the vector burns run kBurnLanes weights of a row per step, so
+// the column counts straddle the 4- and 8-lane tails).
 
-TEST(FaultBurnIn, FastApplyMatchesReference) {
+class FaultBurnIn : public KernelVariantTest {};
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, FaultBurnIn, kAllVariants,
+                         variant_param_name);
+
+struct Burned {
+  std::vector<std::int8_t> cells;
+  FaultMapStats stats;
+};
+
+/// Burns `weights` (rows × cols) under `key` with the production burn and
+/// with the oracle, expects identical cells, stats and burn counters, and
+/// returns the oracle's burn.
+Burned expect_burn_matches_oracle(
+    const FaultConfig& fc, const std::vector<std::int8_t>& weights,
+    std::int64_t rows, std::int64_t cols, const reram::BurnKey& key) {
+  auto want = weights;
+  const FaultMapStats want_stats =
+      oracle::burn_reference(fc, want, rows, cols, cols, key);
+#if !defined(AUTOHET_OBS_DISABLED)
+  auto& registry = obs::Registry::global();
+  const std::uint64_t cells0 =
+      registry.counter("autohet_fault_cells_total").value();
+  const std::uint64_t stuck0 =
+      registry.counter("autohet_fault_stuck_cells_total").value();
+#endif
+  auto got = weights;
+  const FaultMapStats got_stats = FaultModel(fc).burn(got, rows, cols, key);
+#if !defined(AUTOHET_OBS_DISABLED)
+  EXPECT_EQ(registry.counter("autohet_fault_cells_total").value() - cells0,
+            static_cast<std::uint64_t>(want_stats.physical_cells));
+  EXPECT_EQ(registry.counter("autohet_fault_stuck_cells_total").value() -
+                stuck0,
+            static_cast<std::uint64_t>(want_stats.stuck_at_zero +
+                                       want_stats.stuck_at_one));
+#endif
+  EXPECT_EQ(got, want);
+  expect_stats_eq(got_stats, want_stats);
+  EXPECT_EQ(want_stats.physical_cells, rows * cols * (8 / fc.cell_bits));
+  return {want, want_stats};
+}
+
+TEST_P(FaultBurnIn, FastApplyMatchesReference) {
   const std::int64_t rows = 60, cols = 52;
   FaultConfig configs[3];
   configs[0].stuck_at_zero_rate = 0.01;  // stuck-only
@@ -606,7 +652,7 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
   }
 }
 
-TEST(FaultBurnIn, BlockBurnsMatchOracle) {
+TEST_P(FaultBurnIn, BlockBurnsMatchOracle) {
   // A programmed block at a weight offset burns under several trial seeds
   // exactly as the oracle's keyed loop burns it: cells, stats and the two
   // burn counters.
@@ -623,43 +669,136 @@ TEST(FaultBurnIn, BlockBurnsMatchOracle) {
         fc.stuck_at_zero_rate = 4e-3;
         fc.stuck_at_one_rate = 3e-3;
       }
-      const FaultModel model(fc);
       for (std::uint64_t t = 0; t < 3; ++t) {
         SCOPED_TRACE(testing::Message()
                      << "bits " << bits << " kind " << kind << " trial " << t);
         const reram::BurnKey key{fc.for_trial(t).seed, 5, 40, 24};
-        auto want = array;
-        const FaultMapStats want_stats =
-            oracle::burn_reference(fc, want, rows, cols, cols, key);
-#if !defined(AUTOHET_OBS_DISABLED)
-        auto& registry = obs::Registry::global();
-        const std::uint64_t cells0 =
-            registry.counter("autohet_fault_cells_total").value();
-        const std::uint64_t stuck0 =
-            registry.counter("autohet_fault_stuck_cells_total").value();
-#endif
-        auto got = array;
-        const FaultMapStats got_stats =
-            model.burn(got, rows, cols, key);
-#if !defined(AUTOHET_OBS_DISABLED)
-        EXPECT_EQ(registry.counter("autohet_fault_cells_total").value() -
-                      cells0,
-                  static_cast<std::uint64_t>(want_stats.physical_cells));
-        EXPECT_EQ(registry.counter("autohet_fault_stuck_cells_total").value() -
-                      stuck0,
-                  static_cast<std::uint64_t>(want_stats.stuck_at_zero +
-                                             want_stats.stuck_at_one));
-#endif
-        EXPECT_EQ(got, want);
-        expect_stats_eq(got_stats, want_stats);
-        EXPECT_EQ(want_stats.physical_cells, rows * cols * (8 / bits));
+        const Burned burned =
+            expect_burn_matches_oracle(fc, array, rows, cols, key);
         // One-bit levels only move when σZ < ln ½ (p ≈ 3·10⁻⁴ at σ = 0.2).
         if (bits > 1 || kind != 0) {
-          EXPECT_GT(want_stats.weights_changed, 0);
+          EXPECT_GT(burned.stats.weights_changed, 0);
         }
       }
     }
   }
+}
+
+TEST_P(FaultBurnIn, LaneTailsMatchOracle) {
+  // Column counts around the 4- and 8-lane vector widths, at a column
+  // offset that is not a lane multiple, for every precision and kind.
+  common::Rng wrng(0x7a11);
+  for (const std::int64_t cols : {1, 7, 8, 9, 15, 17, 63, 65}) {
+    const std::int64_t rows = 5;
+    const auto weights = random_weights(wrng, rows * cols);
+    for (const int bits : {1, 2, 4, 8}) {
+      for (int kind = 0; kind < 3; ++kind) {  // variation, stuck, both
+        FaultConfig fc;
+        fc.cell_bits = bits;
+        fc.seed = 0x7a11 + static_cast<std::uint64_t>(cols);
+        if (kind != 1) fc.program_sigma = 0.15;
+        if (kind != 0) {
+          fc.stuck_at_zero_rate = 0.02;
+          fc.stuck_at_one_rate = 0.02;
+        }
+        SCOPED_TRACE(testing::Message() << "cols " << cols << " bits " << bits
+                                        << " kind " << kind);
+        expect_burn_matches_oracle(fc, weights, rows, cols,
+                                   {fc.seed, 2, 3, 5});
+      }
+    }
+  }
+}
+
+TEST_P(FaultBurnIn, HitsInEveryLaneMatchOracle) {
+  // Dense stuck faults move weights at every column of a lane group, so a
+  // lane that resolved another lane's planes (or none) shows here.
+  const std::int64_t rows = 40, cols = 32;
+  common::Rng wrng(0x1a7e);
+  const auto weights = random_weights(wrng, rows * cols);
+  for (const int bits : {1, 2, 4, 8}) {
+    FaultConfig fc;
+    fc.cell_bits = bits;
+    fc.stuck_at_zero_rate = 0.05;
+    fc.stuck_at_one_rate = 0.05;
+    fc.program_sigma = 0.1;
+    SCOPED_TRACE(testing::Message() << "bits " << bits);
+    const Burned burned =
+        expect_burn_matches_oracle(fc, weights, rows, cols, {fc.seed, 4, 0, 0});
+    int moved[8] = {};
+    for (std::int64_t i = 0; i < rows * cols; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      moved[(i % cols) % 8] += burned.cells[k] != weights[k];
+    }
+    for (int lane = 0; lane < 8; ++lane) EXPECT_GT(moved[lane], 0) << lane;
+  }
+}
+
+TEST_P(FaultBurnIn, DrawSpaceLimitsMatchOracle) {
+  // The last block the keyed draw space holds: row0 + rows = 2³² and
+  // col0 + cols = 2²⁸.
+  const std::int64_t rows = 3, cols = 19;
+  common::Rng wrng(0x11e7);
+  const auto weights = random_weights(wrng, rows * cols);
+  const reram::BurnKey key{0x5eed, 9, (std::int64_t{1} << 32) - rows,
+                           (std::int64_t{1} << 28) - cols};
+  for (const int bits : {1, 2, 4, 8}) {
+    FaultConfig fc;
+    fc.cell_bits = bits;
+    fc.stuck_at_zero_rate = 0.03;
+    fc.stuck_at_one_rate = 0.03;
+    fc.program_sigma = 0.1;
+    SCOPED_TRACE(testing::Message() << "bits " << bits);
+    expect_burn_matches_oracle(fc, weights, rows, cols, key);
+  }
+}
+
+TEST_P(FaultBurnIn, StuckRateEdgesMatchOracle) {
+  // Every plane stuck (p₀ + p₁ = 1), stuck-at-1 only (p₀ = 0), and 8-bit
+  // cells whose levels move (the vector burns take those per weight).
+  const std::int64_t rows = 12, cols = 21;
+  common::Rng wrng(0xed9e);
+  const auto weights = random_weights(wrng, rows * cols);
+  for (const int bits : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "bits " << bits);
+    FaultConfig all;
+    all.cell_bits = bits;
+    all.stuck_at_zero_rate = 0.25;
+    all.stuck_at_one_rate = 0.75;
+    const FaultMapStats stats =
+        expect_burn_matches_oracle(all, weights, rows, cols,
+                                   {all.seed, 1, 0, 0})
+            .stats;
+    EXPECT_EQ(stats.stuck_at_zero + stats.stuck_at_one, stats.physical_cells);
+    EXPECT_GT(stats.stuck_at_zero, 0);
+
+    FaultConfig ones;
+    ones.cell_bits = bits;
+    ones.stuck_at_one_rate = 0.04;
+    const FaultMapStats ones_stats =
+        expect_burn_matches_oracle(ones, weights, rows, cols,
+                                   {ones.seed, 6, 7, 0})
+            .stats;
+    EXPECT_EQ(ones_stats.stuck_at_zero, 0);
+    EXPECT_GT(ones_stats.stuck_at_one, 0);
+  }
+  for (const double sigma : {0.05, 0.3}) {
+    FaultConfig moving;
+    moving.cell_bits = 8;
+    moving.program_sigma = sigma;
+    SCOPED_TRACE(testing::Message() << "8-bit sigma " << sigma);
+    EXPECT_GT(expect_burn_matches_oracle(moving, weights, rows, cols,
+                                         {moving.seed, 8, 0, 9})
+                  .stats.weights_changed,
+              0);
+  }
+  FaultConfig moving_stuck;
+  moving_stuck.cell_bits = 8;
+  moving_stuck.program_sigma = 0.05;
+  moving_stuck.stuck_at_zero_rate = 0.01;
+  moving_stuck.stuck_at_one_rate = 0.01;
+  expect_burn_matches_oracle(moving_stuck, weights, rows, cols,
+                             {moving_stuck.seed, 8, 0, 9});
 }
 
 // ---------------------------------------------------------------------------
