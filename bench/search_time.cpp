@@ -2,8 +2,7 @@
 // search on VGG16 and the share of time spent waiting on the simulator.
 // The paper measures 49.2 minutes with 97% in (their Python) simulator; our
 // C++ behavioral model is orders of magnitude faster, so the interesting
-// reproducible quantity is the *split*, plus a demonstration that episode
-// evaluation parallelizes across a thread pool.
+// reproducible quantity is the *split*, plus the raw evaluation throughput.
 //
 // Also emits BENCH_search_time.json with episodes/sec, the stage split, the
 // evaluation-engine cache hit rate, and `learning_speedup_vs_portable`: the
@@ -18,7 +17,6 @@
 #include <fstream>
 
 #include "bench_common.hpp"
-#include "common/thread_pool.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/kernels/dense.hpp"
 
@@ -100,9 +98,9 @@ int main(int argc, char** argv) {
             << "% (" << search_cache.hits << " hits / "
             << search_cache.misses << " misses)\n";
 
-  // Throughput of raw simulator evaluations, serial vs thread pool — the
-  // component the paper attributes 97% of its search time to. Both legs
-  // start from an empty report memo, so both time evaluations, not lookups.
+  // Throughput of raw simulator evaluations — the component the paper
+  // attributes 97% of its search time to — from an empty report memo, so it
+  // times evaluations, not lookups.
   constexpr int kEvals = 256;
   std::vector<std::vector<std::size_t>> configs;
   common::Rng rng(9);
@@ -118,19 +116,8 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     serial_start)
           .count();
-  common::ThreadPool pool;
-  env.engine().clear_cache();
-  const auto par_start = std::chrono::steady_clock::now();
-  pool.parallel_for(0, configs.size(),
-                    [&](std::size_t i) { (void)env.evaluate(configs[i]); });
-  const double parallel =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    par_start)
-          .count();
   std::cout << "\nSimulator throughput (" << kEvals << " VGG16 evaluations): "
-            << report::format_fixed(kEvals / serial, 0) << "/s serial, "
-            << report::format_fixed(kEvals / parallel, 0) << "/s across "
-            << pool.size() << " threads\n";
+            << report::format_fixed(kEvals / serial, 0) << "/s serial\n";
 
   // ---- robustness-aware search overhead (LeNet-5) ----
   // The kRobustnessAware objective with a measured Monte-Carlo reward scores
@@ -231,8 +218,7 @@ int main(int argc, char** argv) {
        << "    \"cache_hits\": " << search_cache.hits << ",\n"
        << "    \"cache_misses\": " << search_cache.misses << ",\n"
        << "    \"cache_hit_rate\": " << search_cache.hit_rate() << ",\n"
-       << "    \"serial_evals_per_second\": " << kEvals / serial << ",\n"
-       << "    \"pooled_evals_per_second\": " << kEvals / parallel << "\n"
+       << "    \"serial_evals_per_second\": " << kEvals / serial << "\n"
        << "  },\n"
        << "  \"robust_search\": {\n"
        << "    \"model\": \"lenet5\",\n"

@@ -13,7 +13,8 @@
 // (plus an optional per-episode CSV) and, with --plan-out, writes the
 // compiled DeploymentPlan as JSON — the one saved form of a strategy;
 // `replay` loads a saved plan and re-runs hardware evaluation, functional
-// inference and robustness Monte Carlo without searching or re-mapping;
+// inference and the workload's robustness Monte Carlo under the plan's fault
+// config without searching or re-mapping;
 // `profile` replays a plan with the attribution profiler on and prints a
 // top-N hotspot table (per-tile/crossbar energy, MVM, and write attribution
 // in profile.json); `serve` keeps several saved plans resident on one
@@ -189,9 +190,10 @@ int run_replay(const common::ArgParser& args) {
     std::cout << "network report written to " << out << '\n';
   }
 
-  // Functional inference + robustness MC on the plan's placement. Both
-  // need weights; the zoo networks ship none, so we use the same seeded
-  // random initialization the functional examples use.
+  // Functional inference on the plan's placement and the workload's
+  // robustness MC under the plan's fault config. Both need weights; the zoo
+  // networks ship none, so we use the same seeded random initialization
+  // the functional examples use.
   const auto samples = args.count("functional-samples");
   const auto trials = args.count("mc-trials");
   if (samples == 0 && trials == 0) return 0;
@@ -640,8 +642,9 @@ int main(int argc, char** argv) {
                   "'replay'/'profile': run functional inference on this many "
                   "synthetic images (0 = skip)");
   args.add_option("mc-trials", "0",
-                  "'replay'/'profile': robustness Monte-Carlo trials under "
-                  "the plan's fault config (0 = skip)");
+                  "'replay'/'profile': robustness Monte-Carlo trials: the "
+                  "workload's robustness under the plan's fault config, "
+                  "whatever the plan's crossbar shapes (0 = skip)");
   args.add_option("mc-threads", "1",
                   "'replay'/'profile': worker threads for the Monte-Carlo "
                   "trials (1 = serial, 0 = one per hardware thread; the "

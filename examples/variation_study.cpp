@@ -7,7 +7,8 @@
 // For each sigma, a seeded Monte-Carlo run draws several independent
 // LeNet-5 fabrics with 2-bit cells and reports the mean argmax agreement
 // with the ideal fabric, its 95% confidence interval across trials, and the
-// mean logit error over a batch of synthetic samples.
+// mean logit error over a batch of synthetic samples. Robustness is a
+// property of the workload and the device, so no crossbar allocation enters.
 #include <iostream>
 #include <string>
 
@@ -23,8 +24,6 @@ int main() {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng weight_rng(21);
   const nn::Model model(net, weight_rng);
-  const std::vector<mapping::CrossbarShape> shapes = {
-      {36, 32}, {288, 256}, {576, 512}, {128, 128}, {128, 128}};
 
   reram::TrialFabricCache cache;  // one ideal reference set for every sigma
   reram::RobustnessOptions options;
@@ -42,7 +41,7 @@ int main() {
     faults.program_sigma = sigma;
     faults.cell_bits = 2;
     const reram::RobustnessReport r =
-        reram::monte_carlo_robustness(model, shapes, faults, options);
+        reram::monte_carlo_robustness(model, faults, options);
     std::string ci = "[";
     ci += report::format_fixed(r.accuracy_ci_lower, 3);
     ci += ", ";

@@ -75,13 +75,13 @@ struct EnvConfig {
   /// Measured robustness in the reward loop. When non-null and the
   /// objective is kRobustnessAware (with a non-ideal accel.faults), each
   /// episode's analytic (1 − v) factor is replaced by the *measured*
-  /// Monte-Carlo accuracy of this model on the episode's allocation, via
-  /// the engine's evaluate_robustness_cached under
-  /// default_search_mc_options(). That accuracy is the same for every
-  /// allocation, so the memo runs the Monte-Carlo once per search and
-  /// serves every later episode. Null (the default) keeps the analytic
-  /// proxy and leaves every existing reward bit-identical. The model must
-  /// outlive the environment and match its mappable layers.
+  /// Monte-Carlo accuracy of the workload (this model under accel.faults),
+  /// via the engine's evaluate_robustness_cached under
+  /// default_search_mc_options(). The Monte-Carlo takes no allocation, so
+  /// the memo runs it once per search and serves every later episode.
+  /// Null (the default) keeps the analytic proxy and leaves every existing
+  /// reward bit-identical. The model must outlive the environment and
+  /// match its mappable layers.
   const nn::Model* mc_reward_model = nullptr;
 };
 
@@ -142,7 +142,7 @@ class CrossbarEnv {
   /// reward(report) unless a `mc_reward_model` is configured under the
   /// kRobustnessAware objective, in which case the analytic vulnerability
   /// factor is replaced by the measured (budgeted, memoized) Monte-Carlo
-  /// accuracy of that allocation — robustness in the search loop.
+  /// accuracy of the workload — robustness in the search loop.
   double reward(const reram::NetworkReport& report,
                 const std::vector<std::size_t>& action_indices) const;
 

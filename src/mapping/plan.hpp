@@ -19,8 +19,9 @@
 //     `EvaluationEngine`'s search fast path is tested bit-identical to it;
 //   * `SimulatedModel(model, plan)` — programs crossbars from the plan's
 //     stored per-layer geometry (functional.hpp);
-//   * `monte_carlo_robustness(model, plan, ...)` — fault injection under the
-//     plan's burned-in FaultConfig;
+//   * `monte_carlo_robustness(model, plan, ...)` — the workload's fault
+//     injection under the plan's burned-in FaultConfig (its shapes do not
+//     enter the report);
 //   * `evaluate_pipeline` / `schedule_batch` / `balance_replication` — walk
 //     plan layers, never calling `map_layer` themselves;
 //   * placement / Global Controller / NoC / programming consumers reuse the

@@ -194,15 +194,12 @@ RobustnessReport EvaluationEngine::evaluate_robustness(
   check_actions(actions);
   AUTOHET_CHECK(model.spec().mappable_layers().size() == layers_.size(),
                 "model mappable layers must match engine layers");
-  std::vector<mapping::CrossbarShape> shapes;
-  shapes.reserve(actions.size());
-  for (std::size_t a : actions) shapes.push_back(candidates_[a]);
   RobustnessOptions effective = options;
-  // Sweeps that revisit one configuration across fault grids reuse the
+  // A sweep's calls, over any allocations and fault grids, reuse the
   // engine's reference cache (byte-identical reports, see
   // TrialFabricCache); callers can still pass their own cache.
   if (effective.cache == nullptr) effective.cache = &mc_cache_;
-  return monte_carlo_robustness(model, shapes, faults, effective);
+  return monte_carlo_robustness(model, faults, effective);
 }
 
 std::size_t EvaluationEngine::RobustnessKeyHash::operator()(

@@ -71,16 +71,19 @@ class EvaluationEngine {
   /// Memoized.
   NetworkReport evaluate(const std::vector<std::size_t>& actions) const;
 
-  /// Monte-Carlo accuracy-under-faults of one action vector: maps each
-  /// action to its candidate shape and runs `monte_carlo_robustness` on the
-  /// functional fabric. `model`'s mappable layers must match the engine's
-  /// layer count (same order). Reports are not memoized, but the engine
-  /// passes its `TrialFabricCache` (unless `options.cache` is already set),
-  /// so fault sweeps that revisit one configuration across stuck-rate grids
-  /// share the ideal references across the grid — byte-identical reports.
-  /// Use the analytic `fault_vulnerability` in
-  /// `evaluate()` reports for in-loop search feedback and this for the
-  /// expensive ground truth.
+  /// Monte-Carlo accuracy-under-faults of the workload: runs
+  /// `monte_carlo_robustness` on `model` under `faults`. The report does
+  /// not depend on `actions` (robustness is a property of the workload and
+  /// the device, see monte_carlo_robustness); they are still validated,
+  /// because the frozen benchmark harness passes them, and the parameter
+  /// leaves with ROADMAP item 7 step 2. `model`'s mappable layers must
+  /// match the engine's layer count (same order). Reports are not
+  /// memoized, but the engine passes its `TrialFabricCache` (unless
+  /// `options.cache` is already set), so a sweep over allocations and
+  /// stuck-rate grids builds the ideal references once — byte-identical
+  /// reports. Use the analytic `fault_vulnerability` in `evaluate()`
+  /// reports for in-loop search feedback and this for the expensive ground
+  /// truth.
   RobustnessReport evaluate_robustness(
       const nn::Model& model, const std::vector<std::size_t>& actions,
       const FaultConfig& faults, const RobustnessOptions& options = {}) const;
@@ -154,12 +157,10 @@ class EvaluationEngine {
   /// Everything evaluate_robustness_cached's result depends on. Thread /
   /// pool / cache knobs and the kernel variant are excluded on purpose:
   /// reports are byte-identical across them, so one memo serves every
-  /// execution configuration. The allocation is excluded too: fault draws
-  /// are keyed by logical weight and burn only programmed cells (the keyed
-  /// burn), and the integer datapath's sums are exact under any crossbar
-  /// partition, so every allocation of one workload yields the same report.
-  /// ShapeInvariance.RobustnessReportsAreIdenticalAcrossAllocations
-  /// (tests/test_faults.cpp) and RobustnessMemoTest.* guard this.
+  /// execution configuration. The allocation is excluded too: the
+  /// Monte-Carlo takes none (monte_carlo_robustness).
+  /// ShapeInvariance.* (tests/test_faults.cpp) pins every allocation's
+  /// crossbar datapath to that report.
   struct RobustnessKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
     FaultConfig faults;

@@ -33,16 +33,40 @@ std::vector<MappedLayer> program_layers(
   return layers;
 }
 
-/// The plan's crossbar shapes, once the plan is validated against `model`
-/// (its frozen geometry is then exactly map_layer of these shapes) — a graph
-/// (v2) plan must carry exactly the model's graph.
-std::vector<mapping::CrossbarShape> plan_shapes(
-    const nn::Model& model, const plan::DeploymentPlan& plan) {
+/// Records each crossbar's cell writes: the programming a deployed fabric
+/// pays.
+std::vector<MappedLayer> record_programming(std::vector<MappedLayer> layers) {
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    for (std::size_t x = 0; x < layers[l].crossbars().size(); ++x) {
+      OBS_PROFILE_RECORD(obs::ProfileKind::kProgramWrite, l, x,
+                         layers[l].crossbars()[x].rows_used() *
+                             layers[l].crossbars()[x].cols_used());
+    }
+  }
+  return layers;
+}
+
+/// `plan`, once validated against `model` (its frozen geometry is then
+/// exactly map_layer of its shapes); a graph (v2) plan must carry exactly
+/// the model's graph.
+const plan::DeploymentPlan& checked(const nn::Model& model,
+                                    const plan::DeploymentPlan& plan) {
   plan.validate_against(model.spec());
   AUTOHET_CHECK(!plan.has_graph() || plan.graph == model.graph(),
                 "plan graph '" + plan.graph.name() +
                     "' is not the graph the model was built from");
-  return plan.shapes();
+  return plan;
+}
+
+/// One crossbar per mappable layer, sized to the layer's own weight rows ×
+/// weight cols: each layer maps to one row block and one column block.
+std::vector<mapping::CrossbarShape> layer_sized_shapes(
+    const nn::Model& model) {
+  std::vector<mapping::CrossbarShape> shapes;
+  for (const nn::LayerSpec& spec : model.spec().mappable_layers()) {
+    shapes.push_back({spec.weight_rows(), spec.weight_cols()});
+  }
+  return shapes;
 }
 
 /// The one FaultModel of a point's trial configs, which may differ only in
@@ -134,8 +158,6 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
       }
       LogicalCrossbar xb(shape);
       xb.program(block, r1 - r0, c1 - c0);
-      OBS_PROFILE_RECORD(obs::ProfileKind::kProgramWrite, layer_id,
-                         rb * cb_count + cb, (r1 - r0) * (c1 - c0));
       crossbars_.push_back(std::move(xb));
     }
   }
@@ -220,7 +242,8 @@ SimulatedModel::SimulatedModel(
     const nn::Model& model,
     const std::vector<mapping::CrossbarShape>& shapes, DatapathMode mode,
     const FaultConfig& faults)
-    : SimulatedModel(model, mode, program_layers(model, shapes)) {
+    : SimulatedModel(model, mode,
+                     record_programming(program_layers(model, shapes))) {
   burn(std::span(this, 1), std::span(&faults, 1), nullptr);
 }
 
@@ -228,7 +251,8 @@ SimulatedModel::SimulatedModel(const nn::Model& model,
                                const plan::DeploymentPlan& plan,
                                DatapathMode mode)
     : SimulatedModel(model, mode,
-                     program_layers(model, plan_shapes(model, plan))) {
+                     record_programming(program_layers(
+                         model, checked(model, plan).shapes()))) {
   burn(std::span(this, 1), std::span(&plan.accel.faults, 1), nullptr);
 }
 
@@ -560,9 +584,9 @@ TrialFabricCache::Stats TrialFabricCache::stats() const {
   return {ideal.builds, ideal.hits, 0, 0};
 }
 
-RobustnessReport monte_carlo_robustness(
-    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-    const FaultConfig& faults, const RobustnessOptions& options) {
+RobustnessReport monte_carlo_robustness(const nn::Model& model,
+                                        const FaultConfig& faults,
+                                        const RobustnessOptions& options) {
   OBS_SPAN("mc_robustness");
   AUTOHET_CHECK(options.trials > 0 && options.samples > 0,
                 "robustness needs at least one trial and one sample");
@@ -584,11 +608,16 @@ RobustnessReport monte_carlo_robustness(
   report.min_accuracy = 1.0;
 
   // The ideal fabric is the reference: agreement with it isolates device
-  // non-ideality from the (always present) 8-bit quantization error. The
-  // references depend on no fault knob, so a cache shares one build across
-  // a sweep's whole rate × cell-bits grid.
+  // non-ideality from the (always present) 8-bit quantization error. It is
+  // layer-sized and unrecorded: it is no deployment. The references depend
+  // on no fault knob, so a cache shares one build across a sweep's whole
+  // rate × cell-bits grid.
   const auto build_refs = [&]() {
-    TrialFabricCache::IdealRefs refs{SimulatedModel(model, shapes), {}, {}};
+    TrialFabricCache::IdealRefs refs{
+        SimulatedModel(model, DatapathMode::kInteger,
+                       program_layers(model, layer_sized_shapes(model))),
+        {},
+        {}};
     const nn::LayerSpec& first = model.spec().layers.front();
     common::Rng img_rng(options.input_seed);
     refs.images.reserve(static_cast<std::size_t>(options.samples));
@@ -600,7 +629,7 @@ RobustnessReport monte_carlo_robustness(
     return refs;
   };
   const TrialFabricCache::WorkloadKey workload{
-      model.identity(), shapes, options.samples, options.input_seed};
+      model.identity(), options.samples, options.input_seed};
   const std::shared_ptr<const TrialFabricCache::IdealRefs> refs =
       cache != nullptr
           ? cache->ideal_refs(workload, build_refs)
@@ -707,19 +736,13 @@ RobustnessReport monte_carlo_robustness(
   const std::size_t block = std::max(parallel ? workers : 1, kBlockTrials);
   const auto cpt = static_cast<std::size_t>(chunks_per_trial);
   // The parallel items of each phase in the first (largest) block: phase A
-  // spreads (clone, crossbar) burn items and phase B (trial, chunk) items.
-  // Each forward inside an item runs serially. A pool only pays when a
-  // phase has two or more items, and a local one never needs more workers
-  // than the larger phase has items.
+  // spreads (clone, layer) burn items — one crossbar per layer — and phase
+  // B (trial, chunk) items. Each forward inside an item runs serially. A
+  // pool only pays when a phase has two or more items, and a local one
+  // never needs more workers than the larger phase has items.
   const std::size_t first_block =
       std::min(block, static_cast<std::size_t>(requested));
-  const auto mappable = model.spec().mappable_layers();
-  std::size_t crossbars = 0;
-  for (std::size_t l = 0; l < shapes.size(); ++l) {
-    const mapping::LayerMapping m = mapping::map_layer(mappable[l], shapes[l]);
-    crossbars += static_cast<std::size_t>(m.row_blocks * m.col_blocks);
-  }
-  const std::size_t items = first_block * std::max(crossbars, cpt);
+  const std::size_t items = first_block * std::max(num_layers, cpt);
   std::optional<common::ThreadPool> local_pool;
   common::ThreadPool* pool = nullptr;
   if (parallel && items >= 2) {
@@ -829,10 +852,7 @@ RobustnessReport monte_carlo_robustness(
 RobustnessReport monte_carlo_robustness(const nn::Model& model,
                                         const plan::DeploymentPlan& plan,
                                         const RobustnessOptions& options) {
-  plan.validate_against(model.spec());
-  // The plan's stored geometry equals map_layer on its shapes (validated),
-  // so the shapes overload runs the same trial fabrics bit-identically.
-  return monte_carlo_robustness(model, plan.shapes(), plan.accel.faults,
+  return monte_carlo_robustness(model, checked(model, plan).accel.faults,
                                 options);
 }
 

@@ -46,13 +46,17 @@ class MappedLayer {
  public:
   /// Quantizes `weight` ([Cout,Cin,k,k] or [out,in]) to 8 bits and programs
   /// it, clean, across crossbars of the given shape. `layer_id` (the
-  /// mappable-layer index) tags the programming profile records and keys
-  /// the layer's fault draws. Faults enter only through burn().
+  /// mappable-layer index) keys the layer's fault draws. Faults enter only
+  /// through burn().
   MappedLayer(const nn::LayerSpec& spec, const tensor::Tensor& weight,
               const mapping::CrossbarShape& shape,
               std::uint64_t layer_id = 0);
 
   const mapping::LayerMapping& mapping() const noexcept { return mapping_; }
+  /// The crossbar grid, row-major: [rb · col_blocks + cb].
+  std::span<const LogicalCrossbar> crossbars() const noexcept {
+    return crossbars_;
+  }
   float weight_scale() const noexcept { return weight_scale_; }
   const nn::LayerSpec& spec() const noexcept { return spec_; }
 
@@ -105,11 +109,15 @@ class MappedLayer {
   FaultMapStats fault_stats_;
 };
 
+struct RobustnessOptions;
+
 /// Whole-network functional simulation on the heterogeneous fabric.
 class SimulatedModel {
  public:
   /// `shapes` assigns a crossbar shape to each mappable layer (same order
-  /// as NetworkSpec::mappable_layers()). A non-ideal `faults` config runs
+  /// as NetworkSpec::mappable_layers()). This constructor and the plan one
+  /// are deployments: they record each crossbar's cell writes
+  /// (obs::ProfileKind::kProgramWrite). A non-ideal `faults` config runs
   /// the whole network on a faulty fabric: the layers are programmed clean
   /// and the stuck-at maps and programming variation burned in by
   /// MappedLayer::burn. The default ideal config is bit-identical to the
@@ -181,9 +189,13 @@ class SimulatedModel {
  private:
   /// A fabric of `layers` (layer i programmed from the model's mappable
   /// layer i with layer id i) under the ideal fault model, unpacked until
-  /// burn() packs it.
+  /// burn() packs it. Records no programming: the Monte-Carlo builds its
+  /// layer-sized reference here.
   SimulatedModel(const nn::Model& model, DatapathMode mode,
                  std::vector<MappedLayer> layers);
+  friend RobustnessReport monte_carlo_robustness(const nn::Model&,
+                                                 const FaultConfig&,
+                                                 const RobustnessOptions&);
 
   /// Burns faults[i] into fabrics[i] — clean fabrics of one model and
   /// allocation — in one MappedLayer::burn over all their layers, then
@@ -213,18 +225,18 @@ class SimulatedModel {
 /// their models here.
 nn::Model replay_model(const plan::DeploymentPlan& plan);
 
-/// Monte-Carlo reference cache: the ideal fabric, its synthetic inputs and
-/// traced reference outputs of one workload. They depend on no fault knob,
-/// so one build serves a sweep's whole rate × cell-bits grid. Trial fabrics
-/// are not cached: a keyed burn of a clean copy is cheaper than keeping
-/// them. Thread-safe; holds one workload at a time (a new WorkloadKey drops
-/// the previous references).
+/// Monte-Carlo reference cache: the ideal layer-sized fabric, its synthetic
+/// inputs and traced reference outputs of one workload. They depend on no
+/// fault knob and no allocation, so one build serves a sweep's whole
+/// allocation × rate × cell-bits grid. Trial fabrics are not cached: a
+/// keyed burn of a clean copy is cheaper than keeping them. Thread-safe;
+/// holds one workload at a time (a new WorkloadKey drops the previous
+/// references).
 class TrialFabricCache {
  public:
   /// Everything that identifies one MC workload besides the fault config.
   struct WorkloadKey {
     std::uint64_t model = 0;  ///< nn::Model::identity()
-    std::vector<mapping::CrossbarShape> shapes;
     int samples = 0;
     std::uint64_t input_seed = 0;
     bool operator==(const WorkloadKey&) const = default;
@@ -311,15 +323,23 @@ struct RobustnessOptions {
 /// synthetic inputs; accuracy is argmax agreement with the *ideal* fabric
 /// (isolating device non-ideality from quantization). Reports mean/stddev
 /// across trials plus each layer's mean relative output error.
-/// Deterministic: same model, shapes, faults and options ⇒ same report,
-/// regardless of options.threads and options.pool.
-RobustnessReport monte_carlo_robustness(
-    const nn::Model& model, const std::vector<mapping::CrossbarShape>& shapes,
-    const FaultConfig& faults, const RobustnessOptions& options = {});
+/// Deterministic: same model, faults and options ⇒ same report, regardless
+/// of options.threads and options.pool.
+///
+/// Robustness is a property of the workload and the device, not of an
+/// allocation: the keyed burn draws per logical weight and both datapaths
+/// sum exactly, so every allocation's faulty fabric computes the same
+/// function (ShapeInvariance.* pins the crossbar datapath against this
+/// report). Each trial fabric therefore holds one crossbar per mappable
+/// layer, a block of the layer's own weight_rows × weight_cols, on the
+/// integer datapath.
+RobustnessReport monte_carlo_robustness(const nn::Model& model,
+                                        const FaultConfig& faults,
+                                        const RobustnessOptions& options = {});
 
-/// Plan-based robustness MC: the shapes and FaultConfig come from the
-/// compiled plan (validated against `model` first). Bit-identical to the
-/// explicit-shapes overload on the inputs the plan was compiled from.
+/// Plan-based robustness MC: the plan (and its graph) is validated against
+/// `model`, then the MC runs under the plan's FaultConfig. The plan's
+/// shapes do not enter the report.
 RobustnessReport monte_carlo_robustness(const nn::Model& model,
                                         const plan::DeploymentPlan& plan,
                                         const RobustnessOptions& options = {});

@@ -180,28 +180,29 @@ struct Avx2Core {
   }
 };
 
-void bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
-                    std::int64_t words, const std::uint64_t* xbits,
-                    std::int64_t count, std::int32_t* acc_t) {
+void avx2_bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
+                         std::int64_t words, const std::uint64_t* xbits,
+                         std::int64_t count, std::int32_t* acc_t) {
   detail::bit_serial_mvm_impl<Avx2Core>(planes, cols, words, xbits, count,
                                         acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t rows,
-                     std::int64_t cols, const std::uint8_t* inputs_t,
-                     std::int64_t count, std::int32_t* acc_t) {
+void avx2_reference_batch(const std::int8_t* cells, std::int64_t rows,
+                          std::int64_t cols, const std::uint8_t* inputs_t,
+                          std::int64_t count, std::int32_t* acc_t) {
   detail::reference_batch_impl<Avx2Core>(cells, rows, cols, inputs_t, count,
                                          acc_t);
 }
 
-FaultMapStats burn_block(const BurnBlock& block) {
+FaultMapStats avx2_burn_block(const BurnBlock& block) {
   return detail::burn_block_impl<Avx2Core>(block);
 }
 
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {"avx2", bit_serial_mvm, reference_batch, burn_block};
+const Ops kAvx2Ops = {"avx2", avx2_bit_serial_mvm,
+                      avx2_reference_batch, avx2_burn_block};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -174,29 +174,29 @@ struct Avx512Core {
   }
 };
 
-void bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
-                    std::int64_t words, const std::uint64_t* xbits,
-                    std::int64_t count, std::int32_t* acc_t) {
+void avx512_bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
+                           std::int64_t words, const std::uint64_t* xbits,
+                           std::int64_t count, std::int32_t* acc_t) {
   detail::bit_serial_mvm_impl<Avx512Core>(planes, cols, words, xbits, count,
                                           acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t rows,
-                     std::int64_t cols, const std::uint8_t* inputs_t,
-                     std::int64_t count, std::int32_t* acc_t) {
+void avx512_reference_batch(const std::int8_t* cells, std::int64_t rows,
+                            std::int64_t cols, const std::uint8_t* inputs_t,
+                            std::int64_t count, std::int32_t* acc_t) {
   detail::reference_batch_impl<Avx512Core>(cells, rows, cols, inputs_t, count,
                                            acc_t);
 }
 
-FaultMapStats burn_block(const BurnBlock& block) {
+FaultMapStats avx512_burn_block(const BurnBlock& block) {
   return detail::burn_block_impl<Avx512Core>(block);
 }
 
 }  // namespace
 
 namespace detail {
-const Ops kAvx512Ops = {"avx512", bit_serial_mvm, reference_batch,
-                        burn_block};
+const Ops kAvx512Ops = {"avx512", avx512_bit_serial_mvm,
+                        avx512_reference_batch, avx512_burn_block};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -43,29 +43,29 @@ struct PortableCore {
   }
 };
 
-void bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
-                    std::int64_t words, const std::uint64_t* xbits,
-                    std::int64_t count, std::int32_t* acc_t) {
+void portable_bit_serial_mvm(const std::uint64_t* planes, std::int64_t cols,
+                             std::int64_t words, const std::uint64_t* xbits,
+                             std::int64_t count, std::int32_t* acc_t) {
   detail::bit_serial_mvm_impl<PortableCore>(planes, cols, words, xbits, count,
                                             acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t rows,
-                     std::int64_t cols, const std::uint8_t* inputs_t,
-                     std::int64_t count, std::int32_t* acc_t) {
-  detail::reference_batch_impl<PortableCore>(cells, rows, cols, inputs_t,
-                                             count, acc_t);
+void portable_reference_batch(const std::int8_t* cells, std::int64_t rows,
+                              std::int64_t cols, const std::uint8_t* inputs_t,
+                              std::int64_t count, std::int32_t* acc_t) {
+  detail::reference_batch_impl<PortableCore>(cells, rows, cols, inputs_t, count,
+                                             acc_t);
 }
 
-FaultMapStats burn_block(const BurnBlock& block) {
+FaultMapStats portable_burn_block(const BurnBlock& block) {
   return detail::burn_block_impl<PortableCore>(block);
 }
 
 }  // namespace
 
 namespace detail {
-const Ops kPortableOps = {"portable", bit_serial_mvm, reference_batch,
-                          burn_block};
+const Ops kPortableOps = {"portable", portable_bit_serial_mvm,
+                          portable_reference_batch, portable_burn_block};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -44,8 +44,8 @@ struct Avx2Core {
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {gemm_acc_tiled<Avx2Core, 4, 2>, adam_step,
-                      soft_update};
+const Ops kAvx2Ops = {gemm_acc_tiled<Avx2Core, 4, 2>, adam_step<Avx2Core>,
+                      soft_update<Avx2Core>};
 }  // namespace detail
 
 }  // namespace autohet::rl::kernels

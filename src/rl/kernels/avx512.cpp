@@ -42,7 +42,7 @@ struct Avx512Core {
 
 namespace detail {
 const Ops kAvx512Ops = {gemm_acc_tiled<Avx512Core, 8, 2>,
-                        adam_step, soft_update};
+                        adam_step<Avx512Core>, soft_update<Avx512Core>};
 }  // namespace detail
 
 }  // namespace autohet::rl::kernels

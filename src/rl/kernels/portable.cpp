@@ -9,6 +9,9 @@
 namespace autohet::rl::kernels {
 namespace {
 
+/// Names the portable instances of the shared elementwise ops.
+struct PortableCore {};
+
 // Register-tiled C += A·B micro-kernel. For every C element the
 // k-accumulation runs in strictly ascending k — the exact order of the
 // per-sample scalar path — so results are bit-identical to running the
@@ -145,7 +148,8 @@ void gemm_acc(std::size_t M, std::size_t K, std::size_t N, const double* A,
 }  // namespace
 
 namespace detail {
-const Ops kPortableOps = {gemm_acc, adam_step, soft_update};
+const Ops kPortableOps = {gemm_acc, adam_step<PortableCore>,
+                          soft_update<PortableCore>};
 }  // namespace detail
 
 }  // namespace autohet::rl::kernels

@@ -255,8 +255,8 @@ AdmitResult ServingFabric::admit(std::int64_t m) {
   }
 
   // Program the incoming model: full-allocation write cost, and in
-  // functional mode a real fabric (MappedLayer records kProgramWrite per
-  // crossbar as it programs).
+  // functional mode a real fabric (the plan constructor records
+  // kProgramWrite per crossbar).
   const reram::ProgrammingReport& cost = program_costs_[sm];
   result.swapped_in = true;
   result.program_latency_ns = cost.latency_ns;

@@ -69,9 +69,11 @@
 #       `profile` of the committed v1 fixture plan (tests/data) with
 #       functional samples and Monte-Carlo trials writes the same
 #       profile.json at 1 and at 4 Monte-Carlo threads, and that file
-#       matches its schema: format/version, the six sections, the counters,
-#       one known bottleneck per layer and a timeline that starts busy at
-#       t=0 and drains to zero.
+#       matches its schema: format/version, the six sections, the counters
+#       (61,470 program writes: the Monte-Carlo programs no deployment, so
+#       every layer's and tile's writes equal the run without it), one
+#       known bottleneck per layer and a timeline that starts busy at t=0
+#       and drains to zero.
 #   replay_mc_threads
 #       a one-trial robustness MC replay of the fixture plan (four samples:
 #       a single (trial, sample-chunk) item) prints the same report at 1
@@ -548,9 +550,19 @@ elseif(CASE STREQUAL "profile_threads")
   string(JSON trials GET "${doc}" counters mc_trials)
   string(JSON mvms GET "${doc}" counters functional_mvms)
   string(JSON writes GET "${doc}" counters program_writes)
-  if(NOT trials EQUAL 2 OR NOT mvms GREATER 0 OR NOT writes GREATER 0)
+  if(NOT trials EQUAL 2 OR NOT mvms GREATER 0 OR NOT writes EQUAL 61470)
     message(FATAL_ERROR "profile counters: ${trials} MC trials, ${mvms} "
                         "functional MVMs, ${writes} program writes")
+  endif()
+  # The Monte-Carlo programs no deployment: every per-crossbar and per-tile
+  # write count equals the profile without it.
+  run("${CLI}" profile --plan-in "${fixture_plan}" --functional-samples 2
+      --profile-out profile_no_mc.json)
+  file(READ "${WORK_DIR}/profile_no_mc.json" no_mc)
+  string(JSON tiles GET "${doc}" tiles)
+  string(JSON tiles_no_mc GET "${no_mc}" tiles)
+  if(NOT tiles STREQUAL tiles_no_mc)
+    message(FATAL_ERROR "the Monte-Carlo changed the tile profile")
   endif()
   string(JSON layers LENGTH "${doc}" layers)
   math(EXPR last "${layers} - 1")
@@ -559,6 +571,14 @@ elseif(CASE STREQUAL "profile_threads")
     if(NOT bottleneck MATCHES "^(compute|adc|noc)$")
       message(FATAL_ERROR "layer ${l} bottleneck is '${bottleneck}'")
     endif()
+    foreach(key program_writes crossbar_program_writes)
+      string(JSON with GET "${doc}" layers ${l} ${key})
+      string(JSON without GET "${no_mc}" layers ${l} ${key})
+      if(NOT with STREQUAL without)
+        message(FATAL_ERROR "layer ${l} ${key}: ${with} with the "
+                            "Monte-Carlo, ${without} without")
+      endif()
+    endforeach()
   endforeach()
   # The occupancy timeline starts busy at t=0 and drains to zero.
   string(JSON points LENGTH "${doc}" timeline)

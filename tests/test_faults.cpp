@@ -7,6 +7,7 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -361,7 +362,7 @@ TEST(ProgramVariation, FabricRejectsNegativeSigma) {
   EXPECT_THROW(SimulatedModel(model, shapes, reram::DatapathMode::kInteger,
                               faults),
                std::invalid_argument);
-  EXPECT_THROW(reram::monte_carlo_robustness(model, shapes, faults),
+  EXPECT_THROW(reram::monte_carlo_robustness(model, faults),
                std::invalid_argument);
 }
 
@@ -370,7 +371,6 @@ TEST(ProgramVariation, MonteCarloAgreementFallsWithSigma) {
   // fabric over seeded trials, with its confidence interval.
   common::Rng rng(14);
   const nn::Model model(nn::lenet5(), rng);
-  const std::vector<CrossbarShape> shapes(5, {128, 128});
   reram::RobustnessOptions opts;
   opts.trials = 4;
   opts.samples = 8;
@@ -378,7 +378,7 @@ TEST(ProgramVariation, MonteCarloAgreementFallsWithSigma) {
     FaultConfig faults;
     faults.program_sigma = sigma;
     faults.cell_bits = 2;
-    return reram::monte_carlo_robustness(model, shapes, faults, opts);
+    return reram::monte_carlo_robustness(model, faults, opts);
   };
   const auto zero = at(0.0);
   EXPECT_EQ(zero.mean_accuracy, 1.0);
@@ -705,7 +705,9 @@ TEST(KeyedBurn, LevelTransitionsFollowPhiIntervals) {
 // Shape invariance: the keyed draws depend on the logical weight, never on
 // the crossbar that holds it, and both datapaths are exact integer
 // arithmetic over the programmed cells. So a faulty fabric computes the
-// same function under every allocation.
+// same function under every allocation, and the Monte-Carlo, which takes
+// none, runs one layer-sized crossbar per layer. These tests pin the
+// crossbar datapath under many allocations against it.
 
 std::vector<std::vector<CrossbarShape>> lenet_allocations() {
   const auto candidates = mapping::hybrid_candidates();
@@ -715,7 +717,36 @@ std::vector<std::vector<CrossbarShape>> lenet_allocations() {
     hetero[l] = candidates[l % candidates.size()];
   }
   return {hetero, std::vector<CrossbarShape>(layers, {72, 64}),
-          std::vector<CrossbarShape>(layers, {576, 512})};
+          std::vector<CrossbarShape>(layers, {576, 512}),
+          std::vector<CrossbarShape>(layers, {16, 16})};
+}
+
+/// Nine allocations of `layers` layers: a heterogeneous mix, the five
+/// hybrid homogeneous ones and the split-path shapes 8×8, 16×16 and 128×8
+/// (rows < k²).
+std::vector<std::vector<CrossbarShape>> nine_allocations(std::size_t layers) {
+  const auto candidates = mapping::hybrid_candidates();
+  std::vector<std::vector<CrossbarShape>> allocations(1);
+  for (std::size_t l = 0; l < layers; ++l) {
+    allocations[0].push_back(candidates[l % candidates.size()]);
+  }
+  for (const CrossbarShape& shape : candidates) {
+    allocations.emplace_back(layers, shape);
+  }
+  for (const CrossbarShape shape :
+       {CrossbarShape{8, 8}, CrossbarShape{16, 16}, CrossbarShape{128, 8}}) {
+    allocations.emplace_back(layers, shape);
+  }
+  return allocations;
+}
+
+/// One crossbar per mappable layer, sized to the layer's weight matrix.
+std::vector<CrossbarShape> layer_sized(const nn::Model& model) {
+  std::vector<CrossbarShape> shapes;
+  for (const nn::LayerSpec& spec : model.spec().mappable_layers()) {
+    shapes.push_back({spec.weight_rows(), spec.weight_cols()});
+  }
+  return shapes;
 }
 
 FaultConfig invariance_faults(int cell_bits = 2) {
@@ -739,53 +770,52 @@ bool same_report(const reram::RobustnessReport& a,
          a.fault_stats.weights_changed == b.fault_stats.weights_changed;
 }
 
-TEST(ShapeInvariance, RobustnessReportsAreIdenticalAcrossAllocations) {
-  // The Monte-Carlo report (integer datapath), fault_stats included, at 1, 2
-  // and 4 cell bits, of LeNet-5 and the CIFAR ResNet graph under nine
-  // allocations: a heterogeneous mix, the five hybrid homogeneous ones and
-  // the split-path shapes 8×8, 16×16 and 128×8 (rows < k²). The in-search
-  // Monte-Carlo memo serves one report to every allocation on this basis
-  // (EvaluationEngine::RobustnessKey).
-  common::Rng rng(21);
-  const nn::Model lenet(nn::lenet5(), rng);
-  const nn::Model resnet(nn::cifar_resnet_graph(), rng);
-  reram::RobustnessOptions mc;
-  mc.trials = 4;
-  mc.samples = 6;
-  const auto candidates = mapping::hybrid_candidates();
-  for (const nn::Model* model : {&lenet, &resnet}) {
-    const std::size_t layers = model->spec().mappable_layers().size();
-    std::vector<std::vector<CrossbarShape>> allocations(1);
-    for (std::size_t l = 0; l < layers; ++l) {
-      allocations[0].push_back(candidates[l % candidates.size()]);
-    }
-    for (const CrossbarShape& shape : candidates) {
-      allocations.emplace_back(layers, shape);
-    }
-    for (const CrossbarShape shape :
-         {CrossbarShape{8, 8}, CrossbarShape{16, 16}, CrossbarShape{128, 8}}) {
-      allocations.emplace_back(layers, shape);
-    }
-    for (const int bits : {1, 2, 4}) {
-      const FaultConfig faults = invariance_faults(bits);
-      const auto want =
-          reram::monte_carlo_robustness(*model, allocations[0], faults, mc);
-      EXPECT_GT(want.fault_stats.weights_changed, 0);
-      EXPECT_GT(want.mean_logit_error, 0.0);
-      for (std::size_t a = 1; a < allocations.size(); ++a) {
-        EXPECT_TRUE(same_report(reram::monte_carlo_robustness(
-                                    *model, allocations[a], faults, mc),
-                                want))
-            << model->spec().name << ", " << bits << " bits, allocation "
-            << a;
-      }
+/// The allocation-free Monte-Carlo report, fault_stats included, at 1, 2
+/// and 4 cell bits equals the scalar crossbar oracle's from-scratch run
+/// under each of the nine allocations. The in-search Monte-Carlo memo
+/// serves one report to every allocation on this basis
+/// (EvaluationEngine::RobustnessKey).
+void expect_monte_carlo_matches_oracle(const nn::Model& model,
+                                       const reram::RobustnessOptions& mc) {
+  const auto allocations =
+      nine_allocations(model.spec().mappable_layers().size());
+  for (const int bits : {1, 2, 4}) {
+    const FaultConfig faults = invariance_faults(bits);
+    const auto report = reram::monte_carlo_robustness(model, faults, mc);
+    EXPECT_GT(report.fault_stats.weights_changed, 0);
+    EXPECT_GT(report.mean_logit_error, 0.0);
+    for (std::size_t a = 0; a < allocations.size(); ++a) {
+      EXPECT_TRUE(same_report(
+          oracle::monte_carlo_robustness(model, allocations[a], faults, mc),
+          report))
+          << model.spec().name << ", " << bits << " bits, allocation " << a;
     }
   }
 }
 
-TEST(ShapeInvariance, BitSerialForwardsAreIdenticalAcrossAllocations) {
-  // The same on the bit-serial datapath: every traced output and the fault
-  // counts of one faulty fabric per allocation.
+TEST(ShapeInvariance, RobustnessReportsAreIdenticalAcrossAllocations) {
+  common::Rng rng(21);
+  const nn::Model lenet(nn::lenet5(), rng);
+  reram::RobustnessOptions mc;
+  mc.trials = 4;
+  mc.samples = 6;
+  expect_monte_carlo_matches_oracle(lenet, mc);
+}
+
+TEST(ShapeInvariance, ResnetReportsAreIdenticalAcrossAllocations) {
+  common::Rng rng(21);
+  const nn::Model resnet(nn::cifar_resnet_graph(), rng);
+  reram::RobustnessOptions mc;
+  mc.trials = 2;
+  mc.samples = 2;
+  expect_monte_carlo_matches_oracle(resnet, mc);
+}
+
+TEST(ShapeInvariance, BurnedForwardsEqualTheLayerSizedFabric) {
+  // On both datapaths, a faulty fabric under each allocation (a mix, two
+  // homogeneous and a split-kernel one) forwards bit-equal to the
+  // layer-sized fabric the Monte-Carlo builds: every traced output and the
+  // fault counts.
   common::Rng rng(21);
   const nn::Model model(nn::lenet5(), rng);
   common::Rng img_rng(12);
@@ -793,31 +823,35 @@ TEST(ShapeInvariance, BitSerialForwardsAreIdenticalAcrossAllocations) {
   for (int s = 0; s < 4; ++s) {
     images.push_back(nn::synthetic_image(img_rng, 1, 32, 32));
   }
-  const auto allocations = lenet_allocations();
-  std::vector<std::vector<SimulatedModel::ForwardTrace>> traces;
-  std::vector<FaultMapStats> stats;
-  for (const auto& shapes : allocations) {
-    const SimulatedModel fabric(model, shapes,
-                                reram::DatapathMode::kBitSerial,
-                                invariance_faults());
-    traces.push_back(fabric.forward_batch(images));
-    stats.push_back(fabric.fault_stats());
-  }
-  for (std::size_t a = 1; a < allocations.size(); ++a) {
-    EXPECT_EQ(stats[a].physical_cells, stats[0].physical_cells);
-    EXPECT_EQ(stats[a].stuck_at_zero, stats[0].stuck_at_zero);
-    EXPECT_EQ(stats[a].stuck_at_one, stats[0].stuck_at_one);
-    EXPECT_EQ(stats[a].weights_changed, stats[0].weights_changed);
-    for (std::size_t s = 0; s < images.size(); ++s) {
-      EXPECT_EQ(tensor::max_abs_diff(traces[a][s].output,
-                                     traces[0][s].output),
-                0.0f)
-          << "allocation " << a << " sample " << s;
-      for (std::size_t l = 0; l < traces[0][s].mappable_outputs.size(); ++l) {
-        EXPECT_EQ(tensor::max_abs_diff(traces[a][s].mappable_outputs[l],
-                                       traces[0][s].mappable_outputs[l]),
-                  0.0f)
-            << "allocation " << a << " sample " << s << " layer " << l;
+  for (const auto mode :
+       {reram::DatapathMode::kInteger, reram::DatapathMode::kBitSerial}) {
+    const SimulatedModel want_fabric(model, layer_sized(model), mode,
+                                     invariance_faults());
+    const auto want = want_fabric.forward_batch(images);
+    const FaultMapStats want_stats = want_fabric.fault_stats();
+    EXPECT_GT(want_stats.weights_changed, 0);
+    const auto allocations = lenet_allocations();
+    for (std::size_t a = 0; a < allocations.size(); ++a) {
+      const SimulatedModel fabric(model, allocations[a], mode,
+                                  invariance_faults());
+      const auto traces = fabric.forward_batch(images);
+      const FaultMapStats stats = fabric.fault_stats();
+      const std::string where = "mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                ", allocation " + std::to_string(a);
+      EXPECT_EQ(stats.physical_cells, want_stats.physical_cells) << where;
+      EXPECT_EQ(stats.stuck_at_zero, want_stats.stuck_at_zero) << where;
+      EXPECT_EQ(stats.stuck_at_one, want_stats.stuck_at_one) << where;
+      EXPECT_EQ(stats.weights_changed, want_stats.weights_changed) << where;
+      for (std::size_t s = 0; s < images.size(); ++s) {
+        EXPECT_EQ(tensor::max_abs_diff(traces[s].output, want[s].output), 0.0f)
+            << where << ", sample " << s;
+        for (std::size_t l = 0; l < want[s].mappable_outputs.size(); ++l) {
+          EXPECT_EQ(tensor::max_abs_diff(traces[s].mappable_outputs[l],
+                                         want[s].mappable_outputs[l]),
+                    0.0f)
+              << where << ", sample " << s << ", layer " << l;
+        }
       }
     }
   }

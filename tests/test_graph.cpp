@@ -430,8 +430,6 @@ TEST(GraphFunctional, CifarResnetMonteCarloIsThreadAndCacheInvariant) {
   const nn::Graph g = nn::cifar_resnet_graph();
   common::Rng weight_rng(7);
   const nn::Model model(g, weight_rng);
-  const std::vector<CrossbarShape> shapes(g.mappable_layers().size(),
-                                          CrossbarShape{64, 64});
   reram::FaultConfig faults;
   faults.stuck_at_zero_rate = 1e-3;
   faults.stuck_at_one_rate = 1e-3;
@@ -440,7 +438,7 @@ TEST(GraphFunctional, CifarResnetMonteCarloIsThreadAndCacheInvariant) {
   mc.trials = 2;
   mc.samples = 3;
   const reram::RobustnessReport serial =
-      reram::monte_carlo_robustness(model, shapes, faults, mc);
+      reram::monte_carlo_robustness(model, faults, mc);
   EXPECT_EQ(serial.trials, 2);
   EXPECT_EQ(serial.layer_error.size(), g.mappable_layers().size());
   EXPECT_GT(serial.fault_stats.stuck_at_zero + serial.fault_stats.stuck_at_one,
@@ -467,16 +465,16 @@ TEST(GraphFunctional, CifarResnetMonteCarloIsThreadAndCacheInvariant) {
   };
   reram::RobustnessOptions pooled = mc;
   pooled.threads = 4;
-  expect_same(reram::monte_carlo_robustness(model, shapes, faults, pooled),
+  expect_same(reram::monte_carlo_robustness(model, faults, pooled),
               "4 threads");
   // The first cached call builds the ideal references, the second reuses
   // them.
   reram::TrialFabricCache cache;
   reram::RobustnessOptions cached = pooled;
   cached.cache = &cache;
-  expect_same(reram::monte_carlo_robustness(model, shapes, faults, cached),
+  expect_same(reram::monte_carlo_robustness(model, faults, cached),
               "cache build");
-  expect_same(reram::monte_carlo_robustness(model, shapes, faults, cached),
+  expect_same(reram::monte_carlo_robustness(model, faults, cached),
               "cache hit");
   EXPECT_EQ(cache.stats().ideal_builds, 1u);
   EXPECT_EQ(cache.stats().ideal_hits, 1u);

@@ -445,7 +445,7 @@ TEST_P(KernelVariantTest, MonteCarloMatchesOracle) {
   for (const int threads : {1, 3}) {
     mc.threads = threads;
     EXPECT_TRUE(reports_equal(
-        reram::monte_carlo_robustness(model, shapes, fc, mc), want))
+        reram::monte_carlo_robustness(model, fc, mc), want))
         << threads << " threads";
   }
 }
@@ -492,8 +492,6 @@ TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
   RobustnessOptions mc;
   mc.trials = 9;
   mc.samples = 2;
@@ -510,7 +508,7 @@ TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
   rk::set_variant(rk::Variant::kPortable);
   for (const double rate : rates) {
     portable.push_back(
-        reram::monte_carlo_robustness(model, shapes, rate_fc(rate), mc));
+        reram::monte_carlo_robustness(model, rate_fc(rate), mc));
   }
   rk::set_variant(GetParam());
   common::ThreadPool pool(3);
@@ -523,8 +521,7 @@ TEST_P(KernelVariantTest, MonteCarloRateRowMatchesPortable) {
     run.threads = p != nullptr ? 3 : 1;
     for (std::size_t i = 0; i < std::size(rates); ++i) {
       EXPECT_TRUE(reports_equal(
-          reram::monte_carlo_robustness(model, shapes, rate_fc(rates[i]),
-                                        run),
+          reram::monte_carlo_robustness(model, rate_fc(rates[i]), run),
           portable[i]))
           << "rate " << rates[i] << " pooled " << (p != nullptr);
     }
@@ -897,19 +894,17 @@ TEST(MonteCarloIdentity, ThreadCountInvariance) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
   FaultConfig fc;
   fc.stuck_at_zero_rate = 1e-3;
   fc.stuck_at_one_rate = 1e-3;
   fc.program_sigma = 0.01;
   RobustnessOptions mc = small_mc();
   mc.threads = 1;
-  const auto serial = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto serial = reram::monte_carlo_robustness(model, fc, mc);
   for (const int threads : {2, 8}) {
     mc.threads = threads;
     const auto parallel =
-        reram::monte_carlo_robustness(model, shapes, fc, mc);
+        reram::monte_carlo_robustness(model, fc, mc);
     EXPECT_TRUE(reports_equal(serial, parallel)) << threads << " threads";
   }
 }
@@ -931,18 +926,16 @@ TEST(MonteCarloIdentity, ScalarReferencePolicyInvariance) {
   RobustnessOptions mc = small_mc();
   const auto want = oracle::monte_carlo_robustness(model, shapes, fc, mc);
   EXPECT_TRUE(reports_equal(
-      reram::monte_carlo_robustness(model, shapes, fc, mc), want));
+      reram::monte_carlo_robustness(model, fc, mc), want));
   mc.threads = 3;
   EXPECT_TRUE(reports_equal(
-      reram::monte_carlo_robustness(model, shapes, fc, mc), want));
+      reram::monte_carlo_robustness(model, fc, mc), want));
 }
 
 TEST(MonteCarloIdentity, TrialFabricCacheInvariance) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
   reram::TrialFabricCache cache;
   for (const int bits : {1, 4}) {
     for (const double rate : {0.0, 1e-4, 5e-3}) {
@@ -953,10 +946,10 @@ TEST(MonteCarloIdentity, TrialFabricCacheInvariance) {
       fc.cell_bits = bits;
       RobustnessOptions mc = small_mc();
       mc.cache = &cache;
-      const auto cached = reram::monte_carlo_robustness(model, shapes, fc, mc);
+      const auto cached = reram::monte_carlo_robustness(model, fc, mc);
       mc.cache = nullptr;
       const auto uncached =
-          reram::monte_carlo_robustness(model, shapes, fc, mc);
+          reram::monte_carlo_robustness(model, fc, mc);
       EXPECT_TRUE(reports_equal(cached, uncached))
           << "bits=" << bits << " rate=" << rate;
     }
@@ -1026,8 +1019,6 @@ TEST(MonteCarloIdentity, SingleTrialThreadInvariance) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
   FaultConfig fc;
   fc.stuck_at_zero_rate = 1e-3;
   fc.stuck_at_one_rate = 1e-3;
@@ -1036,16 +1027,16 @@ TEST(MonteCarloIdentity, SingleTrialThreadInvariance) {
   mc.trials = 1;
   mc.samples = 6;
   mc.threads = 1;
-  const auto serial = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto serial = reram::monte_carlo_robustness(model, fc, mc);
   mc.threads = 4;
-  const auto parallel = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto parallel = reram::monte_carlo_robustness(model, fc, mc);
   EXPECT_TRUE(reports_equal(serial, parallel));
   // A single sample is a single item: the pool has nothing to split.
   mc.samples = 1;
   mc.threads = 1;
-  const auto serial1 = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto serial1 = reram::monte_carlo_robustness(model, fc, mc);
   mc.threads = 4;
-  const auto parallel1 = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto parallel1 = reram::monte_carlo_robustness(model, fc, mc);
   EXPECT_TRUE(reports_equal(serial1, parallel1));
 }
 
@@ -1055,19 +1046,17 @@ TEST(MonteCarloIdentity, ExternalPoolInvariance) {
   const nn::NetworkSpec net = nn::lenet5();
   common::Rng wr(21);
   const nn::Model model(net, wr);
-  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
-                                          {72, 64});
   FaultConfig fc;
   fc.stuck_at_zero_rate = 1e-3;
   fc.stuck_at_one_rate = 0.0;
   fc.program_sigma = 0.02;
   RobustnessOptions mc = small_mc();
   mc.threads = 1;
-  const auto serial = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto serial = reram::monte_carlo_robustness(model, fc, mc);
   common::ThreadPool pool(3);
   mc.threads = 2;  // gates the parallel path; the pool's size wins
   mc.pool = &pool;
-  const auto pooled = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto pooled = reram::monte_carlo_robustness(model, fc, mc);
   EXPECT_TRUE(reports_equal(serial, pooled));
 }
 

@@ -279,12 +279,11 @@ TEST(RobustnessBudgetTest, ValidateRejectsNonsense) {
 TEST(FixedModeTest, TrialsEqualsRequestedAndNeverEarlyStops) {
   common::Rng wr(3);
   const nn::Model model(tiny_net(), wr);
-  const std::vector<CrossbarShape> shapes(2, CrossbarShape{32, 32});
   RobustnessOptions mc;
   mc.trials = 3;
   mc.samples = 4;
   const auto report =
-      reram::monte_carlo_robustness(model, shapes, noisy_config(), mc);
+      reram::monte_carlo_robustness(model, noisy_config(), mc);
   EXPECT_EQ(report.trials, 3);
   EXPECT_EQ(report.trials_requested, 3);
   EXPECT_FALSE(report.early_stopped);
@@ -307,7 +306,7 @@ TEST(FixedModeTest, BitIdenticalAcrossThreadsAndKernels) {
     RobustnessOptions v = mc;
     v.threads = threads;
     const auto report =
-        reram::monte_carlo_robustness(model, shapes, noisy_config(), v);
+        reram::monte_carlo_robustness(model, noisy_config(), v);
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     expect_reports_identical(baseline, report);
   }
@@ -329,15 +328,13 @@ RobustnessOptions adaptive_mc(int trials = 12) {
 TEST(AdaptiveModeTest, DeterministicAcrossThreadCounts) {
   common::Rng wr(3);
   const nn::Model model(tiny_net(), wr);
-  const std::vector<CrossbarShape> shapes(2, CrossbarShape{32, 32});
   const auto serial =
-      reram::monte_carlo_robustness(model, shapes, noisy_config(),
-                                    adaptive_mc());
+      reram::monte_carlo_robustness(model, noisy_config(), adaptive_mc());
   for (const int threads : {2, 4}) {
     RobustnessOptions mc = adaptive_mc();
     mc.threads = threads;
     const auto parallel =
-        reram::monte_carlo_robustness(model, shapes, noisy_config(), mc);
+        reram::monte_carlo_robustness(model, noisy_config(), mc);
     SCOPED_TRACE(testing::Message() << threads << " threads");
     expect_reports_identical(serial, parallel);
   }
@@ -349,9 +346,8 @@ TEST(AdaptiveModeTest, ExecutedTrialsAreAFixedModePrefix) {
   // not an approximation.
   common::Rng wr(3);
   const nn::Model model(tiny_net(), wr);
-  const std::vector<CrossbarShape> shapes(2, CrossbarShape{32, 32});
   const auto adaptive = reram::monte_carlo_robustness(
-      model, shapes, noisy_config(), adaptive_mc());
+      model, noisy_config(), adaptive_mc());
   EXPECT_LE(adaptive.trials, adaptive.trials_requested);
   EXPECT_EQ(adaptive.trials_requested, 12);
   EXPECT_EQ(adaptive.early_stopped, adaptive.trials < 12);
@@ -360,7 +356,7 @@ TEST(AdaptiveModeTest, ExecutedTrialsAreAFixedModePrefix) {
   fixed.trials = adaptive.trials;
   fixed.samples = 6;
   const auto prefix =
-      reram::monte_carlo_robustness(model, shapes, noisy_config(), fixed);
+      reram::monte_carlo_robustness(model, noisy_config(), fixed);
   expect_stats_identical(adaptive, prefix);
 }
 
@@ -369,12 +365,11 @@ TEST(AdaptiveModeTest, LooseTargetStopsAtMinTrials) {
   // immediately: the run stops at the clamp and banks the savings.
   common::Rng wr(3);
   const nn::Model model(tiny_net(), wr);
-  const std::vector<CrossbarShape> shapes(2, CrossbarShape{32, 32});
   FaultConfig fc;
   fc.stuck_at_zero_rate = 1e-6;
   RobustnessOptions mc = adaptive_mc(16);
   mc.budget.ci_halfwidth = 0.2;
-  const auto report = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  const auto report = reram::monte_carlo_robustness(model, fc, mc);
   EXPECT_EQ(report.trials, mc.budget.min_trials);
   EXPECT_TRUE(report.early_stopped);
   EXPECT_EQ(report.trials_requested, 16);
@@ -389,7 +384,6 @@ TEST(ReferenceCacheTest, AdaptiveZeroRatePointMatchesUncached) {
   // variation but no stuck cells.
   common::Rng wr(3);
   const nn::Model model(tiny_net(), wr);
-  const std::vector<CrossbarShape> shapes(2, CrossbarShape{32, 32});
   reram::TrialFabricCache cache;
 
   FaultConfig zero = noisy_config();
@@ -398,10 +392,10 @@ TEST(ReferenceCacheTest, AdaptiveZeroRatePointMatchesUncached) {
   zero.program_sigma = 0.3;  // wide enough to move levels of the tiny net
 
   RobustnessOptions mc = adaptive_mc(6);
-  const auto uncached = reram::monte_carlo_robustness(model, shapes, zero, mc);
+  const auto uncached = reram::monte_carlo_robustness(model, zero, mc);
   mc.cache = &cache;
-  (void)reram::monte_carlo_robustness(model, shapes, noisy_config(), mc);
-  const auto cached = reram::monte_carlo_robustness(model, shapes, zero, mc);
+  (void)reram::monte_carlo_robustness(model, noisy_config(), mc);
+  const auto cached = reram::monte_carlo_robustness(model, zero, mc);
   expect_reports_identical(uncached, cached);
   EXPECT_EQ(cached.fault_stats.stuck_at_zero, 0);
   EXPECT_EQ(cached.fault_stats.stuck_at_one, 0);
@@ -413,7 +407,6 @@ TEST(CacheSpanningTest, FixedModeNeverSpans) {
   // at zero stuck rates after a nonzero-rate point.
   common::Rng wr(3);
   const nn::Model model(tiny_net(), wr);
-  const std::vector<CrossbarShape> shapes(2, CrossbarShape{32, 32});
   reram::TrialFabricCache cache;
 
   FaultConfig zero = noisy_config();
@@ -423,11 +416,11 @@ TEST(CacheSpanningTest, FixedModeNeverSpans) {
   RobustnessOptions mc;
   mc.trials = 3;
   mc.samples = 4;
-  const auto uncached = reram::monte_carlo_robustness(model, shapes, zero, mc);
+  const auto uncached = reram::monte_carlo_robustness(model, zero, mc);
   mc.cache = &cache;
   // Warm with a nonzero-rate run first.
-  (void)reram::monte_carlo_robustness(model, shapes, noisy_config(), mc);
-  const auto cached = reram::monte_carlo_robustness(model, shapes, zero, mc);
+  (void)reram::monte_carlo_robustness(model, noisy_config(), mc);
+  const auto cached = reram::monte_carlo_robustness(model, zero, mc);
   expect_reports_identical(uncached, cached);
 }
 
@@ -463,6 +456,30 @@ TEST(RobustnessMemoTest, CachedEntryMatchesUncachedAndHitsOnRepeat) {
   const auto uncached =
       engine.evaluate_robustness(model, actions, noisy_config(), mc);
   expect_reports_identical(first, uncached);
+}
+
+TEST(ReferenceCacheTest, EngineCallsOnTwoAllocationsShareOneReferenceBuild) {
+  // evaluate_robustness takes an allocation but the Monte-Carlo does not:
+  // two action vectors on one caller cache build the ideal references once
+  // and get one report.
+  const nn::NetworkSpec net = nn::lenet5();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const auto engine = lenet_engine(net);
+  const std::size_t layers = net.mappable_layers().size();
+  std::vector<std::size_t> mixed(layers);
+  for (std::size_t l = 0; l < layers; ++l) mixed[l] = l % 5;
+  reram::TrialFabricCache cache;
+  RobustnessOptions mc;
+  mc.trials = 2;
+  mc.samples = 3;
+  mc.cache = &cache;
+  const auto homo = engine.evaluate_robustness(
+      model, std::vector<std::size_t>(layers, 4), noisy_config(), mc);
+  expect_reports_identical(
+      homo, engine.evaluate_robustness(model, mixed, noisy_config(), mc));
+  EXPECT_EQ(cache.stats().ideal_builds, 1u);
+  EXPECT_EQ(cache.stats().ideal_hits, 1u);
 }
 
 TEST(RobustnessMemoTest, OneEntryServesEveryAllocationAndMatchesOracle) {
@@ -702,8 +719,6 @@ TEST(ModelIdentityTest, CachesNeverServeAnotherModelsResults) {
   const nn::NetworkSpec net = nn::lenet5();
   const auto engine = lenet_engine(net);
   const std::vector<std::size_t> actions(net.mappable_layers().size(), 1);
-  const std::vector<CrossbarShape> shapes(
-      actions.size(), mapping::hybrid_candidates()[1]);
   FaultConfig fc;
   fc.stuck_at_zero_rate = 5e-3;
   fc.stuck_at_one_rate = 5e-3;
@@ -719,11 +734,11 @@ TEST(ModelIdentityTest, CachesNeverServeAnotherModelsResults) {
   // The engine memo and the reference cache must each give `model` exactly
   // the uncached report, whatever they served before.
   const auto expect_fresh = [&](const nn::Model& model) {
-    const auto uncached = reram::monte_carlo_robustness(model, shapes, fc, mc);
+    const auto uncached = reram::monte_carlo_robustness(model, fc, mc);
     expect_reports_identical(
         engine.evaluate_robustness_cached(model, actions, fc, mc), uncached);
     expect_reports_identical(
-        reram::monte_carlo_robustness(model, shapes, fc, with_trials),
+        reram::monte_carlo_robustness(model, fc, with_trials),
         uncached);
   };
 

@@ -282,7 +282,9 @@ TEST(DeploymentPlan, FunctionalFabricMatchesShapeConstruction) {
   }
 }
 
-TEST(DeploymentPlan, RobustnessMonteCarloMatchesShapePath) {
+TEST(DeploymentPlan, RobustnessMonteCarloRunsThePlanFaults) {
+  // The plan overload validates the plan and runs the workload's MC under
+  // plan.accel.faults; the plan's shapes do not enter the report.
   const nn::NetworkSpec net = nn::lenet5();
   const auto layers = net.mappable_layers();
   const auto shapes = hetero_shapes(layers.size());
@@ -296,8 +298,7 @@ TEST(DeploymentPlan, RobustnessMonteCarloMatchesShapePath) {
   reram::RobustnessOptions opts;
   opts.trials = 3;
   opts.samples = 2;
-  const auto a = reram::monte_carlo_robustness(model, shapes, accel.faults,
-                                               opts);
+  const auto a = reram::monte_carlo_robustness(model, accel.faults, opts);
   const auto b = reram::monte_carlo_robustness(model, p, opts);
   EXPECT_EQ(a.mean_accuracy, b.mean_accuracy);
   EXPECT_EQ(a.stddev_accuracy, b.stddev_accuracy);

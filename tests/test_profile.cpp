@@ -194,6 +194,42 @@ TEST(Profiler, McRecordingInvariantAcrossThreadsAndKernels) {
   EXPECT_EQ(run(3), serial);
 }
 
+TEST(Profiler, MonteCarloOnAPlanRecordsNoProgramWrites) {
+  // The Monte-Carlo's layer-sized reference and its trial fabrics are no
+  // deployment: only SimulatedModel's public constructors record
+  // programming, and a deployment of the same plan still does.
+  const auto net = nn::lenet5();
+  const auto layers = net.mappable_layers();
+  reram::AcceleratorConfig accel;
+  accel.faults.stuck_at_zero_rate = 1e-3;
+  accel.faults.stuck_at_one_rate = 1e-3;
+  accel.faults.program_sigma = 0.02;
+  const auto plan = plan::compile_plan(net.name, layers,
+                                       hetero_shapes(layers.size()), accel);
+  common::Rng rng(3);
+  const nn::Model model(net, rng);
+
+  ScopedProfiler scoped;
+  reram::RobustnessOptions opts;
+  opts.trials = 2;
+  opts.samples = 2;
+  (void)reram::monte_carlo_robustness(model, plan, opts);
+  const obs::ProfileSnapshot mc = obs::Profiler::global().snapshot();
+  EXPECT_EQ(mc.total(obs::ProfileKind::kMcTrial), 2u);
+  EXPECT_GT(mc.total(obs::ProfileKind::kFunctionalMvm), 0u);
+  EXPECT_EQ(mc.total(obs::ProfileKind::kProgramWrite), 0u);
+
+  std::uint64_t weights = 0;
+  for (const nn::LayerSpec& spec : layers) {
+    weights += static_cast<std::uint64_t>(spec.weight_rows() *
+                                          spec.weight_cols());
+  }
+  const reram::SimulatedModel fabric(model, plan);
+  EXPECT_EQ(obs::Profiler::global().snapshot().total(
+                obs::ProfileKind::kProgramWrite),
+            weights);
+}
+
 #endif  // !defined(AUTOHET_OBS_DISABLED)
 
 // --------------------------------------------------------- profile report --
